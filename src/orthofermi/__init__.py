@@ -3,36 +3,37 @@ para- and fractional supersymmetries of the orthosupersymmetric oscillator.
 """
 
 from .algebra import AlgebraElement, alg_adjoint, alg_mul, basis, rho0
-from .canonical import (CanonicalRep, canonical, cyclic_from, ladder_F, ladder_L,
-                        ladder_identity_residuals, lowering_from, pi_of)
+from .canonical import (OrthoRep, canonical, cyclic_from, ladder_F, ladder_L,
+                        ladder_identity_residuals, lowering_from, occupied, pi_of)
 from .errors import (ClusteringError, DimensionError, IoError, NotARepresentationError,
                      NotHermitianError, NumericalDegeneracyError, OrderError,
                      OrthofermiError, ParseError, TruncationError)
-from .linalg import (DEFAULT_RANK_TOL, DEFAULT_TOL, HermEig, adjoint, haar_unitary,
-                     herm_eig, matmul, max_abs, orthonormal_range)
+from .linalg import (DEFAULT_RANK_TOL, DEFAULT_TOL, HermEig, haar_unitary, herm_eig, max_abs,
+                     orthonormal_range)
 from .osusy import (CLOSED_FORM_TOL, DEFAULT_CLUSTER_TOL, DEFAULT_GENERATOR_TOL,
                     EigenspaceAnalysis, OsusySystem, SpectralData, SusyGenerators,
                     build_generators, build_system, check_generators, check_relations,
                     closed_form_frac, closed_form_para, eigenspace_reps, spectral,
                     spectral_power)
-from .reptheory import Decomposition, OrthoRep, decompose, infer_unit, random_rep, verify
+from .reptheory import (Decomposition, decompose, infer_unit, random_rep, relation_residuals,
+                        verify)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AlgebraElement", "alg_adjoint", "alg_mul", "basis", "rho0",
-    "CanonicalRep", "canonical", "cyclic_from", "ladder_F", "ladder_L",
-    "ladder_identity_residuals", "lowering_from", "pi_of",
+    "OrthoRep", "canonical", "cyclic_from", "ladder_F", "ladder_L",
+    "ladder_identity_residuals", "lowering_from", "occupied", "pi_of",
     "ClusteringError", "DimensionError", "IoError", "NotARepresentationError",
     "NotHermitianError", "NumericalDegeneracyError", "OrderError",
     "OrthofermiError", "ParseError", "TruncationError",
-    "DEFAULT_RANK_TOL", "DEFAULT_TOL", "HermEig", "adjoint", "haar_unitary",
-    "herm_eig", "matmul", "max_abs", "orthonormal_range",
+    "DEFAULT_RANK_TOL", "DEFAULT_TOL", "HermEig", "haar_unitary",
+    "herm_eig", "max_abs", "orthonormal_range",
     "CLOSED_FORM_TOL", "DEFAULT_CLUSTER_TOL", "DEFAULT_GENERATOR_TOL",
     "EigenspaceAnalysis", "OsusySystem", "SpectralData", "SusyGenerators",
     "build_generators", "build_system", "check_generators", "check_relations",
     "closed_form_frac", "closed_form_para", "eigenspace_reps", "spectral",
     "spectral_power",
-    "Decomposition", "OrthoRep", "decompose", "infer_unit", "random_rep", "verify",
+    "Decomposition", "decompose", "infer_unit", "random_rep", "relation_residuals", "verify",
     "__version__",
 ]

@@ -30,8 +30,9 @@ import numpy as np
 from .errors import OrderError
 
 
-def _check_order(p: int) -> int:
-    if int(p) != p or p < 1:
+def check_order(p: int) -> int:
+    """The orthofermion order ``p`` as an int; bools and non-positive values raise."""
+    if isinstance(p, bool) or int(p) != p or p < 1:
         raise OrderError(f"order p must be a positive integer, got {p!r}")
     return int(p)
 
@@ -52,7 +53,7 @@ class AlgebraElement:
     sigma: np.ndarray = field(default=None)
 
     def __post_init__(self):
-        p = _check_order(self.p)
+        p = check_order(self.p)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "lam", complex(self.lam))
         for name, shape in (("nu", (p,)), ("mu", (p,)), ("sigma", (p, p))):
@@ -168,7 +169,7 @@ def rho0(x: AlgebraElement) -> np.ndarray:
 
 def basis(p: int) -> list[AlgebraElement]:
     """All (p+1)^2 monomials: Pi, the c_a, the c_a^dag, then the c_a^dag c_b."""
-    p = _check_order(p)
+    p = check_order(p)
     out = [AlgebraElement.vacuum(p)]
     out += [AlgebraElement.annihilator(p, a) for a in range(1, p + 1)]
     out += [AlgebraElement.creator(p, a) for a in range(1, p + 1)]

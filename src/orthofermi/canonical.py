@@ -1,4 +1,7 @@
-"""Canonical irreducible representation and its ladder operators.
+"""Representations, the canonical irreducible one and its ladder operators.
+
+:class:`OrthoRep` is the package's one representation type; :func:`canonical`
+returns one.
 
 On the (p+1)-dimensional Fock space with kets |0>, |1>, .., |p> (ket n is
 matrix row/column n+1), the annihilators act as the matrix units
@@ -21,48 +24,58 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, OrderError
-from .linalg import max_abs
+from .algebra import check_order
+from .errors import DimensionError
+from .linalg import as_matrix, max_abs
 
 
 @dataclass(frozen=True)
-class CanonicalRep:
-    """Order p plus the p canonical annihilator matrices, each (p+1)x(p+1)."""
+class OrthoRep:
+    """Candidate representation: order p and p square matrices of equal size."""
 
     p: int
+    dim: int
     c: list[np.ndarray]
 
-    @property
-    def dim(self) -> int:
-        return self.p + 1
+    def __post_init__(self):
+        p = check_order(self.p)
+        if len(self.c) != p:
+            raise DimensionError(f"expected {p} matrices, got {len(self.c)}")
+        mats = [as_matrix(m) for m in self.c]
+        for m in mats:
+            if m.shape != (self.dim, self.dim):
+                raise DimensionError(f"matrix shape {m.shape} does not match dim {self.dim}")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "c", mats)
 
 
-def canonical(p: int) -> CanonicalRep:
+def canonical(p: int) -> OrthoRep:
     """The canonical representation: c_a is the matrix unit E_{1,a+1}."""
-    if int(p) != p or p < 1:
-        raise OrderError(f"order p must be a positive integer, got {p!r}")
-    p = int(p)
+    p = check_order(p)
     cs = []
     for a in range(1, p + 1):
         m = np.zeros((p + 1, p + 1), dtype=complex)
         m[0, a] = 1.0
         cs.append(m)
-    return CanonicalRep(p=p, c=cs)
+    return OrthoRep(p=p, dim=p + 1, c=cs)
 
 
-def pi_of(rep, unit: np.ndarray) -> np.ndarray:
+def occupied(c: list[np.ndarray]) -> np.ndarray:
+    """sum_g c_g^dag c_g over the given annihilators."""
+    return sum(m.conj().T @ m for m in c)
+
+
+def pi_of(rep: OrthoRep, unit: np.ndarray) -> np.ndarray:
     """Vacuum projector unit - sum_a c_a^dag c_a of a representation.
 
-    ``rep`` is anything with a ``c`` attribute holding the annihilator
-    matrices; ``unit`` must represent 1 on the same space (the identity for
-    the canonical representation).
+    ``unit`` must represent 1 on the same space (the identity for the
+    canonical representation).
     """
     unit = np.asarray(unit, dtype=complex)
     for m in rep.c:
         if m.shape != unit.shape:
             raise DimensionError(f"annihilator shape {m.shape} does not match unit {unit.shape}")
-    occupied = sum(m.conj().T @ m for m in rep.c)
-    return unit - occupied
+    return unit - occupied(rep.c)
 
 
 def lowering_from(c: list[np.ndarray]) -> np.ndarray:
@@ -106,13 +119,13 @@ def ladder_identity_residuals(p: int) -> dict[str, float]:
     L = lowering_from(c)
     F = cyclic_from(c)
     Ld = L.conj().T
+    Lk = [eye]  # Lk[k] = L^k for k in 0..p+2
+    for _ in range(p + 2):
+        Lk.append(Lk[-1] @ L)
 
     def c_or_pi(k: int) -> np.ndarray:
         # c_0 denotes the vacuum projector; closes the identities at p = 1
         return pi if k == 0 else c[k - 1]
-
-    def power(m: np.ndarray, k: int) -> np.ndarray:
-        return np.linalg.matrix_power(m, k)
 
     res: dict[str, float] = {}
     res["Ldag L = 1 - Pi"] = max_abs(Ld @ L - (eye - pi))
@@ -125,21 +138,20 @@ def ladder_identity_residuals(p: int) -> dict[str, float]:
             closed = c[p - 1]
         else:
             closed = np.zeros((n, n), dtype=complex)
-        res[f"L^{k} closed form"] = max_abs(power(L, k) - closed)
+        res[f"L^{k} closed form"] = max_abs(Lk[k] - closed)
 
-    res["L^p Ldag = c_{p-1}"] = max_abs(power(L, p) @ Ld - c_or_pi(p - 1))
-    res["Ldag L^p = L^{p-1} - c_{p-1}"] = max_abs(Ld @ power(L, p) - (power(L, p - 1) - c_or_pi(p - 1)))
+    res["L^p Ldag = c_{p-1}"] = max_abs(Lk[p] @ Ld - c_or_pi(p - 1))
+    res["Ldag L^p = L^{p-1} - c_{p-1}"] = max_abs(Ld @ Lk[p] - (Lk[p - 1] - c_or_pi(p - 1)))
 
     for k in range(1, p + 1):
-        res[f"L^{k} Pi = 0"] = max_abs(power(L, k) @ pi)
-        res[f"Pi L^{k} = c_{k}"] = max_abs(pi @ power(L, k) - c[k - 1])
+        res[f"L^{k} Pi = 0"] = max_abs(Lk[k] @ pi)
+        res[f"Pi L^{k} = c_{k}"] = max_abs(pi @ Lk[k] - c[k - 1])
 
     for k in range(1, p):
-        res[f"L^{p - k} Ldag L^{k} = L^{p-1}"] = max_abs(
-            power(L, p - k) @ Ld @ power(L, k) - power(L, p - 1))
+        res[f"L^{p - k} Ldag L^{k} = L^{p-1}"] = max_abs(Lk[p - k] @ Ld @ Lk[k] - Lk[p - 1])
 
-    res["L^{p+1} = 0"] = max_abs(power(L, p + 1))
-    ssum = sum(power(L, p - k) @ Ld @ power(L, k) for k in range(p + 1))
-    res["sum_k L^{p-k} Ldag L^k = p L^{p-1}"] = max_abs(ssum - p * power(L, p - 1))
-    res["F^{p+1} = 1"] = max_abs(power(F, p + 1) - eye)
+    res["L^{p+1} = 0"] = max_abs(Lk[p + 1])
+    ssum = sum(Lk[p - k] @ Ld @ Lk[k] for k in range(p + 1))
+    res["sum_k L^{p-k} Ldag L^k = p L^{p-1}"] = max_abs(ssum - p * Lk[p - 1])
+    res["F^{p+1} = 1"] = max_abs(np.linalg.matrix_power(F, p + 1) - eye)
     return res

@@ -19,7 +19,7 @@ from . import osusy as osy
 from . import reptheory as rt
 from . import serialize as ser
 from .canonical import canonical, ladder_F, ladder_L, ladder_identity_residuals
-from .errors import IoError, OrthofermiError, ParseError
+from .errors import DimensionError, IoError, OrderError, OrthofermiError, ParseError, TruncationError
 from .linalg import DEFAULT_RANK_TOL, DEFAULT_TOL
 
 REPORT_SCHEMA = "orthofermion-report/1"
@@ -27,6 +27,9 @@ REPORT_SCHEMA = "orthofermion-report/1"
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_IO = 2
+
+#: Errors that only unreadable files or invalid argument values can cause.
+INPUT_ERRORS = (ParseError, IoError, OrderError, TruncationError, DimensionError)
 
 
 @dataclass
@@ -102,17 +105,12 @@ def _fmt_entry(z) -> str:
     return f"{complex(re, im):.3g}"
 
 
-def _matrix_payload(m: np.ndarray) -> list:
-    return ser.encode_matrix(m)
-
-
 # -- commands ----------------------------------------------------------------
 
 
 def cmd_canonical(args) -> Report:
     rep = canonical(args.p)
-    out = rt.OrthoRep(p=rep.p, dim=rep.dim, c=rep.c)
-    ser.write_rep_file(args.out, out, np.eye(rep.dim, dtype=complex))
+    ser.write_rep_file(args.out, rep, np.eye(rep.dim, dtype=complex))
     report = Report("canonical", {"p": args.p, "out": str(args.out)})
     report.payload["written"] = str(args.out)
     report.payload["dim"] = rep.dim
@@ -164,10 +162,10 @@ def cmd_osusy(args) -> Report:
     sys_ = osy.build_system(args.p, args.levels)
     report = Report("osusy", {"p": args.p, "levels": args.levels,
                               "tol": args.tol, "cluster_tol": args.cluster_tol})
-    for name, value in osy.check_relations(sys_).items():
+    spectrum = osy.spectral(sys_, args.cluster_tol)
+    for name, value in osy.check_relations(sys_, spectrum).items():
         report.add(name, value, args.tol)
 
-    spectrum = osy.spectral(sys_, args.cluster_tol)
     analyses = osy.eigenspace_reps(sys_, spectrum, args.tol)
     gens = osy.build_generators(sys_, spectrum, analyses)
     for name, value in osy.check_generators(sys_, gens, spectrum).items():
@@ -202,8 +200,8 @@ def cmd_ladder(args) -> Report:
     report = Report("ladder", {"p": args.p, "tol": args.tol})
     for name, value in ladder_identity_residuals(args.p).items():
         report.add(name, value, args.tol)
-    report.payload["L"] = _matrix_payload(ladder_L(args.p))
-    report.payload["F"] = _matrix_payload(ladder_F(args.p))
+    report.payload["L"] = ser.encode_matrix(ladder_L(args.p))
+    report.payload["F"] = ser.encode_matrix(ladder_F(args.p))
     return report
 
 
@@ -277,7 +275,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         report = args.func(args)
-    except (ParseError, IoError) as exc:
+    except INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except OrthofermiError as exc:

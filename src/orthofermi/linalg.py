@@ -40,19 +40,6 @@ def max_abs(a) -> float:
     return float(np.abs(a).max())
 
 
-def matmul(a, b) -> np.ndarray:
-    """Matrix product with an explicit shape check."""
-    a, b = as_matrix(a), as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise DimensionError(f"cannot multiply {a.shape} by {b.shape}")
-    return a @ b
-
-
-def adjoint(a) -> np.ndarray:
-    """Conjugate transpose. An exact involution: adjoint(adjoint(a)) == a."""
-    return as_matrix(a).conj().T
-
-
 @dataclass(frozen=True)
 class HermEig:
     """Eigendecomposition of a Hermitian matrix.
@@ -69,7 +56,7 @@ class HermEig:
 def herm_eig(a, tol: float = DEFAULT_TOL) -> HermEig:
     """Eigendecomposition of a Hermitian matrix, eigenvalues ascending.
 
-    Raises :class:`NotHermitianError` if ``max_abs(a - adjoint(a)) > tol``.
+    Raises :class:`NotHermitianError` if ``max_abs(a - a^dagger) > tol``.
     """
     a = as_matrix(a)
     if a.shape[0] != a.shape[1]:

@@ -32,10 +32,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .canonical import canonical, cyclic_from, lowering_from
-from .errors import ClusteringError, NotARepresentationError, OrderError, TruncationError
+from .algebra import check_order
+from .canonical import OrthoRep, canonical, cyclic_from, lowering_from, occupied
+from .errors import ClusteringError, NotARepresentationError, TruncationError
 from .linalg import DEFAULT_TOL, herm_eig, max_abs
-from .reptheory import Decomposition, OrthoRep, decompose, verify
+from .reptheory import Decomposition, decompose, relation_residuals, verify
 
 #: Default relative tolerance for grouping eigenvalues into clusters.
 DEFAULT_CLUSTER_TOL = 1e-8
@@ -63,14 +64,14 @@ class SpectralData:
     """Clustered eigendecomposition of the Hamiltonian.
 
     ``energies`` are the distinct cluster values ascending, ``bases[k]`` the
-    orthonormal eigenvector columns of cluster k, ``projectors[k]`` the
-    corresponding orthogonal projector and ``multiplicities[k]`` its rank.
+    orthonormal eigenvector columns of cluster k and ``multiplicities[k]``
+    their number. ``eigenvalues`` holds every eigenvalue of H, ascending.
     """
 
     energies: list[float]
     multiplicities: list[int]
     bases: list[np.ndarray]
-    projectors: list[np.ndarray]
+    eigenvalues: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -102,36 +103,29 @@ def build_system(p: int, levels: int) -> OsusySystem:
     The boson annihilator acts as a|n> = sqrt(n)|n-1> on occupations
     0..levels-1 with a^dag|levels-1> = 0 (hard cutoff).
     """
-    if int(p) != p or p < 1:
-        raise OrderError(f"order p must be a positive integer, got {p!r}")
+    p = check_order(p)
     if int(levels) != levels or levels < 2:
         raise TruncationError(f"need at least 2 boson levels, got {levels!r}")
-    p, levels = int(p), int(levels)
+    levels = int(levels)
     a = np.diag(np.sqrt(np.arange(1, levels)), 1).astype(complex)
     cs = canonical(p).c
     Q = [math.sqrt(2.0) * np.kron(a.conj().T, c) for c in cs]
-    occupied = sum(q.conj().T @ q for q in Q)
-    H = 0.5 * (Q[0] @ Q[0].conj().T + occupied)
+    H = 0.5 * (Q[0] @ Q[0].conj().T + occupied(Q))
     return OsusySystem(p=p, levels=levels, dim=levels * (p + 1), Q=Q, H=H)
 
 
-def check_relations(sys: OsusySystem) -> dict[str, float]:
+def check_relations(sys: OsusySystem, spectrum: SpectralData) -> dict[str, float]:
     """Residuals of the orthosupersymmetry relations and of H >= 0.
 
-    The positivity entry is max(0, -min eigenvalue), so 0.0 means a
-    nonnegative spectrum.
+    The charges obey the orthofermion relations with 2H as unit. The
+    positivity entry is max(0, -min eigenvalue) over ``spectrum``, so 0.0
+    means a nonnegative spectrum.
     """
     Q, H = sys.Q, sys.H
-    p = sys.p
-    occupied = sum(q.conj().T @ q for q in Q)
-    res = {
-        "[H, Q_a] = 0": max(max_abs(H @ q - q @ H) for q in Q),
-        "Q_a Q_b = 0": max(max_abs(Q[a] @ Q[b]) for a in range(p) for b in range(p)),
-        "Q_a Q_b^dag + d_ab sum Q^dag Q = 2 d_ab H": max(
-            max_abs(Q[a] @ Q[b].conj().T + (occupied - 2 * H if a == b else 0))
-            for a in range(p) for b in range(p)),
-        "H >= 0": max(0.0, -float(herm_eig(H).values.min())),
-    }
+    res = {"[H, Q_a] = 0": max(max_abs(H @ q - q @ H) for q in Q)}
+    res["Q_a Q_b = 0"], res["Q_a Q_b^dag + d_ab sum Q^dag Q = 2 d_ab H"] = \
+        relation_residuals(Q, 2 * H)
+    res["H >= 0"] = max(0.0, -float(spectrum.eigenvalues.min()))
     return res
 
 
@@ -176,14 +170,12 @@ def spectral(sys: OsusySystem, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> Spec
             raise ClusteringError(
                 f"clusters at E = {e1:.6g} and E = {e2:.6g} separated by only {gap:.3e}")
 
-    energies, multiplicities, bases, projectors = [], [], [], []
+    energies, multiplicities, bases = [], [], []
     for energy, idx in clusters:
-        b = vecs[:, idx]
         energies.append(energy)
         multiplicities.append(len(idx))
-        bases.append(b)
-        projectors.append(b @ b.conj().T)
-    return SpectralData(energies, multiplicities, bases, projectors)
+        bases.append(vecs[:, idx])
+    return SpectralData(energies, multiplicities, bases, vals)
 
 
 def eigenspace_reps(sys: OsusySystem, spectrum: SpectralData,
@@ -249,12 +241,7 @@ def build_generators(sys: OsusySystem, spectrum: SpectralData,
         cyc = cyclic_from(analysis.rep.c)
         para = para + basis @ (math.sqrt(2.0 * energy) * low) @ basis.conj().T
         frac = frac + basis @ (energy ** (1.0 / (sys.p + 1)) * cyc) @ basis.conj().T
-
-    Q = sys.Q
-    direct = Q[0].conj().T + Q[sys.p - 1]
-    for a in range(1, sys.p):
-        direct = direct + Q[a].conj().T @ Q[a - 1]
-    return SusyGenerators(para=para, frac=frac, frac_direct=direct)
+    return SusyGenerators(para=para, frac=frac, frac_direct=cyclic_from(sys.Q).conj().T)
 
 
 def spectral_power(spectrum: SpectralData, a: float) -> np.ndarray:
@@ -264,27 +251,18 @@ def spectral_power(spectrum: SpectralData, a: float) -> np.ndarray:
     calculus to negative and fractional ``a`` (pseudo-inverse convention).
     In particular a = 0 gives the projector onto the positive spectrum.
     """
-    n = spectrum.projectors[0].shape[0]
+    n = spectrum.bases[0].shape[0]
     out = np.zeros((n, n), dtype=complex)
-    for energy, projector in zip(spectrum.energies, spectrum.projectors):
+    for energy, basis in zip(spectrum.energies, spectrum.bases):
         if energy > 0.0:
-            out = out + (energy ** a) * projector
-    return out
-
-
-def _charge_transfer_sum(sys: OsusySystem) -> np.ndarray:
-    """sum_{a=2..p} Q_{a-1}^dag Q_a, the index-lowering part of the charges."""
-    n = sys.dim
-    out = np.zeros((n, n), dtype=complex)
-    for a in range(1, sys.p):
-        out = out + sys.Q[a - 1].conj().T @ sys.Q[a]
+            out = out + (energy ** a) * (basis @ basis.conj().T)
     return out
 
 
 def closed_form_para(sys: OsusySystem, spectrum: SpectralData) -> np.ndarray:
     """Q_1 + (2H)^{-1/2} sum_{a=2..p} Q_{a-1}^dag Q_a via spectral calculus."""
     inv_root = (2.0 ** -0.5) * spectral_power(spectrum, -0.5)
-    return sys.Q[0] + inv_root @ _charge_transfer_sum(sys)
+    return sys.Q[0] + inv_root @ (lowering_from(sys.Q) - sys.Q[0])
 
 
 def closed_form_frac(sys: OsusySystem, spectrum: SpectralData) -> np.ndarray:
@@ -297,7 +275,8 @@ def closed_form_frac(sys: OsusySystem, spectrum: SpectralData) -> np.ndarray:
     p = sys.p
     outer = (2.0 ** -0.5) * spectral_power(spectrum, -(p - 1) / (2.0 * (p + 1)))
     inner = 0.5 * spectral_power(spectrum, -p / (p + 1))
-    return outer @ sys.Q[0] + inner @ _charge_transfer_sum(sys) + outer @ sys.Q[p - 1].conj().T
+    transfer = lowering_from(sys.Q) - sys.Q[0]
+    return outer @ sys.Q[0] + inner @ transfer + outer @ sys.Q[p - 1].conj().T
 
 
 def check_generators(sys: OsusySystem, gens: SusyGenerators,
@@ -325,8 +304,14 @@ def check_generators(sys: OsusySystem, gens: SusyGenerators,
     res: dict[str, float] = {}
     res["para^{p+1} = 0"] = rel(power(para, p + 1), base ** ((p + 1) / 2.0))
     if p >= 2:
-        lhs = sum(power(para, p - k) @ para.conj().T @ power(para, k) for k in range(p + 1))
-        rhs = 2.0 * p * power(para, p - 1) @ H
+        # T_j := sum_{k<=j} para^{j-k} para^dag para^k = para T_{j-1} + para^dag para^j
+        para_dag = para.conj().T
+        lhs, para_j = para_dag, np.eye(sys.dim, dtype=complex)
+        for _ in range(p - 1):
+            para_j = para_j @ para
+            lhs = para @ lhs + para_dag @ para_j
+        lhs = para @ lhs + para_dag @ para_j @ para
+        rhs = 2.0 * p * para_j @ H
         res["sum_k para^{p-k} para^dag para^k = 2p para^{p-1} H"] = rel(lhs - rhs, max_abs(rhs))
     res["frac^{p+1} = H"] = rel(power(frac, p + 1) - H, max_abs(H))
     rhs_direct = power(2.0 * H, p)

@@ -22,27 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .canonical import canonical
+from .canonical import OrthoRep, canonical, occupied, pi_of
 from .errors import DimensionError, NotARepresentationError, NumericalDegeneracyError
 from .linalg import DEFAULT_RANK_TOL, DEFAULT_TOL, as_matrix, haar_unitary, max_abs, orthonormal_range
-
-
-@dataclass(frozen=True)
-class OrthoRep:
-    """Candidate representation: order p and p square matrices of equal size."""
-
-    p: int
-    dim: int
-    c: list[np.ndarray]
-
-    def __post_init__(self):
-        if len(self.c) != self.p:
-            raise DimensionError(f"expected {self.p} matrices, got {len(self.c)}")
-        mats = [as_matrix(m) for m in self.c]
-        for m in mats:
-            if m.shape != (self.dim, self.dim):
-                raise DimensionError(f"matrix shape {m.shape} does not match dim {self.dim}")
-        object.__setattr__(self, "c", mats)
 
 
 @dataclass(frozen=True)
@@ -60,10 +42,6 @@ class Decomposition:
     residuals: dict[str, float]
 
 
-def _occupied(rep: OrthoRep) -> np.ndarray:
-    return sum(m.conj().T @ m for m in rep.c)
-
-
 def infer_unit(rep: OrthoRep, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Representative of the algebra unit, solved from the relations.
 
@@ -72,7 +50,7 @@ def infer_unit(rep: OrthoRep, tol: float = DEFAULT_TOL) -> np.ndarray:
     both are checked within ``tol``. A representation with all generators
     zero legitimately yields R = 0.
     """
-    occ = _occupied(rep)
+    occ = occupied(rep.c)
     unit = rep.c[0] @ rep.c[0].conj().T + occ
     for a in range(1, rep.p):
         other = rep.c[a] @ rep.c[a].conj().T + occ
@@ -88,6 +66,19 @@ def infer_unit(rep: OrthoRep, tol: float = DEFAULT_TOL) -> np.ndarray:
     return unit
 
 
+def relation_residuals(c: list[np.ndarray], unit: np.ndarray) -> tuple[float, float]:
+    """Worst defects of the two defining relations over all index pairs.
+
+    Returns max_abs(c_a c_b) and max_abs(c_a c_b^dag + delta_ab (occ - unit)),
+    where occ = sum_g c_g^dag c_g and ``unit`` represents 1.
+    """
+    occ = occupied(c)
+    pairs = [(a, b) for a in range(len(c)) for b in range(len(c))]
+    nilpotent = max(max_abs(c[a] @ c[b]) for a, b in pairs)
+    mixed = max(max_abs(c[a] @ c[b].conj().T + (occ - unit if a == b else 0)) for a, b in pairs)
+    return nilpotent, mixed
+
+
 def verify(rep: OrthoRep, unit: np.ndarray | None = None, tol: float = DEFAULT_TOL) -> dict[str, float]:
     """Residuals of the orthofermion relations for the given matrices.
 
@@ -99,18 +90,10 @@ def verify(rep: OrthoRep, unit: np.ndarray | None = None, tol: float = DEFAULT_T
     if unit is None:
         unit = infer_unit(rep, tol)
     unit = as_matrix(unit)
-    if unit.shape != (rep.dim, rep.dim):
-        raise DimensionError(f"unit shape {unit.shape} does not match dim {rep.dim}")
-
-    occ = _occupied(rep)
-    pi = unit - occ
+    pi = pi_of(rep, unit)  # also checks the shape of unit
     c = rep.c
     res: dict[str, float] = {}
-    res["c_a c_b = 0"] = max(
-        max_abs(c[a] @ c[b]) for a in range(rep.p) for b in range(rep.p))
-    res["c_a c_b^dag + d_ab sum c^dag c = d_ab 1"] = max(
-        max_abs(c[a] @ c[b].conj().T + (occ - unit if a == b else 0))
-        for a in range(rep.p) for b in range(rep.p))
+    res["c_a c_b = 0"], res["c_a c_b^dag + d_ab sum c^dag c = d_ab 1"] = relation_residuals(c, unit)
     res["Pi^2 = Pi"] = max_abs(pi @ pi - pi)
     res["Pi^dag = Pi"] = max_abs(pi.conj().T - pi)
     res["Pi c_a = c_a"] = max(max_abs(pi @ m - m) for m in c)
@@ -151,7 +134,7 @@ def decompose(rep: OrthoRep, tol: float = DEFAULT_TOL,
         raise NotARepresentationError(f"relations fail with residual {worst:.3e} > tol {tol:.3e}")
 
     n = rep.dim
-    pi = unit - _occupied(rep)
+    pi = pi_of(rep, unit)
     # a projector that is zero within tol has no range; the relative rank
     # threshold alone would otherwise promote roundoff noise to basis vectors
     vacua = orthonormal_range(pi, rank_tol) if max_abs(pi) > tol \
@@ -216,7 +199,7 @@ def random_rep(p: int, copies: int, trivial: int, seed: int) -> OrthoRep:
     up to roundoff while hiding the block structure from plain inspection.
     """
     if copies < 0 or trivial < 0 or copies + trivial < 1:
-        raise ValueError("need copies >= 0, trivial >= 0 and copies + trivial >= 1")
+        raise DimensionError("need copies >= 0, trivial >= 0 and copies + trivial >= 1")
     blocks = _expected_blocks(p, copies, trivial)
     n = copies * (p + 1) + trivial
     u = haar_unitary(n, np.random.default_rng(seed))

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import IoError, ParseError
-from .reptheory import OrthoRep
+from .canonical import OrthoRep
 
 REP_SCHEMA = "orthofermion-rep/1"
 BASIS_SCHEMA = "orthofermion-basis/1"
@@ -35,6 +35,8 @@ def decode_matrix(data, rows: int, cols: int, what: str) -> np.ndarray:
         raise ParseError(f"{what}: entries are not numeric") from exc
     if m.shape != (rows, cols, 2):
         raise ParseError(f"{what}: expected shape {rows}x{cols} of [re, im] pairs, got {m.shape}")
+    if not np.isfinite(m).all():
+        raise ParseError(f"{what}: entries must be finite")
     return m[..., 0] + 1j * m[..., 1]
 
 
@@ -57,11 +59,11 @@ def rep_from_dict(doc: dict) -> tuple[OrthoRep, np.ndarray | None]:
         raise ParseError(f"unsupported schema_version {doc.get('schema_version')!r}, "
                          f"expected {REP_SCHEMA!r}")
     try:
-        p = int(doc["p"])
-        dim = int(doc["dim"])
-        raw = doc["matrices"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"missing or malformed field: {exc}") from exc
+        p, dim, raw = doc["p"], doc["dim"], doc["matrices"]
+    except KeyError as exc:
+        raise ParseError(f"missing field: {exc}") from exc
+    if type(p) is not int or type(dim) is not int:
+        raise ParseError(f"p and dim must be JSON integers, got {p!r} and {dim!r}")
     if not isinstance(raw, list) or len(raw) != p:
         raise ParseError(f"expected {p} matrices, got {len(raw) if isinstance(raw, list) else raw!r}")
     mats = [decode_matrix(m, dim, dim, f"matrix {i + 1}") for i, m in enumerate(raw)]

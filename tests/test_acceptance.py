@@ -79,7 +79,7 @@ def test_criterion_5_orthosupersymmetry_relations():
         for p in range(1, 5):
             for levels in range(2, 9):
                 sys_ = build_system(p, levels)
-                residuals = check_relations(sys_)
+                residuals = check_relations(sys_, spectral(sys_))
                 assert max(residuals.values()) < 1e-10, (p, levels, residuals)
                 assert herm_eig(sys_.H).values.min() >= -1e-12
 

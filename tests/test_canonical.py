@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from orthofermi.canonical import (CanonicalRep, canonical, cyclic_from, ladder_F, ladder_L,
+from orthofermi.canonical import (OrthoRep, canonical, cyclic_from, ladder_F, ladder_L,
                                   ladder_identity_residuals, lowering_from, pi_of)
 from orthofermi.errors import DimensionError, OrderError
 from orthofermi.linalg import max_abs
@@ -27,8 +27,9 @@ def test_canonical_entry_formula():
 
 
 def test_canonical_rejects_bad_order():
-    with pytest.raises(OrderError):
-        canonical(0)
+    for p in (0, True):
+        with pytest.raises(OrderError):
+            canonical(p)
 
 
 def test_vacuum_projector_of_canonical():
@@ -37,7 +38,7 @@ def test_vacuum_projector_of_canonical():
 
 
 def test_vacuum_projector_of_trivial_rep():
-    zero = CanonicalRep(p=2, c=[np.zeros((3, 3), dtype=complex)] * 2)
+    zero = OrthoRep(p=2, dim=3, c=[np.zeros((3, 3), dtype=complex)] * 2)
     assert np.array_equal(pi_of(zero, np.zeros((3, 3))), np.zeros((3, 3), dtype=complex))
 
 

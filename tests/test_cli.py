@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from orthofermi.canonical import canonical
 from orthofermi.cli import EXIT_FAIL, EXIT_IO, EXIT_PASS, main
-from orthofermi.serialize import read_rep_file
+from orthofermi.serialize import read_rep_file, rep_to_dict
 
 
 def run(capsys, *argv):
@@ -86,6 +87,30 @@ def test_verify_malformed_file_is_parse_failure(tmp_path, capsys):
     path.write_text("]]]")
     code, _ = run(capsys, "verify", str(path))
     assert code == EXIT_IO
+
+    nan_unit = rep_to_dict(canonical(2), np.eye(3))
+    nan_unit["unit"][1][1] = [float("nan"), 0.0]
+    path.write_text(json.dumps(nan_unit))
+    code, _ = run(capsys, "verify", str(path))
+    assert code == EXIT_IO
+
+
+@pytest.mark.parametrize("command, p, dim", [
+    ("verify", 0, 3), ("decompose", 0, 3), ("verify", True, 3), ("verify", 2.5, 3),
+    ("verify", "2", 3), ("verify", 2, 3.0), ("decompose", 2, "3"),
+], ids=["p-zero-verify", "p-zero-decompose", "p-bool", "p-float", "p-string",
+        "dim-float", "dim-string"])
+def test_rep_file_needs_positive_integer_order_and_dim(tmp_path, capsys, command, p, dim):
+    # keeping int(p) matrices makes each file consistent under int() coercion,
+    # so only the type or the range of p and dim is wrong
+    doc = rep_to_dict(canonical(2))
+    doc["p"], doc["dim"] = p, dim
+    doc["matrices"] = doc["matrices"][:int(p)]
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps(doc))
+    code = main([command, str(path)])
+    assert code == EXIT_IO
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 # -- decompose ---------------------------------------------------------------------
@@ -215,6 +240,22 @@ def test_ladder_order_one_nilpotency(capsys):
     code, doc = run_json(capsys, "ladder", "--p", "1")
     assert code == EXIT_PASS
     assert doc["residuals"]["L^{p+1} = 0"] == 0.0
+
+
+# -- argument values -----------------------------------------------------------------
+
+@pytest.mark.parametrize("argv", [
+    ["osusy", "--p", "0", "--levels", "3"],
+    ["osusy", "--p", "2", "--levels", "1"],
+    ["ladder", "--p", "0"],
+    ["random-rep", "--p", "2", "--copies", "-1", "--trivial", "1", "--seed", "0"],
+    ["random-rep", "--p", "2", "--copies", "0", "--trivial", "0", "--seed", "0"],
+], ids=["osusy-p", "osusy-levels", "ladder-p", "random-rep-negative", "random-rep-empty"])
+def test_invalid_argument_values_are_input_failures(tmp_path, capsys, argv):
+    if argv[0] == "random-rep":
+        argv = argv + ["--out", str(tmp_path / "rep.json")]
+    assert main(argv) == EXIT_IO
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 # -- report contract -------------------------------------------------------------------

@@ -1,0 +1,104 @@
+"""Replay a fixed set of CLI calls against the reports recorded in tests/golden/.
+
+Every report must match its recording byte for byte, except residual values,
+which may move by at most ``RESIDUAL_TOL``. The temporary directory a case
+runs in is written as ``{tmp}`` in argv and in the recorded reports.
+
+Re-record the set with ``PYTHONPATH=src python tests/test_golden.py``.
+"""
+
+import contextlib
+import io
+import json
+import re
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from orthofermi.cli import EXIT_PASS, main
+
+GOLDEN = Path(__file__).parent / "golden"
+RESIDUAL_TOL = 1e-14
+
+# The residual column of a table report ('.4e'); tolerances print as '.1e'.
+TABLE_RESIDUAL = re.compile(r"-?\d\.\d{4}e[+-]\d+")
+
+SCRAMBLED = ["verify {tmp}/rep.json --json",
+             "decompose {tmp}/rep.json --emit-basis {tmp}/basis.json --json"]
+
+#: Each case runs its commands in order in one fresh directory.
+CASES = {
+    "ladder-p1": ["ladder --p 1 --json"],
+    "ladder-p2": ["ladder --p 2 --json"],
+    "ladder-p5": ["ladder --p 5 --json"],
+    "osusy-p1-l3": ["osusy --p 1 --levels 3 --json"],
+    "osusy-p2-l5": ["osusy --p 2 --levels 5 --json"],
+    "osusy-p3-l7": ["osusy --p 3 --levels 7 --json"],
+    "osusy-p4-l20": ["osusy --p 4 --levels 20 --json"],
+    "osusy-p2-l5-table": ["osusy --p 2 --levels 5"],
+    "canonical-p3": ["canonical --p 3 --out {tmp}/rep.json --json"],
+    "scrambled-trivial": ["random-rep --p 2 --copies 2 --trivial 1 --seed 7 "
+                          "--out {tmp}/rep.json --json"] + SCRAMBLED,
+    "scrambled-pure": ["random-rep --p 3 --copies 2 --trivial 0 --seed 11 "
+                       "--out {tmp}/rep.json --json"] + SCRAMBLED,
+}
+
+
+def golden_path(case: str, command: str) -> Path:
+    argv = command.split()
+    return GOLDEN / f"{case}-{argv[0]}.{'json' if '--json' in argv else 'txt'}"
+
+
+def run_case(case: str, tmp: Path, read_stdout):
+    """Yield (recording path, normalized report) for each command of a case."""
+    for command in CASES[case]:
+        code = main(command.format(tmp=tmp).split())
+        out = read_stdout()
+        assert code == EXIT_PASS, (case, command)
+        yield golden_path(case, command), out.replace(str(tmp), "{tmp}")
+
+
+def split_residuals(path: Path, text: str) -> tuple[str, list[str], list[float]]:
+    """The report without its residual values, their names, and the values."""
+    if path.suffix == ".json":
+        doc = json.loads(text)
+        residuals = doc.pop("residuals")
+        return json.dumps(doc, indent=2, sort_keys=True), list(residuals), list(residuals.values())
+    values = [float(v) for v in TABLE_RESIDUAL.findall(text)]
+    return TABLE_RESIDUAL.sub("<residual>", text), [], values
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_reports_match_the_recording(case, tmp_path, capsys):
+    for path, out in run_case(case, tmp_path, lambda: capsys.readouterr().out):
+        expected = split_residuals(path, path.read_text(encoding="utf-8"))
+        got = split_residuals(path, out)
+        assert got[0] == expected[0], path.name
+        assert got[1] == expected[1], path.name
+        assert len(got[2]) == len(expected[2]), path.name
+        for i, (new, old) in enumerate(zip(got[2], expected[2])):
+            assert abs(new - old) <= RESIDUAL_TOL, (path.name, i, new, old)
+
+
+def record() -> None:
+    GOLDEN.mkdir(exist_ok=True)
+    buffer = io.StringIO()
+
+    def read_stdout() -> str:
+        out = buffer.getvalue()
+        buffer.seek(0)
+        buffer.truncate()
+        return out
+
+    for case in CASES:
+        with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(buffer):
+            reports = list(run_case(case, Path(tmp), read_stdout))
+        for path, out in reports:
+            path.write_text(out, encoding="utf-8")
+            print(f"recorded {path}", file=sys.stderr)
+
+
+if __name__ == "__main__":
+    record()

@@ -2,64 +2,13 @@ import numpy as np
 import pytest
 
 from orthofermi import linalg
-from orthofermi.errors import DimensionError, NotHermitianError
+from orthofermi.errors import NotHermitianError
 
 
 def _unit(i, j, n=2):
     m = np.zeros((n, n), dtype=complex)
     m[i, j] = 1.0
     return m
-
-
-def test_matmul_identity():
-    eye = np.eye(2, dtype=complex)
-    assert np.array_equal(linalg.matmul(eye, eye), eye)
-
-
-def test_matmul_matrix_units():
-    assert np.array_equal(linalg.matmul(_unit(0, 1), _unit(1, 0)), _unit(0, 0))
-
-
-def test_matmul_rejects_mismatched_shapes():
-    with pytest.raises(DimensionError):
-        linalg.matmul(np.zeros((2, 3)), np.zeros((2, 2)))
-
-
-def test_matmul_matches_triple_loop_oracle():
-    rng = np.random.default_rng(42)
-    a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    b = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    expected = np.zeros((3, 3), dtype=complex)
-    for i in range(3):
-        for j in range(3):
-            for k in range(3):
-                expected[i, j] += a[i, k] * b[k, j]
-    assert linalg.max_abs(linalg.matmul(a, b) - expected) < 1e-13
-
-
-def test_adjoint_of_matrix_unit():
-    assert np.array_equal(linalg.adjoint(_unit(0, 1)), _unit(1, 0))
-
-
-def test_adjoint_conjugates():
-    assert np.array_equal(linalg.adjoint(np.array([[1j]])), np.array([[-1j]]))
-
-
-def test_adjoint_fixes_hermitian():
-    h = np.array([[1.0, 2 - 1j], [2 + 1j, -3.0]])
-    assert np.array_equal(linalg.adjoint(h), h)
-
-
-def test_adjoint_is_involution_and_antihomomorphism():
-    rng = np.random.default_rng(7)
-    for _ in range(5):
-        a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        b = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        assert np.array_equal(linalg.adjoint(linalg.adjoint(a)), a)
-        lhs = linalg.adjoint(linalg.matmul(a, b))
-        rhs = linalg.matmul(linalg.adjoint(b), linalg.adjoint(a))
-        scale = linalg.max_abs(lhs)
-        assert linalg.max_abs(lhs - rhs) <= 1e-13 * scale
 
 
 def test_herm_eig_diagonal_input():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from orthofermi.canonical import canonical
-from orthofermi.errors import NotARepresentationError, NumericalDegeneracyError
+from orthofermi.errors import DimensionError, NotARepresentationError, NumericalDegeneracyError
 from orthofermi.linalg import max_abs
 from orthofermi.reptheory import OrthoRep, decompose, infer_unit, random_rep, verify
 
@@ -163,12 +163,11 @@ def test_random_rep_round_trip():
 
 
 def test_random_rep_validates_sizes():
-    with pytest.raises(ValueError):
+    with pytest.raises(DimensionError):
         random_rep(2, copies=0, trivial=0, seed=1)
 
 
 def test_ortho_rep_validates_shapes():
-    from orthofermi.errors import DimensionError
     with pytest.raises(DimensionError):
         OrthoRep(p=2, dim=3, c=[np.zeros((3, 3))])
     with pytest.raises(DimensionError):
