@@ -37,6 +37,8 @@ CASES = {
     "osusy-p2-l5": ["osusy --p 2 --levels 5 --json"],
     "osusy-p3-l7": ["osusy --p 3 --levels 7 --json"],
     "osusy-p4-l20": ["osusy --p 4 --levels 20 --json"],
+    "osusy-p12-l10": ["osusy --p 12 --levels 10 --json"],
+    "osusy-p3-l80": ["osusy --p 3 --levels 80 --json"],
     "osusy-p2-l5-table": ["osusy --p 2 --levels 5"],
     "canonical-p3": ["canonical --p 3 --out {tmp}/rep.json --json"],
     "scrambled-trivial": ["random-rep --p 2 --copies 2 --trivial 1 --seed 7 "
