@@ -26,7 +26,7 @@ import numpy as np
 
 from .algebra import check_order
 from .errors import DimensionError
-from .linalg import as_matrix, max_abs
+from .linalg import as_matrix, dagger, max_abs
 
 
 @dataclass(frozen=True)
@@ -61,8 +61,12 @@ def canonical(p: int) -> OrthoRep:
 
 
 def occupied(c: list[np.ndarray]) -> np.ndarray:
-    """sum_g c_g^dag c_g over the given annihilators."""
-    return sum(m.conj().T @ m for m in c)
+    """sum_g c_g^dag c_g over the given annihilators.
+
+    Like :func:`lowering_from` and :func:`cyclic_from`, it also takes stacks:
+    each c_g may have shape (..., n, n), one matrix per stack position.
+    """
+    return sum(dagger(m) @ m for m in c)
 
 
 def pi_of(rep: OrthoRep, unit: np.ndarray) -> np.ndarray:
@@ -82,13 +86,13 @@ def lowering_from(c: list[np.ndarray]) -> np.ndarray:
     """L = c_1 + sum_{a=2..p} c_{a-1}^dag c_a built from given annihilators."""
     out = c[0].copy()
     for a in range(1, len(c)):
-        out = out + c[a - 1].conj().T @ c[a]
+        out = out + dagger(c[a - 1]) @ c[a]
     return out
 
 
 def cyclic_from(c: list[np.ndarray]) -> np.ndarray:
     """F = L + c_p^dag built from given annihilators."""
-    return lowering_from(c) + c[-1].conj().T
+    return lowering_from(c) + dagger(c[-1])
 
 
 def ladder_L(p: int) -> np.ndarray:

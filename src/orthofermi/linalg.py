@@ -1,10 +1,13 @@
 """Dense complex-matrix substrate.
 
 All operators in this package are plain ``numpy.ndarray`` values of dtype
-complex128. Matrices stay small (dimension well below 10^3), so everything
-defers to LAPACK through numpy. Identity checks throughout the package are
-residual based: compute the defect matrix, take :func:`max_abs`, compare
-against an explicit tolerance.
+complex128, and everything defers to LAPACK through numpy. Operators of the
+oscillator model are dense n x n arrays, but ``osusy`` only ever multiplies
+their diagonal blocks, which it stacks into (count, size, size) arrays; so
+:func:`dagger` and :func:`herm_eig` act on the last two axes of any
+(..., n, n) stack. Identity checks throughout the package are residual
+based: compute the defect matrix, take :func:`max_abs`, compare against an
+explicit tolerance.
 """
 
 from __future__ import annotations
@@ -32,6 +35,11 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
+def dagger(a) -> np.ndarray:
+    """Conjugate transpose over the last two axes, so stacks keep their order."""
+    return np.conj(np.swapaxes(a, -1, -2))
+
+
 def max_abs(a) -> float:
     """Maximum entrywise modulus; 0 exactly for empty or zero matrices."""
     a = np.asarray(a)
@@ -56,12 +64,17 @@ class HermEig:
 def herm_eig(a, tol: float = DEFAULT_TOL) -> HermEig:
     """Eigendecomposition of a Hermitian matrix, eigenvalues ascending.
 
-    Raises :class:`NotHermitianError` if ``max_abs(a - a^dagger) > tol``.
+    ``a`` may also be a stack of shape (..., n, n); ``values`` then has shape
+    (..., n) and ``vectors`` (..., n, n), one decomposition per matrix.
+    Raises :class:`NotHermitianError` if ``max_abs(a - a^dagger) > tol``
+    for any matrix of the stack.
     """
-    a = as_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise DimensionError(f"eigendecomposition needs a square matrix, got {a.shape}")
-    defect = max_abs(a - a.conj().T)
+    a = np.asarray(a, dtype=complex)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise DimensionError(f"eigendecomposition needs square matrices, got {a.shape}")
+    if a.size and not np.isfinite(a).all():
+        raise ValueError("matrix contains non-finite entries")
+    defect = max_abs(a - dagger(a))
     if defect > tol:
         raise NotHermitianError(f"hermiticity defect {defect:.3e} exceeds tol {tol:.3e}")
     values, vectors = np.linalg.eigh(a)

@@ -23,6 +23,19 @@ transporting the canonical ladder operators back produces
 A third generator assembled directly from the supercharges obeys
 K^{p+1} = (2H)^p. Spectral calculus (H^a summed over positive eigenvalues
 only) reproduces both spectrally built generators in closed form.
+
+The number N = a^dag a + sum_g c_g^dag c_g is conserved: it commutes with H
+and with every Q_a, since Q_a moves |n-1, a> to |n, 0>. Every operator is
+therefore block-diagonal, with one (p+1)-dimensional block per sector
+N = 1..levels-1 and 1+p singletons (the vacuum and the boundary states).
+The pipeline does not assume this structure but reads it off the operators:
+:func:`spectral` takes the finest block partition that the nonzero pattern
+of H and of every Q_a admits (:func:`block_partition`) and every stage after
+it works on stacks of equal-size blocks, with no dim x dim product. Every
+nonzero entry lies inside a block, so each residual is the dense one up to
+summation order; a system in a generic basis is simply one block.
+Eigenvalues are clustered over all blocks together, so a cluster may span
+several blocks: the E = 0 cluster spans the 1+p singletons.
 """
 
 from __future__ import annotations
@@ -34,8 +47,8 @@ import numpy as np
 
 from .algebra import check_order
 from .canonical import OrthoRep, canonical, cyclic_from, lowering_from, occupied
-from .errors import ClusteringError, NotARepresentationError, TruncationError
-from .linalg import DEFAULT_TOL, herm_eig, max_abs
+from .errors import ClusteringError, DimensionError, NotARepresentationError, TruncationError
+from .linalg import DEFAULT_TOL, dagger, herm_eig, max_abs
 from .reptheory import Decomposition, decompose, relation_residuals, verify
 
 #: Default relative tolerance for grouping eigenvalues into clusters.
@@ -64,14 +77,18 @@ class SpectralData:
     """Clustered eigendecomposition of the Hamiltonian.
 
     ``energies`` are the distinct cluster values ascending, ``bases[k]`` the
-    orthonormal eigenvector columns of cluster k and ``multiplicities[k]``
-    their number. ``eigenvalues`` holds every eigenvalue of H, ascending.
+    orthonormal eigenvector columns of cluster k, ``multiplicities[k]``
+    their number and ``supports[k]`` the rows on which they are nonzero.
+    ``eigenvalues`` holds every eigenvalue of H, ascending. ``blocks`` is
+    the block partition of H and the charges (see :func:`block_partition`).
     """
 
     energies: list[float]
     multiplicities: list[int]
     bases: list[np.ndarray]
     eigenvalues: np.ndarray
+    supports: list[np.ndarray]
+    blocks: list[np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -114,6 +131,56 @@ def build_system(p: int, levels: int) -> OsusySystem:
     return OsusySystem(p=p, levels=levels, dim=levels * (p + 1), Q=Q, H=H)
 
 
+def block_partition(ops: list[np.ndarray]) -> list[np.ndarray]:
+    """Finest block partition shared by square matrices of one size.
+
+    The blocks are the connected components of the graph that links basis
+    indices i and j whenever some matrix has a nonzero (i, j) or (j, i)
+    entry. Returns one integer array of shape (count, size) per block size,
+    by ascending size; each row holds the indices of one block, ascending,
+    and rows are ordered by their first index.
+    """
+    linked = np.zeros(ops[0].shape, dtype=bool)
+    for m in ops:
+        linked |= m != 0
+    linked |= linked.T
+    label = np.full(len(linked), -1)
+    blocks = []
+    for seed in range(len(linked)):
+        if label[seed] >= 0:
+            continue
+        label[seed] = seed
+        frontier = np.array([seed])
+        while frontier.size:
+            frontier = np.flatnonzero(linked[frontier].any(axis=0) & (label < 0))
+            label[frontier] = seed
+        blocks.append(np.flatnonzero(label == seed))
+    sizes = sorted({len(b) for b in blocks})
+    return [np.array([b for b in blocks if len(b) == size]) for size in sizes]
+
+
+def _blockwise(blocks: list[np.ndarray], ops: list[np.ndarray]) -> list[list[np.ndarray]]:
+    """Per block size, the (count, size, size) stack of each operator's blocks.
+
+    Raises :class:`DimensionError` when an operator has a nonzero entry
+    outside the blocks, since no block-wise residual would see it.
+    """
+    stacks = [[m[rows[:, :, None], rows[:, None, :]] for rows in blocks] for m in ops]
+    for m, per_size in zip(ops, stacks):
+        if sum(np.count_nonzero(stack) for stack in per_size) != np.count_nonzero(m):
+            raise DimensionError("operator has nonzero entries outside the blocks "
+                                 "of H and the charges")
+    return [list(group) for group in zip(*stacks)]
+
+
+def _assemble(dim: int, blocks: list[np.ndarray], stacks: list[np.ndarray]) -> np.ndarray:
+    """The dim x dim matrix with the given block stacks and zeros elsewhere."""
+    out = np.zeros((dim, dim), dtype=complex)
+    for rows, stack in zip(blocks, stacks):
+        out[rows[:, :, None], rows[:, None, :]] = stack
+    return out
+
+
 def check_relations(sys: OsusySystem, spectrum: SpectralData) -> dict[str, float]:
     """Residuals of the orthosupersymmetry relations and of H >= 0.
 
@@ -121,10 +188,13 @@ def check_relations(sys: OsusySystem, spectrum: SpectralData) -> dict[str, float
     positivity entry is max(0, -min eigenvalue) over ``spectrum``, so 0.0
     means a nonnegative spectrum.
     """
-    Q, H = sys.Q, sys.H
-    res = {"[H, Q_a] = 0": max(max_abs(H @ q - q @ H) for q in Q)}
-    res["Q_a Q_b = 0"], res["Q_a Q_b^dag + d_ab sum Q^dag Q = 2 d_ab H"] = \
-        relation_residuals(Q, 2 * H)
+    worst = (0.0, 0.0, 0.0)
+    for h, *q in _blockwise(spectrum.blocks, [sys.H, *sys.Q]):
+        q = np.stack(q)
+        found = (max_abs(h @ q - q @ h), *relation_residuals(q, 2 * h))
+        worst = tuple(map(max, worst, found))
+    res = {"[H, Q_a] = 0": worst[0]}
+    res["Q_a Q_b = 0"], res["Q_a Q_b^dag + d_ab sum Q^dag Q = 2 d_ab H"] = worst[1:]
     res["H >= 0"] = max(0.0, -float(spectrum.eigenvalues.min()))
     return res
 
@@ -132,14 +202,28 @@ def check_relations(sys: OsusySystem, spectrum: SpectralData) -> dict[str, float
 def spectral(sys: OsusySystem, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> SpectralData:
     """Group the spectrum of H into well-separated eigenvalue clusters.
 
-    ``cluster_tol`` is relative to max(1, largest |eigenvalue|). Eigenvalues
-    within that threshold of zero are snapped into a single E = 0 cluster.
-    Each cluster must have internal spread at most the threshold and be
-    separated from its neighbors by more than the threshold, otherwise a
+    H is diagonalized block by block on :func:`block_partition` of H and the
+    charges, with one batched eigensolve per block size. ``cluster_tol`` is
+    relative to max(1, largest |eigenvalue|). Eigenvalues within that
+    threshold of zero are snapped into a single E = 0 cluster. Each cluster
+    must have internal spread at most the threshold and be separated from
+    its neighbors by more than the threshold, otherwise a
     :class:`ClusteringError` is raised.
     """
-    eig = herm_eig(sys.H)
-    vals, vecs = eig.values, eig.vectors
+    blocks = block_partition([sys.H, *sys.Q])
+    eigs = [herm_eig(h) for (h,) in _blockwise(blocks, [sys.H])]
+    values = np.concatenate([eig.values.ravel() for eig in eigs])
+    order = np.argsort(values, kind="stable")
+    vals = values[order]
+    # eigenvector j of block k goes to the column of its eigenvalue's rank
+    column = np.empty_like(order)
+    column[order] = np.arange(order.size)
+    vecs = np.zeros((sys.dim, sys.dim), dtype=complex)
+    start = 0
+    for rows, eig in zip(blocks, eigs):
+        cols = column[start:start + eig.values.size].reshape(eig.values.shape)
+        vecs[rows[:, :, None], cols[:, None, :]] = eig.vectors
+        start += eig.values.size
     threshold = cluster_tol * max(1.0, float(np.abs(vals).max())) if vals.size else cluster_tol
 
     groups: list[list[int]] = []
@@ -175,7 +259,8 @@ def spectral(sys: OsusySystem, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> Spec
         energies.append(energy)
         multiplicities.append(len(idx))
         bases.append(vecs[:, idx])
-    return SpectralData(energies, multiplicities, bases, vals)
+    supports = [np.flatnonzero(basis.any(axis=1)) for basis in bases]
+    return SpectralData(energies, multiplicities, bases, vals, supports, blocks)
 
 
 def eigenspace_reps(sys: OsusySystem, spectrum: SpectralData,
@@ -187,12 +272,16 @@ def eigenspace_reps(sys: OsusySystem, spectrum: SpectralData,
     decomposition must then consist purely of canonical copies, forcing the
     eigenspace dimension to be a multiple of p+1. For E = 0 the restricted
     charges vanish and the eigenspace carries the trivial representation.
+    Only the rows that a cluster's basis is supported on enter.
     """
     out = []
-    for energy, basis, mult in zip(spectrum.energies, spectrum.bases, spectrum.multiplicities):
-        restricted = [basis.conj().T @ q @ basis for q in sys.Q]
+    for energy, basis, rows, mult in zip(spectrum.energies, spectrum.bases,
+                                         spectrum.supports, spectrum.multiplicities):
+        b = basis[rows]
+        cell = np.ix_(rows, rows)
+        restricted = dagger(b) @ np.stack([q[cell] for q in sys.Q]) @ b
         if energy <= 0.0:
-            stray = max(max(max_abs(r), max_abs(r.conj().T)) for r in restricted)
+            stray = max_abs(restricted)
             if stray > tol:
                 raise NotARepresentationError(
                     f"E = 0 eigenspace carries nonzero charges, residual {stray:.3e}")
@@ -202,7 +291,7 @@ def eigenspace_reps(sys: OsusySystem, spectrum: SpectralData,
             continue
 
         scale = 1.0 / math.sqrt(2.0 * energy)
-        rep = OrthoRep(p=sys.p, dim=mult, c=[scale * r for r in restricted])
+        rep = OrthoRep(p=sys.p, dim=mult, c=list(scale * restricted))
         residuals = verify(rep, np.eye(mult, dtype=complex), tol)
         worst = max(residuals.values())
         if worst > tol:
@@ -227,21 +316,26 @@ def build_generators(sys: OsusySystem, spectrum: SpectralData,
     Within each positive cluster the canonical ladder formulas applied to the
     rescaled charge restrictions give L and F; they are dressed with
     sqrt(2E) and E^{1/(p+1)} respectively and transported back with the
-    eigenbasis. Both generators vanish on the kernel of H by construction,
-    which also makes them commute with H exactly.
+    eigenbasis, on the rows the cluster is supported on. Both generators
+    vanish on the kernel of H by construction, which also makes them commute
+    with H exactly.
     """
     n = sys.dim
     para = np.zeros((n, n), dtype=complex)
     frac = np.zeros((n, n), dtype=complex)
-    for basis, analysis in zip(spectrum.bases, analyses):
+    for basis, rows, analysis in zip(spectrum.bases, spectrum.supports, analyses):
         energy = analysis.energy
         if energy <= 0.0:
             continue
+        b = basis[rows]
+        cell = np.ix_(rows, rows)
         low = lowering_from(analysis.rep.c)
         cyc = cyclic_from(analysis.rep.c)
-        para = para + basis @ (math.sqrt(2.0 * energy) * low) @ basis.conj().T
-        frac = frac + basis @ (energy ** (1.0 / (sys.p + 1)) * cyc) @ basis.conj().T
-    return SusyGenerators(para=para, frac=frac, frac_direct=cyclic_from(sys.Q).conj().T)
+        para[cell] += b @ (math.sqrt(2.0 * energy) * low) @ dagger(b)
+        frac[cell] += b @ (energy ** (1.0 / (sys.p + 1)) * cyc) @ dagger(b)
+    direct = [dagger(cyclic_from(q)) for q in _blockwise(spectrum.blocks, sys.Q)]
+    return SusyGenerators(para=para, frac=frac,
+                          frac_direct=_assemble(n, spectrum.blocks, direct))
 
 
 def spectral_power(spectrum: SpectralData, a: float) -> np.ndarray:
@@ -251,18 +345,21 @@ def spectral_power(spectrum: SpectralData, a: float) -> np.ndarray:
     calculus to negative and fractional ``a`` (pseudo-inverse convention).
     In particular a = 0 gives the projector onto the positive spectrum.
     """
-    n = spectrum.bases[0].shape[0]
+    n = spectrum.eigenvalues.size
     out = np.zeros((n, n), dtype=complex)
-    for energy, basis in zip(spectrum.energies, spectrum.bases):
+    for energy, basis, rows in zip(spectrum.energies, spectrum.bases, spectrum.supports):
         if energy > 0.0:
-            out = out + (energy ** a) * (basis @ basis.conj().T)
+            b = basis[rows]
+            out[np.ix_(rows, rows)] += (energy ** a) * (b @ dagger(b))
     return out
 
 
 def closed_form_para(sys: OsusySystem, spectrum: SpectralData) -> np.ndarray:
     """Q_1 + (2H)^{-1/2} sum_{a=2..p} Q_{a-1}^dag Q_a via spectral calculus."""
     inv_root = (2.0 ** -0.5) * spectral_power(spectrum, -0.5)
-    return sys.Q[0] + inv_root @ (lowering_from(sys.Q) - sys.Q[0])
+    return _assemble(sys.dim, spectrum.blocks, [
+        q[0] + r @ (lowering_from(q) - q[0])
+        for r, *q in _blockwise(spectrum.blocks, [inv_root, *sys.Q])])
 
 
 def closed_form_frac(sys: OsusySystem, spectrum: SpectralData) -> np.ndarray:
@@ -275,8 +372,33 @@ def closed_form_frac(sys: OsusySystem, spectrum: SpectralData) -> np.ndarray:
     p = sys.p
     outer = (2.0 ** -0.5) * spectral_power(spectrum, -(p - 1) / (2.0 * (p + 1)))
     inner = 0.5 * spectral_power(spectrum, -p / (p + 1))
-    transfer = lowering_from(sys.Q) - sys.Q[0]
-    return outer @ sys.Q[0] + inner @ transfer + outer @ sys.Q[p - 1].conj().T
+    return _assemble(sys.dim, spectrum.blocks, [
+        o @ q[0] + i @ (lowering_from(q) - q[0]) + o @ dagger(q[p - 1])
+        for o, i, *q in _blockwise(spectrum.blocks, [outer, inner, *sys.Q])])
+
+
+def _generator_terms(p: int, H, para, frac, direct, closed_para, closed_frac) -> dict:
+    """The matrices whose max_abs make up the generator residuals, on one stack."""
+    power = np.linalg.matrix_power
+    terms = {"H": H, "para": para, "frac": frac, "para^{p+1}": power(para, p + 1)}
+    if p >= 2:
+        # T_j := sum_{k<=j} para^{j-k} para^dag para^k = para T_{j-1} + para^dag para^j
+        para_dag = dagger(para)
+        lhs, para_j = para_dag, np.eye(H.shape[-1], dtype=complex)
+        for _ in range(p - 1):
+            para_j = para_j @ para
+            lhs = para @ lhs + para_dag @ para_j
+        lhs = para @ lhs + para_dag @ para_j @ para
+        rhs = 2.0 * p * para_j @ H
+        terms["sum rule"], terms["sum rule rhs"] = lhs - rhs, rhs
+    terms["frac^{p+1} - H"] = power(frac, p + 1) - H
+    terms["(2H)^p"] = power(2.0 * H, p)
+    terms["frac_direct^{p+1} - (2H)^p"] = power(direct, p + 1) - terms["(2H)^p"]
+    terms["[para, H]"] = para @ H - H @ para
+    terms["[frac, H]"] = frac @ H - H @ frac
+    terms["para - closed form"] = para - closed_para
+    terms["frac - closed form"] = frac - closed_frac
+    return terms
 
 
 def check_generators(sys: OsusySystem, gens: SusyGenerators,
@@ -288,36 +410,30 @@ def check_generators(sys: OsusySystem, gens: SusyGenerators,
     side is zero); commutators by the product of the operand magnitudes;
     the closed-form comparisons are plain entrywise defects. The sum rule
     needs p >= 2 because its right-hand side contains the (p-1)-th power of
-    the generator; for p = 1 the entry is omitted.
+    the generator; for p = 1 the entry is omitted. Every term is computed
+    block by block on ``spectrum.blocks``.
     """
     p = sys.p
-    H = sys.H
-    para, frac, direct = gens.para, gens.frac, gens.frac_direct
-    base = max(1.0, 2.0 * max_abs(H))
+    ops = [sys.H, gens.para, gens.frac, gens.frac_direct,
+           closed_form_para(sys, spectrum), closed_form_frac(sys, spectrum)]
+    worst: dict[str, float] = {}
+    for group in _blockwise(spectrum.blocks, ops):
+        for name, m in _generator_terms(p, *group).items():
+            worst[name] = max(worst.get(name, 0.0), max_abs(m))
 
-    def power(m, k):
-        return np.linalg.matrix_power(m, k)
+    def rel(defect: str, scale: float) -> float:
+        return worst[defect] / max(1.0, scale)
 
-    def rel(defect: np.ndarray, scale: float) -> float:
-        return max_abs(defect) / max(1.0, scale)
-
+    h = worst["H"]
     res: dict[str, float] = {}
-    res["para^{p+1} = 0"] = rel(power(para, p + 1), base ** ((p + 1) / 2.0))
+    res["para^{p+1} = 0"] = rel("para^{p+1}", max(1.0, 2.0 * h) ** ((p + 1) / 2.0))
     if p >= 2:
-        # T_j := sum_{k<=j} para^{j-k} para^dag para^k = para T_{j-1} + para^dag para^j
-        para_dag = para.conj().T
-        lhs, para_j = para_dag, np.eye(sys.dim, dtype=complex)
-        for _ in range(p - 1):
-            para_j = para_j @ para
-            lhs = para @ lhs + para_dag @ para_j
-        lhs = para @ lhs + para_dag @ para_j @ para
-        rhs = 2.0 * p * para_j @ H
-        res["sum_k para^{p-k} para^dag para^k = 2p para^{p-1} H"] = rel(lhs - rhs, max_abs(rhs))
-    res["frac^{p+1} = H"] = rel(power(frac, p + 1) - H, max_abs(H))
-    rhs_direct = power(2.0 * H, p)
-    res["frac_direct^{p+1} = (2H)^p"] = rel(power(direct, p + 1) - rhs_direct, max_abs(rhs_direct))
-    res["[para, H] = 0"] = rel(para @ H - H @ para, max_abs(para) * max_abs(H))
-    res["[frac, H] = 0"] = rel(frac @ H - H @ frac, max_abs(frac) * max_abs(H))
-    res["para closed form"] = max_abs(para - closed_form_para(sys, spectrum))
-    res["frac closed form"] = max_abs(frac - closed_form_frac(sys, spectrum))
+        res["sum_k para^{p-k} para^dag para^k = 2p para^{p-1} H"] = \
+            rel("sum rule", worst["sum rule rhs"])
+    res["frac^{p+1} = H"] = rel("frac^{p+1} - H", h)
+    res["frac_direct^{p+1} = (2H)^p"] = rel("frac_direct^{p+1} - (2H)^p", worst["(2H)^p"])
+    res["[para, H] = 0"] = rel("[para, H]", worst["para"] * h)
+    res["[frac, H] = 0"] = rel("[frac, H]", worst["frac"] * h)
+    res["para closed form"] = worst["para - closed form"]
+    res["frac closed form"] = worst["frac - closed form"]
     return res

@@ -24,7 +24,8 @@ import numpy as np
 
 from .canonical import OrthoRep, canonical, occupied, pi_of
 from .errors import DimensionError, NotARepresentationError, NumericalDegeneracyError
-from .linalg import DEFAULT_RANK_TOL, DEFAULT_TOL, as_matrix, haar_unitary, max_abs, orthonormal_range
+from .linalg import (DEFAULT_RANK_TOL, DEFAULT_TOL, as_matrix, dagger, haar_unitary, max_abs,
+                     orthonormal_range)
 
 
 @dataclass(frozen=True)
@@ -66,16 +67,23 @@ def infer_unit(rep: OrthoRep, tol: float = DEFAULT_TOL) -> np.ndarray:
     return unit
 
 
-def relation_residuals(c: list[np.ndarray], unit: np.ndarray) -> tuple[float, float]:
+def relation_residuals(c, unit: np.ndarray) -> tuple[float, float]:
     """Worst defects of the two defining relations over all index pairs.
 
     Returns max_abs(c_a c_b) and max_abs(c_a c_b^dag + delta_ab (occ - unit)),
-    where occ = sum_g c_g^dag c_g and ``unit`` represents 1.
+    where occ = sum_g c_g^dag c_g and ``unit`` represents 1. ``c`` holds p
+    matrices, or p stacks of shape (..., n, n) with ``unit`` broadcasting
+    against each; every c_a multiplies all c_b in one broadcast product.
     """
-    occ = occupied(c)
-    pairs = [(a, b) for a in range(len(c)) for b in range(len(c))]
-    nilpotent = max(max_abs(c[a] @ c[b]) for a, b in pairs)
-    mixed = max(max_abs(c[a] @ c[b].conj().T + (occ - unit if a == b else 0)) for a, b in pairs)
+    c = np.asarray(c)
+    c_dag = dagger(c)
+    excess = occupied(c) - unit
+    nilpotent = mixed = 0.0
+    for a in range(len(c)):
+        nilpotent = max(nilpotent, max_abs(c[a] @ c))
+        products = c[a] @ c_dag
+        products[a] += excess
+        mixed = max(mixed, max_abs(products))
     return nilpotent, mixed
 
 
@@ -91,15 +99,16 @@ def verify(rep: OrthoRep, unit: np.ndarray | None = None, tol: float = DEFAULT_T
         unit = infer_unit(rep, tol)
     unit = as_matrix(unit)
     pi = pi_of(rep, unit)  # also checks the shape of unit
-    c = rep.c
+    c = np.stack(rep.c)
+    c_dag = dagger(c)
     res: dict[str, float] = {}
     res["c_a c_b = 0"], res["c_a c_b^dag + d_ab sum c^dag c = d_ab 1"] = relation_residuals(c, unit)
     res["Pi^2 = Pi"] = max_abs(pi @ pi - pi)
-    res["Pi^dag = Pi"] = max_abs(pi.conj().T - pi)
-    res["Pi c_a = c_a"] = max(max_abs(pi @ m - m) for m in c)
-    res["c_a^dag Pi = c_a^dag"] = max(max_abs(m.conj().T @ pi - m.conj().T) for m in c)
-    res["c_a Pi = 0"] = max(max_abs(m @ pi) for m in c)
-    res["Pi c_a^dag = 0"] = max(max_abs(pi @ m.conj().T) for m in c)
+    res["Pi^dag = Pi"] = max_abs(dagger(pi) - pi)
+    res["Pi c_a = c_a"] = max_abs(pi @ c - c)
+    res["c_a^dag Pi = c_a^dag"] = max_abs(c_dag @ pi - c_dag)
+    res["c_a Pi = 0"] = max_abs(c @ pi)
+    res["Pi c_a^dag = 0"] = max_abs(pi @ c_dag)
     return res
 
 

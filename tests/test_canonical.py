@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from orthofermi.canonical import (OrthoRep, canonical, cyclic_from, ladder_F, ladder_L,
-                                  ladder_identity_residuals, lowering_from, pi_of)
+                                  ladder_identity_residuals, lowering_from, occupied, pi_of)
 from orthofermi.errors import DimensionError, OrderError
 from orthofermi.linalg import max_abs
 
@@ -126,3 +126,20 @@ def test_lowering_from_matches_formula_on_restricted_matrices():
     moved = [u @ m @ u.conj().T for m in rep.c]
     assert np.array_equal(lowering_from(moved), u @ ladder_L(2) @ u.conj().T)
     assert np.array_equal(cyclic_from(moved), u @ ladder_F(2) @ u.conj().T)
+
+
+def test_builders_act_matrix_by_matrix_on_stacks():
+    # p = 3 annihilators, each a stack of 4 random 5x5 matrices
+    rng = np.random.default_rng(8)
+    c = rng.standard_normal((3, 4, 5, 5)) + 1j * rng.standard_normal((3, 4, 5, 5))
+    for build in (occupied, lowering_from, cyclic_from):
+        stacked = build(c)
+        assert stacked.shape == (4, 5, 5)
+        for k in range(4):
+            assert max_abs(stacked[k] - build([m[k] for m in c])) < 1e-13, build.__name__
+
+
+def test_cyclic_power_of_a_stack_is_the_identity():
+    stack = np.stack([canonical(3).c] * 2, axis=1)  # 3 annihilators, 2 copies each
+    power = np.linalg.matrix_power(cyclic_from(stack), 4)
+    assert np.array_equal(power, np.broadcast_to(np.eye(4), (2, 4, 4)))

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -281,3 +285,14 @@ def test_table_and_json_come_from_the_same_report(tmp_path, capsys):
     code, doc = run_json(capsys, "verify", str(path))
     for name in doc["residuals"]:
         assert name in table
+
+
+def test_importing_the_cli_loads_no_scipy():
+    # the package declares numpy as its only dependency
+    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path for path in paths if path)}
+    probe = ("import sys, orthofermi.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "[]"

@@ -84,3 +84,30 @@ def test_haar_unitary_is_unitary_and_seeded():
     u2 = linalg.haar_unitary(5, np.random.default_rng(9))
     assert np.array_equal(u1, u2)
     assert linalg.max_abs(u1.conj().T @ u1 - np.eye(5)) < 1e-13
+
+
+def test_dagger_keeps_the_stack_order():
+    rng = np.random.default_rng(4)
+    stack = rng.standard_normal((3, 2, 4, 4)) + 1j * rng.standard_normal((3, 2, 4, 4))
+    adj = linalg.dagger(stack)
+    for i, j in np.ndindex(3, 2):
+        assert np.array_equal(adj[i, j], stack[i, j].conj().T)
+
+
+def test_herm_eig_on_a_stack_matches_each_matrix():
+    rng = np.random.default_rng(5)
+    z = rng.standard_normal((3, 4, 5, 5)) + 1j * rng.standard_normal((3, 4, 5, 5))
+    h = (z + linalg.dagger(z)) / 2
+    eig = linalg.herm_eig(h)
+    assert eig.values.shape == (3, 4, 5) and eig.vectors.shape == (3, 4, 5, 5)
+    for i, j in np.ndindex(3, 4):
+        single = linalg.herm_eig(h[i, j])
+        assert linalg.max_abs(eig.values[i, j] - single.values) < 1e-12
+        v = eig.vectors[i, j]
+        assert linalg.max_abs(v @ np.diag(eig.values[i, j]) @ v.conj().T - h[i, j]) < 1e-12
+
+
+def test_herm_eig_rejects_a_stack_with_one_non_hermitian_matrix():
+    stack = np.stack([np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]])])
+    with pytest.raises(NotHermitianError):
+        linalg.herm_eig(stack)

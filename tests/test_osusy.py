@@ -1,13 +1,18 @@
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from orthofermi.errors import ClusteringError, NotARepresentationError, OrderError, TruncationError
-from orthofermi.linalg import max_abs
-from orthofermi.osusy import (OsusySystem, build_generators, build_system, check_generators,
-                              check_relations, closed_form_frac, closed_form_para,
-                              eigenspace_reps, spectral, spectral_power)
+from orthofermi.errors import (ClusteringError, DimensionError, NotARepresentationError,
+                               OrderError, TruncationError)
+from orthofermi.linalg import haar_unitary, max_abs
+from orthofermi.osusy import (CLOSED_FORM_TOL, DEFAULT_GENERATOR_TOL, OsusySystem,
+                              SusyGenerators, block_partition, build_generators, build_system,
+                              check_generators, check_relations, closed_form_frac,
+                              closed_form_para, eigenspace_reps, spectral, spectral_power)
 
 
 def pipeline(p, levels):
@@ -253,3 +258,145 @@ def test_spectral_power_negative_half_squares_to_pseudo_inverse():
     inv_root = spectral_power(spectrum, -0.5)
     positive = spectral_power(spectrum, 0.0)
     assert max_abs(inv_root @ inv_root @ sys_.H - positive) < 1e-9
+
+
+# -- block partition -------------------------------------------------------------------
+
+def number_of_state(p, i):
+    """N = a^dag a + sum_g c_g^dag c_g of basis state i = |n, a> (row n (p+1) + a)."""
+    n, a = divmod(i, p + 1)
+    return n + (a > 0)
+
+
+@pytest.mark.parametrize("p, levels", [(1, 2), (2, 5), (12, 10)])
+def test_natural_partition_is_the_number_sectors(p, levels):
+    sys_ = build_system(p, levels)
+    blocks = spectral(sys_).blocks
+    assert {rows.shape[1]: rows.shape[0] for rows in blocks} == {1: p + 1, p + 1: levels - 1}
+    sectors = [rows for group in blocks for rows in group]
+    assert sorted(np.concatenate(sectors)) == list(range(sys_.dim))
+    for rows in sectors:
+        assert len({number_of_state(p, i) for i in rows}) == 1
+    # every positive sector is a full one: |n, 0> and the p states |n-1, a>
+    assert {number_of_state(p, i) for i in blocks[1][:, 0]} == set(range(1, levels))
+
+
+def test_partition_links_entries_in_either_direction():
+    m = np.zeros((5, 5))
+    m[0, 3] = m[4, 1] = 1.0
+    blocks = block_partition([m, np.zeros((5, 5))])
+    assert [rows.tolist() for rows in blocks] == [[[2]], [[0, 3], [1, 4]]]
+
+
+def dense_relations(sys_):
+    """Oracle: the relation residuals with plain dense products."""
+    Q, H = sys_.Q, sys_.H
+    occ = sum(q.conj().T @ q for q in Q)
+    pairs = [(a, b) for a in range(sys_.p) for b in range(sys_.p)]
+    return {
+        "[H, Q_a] = 0": max(max_abs(H @ q - q @ H) for q in Q),
+        "Q_a Q_b = 0": max(max_abs(Q[a] @ Q[b]) for a, b in pairs),
+        "Q_a Q_b^dag + d_ab sum Q^dag Q = 2 d_ab H": max(
+            max_abs(Q[a] @ Q[b].conj().T + (occ - 2 * H if a == b else 0)) for a, b in pairs),
+        "H >= 0": max(0.0, -float(np.linalg.eigvalsh(H).min())),
+    }
+
+
+def dense_generator_residuals(sys_, gens, spectrum):
+    """Oracle: the generator residuals with plain dense products and powers."""
+    p, H, Q = sys_.p, sys_.H, sys_.Q
+    para, frac, direct = gens.para, gens.frac, gens.frac_direct
+
+    def h_power(a):
+        return sum(e ** a * b @ b.conj().T
+                   for e, b in zip(spectrum.energies, spectrum.bases) if e > 0)
+
+    def rel(defect, scale):
+        return max_abs(defect) / max(1.0, scale)
+
+    transfer = sum(Q[a - 1].conj().T @ Q[a] for a in range(1, p))
+    outer = 2 ** -0.5 * h_power(-(p - 1) / (2 * (p + 1)))
+    closed_para = Q[0] + 2 ** -0.5 * h_power(-0.5) @ transfer
+    closed_frac = outer @ Q[0] + 0.5 * h_power(-p / (p + 1)) @ transfer + outer @ Q[-1].conj().T
+    lhs = sum(mpow(para, p - k) @ para.conj().T @ mpow(para, k) for k in range(p + 1))
+    rhs = 2 * p * mpow(para, p - 1) @ H
+    h = max_abs(H)
+    return {
+        "para^{p+1} = 0": rel(mpow(para, p + 1), max(1.0, 2 * h) ** ((p + 1) / 2)),
+        "sum_k para^{p-k} para^dag para^k = 2p para^{p-1} H": rel(lhs - rhs, max_abs(rhs)),
+        "frac^{p+1} = H": rel(mpow(frac, p + 1) - H, h),
+        "frac_direct^{p+1} = (2H)^p": rel(mpow(direct, p + 1) - mpow(2 * H, p),
+                                          max_abs(mpow(2 * H, p))),
+        "[para, H] = 0": rel(para @ H - H @ para, max_abs(para) * h),
+        "[frac, H] = 0": rel(frac @ H - H @ frac, max_abs(frac) * h),
+        "para closed form": max_abs(para - closed_para),
+        "frac closed form": max_abs(frac - closed_frac),
+    }
+
+
+def assert_matches(got, want):
+    assert list(got) == list(want)
+    for name in want:
+        assert abs(got[name] - want[name]) <= 1e-14 * max(1.0, abs(want[name])), name
+
+
+def couple(m, i, j, eps, hermitian):
+    out = m.copy()
+    out[i, j] += eps
+    if hermitian:
+        out[j, i] += eps
+    return out
+
+
+@pytest.mark.parametrize("target", ["H", "Q_1"])
+def test_a_coupling_merges_blocks_and_every_residual_sees_it(target):
+    # |1, 0> (N = 1) and |2, 0> (N = 2) lie in different sectors
+    p, levels, eps = 2, 4, 1e-3
+    natural, _, _, gens = pipeline(p, levels)
+    i, j = p + 1, 2 * (p + 1)
+    if target == "H":
+        sys_ = replace(natural, H=couple(natural.H, i, j, eps, hermitian=True))
+    else:
+        sys_ = replace(natural, Q=[couple(natural.Q[0], i, j, eps, hermitian=False),
+                                   *natural.Q[1:]])
+    spectrum = spectral(sys_)
+    sizes = {rows.shape[1]: rows.shape[0] for rows in spectrum.blocks}
+    assert sizes == {1: p + 1, p + 1: levels - 3, 2 * (p + 1): 1}
+
+    relations = check_relations(sys_, spectrum)
+    generators = check_generators(sys_, gens, spectrum)
+    assert_matches(relations, dense_relations(sys_))
+    assert_matches(generators, dense_generator_residuals(sys_, gens, spectrum))
+    assert max(relations.values()) > eps / 100
+    assert max(generators.values()) > eps / 100
+
+
+def test_generators_outside_the_blocks_are_rejected():
+    sys_, spectrum, _, gens = pipeline(2, 4)
+    stray = gens.para.copy()
+    stray[0, sys_.dim - 1] = 1e-3
+    with pytest.raises(DimensionError):
+        check_generators(sys_, SusyGenerators(stray, gens.frac, gens.frac_direct), spectrum)
+
+
+def spectrum_table(analyses, spectrum):
+    return [(round(a.energy, 12), mult, a.decomposition.multiplicity)
+            for a, mult in zip(analyses, spectrum.multiplicities)]
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(p=st.integers(1, 3), levels=st.integers(2, 6), seed=st.integers(0, 2**32 - 1))
+def test_pipeline_is_basis_covariant(p, levels, seed):
+    natural, natural_spectrum, natural_analyses, _ = pipeline(p, levels)
+    u = haar_unitary(natural.dim, np.random.default_rng(seed))
+    turned = replace(natural, Q=[u @ q @ u.conj().T for q in natural.Q],
+                     H=u @ natural.H @ u.conj().T)
+    spectrum = spectral(turned)
+    assert [rows.shape for rows in spectrum.blocks] == [(1, natural.dim)]
+    assert max(check_relations(turned, spectrum).values()) <= 1e-10
+    analyses = eigenspace_reps(turned, spectrum)
+    gens = build_generators(turned, spectrum, analyses)
+    for name, value in check_generators(turned, gens, spectrum).items():
+        assert value <= (CLOSED_FORM_TOL if "closed form" in name else DEFAULT_GENERATOR_TOL), name
+    assert spectrum_table(analyses, spectrum) == \
+        spectrum_table(natural_analyses, natural_spectrum)

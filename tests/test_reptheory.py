@@ -4,7 +4,8 @@ import pytest
 from orthofermi.canonical import canonical
 from orthofermi.errors import DimensionError, NotARepresentationError, NumericalDegeneracyError
 from orthofermi.linalg import max_abs
-from orthofermi.reptheory import OrthoRep, decompose, infer_unit, random_rep, verify
+from orthofermi.reptheory import (OrthoRep, decompose, infer_unit, random_rep, relation_residuals,
+                                  verify)
 
 
 def as_rep(canon):
@@ -30,6 +31,16 @@ def block_rep(p, copies, trivial):
 
 
 # -- verify -------------------------------------------------------------------
+
+def test_relation_residuals_on_stacks_take_the_worst_matrix():
+    # 3 annihilators, each a stack of 4 random matrices, against a stack of units
+    rng = np.random.default_rng(12)
+    c = rng.standard_normal((3, 4, 5, 5)) + 1j * rng.standard_normal((3, 4, 5, 5))
+    unit = rng.standard_normal((4, 5, 5))
+    each = [relation_residuals([m[k] for m in c], unit[k]) for k in range(4)]
+    worst = [max(r[i] for r in each) for i in range(2)]
+    assert relation_residuals(c, unit) == pytest.approx(worst, rel=1e-13)
+
 
 @pytest.mark.parametrize("p", range(1, 7))
 def test_canonical_satisfies_all_relations_exactly(p):
