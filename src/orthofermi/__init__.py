@@ -15,8 +15,8 @@ from .osusy import (CLOSED_FORM_TOL, DEFAULT_CLUSTER_TOL, DEFAULT_GENERATOR_TOL,
                     build_generators, build_system, check_generators, check_relations,
                     closed_form_frac, closed_form_para, eigenspace_reps, spectral,
                     spectral_power)
-from .reptheory import (Decomposition, decompose, infer_unit, random_rep, relation_residuals,
-                        verify)
+from .reptheory import (Decomposition, decompose, decompose_stack, infer_unit, random_rep,
+                        relation_residuals, verify)
 
 __version__ = "0.1.0"
 
@@ -34,6 +34,7 @@ __all__ = [
     "build_generators", "build_system", "check_generators", "check_relations",
     "closed_form_frac", "closed_form_para", "eigenspace_reps", "spectral",
     "spectral_power",
-    "Decomposition", "decompose", "infer_unit", "random_rep", "relation_residuals", "verify",
+    "Decomposition", "decompose", "decompose_stack", "infer_unit", "random_rep",
+    "relation_residuals", "verify",
     "__version__",
 ]

@@ -3,10 +3,13 @@
 All operators in this package are plain ``numpy.ndarray`` values of dtype
 complex128, and everything defers to LAPACK through numpy. Operators of the
 oscillator model are dense n x n arrays, but ``osusy`` only ever multiplies
-their diagonal blocks, which it stacks into (count, size, size) arrays; so
+their diagonal blocks, which it stacks into (count, size, size) arrays, and
+``reptheory.decompose_stack`` takes k representations as one stack; so
 :func:`dagger` and :func:`herm_eig` act on the last two axes of any
-(..., n, n) stack. Identity checks throughout the package are residual
-based: compute the defect matrix, take :func:`max_abs`, compare against an
+(..., n, n) stack, :func:`orthonormal_range` takes a (k, m, n) stack with
+one batched SVD, and :func:`max_abs` takes the maximum per matrix when
+given ``axis``. Identity checks throughout the package are residual based:
+compute the defect matrix, take :func:`max_abs`, compare against an
 explicit tolerance.
 """
 
@@ -40,9 +43,15 @@ def dagger(a) -> np.ndarray:
     return np.conj(np.swapaxes(a, -1, -2))
 
 
-def max_abs(a) -> float:
-    """Maximum entrywise modulus; 0 exactly for empty or zero matrices."""
+def max_abs(a, axis=None):
+    """Maximum entrywise modulus; 0 exactly for empty or zero matrices.
+
+    With ``axis``, the maximum over those axes only, as an array: for a
+    (k, n, n) stack, ``axis=(-2, -1)`` gives one value per matrix.
+    """
     a = np.asarray(a)
+    if axis is not None:
+        return np.abs(a).max(axis=axis, initial=0.0)
     if a.size == 0:
         return 0.0
     return float(np.abs(a).max())
@@ -81,19 +90,25 @@ def herm_eig(a, tol: float = DEFAULT_TOL) -> HermEig:
     return HermEig(values=values, vectors=vectors)
 
 
-def orthonormal_range(a, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
+def orthonormal_range(a, rank_tol: float = DEFAULT_RANK_TOL):
     """Orthonormal basis of the column space of ``a``.
 
     The number of columns returned is the numerical rank: singular values
     strictly above ``rank_tol`` times the largest one count. A zero matrix
-    yields a matrix with zero columns.
+    yields a matrix with zero columns. For a stack of shape (k, m, n) the
+    result is a list of k such bases, one per matrix, from one batched SVD;
+    their widths differ when the ranks do.
     """
-    a = as_matrix(a)
-    if a.size == 0:
-        return np.zeros((a.shape[0], 0), dtype=complex)
+    a = np.asarray(a, dtype=complex)
+    if a.ndim not in (2, 3):
+        raise DimensionError(f"expected a matrix or a stack of matrices, got shape {a.shape}")
+    if a.size and not np.isfinite(a).all():
+        raise ValueError("matrix contains non-finite entries")
     u, s, _ = np.linalg.svd(a, full_matrices=False)
-    rank = int(np.count_nonzero(s > rank_tol * s[0])) if s.size else 0
-    return u[:, :rank]
+    rank = np.count_nonzero(s > rank_tol * s[..., :1], axis=-1)
+    if a.ndim == 2:
+        return u[:, :rank]
+    return [vectors[:, :r] for vectors, r in zip(u, rank)]
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -36,6 +36,18 @@ nonzero entry lies inside a block, so each residual is the dense one up to
 summation order; a system in a generic basis is simply one block.
 Eigenvalues are clustered over all blocks together, so a cluster may span
 several blocks: the E = 0 cluster spans the 1+p singletons.
+:func:`build_system` itself forms H block by block, on the partition of the
+charges alone.
+
+Past :func:`spectral`, clusters are handled in classes of equal shape: the
+same sign of E, the same multiplicity and the same number of supported rows.
+In the oscillator every positive cluster is one (p+1)-row sector, so one
+class holds them all. :func:`eigenspace_reps` restricts the charges of a
+class in one product and splits them with one
+:func:`~orthofermi.reptheory.decompose_stack`, which checks the relations
+of the whole class once, against the identity as unit (``unit=``), and
+:func:`build_generators` and :func:`spectral_power` add a class's
+transported blocks into place with one indexed add.
 """
 
 from __future__ import annotations
@@ -49,7 +61,7 @@ from .algebra import check_order
 from .canonical import OrthoRep, canonical, cyclic_from, lowering_from, occupied
 from .errors import ClusteringError, DimensionError, NotARepresentationError, TruncationError
 from .linalg import DEFAULT_TOL, dagger, herm_eig, max_abs
-from .reptheory import Decomposition, decompose, relation_residuals, verify
+from .reptheory import Decomposition, decompose_stack, relation_residuals
 
 #: Default relative tolerance for grouping eigenvalues into clusters.
 DEFAULT_CLUSTER_TOL = 1e-8
@@ -118,7 +130,8 @@ def build_system(p: int, levels: int) -> OsusySystem:
     """Construct the truncated model of order ``p`` with ``levels`` boson states.
 
     The boson annihilator acts as a|n> = sqrt(n)|n-1> on occupations
-    0..levels-1 with a^dag|levels-1> = 0 (hard cutoff).
+    0..levels-1 with a^dag|levels-1> = 0 (hard cutoff). H is formed on the
+    :func:`block_partition` of the charges, with no dim x dim product.
     """
     p = check_order(p)
     if int(levels) != levels or levels < 2:
@@ -127,8 +140,11 @@ def build_system(p: int, levels: int) -> OsusySystem:
     a = np.diag(np.sqrt(np.arange(1, levels)), 1).astype(complex)
     cs = canonical(p).c
     Q = [math.sqrt(2.0) * np.kron(a.conj().T, c) for c in cs]
-    H = 0.5 * (Q[0] @ Q[0].conj().T + occupied(Q))
-    return OsusySystem(p=p, levels=levels, dim=levels * (p + 1), Q=Q, H=H)
+    dim = levels * (p + 1)
+    blocks = block_partition(Q)
+    H = _assemble(dim, blocks, [0.5 * (q[0] @ dagger(q[0]) + occupied(q))
+                                for q in map(np.stack, _blockwise(blocks, Q))])
+    return OsusySystem(p=p, levels=levels, dim=dim, Q=Q, H=H)
 
 
 def block_partition(ops: list[np.ndarray]) -> list[np.ndarray]:
@@ -143,20 +159,23 @@ def block_partition(ops: list[np.ndarray]) -> list[np.ndarray]:
     linked = np.zeros(ops[0].shape, dtype=bool)
     for m in ops:
         linked |= m != 0
-    linked |= linked.T
-    label = np.full(len(linked), -1)
-    blocks = []
-    for seed in range(len(linked)):
-        if label[seed] >= 0:
-            continue
-        label[seed] = seed
-        frontier = np.array([seed])
-        while frontier.size:
-            frontier = np.flatnonzero(linked[frontier].any(axis=0) & (label < 0))
-            label[frontier] = seed
-        blocks.append(np.flatnonzero(label == seed))
-    sizes = sorted({len(b) for b in blocks})
-    return [np.array([b for b in blocks if len(b) == size]) for size in sizes]
+    i, j = np.nonzero(linked | linked.T)
+    # each index takes the least label among its neighbours, then labels are
+    # followed to their fixed points; at rest every block carries the least
+    # index it holds
+    label = np.arange(len(linked))
+    while True:
+        lower = label.copy()
+        np.minimum.at(lower, i, label[j])
+        while not np.array_equal(lower[lower], lower):
+            lower = lower[lower]
+        if np.array_equal(lower, label):
+            break
+        label = lower
+    order = np.argsort(label, kind="stable")
+    _, starts, sizes = np.unique(label[order], return_index=True, return_counts=True)
+    return [order[starts[sizes == size][:, None] + np.arange(size)]
+            for size in sorted(set(sizes.tolist()))]
 
 
 def _blockwise(blocks: list[np.ndarray], ops: list[np.ndarray]) -> list[list[np.ndarray]]:
@@ -263,6 +282,34 @@ def spectral(sys: OsusySystem, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> Spec
     return SpectralData(energies, multiplicities, bases, vals, supports, blocks)
 
 
+def _cluster_classes(spectrum: SpectralData) -> list[tuple]:
+    """Clusters grouped by shape, so that each class is handled as one stack.
+
+    A class holds the clusters of one sign of energy (E > 0 or not), one
+    multiplicity m and one support size s. Returns, per class, the cluster
+    indices, their energies (an array), their (count, s) support rows and
+    their (count, s, m) bases on those rows.
+    """
+    classes: dict[tuple, list[int]] = {}
+    for i, (energy, mult, rows) in enumerate(zip(spectrum.energies, spectrum.multiplicities,
+                                                 spectrum.supports)):
+        classes.setdefault((energy > 0.0, mult, rows.size), []).append(i)
+    return [(idx, np.array([spectrum.energies[i] for i in idx]),
+             np.stack([spectrum.supports[i] for i in idx]),
+             np.stack([spectrum.bases[i][spectrum.supports[i]] for i in idx]))
+            for idx in classes.values()]
+
+
+def _scatter(out: np.ndarray, rows: np.ndarray, stack: np.ndarray) -> None:
+    """Add each (s, s) matrix of ``stack`` into ``out`` on its row set of ``rows``.
+
+    The row sets of one class may overlap (in a generic basis every cluster
+    spans all rows), so the entries are added, not assigned.
+    """
+    flat = rows[:, :, None] * out.shape[1] + rows[:, None, :]
+    np.add.at(out.reshape(-1), flat.ravel(), stack.ravel())
+
+
 def eigenspace_reps(sys: OsusySystem, spectrum: SpectralData,
                     tol: float = DEFAULT_TOL) -> list[EigenspaceAnalysis]:
     """Restrict the charges to each eigenspace and decompose the result.
@@ -272,40 +319,35 @@ def eigenspace_reps(sys: OsusySystem, spectrum: SpectralData,
     decomposition must then consist purely of canonical copies, forcing the
     eigenspace dimension to be a multiple of p+1. For E = 0 the restricted
     charges vanish and the eigenspace carries the trivial representation.
-    Only the rows that a cluster's basis is supported on enter.
+    Only the rows that a cluster's basis is supported on enter. The clusters
+    of one class of equal shape are restricted in one product and
+    decomposed in one :func:`decompose_stack`, which checks the relations
+    once, against the unit given here; an error names the energy of the
+    failing eigenspace.
     """
-    out = []
-    for energy, basis, rows, mult in zip(spectrum.energies, spectrum.bases,
-                                         spectrum.supports, spectrum.multiplicities):
-        b = basis[rows]
-        cell = np.ix_(rows, rows)
-        restricted = dagger(b) @ np.stack([q[cell] for q in sys.Q]) @ b
-        if energy <= 0.0:
-            stray = max_abs(restricted)
+    out: list[EigenspaceAnalysis] = [None] * len(spectrum.energies)
+    for idx, energies, rows, b in _cluster_classes(spectrum):
+        mult = b.shape[-1]
+        positive = energies[0] > 0.0
+        c = dagger(b) @ np.stack([q[rows[:, :, None], rows[:, None, :]] for q in sys.Q]) @ b
+        if positive:
+            c *= (1.0 / np.sqrt(2.0 * energies))[:, None, None]
+            unit = np.eye(mult, dtype=complex)
+        else:
+            stray = max_abs(c)
             if stray > tol:
                 raise NotARepresentationError(
                     f"E = 0 eigenspace carries nonzero charges, residual {stray:.3e}")
-            rep = OrthoRep(p=sys.p, dim=mult,
-                           c=[np.zeros((mult, mult), dtype=complex) for _ in range(sys.p)])
-            out.append(EigenspaceAnalysis(energy, rep, decompose(rep, tol)))
-            continue
-
-        scale = 1.0 / math.sqrt(2.0 * energy)
-        rep = OrthoRep(p=sys.p, dim=mult, c=list(scale * restricted))
-        residuals = verify(rep, np.eye(mult, dtype=complex), tol)
-        worst = max(residuals.values())
-        if worst > tol:
-            raise NotARepresentationError(
-                f"eigenspace E = {energy:.6g} fails the relations, residual {worst:.3e}")
-        try:
-            dec = decompose(rep, tol)
-        except NotARepresentationError as exc:
-            raise NotARepresentationError(f"eigenspace E = {energy:.6g}: {exc}") from exc
-        if dec.trivial_dim != 0 or dec.multiplicity * (sys.p + 1) != mult:
-            raise NotARepresentationError(
-                f"eigenspace E = {energy:.6g} of dimension {mult} is not a pure sum of "
-                f"canonical copies (got {dec.multiplicity} copies, trivial {dec.trivial_dim})")
-        out.append(EigenspaceAnalysis(energy, rep, dec))
+            c = np.zeros_like(c)
+            unit = np.zeros((mult, mult), dtype=complex)
+        decs = decompose_stack(c, unit, tol, labels=[f"eigenspace E = {e:.6g}" for e in energies])
+        for i, c_i, dec in zip(idx, np.swapaxes(c, 0, 1), decs):
+            energy = spectrum.energies[i]
+            if positive and (dec.trivial_dim != 0 or dec.multiplicity * (sys.p + 1) != mult):
+                raise NotARepresentationError(
+                    f"eigenspace E = {energy:.6g} of dimension {mult} is not a pure sum of "
+                    f"canonical copies (got {dec.multiplicity} copies, trivial {dec.trivial_dim})")
+            out[i] = EigenspaceAnalysis(energy, OrthoRep(p=sys.p, dim=mult, c=list(c_i)), dec)
     return out
 
 
@@ -316,23 +358,21 @@ def build_generators(sys: OsusySystem, spectrum: SpectralData,
     Within each positive cluster the canonical ladder formulas applied to the
     rescaled charge restrictions give L and F; they are dressed with
     sqrt(2E) and E^{1/(p+1)} respectively and transported back with the
-    eigenbasis, on the rows the cluster is supported on. Both generators
-    vanish on the kernel of H by construction, which also makes them commute
-    with H exactly.
+    eigenbasis, on the rows the cluster is supported on, one class of equal
+    shape at a time. Both generators vanish on the kernel of H by
+    construction, which also makes them commute with H exactly.
     """
     n = sys.dim
     para = np.zeros((n, n), dtype=complex)
     frac = np.zeros((n, n), dtype=complex)
-    for basis, rows, analysis in zip(spectrum.bases, spectrum.supports, analyses):
-        energy = analysis.energy
-        if energy <= 0.0:
+    for idx, energies, rows, b in _cluster_classes(spectrum):
+        if energies[0] <= 0.0:
             continue
-        b = basis[rows]
-        cell = np.ix_(rows, rows)
-        low = lowering_from(analysis.rep.c)
-        cyc = cyclic_from(analysis.rep.c)
-        para[cell] += b @ (math.sqrt(2.0 * energy) * low) @ dagger(b)
-        frac[cell] += b @ (energy ** (1.0 / (sys.p + 1)) * cyc) @ dagger(b)
+        c = np.stack([analyses[i].rep.c for i in idx], axis=1)
+        low = np.sqrt(2.0 * energies)[:, None, None] * lowering_from(c)
+        cyc = (energies ** (1.0 / (sys.p + 1)))[:, None, None] * cyclic_from(c)
+        _scatter(para, rows, b @ low @ dagger(b))
+        _scatter(frac, rows, b @ cyc @ dagger(b))
     direct = [dagger(cyclic_from(q)) for q in _blockwise(spectrum.blocks, sys.Q)]
     return SusyGenerators(para=para, frac=frac,
                           frac_direct=_assemble(n, spectrum.blocks, direct))
@@ -347,16 +387,16 @@ def spectral_power(spectrum: SpectralData, a: float) -> np.ndarray:
     """
     n = spectrum.eigenvalues.size
     out = np.zeros((n, n), dtype=complex)
-    for energy, basis, rows in zip(spectrum.energies, spectrum.bases, spectrum.supports):
-        if energy > 0.0:
-            b = basis[rows]
-            out[np.ix_(rows, rows)] += (energy ** a) * (b @ dagger(b))
+    for _, energies, rows, b in _cluster_classes(spectrum):
+        if energies[0] > 0.0:
+            _scatter(out, rows, (energies ** a)[:, None, None] * (b @ dagger(b)))
     return out
 
 
 def closed_form_para(sys: OsusySystem, spectrum: SpectralData) -> np.ndarray:
     """Q_1 + (2H)^{-1/2} sum_{a=2..p} Q_{a-1}^dag Q_a via spectral calculus."""
-    inv_root = (2.0 ** -0.5) * spectral_power(spectrum, -0.5)
+    inv_root = spectral_power(spectrum, -0.5)
+    inv_root *= 2.0 ** -0.5  # in place: one dense temporary fewer at the peak
     return _assemble(sys.dim, spectrum.blocks, [
         q[0] + r @ (lowering_from(q) - q[0])
         for r, *q in _blockwise(spectrum.blocks, [inv_root, *sys.Q])])
@@ -370,8 +410,10 @@ def closed_form_frac(sys: OsusySystem, spectrum: SpectralData) -> np.ndarray:
     accounted for; the transfer sum carries H^{-p/(p+1)}.
     """
     p = sys.p
-    outer = (2.0 ** -0.5) * spectral_power(spectrum, -(p - 1) / (2.0 * (p + 1)))
-    inner = 0.5 * spectral_power(spectrum, -p / (p + 1))
+    outer = spectral_power(spectrum, -(p - 1) / (2.0 * (p + 1)))
+    outer *= 2.0 ** -0.5
+    inner = spectral_power(spectrum, -p / (p + 1))
+    inner *= 0.5
     return _assemble(sys.dim, spectrum.blocks, [
         o @ q[0] + i @ (lowering_from(q) - q[0]) + o @ dagger(q[p - 1])
         for o, i, *q in _blockwise(spectrum.blocks, [outer, inner, *sys.Q])])

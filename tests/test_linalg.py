@@ -111,3 +111,24 @@ def test_herm_eig_rejects_a_stack_with_one_non_hermitian_matrix():
     stack = np.stack([np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]])])
     with pytest.raises(NotHermitianError):
         linalg.herm_eig(stack)
+
+
+def test_max_abs_over_axes_gives_one_value_per_matrix():
+    stack = np.zeros((2, 3, 4, 4), dtype=complex)
+    stack[1, 2, 0, 3] = 3 + 4j
+    stack[0, 2, 1, 1] = -2.0
+    assert np.array_equal(linalg.max_abs(stack, axis=(0, -2, -1)), [0.0, 0.0, 5.0])
+    assert np.array_equal(linalg.max_abs(np.zeros((3, 0, 0)), axis=(-2, -1)), [0.0, 0.0, 0.0])
+
+
+def test_orthonormal_range_of_a_stack_decides_each_rank_on_its_own():
+    rng = np.random.default_rng(6)
+    ranks = [0, 1, 3, 4]
+    stack = []
+    for r in ranks:
+        z = rng.standard_normal((4, r)) + 1j * rng.standard_normal((4, r))
+        stack.append(z @ z.conj().T)
+    bases = linalg.orthonormal_range(np.stack(stack))
+    assert [b.shape for b in bases] == [(4, r) for r in ranks]
+    for m, basis in zip(stack, bases):
+        assert linalg.max_abs(basis - linalg.orthonormal_range(m)) == 0.0

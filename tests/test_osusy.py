@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from orthofermi import reptheory
 from orthofermi.errors import (ClusteringError, DimensionError, NotARepresentationError,
                                OrderError, TruncationError)
 from orthofermi.linalg import haar_unitary, max_abs
@@ -57,6 +58,14 @@ def test_construction_guards():
         build_system(2, 1)
     with pytest.raises(OrderError):
         build_system(0, 4)
+
+
+@pytest.mark.parametrize("p, levels", [(1, 2), (2, 5), (3, 7), (8, 6), (16, 3)])
+def test_blockwise_hamiltonian_equals_the_dense_formula(p, levels):
+    sys_ = build_system(p, levels)
+    Q = sys_.Q
+    dense = 0.5 * (Q[0] @ Q[0].conj().T + sum(q.conj().T @ q for q in Q))
+    assert np.array_equal(sys_.H, dense)
 
 
 def test_relations_hold_exactly_on_samples():
@@ -161,6 +170,49 @@ def test_eigenspace_reps_flags_broken_systems():
     spectrum = spectral(broken)
     with pytest.raises(NotARepresentationError):
         eigenspace_reps(broken, spectrum)
+
+
+def sector_rows(sys_, energy):
+    """The rows of the N-sector that carries the eigenspace of E = ``energy``."""
+    (rows,) = [r for group in spectral(sys_).blocks for r in group
+               if {number_of_state(sys_.p, i) for i in r} == {energy} and len(r) > 1]
+    return rows
+
+
+def test_a_perturbed_sector_is_blamed_on_its_energy():
+    sys_ = build_system(2, 8)
+    rows = sector_rows(sys_, 5)
+    q = sys_.Q[0].copy()
+    q[np.ix_(rows, rows)] += 1e-3 * np.random.default_rng(3).standard_normal((3, 3))
+    broken = replace(sys_, Q=[q, *sys_.Q[1:]])
+    with pytest.raises(NotARepresentationError, match=r"E = 5\b"):
+        eigenspace_reps(broken, spectral(broken))
+
+
+def test_charges_scaled_off_the_unit_are_refused():
+    # 1.01 Q_a keeps both relations up to the unit: only the law with unit I breaks
+    sys_ = build_system(3, 6)
+    scaled = replace(sys_, Q=[1.01 * q for q in sys_.Q])
+    with pytest.raises(NotARepresentationError, match=r"eigenspace E = 1\b"):
+        eigenspace_reps(scaled, spectral(scaled))
+
+
+def test_one_relation_check_per_cluster_class(monkeypatch):
+    calls = Counter()
+    for name in ("_relation_defects", "_infer_units"):
+        kernel = getattr(reptheory, name)
+
+        def counted(*args, _kernel=kernel, _name=name, **kwargs):
+            calls[_name] += 1
+            return _kernel(*args, **kwargs)
+        monkeypatch.setattr(reptheory, name, counted)
+    sys_ = build_system(3, 80)
+    spectrum = spectral(sys_)
+    eigenspace_reps(sys_, spectrum)
+    classes = {(e > 0, m, len(rows)) for e, m, rows in
+               zip(spectrum.energies, spectrum.multiplicities, spectrum.supports)}
+    assert len(spectrum.energies) == 80 and len(classes) == 2
+    assert calls == {"_relation_defects": len(classes)}
 
 
 # -- generators -------------------------------------------------------------------
@@ -286,6 +338,40 @@ def test_partition_links_entries_in_either_direction():
     m[0, 3] = m[4, 1] = 1.0
     blocks = block_partition([m, np.zeros((5, 5))])
     assert [rows.tolist() for rows in blocks] == [[[2]], [[0, 3], [1, 4]]]
+
+
+def components(linked):
+    """Oracle: the blocks of ``linked`` by a plain depth-first search, one list each."""
+    seen, blocks = set(), []
+    for seed in range(len(linked)):
+        if seed not in seen:
+            stack, block = [seed], []
+            seen.add(seed)
+            while stack:
+                i = stack.pop()
+                block.append(i)
+                for j in np.flatnonzero(linked[i] | linked[:, i]):
+                    if j not in seen:
+                        seen.add(int(j))
+                        stack.append(int(j))
+            blocks.append(sorted(block))
+    return blocks
+
+
+def test_partition_matches_a_depth_first_search():
+    rng = np.random.default_rng(8)
+    for trial in range(200):
+        n = int(rng.integers(1, 30))
+        if trial % 4 == 0:  # a chain in shuffled order: the longest label paths
+            order = rng.permutation(n)
+            m = np.zeros((n, n))
+            m[order[:-1], order[1:]] = 1.0
+        else:
+            m = (rng.random((n, n)) < rng.uniform(0.0, 0.15)) * 1.0
+        want = components(m != 0)
+        got = [rows.tolist() for group in block_partition([m]) for rows in group]
+        assert sorted(got) == want
+        assert got == sorted(want, key=lambda b: (len(b), b[0]))
 
 
 def dense_relations(sys_):

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orthofermi.canonical import canonical
 from orthofermi.errors import DimensionError, NotARepresentationError, NumericalDegeneracyError
-from orthofermi.linalg import max_abs
-from orthofermi.reptheory import (OrthoRep, decompose, infer_unit, random_rep, relation_residuals,
-                                  verify)
+from orthofermi.linalg import DEFAULT_TOL, max_abs
+from orthofermi.reptheory import (OrthoRep, decompose, decompose_stack, infer_unit, random_rep,
+                                  relation_residuals, verify)
 
 
 def as_rep(canon):
@@ -142,6 +144,76 @@ def test_decompose_block_residual_against_explicit_conjugation():
     for a in range(3):
         rebuilt = dec.basis.conj().T @ rep.c[a] @ dec.basis
         assert max_abs(rebuilt - expected.c[a]) < 1e-9
+
+
+def test_decompose_with_a_given_unit_skips_inference():
+    rep = random_rep(2, copies=2, trivial=0, seed=3)
+    dec = decompose(rep, unit=np.eye(rep.dim))
+    assert (dec.multiplicity, dec.trivial_dim) == (2, 0)
+    # against the given identity, a uniformly scaled copy fails the relations
+    scaled = OrthoRep(p=2, dim=rep.dim, c=[1.01 * m for m in rep.c])
+    with pytest.raises(NotARepresentationError):
+        decompose(scaled, unit=np.eye(rep.dim))
+    with pytest.raises(DimensionError):
+        decompose(rep, unit=np.eye(rep.dim + 1))
+
+
+# -- decompose_stack --------------------------------------------------------------
+
+MIXED = [(2, 0, 11), (1, 3, 12), (0, 6, 13)]  # (copies, trivial, seed) at p = 2, dim 6
+
+
+def stack_of(reps):
+    return np.stack([np.stack(rep.c) for rep in reps], axis=1)
+
+
+def test_decompose_stack_of_mixed_ranks_matches_each_instance():
+    reps = [random_rep(2, copies, trivial, seed) for copies, trivial, seed in MIXED]
+    reps.append(reps[0])  # a second member of the first rank group
+    stacked = decompose_stack(stack_of(reps))
+    assert len(stacked) == len(reps)
+    for rep, got in zip(reps, stacked):
+        want = decompose(rep)
+        assert (got.multiplicity, got.trivial_dim) == (want.multiplicity, want.trivial_dim)
+        assert list(got.residuals) == list(want.residuals)
+        for name, value in want.residuals.items():
+            assert abs(got.residuals[name] - value) <= 1e-14, name
+        assert max_abs(got.basis - want.basis) <= 1e-12
+    assert [(d.multiplicity, d.trivial_dim) for d in stacked] == [(2, 0), (1, 3), (0, 6), (2, 0)]
+
+
+def test_decompose_stack_names_the_failing_element():
+    reps = [random_rep(2, copies, trivial, seed) for copies, trivial, seed in MIXED]
+    broken = random_rep(2, 1, 3, seed=14)
+    broken.c[0][0, 0] += 1e-3
+    with pytest.raises(NotARepresentationError, match="representation 2"):
+        decompose_stack(stack_of([reps[0], reps[1], broken, reps[2]]))
+    with pytest.raises(NotARepresentationError, match="^third: "):
+        decompose_stack(stack_of([reps[0], reps[1], broken]), labels=["first", "second", "third"])
+
+
+def test_decompose_stack_checks_every_element_against_a_given_unit():
+    reps = [random_rep(3, 1, 0, seed) for seed in (1, 2, 3)]
+    c = stack_of(reps)
+    assert [d.multiplicity for d in decompose_stack(c, np.eye(4))] == [1, 1, 1]
+    c[:, 1] *= 1.01
+    with pytest.raises(NotARepresentationError, match="representation 1"):
+        decompose_stack(c, np.eye(4))
+    with pytest.raises(DimensionError):
+        decompose_stack(c, np.eye(5))
+    with pytest.raises(DimensionError):
+        decompose_stack(c[0])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(p=st.integers(1, 6), copies=st.integers(0, 4), trivial=st.integers(0, 5),
+       seed=st.integers(0, 2**32 - 1))
+def test_decompose_round_trips_random_reps(p, copies, trivial, seed):
+    if copies + trivial == 0:
+        copies = 1
+    dec = decompose(random_rep(p, copies, trivial, seed))
+    assert (dec.multiplicity, dec.trivial_dim) == (copies, trivial)
+    assert all(value <= 10 * DEFAULT_TOL for value in dec.residuals.values()), dec.residuals
 
 
 # -- random_rep ---------------------------------------------------------------
