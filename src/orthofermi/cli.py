@@ -130,8 +130,8 @@ def cmd_verify(args) -> Report:
 
 
 def cmd_decompose(args) -> Report:
-    rep, _ = ser.read_rep_file(args.input)
-    dec = rt.decompose(rep, args.tol, args.rank_tol)
+    rep, unit = ser.read_rep_file(args.input)
+    dec = rt.decompose(rep, args.tol, args.rank_tol, unit=unit)
     report = Report("decompose", {"input": str(args.input), "tol": args.tol,
                                   "rank_tol": args.rank_tol})
     for name, value in dec.residuals.items():
@@ -167,7 +167,7 @@ def cmd_osusy(args) -> Report:
         report.add(name, value, args.tol)
 
     analyses = osy.eigenspace_reps(sys_, spectrum, args.tol)
-    gens = osy.build_generators(sys_, spectrum, analyses)
+    gens = osy.build_generators(sys_, spectrum)
     for name, value in osy.check_generators(sys_, gens, spectrum).items():
         tol = osy.CLOSED_FORM_TOL if "closed form" in name else osy.DEFAULT_GENERATOR_TOL
         report.add(name, value, tol)

@@ -39,15 +39,17 @@ several blocks: the E = 0 cluster spans the 1+p singletons.
 :func:`build_system` itself forms H block by block, on the partition of the
 charges alone.
 
-Past :func:`spectral`, clusters are handled in classes of equal shape: the
-same sign of E, the same multiplicity and the same number of supported rows.
-In the oscillator every positive cluster is one (p+1)-row sector, so one
-class holds them all. :func:`eigenspace_reps` restricts the charges of a
-class in one product and splits them with one
-:func:`~orthofermi.reptheory.decompose_stack`, which checks the relations
-of the whole class once, against the identity as unit (``unit=``), and
-:func:`build_generators` and :func:`spectral_power` add a class's
-transported blocks into place with one indexed add.
+Past :func:`spectral`, operators are multiplied on the blocks in each
+block's eigenbasis V (``SpectralData.eigs``): :func:`build_generators`
+restricts the charges as V^dag Q_a V, keeps the entries within one positive
+cluster and transports its results back with V, and :func:`spectral_power`
+and the closed forms take H^a = V diag(E^a) V^dag. Representation theory
+runs on clusters in classes of equal shape (sign of E, multiplicity, number
+of supported rows; in the oscillator one class holds every positive
+cluster): :func:`eigenspace_reps` restricts a class's charges in one
+product and splits them with one :func:`~orthofermi.reptheory.decompose_stack`,
+which checks the relations of the whole class once, against the identity
+as unit (``unit=``).
 """
 
 from __future__ import annotations
@@ -58,9 +60,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import check_order
-from .canonical import OrthoRep, canonical, cyclic_from, lowering_from, occupied
+from .canonical import canonical, cyclic_from, lowering_from, occupied
 from .errors import ClusteringError, DimensionError, NotARepresentationError, TruncationError
-from .linalg import DEFAULT_TOL, dagger, herm_eig, max_abs
+from .linalg import DEFAULT_TOL, HermEig, dagger, herm_eig, max_abs
 from .reptheory import Decomposition, decompose_stack, relation_residuals
 
 #: Default relative tolerance for grouping eigenvalues into clusters.
@@ -91,24 +93,26 @@ class SpectralData:
     ``energies`` are the distinct cluster values ascending, ``bases[k]`` the
     orthonormal eigenvector columns of cluster k, ``multiplicities[k]``
     their number and ``supports[k]`` the rows on which they are nonzero.
-    ``eigenvalues`` holds every eigenvalue of H, ascending. ``blocks`` is
-    the block partition of H and the charges (see :func:`block_partition`).
+    ``blocks`` is the block partition of H and the charges (see
+    :func:`block_partition`); per block size, ``eigs`` holds the eigensolve
+    of H's (count, size, size) block stack and ``levels`` the (count, size)
+    cluster energy of each of its eigenvalues (0 on the E = 0 cluster).
     """
 
     energies: list[float]
     multiplicities: list[int]
     bases: list[np.ndarray]
-    eigenvalues: np.ndarray
     supports: list[np.ndarray]
     blocks: list[np.ndarray]
+    eigs: list[HermEig]
+    levels: list[np.ndarray]
 
 
 @dataclass(frozen=True)
 class EigenspaceAnalysis:
-    """Orthofermion representation carried by one energy eigenspace."""
+    """Decomposition of the orthofermion representation of one energy eigenspace."""
 
     energy: float
-    rep: OrthoRep
     decomposition: Decomposition
 
 
@@ -214,7 +218,7 @@ def check_relations(sys: OsusySystem, spectrum: SpectralData) -> dict[str, float
         worst = tuple(map(max, worst, found))
     res = {"[H, Q_a] = 0": worst[0]}
     res["Q_a Q_b = 0"], res["Q_a Q_b^dag + d_ab sum Q^dag Q = 2 d_ab H"] = worst[1:]
-    res["H >= 0"] = max(0.0, -float(spectrum.eigenvalues.min()))
+    res["H >= 0"] = max(0.0, -min(float(eig.values.min()) for eig in spectrum.eigs))
     return res
 
 
@@ -238,10 +242,10 @@ def spectral(sys: OsusySystem, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> Spec
     column = np.empty_like(order)
     column[order] = np.arange(order.size)
     vecs = np.zeros((sys.dim, sys.dim), dtype=complex)
-    start = 0
+    ranks, start = [], 0
     for rows, eig in zip(blocks, eigs):
-        cols = column[start:start + eig.values.size].reshape(eig.values.shape)
-        vecs[rows[:, :, None], cols[:, None, :]] = eig.vectors
+        ranks.append(column[start:start + eig.values.size].reshape(eig.values.shape))
+        vecs[rows[:, :, None], ranks[-1][:, None, :]] = eig.vectors
         start += eig.values.size
     threshold = cluster_tol * max(1.0, float(np.abs(vals).max())) if vals.size else cluster_tol
 
@@ -274,40 +278,15 @@ def spectral(sys: OsusySystem, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> Spec
                 f"clusters at E = {e1:.6g} and E = {e2:.6g} separated by only {gap:.3e}")
 
     energies, multiplicities, bases = [], [], []
+    level = np.empty_like(vals)
     for energy, idx in clusters:
         energies.append(energy)
         multiplicities.append(len(idx))
         bases.append(vecs[:, idx])
+        level[idx] = energy
     supports = [np.flatnonzero(basis.any(axis=1)) for basis in bases]
-    return SpectralData(energies, multiplicities, bases, vals, supports, blocks)
-
-
-def _cluster_classes(spectrum: SpectralData) -> list[tuple]:
-    """Clusters grouped by shape, so that each class is handled as one stack.
-
-    A class holds the clusters of one sign of energy (E > 0 or not), one
-    multiplicity m and one support size s. Returns, per class, the cluster
-    indices, their energies (an array), their (count, s) support rows and
-    their (count, s, m) bases on those rows.
-    """
-    classes: dict[tuple, list[int]] = {}
-    for i, (energy, mult, rows) in enumerate(zip(spectrum.energies, spectrum.multiplicities,
-                                                 spectrum.supports)):
-        classes.setdefault((energy > 0.0, mult, rows.size), []).append(i)
-    return [(idx, np.array([spectrum.energies[i] for i in idx]),
-             np.stack([spectrum.supports[i] for i in idx]),
-             np.stack([spectrum.bases[i][spectrum.supports[i]] for i in idx]))
-            for idx in classes.values()]
-
-
-def _scatter(out: np.ndarray, rows: np.ndarray, stack: np.ndarray) -> None:
-    """Add each (s, s) matrix of ``stack`` into ``out`` on its row set of ``rows``.
-
-    The row sets of one class may overlap (in a generic basis every cluster
-    spans all rows), so the entries are added, not assigned.
-    """
-    flat = rows[:, :, None] * out.shape[1] + rows[:, None, :]
-    np.add.at(out.reshape(-1), flat.ravel(), stack.ravel())
+    return SpectralData(energies, multiplicities, bases, supports, blocks, eigs,
+                        [level[cols] for cols in ranks])
 
 
 def eigenspace_reps(sys: OsusySystem, spectrum: SpectralData,
@@ -319,16 +298,21 @@ def eigenspace_reps(sys: OsusySystem, spectrum: SpectralData,
     decomposition must then consist purely of canonical copies, forcing the
     eigenspace dimension to be a multiple of p+1. For E = 0 the restricted
     charges vanish and the eigenspace carries the trivial representation.
-    Only the rows that a cluster's basis is supported on enter. The clusters
-    of one class of equal shape are restricted in one product and
-    decomposed in one :func:`decompose_stack`, which checks the relations
-    once, against the unit given here; an error names the energy of the
-    failing eigenspace.
+    Only the rows that a cluster's basis is supported on enter. A class of
+    clusters of equal shape (sign of E, multiplicity, support size) is
+    restricted in one product and decomposed in one :func:`decompose_stack`,
+    which checks the relations once, against the unit given here; an error
+    names the energy of the failing eigenspace.
     """
+    classes: dict[tuple, list[int]] = {}
+    for i, (energy, mult, rows) in enumerate(zip(spectrum.energies, spectrum.multiplicities,
+                                                 spectrum.supports)):
+        classes.setdefault((energy > 0.0, mult, rows.size), []).append(i)
     out: list[EigenspaceAnalysis] = [None] * len(spectrum.energies)
-    for idx, energies, rows, b in _cluster_classes(spectrum):
-        mult = b.shape[-1]
-        positive = energies[0] > 0.0
+    for (positive, mult, _), idx in classes.items():
+        energies = np.array([spectrum.energies[i] for i in idx])
+        rows = np.stack([spectrum.supports[i] for i in idx])
+        b = np.stack([spectrum.bases[i][spectrum.supports[i]] for i in idx])
         c = dagger(b) @ np.stack([q[rows[:, :, None], rows[:, None, :]] for q in sys.Q]) @ b
         if positive:
             c *= (1.0 / np.sqrt(2.0 * energies))[:, None, None]
@@ -341,41 +325,47 @@ def eigenspace_reps(sys: OsusySystem, spectrum: SpectralData,
             c = np.zeros_like(c)
             unit = np.zeros((mult, mult), dtype=complex)
         decs = decompose_stack(c, unit, tol, labels=[f"eigenspace E = {e:.6g}" for e in energies])
-        for i, c_i, dec in zip(idx, np.swapaxes(c, 0, 1), decs):
+        for i, dec in zip(idx, decs):
             energy = spectrum.energies[i]
             if positive and (dec.trivial_dim != 0 or dec.multiplicity * (sys.p + 1) != mult):
                 raise NotARepresentationError(
                     f"eigenspace E = {energy:.6g} of dimension {mult} is not a pure sum of "
                     f"canonical copies (got {dec.multiplicity} copies, trivial {dec.trivial_dim})")
-            out[i] = EigenspaceAnalysis(energy, OrthoRep(p=sys.p, dim=mult, c=list(c_i)), dec)
+            out[i] = EigenspaceAnalysis(energy, dec)
     return out
 
 
-def build_generators(sys: OsusySystem, spectrum: SpectralData,
-                     analyses: list[EigenspaceAnalysis]) -> SusyGenerators:
-    """Assemble the derived generators cluster by cluster.
+def _positive(levels: np.ndarray) -> np.ndarray:
+    """``levels`` with every E <= 0 replaced by 1, so that any power of it is finite."""
+    return np.where(levels > 0.0, levels, 1.0)
 
-    Within each positive cluster the canonical ladder formulas applied to the
-    rescaled charge restrictions give L and F; they are dressed with
-    sqrt(2E) and E^{1/(p+1)} respectively and transported back with the
-    eigenbasis, on the rows the cluster is supported on, one class of equal
-    shape at a time. Both generators vanish on the kernel of H by
-    construction, which also makes them commute with H exactly.
+
+def build_generators(sys: OsusySystem, spectrum: SpectralData) -> SusyGenerators:
+    """Assemble the derived generators block by block in H's eigenbasis.
+
+    The charge restrictions V^dag Q_a V keep only their entries within one
+    positive cluster, rescaled by (2E)^{-1/2}, so the canonical ladder
+    formulas give L and F on every cluster of a block at once; they are
+    dressed with sqrt(2E) and E^{1/(p+1)} and transported back with V. Both
+    generators vanish on the kernel of H by construction, which also makes
+    them commute with H exactly. ``frac_direct`` is cyclic_from(Q)^dag.
     """
-    n = sys.dim
-    para = np.zeros((n, n), dtype=complex)
-    frac = np.zeros((n, n), dtype=complex)
-    for idx, energies, rows, b in _cluster_classes(spectrum):
-        if energies[0] <= 0.0:
-            continue
-        c = np.stack([analyses[i].rep.c for i in idx], axis=1)
-        low = np.sqrt(2.0 * energies)[:, None, None] * lowering_from(c)
-        cyc = (energies ** (1.0 / (sys.p + 1)))[:, None, None] * cyclic_from(c)
-        _scatter(para, rows, b @ low @ dagger(b))
-        _scatter(frac, rows, b @ cyc @ dagger(b))
-    direct = [dagger(cyclic_from(q)) for q in _blockwise(spectrum.blocks, sys.Q)]
-    return SusyGenerators(para=para, frac=frac,
-                          frac_direct=_assemble(n, spectrum.blocks, direct))
+    para, frac, direct = [], [], []
+    for eig, level, q in zip(spectrum.eigs, spectrum.levels, _blockwise(spectrum.blocks, sys.Q)):
+        v, energy = eig.vectors, _positive(level)[..., :, None]
+        same = (level[..., :, None] == level[..., None, :]) & (level > 0.0)[..., :, None]
+        c = np.where(same, dagger(v) @ np.stack(q) @ v, 0.0) * (1.0 / np.sqrt(2.0 * energy))
+        para.append(v @ (np.sqrt(2.0 * energy) * lowering_from(c)) @ dagger(v))
+        frac.append(v @ (energy ** (1.0 / (sys.p + 1)) * cyclic_from(c)) @ dagger(v))
+        direct.append(dagger(cyclic_from(q)))
+    return SusyGenerators(*(_assemble(sys.dim, spectrum.blocks, stacks)
+                            for stacks in (para, frac, direct)))
+
+
+def _powers(spectrum: SpectralData, a: float) -> list[np.ndarray]:
+    """Per block size, the block stack V diag(E^a) V^dag, with E^a = 0 for E <= 0."""
+    return [(eig.vectors * np.where(level > 0.0, _positive(level) ** a, 0.0)[..., None, :])
+            @ dagger(eig.vectors) for eig, level in zip(spectrum.eigs, spectrum.levels)]
 
 
 def spectral_power(spectrum: SpectralData, a: float) -> np.ndarray:
@@ -384,22 +374,17 @@ def spectral_power(spectrum: SpectralData, a: float) -> np.ndarray:
     The E = 0 cluster contributes zero for every exponent, which extends the
     calculus to negative and fractional ``a`` (pseudo-inverse convention).
     In particular a = 0 gives the projector onto the positive spectrum.
+    Each block is V diag(E^a) V^dag, with E the cluster energies.
     """
-    n = spectrum.eigenvalues.size
-    out = np.zeros((n, n), dtype=complex)
-    for _, energies, rows, b in _cluster_classes(spectrum):
-        if energies[0] > 0.0:
-            _scatter(out, rows, (energies ** a)[:, None, None] * (b @ dagger(b)))
-    return out
+    dim = sum(rows.size for rows in spectrum.blocks)
+    return _assemble(dim, spectrum.blocks, _powers(spectrum, a))
 
 
 def closed_form_para(sys: OsusySystem, spectrum: SpectralData) -> np.ndarray:
     """Q_1 + (2H)^{-1/2} sum_{a=2..p} Q_{a-1}^dag Q_a via spectral calculus."""
-    inv_root = spectral_power(spectrum, -0.5)
-    inv_root *= 2.0 ** -0.5  # in place: one dense temporary fewer at the peak
     return _assemble(sys.dim, spectrum.blocks, [
-        q[0] + r @ (lowering_from(q) - q[0])
-        for r, *q in _blockwise(spectrum.blocks, [inv_root, *sys.Q])])
+        q[0] + (2.0 ** -0.5 * r) @ (lowering_from(q) - q[0])
+        for r, q in zip(_powers(spectrum, -0.5), _blockwise(spectrum.blocks, sys.Q))])
 
 
 def closed_form_frac(sys: OsusySystem, spectrum: SpectralData) -> np.ndarray:
@@ -410,13 +395,12 @@ def closed_form_frac(sys: OsusySystem, spectrum: SpectralData) -> np.ndarray:
     accounted for; the transfer sum carries H^{-p/(p+1)}.
     """
     p = sys.p
-    outer = spectral_power(spectrum, -(p - 1) / (2.0 * (p + 1)))
-    outer *= 2.0 ** -0.5
-    inner = spectral_power(spectrum, -p / (p + 1))
-    inner *= 0.5
-    return _assemble(sys.dim, spectrum.blocks, [
-        o @ q[0] + i @ (lowering_from(q) - q[0]) + o @ dagger(q[p - 1])
-        for o, i, *q in _blockwise(spectrum.blocks, [outer, inner, *sys.Q])])
+    stacks = []
+    for o, i, q in zip(_powers(spectrum, -(p - 1) / (2.0 * (p + 1))),
+                       _powers(spectrum, -p / (p + 1)), _blockwise(spectrum.blocks, sys.Q)):
+        o, i = 2.0 ** -0.5 * o, 0.5 * i
+        stacks.append(o @ q[0] + i @ (lowering_from(q) - q[0]) + o @ dagger(q[p - 1]))
+    return _assemble(sys.dim, spectrum.blocks, stacks)
 
 
 def _generator_terms(p: int, H, para, frac, direct, closed_para, closed_frac) -> dict:

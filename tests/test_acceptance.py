@@ -109,7 +109,7 @@ def test_criterion_7_generator_identities():
                 sys_ = build_system(p, levels)
                 spectrum = spectral(sys_)
                 analyses = eigenspace_reps(sys_, spectrum)
-                gens = build_generators(sys_, spectrum, analyses)
+                gens = build_generators(sys_, spectrum)
                 residuals = check_generators(sys_, gens, spectrum)
                 for name in ("para^{p+1} = 0",
                              "sum_k para^{p-k} para^dag para^k = 2p para^{p-1} H",
@@ -127,7 +127,7 @@ def test_criterion_8_closed_forms_match_spectral_assembly():
                 sys_ = build_system(p, levels)
                 spectrum = spectral(sys_)
                 analyses = eigenspace_reps(sys_, spectrum)
-                gens = build_generators(sys_, spectrum, analyses)
+                gens = build_generators(sys_, spectrum)
                 assert max_abs(closed_form_para(sys_, spectrum) - gens.para) < 1e-9
                 assert max_abs(closed_form_frac(sys_, spectrum) - gens.frac) < 1e-9
 

@@ -166,6 +166,14 @@ def test_decompose_rejects_perturbed_input(tmp_path, capsys):
     assert code == EXIT_FAIL
 
 
+def test_decompose_checks_against_the_unit_in_the_file(tmp_path, capsys):
+    # the canonical matrices are a representation for the unit I, not for 2 I
+    path = tmp_path / "doubled-unit.json"
+    path.write_text(json.dumps(rep_to_dict(canonical(2), 2 * np.eye(3))))
+    assert run(capsys, "verify", str(path))[0] == EXIT_FAIL
+    assert run(capsys, "decompose", str(path))[0] == EXIT_FAIL
+
+
 # -- random-rep ----------------------------------------------------------------------
 
 def test_random_rep_files_are_byte_identical_for_a_seed(tmp_path, capsys):

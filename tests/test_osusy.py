@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orthofermi import reptheory
+from orthofermi.canonical import cyclic_from, lowering_from
 from orthofermi.errors import (ClusteringError, DimensionError, NotARepresentationError,
                                OrderError, TruncationError)
 from orthofermi.linalg import haar_unitary, max_abs
@@ -20,7 +21,7 @@ def pipeline(p, levels):
     sys_ = build_system(p, levels)
     spectrum = spectral(sys_)
     analyses = eigenspace_reps(sys_, spectrum)
-    gens = build_generators(sys_, spectrum, analyses)
+    gens = build_generators(sys_, spectrum)
     return sys_, spectrum, analyses, gens
 
 
@@ -280,6 +281,48 @@ def test_closed_form_para_matches_spectral_assembly():
         assert max_abs(closed_form_frac(sys_, spectrum) - gens.frac) < 1e-9
 
 
+def test_clusters_spanning_blocks_match_the_single_system():
+    # kron(I_2, .) doubles every sector, so each positive cluster spans two blocks
+    single, single_spectrum, single_analyses, single_gens = pipeline(2, 5)
+
+    def twice(m):
+        return np.kron(np.eye(2), m)
+    sys_ = replace(single, dim=2 * single.dim, Q=[twice(q) for q in single.Q],
+                   H=twice(single.H))
+    spectrum = spectral(sys_)
+    analyses = eigenspace_reps(sys_, spectrum)
+    gens = build_generators(sys_, spectrum)
+    assert spectrum.multiplicities == [2 * m for m in single_spectrum.multiplicities]
+    assert [a.decomposition.multiplicity for a in analyses] == \
+        [2 * a.decomposition.multiplicity for a in single_analyses]
+    for got, want in [(gens.para, single_gens.para), (gens.frac, single_gens.frac),
+                      (gens.frac_direct, single_gens.frac_direct),
+                      (closed_form_frac(sys_, spectrum), closed_form_frac(single, single_spectrum)),
+                      (spectral_power(spectrum, -0.5), spectral_power(single_spectrum, -0.5))]:
+        assert max_abs(got - twice(want)) < 1e-12
+    for name, value in check_generators(sys_, gens, spectrum).items():
+        assert value <= (CLOSED_FORM_TOL if "closed form" in name else DEFAULT_GENERATOR_TOL), name
+
+
+def test_generators_are_built_cluster_by_cluster():
+    # Q_1 coupled from |2, 0> (E = 2) to |1, 0> (E = 1) merges two sectors into one
+    # block that holds two clusters; each cluster must still use only its own restriction
+    natural = build_system(2, 4)
+    sys_ = replace(natural, Q=[couple(natural.Q[0], 3, 6, 1e-3, hermitian=False),
+                               *natural.Q[1:]])
+    spectrum = spectral(sys_)
+    assert any(rows.shape == (1, 6) for rows in spectrum.blocks)
+    gens = build_generators(sys_, spectrum)
+    para = frac = 0.0
+    for e, b in zip(spectrum.energies, spectrum.bases):
+        if e > 0:
+            c = [b.conj().T @ q @ b / np.sqrt(2 * e) for q in sys_.Q]
+            para = para + np.sqrt(2 * e) * b @ lowering_from(c) @ b.conj().T
+            frac = frac + e ** (1 / (sys_.p + 1)) * b @ cyclic_from(c) @ b.conj().T
+    assert max_abs(gens.para - para) < 1e-12
+    assert max_abs(gens.frac - frac) < 1e-12
+
+
 def test_generators_vanish_on_the_kernel():
     sys_, spectrum, analyses, gens = pipeline(2, 3)
     kernel = spectrum.bases[0]
@@ -310,6 +353,15 @@ def test_spectral_power_negative_half_squares_to_pseudo_inverse():
     inv_root = spectral_power(spectrum, -0.5)
     positive = spectral_power(spectrum, 0.0)
     assert max_abs(inv_root @ inv_root @ sys_.H - positive) < 1e-9
+
+
+def test_nonpositive_levels_take_no_power():
+    # a power or square root of E <= 0 would warn, and the suite turns warnings into errors
+    sys_ = diag_system([-2.0, 0.0, 4.0])
+    spectrum = spectral(sys_)
+    assert np.array_equal(spectral_power(spectrum, -0.5).diagonal(), [0.0, 0.0, 0.5])
+    gens = build_generators(sys_, spectrum)
+    assert max_abs(gens.para) == max_abs(gens.frac) == 0.0
 
 
 # -- block partition -------------------------------------------------------------------
@@ -473,7 +525,7 @@ def spectrum_table(analyses, spectrum):
 @settings(max_examples=12, deadline=None, derandomize=True, database=None)
 @given(p=st.integers(1, 3), levels=st.integers(2, 6), seed=st.integers(0, 2**32 - 1))
 def test_pipeline_is_basis_covariant(p, levels, seed):
-    natural, natural_spectrum, natural_analyses, _ = pipeline(p, levels)
+    natural, natural_spectrum, natural_analyses, natural_gens = pipeline(p, levels)
     u = haar_unitary(natural.dim, np.random.default_rng(seed))
     turned = replace(natural, Q=[u @ q @ u.conj().T for q in natural.Q],
                      H=u @ natural.H @ u.conj().T)
@@ -481,8 +533,13 @@ def test_pipeline_is_basis_covariant(p, levels, seed):
     assert [rows.shape for rows in spectrum.blocks] == [(1, natural.dim)]
     assert max(check_relations(turned, spectrum).values()) <= 1e-10
     analyses = eigenspace_reps(turned, spectrum)
-    gens = build_generators(turned, spectrum, analyses)
+    gens = build_generators(turned, spectrum)
     for name, value in check_generators(turned, gens, spectrum).items():
         assert value <= (CLOSED_FORM_TOL if "closed form" in name else DEFAULT_GENERATOR_TOL), name
     assert spectrum_table(analyses, spectrum) == \
         spectrum_table(natural_analyses, natural_spectrum)
+    # one block holds every cluster; the generators and H^a still turn with the basis
+    for got, want in [(gens.para, natural_gens.para), (gens.frac, natural_gens.frac),
+                      (gens.frac_direct, natural_gens.frac_direct),
+                      (spectral_power(spectrum, -0.5), spectral_power(natural_spectrum, -0.5))]:
+        assert max_abs(got - u @ want @ u.conj().T) <= 1e-10
