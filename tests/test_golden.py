@@ -2,7 +2,12 @@
 
 Every report must match its recording byte for byte, except residual values,
 which may move by at most ``RESIDUAL_TOL``. The temporary directory a case
-runs in is written as ``{tmp}`` in argv and in the recorded reports.
+runs in is written as ``{tmp}`` in argv and in the recorded reports. The
+files a case writes are recorded in tests/golden/written/ and must match byte
+for byte too, except the float entries of a basis file, which come from an
+SVD and may move by at most ``RESIDUAL_TOL`` like residuals. Every JSON report
+and file must also be laid out exactly as ``json.dumps(doc, indent=2,
+sort_keys=True)`` lays it out.
 
 Re-record the set with ``PYTHONPATH=src python tests/test_golden.py``.
 """
@@ -20,10 +25,14 @@ import pytest
 from orthofermi.cli import EXIT_PASS, main
 
 GOLDEN = Path(__file__).parent / "golden"
+WRITTEN = GOLDEN / "written"
 RESIDUAL_TOL = 1e-14
 
 # The residual column of a table report ('.4e'); tolerances print as '.1e'.
 TABLE_RESIDUAL = re.compile(r"-?\d\.\d{4}e[+-]\d+")
+
+# A float as float.__repr__ writes it: with a fraction, an exponent or both.
+FLOAT = re.compile(r"-?\d+(?:\.\d+)?e[+-]\d+|-?\d+\.\d+")
 
 SCRAMBLED = ["verify {tmp}/rep.json --json",
              "decompose {tmp}/rep.json --emit-basis {tmp}/basis.json --json"]
@@ -40,11 +49,20 @@ CASES = {
     "osusy-p12-l10": ["osusy --p 12 --levels 10 --json"],
     "osusy-p3-l80": ["osusy --p 3 --levels 80 --json"],
     "osusy-p2-l5-table": ["osusy --p 2 --levels 5"],
+    "osusy-p2-l3-out": ["osusy --p 2 --levels 3 --out {tmp}/sys.json --json"],
     "canonical-p3": ["canonical --p 3 --out {tmp}/rep.json --json"],
     "scrambled-trivial": ["random-rep --p 2 --copies 2 --trivial 1 --seed 7 "
                           "--out {tmp}/rep.json --json"] + SCRAMBLED,
     "scrambled-pure": ["random-rep --p 3 --copies 2 --trivial 0 --seed 11 "
                        "--out {tmp}/rep.json --json"] + SCRAMBLED,
+}
+
+#: The files each case writes into its directory, recorded after its reports.
+WRITES = {
+    "osusy-p2-l3-out": ["sys.json"],
+    "canonical-p3": ["rep.json"],
+    "scrambled-trivial": ["rep.json", "basis.json"],
+    "scrambled-pure": ["rep.json", "basis.json"],
 }
 
 
@@ -54,16 +72,27 @@ def golden_path(case: str, command: str) -> Path:
 
 
 def run_case(case: str, tmp: Path, read_stdout):
-    """Yield (recording path, normalized report) for each command of a case."""
+    """Yield (recording path, normalized report) for each command of a case,
+    then (recording path, text) for each file it wrote."""
     for command in CASES[case]:
         code = main(command.format(tmp=tmp).split())
         out = read_stdout()
         assert code == EXIT_PASS, (case, command)
         yield golden_path(case, command), out.replace(str(tmp), "{tmp}")
+    for name in WRITES.get(case, []):
+        yield WRITTEN / f"{case}-{name}", (tmp / name).read_text(encoding="utf-8")
 
 
 def split_residuals(path: Path, text: str) -> tuple[str, list[str], list[float]]:
-    """The report without its residual values, their names, and the values."""
+    """The text without the values that may move, their names, and the values.
+
+    Those are the residuals of a report and the float entries of a basis file;
+    nothing else of a written file may move.
+    """
+    if path.name.endswith("basis.json"):
+        return FLOAT.sub("<float>", text), [], [float(v) for v in FLOAT.findall(text)]
+    if path.parent == WRITTEN:
+        return text, [], []
     if path.suffix == ".json":
         doc = json.loads(text)
         residuals = doc.pop("residuals")
@@ -75,6 +104,8 @@ def split_residuals(path: Path, text: str) -> tuple[str, list[str], list[float]]
 @pytest.mark.parametrize("case", CASES)
 def test_reports_match_the_recording(case, tmp_path, capsys):
     for path, out in run_case(case, tmp_path, lambda: capsys.readouterr().out):
+        if path.suffix == ".json":
+            assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n", path.name
         expected = split_residuals(path, path.read_text(encoding="utf-8"))
         got = split_residuals(path, out)
         assert got[0] == expected[0], path.name
@@ -85,7 +116,7 @@ def test_reports_match_the_recording(case, tmp_path, capsys):
 
 
 def record() -> None:
-    GOLDEN.mkdir(exist_ok=True)
+    WRITTEN.mkdir(parents=True, exist_ok=True)
     buffer = io.StringIO()
 
     def read_stdout() -> str:
