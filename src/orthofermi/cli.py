@@ -9,7 +9,6 @@ Commands: ``canonical``, ``verify``, ``decompose``, ``random-rep``,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import dataclass, field
 
@@ -64,7 +63,7 @@ class Report:
             "verdicts": self.verdicts,
             "payload": self.payload,
         }
-        return json.dumps(doc, indent=2, sort_keys=True)
+        return ser.render_json(doc)
 
     def to_table(self) -> str:
         lines = [f"command: {self.command}"]

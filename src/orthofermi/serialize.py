@@ -4,11 +4,18 @@ Complex entries are stored as two-element [re, im] arrays in row-major
 nested lists, which round-trips float64 values losslessly through JSON.
 Representation files carry a ``schema_version`` tag so the layout can
 evolve without silent misreads.
+
+The layout of every file and report is a contract: :func:`render_json`
+writes exactly the text of ``json.dumps(doc, indent=2, sort_keys=True)``.
+It walks dicts and lists itself and renders scalars with the encoders
+stdlib uses; a matrix of [re, im] float pairs is written in one pass, one
+``float.__repr__`` per entry joined with fixed separators.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +31,7 @@ SYSTEM_SCHEMA = "orthofermion-osusy/1"
 def encode_matrix(m: np.ndarray) -> list:
     """Nested-list encoding with [re, im] entry pairs, row major."""
     m = np.asarray(m, dtype=complex)
-    return [[[float(z.real), float(z.imag)] for z in row] for row in m]
+    return np.stack((m.real, m.imag), axis=-1).tolist()
 
 
 def decode_matrix(data, rows: int, cols: int, what: str) -> np.ndarray:
@@ -77,11 +84,111 @@ def rep_from_dict(doc: dict) -> tuple[OrthoRep, np.ndarray | None]:
     return rep, unit
 
 
+def render_json(doc) -> str:
+    """``json.dumps(doc, indent=2, sort_keys=True)``, byte for byte."""
+    out: list[str] = []
+    _render(doc, 0, out)
+    return "".join(out)
+
+
+def _render(o, level: int, out: list[str]) -> None:
+    if isinstance(o, (list, tuple)):
+        if not o:
+            out.append("[]")
+            return
+        matrix = _matrix_text(o, level) if type(o[0]) is list else None
+        if matrix is not None:
+            out.append(matrix)
+            return
+        inner = "\n" + "  " * (level + 1)
+        out.append("[" + inner)
+        for i, item in enumerate(o):
+            if i:
+                out.append("," + inner)
+            _render(item, level + 1, out)
+        out.append("\n" + "  " * level + "]")
+    elif isinstance(o, dict):
+        if not o:
+            out.append("{}")
+            return
+        inner = "\n" + "  " * (level + 1)
+        out.append("{" + inner)
+        for i, (key, value) in enumerate(sorted(o.items())):
+            if not isinstance(key, str):
+                if not (key is None or isinstance(key, (int, float))):
+                    raise TypeError("keys must be str, int, float, bool or None, "
+                                    f"not {key.__class__.__name__}")
+                key = _scalar_text(key)
+            if i:
+                out.append("," + inner)
+            out.append(_encode_str(key) + ": ")
+            _render(value, level + 1, out)
+        out.append("\n" + "  " * level + "}")
+    else:
+        out.append(_scalar_text(o))
+
+
+_encode_str = json.encoder.encode_basestring_ascii
+_INF = float("inf")
+
+
+def _scalar_text(o) -> str:
+    # The type tests run in the order of json.encoder's _iterencode.
+    if isinstance(o, str):
+        return _encode_str(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        if o != o:
+            return "NaN"
+        if o == _INF:
+            return "Infinity"
+        if o == -_INF:
+            return "-Infinity"
+        return float.__repr__(o)
+    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+
+
+def _matrix_text(rows: list, level: int) -> str | None:
+    """The text of a nonempty list of equal-length rows of [re, im] float
+    pairs at indent ``level``, or None for any other list or a non-finite
+    entry, which :func:`_render` then walks."""
+    cols = len(rows[0])
+    if not cols or set(map(type, rows)) != {list} or set(map(len, rows)) != {cols}:
+        return None
+    entries = list(chain.from_iterable(rows))
+    if set(map(type, entries)) != {list} or set(map(len, entries)) != {2}:
+        return None
+    values = list(chain.from_iterable(entries))
+    if set(map(type, values)) != {float}:
+        return None
+    i0, i1, i2, i3 = ("\n" + "  " * (level + k) for k in range(4))
+    # The text before each value: a row's first real part, any other real
+    # part, an imaginary part; and the text after the last value.
+    seps = [i2 + "]," + i2 + "[" + i3, "," + i3] * cols
+    seps[0] = i2 + "]" + i1 + "]," + i1 + "[" + i2 + "[" + i3
+    seps *= len(rows)
+    seps[0] = "[" + i1 + "[" + i2 + "[" + i3
+    seps.append(i2 + "]" + i1 + "]" + i0 + "]")
+    parts = [""] * (len(seps) + len(values))
+    parts[0::2] = seps
+    parts[1::2] = map(float.__repr__, values)
+    text = "".join(parts)
+    # 'nan', 'inf' and '-inf' are the only float reprs with an "n"; JSON
+    # wants NaN and Infinity there.
+    return None if "n" in text else text
+
+
 def dump_json(doc: dict, path: str | Path) -> None:
-    """Write a JSON document deterministically (sorted keys, fixed layout)."""
+    """Write a JSON document deterministically: :func:`render_json` and a newline."""
     try:
-        Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n",
-                              encoding="utf-8")
+        Path(path).write_text(render_json(doc) + "\n", encoding="utf-8")
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
 
@@ -91,9 +198,13 @@ def load_json(path: str | Path) -> dict:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc}") from exc
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError: malformed JSON or an integer of more digits than int()
+        # converts; RecursionError: arrays or objects nested too deeply
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
 
 

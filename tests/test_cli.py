@@ -99,6 +99,16 @@ def test_verify_malformed_file_is_parse_failure(tmp_path, capsys):
     assert code == EXIT_IO
 
 
+@pytest.mark.parametrize("content", [
+    b"\xff\xfe{\x00}\x00", b"[" * 100_000, b"9" * 5000,
+], ids=["not-utf8", "nested-too-deep", "integer-too-long"])
+def test_unparseable_file_is_parse_failure(tmp_path, capsys, content):
+    path = tmp_path / "rep.json"
+    path.write_bytes(content)
+    assert main(["verify", str(path)]) == EXIT_IO
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 @pytest.mark.parametrize("command, p, dim", [
     ("verify", 0, 3), ("decompose", 0, 3), ("verify", True, 3), ("verify", 2.5, 3),
     ("verify", "2", 3), ("verify", 2, 3.0), ("decompose", 2, "3"),

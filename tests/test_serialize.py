@@ -1,11 +1,15 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from orthofermi.canonical import canonical
 from orthofermi.errors import IoError, ParseError
 from orthofermi.reptheory import OrthoRep, random_rep
-from orthofermi.serialize import (decode_matrix, encode_matrix, read_rep_file,
-                                  rep_from_dict, rep_to_dict, write_rep_file)
+from orthofermi.serialize import (decode_matrix, dump_json, encode_matrix, read_rep_file,
+                                  render_json, rep_from_dict, rep_to_dict, write_rep_file)
 
 
 def test_matrix_encoding_round_trips_losslessly():
@@ -14,6 +18,14 @@ def test_matrix_encoding_round_trips_losslessly():
     m[0, 0] = np.sqrt(2) + 1j * np.pi
     back = decode_matrix(encode_matrix(m), 3, 4, "m")
     assert np.array_equal(back, m)
+
+
+def test_encoded_matrix_is_the_nested_pair_list():
+    m = np.array([[1.5 - 0.0j, -0.0 + 2j], [np.nan, 1e308 - 1j * np.inf]])
+    encoded = encode_matrix(m)
+    expected = [[[float(z.real), float(z.imag)] for z in row] for row in m]
+    assert type(encoded) is list
+    assert repr(encoded) == repr(expected)
 
 
 def test_rep_file_round_trip(tmp_path):
@@ -77,3 +89,71 @@ def test_unwritable_path_raises_io_error(tmp_path):
     rep = OrthoRep(p=1, dim=2, c=[canonical(1).c[0]])
     with pytest.raises(IoError):
         write_rep_file(tmp_path / "no-such-dir" / "rep.json", rep)
+
+
+# -- the JSON writer against json.dumps(indent=2, sort_keys=True) -----------------
+
+FINITE_SPECIALS = [0.0, -0.0, 5e-324, -2.5e-310, 1e308, -1e308, 1e16, 1e-7, 0.1]
+NON_FINITE = [float("nan"), float("inf"), -float("inf")]
+finite_floats = st.one_of(st.sampled_from(FINITE_SPECIALS),
+                          st.floats(allow_nan=False, allow_infinity=False))
+floats = st.one_of(finite_floats, st.sampled_from(NON_FINITE))
+# characters that json escapes or that look like the matrix layout
+texts = st.text(st.one_of(st.sampled_from('[],"\\ \n\t\x00e\u00e9\u20ac\U0001f600'),
+                          st.characters()), max_size=6)
+scalars = st.one_of(st.none(), st.booleans(), st.integers(), floats, floats.map(np.float64),
+                    texts)
+
+
+@st.composite
+def matrices(draw):
+    """encode_matrix of a matrix up to 5 x 5; one entry in four is non-finite."""
+    rows, cols = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    parts = draw(st.lists(finite_floats, min_size=2 * rows * cols, max_size=2 * rows * cols))
+    if parts and draw(st.integers(0, 3)) == 0:
+        parts[draw(st.integers(0, len(parts) - 1))] = draw(st.sampled_from(NON_FINITE))
+    m = np.empty((rows, cols), dtype=complex)
+    m.real.flat[:], m.imag.flat[:] = parts[0::2], parts[1::2]
+    return encode_matrix(m)
+
+
+# nested lists that almost have a matrix's shape: rows of unequal length,
+# pairs of other lengths and entries that are not plain floats
+pairs = st.lists(finite_floats, min_size=2, max_size=2)
+near_matrices = st.one_of(
+    st.lists(st.lists(pairs, min_size=1, max_size=3), min_size=2, max_size=3),
+    st.lists(st.lists(st.lists(finite_floats, min_size=1, max_size=3), min_size=1, max_size=3),
+             min_size=1, max_size=3),
+    st.lists(st.lists(st.lists(st.one_of(floats, scalars), min_size=1, max_size=3),
+                      min_size=1, max_size=3), min_size=1, max_size=3))
+
+documents = st.recursive(
+    st.one_of(scalars, matrices(), matrices(), near_matrices),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=3).map(tuple),
+        st.dictionaries(texts, inner, max_size=4),
+        st.dictionaries(st.one_of(st.integers(), st.floats(allow_nan=False)), inner, max_size=3),
+    ),
+    max_leaves=12)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(doc=documents)
+@example(doc=encode_matrix(np.zeros((0, 0))))
+@example(doc=encode_matrix(np.zeros((1, 0))))
+@example(doc={"a": [], "b": {}, "c": [[], {}], "m": [encode_matrix(np.eye(2)), []]})
+def test_writer_matches_stdlib(doc, tmp_path_factory):
+    expected = json.dumps(doc, indent=2, sort_keys=True)
+    assert render_json(doc) == expected
+    path = tmp_path_factory.getbasetemp() / "writer-doc.json"
+    dump_json(doc, path)
+    assert path.read_text(encoding="utf-8") == expected + "\n"
+
+
+def test_writer_refuses_what_stdlib_refuses():
+    for doc in [{"x": object()}, {"x": np.int64(1)}, {1: "a", "b": 2}, {(1, 2): 0}]:
+        with pytest.raises(TypeError):
+            json.dumps(doc, indent=2, sort_keys=True)
+        with pytest.raises(TypeError):
+            render_json(doc)
