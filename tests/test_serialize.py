@@ -107,7 +107,7 @@ scalars = st.one_of(st.none(), st.booleans(), st.integers(), floats, floats.map(
 
 @st.composite
 def matrices(draw):
-    """encode_matrix of a matrix up to 5 x 5; one entry in four is non-finite."""
+    """encode_matrix of a matrix up to 5 x 5; one draw in four has a non-finite entry."""
     rows, cols = draw(st.integers(0, 5)), draw(st.integers(0, 5))
     parts = draw(st.lists(finite_floats, min_size=2 * rows * cols, max_size=2 * rows * cols))
     if parts and draw(st.integers(0, 3)) == 0:
