@@ -13,8 +13,7 @@ from .linalg import (DEFAULT_RANK_TOL, DEFAULT_TOL, HermEig, haar_unitary, herm_
 from .osusy import (CLOSED_FORM_TOL, DEFAULT_CLUSTER_TOL, DEFAULT_GENERATOR_TOL,
                     EigenspaceAnalysis, OsusySystem, SpectralData, SusyGenerators,
                     build_generators, build_system, check_generators, check_relations,
-                    closed_form_frac, closed_form_para, eigenspace_reps, spectral,
-                    spectral_power)
+                    closed_form_frac, closed_form_para, eigenspace_reps, spectral)
 from .reptheory import (Decomposition, decompose, decompose_stack, infer_unit, random_rep,
                         relation_residuals, verify)
 
@@ -33,7 +32,6 @@ __all__ = [
     "EigenspaceAnalysis", "OsusySystem", "SpectralData", "SusyGenerators",
     "build_generators", "build_system", "check_generators", "check_relations",
     "closed_form_frac", "closed_form_para", "eigenspace_reps", "spectral",
-    "spectral_power",
     "Decomposition", "decompose", "decompose_stack", "infer_unit", "random_rep",
     "relation_residuals", "verify",
     "__version__",

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import check_order
+from .algebra import AlgebraElement, check_order, rho0
 from .errors import DimensionError
 from .linalg import as_matrix, dagger, max_abs
 
@@ -50,14 +50,11 @@ class OrthoRep:
 
 
 def canonical(p: int) -> OrthoRep:
-    """The canonical representation: c_a is the matrix unit E_{1,a+1}."""
+    """The canonical representation: c_a is its :func:`~orthofermi.algebra.rho0`
+    image, the matrix unit E_{1,a+1}."""
     p = check_order(p)
-    cs = []
-    for a in range(1, p + 1):
-        m = np.zeros((p + 1, p + 1), dtype=complex)
-        m[0, a] = 1.0
-        cs.append(m)
-    return OrthoRep(p=p, dim=p + 1, c=cs)
+    return OrthoRep(p=p, dim=p + 1,
+                    c=[rho0(AlgebraElement.annihilator(p, a)) for a in range(1, p + 1)])
 
 
 def occupied(c: list[np.ndarray]) -> np.ndarray:

@@ -9,6 +9,7 @@ Commands: ``canonical``, ``verify``, ``decompose``, ``random-rep``,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass, field
 
@@ -29,6 +30,11 @@ EXIT_IO = 2
 
 #: Errors that only unreadable files or invalid argument values can cause.
 INPUT_ERRORS = (ParseError, IoError, OrderError, TruncationError, DimensionError)
+
+#: Options whose value must be finite and >= 0, by argparse destination: a
+#: NaN, negative or infinite tolerance would turn every verdict into a
+#: mathematical failure, and numpy refuses a negative seed.
+NONNEGATIVE = ("tol", "rank_tol", "cluster_tol", "seed")
 
 
 @dataclass
@@ -173,8 +179,7 @@ def cmd_osusy(args) -> Report:
 
     table = []
     for analysis, mult in zip(analyses, spectrum.multiplicities):
-        row = {"E": round(analysis.energy, 12), "dim": mult,
-               "copies": analysis.decomposition.multiplicity}
+        row = {"E": round(analysis.energy, 12), "dim": mult, "copies": analysis.copies}
         if analysis.energy <= 0.0:
             row["note"] = f"1 vacuum + {sys_.p} truncation-boundary states"
         table.append(row)
@@ -270,9 +275,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_ranges(args) -> None:
+    """Raise :class:`ParseError` for a :data:`NONNEGATIVE` option out of range."""
+    for name in NONNEGATIVE:
+        value = getattr(args, name, None)
+        if value is not None and not 0 <= value < math.inf:
+            raise ParseError(f"--{name.replace('_', '-')} must be finite and >= 0, got {value!r}")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_ranges(args)
         report = args.func(args)
     except INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

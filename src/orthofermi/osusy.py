@@ -40,16 +40,16 @@ several blocks: the E = 0 cluster spans the 1+p singletons.
 charges alone.
 
 Past :func:`spectral`, operators are multiplied on the blocks in each
-block's eigenbasis V (``SpectralData.eigs``): :func:`build_generators`
-restricts the charges as V^dag Q_a V, keeps the entries within one positive
-cluster and transports its results back with V, and :func:`spectral_power`
-and the closed forms take H^a = V diag(E^a) V^dag. Representation theory
-runs on clusters in classes of equal shape (sign of E, multiplicity, number
-of supported rows; in the oscillator one class holds every positive
-cluster): :func:`eigenspace_reps` restricts a class's charges in one
-product and splits them with one :func:`~orthofermi.reptheory.decompose_stack`,
-which checks the relations of the whole class once, against the identity
-as unit (``unit=``).
+block's eigenbasis V (``SpectralData.eigs``), in which :func:`spectral` has
+restricted the charges once, as C = V^dag Q_a V (``SpectralData.charges``).
+:func:`build_generators` keeps the entries of C within one positive cluster
+and transports its results back with V; the closed forms take
+H^a = V diag(E^a) V^dag. The charges never couple two blocks, so a cluster's
+representation is the direct sum of its pieces, one per block it meets:
+:func:`eigenspace_reps` cuts the pieces out of C and splits those of one
+class (sign of E, size; in the oscillator one class holds every positive
+piece) with one :func:`~orthofermi.reptheory.decompose_stack`, which checks
+the relations of the whole class once, against the identity as unit.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ from .algebra import check_order
 from .canonical import canonical, cyclic_from, lowering_from, occupied
 from .errors import ClusteringError, DimensionError, NotARepresentationError, TruncationError
 from .linalg import DEFAULT_TOL, HermEig, dagger, herm_eig, max_abs
-from .reptheory import Decomposition, decompose_stack, relation_residuals
+from .reptheory import decompose_stack, relation_residuals
 
 #: Default relative tolerance for grouping eigenvalues into clusters.
 DEFAULT_CLUSTER_TOL = 1e-8
@@ -88,32 +88,33 @@ class OsusySystem:
 
 @dataclass(frozen=True)
 class SpectralData:
-    """Clustered eigendecomposition of the Hamiltonian.
+    """Clustered eigendecomposition of the Hamiltonian, block by block.
 
-    ``energies`` are the distinct cluster values ascending, ``bases[k]`` the
-    orthonormal eigenvector columns of cluster k, ``multiplicities[k]``
-    their number and ``supports[k]`` the rows on which they are nonzero.
-    ``blocks`` is the block partition of H and the charges (see
-    :func:`block_partition`); per block size, ``eigs`` holds the eigensolve
-    of H's (count, size, size) block stack and ``levels`` the (count, size)
-    cluster energy of each of its eigenvalues (0 on the E = 0 cluster).
+    ``energies`` are the distinct cluster values ascending and
+    ``multiplicities[k]`` the dimension of cluster k. ``blocks`` is the
+    block partition of H and the charges (see :func:`block_partition`). Per
+    block size, ``eigs`` holds the eigensolve of H's (count, size, size)
+    block stack, ``levels`` the (count, size) cluster energy of each of its
+    eigenvalues (0 on the E = 0 cluster) and ``charges`` the
+    (p, count, size, size) charges in the eigenbasis, V^dag Q_a V.
     """
 
     energies: list[float]
     multiplicities: list[int]
-    bases: list[np.ndarray]
-    supports: list[np.ndarray]
     blocks: list[np.ndarray]
     eigs: list[HermEig]
     levels: list[np.ndarray]
+    charges: list[np.ndarray]
 
 
 @dataclass(frozen=True)
 class EigenspaceAnalysis:
-    """Decomposition of the orthofermion representation of one energy eigenspace."""
+    """Split of the orthofermion representation of one energy eigenspace:
+    ``copies`` canonical copies plus a trivial block of ``trivial_dim``."""
 
     energy: float
-    decomposition: Decomposition
+    copies: int
+    trivial_dim: int
 
 
 @dataclass(frozen=True)
@@ -226,7 +227,8 @@ def spectral(sys: OsusySystem, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> Spec
     """Group the spectrum of H into well-separated eigenvalue clusters.
 
     H is diagonalized block by block on :func:`block_partition` of H and the
-    charges, with one batched eigensolve per block size. ``cluster_tol`` is
+    charges, with one batched eigensolve per block size, and the charges are
+    restricted to each block's eigenbasis as V^dag Q_a V. ``cluster_tol`` is
     relative to max(1, largest |eigenvalue|). Eigenvalues within that
     threshold of zero are snapped into a single E = 0 cluster. Each cluster
     must have internal spread at most the threshold and be separated from
@@ -234,19 +236,13 @@ def spectral(sys: OsusySystem, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> Spec
     :class:`ClusteringError` is raised.
     """
     blocks = block_partition([sys.H, *sys.Q])
-    eigs = [herm_eig(h) for (h,) in _blockwise(blocks, [sys.H])]
+    stacks = _blockwise(blocks, [sys.H, *sys.Q])
+    eigs = [herm_eig(h) for h, *_ in stacks]
+    charges = [dagger(eig.vectors) @ np.stack(q) @ eig.vectors
+               for eig, (_, *q) in zip(eigs, stacks)]
     values = np.concatenate([eig.values.ravel() for eig in eigs])
     order = np.argsort(values, kind="stable")
     vals = values[order]
-    # eigenvector j of block k goes to the column of its eigenvalue's rank
-    column = np.empty_like(order)
-    column[order] = np.arange(order.size)
-    vecs = np.zeros((sys.dim, sys.dim), dtype=complex)
-    ranks, start = [], 0
-    for rows, eig in zip(blocks, eigs):
-        ranks.append(column[start:start + eig.values.size].reshape(eig.values.shape))
-        vecs[rows[:, :, None], ranks[-1][:, None, :]] = eig.vectors
-        start += eig.values.size
     threshold = cluster_tol * max(1.0, float(np.abs(vals).max())) if vals.size else cluster_tol
 
     groups: list[list[int]] = []
@@ -259,9 +255,7 @@ def spectral(sys: OsusySystem, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> Spec
         else:
             groups.append([i])
 
-    clusters: list[tuple[float, list[int]]] = []
-    for g in groups:
-        clusters.append((float(np.mean(vals[g])), g))
+    clusters = [(float(np.mean(vals[g])), g) for g in groups]
     if zero_group:
         clusters.append((0.0, zero_group))
     clusters.sort(key=lambda item: item[0])
@@ -277,16 +271,14 @@ def spectral(sys: OsusySystem, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> Spec
             raise ClusteringError(
                 f"clusters at E = {e1:.6g} and E = {e2:.6g} separated by only {gap:.3e}")
 
-    energies, multiplicities, bases = [], [], []
-    level = np.empty_like(vals)
+    level = np.empty_like(values)
     for energy, idx in clusters:
-        energies.append(energy)
-        multiplicities.append(len(idx))
-        bases.append(vecs[:, idx])
-        level[idx] = energy
-    supports = [np.flatnonzero(basis.any(axis=1)) for basis in bases]
-    return SpectralData(energies, multiplicities, bases, supports, blocks, eigs,
-                        [level[cols] for cols in ranks])
+        level[order[idx]] = energy
+    ends = np.cumsum([eig.values.size for eig in eigs])
+    levels = [level[end - eig.values.size:end].reshape(eig.values.shape)
+              for eig, end in zip(eigs, ends)]
+    return SpectralData([energy for energy, _ in clusters], [len(idx) for _, idx in clusters],
+                        blocks, eigs, levels, charges)
 
 
 def eigenspace_reps(sys: OsusySystem, spectrum: SpectralData,
@@ -298,41 +290,45 @@ def eigenspace_reps(sys: OsusySystem, spectrum: SpectralData,
     decomposition must then consist purely of canonical copies, forcing the
     eigenspace dimension to be a multiple of p+1. For E = 0 the restricted
     charges vanish and the eigenspace carries the trivial representation.
-    Only the rows that a cluster's basis is supported on enter. A class of
-    clusters of equal shape (sign of E, multiplicity, support size) is
-    restricted in one product and decomposed in one :func:`decompose_stack`,
-    which checks the relations once, against the unit given here; an error
-    names the energy of the failing eigenspace.
+    Each piece of a cluster, its part in one block, is cut out of
+    ``spectrum.charges`` as a contiguous run, since the levels of a block
+    ascend; the cluster's copies and trivial dimension are the sums over its
+    pieces. The pieces of one class (sign of E, size) are decomposed in one
+    :func:`decompose_stack`, which checks the relations once, against the
+    unit given here; an error names the energy of the failing eigenspace.
     """
-    classes: dict[tuple, list[int]] = {}
-    for i, (energy, mult, rows) in enumerate(zip(spectrum.energies, spectrum.multiplicities,
-                                                 spectrum.supports)):
-        classes.setdefault((energy > 0.0, mult, rows.size), []).append(i)
-    out: list[EigenspaceAnalysis] = [None] * len(spectrum.energies)
-    for (positive, mult, _), idx in classes.items():
+    classes: dict[tuple, list[tuple]] = {}
+    for level, c in zip(spectrum.levels, spectrum.charges):
+        for j, row in enumerate(np.searchsorted(spectrum.energies, level)):
+            cuts = [0, *(np.flatnonzero(np.diff(row)) + 1), row.size]
+            for s, e in zip(cuts, cuts[1:]):
+                classes.setdefault((level[j, s] > 0.0, e - s), []).append(
+                    (row[s], c[:, j, s:e, s:e]))
+    copies, trivial = [0] * len(spectrum.energies), [0] * len(spectrum.energies)
+    for (positive, size), pieces in classes.items():
+        idx, cs = zip(*sorted(pieces, key=lambda piece: piece[0]))
         energies = np.array([spectrum.energies[i] for i in idx])
-        rows = np.stack([spectrum.supports[i] for i in idx])
-        b = np.stack([spectrum.bases[i][spectrum.supports[i]] for i in idx])
-        c = dagger(b) @ np.stack([q[rows[:, :, None], rows[:, None, :]] for q in sys.Q]) @ b
+        c = np.stack(cs, axis=1)
         if positive:
             c *= (1.0 / np.sqrt(2.0 * energies))[:, None, None]
-            unit = np.eye(mult, dtype=complex)
+            unit = np.eye(size, dtype=complex)
         else:
             stray = max_abs(c)
             if stray > tol:
                 raise NotARepresentationError(
                     f"E = 0 eigenspace carries nonzero charges, residual {stray:.3e}")
             c = np.zeros_like(c)
-            unit = np.zeros((mult, mult), dtype=complex)
+            unit = np.zeros((size, size), dtype=complex)
         decs = decompose_stack(c, unit, tol, labels=[f"eigenspace E = {e:.6g}" for e in energies])
         for i, dec in zip(idx, decs):
-            energy = spectrum.energies[i]
-            if positive and (dec.trivial_dim != 0 or dec.multiplicity * (sys.p + 1) != mult):
-                raise NotARepresentationError(
-                    f"eigenspace E = {energy:.6g} of dimension {mult} is not a pure sum of "
-                    f"canonical copies (got {dec.multiplicity} copies, trivial {dec.trivial_dim})")
-            out[i] = EigenspaceAnalysis(energy, dec)
-    return out
+            copies[i] += dec.multiplicity
+            trivial[i] += dec.trivial_dim
+    for energy, mult, m, t in zip(spectrum.energies, spectrum.multiplicities, copies, trivial):
+        if energy > 0.0 and (t != 0 or m * (sys.p + 1) != mult):
+            raise NotARepresentationError(
+                f"eigenspace E = {energy:.6g} of dimension {mult} is not a pure sum of "
+                f"canonical copies (got {m} copies, trivial {t})")
+    return [EigenspaceAnalysis(*row) for row in zip(spectrum.energies, copies, trivial)]
 
 
 def _positive(levels: np.ndarray) -> np.ndarray:
@@ -343,18 +339,19 @@ def _positive(levels: np.ndarray) -> np.ndarray:
 def build_generators(sys: OsusySystem, spectrum: SpectralData) -> SusyGenerators:
     """Assemble the derived generators block by block in H's eigenbasis.
 
-    The charge restrictions V^dag Q_a V keep only their entries within one
-    positive cluster, rescaled by (2E)^{-1/2}, so the canonical ladder
-    formulas give L and F on every cluster of a block at once; they are
-    dressed with sqrt(2E) and E^{1/(p+1)} and transported back with V. Both
+    The restricted charges ``spectrum.charges`` keep only their entries
+    within one positive cluster, rescaled by (2E)^{-1/2}, so the canonical
+    ladder formulas give L and F on every cluster of a block at once; they
+    are dressed with sqrt(2E) and E^{1/(p+1)} and transported back with V. Both
     generators vanish on the kernel of H by construction, which also makes
     them commute with H exactly. ``frac_direct`` is cyclic_from(Q)^dag.
     """
     para, frac, direct = [], [], []
-    for eig, level, q in zip(spectrum.eigs, spectrum.levels, _blockwise(spectrum.blocks, sys.Q)):
+    for eig, level, c, q in zip(spectrum.eigs, spectrum.levels, spectrum.charges,
+                                _blockwise(spectrum.blocks, sys.Q)):
         v, energy = eig.vectors, _positive(level)[..., :, None]
         same = (level[..., :, None] == level[..., None, :]) & (level > 0.0)[..., :, None]
-        c = np.where(same, dagger(v) @ np.stack(q) @ v, 0.0) * (1.0 / np.sqrt(2.0 * energy))
+        c = np.where(same, c, 0.0) * (1.0 / np.sqrt(2.0 * energy))
         para.append(v @ (np.sqrt(2.0 * energy) * lowering_from(c)) @ dagger(v))
         frac.append(v @ (energy ** (1.0 / (sys.p + 1)) * cyclic_from(c)) @ dagger(v))
         direct.append(dagger(cyclic_from(q)))
@@ -366,18 +363,6 @@ def _powers(spectrum: SpectralData, a: float) -> list[np.ndarray]:
     """Per block size, the block stack V diag(E^a) V^dag, with E^a = 0 for E <= 0."""
     return [(eig.vectors * np.where(level > 0.0, _positive(level) ** a, 0.0)[..., None, :])
             @ dagger(eig.vectors) for eig, level in zip(spectrum.eigs, spectrum.levels)]
-
-
-def spectral_power(spectrum: SpectralData, a: float) -> np.ndarray:
-    """H^a as sum of E^a times the eigenprojector, over positive clusters only.
-
-    The E = 0 cluster contributes zero for every exponent, which extends the
-    calculus to negative and fractional ``a`` (pseudo-inverse convention).
-    In particular a = 0 gives the projector onto the positive spectrum.
-    Each block is V diag(E^a) V^dag, with E the cluster energies.
-    """
-    dim = sum(rows.size for rows in spectrum.blocks)
-    return _assemble(dim, spectrum.blocks, _powers(spectrum, a))
 
 
 def closed_form_para(sys: OsusySystem, spectrum: SpectralData) -> np.ndarray:

@@ -272,10 +272,30 @@ def test_ladder_order_one_nilpotency(capsys):
     ["ladder", "--p", "0"],
     ["random-rep", "--p", "2", "--copies", "-1", "--trivial", "1", "--seed", "0"],
     ["random-rep", "--p", "2", "--copies", "0", "--trivial", "0", "--seed", "0"],
-], ids=["osusy-p", "osusy-levels", "ladder-p", "random-rep-negative", "random-rep-empty"])
+    ["random-rep", "--p", "2", "--copies", "1", "--trivial", "0", "--seed", "-1"],
+    ["osusy", "--p", "2", "--levels", "3", "--tol", "nan"],
+    ["osusy", "--p", "2", "--levels", "3", "--tol=-1e-10"],
+    ["osusy", "--p", "2", "--levels", "3", "--tol", "inf"],
+    ["osusy", "--p", "2", "--levels", "3", "--cluster-tol", "nan"],
+    ["osusy", "--p", "2", "--levels", "3", "--cluster-tol", "-1"],
+    ["osusy", "--p", "2", "--levels", "3", "--cluster-tol", "inf"],
+    ["decompose", "{rep}", "--rank-tol", "nan"],
+    ["decompose", "{rep}", "--rank-tol=-1e-8"],
+    ["decompose", "{rep}", "--tol", "nan"],
+    ["verify", "{rep}", "--tol", "-1"],
+    ["ladder", "--p", "2", "--tol", "nan"],
+], ids=["osusy-p", "osusy-levels", "ladder-p", "random-rep-negative", "random-rep-empty",
+        "random-rep-seed", "osusy-tol-nan", "osusy-tol-negative", "osusy-tol-inf",
+        "osusy-cluster-tol-nan", "osusy-cluster-tol-negative", "osusy-cluster-tol-inf",
+        "decompose-rank-tol-nan", "decompose-rank-tol-negative", "decompose-tol-nan",
+        "verify-tol-negative", "ladder-tol-nan"])
 def test_invalid_argument_values_are_input_failures(tmp_path, capsys, argv):
     if argv[0] == "random-rep":
         argv = argv + ["--out", str(tmp_path / "rep.json")]
+    if "{rep}" in argv:
+        # a readable file, so that only the option value can be at fault
+        argv = [str(canonical_file(tmp_path, capsys)) if a == "{rep}" else a for a in argv]
+        capsys.readouterr()
     assert main(argv) == EXIT_IO
     assert capsys.readouterr().err.startswith("error: ")
 

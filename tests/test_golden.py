@@ -9,10 +9,13 @@ SVD and may move by at most ``RESIDUAL_TOL`` like residuals. Every JSON report
 and file must also be laid out exactly as ``json.dumps(doc, indent=2,
 sort_keys=True)`` lays it out.
 
-Re-record the set with ``PYTHONPATH=src python tests/test_golden.py``.
+Re-record with ``PYTHONPATH=src python tests/test_golden.py``: it writes
+only the recordings that are missing or that the test would reject, so
+residuals that moved within ``RESIDUAL_TOL`` keep their recorded values.
 """
 
 import contextlib
+import difflib
 import io
 import json
 import re
@@ -101,18 +104,33 @@ def split_residuals(path: Path, text: str) -> tuple[str, list[str], list[float]]
     return TABLE_RESIDUAL.sub("<residual>", text), [], values
 
 
+def mismatch(path: Path, out: str) -> str | None:
+    """Why ``out`` fails the recording at ``path``, or None when it passes."""
+    if path.suffix == ".json" and out != json.dumps(json.loads(out), indent=2,
+                                                    sort_keys=True) + "\n":
+        return "not laid out as json.dumps(doc, indent=2, sort_keys=True)"
+    if not path.exists():
+        return "no recording"
+    expected = split_residuals(path, path.read_text(encoding="utf-8"))
+    got = split_residuals(path, out)
+    if got[0] != expected[0]:
+        return "\n".join(difflib.unified_diff(expected[0].splitlines(), got[0].splitlines(),
+                                              "recorded", "got", lineterm=""))
+    if got[1] != expected[1]:
+        return f"residual names {got[1]} != recorded {expected[1]}"
+    if len(got[2]) != len(expected[2]):
+        return f"{len(got[2])} values != {len(expected[2])} recorded"
+    for i, (new, old) in enumerate(zip(got[2], expected[2])):
+        if abs(new - old) > RESIDUAL_TOL:
+            return f"value {i} moved from {old!r} to {new!r}"
+    return None
+
+
 @pytest.mark.parametrize("case", CASES)
 def test_reports_match_the_recording(case, tmp_path, capsys):
     for path, out in run_case(case, tmp_path, lambda: capsys.readouterr().out):
-        if path.suffix == ".json":
-            assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n", path.name
-        expected = split_residuals(path, path.read_text(encoding="utf-8"))
-        got = split_residuals(path, out)
-        assert got[0] == expected[0], path.name
-        assert got[1] == expected[1], path.name
-        assert len(got[2]) == len(expected[2]), path.name
-        for i, (new, old) in enumerate(zip(got[2], expected[2])):
-            assert abs(new - old) <= RESIDUAL_TOL, (path.name, i, new, old)
+        problem = mismatch(path, out)
+        assert problem is None, f"{path.name}: {problem}"
 
 
 def record() -> None:
@@ -129,8 +147,10 @@ def record() -> None:
         with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(buffer):
             reports = list(run_case(case, Path(tmp), read_stdout))
         for path, out in reports:
-            path.write_text(out, encoding="utf-8")
-            print(f"recorded {path}", file=sys.stderr)
+            problem = mismatch(path, out)
+            if problem is not None:
+                path.write_text(out, encoding="utf-8")
+                print(f"recorded {path} ({problem.splitlines()[0]})", file=sys.stderr)
 
 
 if __name__ == "__main__":

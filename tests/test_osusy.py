@@ -14,7 +14,8 @@ from orthofermi.linalg import haar_unitary, max_abs
 from orthofermi.osusy import (CLOSED_FORM_TOL, DEFAULT_GENERATOR_TOL, OsusySystem,
                               SusyGenerators, block_partition, build_generators, build_system,
                               check_generators, check_relations, closed_form_frac,
-                              closed_form_para, eigenspace_reps, spectral, spectral_power)
+                              closed_form_para, eigenspace_reps, spectral)
+from oracles import cluster_bases, h_power
 
 
 def pipeline(p, levels):
@@ -96,7 +97,7 @@ def test_spectral_clusters_of_the_standard_model():
 
 
 def projectors(spectrum):
-    return [b @ b.conj().T for b in spectrum.bases]
+    return [b @ b.conj().T for b in cluster_bases(spectrum)]
 
 
 def test_projectors_resolve_the_identity():
@@ -139,18 +140,18 @@ def test_each_positive_eigenspace_carries_one_canonical_copy():
     sys_, spectrum, analyses, _ = pipeline(2, 4)
     for analysis, mult in zip(analyses, spectrum.multiplicities):
         if analysis.energy > 0:
-            assert analysis.decomposition.multiplicity == 1
-            assert analysis.decomposition.trivial_dim == 0
+            assert analysis.copies == 1
+            assert analysis.trivial_dim == 0
             assert mult == 3
         else:
-            assert analysis.decomposition.multiplicity == 0
-            assert analysis.decomposition.trivial_dim == 1 + sys_.p
+            assert analysis.copies == 0
+            assert analysis.trivial_dim == 1 + sys_.p
 
 
 def test_kernel_charges_vanish():
     sys_ = build_system(3, 4)
     spectrum = spectral(sys_)
-    basis0 = spectrum.bases[0]
+    basis0 = cluster_bases(spectrum)[0]
     assert spectrum.energies[0] == 0.0
     for q in sys_.Q:
         assert max_abs(basis0.conj().T @ q @ basis0) < 1e-12
@@ -161,7 +162,7 @@ def test_positive_eigenspace_dimensions_are_multiples():
         _, spectrum, analyses, _ = pipeline(p, levels)
         for analysis, mult in zip(analyses, spectrum.multiplicities):
             if analysis.energy > 0:
-                assert mult == analysis.decomposition.multiplicity * (p + 1)
+                assert mult == analysis.copies * (p + 1)
 
 
 def test_eigenspace_reps_flags_broken_systems():
@@ -198,6 +199,12 @@ def test_charges_scaled_off_the_unit_are_refused():
         eigenspace_reps(scaled, spectral(scaled))
 
 
+def pieces(spectrum):
+    """(energy, size) of every piece: the part of a cluster in one block."""
+    return [(energy, size) for level in spectrum.levels for row in level
+            for energy, size in Counter(row.tolist()).items()]
+
+
 def test_one_relation_check_per_cluster_class(monkeypatch):
     calls = Counter()
     for name in ("_relation_defects", "_infer_units"):
@@ -210,8 +217,7 @@ def test_one_relation_check_per_cluster_class(monkeypatch):
     sys_ = build_system(3, 80)
     spectrum = spectral(sys_)
     eigenspace_reps(sys_, spectrum)
-    classes = {(e > 0, m, len(rows)) for e, m, rows in
-               zip(spectrum.energies, spectrum.multiplicities, spectrum.supports)}
+    classes = {(energy > 0, size) for energy, size in pieces(spectrum)}
     assert len(spectrum.energies) == 80 and len(classes) == 2
     assert calls == {"_relation_defects": len(classes)}
 
@@ -267,8 +273,8 @@ def test_closed_form_frac_exponent_is_forced():
     sys_, spectrum, analyses, gens = pipeline(2, 4)
     p = sys_.p
     transfer = sys_.Q[0].conj().T @ sys_.Q[1]
-    outer_bad = (2 ** -0.5) * spectral_power(spectrum, -(p - 1) / (p + 1))
-    inner = 0.5 * spectral_power(spectrum, -p / (p + 1))
+    outer_bad = (2 ** -0.5) * h_power(spectrum, -(p - 1) / (p + 1))
+    inner = 0.5 * h_power(spectrum, -p / (p + 1))
     bad = outer_bad @ sys_.Q[0] + inner @ transfer + outer_bad @ sys_.Q[p - 1].conj().T
     assert max_abs(closed_form_frac(sys_, spectrum) - gens.frac) < 1e-12
     assert max_abs(bad - gens.frac) > 0.05
@@ -293,13 +299,36 @@ def test_clusters_spanning_blocks_match_the_single_system():
     analyses = eigenspace_reps(sys_, spectrum)
     gens = build_generators(sys_, spectrum)
     assert spectrum.multiplicities == [2 * m for m in single_spectrum.multiplicities]
-    assert [a.decomposition.multiplicity for a in analyses] == \
-        [2 * a.decomposition.multiplicity for a in single_analyses]
+    assert [a.copies for a in analyses] == [2 * a.copies for a in single_analyses]
     for got, want in [(gens.para, single_gens.para), (gens.frac, single_gens.frac),
                       (gens.frac_direct, single_gens.frac_direct),
                       (closed_form_frac(sys_, spectrum), closed_form_frac(single, single_spectrum)),
-                      (spectral_power(spectrum, -0.5), spectral_power(single_spectrum, -0.5))]:
+                      (h_power(spectrum, -0.5), h_power(single_spectrum, -0.5))]:
         assert max_abs(got - twice(want)) < 1e-12
+    for name, value in check_generators(sys_, gens, spectrum).items():
+        assert value <= (CLOSED_FORM_TOL if "closed form" in name else DEFAULT_GENERATOR_TOL), name
+
+
+def test_a_cluster_splits_into_pieces_of_different_sizes():
+    # the natural (2, 4) next to a turned kron(I_2, (2, 3)): the E = 1 and E = 2
+    # clusters each meet one natural sector (3 rows) and the turned block (6 rows)
+    natural, small = build_system(2, 4), build_system(2, 3)
+    u = haar_unitary(2 * small.dim, np.random.default_rng(5))
+
+    def join(a, b):
+        turned = u @ np.kron(np.eye(2), b) @ u.conj().T
+        return np.block([[a, np.zeros((a.shape[0], turned.shape[1]))],
+                         [np.zeros((turned.shape[0], a.shape[1])), turned]])
+    sys_ = replace(natural, dim=natural.dim + 2 * small.dim, H=join(natural.H, small.H),
+                   Q=[join(a, b) for a, b in zip(natural.Q, small.Q)])
+    spectrum = spectral(sys_)
+    assert {rows.shape[1]: rows.shape[0] for rows in spectrum.blocks} == {1: 3, 3: 3, 18: 1}
+    found = Counter((round(energy), size) for energy, size in pieces(spectrum))
+    assert found[1, 3] == found[1, 6] == 1
+    analyses = eigenspace_reps(sys_, spectrum)
+    assert spectrum_table(analyses, spectrum) == [(0, 9, 0), (1, 9, 3), (2, 9, 3), (3, 3, 1)]
+    assert max(check_relations(sys_, spectrum).values()) <= 1e-10
+    gens = build_generators(sys_, spectrum)
     for name, value in check_generators(sys_, gens, spectrum).items():
         assert value <= (CLOSED_FORM_TOL if "closed form" in name else DEFAULT_GENERATOR_TOL), name
 
@@ -314,7 +343,7 @@ def test_generators_are_built_cluster_by_cluster():
     assert any(rows.shape == (1, 6) for rows in spectrum.blocks)
     gens = build_generators(sys_, spectrum)
     para = frac = 0.0
-    for e, b in zip(spectrum.energies, spectrum.bases):
+    for e, b in zip(spectrum.energies, cluster_bases(spectrum)):
         if e > 0:
             c = [b.conj().T @ q @ b / np.sqrt(2 * e) for q in sys_.Q]
             para = para + np.sqrt(2 * e) * b @ lowering_from(c) @ b.conj().T
@@ -325,7 +354,7 @@ def test_generators_are_built_cluster_by_cluster():
 
 def test_generators_vanish_on_the_kernel():
     sys_, spectrum, analyses, gens = pipeline(2, 3)
-    kernel = spectrum.bases[0]
+    kernel = cluster_bases(spectrum)[0]
     for g in (gens.para, gens.frac):
         assert max_abs(g @ kernel) < 1e-12
         assert max_abs(gens.para.conj().T @ kernel) < 1e-12
@@ -336,13 +365,13 @@ def test_generators_vanish_on_the_kernel():
 def test_spectral_power_one_reproduces_h():
     sys_ = build_system(2, 4)
     spectrum = spectral(sys_)
-    assert max_abs(spectral_power(spectrum, 1.0) - sys_.H) < 1e-10
+    assert max_abs(h_power(spectrum, 1.0) - sys_.H) < 1e-10
 
 
 def test_spectral_power_zero_is_positive_projector():
     sys_ = build_system(2, 4)
     spectrum = spectral(sys_)
-    proj = spectral_power(spectrum, 0.0)
+    proj = h_power(spectrum, 0.0)
     assert max_abs(proj @ proj - proj) < 1e-12
     assert max_abs(proj + projectors(spectrum)[0] - np.eye(sys_.dim)) < 1e-10
 
@@ -350,8 +379,8 @@ def test_spectral_power_zero_is_positive_projector():
 def test_spectral_power_negative_half_squares_to_pseudo_inverse():
     sys_ = build_system(2, 4)
     spectrum = spectral(sys_)
-    inv_root = spectral_power(spectrum, -0.5)
-    positive = spectral_power(spectrum, 0.0)
+    inv_root = h_power(spectrum, -0.5)
+    positive = h_power(spectrum, 0.0)
     assert max_abs(inv_root @ inv_root @ sys_.H - positive) < 1e-9
 
 
@@ -359,7 +388,7 @@ def test_nonpositive_levels_take_no_power():
     # a power or square root of E <= 0 would warn, and the suite turns warnings into errors
     sys_ = diag_system([-2.0, 0.0, 4.0])
     spectrum = spectral(sys_)
-    assert np.array_equal(spectral_power(spectrum, -0.5).diagonal(), [0.0, 0.0, 0.5])
+    assert np.array_equal(h_power(spectrum, -0.5).diagonal(), [0.0, 0.0, 0.5])
     gens = build_generators(sys_, spectrum)
     assert max_abs(gens.para) == max_abs(gens.frac) == 0.0
 
@@ -445,17 +474,17 @@ def dense_generator_residuals(sys_, gens, spectrum):
     p, H, Q = sys_.p, sys_.H, sys_.Q
     para, frac, direct = gens.para, gens.frac, gens.frac_direct
 
-    def h_power(a):
+    def dense_power(a):
         return sum(e ** a * b @ b.conj().T
-                   for e, b in zip(spectrum.energies, spectrum.bases) if e > 0)
+                   for e, b in zip(spectrum.energies, cluster_bases(spectrum)) if e > 0)
 
     def rel(defect, scale):
         return max_abs(defect) / max(1.0, scale)
 
     transfer = sum(Q[a - 1].conj().T @ Q[a] for a in range(1, p))
-    outer = 2 ** -0.5 * h_power(-(p - 1) / (2 * (p + 1)))
-    closed_para = Q[0] + 2 ** -0.5 * h_power(-0.5) @ transfer
-    closed_frac = outer @ Q[0] + 0.5 * h_power(-p / (p + 1)) @ transfer + outer @ Q[-1].conj().T
+    outer = 2 ** -0.5 * dense_power(-(p - 1) / (2 * (p + 1)))
+    closed_para = Q[0] + 2 ** -0.5 * dense_power(-0.5) @ transfer
+    closed_frac = outer @ Q[0] + 0.5 * dense_power(-p / (p + 1)) @ transfer + outer @ Q[-1].conj().T
     lhs = sum(mpow(para, p - k) @ para.conj().T @ mpow(para, k) for k in range(p + 1))
     rhs = 2 * p * mpow(para, p - 1) @ H
     h = max_abs(H)
@@ -518,7 +547,7 @@ def test_generators_outside_the_blocks_are_rejected():
 
 
 def spectrum_table(analyses, spectrum):
-    return [(round(a.energy, 12), mult, a.decomposition.multiplicity)
+    return [(round(a.energy, 12), mult, a.copies)
             for a, mult in zip(analyses, spectrum.multiplicities)]
 
 
@@ -541,5 +570,5 @@ def test_pipeline_is_basis_covariant(p, levels, seed):
     # one block holds every cluster; the generators and H^a still turn with the basis
     for got, want in [(gens.para, natural_gens.para), (gens.frac, natural_gens.frac),
                       (gens.frac_direct, natural_gens.frac_direct),
-                      (spectral_power(spectrum, -0.5), spectral_power(natural_spectrum, -0.5))]:
+                      (h_power(spectrum, -0.5), h_power(natural_spectrum, -0.5))]:
         assert max_abs(got - u @ want @ u.conj().T) <= 1e-10
