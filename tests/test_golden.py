@@ -51,6 +51,9 @@ CASES = {
     "osusy-p4-l20": ["osusy --p 4 --levels 20 --json"],
     "osusy-p12-l10": ["osusy --p 12 --levels 10 --json"],
     "osusy-p3-l80": ["osusy --p 3 --levels 80 --json"],
+    "osusy-p2-l100": ["osusy --p 2 --levels 100 --json"],
+    "osusy-p16-l8": ["osusy --p 16 --levels 8 --json"],
+    "osusy-p2-l300": ["osusy --p 2 --levels 300 --json"],
     "osusy-p2-l5-table": ["osusy --p 2 --levels 5"],
     "osusy-p2-l3-out": ["osusy --p 2 --levels 3 --out {tmp}/sys.json --json"],
     "canonical-p3": ["canonical --p 3 --out {tmp}/rep.json --json"],
