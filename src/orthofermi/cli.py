@@ -192,10 +192,11 @@ def cmd_osusy(args) -> Report:
                      "zeroth power of the generator; checked for p >= 2 only")
     report.payload["notes"] = notes
     if args.out:
+        Q, H = sys_.dense()
         ser.dump_json({"schema_version": ser.SYSTEM_SCHEMA, "p": sys_.p,
                        "levels": sys_.levels, "dim": sys_.dim,
-                       "Q": [ser.encode_matrix(q) for q in sys_.Q],
-                       "H": ser.encode_matrix(sys_.H)}, args.out)
+                       "Q": [ser.encode_matrix(q) for q in Q],
+                       "H": ser.encode_matrix(H)}, args.out)
         report.payload["system_written"] = str(args.out)
     return report
 

@@ -29,15 +29,17 @@ and with every Q_a, since Q_a moves |n-1, a> to |n, 0>. Every operator is
 therefore block-diagonal, with one (p+1)-dimensional block per sector
 N = 1..levels-1 and 1+p singletons (the vacuum and the boundary states).
 The pipeline does not assume this structure but reads it off the operators:
-:func:`spectral` takes the finest block partition that the nonzero pattern
-of H and of every Q_a admits (:func:`block_partition`) and every stage after
-it works on stacks of equal-size blocks, with no dim x dim product. Every
-nonzero entry lies inside a block, so each residual is the dense one up to
-summation order; a system in a generic basis is simply one block.
-Eigenvalues are clustered over all blocks together, so a cluster may span
-several blocks: the E = 0 cluster spans the 1+p singletons.
-:func:`build_system` itself forms H block by block, on the partition of the
-charges alone.
+an :class:`OsusySystem` holds H and the charges as stacks of equal-size
+blocks on the finest block partition that their nonzero entries admit
+(:func:`block_partition`). :func:`build_system` writes the charges' blocks
+straight from their index pattern and forms H block by block;
+:func:`system_from_dense` cuts dense operators, such as a system in a
+generic basis, which is simply one block. Every stage works on these stacks
+and on that partition, with no dim x dim array, and refuses operators on
+another partition. Every nonzero entry lies inside a block, so each residual
+is the dense one up to summation order. Eigenvalues are clustered over all
+blocks together, so a cluster may span several blocks: the E = 0 cluster
+spans the 1+p singletons.
 
 Past :func:`spectral`, operators are multiplied on the blocks in each
 block's eigenbasis V (``SpectralData.eigs``), in which :func:`spectral` has
@@ -60,7 +62,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import check_order
-from .canonical import canonical, cyclic_from, lowering_from, occupied
+from .canonical import cyclic_from, lowering_from, occupied
 from .errors import ClusteringError, DimensionError, NotARepresentationError, TruncationError
 from .linalg import DEFAULT_TOL, HermEig, dagger, herm_eig, max_abs
 from .reptheory import decompose_stack, relation_residuals
@@ -77,13 +79,26 @@ CLOSED_FORM_TOL = 1e-9
 
 @dataclass(frozen=True)
 class OsusySystem:
-    """Truncated oscillator model: order p, boson levels, charges and H."""
+    """Truncated oscillator model: order p, boson levels, charges and H.
+
+    The operators are held on their block partition ``blocks`` (see
+    :func:`block_partition`), one (count, size) index array per block size.
+    Per block size, ``Q`` holds the (p, count, size, size) stack of the
+    charges' blocks and ``H`` the (count, size, size) stack of H's blocks;
+    every entry outside the blocks is zero. :meth:`dense` assembles the
+    dim x dim matrices.
+    """
 
     p: int
     levels: int
     dim: int
+    blocks: list[np.ndarray]
     Q: list[np.ndarray]
-    H: np.ndarray
+    H: list[np.ndarray]
+
+    def dense(self) -> tuple[np.ndarray, np.ndarray]:
+        """The (p, dim, dim) charges and the dim x dim H."""
+        return _assemble(self.dim, self.blocks, self.Q), _assemble(self.dim, self.blocks, self.H)
 
 
 @dataclass(frozen=True)
@@ -92,7 +107,7 @@ class SpectralData:
 
     ``energies`` are the distinct cluster values ascending and
     ``multiplicities[k]`` the dimension of cluster k. ``blocks`` is the
-    block partition of H and the charges (see :func:`block_partition`). Per
+    system's block partition (:attr:`OsusySystem.blocks`). Per
     block size, ``eigs`` holds the eigensolve of H's (count, size, size)
     block stack, ``levels`` the (count, size) cluster energy of each of its
     eigenvalues (0 on the E = 0 cluster) and ``charges`` the
@@ -119,56 +134,76 @@ class EigenspaceAnalysis:
 
 @dataclass(frozen=True)
 class SusyGenerators:
-    """Derived symmetry generators of one system.
+    """Derived symmetry generators of one system, as block stacks on ``blocks``.
 
     ``para``        nilpotent parasupersymmetry generator,
     ``frac``        fractional generator with frac^{p+1} = H,
-    ``frac_direct`` charge-assembled generator with frac_direct^{p+1} = (2H)^p.
+    ``frac_direct`` charge-assembled generator with frac_direct^{p+1} = (2H)^p;
+    each is one (count, size, size) stack per block size.
     """
 
-    para: np.ndarray
-    frac: np.ndarray
-    frac_direct: np.ndarray
+    blocks: list[np.ndarray]
+    para: list[np.ndarray]
+    frac: list[np.ndarray]
+    frac_direct: list[np.ndarray]
 
 
 def build_system(p: int, levels: int) -> OsusySystem:
     """Construct the truncated model of order ``p`` with ``levels`` boson states.
 
     The boson annihilator acts as a|n> = sqrt(n)|n-1> on occupations
-    0..levels-1 with a^dag|levels-1> = 0 (hard cutoff). H is formed on the
-    :func:`block_partition` of the charges, with no dim x dim product.
+    0..levels-1 with a^dag|levels-1> = 0 (hard cutoff). Each Q_a has one
+    nonzero entry per n < levels-1, sqrt(2) sqrt(n+1) from |n, a> (index
+    n(p+1) + a) to |n+1, 0> (index (n+1)(p+1)); the blocks are read off those
+    index pairs and H is formed block by block, with no dim x dim array.
     """
     p = check_order(p)
     if int(levels) != levels or levels < 2:
         raise TruncationError(f"need at least 2 boson levels, got {levels!r}")
     levels = int(levels)
-    a = np.diag(np.sqrt(np.arange(1, levels)), 1).astype(complex)
-    cs = canonical(p).c
-    Q = [math.sqrt(2.0) * np.kron(a.conj().T, c) for c in cs]
     dim = levels * (p + 1)
-    blocks = block_partition(Q)
-    H = _assemble(dim, blocks, [0.5 * (q[0] @ dagger(q[0]) + occupied(q))
-                                for q in map(np.stack, _blockwise(blocks, Q))])
-    return OsusySystem(p=p, levels=levels, dim=dim, Q=Q, H=H)
+    n = np.repeat(np.arange(levels - 1), p)
+    a = np.tile(np.arange(1, p + 1), levels - 1)
+    rows, cols = (n + 1) * (p + 1), n * (p + 1) + a
+    blocks = block_partition(dim, rows, cols)
+    Q = _scatter(blocks, p, a - 1, rows, cols, math.sqrt(2.0) * np.sqrt(n + 1.0))
+    H = [0.5 * (q[0] @ dagger(q[0]) + occupied(q)) for q in Q]
+    return OsusySystem(p=p, levels=levels, dim=dim, blocks=blocks, Q=Q, H=H)
 
 
-def block_partition(ops: list[np.ndarray]) -> list[np.ndarray]:
-    """Finest block partition shared by square matrices of one size.
+def system_from_dense(p: int, levels: int, Q, H) -> OsusySystem:
+    """The system of the dense dim x dim charges ``Q`` (p of them) and ``H``.
+
+    The blocks are the :func:`block_partition` of every nonzero entry of H
+    and the charges, so no entry falls outside them.
+    """
+    p = check_order(p)
+    shapes = [np.shape(m) for m in (H, *Q)]
+    if len(Q) != p or len(shapes[0]) != 2 or len(set(shapes)) != 1 or len(set(shapes[0])) != 1:
+        raise DimensionError(f"need H and {p} charges as square matrices of one size, "
+                             f"got shapes {shapes}")
+    ops = np.asarray([H, *Q], dtype=complex)
+    op, rows, cols = np.nonzero(ops)
+    blocks = block_partition(ops.shape[1], rows, cols)
+    stacks = _scatter(blocks, p + 1, op, rows, cols, ops[op, rows, cols])
+    return OsusySystem(p=p, levels=levels, dim=ops.shape[1], blocks=blocks,
+                       Q=[s[1:] for s in stacks], H=[s[0] for s in stacks])
+
+
+def block_partition(dim: int, rows: np.ndarray, cols: np.ndarray) -> list[np.ndarray]:
+    """Finest block partition of 0..dim-1 that holds every index pair (rows, cols).
 
     The blocks are the connected components of the graph that links basis
-    indices i and j whenever some matrix has a nonzero (i, j) or (j, i)
-    entry. Returns one integer array of shape (count, size) per block size,
-    by ascending size; each row holds the indices of one block, ascending,
-    and rows are ordered by their first index.
+    indices i and j whenever (i, j) or (j, i) is a pair. Returns one integer
+    array of shape (count, size) per block size, by ascending size; each row
+    holds the indices of one block, ascending, and rows are ordered by their
+    first index.
     """
-    linked = np.zeros(ops[0].shape, dtype=bool)
-    for m in ops:
-        linked |= m != 0
-    i, j = np.nonzero(linked | linked.T)
+    i, j = np.concatenate([rows, cols]), np.concatenate([cols, rows])
     # each index takes the least label among its neighbours, then labels are
     # followed to their fixed points; at rest every block carries the least
     # index it holds
-    label = np.arange(len(linked))
+    label = np.arange(dim)
     while True:
         lower = label.copy()
         np.minimum.at(lower, i, label[j])
@@ -183,26 +218,43 @@ def block_partition(ops: list[np.ndarray]) -> list[np.ndarray]:
             for size in sorted(set(sizes.tolist()))]
 
 
-def _blockwise(blocks: list[np.ndarray], ops: list[np.ndarray]) -> list[list[np.ndarray]]:
-    """Per block size, the (count, size, size) stack of each operator's blocks.
-
-    Raises :class:`DimensionError` when an operator has a nonzero entry
-    outside the blocks, since no block-wise residual would see it.
-    """
-    stacks = [[m[rows[:, :, None], rows[:, None, :]] for rows in blocks] for m in ops]
-    for m, per_size in zip(ops, stacks):
-        if sum(np.count_nonzero(stack) for stack in per_size) != np.count_nonzero(m):
-            raise DimensionError("operator has nonzero entries outside the blocks "
-                                 "of H and the charges")
-    return [list(group) for group in zip(*stacks)]
+def _scatter(blocks: list[np.ndarray], k: int, op: np.ndarray, rows: np.ndarray,
+             cols: np.ndarray, values: np.ndarray) -> list[np.ndarray]:
+    """Per block size, the (k, count, size, size) stack of k operators whose
+    entries ``values`` sit at (``rows``, ``cols``) of operator ``op``; each
+    pair must lie inside one of the ``blocks``."""
+    dim = sum(group.size for group in blocks)
+    group_of, block_of, slot = (np.empty(dim, dtype=int) for _ in range(3))
+    for g, group in enumerate(blocks):
+        group_of[group] = g
+        block_of[group] = np.arange(len(group))[:, None]
+        slot[group] = np.arange(group.shape[1])
+    stacks = []
+    for g, group in enumerate(blocks):
+        stack = np.zeros((k, *group.shape, group.shape[1]), dtype=complex)
+        at = group_of[rows] == g
+        stack[op[at], block_of[rows[at]], slot[rows[at]], slot[cols[at]]] = values[at]
+        stacks.append(stack)
+    return stacks
 
 
 def _assemble(dim: int, blocks: list[np.ndarray], stacks: list[np.ndarray]) -> np.ndarray:
-    """The dim x dim matrix with the given block stacks and zeros elsewhere."""
-    out = np.zeros((dim, dim), dtype=complex)
+    """The dim x dim matrix with the given block stacks and zeros elsewhere;
+    (k, count, size, size) stacks give k such matrices, as (k, dim, dim)."""
+    out = np.zeros((*stacks[0].shape[:-3], dim, dim), dtype=complex)
     for rows, stack in zip(blocks, stacks):
-        out[rows[:, :, None], rows[:, None, :]] = stack
+        out[..., rows[:, :, None], rows[:, None, :]] = stack
     return out
+
+
+def _check_partition(blocks: list[np.ndarray], spectrum: SpectralData) -> None:
+    """Raise :class:`DimensionError` unless ``blocks`` is the partition of
+    ``spectrum``, since block-wise products of operators on two partitions
+    would miss every entry outside the shared blocks."""
+    if blocks is not spectrum.blocks and not (
+            len(blocks) == len(spectrum.blocks)
+            and all(map(np.array_equal, blocks, spectrum.blocks))):
+        raise DimensionError("operators lie on a different block partition from the spectrum's")
 
 
 def check_relations(sys: OsusySystem, spectrum: SpectralData) -> dict[str, float]:
@@ -212,9 +264,9 @@ def check_relations(sys: OsusySystem, spectrum: SpectralData) -> dict[str, float
     positivity entry is max(0, -min eigenvalue) over ``spectrum``, so 0.0
     means a nonnegative spectrum.
     """
+    _check_partition(sys.blocks, spectrum)
     worst = (0.0, 0.0, 0.0)
-    for h, *q in _blockwise(spectrum.blocks, [sys.H, *sys.Q]):
-        q = np.stack(q)
+    for h, q in zip(sys.H, sys.Q):
         found = (max_abs(h @ q - q @ h), *relation_residuals(q, 2 * h))
         worst = tuple(map(max, worst, found))
     res = {"[H, Q_a] = 0": worst[0]}
@@ -226,8 +278,8 @@ def check_relations(sys: OsusySystem, spectrum: SpectralData) -> dict[str, float
 def spectral(sys: OsusySystem, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> SpectralData:
     """Group the spectrum of H into well-separated eigenvalue clusters.
 
-    H is diagonalized block by block on :func:`block_partition` of H and the
-    charges, with one batched eigensolve per block size, and the charges are
+    H is diagonalized block by block on the system's partition, with one
+    batched eigensolve per block size, and the charges are
     restricted to each block's eigenbasis as V^dag Q_a V. ``cluster_tol`` is
     relative to max(1, largest |eigenvalue|). Eigenvalues within that
     threshold of zero are snapped into a single E = 0 cluster. Each cluster
@@ -235,11 +287,8 @@ def spectral(sys: OsusySystem, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> Spec
     its neighbors by more than the threshold, otherwise a
     :class:`ClusteringError` is raised.
     """
-    blocks = block_partition([sys.H, *sys.Q])
-    stacks = _blockwise(blocks, [sys.H, *sys.Q])
-    eigs = [herm_eig(h) for h, *_ in stacks]
-    charges = [dagger(eig.vectors) @ np.stack(q) @ eig.vectors
-               for eig, (_, *q) in zip(eigs, stacks)]
+    eigs = [herm_eig(h) for h in sys.H]
+    charges = [dagger(eig.vectors) @ q @ eig.vectors for eig, q in zip(eigs, sys.Q)]
     values = np.concatenate([eig.values.ravel() for eig in eigs])
     order = np.argsort(values, kind="stable")
     vals = values[order]
@@ -278,7 +327,7 @@ def spectral(sys: OsusySystem, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> Spec
     levels = [level[end - eig.values.size:end].reshape(eig.values.shape)
               for eig, end in zip(eigs, ends)]
     return SpectralData([energy for energy, _ in clusters], [len(idx) for _, idx in clusters],
-                        blocks, eigs, levels, charges)
+                        sys.blocks, eigs, levels, charges)
 
 
 def eigenspace_reps(sys: OsusySystem, spectrum: SpectralData,
@@ -344,19 +393,19 @@ def build_generators(sys: OsusySystem, spectrum: SpectralData) -> SusyGenerators
     ladder formulas give L and F on every cluster of a block at once; they
     are dressed with sqrt(2E) and E^{1/(p+1)} and transported back with V. Both
     generators vanish on the kernel of H by construction, which also makes
-    them commute with H exactly. ``frac_direct`` is cyclic_from(Q)^dag.
+    them commute with H exactly. ``frac_direct`` is cyclic_from(Q)^dag. The
+    generators are block stacks on ``spectrum.blocks``.
     """
+    _check_partition(sys.blocks, spectrum)
     para, frac, direct = [], [], []
-    for eig, level, c, q in zip(spectrum.eigs, spectrum.levels, spectrum.charges,
-                                _blockwise(spectrum.blocks, sys.Q)):
+    for eig, level, c, q in zip(spectrum.eigs, spectrum.levels, spectrum.charges, sys.Q):
         v, energy = eig.vectors, _positive(level)[..., :, None]
         same = (level[..., :, None] == level[..., None, :]) & (level > 0.0)[..., :, None]
         c = np.where(same, c, 0.0) * (1.0 / np.sqrt(2.0 * energy))
         para.append(v @ (np.sqrt(2.0 * energy) * lowering_from(c)) @ dagger(v))
         frac.append(v @ (energy ** (1.0 / (sys.p + 1)) * cyclic_from(c)) @ dagger(v))
         direct.append(dagger(cyclic_from(q)))
-    return SusyGenerators(*(_assemble(sys.dim, spectrum.blocks, stacks)
-                            for stacks in (para, frac, direct)))
+    return SusyGenerators(spectrum.blocks, para, frac, direct)
 
 
 def _powers(spectrum: SpectralData, a: float) -> list[np.ndarray]:
@@ -365,27 +414,30 @@ def _powers(spectrum: SpectralData, a: float) -> list[np.ndarray]:
             @ dagger(eig.vectors) for eig, level in zip(spectrum.eigs, spectrum.levels)]
 
 
-def closed_form_para(sys: OsusySystem, spectrum: SpectralData) -> np.ndarray:
-    """Q_1 + (2H)^{-1/2} sum_{a=2..p} Q_{a-1}^dag Q_a via spectral calculus."""
-    return _assemble(sys.dim, spectrum.blocks, [
-        q[0] + (2.0 ** -0.5 * r) @ (lowering_from(q) - q[0])
-        for r, q in zip(_powers(spectrum, -0.5), _blockwise(spectrum.blocks, sys.Q))])
+def closed_form_para(sys: OsusySystem, spectrum: SpectralData) -> list[np.ndarray]:
+    """Q_1 + (2H)^{-1/2} sum_{a=2..p} Q_{a-1}^dag Q_a via spectral calculus,
+    one (count, size, size) stack per block size."""
+    _check_partition(sys.blocks, spectrum)
+    return [q[0] + (2.0 ** -0.5 * r) @ (lowering_from(q) - q[0])
+            for r, q in zip(_powers(spectrum, -0.5), sys.Q)]
 
 
-def closed_form_frac(sys: OsusySystem, spectrum: SpectralData) -> np.ndarray:
-    """Charge expression of the fractional generator via spectral calculus.
+def closed_form_frac(sys: OsusySystem, spectrum: SpectralData) -> list[np.ndarray]:
+    """Charge expression of the fractional generator via spectral calculus,
+    one (count, size, size) stack per block size.
 
     The outer terms carry H^{-(p-1)/(2(p+1))} so that on a cluster of energy
     E they contribute E^{1/(p+1)} once the sqrt(2E) inside the charges is
     accounted for; the transfer sum carries H^{-p/(p+1)}.
     """
+    _check_partition(sys.blocks, spectrum)
     p = sys.p
     stacks = []
     for o, i, q in zip(_powers(spectrum, -(p - 1) / (2.0 * (p + 1))),
-                       _powers(spectrum, -p / (p + 1)), _blockwise(spectrum.blocks, sys.Q)):
+                       _powers(spectrum, -p / (p + 1)), sys.Q):
         o, i = 2.0 ** -0.5 * o, 0.5 * i
         stacks.append(o @ q[0] + i @ (lowering_from(q) - q[0]) + o @ dagger(q[p - 1]))
-    return _assemble(sys.dim, spectrum.blocks, stacks)
+    return stacks
 
 
 def _generator_terms(p: int, H, para, frac, direct, closed_para, closed_frac) -> dict:
@@ -422,13 +474,14 @@ def check_generators(sys: OsusySystem, gens: SusyGenerators,
     the closed-form comparisons are plain entrywise defects. The sum rule
     needs p >= 2 because its right-hand side contains the (p-1)-th power of
     the generator; for p = 1 the entry is omitted. Every term is computed
-    block by block on ``spectrum.blocks``.
+    block by block on ``spectrum.blocks``; the system and the generators
+    must lie on that partition, or :class:`DimensionError` is raised.
     """
     p = sys.p
-    ops = [sys.H, gens.para, gens.frac, gens.frac_direct,
-           closed_form_para(sys, spectrum), closed_form_frac(sys, spectrum)]
+    _check_partition(gens.blocks, spectrum)
     worst: dict[str, float] = {}
-    for group in _blockwise(spectrum.blocks, ops):
+    for group in zip(sys.H, gens.para, gens.frac, gens.frac_direct,
+                     closed_form_para(sys, spectrum), closed_form_frac(sys, spectrum)):
         for name, m in _generator_terms(p, *group).items():
             worst[name] = max(worst.get(name, 0.0), max_abs(m))
 

@@ -1,12 +1,31 @@
-"""Dense oracles over a :class:`~orthofermi.osusy.SpectralData`, for tests.
+"""Dense oracles over the block stacks of :mod:`orthofermi.osusy`, for tests.
 
-The pipeline keeps no dense eigenvectors and no dense H^a; these helpers
-build them from the blocks, for checks that need the whole space.
+The pipeline keeps no dense operators, no dense eigenvectors and no dense
+H^a; these helpers build them from the blocks, for checks that need the
+whole space.
 """
 
 import numpy as np
 
 from orthofermi import osusy
+
+
+def dense(blocks, stacks):
+    """The dim x dim matrix of per-size (count, size, size) block stacks,
+    such as a generator or a closed form."""
+    dim = sum(rows.size for rows in blocks)
+    return osusy._assemble(dim, blocks, stacks)
+
+
+def cut(blocks, m):
+    """Per block size, the (count, size, size) stack of the blocks of the
+    dense ``m``; the inverse of :func:`dense` for ``m`` zero off the blocks."""
+    return [m[rows[:, :, None], rows[:, None, :]] for rows in blocks]
+
+
+def dense_generators(gens):
+    """para, frac and frac_direct as dim x dim matrices."""
+    return [dense(gens.blocks, g) for g in (gens.para, gens.frac, gens.frac_direct)]
 
 
 def cluster_bases(spectrum):
@@ -29,5 +48,4 @@ def cluster_bases(spectrum):
 def h_power(spectrum, a):
     """H^a over the positive clusters, from the per-block V diag(E^a) V^dag
     that the closed forms use."""
-    dim = sum(rows.size for rows in spectrum.blocks)
-    return osusy._assemble(dim, spectrum.blocks, osusy._powers(spectrum, a))
+    return dense(spectrum.blocks, osusy._powers(spectrum, a))

@@ -1,3 +1,5 @@
+import math
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
@@ -7,15 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orthofermi import reptheory
-from orthofermi.canonical import cyclic_from, lowering_from
+from orthofermi.canonical import canonical, cyclic_from, lowering_from
 from orthofermi.errors import (ClusteringError, DimensionError, NotARepresentationError,
                                OrderError, TruncationError)
 from orthofermi.linalg import haar_unitary, max_abs
-from orthofermi.osusy import (CLOSED_FORM_TOL, DEFAULT_GENERATOR_TOL, OsusySystem,
-                              SusyGenerators, block_partition, build_generators, build_system,
+from orthofermi.osusy import (CLOSED_FORM_TOL, DEFAULT_GENERATOR_TOL, SusyGenerators,
+                              block_partition, build_generators, build_system,
                               check_generators, check_relations, closed_form_frac,
-                              closed_form_para, eigenspace_reps, spectral)
-from oracles import cluster_bases, h_power
+                              closed_form_para, eigenspace_reps, spectral, system_from_dense)
+from oracles import cluster_bases, cut, dense, dense_generators, h_power
 
 
 def pipeline(p, levels):
@@ -29,7 +31,7 @@ def pipeline(p, levels):
 def diag_system(values):
     """Fake system carrying only a Hamiltonian, for clustering tests."""
     h = np.diag(np.asarray(values, dtype=float)).astype(complex)
-    return OsusySystem(p=1, levels=2, dim=len(values), Q=[np.zeros_like(h)], H=h)
+    return system_from_dense(1, 2, [np.zeros_like(h)], h)
 
 
 def mpow(m, k):
@@ -41,7 +43,7 @@ def mpow(m, k):
 def test_dimensions_and_charge_rank():
     sys_ = build_system(1, 2)
     assert sys_.dim == 4
-    assert np.linalg.matrix_rank(sys_.Q[0]) == 1
+    assert np.linalg.matrix_rank(sys_.dense()[0][0]) == 1
 
     assert build_system(2, 4).dim == 12
 
@@ -49,7 +51,7 @@ def test_dimensions_and_charge_rank():
 def test_spectrum_against_brute_force_diagonalization():
     # oracle: plain dense diagonalization of the 12x12 Hamiltonian
     sys_ = build_system(2, 4)
-    values = np.linalg.eigvalsh(sys_.H)
+    values = np.linalg.eigvalsh(sys_.dense()[1])
     counts = Counter(int(round(v)) for v in values)
     assert np.abs(values - np.round(values)).max() < 1e-10
     assert counts == {0: 3, 1: 3, 2: 3, 3: 3}
@@ -64,10 +66,53 @@ def test_construction_guards():
 
 @pytest.mark.parametrize("p, levels", [(1, 2), (2, 5), (3, 7), (8, 6), (16, 3)])
 def test_blockwise_hamiltonian_equals_the_dense_formula(p, levels):
-    sys_ = build_system(p, levels)
-    Q = sys_.Q
+    Q, H = build_system(p, levels).dense()
     dense = 0.5 * (Q[0] @ Q[0].conj().T + sum(q.conj().T @ q for q in Q))
-    assert np.array_equal(sys_.H, dense)
+    assert np.array_equal(H, dense)
+
+
+@pytest.mark.parametrize("p, levels", [(1, 2), (2, 5), (3, 7), (8, 6), (16, 3)])
+def test_charges_equal_the_kron_formula_bitwise(p, levels):
+    # the stacks are written from the index pattern of a^dag (x) c_a; assembled,
+    # they must be the dense sqrt(2) a^dag (x) c_a to the last bit
+    a = np.diag(np.sqrt(np.arange(1, levels)), 1).astype(complex)
+    kron = [math.sqrt(2.0) * np.kron(a.conj().T, c) for c in canonical(p).c]
+    Q, _ = build_system(p, levels).dense()
+    assert [q.tobytes() for q in Q] == [q.tobytes() for q in kron]
+
+
+@pytest.mark.parametrize("p, levels", [(1, 2), (2, 5), (3, 7), (8, 6), (16, 3)])
+def test_a_dense_system_has_the_same_blocks_and_stacks(p, levels):
+    sys_ = build_system(p, levels)
+    Q, H = sys_.dense()
+    again = system_from_dense(p, levels, Q, H)
+    assert (again.p, again.levels, again.dim) == (sys_.p, sys_.levels, sys_.dim)
+    assert [rows.tolist() for rows in again.blocks] == [rows.tolist() for rows in sys_.blocks]
+    for got, want in [*zip(again.Q, sys_.Q), *zip(again.H, sys_.H)]:
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_a_dense_system_needs_p_square_charges_of_the_size_of_h():
+    Q, H = build_system(2, 3).dense()
+    for charges, h in [(Q[:1], H), (Q, H[:, :-1]), ([q[:-1, :-1] for q in Q], H)]:
+        with pytest.raises(DimensionError):
+            system_from_dense(2, 3, charges, h)
+
+
+def test_a_long_chain_allocates_no_dense_matrix():
+    # dim 6000: one dense complex dim x dim matrix alone would take 576 MB
+    tracemalloc.start()
+    try:
+        sys_ = build_system(2, 2000)
+        spectrum = spectral(sys_)
+        check_relations(sys_, spectrum)
+        eigenspace_reps(sys_, spectrum)
+        check_generators(sys_, build_generators(sys_, spectrum), spectrum)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sys_.dim == 6000
+    assert peak < 50 * 2**20
 
 
 def test_relations_hold_exactly_on_samples():
@@ -79,11 +124,12 @@ def test_relations_hold_exactly_on_samples():
 
 def test_expectation_of_h_is_nonnegative():
     sys_ = build_system(2, 4)
+    H = sys_.dense()[1]
     rng = np.random.default_rng(17)
     for _ in range(100):
         psi = rng.standard_normal(sys_.dim) + 1j * rng.standard_normal(sys_.dim)
         psi /= np.linalg.norm(psi)
-        assert (psi.conj() @ sys_.H @ psi).real >= -1e-12
+        assert (psi.conj() @ H @ psi).real >= -1e-12
 
 
 # -- spectral clustering ---------------------------------------------------------
@@ -114,8 +160,9 @@ def test_projectors_resolve_the_identity():
 def test_projectors_are_eigenprojectors():
     sys_ = build_system(2, 4)
     spectrum = spectral(sys_)
+    H = sys_.dense()[1]
     for energy, proj in zip(spectrum.energies, projectors(spectrum)):
-        assert max_abs(sys_.H @ proj - energy * proj) < 1e-8
+        assert max_abs(H @ proj - energy * proj) < 1e-8
 
 
 def test_spectral_on_diagonal_hamiltonian():
@@ -153,7 +200,7 @@ def test_kernel_charges_vanish():
     spectrum = spectral(sys_)
     basis0 = cluster_bases(spectrum)[0]
     assert spectrum.energies[0] == 0.0
-    for q in sys_.Q:
+    for q in sys_.dense()[0]:
         assert max_abs(basis0.conj().T @ q @ basis0) < 1e-12
 
 
@@ -167,8 +214,8 @@ def test_positive_eigenspace_dimensions_are_multiples():
 
 def test_eigenspace_reps_flags_broken_systems():
     sys_ = build_system(1, 3)
-    broken = OsusySystem(p=1, levels=3, dim=sys_.dim,
-                         Q=[sys_.Q[0] + 0.05 * np.eye(sys_.dim)], H=sys_.H)
+    Q, H = sys_.dense()
+    broken = system_from_dense(1, 3, [Q[0] + 0.05 * np.eye(sys_.dim)], H)
     spectrum = spectral(broken)
     with pytest.raises(NotARepresentationError):
         eigenspace_reps(broken, spectrum)
@@ -184,9 +231,10 @@ def sector_rows(sys_, energy):
 def test_a_perturbed_sector_is_blamed_on_its_energy():
     sys_ = build_system(2, 8)
     rows = sector_rows(sys_, 5)
-    q = sys_.Q[0].copy()
+    Q, H = sys_.dense()
+    q = Q[0].copy()
     q[np.ix_(rows, rows)] += 1e-3 * np.random.default_rng(3).standard_normal((3, 3))
-    broken = replace(sys_, Q=[q, *sys_.Q[1:]])
+    broken = system_from_dense(2, 8, [q, *Q[1:]], H)
     with pytest.raises(NotARepresentationError, match=r"E = 5\b"):
         eigenspace_reps(broken, spectral(broken))
 
@@ -247,9 +295,11 @@ def test_order_one_generators():
     sys_, spectrum, analyses, gens = pipeline(1, 3)
     residuals = check_generators(sys_, gens, spectrum)
     assert "sum_k para^{p-k} para^dag para^k = 2p para^{p-1} H" not in residuals
-    assert max_abs(mpow(gens.para, 2)) < 1e-12
-    assert max_abs(mpow(gens.frac, 2) - sys_.H) < 1e-10
-    assert max_abs(mpow(gens.frac_direct, 2) - 2 * sys_.H) < 1e-10
+    para, frac, frac_direct = dense_generators(gens)
+    H = sys_.dense()[1]
+    assert max_abs(mpow(para, 2)) < 1e-12
+    assert max_abs(mpow(frac, 2) - H) < 1e-10
+    assert max_abs(mpow(frac_direct, 2) - 2 * H) < 1e-10
 
 
 def test_sum_rule_normalization_is_forced():
@@ -257,7 +307,7 @@ def test_sum_rule_normalization_is_forced():
     # constant 2p by p misses by exactly the removed half, so the halved
     # variant is not merely loose, it is off by a finite amount
     sys_, spectrum, analyses, gens = pipeline(2, 4)
-    p, H, para = sys_.p, sys_.H, gens.para
+    p, H, para = sys_.p, sys_.dense()[1], dense(gens.blocks, gens.para)
     lhs = sum(mpow(para, p - k) @ para.conj().T @ mpow(para, k) for k in range(p + 1))
     rhs_full = 2 * p * mpow(para, p - 1) @ H
     rhs_half = p * mpow(para, p - 1) @ H
@@ -271,20 +321,21 @@ def test_closed_form_frac_exponent_is_forced():
     # the spectrally assembled generator; the doubled exponent visibly fails
     # as soon as an eigenvalue differs from 1
     sys_, spectrum, analyses, gens = pipeline(2, 4)
-    p = sys_.p
-    transfer = sys_.Q[0].conj().T @ sys_.Q[1]
+    p, Q, frac = sys_.p, sys_.dense()[0], dense(gens.blocks, gens.frac)
+    transfer = Q[0].conj().T @ Q[1]
     outer_bad = (2 ** -0.5) * h_power(spectrum, -(p - 1) / (p + 1))
     inner = 0.5 * h_power(spectrum, -p / (p + 1))
-    bad = outer_bad @ sys_.Q[0] + inner @ transfer + outer_bad @ sys_.Q[p - 1].conj().T
-    assert max_abs(closed_form_frac(sys_, spectrum) - gens.frac) < 1e-12
-    assert max_abs(bad - gens.frac) > 0.05
+    bad = outer_bad @ Q[0] + inner @ transfer + outer_bad @ Q[p - 1].conj().T
+    assert max_abs(dense(spectrum.blocks, closed_form_frac(sys_, spectrum)) - frac) < 1e-12
+    assert max_abs(bad - frac) > 0.05
 
 
 def test_closed_form_para_matches_spectral_assembly():
     for p, levels in [(2, 4), (3, 4), (4, 3)]:
         sys_, spectrum, analyses, gens = pipeline(p, levels)
-        assert max_abs(closed_form_para(sys_, spectrum) - gens.para) < 1e-9
-        assert max_abs(closed_form_frac(sys_, spectrum) - gens.frac) < 1e-9
+        para, frac, _ = dense_generators(gens)
+        assert max_abs(dense(spectrum.blocks, closed_form_para(sys_, spectrum)) - para) < 1e-9
+        assert max_abs(dense(spectrum.blocks, closed_form_frac(sys_, spectrum)) - frac) < 1e-9
 
 
 def test_clusters_spanning_blocks_match_the_single_system():
@@ -293,16 +344,16 @@ def test_clusters_spanning_blocks_match_the_single_system():
 
     def twice(m):
         return np.kron(np.eye(2), m)
-    sys_ = replace(single, dim=2 * single.dim, Q=[twice(q) for q in single.Q],
-                   H=twice(single.H))
+    Q, H = single.dense()
+    sys_ = system_from_dense(single.p, single.levels, [twice(q) for q in Q], twice(H))
     spectrum = spectral(sys_)
     analyses = eigenspace_reps(sys_, spectrum)
     gens = build_generators(sys_, spectrum)
     assert spectrum.multiplicities == [2 * m for m in single_spectrum.multiplicities]
     assert [a.copies for a in analyses] == [2 * a.copies for a in single_analyses]
-    for got, want in [(gens.para, single_gens.para), (gens.frac, single_gens.frac),
-                      (gens.frac_direct, single_gens.frac_direct),
-                      (closed_form_frac(sys_, spectrum), closed_form_frac(single, single_spectrum)),
+    for got, want in [*zip(dense_generators(gens), dense_generators(single_gens)),
+                      (dense(spectrum.blocks, closed_form_frac(sys_, spectrum)),
+                       dense(single_spectrum.blocks, closed_form_frac(single, single_spectrum))),
                       (h_power(spectrum, -0.5), h_power(single_spectrum, -0.5))]:
         assert max_abs(got - twice(want)) < 1e-12
     for name, value in check_generators(sys_, gens, spectrum).items():
@@ -319,8 +370,10 @@ def test_a_cluster_splits_into_pieces_of_different_sizes():
         turned = u @ np.kron(np.eye(2), b) @ u.conj().T
         return np.block([[a, np.zeros((a.shape[0], turned.shape[1]))],
                          [np.zeros((turned.shape[0], a.shape[1])), turned]])
-    sys_ = replace(natural, dim=natural.dim + 2 * small.dim, H=join(natural.H, small.H),
-                   Q=[join(a, b) for a, b in zip(natural.Q, small.Q)])
+    (natural_q, natural_h), (small_q, small_h) = natural.dense(), small.dense()
+    sys_ = system_from_dense(natural.p, natural.levels,
+                             [join(a, b) for a, b in zip(natural_q, small_q)],
+                             join(natural_h, small_h))
     spectrum = spectral(sys_)
     assert {rows.shape[1]: rows.shape[0] for rows in spectrum.blocks} == {1: 3, 3: 3, 18: 1}
     found = Counter((round(energy), size) for energy, size in pieces(spectrum))
@@ -336,28 +389,29 @@ def test_a_cluster_splits_into_pieces_of_different_sizes():
 def test_generators_are_built_cluster_by_cluster():
     # Q_1 coupled from |2, 0> (E = 2) to |1, 0> (E = 1) merges two sectors into one
     # block that holds two clusters; each cluster must still use only its own restriction
-    natural = build_system(2, 4)
-    sys_ = replace(natural, Q=[couple(natural.Q[0], 3, 6, 1e-3, hermitian=False),
-                               *natural.Q[1:]])
+    Q, H = build_system(2, 4).dense()
+    Q = [couple(Q[0], 3, 6, 1e-3, hermitian=False), *Q[1:]]
+    sys_ = system_from_dense(2, 4, Q, H)
     spectrum = spectral(sys_)
     assert any(rows.shape == (1, 6) for rows in spectrum.blocks)
     gens = build_generators(sys_, spectrum)
     para = frac = 0.0
     for e, b in zip(spectrum.energies, cluster_bases(spectrum)):
         if e > 0:
-            c = [b.conj().T @ q @ b / np.sqrt(2 * e) for q in sys_.Q]
+            c = [b.conj().T @ q @ b / np.sqrt(2 * e) for q in Q]
             para = para + np.sqrt(2 * e) * b @ lowering_from(c) @ b.conj().T
             frac = frac + e ** (1 / (sys_.p + 1)) * b @ cyclic_from(c) @ b.conj().T
-    assert max_abs(gens.para - para) < 1e-12
-    assert max_abs(gens.frac - frac) < 1e-12
+    assert max_abs(dense(gens.blocks, gens.para) - para) < 1e-12
+    assert max_abs(dense(gens.blocks, gens.frac) - frac) < 1e-12
 
 
 def test_generators_vanish_on_the_kernel():
     sys_, spectrum, analyses, gens = pipeline(2, 3)
     kernel = cluster_bases(spectrum)[0]
-    for g in (gens.para, gens.frac):
+    para, frac, _ = dense_generators(gens)
+    for g in (para, frac):
         assert max_abs(g @ kernel) < 1e-12
-        assert max_abs(gens.para.conj().T @ kernel) < 1e-12
+        assert max_abs(para.conj().T @ kernel) < 1e-12
 
 
 # -- spectral calculus ---------------------------------------------------------------
@@ -365,7 +419,7 @@ def test_generators_vanish_on_the_kernel():
 def test_spectral_power_one_reproduces_h():
     sys_ = build_system(2, 4)
     spectrum = spectral(sys_)
-    assert max_abs(h_power(spectrum, 1.0) - sys_.H) < 1e-10
+    assert max_abs(h_power(spectrum, 1.0) - sys_.dense()[1]) < 1e-10
 
 
 def test_spectral_power_zero_is_positive_projector():
@@ -381,7 +435,7 @@ def test_spectral_power_negative_half_squares_to_pseudo_inverse():
     spectrum = spectral(sys_)
     inv_root = h_power(spectrum, -0.5)
     positive = h_power(spectrum, 0.0)
-    assert max_abs(inv_root @ inv_root @ sys_.H - positive) < 1e-9
+    assert max_abs(inv_root @ inv_root @ sys_.dense()[1] - positive) < 1e-9
 
 
 def test_nonpositive_levels_take_no_power():
@@ -390,7 +444,8 @@ def test_nonpositive_levels_take_no_power():
     spectrum = spectral(sys_)
     assert np.array_equal(h_power(spectrum, -0.5).diagonal(), [0.0, 0.0, 0.5])
     gens = build_generators(sys_, spectrum)
-    assert max_abs(gens.para) == max_abs(gens.frac) == 0.0
+    para, frac, _ = dense_generators(gens)
+    assert max_abs(para) == max_abs(frac) == 0.0
 
 
 # -- block partition -------------------------------------------------------------------
@@ -417,7 +472,7 @@ def test_natural_partition_is_the_number_sectors(p, levels):
 def test_partition_links_entries_in_either_direction():
     m = np.zeros((5, 5))
     m[0, 3] = m[4, 1] = 1.0
-    blocks = block_partition([m, np.zeros((5, 5))])
+    blocks = block_partition(5, *np.nonzero(m))
     assert [rows.tolist() for rows in blocks] == [[[2]], [[0, 3], [1, 4]]]
 
 
@@ -450,14 +505,14 @@ def test_partition_matches_a_depth_first_search():
         else:
             m = (rng.random((n, n)) < rng.uniform(0.0, 0.15)) * 1.0
         want = components(m != 0)
-        got = [rows.tolist() for group in block_partition([m]) for rows in group]
+        got = [rows.tolist() for group in block_partition(n, *np.nonzero(m)) for rows in group]
         assert sorted(got) == want
         assert got == sorted(want, key=lambda b: (len(b), b[0]))
 
 
 def dense_relations(sys_):
     """Oracle: the relation residuals with plain dense products."""
-    Q, H = sys_.Q, sys_.H
+    Q, H = sys_.dense()
     occ = sum(q.conj().T @ q for q in Q)
     pairs = [(a, b) for a in range(sys_.p) for b in range(sys_.p)]
     return {
@@ -471,8 +526,8 @@ def dense_relations(sys_):
 
 def dense_generator_residuals(sys_, gens, spectrum):
     """Oracle: the generator residuals with plain dense products and powers."""
-    p, H, Q = sys_.p, sys_.H, sys_.Q
-    para, frac, direct = gens.para, gens.frac, gens.frac_direct
+    (Q, H), p = sys_.dense(), sys_.p
+    para, frac, direct = dense_generators(gens)
 
     def dense_power(a):
         return sum(e ** a * b @ b.conj().T
@@ -519,16 +574,19 @@ def couple(m, i, j, eps, hermitian):
 def test_a_coupling_merges_blocks_and_every_residual_sees_it(target):
     # |1, 0> (N = 1) and |2, 0> (N = 2) lie in different sectors
     p, levels, eps = 2, 4, 1e-3
-    natural, _, _, gens = pipeline(p, levels)
+    natural, _, _, natural_gens = pipeline(p, levels)
     i, j = p + 1, 2 * (p + 1)
+    Q, H = natural.dense()
     if target == "H":
-        sys_ = replace(natural, H=couple(natural.H, i, j, eps, hermitian=True))
+        sys_ = system_from_dense(p, levels, Q, couple(H, i, j, eps, hermitian=True))
     else:
-        sys_ = replace(natural, Q=[couple(natural.Q[0], i, j, eps, hermitian=False),
-                                   *natural.Q[1:]])
+        sys_ = system_from_dense(p, levels, [couple(Q[0], i, j, eps, hermitian=False), *Q[1:]], H)
     spectrum = spectral(sys_)
     sizes = {rows.shape[1]: rows.shape[0] for rows in spectrum.blocks}
     assert sizes == {1: p + 1, p + 1: levels - 3, 2 * (p + 1): 1}
+    # the natural generators, cut on the coupled partition that holds their blocks
+    gens = SusyGenerators(spectrum.blocks,
+                          *(cut(spectrum.blocks, g) for g in dense_generators(natural_gens)))
 
     relations = check_relations(sys_, spectrum)
     generators = check_generators(sys_, gens, spectrum)
@@ -540,10 +598,40 @@ def test_a_coupling_merges_blocks_and_every_residual_sees_it(target):
 
 def test_generators_outside_the_blocks_are_rejected():
     sys_, spectrum, _, gens = pipeline(2, 4)
-    stray = gens.para.copy()
-    stray[0, sys_.dim - 1] = 1e-3
+    para, frac, direct = dense_generators(gens)
+    para[0, sys_.dim - 1] = 1e-3
+    # the stray entry links the vacuum to the last boundary state, a pair that
+    # no block of the spectrum holds
+    blocks = block_partition(sys_.dim, *np.nonzero((para != 0) | (frac != 0) | (direct != 0)))
+    stray = SusyGenerators(blocks, *(cut(blocks, g) for g in (para, frac, direct)))
     with pytest.raises(DimensionError):
-        check_generators(sys_, SusyGenerators(stray, gens.frac, gens.frac_direct), spectrum)
+        check_generators(sys_, stray, spectrum)
+
+
+def natural_and_coupled():
+    """The natural (2, 4) and the same with |2, 0> coupled to |1, 0> by Q_1."""
+    natural = build_system(2, 4)
+    Q, H = natural.dense()
+    return natural, system_from_dense(2, 4, [couple(Q[0], 3, 6, 1e-3, hermitian=False),
+                                             *Q[1:]], H)
+
+
+@pytest.mark.parametrize("stage", [check_relations, build_generators, closed_form_para,
+                                   closed_form_frac])
+def test_a_system_on_another_partition_is_rejected(stage):
+    natural, coupled = natural_and_coupled()
+    with pytest.raises(DimensionError):
+        stage(coupled, spectral(natural))
+
+
+def test_generators_on_another_partition_are_rejected():
+    natural, coupled = natural_and_coupled()
+    spectrum = spectral(natural)
+    coupled_gens = build_generators(coupled, spectral(coupled))
+    with pytest.raises(DimensionError):
+        check_generators(natural, coupled_gens, spectrum)
+    with pytest.raises(DimensionError):
+        check_generators(coupled, build_generators(natural, spectrum), spectrum)
 
 
 def spectrum_table(analyses, spectrum):
@@ -556,8 +644,8 @@ def spectrum_table(analyses, spectrum):
 def test_pipeline_is_basis_covariant(p, levels, seed):
     natural, natural_spectrum, natural_analyses, natural_gens = pipeline(p, levels)
     u = haar_unitary(natural.dim, np.random.default_rng(seed))
-    turned = replace(natural, Q=[u @ q @ u.conj().T for q in natural.Q],
-                     H=u @ natural.H @ u.conj().T)
+    Q, H = natural.dense()
+    turned = system_from_dense(p, levels, [u @ q @ u.conj().T for q in Q], u @ H @ u.conj().T)
     spectrum = spectral(turned)
     assert [rows.shape for rows in spectrum.blocks] == [(1, natural.dim)]
     assert max(check_relations(turned, spectrum).values()) <= 1e-10
@@ -568,7 +656,6 @@ def test_pipeline_is_basis_covariant(p, levels, seed):
     assert spectrum_table(analyses, spectrum) == \
         spectrum_table(natural_analyses, natural_spectrum)
     # one block holds every cluster; the generators and H^a still turn with the basis
-    for got, want in [(gens.para, natural_gens.para), (gens.frac, natural_gens.frac),
-                      (gens.frac_direct, natural_gens.frac_direct),
+    for got, want in [*zip(dense_generators(gens), dense_generators(natural_gens)),
                       (h_power(spectrum, -0.5), h_power(natural_spectrum, -0.5))]:
         assert max_abs(got - u @ want @ u.conj().T) <= 1e-10
