@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 from dataclasses import dataclass, field
 
@@ -35,6 +36,12 @@ INPUT_ERRORS = (ParseError, IoError, OrderError, TruncationError, DimensionError
 #: NaN, negative or infinite tolerance would turn every verdict into a
 #: mathematical failure, and numpy refuses a negative seed.
 NONNEGATIVE = ("tol", "rank_tol", "cluster_tol", "seed")
+
+#: A negative number as ``float`` reads it. argparse's own pattern misses the
+#: exponent form, so ``--tol -1e-10`` failed as a missing value before the
+#: range check could name it.
+NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$",
+                             re.IGNORECASE)
 
 
 @dataclass
@@ -213,8 +220,17 @@ def cmd_ladder(args) -> Report:
 # -- argument parsing ---------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Parser, subparsers included, that reads every :data:`NEGATIVE_NUMBER`
+    as a value, never as an option."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = NEGATIVE_NUMBER
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="orthofermi",
         description="Orthofermion algebra toolkit: canonical representation, "
                     "decomposition, ladder operators and the orthosupersymmetric "

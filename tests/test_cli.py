@@ -300,6 +300,29 @@ def test_invalid_argument_values_are_input_failures(tmp_path, capsys, argv):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("argv", [
+    ["osusy", "--p", "2", "--levels", "3", "--tol", "-1e-10"],
+    ["osusy", "--p", "2", "--levels", "3", "--cluster-tol", "-1e-10"],
+    ["osusy", "--p", "2", "--levels", "3", "--tol", "-1.5E+3"],
+    ["osusy", "--p", "2", "--levels", "3", "--tol", "-inf"],
+    ["decompose", "{rep}", "--rank-tol", "-1e-8"],
+], ids=["osusy-tol", "osusy-cluster-tol", "osusy-tol-upper-case", "osusy-tol-inf",
+        "decompose-rank-tol"])
+def test_a_negative_value_after_a_space_reaches_the_range_check(tmp_path, capsys, argv):
+    # argparse's own pattern takes "-1e-10" for an option and blames a missing value
+    if "{rep}" in argv:
+        argv = [str(canonical_file(tmp_path, capsys)) if a == "{rep}" else a for a in argv]
+        capsys.readouterr()
+    assert main(argv) == EXIT_IO
+    assert "must be finite and >= 0" in capsys.readouterr().err
+
+
+def test_a_positive_exponent_after_a_space_still_parses(capsys):
+    code, doc = run_json(capsys, "osusy", "--p", "2", "--levels", "3", "--tol", "1e-10")
+    assert code == EXIT_PASS
+    assert doc["inputs"]["tol"] == 1e-10
+
+
 # -- report contract -------------------------------------------------------------------
 
 def test_reports_are_deterministic(capsys):
