@@ -9,6 +9,7 @@ Commands: ``canonical``, ``verify``, ``decompose``, ``random-rep``,
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import re
 import sys
@@ -247,12 +248,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=int, required=True, help="orthofermion order")
     p.add_argument("--out", required=True, help="output representation file")
     common(p, tol=False)
-    p.set_defaults(func=cmd_canonical)
+    p.set_defaults(func="cmd_canonical")
 
     p = sub.add_parser("verify", help="check the orthofermion relations of a representation file")
     p.add_argument("input", help="representation file")
     common(p)
-    p.set_defaults(func=cmd_verify)
+    p.set_defaults(func="cmd_verify")
 
     p = sub.add_parser("decompose", help="split a representation into canonical copies "
                                          "plus a trivial block")
@@ -262,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--emit-basis", metavar="PATH", default=None,
                    help="also write the block-diagonalizing unitary")
     common(p)
-    p.set_defaults(func=cmd_decompose)
+    p.set_defaults(func="cmd_decompose")
 
     p = sub.add_parser("random-rep", help="write a scrambled direct-sum test instance")
     p.add_argument("--p", type=int, required=True)
@@ -271,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True, help="output representation file")
     common(p, tol=False)
-    p.set_defaults(func=cmd_random_rep)
+    p.set_defaults(func="cmd_random_rep")
 
     p = sub.add_parser("osusy", help="build the truncated oscillator model and run the "
                                      "full identity suite")
@@ -282,12 +283,12 @@ def build_parser() -> argparse.ArgumentParser:
                         f"(default {osy.DEFAULT_CLUSTER_TOL:g})")
     p.add_argument("--out", default=None, help="optionally write the system matrices")
     common(p)
-    p.set_defaults(func=cmd_osusy)
+    p.set_defaults(func="cmd_osusy")
 
     p = sub.add_parser("ladder", help="print the ladder operators and their identity residuals")
     p.add_argument("--p", type=int, required=True)
     common(p)
-    p.set_defaults(func=cmd_ladder)
+    p.set_defaults(func="cmd_ladder")
 
     return parser
 
@@ -300,11 +301,18 @@ def _check_ranges(args) -> None:
             raise ParseError(f"--{name.replace('_', '-')} must be finite and >= 0, got {value!r}")
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of :func:`main`, built on first use and then reused."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         _check_ranges(args)
-        report = args.func(args)
+        # by name, so that the command runs whatever the module binds at call time
+        report = globals()[args.func](args)
     except INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -51,7 +51,10 @@ representation is the direct sum of its pieces, one per block it meets:
 :func:`eigenspace_reps` cuts the pieces out of C and splits those of one
 class (sign of E, size; in the oscillator one class holds every positive
 piece) with one :func:`~orthofermi.reptheory.decompose_stack`, which checks
-the relations of the whole class once, against the identity as unit.
+the relations of the whole class once, against the identity as unit. A
+piece starts wherever the cluster changes along a block's ascending levels,
+so the pieces of every block of one size are found at once, and a class is
+cut out of C with one gather per block size, not one slice per piece.
 """
 
 from __future__ import annotations
@@ -282,10 +285,14 @@ def spectral(sys: OsusySystem, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> Spec
     batched eigensolve per block size, and the charges are
     restricted to each block's eigenbasis as V^dag Q_a V. ``cluster_tol`` is
     relative to max(1, largest |eigenvalue|). Eigenvalues within that
-    threshold of zero are snapped into a single E = 0 cluster. Each cluster
+    threshold of zero are snapped into a single E = 0 cluster; the others,
+    sorted, form a new cluster wherever the step from the previous value
+    exceeds the threshold. A cluster's energy is ``np.mean`` of its sorted
+    values, taken for all clusters of one size in one call. Each cluster
     must have internal spread at most the threshold and be separated from
     its neighbors by more than the threshold, otherwise a
-    :class:`ClusteringError` is raised.
+    :class:`ClusteringError` names the first failing cluster in energy
+    order, spreads checked before gaps.
     """
     eigs = [herm_eig(h) for h in sys.H]
     charges = [dagger(eig.vectors) @ q @ eig.vectors for eig, q in zip(eigs, sys.Q)]
@@ -294,40 +301,41 @@ def spectral(sys: OsusySystem, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> Spec
     vals = values[order]
     threshold = cluster_tol * max(1.0, float(np.abs(vals).max())) if vals.size else cluster_tol
 
-    groups: list[list[int]] = []
-    zero_group: list[int] = []
-    for i, v in enumerate(vals):
-        if abs(v) <= threshold:
-            zero_group.append(i)
-        elif groups and v - vals[groups[-1][-1]] <= threshold:
-            groups[-1].append(i)
-        else:
-            groups.append([i])
+    # every cluster is a run of the sorted values: the zero band, and among
+    # the other values a run that each step above the threshold ends
+    zero = np.abs(vals) <= threshold
+    rest = np.flatnonzero(~zero)
+    heads = np.flatnonzero(~(np.diff(vals[rest], prepend=-np.inf) <= threshold))
+    first, sizes = rest[heads], np.diff(heads, append=rest.size)
+    energies = np.empty(first.size)
+    for size in np.flatnonzero(np.bincount(sizes)):
+        # one row per cluster of this size, each summed as np.mean sums it alone
+        at = np.flatnonzero(sizes == size)
+        energies[at] = np.mean(vals[first[at, None] + np.arange(size)], axis=1)
+    if zero.any():
+        band = np.flatnonzero(zero)
+        first, sizes = np.append(first, band[0]), np.append(sizes, band.size)
+        energies = np.append(energies, 0.0)
+    by_energy = np.argsort(energies, kind="stable")
+    energies, first, sizes = energies[by_energy], first[by_energy], sizes[by_energy]
+    last = first + sizes - 1
 
-    clusters = [(float(np.mean(vals[g])), g) for g in groups]
-    if zero_group:
-        clusters.append((0.0, zero_group))
-    clusters.sort(key=lambda item: item[0])
-
-    for energy, idx in clusters:
-        spread = float(vals[idx].max() - vals[idx].min())
-        if spread > threshold:
-            raise ClusteringError(
-                f"cluster at E = {energy:.6g} has spread {spread:.3e} > {threshold:.3e}")
-    for (e1, g1), (e2, g2) in zip(clusters, clusters[1:]):
-        gap = float(vals[g2].min() - vals[g1].max())
-        if gap <= threshold:
-            raise ClusteringError(
-                f"clusters at E = {e1:.6g} and E = {e2:.6g} separated by only {gap:.3e}")
+    spread = vals[last] - vals[first]
+    for k in np.flatnonzero(spread > threshold)[:1]:
+        raise ClusteringError(f"cluster at E = {energies[k]:.6g} has spread "
+                              f"{spread[k]:.3e} > {threshold:.3e}")
+    gap = vals[first[1:]] - vals[last[:-1]]
+    for k in np.flatnonzero(gap <= threshold)[:1]:
+        raise ClusteringError(f"clusters at E = {energies[k]:.6g} and E = {energies[k + 1]:.6g} "
+                              f"separated by only {gap[k]:.3e}")
 
     level = np.empty_like(values)
-    for energy, idx in clusters:
-        level[order[idx]] = energy
+    runs = np.argsort(first)
+    level[order] = np.repeat(energies[runs], sizes[runs])
     ends = np.cumsum([eig.values.size for eig in eigs])
     levels = [level[end - eig.values.size:end].reshape(eig.values.shape)
               for eig, end in zip(eigs, ends)]
-    return SpectralData([energy for energy, _ in clusters], [len(idx) for _, idx in clusters],
-                        sys.blocks, eigs, levels, charges)
+    return SpectralData(energies.tolist(), sizes.tolist(), sys.blocks, eigs, levels, charges)
 
 
 def eigenspace_reps(sys: OsusySystem, spectrum: SpectralData,
@@ -339,25 +347,45 @@ def eigenspace_reps(sys: OsusySystem, spectrum: SpectralData,
     decomposition must then consist purely of canonical copies, forcing the
     eigenspace dimension to be a multiple of p+1. For E = 0 the restricted
     charges vanish and the eigenspace carries the trivial representation.
-    Each piece of a cluster, its part in one block, is cut out of
-    ``spectrum.charges`` as a contiguous run, since the levels of a block
-    ascend; the cluster's copies and trivial dimension are the sums over its
-    pieces. The pieces of one class (sign of E, size) are decomposed in one
-    :func:`decompose_stack`, which checks the relations once, against the
-    unit given here; an error names the energy of the failing eigenspace.
+    Each piece of a cluster, its part in one block, is a contiguous run of
+    the block's ascending levels: per block size, a piece starts at column 0
+    and wherever the cluster changes along a row. It is cut out of
+    ``spectrum.charges``, a whole block in one take and the partial runs of
+    one class in one gather; the cluster's copies and trivial dimension are
+    the sums over its pieces. The pieces of one class (sign of E, size) are
+    decomposed in one :func:`decompose_stack`, which checks the relations
+    once, against the unit given here. Classes run in the order they first
+    appear, blocks by ascending size, and pieces within a class by energy,
+    so an error names the energy of the first failing eigenspace of the
+    first failing class.
     """
     classes: dict[tuple, list[tuple]] = {}
     for level, c in zip(spectrum.levels, spectrum.charges):
-        for j, row in enumerate(np.searchsorted(spectrum.energies, level)):
-            cuts = [0, *(np.flatnonzero(np.diff(row)) + 1), row.size]
-            for s, e in zip(cuts, cuts[1:]):
-                classes.setdefault((level[j, s] > 0.0, e - s), []).append(
-                    (row[s], c[:, j, s:e, s:e]))
+        idx = np.searchsorted(spectrum.energies, level)
+        size = level.shape[1]
+        cut = np.ones(level.shape, dtype=bool)
+        cut[:, 1:] = idx[:, 1:] != idx[:, :-1]
+        starts = np.flatnonzero(cut)
+        lengths = np.diff(starts, append=level.size)
+        block, at = np.divmod(starts, size)
+        kinds = 2 * lengths + (level.flat[starts] > 0.0)
+        for kind in dict.fromkeys(kinds.tolist()):  # in the order they first appear
+            mine, e = kinds == kind, kind // 2
+            if e == size:
+                piece = np.take(c, block[mine], axis=1)
+            else:
+                r, s = np.arange(e), at[mine, None, None]
+                piece = c[:, block[mine, None, None], s + r[:, None], s + r]
+            classes.setdefault((kind % 2 == 1, e), []).append((idx.flat[starts[mine]], piece))
     copies, trivial = [0] * len(spectrum.energies), [0] * len(spectrum.energies)
-    for (positive, size), pieces in classes.items():
-        idx, cs = zip(*sorted(pieces, key=lambda piece: piece[0]))
-        energies = np.array([spectrum.energies[i] for i in idx])
-        c = np.stack(cs, axis=1)
+    for (positive, size), found in classes.items():
+        idx, cs = zip(*found)
+        idx = np.concatenate(idx)
+        by_cluster = np.argsort(idx, kind="stable")
+        # a C-ordered copy, as decompose_stack's products are fastest on one
+        c = np.take(cs[0] if len(cs) == 1 else np.concatenate(cs, axis=1), by_cluster, axis=1)
+        idx = idx[by_cluster]
+        energies = np.asarray(spectrum.energies)[idx]
         if positive:
             c *= (1.0 / np.sqrt(2.0 * energies))[:, None, None]
             unit = np.eye(size, dtype=complex)

@@ -49,3 +49,38 @@ def h_power(spectrum, a):
     """H^a over the positive clusters, from the per-block V diag(E^a) V^dag
     that the closed forms use."""
     return dense(spectrum.blocks, osusy._powers(spectrum, a))
+
+
+def loop_clusters(spectrum, cluster_tol=osusy.DEFAULT_CLUSTER_TOL):
+    """Energies, multiplicities and per-block levels of ``spectrum``'s
+    eigenvalues, clustered one sorted value at a time.
+
+    A value within the threshold of zero joins the E = 0 cluster; any other
+    value joins the last cluster when it lies within the threshold of that
+    cluster's last value, and starts a cluster otherwise. A cluster's energy
+    is ``np.mean`` of its values in ascending order. The separation checks of
+    :func:`osusy.spectral` are left out.
+    """
+    values = np.concatenate([eig.values.ravel() for eig in spectrum.eigs])
+    order = np.argsort(values, kind="stable")
+    vals = values[order]
+    threshold = cluster_tol * max(1.0, float(np.abs(vals).max()))
+    groups, zero_group = [], []
+    for i, v in enumerate(vals):
+        if abs(v) <= threshold:
+            zero_group.append(i)
+        elif groups and v - vals[groups[-1][-1]] <= threshold:
+            groups[-1].append(i)
+        else:
+            groups.append([i])
+    clusters = [(float(np.mean(vals[g])), g) for g in groups]
+    if zero_group:
+        clusters.append((0.0, zero_group))
+    clusters.sort(key=lambda item: item[0])
+    level = np.empty_like(values)
+    for energy, idx in clusters:
+        level[order[idx]] = energy
+    ends = np.cumsum([eig.values.size for eig in spectrum.eigs])
+    levels = [level[end - eig.values.size:end].reshape(eig.values.shape)
+              for eig, end in zip(spectrum.eigs, ends)]
+    return [e for e, _ in clusters], [len(idx) for _, idx in clusters], levels

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from orthofermi.canonical import canonical
+from orthofermi import cli
 from orthofermi.cli import EXIT_FAIL, EXIT_IO, EXIT_PASS, main
 from orthofermi.serialize import read_rep_file, rep_to_dict
 
@@ -321,6 +322,29 @@ def test_a_positive_exponent_after_a_space_still_parses(capsys):
     code, doc = run_json(capsys, "osusy", "--p", "2", "--levels", "3", "--tol", "1e-10")
     assert code == EXIT_PASS
     assert doc["inputs"]["tol"] == 1e-10
+
+
+def test_calls_in_one_process_reuse_the_parser_and_answer_as_fresh_ones(tmp_path, capsys):
+    path = canonical_file(tmp_path, capsys, p=3)
+    calls = [["osusy", "--p", "2", "--levels", "4", "--json"],
+             ["osusy", "--p", "2", "--levels", "3", "--tol=-1"],
+             ["ladder", "--p", "3"],
+             ["verify", str(path), "--json"]]
+
+    def answers(fresh):
+        out = []
+        for argv in calls:
+            if fresh:
+                cli._parser.cache_clear()
+            code = main(argv)
+            out.append((code, *capsys.readouterr()))
+        return out
+
+    cli._parser.cache_clear()
+    reused = answers(fresh=False)
+    assert cli._parser.cache_info().misses == 1
+    assert [code for code, _, _ in reused] == [EXIT_PASS, EXIT_IO, EXIT_PASS, EXIT_PASS]
+    assert reused == answers(fresh=True)
 
 
 # -- report contract -------------------------------------------------------------------

@@ -17,7 +17,7 @@ from orthofermi.osusy import (CLOSED_FORM_TOL, DEFAULT_GENERATOR_TOL, SusyGenera
                               block_partition, build_generators, build_system,
                               check_generators, check_relations, closed_form_frac,
                               closed_form_para, eigenspace_reps, spectral, system_from_dense)
-from oracles import cluster_bases, cut, dense, dense_generators, h_power
+from oracles import cluster_bases, cut, dense, dense_generators, h_power, loop_clusters
 
 
 def pipeline(p, levels):
@@ -179,6 +179,74 @@ def test_clustering_rejects_chained_gaps():
 def test_clustering_rejects_value_hugging_the_zero_band():
     with pytest.raises(ClusteringError):
         spectral(diag_system([0.0, 0.006, 0.012]), cluster_tol=1e-2)
+
+
+@pytest.mark.parametrize("values, message", [
+    ([0.5, 0.506, 0.512, 0.9, 0.908, 0.916],
+     "cluster at E = 0.506 has spread 1.200e-02 > 1.000e-02"),
+    ([0.0, 0.006, 0.012, 0.5, 0.506, 0.512],
+     "cluster at E = 0.506 has spread 1.200e-02 > 1.000e-02"),
+    ([-0.013, -0.004, 0.004, 0.012],
+     "clusters at E = -0.013 and E = 0 separated by only 9.000e-03"),
+    ([-0.009, 0.009, 0.5, 0.506, 0.512],
+     "cluster at E = 0 has spread 1.800e-02 > 1.000e-02"),
+], ids=["two-spreads", "spread-before-gap", "two-gaps", "zero-band-then-spread"])
+def test_clustering_error_names_the_first_failure(values, message):
+    # each input fails twice; spreads are checked before gaps, each in energy order
+    with pytest.raises(ClusteringError) as info:
+        spectral(diag_system(values), cluster_tol=1e-2)
+    assert str(info.value) == message
+
+
+def direct_sum(*ms):
+    out = np.zeros((sum(len(m) for m in ms),) * 2, dtype=complex)
+    at = 0
+    for m in ms:
+        out[at:at + len(m), at:at + len(m)] = m
+        at += len(m)
+    return out
+
+
+def beside_copies(p, levels, copies, other_levels):
+    """kron(I_copies, (p, levels)) next to (p, other_levels), as one dense system."""
+    (q, h), (q2, h2) = build_system(p, levels).dense(), build_system(p, other_levels).dense()
+    eye = np.eye(copies)
+    return system_from_dense(p, levels, [direct_sum(np.kron(eye, a), b) for a, b in zip(q, q2)],
+                             direct_sum(np.kron(eye, h), h2))
+
+
+def turned(p, levels, seed):
+    q, h = build_system(p, levels).dense()
+    u = haar_unitary(len(h), np.random.default_rng(seed))
+    return system_from_dense(p, levels, [u @ a @ u.conj().T for a in q], u @ h @ u.conj().T)
+
+
+def negative_levels():
+    rng = np.random.default_rng(11)
+    values = np.repeat([-3.0, -1.0, 0.0, 2.0, 5.0], [9, 4, 3, 11, 1])
+    u = haar_unitary(values.size, rng)
+    h = u @ np.diag(values + 1e-12 * rng.standard_normal(values.size)) @ u.conj().T
+    return system_from_dense(1, 2, [np.zeros_like(h)], (h + h.conj().T) / 2)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: build_system(7, 5), lambda: build_system(8, 4), lambda: build_system(12, 3),
+    lambda: beside_copies(8, 5, 2, 3), lambda: beside_copies(2, 6, 3, 4),
+    lambda: turned(7, 4, 2), negative_levels,
+], ids=["p7", "p8", "p12", "kron2-p8", "kron3-p2", "turned-p7", "negative"])
+def test_cluster_energies_are_the_means_of_their_values(make):
+    # clusters of 8 or more values: numpy's pairwise sum is no running sum there
+    spectrum = spectral(make())
+    energies, multiplicities, levels = loop_clusters(spectrum)
+    assert spectrum.energies == energies
+    assert spectrum.multiplicities == multiplicities
+    assert all(map(np.array_equal, spectrum.levels, levels))
+    values = np.concatenate([eig.values.ravel() for eig in spectrum.eigs])
+    level = np.concatenate([lv.ravel() for lv in spectrum.levels])
+    order = np.argsort(values, kind="stable")
+    for energy in spectrum.energies:
+        if energy != 0.0:
+            assert np.mean(values[order][level[order] == energy]) == energy
 
 
 # -- eigenspace representations ---------------------------------------------------
@@ -360,20 +428,21 @@ def test_clusters_spanning_blocks_match_the_single_system():
         assert value <= (CLOSED_FORM_TOL if "closed form" in name else DEFAULT_GENERATOR_TOL), name
 
 
+def natural_beside_turned_copies(natural_q, natural_h, small_q, small_h, copies=2):
+    """The p = 2 system (natural_q, natural_h) next to a Haar-turned
+    kron(I_copies, small)."""
+    u = haar_unitary(copies * len(small_h), np.random.default_rng(5))
+
+    def join(a, b):
+        return direct_sum(a, u @ np.kron(np.eye(copies), b) @ u.conj().T)
+    return system_from_dense(2, 4, [join(a, b) for a, b in zip(natural_q, small_q)],
+                             join(natural_h, small_h))
+
+
 def test_a_cluster_splits_into_pieces_of_different_sizes():
     # the natural (2, 4) next to a turned kron(I_2, (2, 3)): the E = 1 and E = 2
     # clusters each meet one natural sector (3 rows) and the turned block (6 rows)
-    natural, small = build_system(2, 4), build_system(2, 3)
-    u = haar_unitary(2 * small.dim, np.random.default_rng(5))
-
-    def join(a, b):
-        turned = u @ np.kron(np.eye(2), b) @ u.conj().T
-        return np.block([[a, np.zeros((a.shape[0], turned.shape[1]))],
-                         [np.zeros((turned.shape[0], a.shape[1])), turned]])
-    (natural_q, natural_h), (small_q, small_h) = natural.dense(), small.dense()
-    sys_ = system_from_dense(natural.p, natural.levels,
-                             [join(a, b) for a, b in zip(natural_q, small_q)],
-                             join(natural_h, small_h))
+    sys_ = natural_beside_turned_copies(*build_system(2, 4).dense(), *build_system(2, 3).dense())
     spectrum = spectral(sys_)
     assert {rows.shape[1]: rows.shape[0] for rows in spectrum.blocks} == {1: 3, 3: 3, 18: 1}
     found = Counter((round(energy), size) for energy, size in pieces(spectrum))
@@ -384,6 +453,39 @@ def test_a_cluster_splits_into_pieces_of_different_sizes():
     gens = build_generators(sys_, spectrum)
     for name, value in check_generators(sys_, gens, spectrum).items():
         assert value <= (CLOSED_FORM_TOL if "closed form" in name else DEFAULT_GENERATOR_TOL), name
+
+
+def test_the_first_failing_piece_class_is_blamed():
+    # the natural part, scaled to E = 10, 20, 30, fails at E = 20 in its class of
+    # 3-row pieces; the turned block fails at E = 1 in its class of 6-row pieces.
+    # Classes run in the order they first appear, blocks by ascending size.
+    def scaled(q, rows):
+        out = q.copy()
+        out[np.ix_(rows, rows)] *= 1.01
+        return out
+    natural_q, natural_h = build_system(2, 4).dense()
+    natural_q, natural_h = math.sqrt(10.0) * natural_q, 10.0 * natural_h
+    small_q, small_h = build_system(2, 3).dense()
+    broken_small = [scaled(small_q[0], [1, 2, 3]), small_q[1]]
+    broken = natural_beside_turned_copies([scaled(natural_q[0], [4, 5, 6]), natural_q[1]],
+                                          natural_h, broken_small, small_h)
+    with pytest.raises(NotARepresentationError) as info:
+        eigenspace_reps(broken, spectral(broken))
+    assert str(info.value) == \
+        "eigenspace E = 20: relations fail with residual 2.050e-02 > tol 1.000e-10"
+    only_turned = natural_beside_turned_copies(natural_q, natural_h, broken_small, small_h)
+    with pytest.raises(NotARepresentationError) as info:
+        eigenspace_reps(only_turned, spectral(only_turned))
+    assert str(info.value) == \
+        "eigenspace E = 1: relations fail with residual 1.722e-02 > tol 1.000e-10"
+    # one turned copy: its 3-row pieces join the natural ones' class, which is
+    # then ordered by energy, so E = 1 is blamed before E = 20
+    broken = natural_beside_turned_copies([scaled(natural_q[0], [4, 5, 6]), natural_q[1]],
+                                          natural_h, broken_small, small_h, copies=1)
+    with pytest.raises(NotARepresentationError) as info:
+        eigenspace_reps(broken, spectral(broken))
+    assert str(info.value) == \
+        "eigenspace E = 1: relations fail with residual 1.764e-02 > tol 1.000e-10"
 
 
 def test_generators_are_built_cluster_by_cluster():
