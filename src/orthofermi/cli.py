@@ -176,12 +176,12 @@ def cmd_osusy(args) -> Report:
     report = Report("osusy", {"p": args.p, "levels": args.levels,
                               "tol": args.tol, "cluster_tol": args.cluster_tol})
     spectrum = osy.spectral(sys_, args.cluster_tol)
-    for name, value in osy.check_relations(sys_, spectrum).items():
+    for name, value in osy.check_relations(spectrum).items():
         report.add(name, value, args.tol)
 
-    analyses = osy.eigenspace_reps(sys_, spectrum, args.tol)
-    gens = osy.build_generators(sys_, spectrum)
-    for name, value in osy.check_generators(sys_, gens, spectrum).items():
+    analyses = osy.eigenspace_reps(spectrum, args.tol)
+    gens = osy.build_generators(spectrum)
+    for name, value in osy.check_generators(gens).items():
         tol = osy.CLOSED_FORM_TOL if "closed form" in name else osy.DEFAULT_GENERATOR_TOL
         report.add(name, value, tol)
 
@@ -202,7 +202,7 @@ def cmd_osusy(args) -> Report:
     if args.out:
         Q, H = sys_.dense()
         ser.dump_json({"schema_version": ser.SYSTEM_SCHEMA, "p": sys_.p,
-                       "levels": sys_.levels, "dim": sys_.dim,
+                       "levels": args.levels, "dim": sys_.dim,
                        "Q": [ser.encode_matrix(q) for q in Q],
                        "H": ser.encode_matrix(H)}, args.out)
         report.payload["system_written"] = str(args.out)

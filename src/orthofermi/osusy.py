@@ -35,11 +35,12 @@ blocks on the finest block partition that their nonzero entries admit
 straight from their index pattern and forms H block by block;
 :func:`system_from_dense` cuts dense operators, such as a system in a
 generic basis, which is simply one block. Every stage works on these stacks
-and on that partition, with no dim x dim array, and refuses operators on
-another partition. Every nonzero entry lies inside a block, so each residual
-is the dense one up to summation order. Eigenvalues are clustered over all
-blocks together, so a cluster may span several blocks: the E = 0 cluster
-spans the 1+p singletons.
+and on that partition, with no dim x dim array. Every nonzero entry lies
+inside a block, so each residual is the dense one up to summation order.
+Eigenvalues are clustered over all blocks together, so a cluster may span
+several blocks: the E = 0 cluster spans the 1+p singletons. Each stage takes
+only the result of the one before it, which holds its source
+(``SpectralData.system``, ``SusyGenerators.spectrum``).
 
 Past :func:`spectral`, operators are multiplied on the blocks in each
 block's eigenbasis V (``SpectralData.eigs``), in which :func:`spectral` has
@@ -48,13 +49,14 @@ restricted the charges once, as C = V^dag Q_a V (``SpectralData.charges``).
 and transports its results back with V; the closed forms take
 H^a = V diag(E^a) V^dag. The charges never couple two blocks, so a cluster's
 representation is the direct sum of its pieces, one per block it meets:
-:func:`eigenspace_reps` cuts the pieces out of C and splits those of one
-class (sign of E, size; in the oscillator one class holds every positive
-piece) with one :func:`~orthofermi.reptheory.decompose_stack`, which checks
-the relations of the whole class once, against the identity as unit. A
-piece starts wherever the cluster changes along a block's ascending levels,
-so the pieces of every block of one size are found at once, and a class is
-cut out of C with one gather per block size, not one slice per piece.
+:func:`eigenspace_reps` cuts the pieces out of C and splits the positive
+ones of one size (in the oscillator, every positive piece) with one
+:func:`~orthofermi.reptheory.decompose_stack`, which checks the relations
+of the whole class once, against the identity as unit; a piece with E <= 0
+must carry no charge and is trivial. A piece starts wherever the cluster
+changes along a block's ascending levels, so the pieces of every block of
+one size are found at once, and a class is cut out of C with one gather per
+block size, not one slice per piece.
 """
 
 from __future__ import annotations
@@ -82,7 +84,7 @@ CLOSED_FORM_TOL = 1e-9
 
 @dataclass(frozen=True)
 class OsusySystem:
-    """Truncated oscillator model: order p, boson levels, charges and H.
+    """Orthosupersymmetric system of order p: its charges and H.
 
     The operators are held on their block partition ``blocks`` (see
     :func:`block_partition`), one (count, size) index array per block size.
@@ -93,7 +95,6 @@ class OsusySystem:
     """
 
     p: int
-    levels: int
     dim: int
     blocks: list[np.ndarray]
     Q: list[np.ndarray]
@@ -108,18 +109,18 @@ class OsusySystem:
 class SpectralData:
     """Clustered eigendecomposition of the Hamiltonian, block by block.
 
-    ``energies`` are the distinct cluster values ascending and
-    ``multiplicities[k]`` the dimension of cluster k. ``blocks`` is the
-    system's block partition (:attr:`OsusySystem.blocks`). Per
-    block size, ``eigs`` holds the eigensolve of H's (count, size, size)
-    block stack, ``levels`` the (count, size) cluster energy of each of its
-    eigenvalues (0 on the E = 0 cluster) and ``charges`` the
-    (p, count, size, size) charges in the eigenbasis, V^dag Q_a V.
+    ``energies`` are the distinct cluster values of the H of ``system``,
+    ascending, and ``multiplicities[k]`` the dimension of cluster k. Per
+    block size of the system's partition, ``eigs`` holds the eigensolve of
+    H's (count, size, size) block stack, ``levels`` the (count, size)
+    cluster energy of each of its eigenvalues (0 on the E = 0 cluster) and
+    ``charges`` the (p, count, size, size) charges in the eigenbasis,
+    V^dag Q_a V.
     """
 
     energies: list[float]
     multiplicities: list[int]
-    blocks: list[np.ndarray]
+    system: OsusySystem
     eigs: list[HermEig]
     levels: list[np.ndarray]
     charges: list[np.ndarray]
@@ -137,18 +138,26 @@ class EigenspaceAnalysis:
 
 @dataclass(frozen=True)
 class SusyGenerators:
-    """Derived symmetry generators of one system, as block stacks on ``blocks``.
+    """Derived symmetry generators of the system of ``spectrum``, as block stacks.
 
     ``para``        nilpotent parasupersymmetry generator,
     ``frac``        fractional generator with frac^{p+1} = H,
     ``frac_direct`` charge-assembled generator with frac_direct^{p+1} = (2H)^p;
-    each is one (count, size, size) stack per block size.
+    each is one (count, size, size) stack per block size of
+    ``spectrum.system.blocks``, or :class:`DimensionError` is raised.
     """
 
-    blocks: list[np.ndarray]
+    spectrum: SpectralData
     para: list[np.ndarray]
     frac: list[np.ndarray]
     frac_direct: list[np.ndarray]
+
+    def __post_init__(self):
+        shapes = [(*rows.shape, rows.shape[1]) for rows in self.spectrum.system.blocks]
+        for name in ("para", "frac", "frac_direct"):
+            found = [np.shape(stack) for stack in getattr(self, name)]
+            if found != shapes:
+                raise DimensionError(f"{name} needs block stacks {shapes}, got {found}")
 
 
 def build_system(p: int, levels: int) -> OsusySystem:
@@ -171,10 +180,10 @@ def build_system(p: int, levels: int) -> OsusySystem:
     blocks = block_partition(dim, rows, cols)
     Q = _scatter(blocks, p, a - 1, rows, cols, math.sqrt(2.0) * np.sqrt(n + 1.0))
     H = [0.5 * (q[0] @ dagger(q[0]) + occupied(q)) for q in Q]
-    return OsusySystem(p=p, levels=levels, dim=dim, blocks=blocks, Q=Q, H=H)
+    return OsusySystem(p=p, dim=dim, blocks=blocks, Q=Q, H=H)
 
 
-def system_from_dense(p: int, levels: int, Q, H) -> OsusySystem:
+def system_from_dense(p: int, Q, H) -> OsusySystem:
     """The system of the dense dim x dim charges ``Q`` (p of them) and ``H``.
 
     The blocks are the :func:`block_partition` of every nonzero entry of H
@@ -189,7 +198,7 @@ def system_from_dense(p: int, levels: int, Q, H) -> OsusySystem:
     op, rows, cols = np.nonzero(ops)
     blocks = block_partition(ops.shape[1], rows, cols)
     stacks = _scatter(blocks, p + 1, op, rows, cols, ops[op, rows, cols])
-    return OsusySystem(p=p, levels=levels, dim=ops.shape[1], blocks=blocks,
+    return OsusySystem(p=p, dim=ops.shape[1], blocks=blocks,
                        Q=[s[1:] for s in stacks], H=[s[0] for s in stacks])
 
 
@@ -250,30 +259,20 @@ def _assemble(dim: int, blocks: list[np.ndarray], stacks: list[np.ndarray]) -> n
     return out
 
 
-def _check_partition(blocks: list[np.ndarray], spectrum: SpectralData) -> None:
-    """Raise :class:`DimensionError` unless ``blocks`` is the partition of
-    ``spectrum``, since block-wise products of operators on two partitions
-    would miss every entry outside the shared blocks."""
-    if blocks is not spectrum.blocks and not (
-            len(blocks) == len(spectrum.blocks)
-            and all(map(np.array_equal, blocks, spectrum.blocks))):
-        raise DimensionError("operators lie on a different block partition from the spectrum's")
-
-
-def check_relations(sys: OsusySystem, spectrum: SpectralData) -> dict[str, float]:
+def check_relations(spectrum: SpectralData) -> dict[str, float]:
     """Residuals of the orthosupersymmetry relations and of H >= 0.
 
-    The charges obey the orthofermion relations with 2H as unit. The
+    The charges of ``spectrum.system`` obey the orthofermion relations with
+    2H as unit; a NaN defect in any block makes its residual NaN. The
     positivity entry is max(0, -min eigenvalue) over ``spectrum``, so 0.0
     means a nonnegative spectrum.
     """
-    _check_partition(sys.blocks, spectrum)
-    worst = (0.0, 0.0, 0.0)
+    sys = spectrum.system
+    worst = np.zeros(3)
     for h, q in zip(sys.H, sys.Q):
-        found = (max_abs(h @ q - q @ h), *relation_residuals(q, 2 * h))
-        worst = tuple(map(max, worst, found))
-    res = {"[H, Q_a] = 0": worst[0]}
-    res["Q_a Q_b = 0"], res["Q_a Q_b^dag + d_ab sum Q^dag Q = 2 d_ab H"] = worst[1:]
+        worst = np.maximum(worst, (max_abs(h @ q - q @ h), *relation_residuals(q, 2 * h)))
+    res = {"[H, Q_a] = 0": float(worst[0])}
+    res["Q_a Q_b = 0"], res["Q_a Q_b^dag + d_ab sum Q^dag Q = 2 d_ab H"] = worst[1:].tolist()
     res["H >= 0"] = max(0.0, -min(float(eig.values.min()) for eig in spectrum.eigs))
     return res
 
@@ -335,26 +334,26 @@ def spectral(sys: OsusySystem, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> Spec
     ends = np.cumsum([eig.values.size for eig in eigs])
     levels = [level[end - eig.values.size:end].reshape(eig.values.shape)
               for eig, end in zip(eigs, ends)]
-    return SpectralData(energies.tolist(), sizes.tolist(), sys.blocks, eigs, levels, charges)
+    return SpectralData(energies.tolist(), sizes.tolist(), sys, eigs, levels, charges)
 
 
-def eigenspace_reps(sys: OsusySystem, spectrum: SpectralData,
-                    tol: float = DEFAULT_TOL) -> list[EigenspaceAnalysis]:
+def eigenspace_reps(spectrum: SpectralData, tol: float = DEFAULT_TOL) -> list[EigenspaceAnalysis]:
     """Restrict the charges to each eigenspace and decompose the result.
 
     For E > 0 the rescaled restrictions (2E)^{-1/2} B^dag Q_a B satisfy the
     orthofermion relations with the eigenspace identity as unit; the
     decomposition must then consist purely of canonical copies, forcing the
-    eigenspace dimension to be a multiple of p+1. For E = 0 the restricted
-    charges vanish and the eigenspace carries the trivial representation.
-    Each piece of a cluster, its part in one block, is a contiguous run of
-    the block's ascending levels: per block size, a piece starts at column 0
-    and wherever the cluster changes along a row. It is cut out of
-    ``spectrum.charges``, a whole block in one take and the partial runs of
-    one class in one gather; the cluster's copies and trivial dimension are
-    the sums over its pieces. The pieces of one class (sign of E, size) are
-    decomposed in one :func:`decompose_stack`, which checks the relations
-    once, against the unit given here. Classes run in the order they first
+    eigenspace dimension to be a multiple of p+1. For E <= 0 the restricted
+    charges must vanish within ``tol``; the eigenspace then carries the
+    trivial representation, with no decomposition. Each piece of a cluster,
+    its part in one block, is a contiguous run of the block's ascending
+    levels: per block size, a piece starts at column 0 and wherever the
+    cluster changes along a row. It is cut out of ``spectrum.charges``, a
+    whole block in one take and the partial runs of one class (sign of E,
+    size) in one gather; the cluster's copies and trivial dimension are the
+    sums over its pieces. The pieces of one positive class are decomposed in
+    one :func:`decompose_stack`, which checks the relations once, against
+    the unit given here. Classes run in the order they first
     appear, blocks by ascending size, and pieces within a class by energy,
     so an error names the energy of the first failing eigenspace of the
     first failing class.
@@ -381,27 +380,28 @@ def eigenspace_reps(sys: OsusySystem, spectrum: SpectralData,
     for (positive, size), found in classes.items():
         idx, cs = zip(*found)
         idx = np.concatenate(idx)
-        by_cluster = np.argsort(idx, kind="stable")
-        # a C-ordered copy, as decompose_stack's products are fastest on one
-        c = np.take(cs[0] if len(cs) == 1 else np.concatenate(cs, axis=1), by_cluster, axis=1)
-        idx = idx[by_cluster]
-        energies = np.asarray(spectrum.energies)[idx]
-        if positive:
-            c *= (1.0 / np.sqrt(2.0 * energies))[:, None, None]
-            unit = np.eye(size, dtype=complex)
-        else:
+        c = cs[0] if len(cs) == 1 else np.concatenate(cs, axis=1)
+        if not positive:
             stray = max_abs(c)
-            if stray > tol:
+            if not stray <= tol:
                 raise NotARepresentationError(
                     f"E = 0 eigenspace carries nonzero charges, residual {stray:.3e}")
-            c = np.zeros_like(c)
-            unit = np.zeros((size, size), dtype=complex)
-        decs = decompose_stack(c, unit, tol, labels=[f"eigenspace E = {e:.6g}" for e in energies])
+            for i in idx.tolist():
+                trivial[i] += size
+            continue
+        by_cluster = np.argsort(idx, kind="stable")
+        # a C-ordered copy, as decompose_stack's products are fastest on one
+        c = np.take(c, by_cluster, axis=1)
+        idx = idx[by_cluster]
+        energies = np.asarray(spectrum.energies)[idx]
+        c *= (1.0 / np.sqrt(2.0 * energies))[:, None, None]
+        decs = decompose_stack(c, np.eye(size, dtype=complex), tol,
+                               labels=[f"eigenspace E = {e:.6g}" for e in energies])
         for i, dec in zip(idx, decs):
             copies[i] += dec.multiplicity
             trivial[i] += dec.trivial_dim
     for energy, mult, m, t in zip(spectrum.energies, spectrum.multiplicities, copies, trivial):
-        if energy > 0.0 and (t != 0 or m * (sys.p + 1) != mult):
+        if energy > 0.0 and (t != 0 or m * (spectrum.system.p + 1) != mult):
             raise NotARepresentationError(
                 f"eigenspace E = {energy:.6g} of dimension {mult} is not a pure sum of "
                 f"canonical copies (got {m} copies, trivial {t})")
@@ -413,7 +413,7 @@ def _positive(levels: np.ndarray) -> np.ndarray:
     return np.where(levels > 0.0, levels, 1.0)
 
 
-def build_generators(sys: OsusySystem, spectrum: SpectralData) -> SusyGenerators:
+def build_generators(spectrum: SpectralData) -> SusyGenerators:
     """Assemble the derived generators block by block in H's eigenbasis.
 
     The restricted charges ``spectrum.charges`` keep only their entries
@@ -421,10 +421,9 @@ def build_generators(sys: OsusySystem, spectrum: SpectralData) -> SusyGenerators
     ladder formulas give L and F on every cluster of a block at once; they
     are dressed with sqrt(2E) and E^{1/(p+1)} and transported back with V. Both
     generators vanish on the kernel of H by construction, which also makes
-    them commute with H exactly. ``frac_direct`` is cyclic_from(Q)^dag. The
-    generators are block stacks on ``spectrum.blocks``.
+    them commute with H exactly. ``frac_direct`` is cyclic_from(Q)^dag.
     """
-    _check_partition(sys.blocks, spectrum)
+    sys = spectrum.system
     para, frac, direct = [], [], []
     for eig, level, c, q in zip(spectrum.eigs, spectrum.levels, spectrum.charges, sys.Q):
         v, energy = eig.vectors, _positive(level)[..., :, None]
@@ -433,7 +432,7 @@ def build_generators(sys: OsusySystem, spectrum: SpectralData) -> SusyGenerators
         para.append(v @ (np.sqrt(2.0 * energy) * lowering_from(c)) @ dagger(v))
         frac.append(v @ (energy ** (1.0 / (sys.p + 1)) * cyclic_from(c)) @ dagger(v))
         direct.append(dagger(cyclic_from(q)))
-    return SusyGenerators(spectrum.blocks, para, frac, direct)
+    return SusyGenerators(spectrum, para, frac, direct)
 
 
 def _powers(spectrum: SpectralData, a: float) -> list[np.ndarray]:
@@ -442,15 +441,14 @@ def _powers(spectrum: SpectralData, a: float) -> list[np.ndarray]:
             @ dagger(eig.vectors) for eig, level in zip(spectrum.eigs, spectrum.levels)]
 
 
-def closed_form_para(sys: OsusySystem, spectrum: SpectralData) -> list[np.ndarray]:
+def closed_form_para(spectrum: SpectralData) -> list[np.ndarray]:
     """Q_1 + (2H)^{-1/2} sum_{a=2..p} Q_{a-1}^dag Q_a via spectral calculus,
     one (count, size, size) stack per block size."""
-    _check_partition(sys.blocks, spectrum)
     return [q[0] + (2.0 ** -0.5 * r) @ (lowering_from(q) - q[0])
-            for r, q in zip(_powers(spectrum, -0.5), sys.Q)]
+            for r, q in zip(_powers(spectrum, -0.5), spectrum.system.Q)]
 
 
-def closed_form_frac(sys: OsusySystem, spectrum: SpectralData) -> list[np.ndarray]:
+def closed_form_frac(spectrum: SpectralData) -> list[np.ndarray]:
     """Charge expression of the fractional generator via spectral calculus,
     one (count, size, size) stack per block size.
 
@@ -458,11 +456,10 @@ def closed_form_frac(sys: OsusySystem, spectrum: SpectralData) -> list[np.ndarra
     E they contribute E^{1/(p+1)} once the sqrt(2E) inside the charges is
     accounted for; the transfer sum carries H^{-p/(p+1)}.
     """
-    _check_partition(sys.blocks, spectrum)
-    p = sys.p
+    p = spectrum.system.p
     stacks = []
     for o, i, q in zip(_powers(spectrum, -(p - 1) / (2.0 * (p + 1))),
-                       _powers(spectrum, -p / (p + 1)), sys.Q):
+                       _powers(spectrum, -p / (p + 1)), spectrum.system.Q):
         o, i = 2.0 ** -0.5 * o, 0.5 * i
         stacks.append(o @ q[0] + i @ (lowering_from(q) - q[0]) + o @ dagger(q[p - 1]))
     return stacks
@@ -492,8 +489,7 @@ def _generator_terms(p: int, H, para, frac, direct, closed_para, closed_frac) ->
     return terms
 
 
-def check_generators(sys: OsusySystem, gens: SusyGenerators,
-                     spectrum: SpectralData) -> dict[str, float]:
+def check_generators(gens: SusyGenerators) -> dict[str, float]:
     """Scaled residuals of the generator identity suite.
 
     Power identities are normalized by the magnitude of their right-hand
@@ -502,16 +498,16 @@ def check_generators(sys: OsusySystem, gens: SusyGenerators,
     the closed-form comparisons are plain entrywise defects. The sum rule
     needs p >= 2 because its right-hand side contains the (p-1)-th power of
     the generator; for p = 1 the entry is omitted. Every term is computed
-    block by block on ``spectrum.blocks``; the system and the generators
-    must lie on that partition, or :class:`DimensionError` is raised.
+    block by block on the partition of ``gens.spectrum.system``, against
+    that system's H; a NaN defect in any block makes its residual NaN.
     """
-    p = sys.p
-    _check_partition(gens.blocks, spectrum)
+    spectrum = gens.spectrum
+    p = spectrum.system.p
     worst: dict[str, float] = {}
-    for group in zip(sys.H, gens.para, gens.frac, gens.frac_direct,
-                     closed_form_para(sys, spectrum), closed_form_frac(sys, spectrum)):
+    for group in zip(spectrum.system.H, gens.para, gens.frac, gens.frac_direct,
+                     closed_form_para(spectrum), closed_form_frac(spectrum)):
         for name, m in _generator_terms(p, *group).items():
-            worst[name] = max(worst.get(name, 0.0), max_abs(m))
+            worst[name] = float(np.maximum(worst.get(name, 0.0), max_abs(m)))
 
     def rel(defect: str, scale: float) -> float:
         return worst[defect] / max(1.0, scale)

@@ -71,6 +71,8 @@ class Decomposition:
 def _refuse(failed, labels, error, message) -> None:
     """Raise ``error`` for the first stack element flagged in ``failed``.
 
+    A check flags ``~(residual <= tol)``, so that a NaN residual fails it.
+
     ``message(i)`` describes element i; its label, when not empty, prefixes
     the text so that the error names the failing element.
     """
@@ -86,11 +88,11 @@ def _infer_units(c: np.ndarray, tol: float, labels) -> np.ndarray:
     unit = c[0] @ dagger(c[0]) + occ
     for a in range(1, len(c)):
         defect = max_abs(c[a] @ dagger(c[a]) + occ - unit, axis=(-2, -1))
-        _refuse(defect > tol, labels, NotARepresentationError,
+        _refuse(~(defect <= tol), labels, NotARepresentationError,
                 lambda i: f"unit candidates from indices 1 and {a + 1} disagree by {defect[i]:.3e}")
     for a, m in enumerate(c):
         law = _worst((unit @ m - m, m @ unit - m))
-        _refuse(law > tol, labels, NotARepresentationError,
+        _refuse(~(law <= tol), labels, NotARepresentationError,
                 lambda i: f"inferred unit fails the unit law on c_{a + 1} by {law[i]:.3e}")
     return unit
 
@@ -196,7 +198,7 @@ def _grow_copies(c: np.ndarray, vacua: np.ndarray, tol: float, rank_tol: float,
     m = vacua.shape[-1]
     if m == 0:
         stray = _worst(c)
-        _refuse(stray > tol, labels, NotARepresentationError,
+        _refuse(~(stray <= tol), labels, NotARepresentationError,
                 lambda i: f"vacuum projector vanishes but generators have norm {stray[i]:.3e}")
         return [Decomposition(0, n, np.eye(n, dtype=complex),
                               {"unitarity": 0.0, "block": float(s), "gram": 0.0,
@@ -206,7 +208,7 @@ def _grow_copies(c: np.ndarray, vacua: np.ndarray, tol: float, rank_tol: float,
     family = np.stack([vacua, *(dagger(ca) @ vacua for ca in c)], axis=-1)
     family = family.reshape(k, n, m * (p + 1))
     gram = max_abs(dagger(family) @ family - np.eye(m * (p + 1)), axis=(-2, -1))
-    _refuse(gram > tol, labels, NumericalDegeneracyError,
+    _refuse(~(gram <= tol), labels, NumericalDegeneracyError,
             lambda i: f"copy vectors fail orthonormality with Gram defect {gram[i]:.3e}")
 
     complements = _ranges(np.eye(n) - family @ dagger(family), tol, rank_tol)
@@ -220,7 +222,7 @@ def _grow_copies(c: np.ndarray, vacua: np.ndarray, tol: float, rank_tol: float,
     if t:
         annihilation = _worst(term for ca in c
                               for term in (ca @ complement, dagger(ca) @ complement))
-        _refuse(annihilation > tol, labels, NotARepresentationError,
+        _refuse(~(annihilation <= tol), labels, NotARepresentationError,
                 lambda i: f"complement of the copies is not annihilated, "
                           f"residual {annihilation[i]:.3e}")
 
@@ -259,7 +261,7 @@ def decompose_stack(c, unit=None, tol: float = DEFAULT_TOL, rank_tol: float = DE
     unit = _units(c, unit, tol, labels)
     table, pi = _relation_table(c, unit)
     worst = np.max(list(table.values()), axis=0)
-    _refuse(worst > tol, labels, NotARepresentationError,
+    _refuse(~(worst <= tol), labels, NotARepresentationError,
             lambda i: f"relations fail with residual {worst[i]:.3e} > tol {tol:.3e}")
 
     vacua = _ranges(pi, tol, rank_tol)

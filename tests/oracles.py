@@ -25,7 +25,8 @@ def cut(blocks, m):
 
 def dense_generators(gens):
     """para, frac and frac_direct as dim x dim matrices."""
-    return [dense(gens.blocks, g) for g in (gens.para, gens.frac, gens.frac_direct)]
+    blocks = gens.spectrum.system.blocks
+    return [dense(blocks, g) for g in (gens.para, gens.frac, gens.frac_direct)]
 
 
 def cluster_bases(spectrum):
@@ -34,9 +35,9 @@ def cluster_bases(spectrum):
     Column by column from ``blocks``, ``eigs`` and ``levels``: block order,
     then eigenvalue order within a block.
     """
-    dim = sum(rows.size for rows in spectrum.blocks)
+    dim = sum(rows.size for rows in spectrum.system.blocks)
     columns = [[] for _ in spectrum.energies]
-    for rows, eig, level in zip(spectrum.blocks, spectrum.eigs, spectrum.levels):
+    for rows, eig, level in zip(spectrum.system.blocks, spectrum.eigs, spectrum.levels):
         for block_rows, vectors, block_levels in zip(rows, eig.vectors, level):
             for t, energy in enumerate(block_levels):
                 column = np.zeros(dim, dtype=complex)
@@ -48,7 +49,7 @@ def cluster_bases(spectrum):
 def h_power(spectrum, a):
     """H^a over the positive clusters, from the per-block V diag(E^a) V^dag
     that the closed forms use."""
-    return dense(spectrum.blocks, osusy._powers(spectrum, a))
+    return dense(spectrum.system.blocks, osusy._powers(spectrum, a))
 
 
 def loop_clusters(spectrum, cluster_tol=osusy.DEFAULT_CLUSTER_TOL):

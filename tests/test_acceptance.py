@@ -80,7 +80,7 @@ def test_criterion_5_orthosupersymmetry_relations():
         for p in range(1, 5):
             for levels in range(2, 9):
                 sys_ = build_system(p, levels)
-                residuals = check_relations(sys_, spectral(sys_))
+                residuals = check_relations(spectral(sys_))
                 assert max(residuals.values()) < 1e-10, (p, levels, residuals)
                 assert herm_eig(sys_.dense()[1]).values.min() >= -1e-12
 
@@ -91,7 +91,7 @@ def test_criterion_6_degeneracy_law():
             for levels in range(2, 9):
                 sys_ = build_system(p, levels)
                 spectrum = spectral(sys_, cluster_tol=1e-8)
-                analyses = eigenspace_reps(sys_, spectrum)
+                analyses = eigenspace_reps(spectrum)
                 for analysis, mult, b in zip(analyses, spectrum.multiplicities,
                                              cluster_bases(spectrum)):
                     if analysis.energy > 0:
@@ -110,9 +110,9 @@ def test_criterion_7_generator_identities():
             for levels in range(3, 7):
                 sys_ = build_system(p, levels)
                 spectrum = spectral(sys_)
-                analyses = eigenspace_reps(sys_, spectrum)
-                gens = build_generators(sys_, spectrum)
-                residuals = check_generators(sys_, gens, spectrum)
+                analyses = eigenspace_reps(spectrum)
+                gens = build_generators(spectrum)
+                residuals = check_generators(gens)
                 for name in ("para^{p+1} = 0",
                              "sum_k para^{p-k} para^dag para^k = 2p para^{p-1} H",
                              "frac^{p+1} = H",
@@ -128,11 +128,11 @@ def test_criterion_8_closed_forms_match_spectral_assembly():
             for levels in range(3, 7):
                 sys_ = build_system(p, levels)
                 spectrum = spectral(sys_)
-                analyses = eigenspace_reps(sys_, spectrum)
-                gens = build_generators(sys_, spectrum)
+                analyses = eigenspace_reps(spectrum)
+                gens = build_generators(spectrum)
                 para, frac, _ = dense_generators(gens)
-                assert max_abs(dense(spectrum.blocks, closed_form_para(sys_, spectrum)) - para) < 1e-9
-                assert max_abs(dense(spectrum.blocks, closed_form_frac(sys_, spectrum)) - frac) < 1e-9
+                assert max_abs(dense(sys_.blocks, closed_form_para(spectrum)) - para) < 1e-9
+                assert max_abs(dense(sys_.blocks, closed_form_frac(spectrum)) - frac) < 1e-9
 
 
 def test_criterion_9_cli_contract(tmp_path, capsys):

@@ -24,6 +24,12 @@ def run_json(capsys, *argv):
     return code, json.loads(out)
 
 
+def subprocess_env():
+    """The environment of this process, with the package's ``src`` on the path."""
+    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(path for path in paths if path)}
+
+
 def canonical_file(tmp_path, capsys, p=2):
     path = tmp_path / "canonical.json"
     code, _ = run(capsys, "canonical", "--p", str(p), "--out", str(path))
@@ -183,6 +189,21 @@ def test_decompose_checks_against_the_unit_in_the_file(tmp_path, capsys):
     path.write_text(json.dumps(rep_to_dict(canonical(2), 2 * np.eye(3))))
     assert run(capsys, "verify", str(path))[0] == EXIT_FAIL
     assert run(capsys, "decompose", str(path))[0] == EXIT_FAIL
+
+
+@pytest.mark.parametrize("command", ["verify", "decompose"])
+def test_an_overflowing_entry_fails_with_an_error_not_a_traceback(tmp_path, command):
+    # 1e155 is finite, but its square overflows, so the inferred unit is NaN. In a
+    # fresh process, numpy's overflow warnings do not meet this suite's warning filter.
+    path = tmp_path / "overflow.json"
+    c = [[[0.0, 0.0], [1e155, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
+    path.write_text(json.dumps({"schema_version": "orthofermion-rep/1", "p": 1, "dim": 2,
+                                "matrices": [c]}))
+    out = subprocess.run([sys.executable, "-m", "orthofermi.cli", command, str(path)],
+                         env=subprocess_env(), capture_output=True, text=True)
+    assert out.returncode == EXIT_FAIL
+    assert "Traceback" not in out.stderr
+    assert any(line.startswith("error: ") for line in out.stderr.splitlines())
 
 
 # -- random-rep ----------------------------------------------------------------------
@@ -374,10 +395,8 @@ def test_table_and_json_come_from_the_same_report(tmp_path, capsys):
 
 def test_importing_the_cli_loads_no_scipy():
     # the package declares numpy as its only dependency
-    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path for path in paths if path)}
     probe = ("import sys, orthofermi.cli; "
              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
-                         check=True)
+    out = subprocess.run([sys.executable, "-c", probe], env=subprocess_env(), capture_output=True,
+                         text=True, check=True)
     assert out.stdout.strip() == "[]"
