@@ -3,7 +3,8 @@
 Commands: ``canonical``, ``verify``, ``decompose``, ``random-rep``,
 ``osusy``, ``ladder``. Every command builds one :class:`Report`; pass
 ``--json`` for the machine-readable form. Exit codes: 0 all checks pass,
-1 a mathematical check failed, 2 an input could not be read or parsed.
+1 a mathematical check failed, 2 an input could not be read or parsed, or
+is too large to allocate.
 """
 
 from __future__ import annotations
@@ -315,6 +316,10 @@ def main(argv=None) -> int:
         report = globals()[args.func](args)
     except INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except MemoryError as exc:
+        # a size on the command line or in a file asked for more memory than there is
+        print(f"error: input too large: {exc}", file=sys.stderr)
         return EXIT_IO
     except OrthofermiError as exc:
         print(f"error: {exc}", file=sys.stderr)

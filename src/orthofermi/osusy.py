@@ -51,12 +51,13 @@ H^a = V diag(E^a) V^dag. The charges never couple two blocks, so a cluster's
 representation is the direct sum of its pieces, one per block it meets:
 :func:`eigenspace_reps` cuts the pieces out of C and splits the positive
 ones of one size (in the oscillator, every positive piece) with one
-:func:`~orthofermi.reptheory.decompose_stack`, which checks the relations
-of the whole class once, against the identity as unit; a piece with E <= 0
-must carry no charge and is trivial. A piece starts wherever the cluster
-changes along a block's ascending levels, so the pieces of every block of
-one size are found at once, and a class is cut out of C with one gather per
-block size, not one slice per piece.
+:func:`~orthofermi.reptheory.decompose_stack` against the identity as
+unit, which certifies each piece by the unitary it builds; the pair
+relations are checked once per system, by :func:`check_relations`. A piece
+with E <= 0 must carry no charge and is trivial. A piece starts wherever
+the cluster changes along a block's ascending levels, so the pieces of
+every block of one size are found at once, and a class is cut out of C with
+one gather per block size, not one slice per piece.
 """
 
 from __future__ import annotations
@@ -351,12 +352,13 @@ def eigenspace_reps(spectrum: SpectralData, tol: float = DEFAULT_TOL) -> list[Ei
     cluster changes along a row. It is cut out of ``spectrum.charges``, a
     whole block in one take and the partial runs of one class (sign of E,
     size) in one gather; the cluster's copies and trivial dimension are the
-    sums over its pieces. The pieces of one positive class are decomposed in
-    one :func:`decompose_stack`, which checks the relations once, against
-    the unit given here. Classes run in the order they first
-    appear, blocks by ascending size, and pieces within a class by energy,
-    so an error names the energy of the first failing eigenspace of the
-    first failing class.
+    sums over its pieces. The pieces of one positive class are decomposed
+    in one :func:`decompose_stack` against the identity as unit, which
+    certifies each split by its unitary and forms the table of pair
+    relations only when a check refuses. Classes run in the
+    order they first appear, blocks by ascending size, and pieces within a
+    class by energy, so an error names the energy of the first failing
+    eigenspace of the first failing class.
     """
     classes: dict[tuple, list[tuple]] = {}
     for level, c in zip(spectrum.levels, spectrum.charges):
@@ -376,7 +378,7 @@ def eigenspace_reps(spectrum: SpectralData, tol: float = DEFAULT_TOL) -> list[Ei
                 r, s = np.arange(e), at[mine, None, None]
                 piece = c[:, block[mine, None, None], s + r[:, None], s + r]
             classes.setdefault((kind % 2 == 1, e), []).append((idx.flat[starts[mine]], piece))
-    copies, trivial = [0] * len(spectrum.energies), [0] * len(spectrum.energies)
+    copies, trivial = (np.zeros(len(spectrum.energies), dtype=int) for _ in range(2))
     for (positive, size), found in classes.items():
         idx, cs = zip(*found)
         idx = np.concatenate(idx)
@@ -386,8 +388,7 @@ def eigenspace_reps(spectrum: SpectralData, tol: float = DEFAULT_TOL) -> list[Ei
             if not stray <= tol:
                 raise NotARepresentationError(
                     f"E = 0 eigenspace carries nonzero charges, residual {stray:.3e}")
-            for i in idx.tolist():
-                trivial[i] += size
+            np.add.at(trivial, idx, size)
             continue
         by_cluster = np.argsort(idx, kind="stable")
         # a C-ordered copy, as decompose_stack's products are fastest on one
@@ -395,11 +396,11 @@ def eigenspace_reps(spectrum: SpectralData, tol: float = DEFAULT_TOL) -> list[Ei
         idx = idx[by_cluster]
         energies = np.asarray(spectrum.energies)[idx]
         c *= (1.0 / np.sqrt(2.0 * energies))[:, None, None]
-        decs = decompose_stack(c, np.eye(size, dtype=complex), tol,
-                               labels=[f"eigenspace E = {e:.6g}" for e in energies])
-        for i, dec in zip(idx, decs):
-            copies[i] += dec.multiplicity
-            trivial[i] += dec.trivial_dim
+        dec = decompose_stack(c, np.eye(size, dtype=complex), tol,
+                              labels=[f"eigenspace E = {e:.6g}" for e in energies])
+        np.add.at(copies, idx, dec.multiplicity)
+        np.add.at(trivial, idx, dec.trivial_dim)
+    copies, trivial = copies.tolist(), trivial.tolist()
     for energy, mult, m, t in zip(spectrum.energies, spectrum.multiplicities, copies, trivial):
         if energy > 0.0 and (t != 0 or m * (spectrum.system.p + 1) != mult):
             raise NotARepresentationError(

@@ -5,23 +5,34 @@ inner-product space splits, after a unitary change of basis, into copies of
 the canonical (p+1)-dimensional representation plus a block on which every
 generator acts as zero. :func:`decompose` makes that split constructive:
 
-  1. infer the representative R of the algebra unit from the relations,
-  2. take the vacuum projector P = R - sum c^dag c; its range fixes one
-     vacuum vector e_i per canonical copy,
-  3. grow each copy as (e_i, c_1^dag e_i, .., c_p^dag e_i); the relations
-     force these m(p+1) vectors to be orthonormal,
-  4. everything orthogonal to them is annihilated by all generators,
-  5. stack the vectors into the block-diagonalizing unitary U.
+  1. take the representative R of the algebra unit, given or inferred from
+     the relations,
+  2. take the vacuum projector P = R - sum c^dag c and check its O(p)
+     projector rows; its range fixes one vacuum vector e_i per canonical copy,
+  3. grow each copy as (e_i, c_1^dag e_i, .., c_p^dag e_i) and check that
+     these m(p+1) vectors are orthonormal,
+  4. check that everything orthogonal to them is annihilated by all
+     generators,
+  5. stack the vectors into the block-diagonalizing unitary U and certify
+     the split by U itself: its unitarity and block residuals, with
+     R = F F^dag on its copy columns F, bound both pair relations
+     (:func:`_grow_copies`), and that bound must be at most ``tol``.
+
+The O(p^2) table of pair relations is thus not formed on success: it runs
+in :func:`verify`, and when a check refuses, so that a failing relation is
+named before any later check.
 
 :func:`decompose_stack` runs these steps on k representations of one order
 and dimension at once, given as a (p, k, n, n) stack: every check and every
-product is one batched call over the stack. The rank decisions of steps 2
-and 4 are made per representation, and representations whose vacuum ranks
-differ are split into groups of one rank, so that each group keeps one
-shape. :func:`decompose`, :func:`verify` and :func:`infer_unit` are the
-k = 1 case of the same code. When the representative of 1 is known (the
-identity, for an energy eigenspace of ``osusy``), ``unit=`` passes it, with
-the same meaning as in :func:`verify`, and step 1 is skipped.
+product is one batched call over the stack, and the result is one
+:class:`Decomposition` whose fields have a leading stack axis. The rank
+decisions of steps 2 and 4 are made per representation, and representations
+whose vacuum ranks differ are split into groups of one rank, so that each
+group keeps one shape. :func:`decompose`, :func:`verify` and
+:func:`infer_unit` are the k = 1 case of the same code. When the
+representative of 1 is known (the identity, for an energy eigenspace of
+``osusy``), ``unit=`` passes it, with the same meaning as in :func:`verify`;
+given and inferred units then take the same path from step 2 on.
 
 All decisions are residual based; nothing here assumes exact arithmetic.
 """
@@ -59,13 +70,16 @@ class Decomposition:
 
     ``basis`` is the dim x dim unitary U with
     U^dag c_a U = blockdiag(canonical c_a, repeated ``multiplicity`` times,
-    then a zero block of size ``trivial_dim``).
+    then a zero block of size ``trivial_dim``). The result of
+    :func:`decompose_stack` holds k such splits, with a leading stack axis on
+    every field: ``multiplicity``, ``trivial_dim`` and each residual are (k,)
+    arrays, and ``basis`` is (k, dim, dim).
     """
 
-    multiplicity: int
-    trivial_dim: int
+    multiplicity: int | np.ndarray
+    trivial_dim: int | np.ndarray
     basis: np.ndarray
-    residuals: dict[str, float]
+    residuals: dict[str, float] | dict[str, np.ndarray]
 
 
 def _refuse(failed, labels, error, message) -> None:
@@ -148,11 +162,11 @@ def relation_residuals(c, unit: np.ndarray) -> tuple[float, float]:
     return float(nilpotent.max(initial=0.0)), float(mixed.max(initial=0.0))
 
 
-def _relation_table(c: np.ndarray, unit: np.ndarray) -> tuple[dict[str, np.ndarray], np.ndarray]:
-    """:func:`verify`'s residuals, one value per element, and the vacuum projectors."""
+def _vacuum_rows(c: np.ndarray, unit) -> tuple[dict[str, np.ndarray], np.ndarray]:
+    """The six vacuum-projector rows of :func:`verify`, one value per element
+    of a (p, k, n, n) stack, and the vacuum projectors Pi = unit - occ."""
     pi = unit - occupied(c)
     res: dict[str, np.ndarray] = {}
-    res["c_a c_b = 0"], res["c_a c_b^dag + d_ab sum c^dag c = d_ab 1"] = _relation_defects(c, unit)
     res["Pi^2 = Pi"] = max_abs(pi @ pi - pi, axis=(-2, -1))
     res["Pi^dag = Pi"] = max_abs(dagger(pi) - pi, axis=(-2, -1))
     res["Pi c_a = c_a"] = _worst(pi @ m - m for m in c)
@@ -160,6 +174,14 @@ def _relation_table(c: np.ndarray, unit: np.ndarray) -> tuple[dict[str, np.ndarr
     res["c_a Pi = 0"] = _worst(m @ pi for m in c)
     res["Pi c_a^dag = 0"] = _worst(pi @ dagger(m) for m in c)
     return res, pi
+
+
+def _relation_table(c: np.ndarray, unit) -> dict[str, np.ndarray]:
+    """:func:`verify`'s residuals, one value per element of a (p, k, n, n) stack."""
+    res: dict[str, np.ndarray] = {}
+    res["c_a c_b = 0"], res["c_a c_b^dag + d_ab sum c^dag c = d_ab 1"] = _relation_defects(c, unit)
+    res.update(_vacuum_rows(c, unit)[0])
+    return res
 
 
 def verify(rep: OrthoRep, unit: np.ndarray | None = None, tol: float = DEFAULT_TOL) -> dict[str, float]:
@@ -171,7 +193,7 @@ def verify(rep: OrthoRep, unit: np.ndarray | None = None, tol: float = DEFAULT_T
     max_abs defect over all index combinations.
     """
     c = np.stack(rep.c)[:, None]
-    table, _ = _relation_table(c, _units(c, unit, tol, ("",)))
+    table = _relation_table(c, _units(c, unit, tol, ("",)))
     return {name: float(value[0]) for name, value in table.items()}
 
 
@@ -191,65 +213,152 @@ def _ranges(a: np.ndarray, tol: float, rank_tol: float) -> list[np.ndarray]:
     return [v[:, :0] if z else v for v, z in zip(orthonormal_range(a, rank_tol), zero)]
 
 
-def _grow_copies(c: np.ndarray, vacua: np.ndarray, tol: float, rank_tol: float,
-                 labels) -> list[Decomposition]:
-    """Steps 3 to 5 on a (p, k, n, n) stack whose vacua all have m columns."""
+def _pair_bounds(d_u, d_b, d_1, n: int, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """The bounds of :func:`_grow_copies` on the max_abs defects of the
+    nilpotent and the mixed relation, from the largest entries d_U, d_B and
+    d_1 of U^dag U - 1, U^dag c_a U - T_a and R - F F^dag, each one value per
+    element; infinite unless n d_U < 1."""
+    eps, delta = n * d_b, n * d_u
+    shrink = np.divide(1.0, 1.0 - delta, out=np.full_like(delta, np.inf), where=delta < 1.0)
+    drift = delta * shrink
+    root = p**0.5 * eps
+    nilpotent = (2 * eps + eps**2 + (1 + eps)**2 * drift) * shrink
+    mixed = (2 * eps + eps**2 + 2 * root + root**2 + ((1 + eps)**2 + (1 + root)**2) * drift
+             + 2 * delta + delta**2) * shrink + d_1
+    return nilpotent, mixed
+
+
+def _grow_copies(c: np.ndarray, vacua: np.ndarray, unit: np.ndarray, tol: float,
+                 rank_tol: float, labels) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """Steps 3 to 5 on a (p, k, n, n) stack whose vacua all have m columns.
+
+    Returns the (k, n, n) unitaries U and the residuals of the split.
+
+    The certificate. Let U = [F, G] with F the m(p+1) copy columns, T_a the
+    target blocks (:func:`_expected_blocks`), R = ``unit``, and let d_U, d_B
+    and d_1 be the largest entries of U^dag U - 1, of U^dag c_a U - T_a over
+    all a, and of R - F F^dag. An n x n matrix with entries at most d has
+    spectral norm at most n d, and no entry exceeds the spectral norm; set
+    delta = n d_U, eps = n d_B and require delta < 1.
+
+      * U^dag U = 1 + D with ||D|| <= delta, so S = (1 + D)^-1 has
+        ||S|| <= 1/(1 - delta) and ||S - 1|| <= delta/(1 - delta) =: s.
+        U S U^dag = 1 and V = U S^(1/2) is unitary, so for every X,
+        ||U S X S U^dag|| = ||S^(1/2) X S^(1/2)|| <= ||X|| / (1 - delta).
+      * B_a := U^dag c_a U = T_a + E_a with ||E_a|| <= eps and ||T_a|| <= 1,
+        and c_a = U S B_a S U^dag.
+
+    Nilpotent relation: c_a c_b = U S (B_a S B_b) S U^dag, where
+    B_a S B_b = (B_a B_b - T_a T_b) + B_a (S - 1) B_b since T_a T_b = 0, so
+
+      max|c_a c_b| <= [2 eps + eps^2 + (1 + eps)^2 s] / (1 - delta).
+
+    Mixed relation: with P the projector on the copy coordinates,
+    F F^dag = U P U^dag = U S (1 + D) P (1 + D) S U^dag, and the targets obey
+    T_a T_b^dag + d_ab (sum_g T_g^dag T_g - P) = 0 exactly. So the defect is
+    U S X S U^dag - d_ab (R - F F^dag), with X the sum of
+    B_a S B_b^dag - T_a T_b^dag, of norm at most 2 eps + eps^2 + (1 + eps)^2 s;
+    of sum_g (B_g^dag S B_g - T_g^dag T_g), where the stacked [T_1; ..; T_p]
+    has norm at most 1 and [E_1; ..; E_p] at most sqrt(p) eps, so of norm at
+    most 2 sqrt(p) eps + p eps^2 + (1 + sqrt(p) eps)^2 s; and of
+    P - (1 + D) P (1 + D), of norm at most 2 delta + delta^2. Hence
+
+      max|c_a c_b^dag + d_ab (occ - R)| <= [2 eps + eps^2 + 2 sqrt(p) eps
+          + p eps^2 + ((1 + eps)^2 + (1 + sqrt(p) eps)^2) s + 2 delta
+          + delta^2] / (1 - delta) + d_1.
+
+    The split is refused unless both bounds (:func:`_pair_bounds`) are at
+    most ``tol``; with the vacuum rows of step 2, every row of
+    :func:`verify` then holds within ``tol``.
+    """
     p, k, n, _ = c.shape
     m = vacua.shape[-1]
     if m == 0:
         stray = _worst(c)
         _refuse(~(stray <= tol), labels, NotARepresentationError,
                 lambda i: f"vacuum projector vanishes but generators have norm {stray[i]:.3e}")
-        return [Decomposition(0, n, np.eye(n, dtype=complex),
-                              {"unitarity": 0.0, "block": float(s), "gram": 0.0,
-                               "complement annihilation": float(s)}) for s in stray]
+        basis = np.broadcast_to(np.eye(n, dtype=complex), (k, n, n))
+        residuals = {"unitarity": np.zeros(k), "block": stray, "gram": np.zeros(k),
+                     "complement annihilation": stray}
+        outside = unit
+    else:
+        # column i (p+1) + a holds e_i for a = 0 and c_a^dag e_i otherwise
+        family = np.stack([vacua, *(dagger(ca) @ vacua for ca in c)], axis=-1)
+        family = family.reshape(k, n, m * (p + 1))
+        gram = max_abs(dagger(family) @ family - np.eye(m * (p + 1)), axis=(-2, -1))
+        _refuse(~(gram <= tol), labels, NumericalDegeneracyError,
+                lambda i: f"copy vectors fail orthonormality with Gram defect {gram[i]:.3e}")
 
-    # column i (p+1) + a holds e_i for a = 0 and c_a^dag e_i otherwise
-    family = np.stack([vacua, *(dagger(ca) @ vacua for ca in c)], axis=-1)
-    family = family.reshape(k, n, m * (p + 1))
-    gram = max_abs(dagger(family) @ family - np.eye(m * (p + 1)), axis=(-2, -1))
-    _refuse(~(gram <= tol), labels, NumericalDegeneracyError,
-            lambda i: f"copy vectors fail orthonormality with Gram defect {gram[i]:.3e}")
+        outside = np.eye(n) - family @ dagger(family)
+        complements = _ranges(outside, tol, rank_tol)
+        trivial = np.array([v.shape[1] for v in complements])
+        _refuse(m * (p + 1) + trivial != n, labels, NumericalDegeneracyError,
+                lambda i: f"dimension bookkeeping failed: {m} copies of {p + 1} plus "
+                          f"{trivial[i]} != {n}")
+        t = n - m * (p + 1)
+        complement = np.stack(complements)
+        annihilation = np.zeros(k)
+        if t:
+            annihilation = _worst(term for ca in c
+                                  for term in (ca @ complement, dagger(ca) @ complement))
+            _refuse(~(annihilation <= tol), labels, NotARepresentationError,
+                    lambda i: f"complement of the copies is not annihilated, "
+                              f"residual {annihilation[i]:.3e}")
 
-    complements = _ranges(np.eye(n) - family @ dagger(family), tol, rank_tol)
-    trivial = np.array([v.shape[1] for v in complements])
-    _refuse(m * (p + 1) + trivial != n, labels, NumericalDegeneracyError,
-            lambda i: f"dimension bookkeeping failed: {m} copies of {p + 1} plus "
-                      f"{trivial[i]} != {n}")
-    t = n - m * (p + 1)
-    complement = np.stack(complements)
-    annihilation = np.zeros(k)
-    if t:
-        annihilation = _worst(term for ca in c
-                              for term in (ca @ complement, dagger(ca) @ complement))
-        _refuse(~(annihilation <= tol), labels, NotARepresentationError,
-                lambda i: f"complement of the copies is not annihilated, "
-                          f"residual {annihilation[i]:.3e}")
+        basis = np.concatenate([family, complement], axis=-1)
+        basis_dag = dagger(basis)
+        residuals = {
+            "unitarity": max_abs(basis_dag @ basis - np.eye(n), axis=(-2, -1)),
+            "block": _worst(basis_dag @ ca @ basis - target
+                            for ca, target in zip(c, _expected_blocks(p, m, t))),
+            "gram": gram, "complement annihilation": annihilation}
+        outside += unit - np.eye(n)
+    bound = np.maximum(*_pair_bounds(residuals["unitarity"], residuals["block"],
+                                     max_abs(outside, axis=(-2, -1)), n, p))
+    _refuse(~(bound <= tol), labels, NumericalDegeneracyError,
+            lambda i: f"the split certifies the relations only within {bound[i]:.3e} > tol {tol:.3e}")
+    return basis, residuals
 
-    basis = np.concatenate([family, complement], axis=-1)
-    basis_dag = dagger(basis)
-    unitarity = max_abs(basis_dag @ basis - np.eye(n), axis=(-2, -1))
-    block = _worst(basis_dag @ ca @ basis - target
-                   for ca, target in zip(c, _expected_blocks(p, m, t)))
-    return [Decomposition(m, t, basis[i],
-                          {"unitarity": float(unitarity[i]), "block": float(block[i]),
-                           "gram": float(gram[i]),
-                           "complement annihilation": float(annihilation[i])})
-            for i in range(k)]
+
+def _split(c: np.ndarray, unit, tol: float, rank_tol: float, labels) -> Decomposition:
+    """Steps 2 to 5 of the module docstring on a (p, k, n, n) stack."""
+    p, k, n, _ = c.shape
+    rows, pi = _vacuum_rows(c, unit)
+    worst = np.max(list(rows.values()), axis=0)
+    # these rows are part of the relation table, so decompose_stack reports
+    # this refusal as the table's
+    _refuse(~(worst <= tol), labels, NotARepresentationError,
+            lambda i: f"vacuum projector fails with residual {worst[i]:.3e} > tol {tol:.3e}")
+
+    vacua = _ranges(pi, tol, rank_tol)
+    copies = np.array([v.shape[1] for v in vacua])
+    units = np.broadcast_to(unit, (k, n, n))
+    basis = np.empty((k, n, n), dtype=complex)
+    residuals: dict[str, np.ndarray] = {}
+    for m in sorted(set(copies.tolist())):  # np.unique would import numpy.ma
+        group = np.flatnonzero(copies == m)
+        basis[group], found = _grow_copies(c[:, group], np.stack([vacua[i] for i in group]),
+                                           units[group], tol, rank_tol,
+                                           [labels[i] for i in group])
+        for name, value in found.items():
+            residuals.setdefault(name, np.empty(k))[group] = value
+    return Decomposition(copies, n - copies * (p + 1), basis, residuals)
 
 
 def decompose_stack(c, unit=None, tol: float = DEFAULT_TOL, rank_tol: float = DEFAULT_RANK_TOL,
-                    labels=None) -> list[Decomposition]:
+                    labels=None) -> Decomposition:
     """Split each of k representations of one order and dimension at once.
 
     ``c`` has shape (p, k, n, n): ``c[a, i]`` is annihilator a+1 of
     representation i. ``unit`` represents 1 as in :func:`verify`, for every
     representation of the stack; when it is None it is inferred per
     representation. Every step of :func:`decompose` runs once on the whole
-    stack, under the same checks and tolerances; an error names the first
+    stack, under the same checks and tolerances. When a check refuses, the
+    relations of :func:`verify` are checked on the whole stack first, and a
+    failing one is reported in place of that check. An error names the first
     failing representation by its entry of ``labels`` (by default
-    "representation i"). Returns one :class:`Decomposition` per
-    representation, in stack order.
+    "representation i"). Returns one :class:`Decomposition` of the whole
+    stack, whose fields have a leading axis in stack order.
     """
     c = np.asarray(c, dtype=complex)
     if c.ndim != 4 or not c.shape[0] or c.shape[-1] != c.shape[-2]:
@@ -259,21 +368,13 @@ def decompose_stack(c, unit=None, tol: float = DEFAULT_TOL, rank_tol: float = DE
     k = c.shape[1]
     labels = [f"representation {i}" for i in range(k)] if labels is None else list(labels)
     unit = _units(c, unit, tol, labels)
-    table, pi = _relation_table(c, unit)
-    worst = np.max(list(table.values()), axis=0)
-    _refuse(~(worst <= tol), labels, NotARepresentationError,
-            lambda i: f"relations fail with residual {worst[i]:.3e} > tol {tol:.3e}")
-
-    vacua = _ranges(pi, tol, rank_tol)
-    copies = [v.shape[1] for v in vacua]
-    out: list[Decomposition] = [None] * k
-    for m in sorted(set(copies)):
-        group = [i for i, rank in enumerate(copies) if rank == m]
-        found = _grow_copies(c[:, group], np.stack([vacua[i] for i in group]), tol, rank_tol,
-                             [labels[i] for i in group])
-        for i, dec in zip(group, found):
-            out[i] = dec
-    return out
+    try:
+        return _split(c, unit, tol, rank_tol, labels)
+    except (NotARepresentationError, NumericalDegeneracyError):
+        worst = np.max(list(_relation_table(c, unit).values()), axis=0)
+        _refuse(~(worst <= tol), labels, NotARepresentationError,
+                lambda i: f"relations fail with residual {worst[i]:.3e} > tol {tol:.3e}")
+        raise
 
 
 def decompose(rep: OrthoRep, tol: float = DEFAULT_TOL, rank_tol: float = DEFAULT_RANK_TOL, *,
@@ -282,13 +383,16 @@ def decompose(rep: OrthoRep, tol: float = DEFAULT_TOL, rank_tol: float = DEFAULT
 
     ``unit`` represents 1 as in :func:`verify`; when omitted it is inferred.
     Requires the relations and vacuum-projector checks of :func:`verify` to
-    pass within ``tol``. Numerical rank decisions use ``rank_tol``
-    (relative). Raises :class:`NumericalDegeneracyError` when the grown
-    family of copy vectors is not orthonormal within ``tol``, which signals
-    an input sitting too close to the rank threshold to classify. This is
-    the k = 1 case of :func:`decompose_stack`.
+    hold within ``tol``, as certified by the split itself. Numerical rank
+    decisions use ``rank_tol`` (relative). Raises
+    :class:`NumericalDegeneracyError` when the grown family of copy vectors
+    is not orthonormal within ``tol``, which signals an input sitting too
+    close to the rank threshold to classify. This is the k = 1 case of
+    :func:`decompose_stack`.
     """
-    return decompose_stack(np.stack(rep.c)[:, None], unit, tol, rank_tol, labels=("",))[0]
+    dec = decompose_stack(np.stack(rep.c)[:, None], unit, tol, rank_tol, labels=("",))
+    return Decomposition(int(dec.multiplicity[0]), int(dec.trivial_dim[0]), dec.basis[0],
+                         {name: float(value[0]) for name, value in dec.residuals.items()})
 
 
 def random_rep(p: int, copies: int, trivial: int, seed: int) -> OrthoRep:

@@ -306,11 +306,15 @@ def test_ladder_order_one_nilpotency(capsys):
     ["decompose", "{rep}", "--tol", "nan"],
     ["verify", "{rep}", "--tol", "-1"],
     ["ladder", "--p", "2", "--tol", "nan"],
+    # each asks for exbibytes at once, so that the request fails and nothing is allocated
+    ["osusy", "--p", "2", "--levels", "1000000000000000000"],
+    ["random-rep", "--p", "2", "--copies", "1000000000", "--trivial", "0", "--seed", "1"],
 ], ids=["osusy-p", "osusy-levels", "ladder-p", "random-rep-negative", "random-rep-empty",
         "random-rep-seed", "osusy-tol-nan", "osusy-tol-negative", "osusy-tol-inf",
         "osusy-cluster-tol-nan", "osusy-cluster-tol-negative", "osusy-cluster-tol-inf",
         "decompose-rank-tol-nan", "decompose-rank-tol-negative", "decompose-tol-nan",
-        "verify-tol-negative", "ladder-tol-nan"])
+        "verify-tol-negative", "ladder-tol-nan", "osusy-levels-too-large",
+        "random-rep-too-large"])
 def test_invalid_argument_values_are_input_failures(tmp_path, capsys, argv):
     if argv[0] == "random-rep":
         argv = argv + ["--out", str(tmp_path / "rep.json")]

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orthofermi import reptheory
+from orthofermi import osusy, reptheory
 from orthofermi.canonical import canonical, cyclic_from, lowering_from
 from orthofermi.errors import (ClusteringError, DimensionError, NotARepresentationError,
                                OrderError, TruncationError)
@@ -317,6 +317,13 @@ def test_a_perturbed_sector_is_blamed_on_its_energy():
     broken = system_from_dense(2, [q, *Q[1:]], H)
     with pytest.raises(NotARepresentationError, match=r"E = 5\b"):
         eigenspace_reps(spectral(broken))
+    # one restricted c_a scaled by 1 + 1e-6 breaks only its relations
+    q = Q[0].copy()
+    q[np.ix_(rows, rows)] *= 1 + 1e-6
+    with pytest.raises(NotARepresentationError) as info:
+        eigenspace_reps(spectral(system_from_dense(2, [q, *Q[1:]], H)))
+    assert str(info.value) == \
+        "eigenspace E = 5: relations fail with residual 2.000e-06 > tol 1.000e-10"
 
 
 def test_charges_scaled_off_the_unit_are_refused():
@@ -335,20 +342,22 @@ def pieces(spectrum):
 
 def test_one_relation_check_per_cluster_class(monkeypatch):
     calls = Counter()
-    for name in ("_relation_defects", "_infer_units"):
-        kernel = getattr(reptheory, name)
+    for module, name in ((osusy, "decompose_stack"), (reptheory, "_relation_defects"),
+                         (reptheory, "_infer_units")):
+        kernel = getattr(module, name)
 
         def counted(*args, _kernel=kernel, _name=name, **kwargs):
             calls[_name] += 1
             return _kernel(*args, **kwargs)
-        monkeypatch.setattr(reptheory, name, counted)
+        monkeypatch.setattr(module, name, counted)
     sys_ = build_system(3, 80)
     spectrum = spectral(sys_)
     eigenspace_reps(spectrum)
-    # the E = 0 pieces are counted as trivial with no decomposition
+    # the E = 0 pieces are counted as trivial with no decomposition; a class
+    # that passes is certified by its unitaries, with no pair-relation table
     positive_classes = {size for energy, size in pieces(spectrum) if energy > 0}
     assert len(spectrum.energies) == 80 and len(positive_classes) == 1
-    assert calls == {"_relation_defects": len(positive_classes)}
+    assert calls == {"decompose_stack": len(positive_classes)}
 
 
 # -- generators -------------------------------------------------------------------

@@ -1,10 +1,14 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from orthofermi import reptheory
 from orthofermi.canonical import canonical
-from orthofermi.errors import DimensionError, NotARepresentationError, NumericalDegeneracyError
+from orthofermi.errors import (DimensionError, NotARepresentationError, NumericalDegeneracyError,
+                               OrthofermiError)
 from orthofermi.linalg import DEFAULT_TOL, max_abs
 from orthofermi.reptheory import (OrthoRep, decompose, decompose_stack, infer_unit, random_rep,
                                   relation_residuals, verify)
@@ -170,16 +174,17 @@ def stack_of(reps):
 def test_decompose_stack_of_mixed_ranks_matches_each_instance():
     reps = [random_rep(2, copies, trivial, seed) for copies, trivial, seed in MIXED]
     reps.append(reps[0])  # a second member of the first rank group
-    stacked = decompose_stack(stack_of(reps))
-    assert len(stacked) == len(reps)
-    for rep, got in zip(reps, stacked):
+    got = decompose_stack(stack_of(reps))
+    assert len(got.multiplicity) == len(reps)
+    for i, rep in enumerate(reps):
         want = decompose(rep)
-        assert (got.multiplicity, got.trivial_dim) == (want.multiplicity, want.trivial_dim)
+        assert (got.multiplicity[i], got.trivial_dim[i]) == (want.multiplicity, want.trivial_dim)
         assert list(got.residuals) == list(want.residuals)
         for name, value in want.residuals.items():
-            assert abs(got.residuals[name] - value) <= 1e-14, name
-        assert max_abs(got.basis - want.basis) <= 1e-12
-    assert [(d.multiplicity, d.trivial_dim) for d in stacked] == [(2, 0), (1, 3), (0, 6), (2, 0)]
+            assert abs(got.residuals[name][i] - value) <= 1e-14, name
+        assert max_abs(got.basis[i] - want.basis) <= 1e-12
+    assert list(zip(got.multiplicity.tolist(), got.trivial_dim.tolist())) == \
+        [(2, 0), (1, 3), (0, 6), (2, 0)]
 
 
 def test_decompose_stack_names_the_failing_element():
@@ -195,7 +200,7 @@ def test_decompose_stack_names_the_failing_element():
 def test_decompose_stack_checks_every_element_against_a_given_unit():
     reps = [random_rep(3, 1, 0, seed) for seed in (1, 2, 3)]
     c = stack_of(reps)
-    assert [d.multiplicity for d in decompose_stack(c, np.eye(4))] == [1, 1, 1]
+    assert decompose_stack(c, np.eye(4)).multiplicity.tolist() == [1, 1, 1]
     c[:, 1] *= 1.01
     with pytest.raises(NotARepresentationError, match="representation 1"):
         decompose_stack(c, np.eye(4))
@@ -214,6 +219,60 @@ def test_decompose_round_trips_random_reps(p, copies, trivial, seed):
     dec = decompose(random_rep(p, copies, trivial, seed))
     assert (dec.multiplicity, dec.trivial_dim) == (copies, trivial)
     assert all(value <= 10 * DEFAULT_TOL for value in dec.residuals.values()), dec.residuals
+
+
+def noise(shape, size, seed):
+    """Seeded complex Gaussian entries of scale ``size``."""
+    return size * (np.random.default_rng(seed).standard_normal((*shape, 2)) @ [1, 1j])
+
+
+def perturbed(rep, size, seed):
+    """``rep`` with :func:`noise` added to every annihilator."""
+    return OrthoRep(p=rep.p, dim=rep.dim,
+                    c=list(np.stack(rep.c) + noise((rep.p, rep.dim, rep.dim), size, seed)))
+
+
+def test_a_split_that_cannot_certify_the_relations_is_refused():
+    # the relations hold within tol, but the residuals of the built unitary
+    # bound them only by more: the certificate refuses, and its error stands
+    rep = random_rep(2, 2, 1, seed=21)
+    unit = infer_unit(rep)
+    bent = perturbed(rep, 1e-8, seed=21)
+    assert max(verify(bent, unit).values()) <= 1e-6
+    with pytest.raises(NumericalDegeneracyError,
+                       match=r"^the split certifies the relations only within \S+ > tol 1.000e-06$"):
+        decompose(bent, 1e-6, 1e-3, unit=unit)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(p=st.integers(1, 5), copies=st.integers(1, 3), trivial=st.integers(0, 3),
+       seed=st.integers(0, 2**32 - 1), exponent=st.floats(-10, -4),
+       unit_exponent=st.floats(-10, -4))
+def test_a_certified_split_bounds_both_pair_defects(p, copies, trivial, seed, exponent,
+                                                    unit_exponent):
+    # generators and unit perturbed apart, at a tolerance loose enough that
+    # the certificate passes on perturbations up to about 1e-4; the unit is
+    # shifted on the trivial block only, where no residual of U sees it
+    rep = random_rep(p, copies, trivial, seed)
+    unit = infer_unit(rep)
+    outside = np.eye(rep.dim) - unit
+    shift = noise((rep.dim, rep.dim), 10.0**unit_exponent, seed + 1)
+    unit = unit + outside @ (shift + shift.conj().T) @ outside
+    bent = perturbed(rep, 10.0**exponent, seed)
+    found = []
+
+    def recorded(*args, _bounds=reptheory._pair_bounds):
+        found.append(_bounds(*args))
+        return found[-1]
+    with mock.patch.object(reptheory, "_pair_bounds", recorded):
+        try:
+            decompose(bent, 1e-2, 1e-2, unit=unit)
+        except OrthofermiError:
+            return
+    [((nilpotent,), (mixed,))] = found
+    assert max(nilpotent, mixed) <= 1e-2
+    defects = relation_residuals(bent.c, unit)
+    assert defects[0] <= nilpotent and defects[1] <= mixed, (defects, nilpotent, mixed)
 
 
 # -- random_rep ---------------------------------------------------------------
