@@ -3,8 +3,8 @@ para- and fractional supersymmetries of the orthosupersymmetric oscillator.
 """
 
 from .algebra import AlgebraElement, alg_adjoint, alg_mul, basis, rho0
-from .canonical import (OrthoRep, canonical, cyclic_from, ladder_F, ladder_L,
-                        ladder_identity_residuals, lowering_from, occupied, pi_of)
+from .canonical import (OrthoRep, canonical, cyclic_from, ladder_identity_residuals,
+                        ladder_operators, lowering_from, occupied, pi_of)
 from .errors import (ClusteringError, DimensionError, IoError, NotARepresentationError,
                      NotHermitianError, NumericalDegeneracyError, OrderError,
                      OrthofermiError, ParseError, TruncationError)
@@ -21,8 +21,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AlgebraElement", "alg_adjoint", "alg_mul", "basis", "rho0",
-    "OrthoRep", "canonical", "cyclic_from", "ladder_F", "ladder_L",
-    "ladder_identity_residuals", "lowering_from", "occupied", "pi_of",
+    "OrthoRep", "canonical", "cyclic_from", "ladder_identity_residuals",
+    "ladder_operators", "lowering_from", "occupied", "pi_of",
     "ClusteringError", "DimensionError", "IoError", "NotARepresentationError",
     "NotHermitianError", "NumericalDegeneracyError", "OrderError",
     "OrthofermiError", "ParseError", "TruncationError",

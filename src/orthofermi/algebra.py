@@ -19,6 +19,13 @@ coincide with the block rule
 i.e. the coefficient square of side p+1 multiplies like a matrix. The map
 :func:`rho0` sends the monomials to the matrix units of that square and is a
 faithful *-isomorphism onto the full (p+1)x(p+1) matrix algebra.
+
+Validation happens once, in the public constructor
+``AlgebraElement(p, lam, nu, mu, sigma)``: it checks the order, converts
+every coefficient to complex and checks the shapes. The results of
+arithmetic on elements (products, adjoints, sums, differences and scalar
+multiples) are built from fresh complex arrays of the right shapes and skip
+that step; no result shares an array with an operand.
 """
 
 from __future__ import annotations
@@ -31,8 +38,17 @@ from .errors import OrderError
 
 
 def check_order(p: int) -> int:
-    """The orthofermion order ``p`` as an int; bools and non-positive values raise."""
-    if isinstance(p, bool) or int(p) != p or p < 1:
+    """The orthofermion order ``p`` as an int.
+
+    Any value equal to a positive integer is accepted (``3.0`` gives 3);
+    everything else, bools, NaN, infinities, strings and None included,
+    raises :class:`OrderError`.
+    """
+    try:
+        valid = not isinstance(p, (bool, np.bool_)) and int(p) == p and p >= 1
+    except (TypeError, ValueError, OverflowError):
+        valid = False
+    if not valid:
         raise OrderError(f"order p must be a positive integer, got {p!r}")
     return int(p)
 
@@ -44,6 +60,12 @@ class AlgebraElement:
     ``lam`` multiplies the vacuum projector Pi, ``nu[a]`` the annihilator
     c_{a+1}, ``mu[a]`` the creator c_{a+1}^dag and ``sigma[a, b]`` the
     quantum-transfer monomial c_{a+1}^dag c_{b+1}.
+
+    The constructor validates: it checks ``p`` with :func:`check_order`,
+    stores ``lam`` as a complex number and ``nu``, ``mu``, ``sigma`` as
+    complex copies of shapes (p,), (p,), (p, p), zeros when omitted, and
+    raises :class:`OrderError` on a wrong shape. Arithmetic results are
+    built by :func:`_element` without repeating those checks.
     """
 
     p: int
@@ -108,23 +130,36 @@ class AlgebraElement:
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         self._same_order(other)
-        return AlgebraElement(self.p, self.lam + other.lam, self.nu + other.nu,
-                              self.mu + other.mu, self.sigma + other.sigma)
+        return _element(self.p, self.lam + other.lam, self.nu + other.nu,
+                        self.mu + other.mu, self.sigma + other.sigma)
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
         self._same_order(other)
-        return AlgebraElement(self.p, self.lam - other.lam, self.nu - other.nu,
-                              self.mu - other.mu, self.sigma - other.sigma)
+        return _element(self.p, self.lam - other.lam, self.nu - other.nu,
+                        self.mu - other.mu, self.sigma - other.sigma)
 
     def __rmul__(self, scalar: complex) -> "AlgebraElement":
         s = complex(scalar)
-        return AlgebraElement(self.p, s * self.lam, s * self.nu, s * self.mu, s * self.sigma)
+        return _element(self.p, s * self.lam, s * self.nu, s * self.mu, s * self.sigma)
 
     def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
         return alg_mul(self, other)
 
     def adjoint(self) -> "AlgebraElement":
         return alg_adjoint(self)
+
+
+def _element(p: int, lam: complex, nu: np.ndarray, mu: np.ndarray,
+             sigma: np.ndarray) -> AlgebraElement:
+    """An element from coefficients that are already valid, unchecked.
+
+    The caller guarantees a positive int ``p``, a complex ``lam`` and fresh
+    complex arrays of shapes (p,), (p,), (p, p); the constructor's checks
+    and copies are skipped.
+    """
+    x = object.__new__(AlgebraElement)
+    x.__dict__.update(p=p, lam=lam, nu=nu, mu=mu, sigma=sigma)
+    return x
 
 
 def alg_mul(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
@@ -138,19 +173,16 @@ def alg_mul(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
         sigma'' = outer(mu, nu') + sigma sigma'
     """
     x._same_order(y)
-    return AlgebraElement(
-        x.p,
-        lam=x.lam * y.lam + x.nu @ y.mu,
-        nu=x.lam * y.nu + y.sigma.T @ x.nu,
-        mu=y.lam * x.mu + x.sigma @ y.mu,
-        sigma=np.outer(x.mu, y.nu) + x.sigma @ y.sigma,
-    )
+    return _element(x.p,
+                    x.lam * y.lam + complex(x.nu.dot(y.mu)),
+                    x.lam * y.nu + x.nu.dot(y.sigma),
+                    y.lam * x.mu + x.sigma.dot(y.mu),
+                    np.multiply.outer(x.mu, y.nu) + x.sigma.dot(y.sigma))
 
 
 def alg_adjoint(x: AlgebraElement) -> AlgebraElement:
     """The * operation: Pi is fixed, nu and mu swap, sigma conjugate-transposes."""
-    return AlgebraElement(x.p, np.conj(x.lam), np.conj(x.mu), np.conj(x.nu),
-                          np.conj(x.sigma).T)
+    return _element(x.p, x.lam.conjugate(), x.mu.conj(), x.nu.conj(), x.sigma.conj().T)
 
 
 def rho0(x: AlgebraElement) -> np.ndarray:
@@ -158,8 +190,9 @@ def rho0(x: AlgebraElement) -> np.ndarray:
 
     Pi -> E_11, c_a -> E_{1,a+1}, c_a^dag -> E_{a+1,1},
     c_a^dag c_b -> E_{a+1,b+1}; extended linearly. Exact in the coefficients.
+    Every call returns a new array.
     """
-    m = np.zeros((x.p + 1, x.p + 1), dtype=complex)
+    m = np.empty((x.p + 1, x.p + 1), dtype=complex)
     m[0, 0] = x.lam
     m[0, 1:] = x.nu
     m[1:, 0] = x.mu

@@ -92,33 +92,31 @@ def cyclic_from(c: list[np.ndarray]) -> np.ndarray:
     return lowering_from(c) + dagger(c[-1])
 
 
-def ladder_L(p: int) -> np.ndarray:
-    """Lowering operator of the canonical representation (kills |0>)."""
-    return lowering_from(canonical(p).c)
+def ladder_operators(p: int) -> tuple[OrthoRep, np.ndarray, np.ndarray]:
+    """The canonical representation, its lowering operator L (kills |0>) and
+    its cyclic lowering operator F = L + c_p^dag (a (p+1)-cycle permutation
+    matrix), each built once."""
+    rep = canonical(p)
+    L = lowering_from(rep.c)
+    return rep, L, L + dagger(rep.c[-1])
 
 
-def ladder_F(p: int) -> np.ndarray:
-    """Cyclic lowering operator; a (p+1)-cycle permutation matrix."""
-    return cyclic_from(canonical(p).c)
-
-
-def ladder_identity_residuals(p: int) -> dict[str, float]:
+def ladder_identity_residuals(rep: OrthoRep, L: np.ndarray, F: np.ndarray) -> dict[str, float]:
     """Residuals of the ladder-operator identity catalog on the canonical rep.
 
-    Every entry is max_abs(LHS - RHS) and equals 0.0 exactly. Conventions
-    that make the catalog uniform down to p = 1: c_0 means Pi and L^0 means
-    the identity. The sandwich identity L^{p-k} L^dag L^k = L^{p-1} is listed
-    for k in 1..p-1; at k = p the product instead equals L^{p-1} - c_{p-1},
-    which is covered by its own entry.
+    ``rep``, ``L`` and ``F`` are what :func:`ladder_operators` returns, so a
+    caller that also needs L and F builds them once. Every entry is
+    max_abs(LHS - RHS) and equals 0.0 exactly. Conventions that make the
+    catalog uniform down to p = 1: c_0 means Pi and L^0 means the identity.
+    The sandwich identity L^{p-k} L^dag L^k = L^{p-1} is listed for k in
+    1..p-1; at k = p the product instead equals L^{p-1} - c_{p-1}, which is
+    covered by its own entry.
     """
-    rep = canonical(p)
     p = rep.p
     n = p + 1
     eye = np.eye(n, dtype=complex)
     c = rep.c
     pi = pi_of(rep, eye)
-    L = lowering_from(c)
-    F = cyclic_from(c)
     Ld = L.conj().T
     Lk = [eye]  # Lk[k] = L^k for k in 0..p+2
     for _ in range(p + 2):
@@ -141,18 +139,23 @@ def ladder_identity_residuals(p: int) -> dict[str, float]:
             closed = np.zeros((n, n), dtype=complex)
         res[f"L^{k} closed form"] = max_abs(Lk[k] - closed)
 
-    res["L^p Ldag = c_{p-1}"] = max_abs(Lk[p] @ Ld - c_or_pi(p - 1))
-    res["Ldag L^p = L^{p-1} - c_{p-1}"] = max_abs(Ld @ Lk[p] - (Lk[p - 1] - c_or_pi(p - 1)))
+    # ssum collects the sandwiches L^{p-k} Ldag L^k of the sum rule, k = 0 and p first
+    ssum = Lk[p] @ Ld
+    res["L^p Ldag = c_{p-1}"] = max_abs(ssum - c_or_pi(p - 1))
+    sandwich = Ld @ Lk[p]
+    res["Ldag L^p = L^{p-1} - c_{p-1}"] = max_abs(sandwich - (Lk[p - 1] - c_or_pi(p - 1)))
+    ssum += sandwich
 
     for k in range(1, p + 1):
         res[f"L^{k} Pi = 0"] = max_abs(Lk[k] @ pi)
         res[f"Pi L^{k} = c_{k}"] = max_abs(pi @ Lk[k] - c[k - 1])
 
     for k in range(1, p):
-        res[f"L^{p - k} Ldag L^{k} = L^{p-1}"] = max_abs(Lk[p - k] @ Ld @ Lk[k] - Lk[p - 1])
+        sandwich = Lk[p - k] @ Ld @ Lk[k]
+        res[f"L^{p - k} Ldag L^{k} = L^{p-1}"] = max_abs(sandwich - Lk[p - 1])
+        ssum += sandwich
 
     res["L^{p+1} = 0"] = max_abs(Lk[p + 1])
-    ssum = sum(Lk[p - k] @ Ld @ Lk[k] for k in range(p + 1))
     res["sum_k L^{p-k} Ldag L^k = p L^{p-1}"] = max_abs(ssum - p * Lk[p - 1])
     res["F^{p+1} = 1"] = max_abs(np.linalg.matrix_power(F, p + 1) - eye)
     return res

@@ -21,7 +21,7 @@ import numpy as np
 from . import osusy as osy
 from . import reptheory as rt
 from . import serialize as ser
-from .canonical import canonical, ladder_F, ladder_L, ladder_identity_residuals
+from .canonical import canonical, ladder_identity_residuals, ladder_operators
 from .errors import DimensionError, IoError, OrderError, OrthofermiError, ParseError, TruncationError
 from .linalg import DEFAULT_RANK_TOL, DEFAULT_TOL
 
@@ -212,10 +212,11 @@ def cmd_osusy(args) -> Report:
 
 def cmd_ladder(args) -> Report:
     report = Report("ladder", {"p": args.p, "tol": args.tol})
-    for name, value in ladder_identity_residuals(args.p).items():
+    rep, L, F = ladder_operators(args.p)
+    for name, value in ladder_identity_residuals(rep, L, F).items():
         report.add(name, value, args.tol)
-    report.payload["L"] = ser.encode_matrix(ladder_L(args.p))
-    report.payload["F"] = ser.encode_matrix(ladder_F(args.p))
+    report.payload["L"] = ser.encode_matrix(L)
+    report.payload["F"] = ser.encode_matrix(F)
     return report
 
 

@@ -430,8 +430,10 @@ def build_generators(spectrum: SpectralData) -> SusyGenerators:
         v, energy = eig.vectors, _positive(level)[..., :, None]
         same = (level[..., :, None] == level[..., None, :]) & (level > 0.0)[..., :, None]
         c = np.where(same, c, 0.0) * (1.0 / np.sqrt(2.0 * energy))
-        para.append(v @ (np.sqrt(2.0 * energy) * lowering_from(c)) @ dagger(v))
-        frac.append(v @ (energy ** (1.0 / (sys.p + 1)) * cyclic_from(c)) @ dagger(v))
+        ladder = lowering_from(c)
+        para.append(v @ (np.sqrt(2.0 * energy) * ladder) @ dagger(v))
+        ladder += dagger(c[-1])  # L becomes F = L + c_p^dag
+        frac.append(v @ (energy ** (1.0 / (sys.p + 1)) * ladder) @ dagger(v))
         direct.append(dagger(cyclic_from(q)))
     return SusyGenerators(spectrum, para, frac, direct)
 
@@ -515,7 +517,13 @@ def check_generators(gens: SusyGenerators) -> dict[str, float]:
 
     h = worst["H"]
     res: dict[str, float] = {}
-    res["para^{p+1} = 0"] = rel("para^{p+1}", max(1.0, 2.0 * h) ** ((p + 1) / 2.0))
+    exponent = (p + 1) / 2.0
+    try:
+        res["para^{p+1} = 0"] = rel("para^{p+1}", max(1.0, 2.0 * h) ** exponent)
+    except OverflowError:
+        # (2h)^exponent exceeds the float range; (d^(1/e) / 2h)^e is d / (2h)^e
+        # without forming it
+        res["para^{p+1} = 0"] = (worst["para^{p+1}"] ** (1.0 / exponent) / (2.0 * h)) ** exponent
     if p >= 2:
         res["sum_k para^{p-k} para^dag para^k = 2p para^{p-1} H"] = \
             rel("sum rule", worst["sum rule rhs"])

@@ -1,13 +1,73 @@
-"""Dense oracles over the block stacks of :mod:`orthofermi.osusy`, for tests.
+"""Independent oracles for tests.
 
-The pipeline keeps no dense operators, no dense eigenvectors and no dense
-H^a; these helpers build them from the blocks, for checks that need the
-whole space.
+Dense oracles over the block stacks of :mod:`orthofermi.osusy`: the pipeline
+keeps no dense operators, no dense eigenvectors and no dense H^a; these
+helpers build them from the blocks, for checks that need the whole space.
+
+A symbolic oracle for :mod:`orthofermi.algebra`: :func:`monomial_product`
+multiplies two basis monomials from the defining relations alone, without
+the coefficient formulas of ``alg_mul`` and without ``rho0``.
 """
 
 import numpy as np
 
 from orthofermi import osusy
+from orthofermi.algebra import AlgebraElement
+
+
+def monomials(p):
+    """Labels of the (p+1)^2 monomials in the order of ``algebra.basis(p)``:
+    ("Pi",), ("c", a), ("cdag", a), then ("cdag c", a, b), with a, b in 1..p."""
+    out = [("Pi",)]
+    out += [("c", a) for a in range(1, p + 1)]
+    out += [("cdag", a) for a in range(1, p + 1)]
+    out += [("cdag c", a, b) for a in range(1, p + 1) for b in range(1, p + 1)]
+    return out
+
+
+def monomial_product(x, y):
+    """The product of two monomial labels: a label, or None for zero.
+
+    Derived from c_a c_b = 0 and c_a c_b^dag = delta_ab Pi, where
+    Pi = 1 - sum_g c_g^dag c_g. Their adjoints give c_a^dag c_b^dag = 0, and
+    the two consequences used below are
+
+        Pi c_a = c_a - sum_g c_g^dag (c_g c_a) = c_a
+        c_a Pi = c_a - sum_g (c_a c_g^dag) c_g = c_a - Pi c_a = 0
+
+    together with their adjoints c_a^dag Pi = c_a^dag and Pi c_a^dag = 0.
+    """
+    kind_x, kind_y = x[0], y[0]
+    if kind_x in ("Pi", "cdag"):
+        # x Pi = x, and x c_b^dag = 0 kills y = c_b^dag and y = c_b^dag c_d
+        if kind_y == "Pi":
+            return x                       # Pi Pi = Pi, c_a^dag Pi = c_a^dag
+        if kind_y == "c":
+            # Pi c_b = c_b, c_a^dag c_b = transfer
+            return y if kind_x == "Pi" else ("cdag c", x[1], y[1])
+        return None
+    # x = c_a or c_a^dag c_e ends in the annihilator c_e
+    e = x[-1]
+    if kind_y in ("Pi", "c"):
+        return None                        # c_e Pi = 0, c_e c_f = 0
+    f = y[1]                               # y = c_f^dag or c_f^dag c_g
+    if e != f:
+        return None                        # c_e c_f^dag = 0 for e != f
+    # c_e c_e^dag = Pi: what remains is x's head, Pi, then y's tail
+    head = ("cdag", x[1]) if kind_x == "cdag c" else ("Pi",)
+    tail = ("c", y[2]) if kind_y == "cdag c" else ("Pi",)
+    if tail == ("Pi",):
+        return head                        # c_a^dag Pi = c_a^dag, Pi Pi = Pi
+    return monomial_product(head, tail)    # Pi c_g = c_g, c_a^dag c_g = transfer
+
+
+def monomial_element(p, label):
+    """The :class:`AlgebraElement` of a monomial label, or zero for None."""
+    if label is None:
+        return AlgebraElement.zero(p)
+    constructors = {"Pi": AlgebraElement.vacuum, "c": AlgebraElement.annihilator,
+                "cdag": AlgebraElement.creator, "cdag c": AlgebraElement.transfer}
+    return constructors[label[0]](p, *label[1:])
 
 
 def dense(blocks, stacks):

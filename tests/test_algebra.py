@@ -1,9 +1,12 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 
-from orthofermi.algebra import AlgebraElement, alg_adjoint, alg_mul, basis, rho0
+from oracles import monomial_element, monomial_product, monomials
+from orthofermi import algebra
+from orthofermi.algebra import AlgebraElement, alg_adjoint, alg_mul, basis, check_order, rho0
 from orthofermi.errors import OrderError
 
 
@@ -104,3 +107,79 @@ def test_linear_structure():
     assert s.nu[0] == 1.0 and s.mu[1] == 1.0
     assert same(s - y, x)
     assert same(2.0 * x + (-2.0) * x, AlgebraElement.zero(2))
+
+
+@pytest.mark.parametrize("p", [math.nan, math.inf, -math.inf, None, "3", 2.5, True, 0, -1, 1j])
+def test_check_order_rejects_every_non_positive_integer(p):
+    with pytest.raises(OrderError):
+        check_order(p)
+
+
+def test_check_order_accepts_integral_values():
+    assert check_order(3.0) == 3 and type(check_order(3.0)) is int
+    assert check_order(np.int64(4)) == 4
+    assert check_order(1) == 1
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+def test_product_matches_the_symbolic_oracle_on_every_monomial_pair(p):
+    labels = monomials(p)
+    elements = basis(p)
+    for lx, x in zip(labels, elements):
+        assert same(x, monomial_element(p, lx))
+        for ly, y in zip(labels, elements):
+            assert same(alg_mul(x, y), monomial_element(p, monomial_product(lx, ly))), (lx, ly)
+
+
+def test_product_and_adjoint_never_call_rho0(monkeypatch):
+    def forbidden(x):
+        raise AssertionError("rho0 called")
+
+    monkeypatch.setattr(algebra, "rho0", forbidden)
+    labels = monomials(2)
+    for lx, x in zip(labels, basis(2)):
+        assert same(alg_adjoint(alg_adjoint(x)), x)
+        for ly, y in zip(labels, basis(2)):
+            assert same(x * y, monomial_element(2, monomial_product(lx, ly)))
+
+
+def test_constructor_rejects_wrong_shapes():
+    with pytest.raises(OrderError):
+        AlgebraElement(2, nu=[1.0, 2.0, 3.0])
+    with pytest.raises(OrderError):
+        AlgebraElement(2, mu=[1.0])
+    with pytest.raises(OrderError):
+        AlgebraElement(2, sigma=np.eye(3))
+    with pytest.raises(OrderError):
+        AlgebraElement(2, sigma=[1.0, 0.0])
+
+
+def test_arithmetic_on_mixed_orders_raises():
+    x, y = AlgebraElement.vacuum(2), AlgebraElement.vacuum(3)
+    for op in (alg_mul, lambda a, b: a * b, lambda a, b: a + b, lambda a, b: a - b):
+        with pytest.raises(OrderError):
+            op(x, y)
+
+
+def test_arithmetic_results_are_complex_fresh_and_shaped():
+    p = 3
+    rng = np.random.default_rng(5)
+    x = AlgebraElement(p, 1 - 2j, rng.normal(size=p), rng.normal(size=p),
+                       rng.normal(size=(p, p)) + 1j)
+    y = AlgebraElement(p, 0.5, rng.normal(size=p), rng.normal(size=p), rng.normal(size=(p, p)))
+    for z in (x * y, alg_adjoint(x), x + y, x - y, 2 * x):
+        assert z.p == p and isinstance(z.lam, complex)
+        for name, shape in (("nu", (p,)), ("mu", (p,)), ("sigma", (p, p))):
+            arr = getattr(z, name)
+            assert arr.dtype == np.complex128 and arr.shape == shape, name
+            for operand in (x, y):
+                for other in ("nu", "mu", "sigma"):
+                    assert not np.shares_memory(arr, getattr(operand, other)), name
+
+
+def test_rho0_returns_a_fresh_writable_array_on_every_call():
+    x = AlgebraElement.transfer(2, 1, 2)
+    first, second = rho0(x), rho0(x)
+    assert first.flags.writeable and not np.shares_memory(first, second)
+    first[0, 0] = 5.0
+    assert np.array_equal(rho0(x), second)

@@ -286,6 +286,21 @@ def test_ladder_order_one_nilpotency(capsys):
     assert doc["residuals"]["L^{p+1} = 0"] == 0.0
 
 
+
+def test_ladder_builds_the_representation_and_lowering_operator_once(capsys, monkeypatch):
+    module = sys.modules["orthofermi.canonical"]
+    calls = {"canonical": 0, "lowering_from": 0}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(module, name)):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    code, _ = run_json(capsys, "ladder", "--p", "5")
+    assert code == EXIT_PASS
+    assert calls == {"canonical": 1, "lowering_from": 1}
+
+
 # -- argument values -----------------------------------------------------------------
 
 @pytest.mark.parametrize("argv", [

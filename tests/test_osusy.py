@@ -362,6 +362,22 @@ def test_one_relation_check_per_cluster_class(monkeypatch):
 
 # -- generators -------------------------------------------------------------------
 
+def test_build_generators_forms_each_lowering_operator_once(monkeypatch):
+    # F = L + c_p^dag reuses the L of each block size; only frac_direct
+    # builds its own cyclic operator, from the charges
+    calls = Counter()
+    for name in ("lowering_from", "cyclic_from"):
+        make = getattr(osusy, name)
+
+        def counted(*args, _make=make, _name=name):
+            calls[_name] += 1
+            return _make(*args)
+        monkeypatch.setattr(osusy, name, counted)
+    spectrum = spectral(build_system(2, 6))
+    build_generators(spectrum)
+    assert calls == {"lowering_from": len(spectrum.eigs), "cyclic_from": len(spectrum.eigs)}
+
+
 def test_generator_identity_suite():
     sys_, spectrum, analyses, gens = pipeline(2, 4)
     residuals = check_generators(gens)
@@ -391,6 +407,25 @@ def test_a_nan_generator_entry_is_not_folded_away():
                  "[para, H] = 0", "para closed form"):
         assert math.isnan(residuals[name]), name
     assert not math.isnan(residuals["frac^{p+1} = H"])
+
+
+def test_a_nilpotency_scale_beyond_the_float_range_is_divided_out():
+    # (2 max|H|)^{3/2} overflows a float for H x 1e210; the scaled residual
+    # must still come out, not an OverflowError
+    Q, H = build_system(2, 4).dense()
+    with np.errstate(over="ignore", invalid="ignore"):
+        sys_ = system_from_dense(2, 1e105 * Q, 1e210 * H)
+        gens = build_generators(spectral(sys_))
+        assert check_generators(gens)["para^{p+1} = 0"] == 0.0
+        # a finite nonzero defect is divided by the scale, not folded to 0 or inf
+        para = [stack.copy() for stack in gens.para]
+        para[1][0] += 1e95 * np.triu(np.ones_like(para[1][0]))
+        defect = max(max_abs(np.linalg.matrix_power(m, 3)) for m in para)
+        residual = check_generators(replace(gens, para=para))["para^{p+1} = 0"]
+    h = max(max_abs(m) for m in sys_.H)
+    assert math.isfinite(defect) and defect > 0.0
+    assert math.isclose(residual, math.exp(math.log(defect) - 1.5 * math.log(2.0 * h)),
+                        rel_tol=1e-12)
 
 
 def test_order_one_generators():
