@@ -54,6 +54,8 @@ CASES = {
     "osusy-p2-l100": ["osusy --p 2 --levels 100 --json"],
     "osusy-p16-l8": ["osusy --p 16 --levels 8 --json"],
     "osusy-p2-l300": ["osusy --p 2 --levels 300 --json"],
+    "osusy-p32-l10": ["osusy --p 32 --levels 10 --json"],
+    "osusy-p64-l4": ["osusy --p 64 --levels 4 --json"],
     "osusy-p2-l5-table": ["osusy --p 2 --levels 5"],
     "osusy-p2-l3-out": ["osusy --p 2 --levels 3 --out {tmp}/sys.json --json"],
     "canonical-p3": ["canonical --p 3 --out {tmp}/rep.json --json"],
