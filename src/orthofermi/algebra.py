@@ -129,11 +129,15 @@ class AlgebraElement:
             raise OrderError(f"mixed orders p={self.p} and p={other.p}")
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
+        if not isinstance(other, AlgebraElement):
+            return NotImplemented
         self._same_order(other)
         return _element(self.p, self.lam + other.lam, self.nu + other.nu,
                         self.mu + other.mu, self.sigma + other.sigma)
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
+        if not isinstance(other, AlgebraElement):
+            return NotImplemented
         self._same_order(other)
         return _element(self.p, self.lam - other.lam, self.nu - other.nu,
                         self.mu - other.mu, self.sigma - other.sigma)
@@ -142,8 +146,12 @@ class AlgebraElement:
         s = complex(scalar)
         return _element(self.p, s * self.lam, s * self.nu, s * self.mu, s * self.sigma)
 
-    def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
-        return alg_mul(self, other)
+    def __mul__(self, other) -> "AlgebraElement":
+        """The algebra product with an element; with a scalar, the same
+        multiple as ``scalar * self``."""
+        if isinstance(other, AlgebraElement):
+            return alg_mul(self, other)
+        return self.__rmul__(other)
 
     def adjoint(self) -> "AlgebraElement":
         return alg_adjoint(self)

@@ -53,7 +53,11 @@ representation is the direct sum of its pieces, one per block it meets:
 ones of one size (in the oscillator, every positive piece) with one
 :func:`~orthofermi.reptheory.decompose_stack` against the identity as
 unit, which certifies each piece by the unitary it builds; the pair
-relations are checked once per system, by :func:`check_relations`. A piece
+relations are checked once per system, by :func:`check_relations`, on the
+blocks of the natural operators, where the relation kernel forms only the
+products that can be nonzero: each charge block of the oscillator has one
+nonzero entry, so a block takes p matrix-vector products in place of 2p^2
+matrix products. A piece
 with E <= 0 must carry no charge and is trivial. A piece starts wherever
 the cluster changes along a block's ascending levels, so the pieces of
 every block of one size are found at once, and a class is cut out of C with
@@ -264,9 +268,13 @@ def check_relations(spectrum: SpectralData) -> dict[str, float]:
     """Residuals of the orthosupersymmetry relations and of H >= 0.
 
     The charges of ``spectrum.system`` obey the orthofermion relations with
-    2H as unit; a NaN defect in any block makes its residual NaN. The
-    positivity entry is max(0, -min eigenvalue) over ``spectrum``, so 0.0
-    means a nonnegative spectrum.
+    2H as unit; a NaN defect in any block makes its residual NaN. Every
+    pair (a, b) is checked, each block size in one call of
+    :func:`~orthofermi.reptheory.relation_residuals`, which forms only the
+    pair products that the blocks' nonzero entries allow; the values are
+    those of the full products. The positivity entry is
+    max(0, -min eigenvalue) over ``spectrum``, so 0.0 means a nonnegative
+    spectrum.
     """
     sys = spectrum.system
     worst = np.zeros(3)
@@ -397,7 +405,7 @@ def eigenspace_reps(spectrum: SpectralData, tol: float = DEFAULT_TOL) -> list[Ei
         energies = np.asarray(spectrum.energies)[idx]
         c *= (1.0 / np.sqrt(2.0 * energies))[:, None, None]
         dec = decompose_stack(c, np.eye(size, dtype=complex), tol,
-                              labels=[f"eigenspace E = {e:.6g}" for e in energies])
+                              labels=lambda i: f"eigenspace E = {energies[i]:.6g}")
         np.add.at(copies, idx, dec.multiplicity)
         np.add.at(trivial, idx, dec.trivial_dim)
     copies, trivial = copies.tolist(), trivial.tolist()

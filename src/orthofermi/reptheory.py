@@ -48,9 +48,6 @@ from .errors import DimensionError, NotARepresentationError, NumericalDegeneracy
 from .linalg import (DEFAULT_RANK_TOL, DEFAULT_TOL, as_matrix, dagger, haar_unitary, max_abs,
                      orthonormal_range)
 
-#: Axes of a (p, k, n, n) stack that one representation's residual spans.
-_PER_REP = (0, -2, -1)
-
 
 def _worst(terms) -> np.ndarray:
     """Per stack element, the worst max_abs over ``terms``, each of shape (k, n, n).
@@ -82,31 +79,38 @@ class Decomposition:
     residuals: dict[str, float] | dict[str, np.ndarray]
 
 
-def _refuse(failed, labels, error, message) -> None:
+def _refuse(failed, label, error, message) -> None:
     """Raise ``error`` for the first stack element flagged in ``failed``.
 
     A check flags ``~(residual <= tol)``, so that a NaN residual fails it.
 
-    ``message(i)`` describes element i; its label, when not empty, prefixes
-    the text so that the error names the failing element.
+    ``message(i)`` describes element i; its label ``label(i)``, when not
+    empty, prefixes the text so that the error names the failing element.
+    Only the failing element's label is ever formed.
     """
     bad = np.flatnonzero(failed)
     if bad.size:
         i = bad[0]
-        raise error(f"{labels[i]}: {message(i)}" if labels[i] else message(i))
+        name = label(i)
+        raise error(f"{name}: {message(i)}" if name else message(i))
 
 
-def _infer_units(c: np.ndarray, tol: float, labels) -> np.ndarray:
+def _unnamed(i) -> str:
+    """The empty label of a lone representation."""
+    return ""
+
+
+def _infer_units(c: np.ndarray, tol: float, label) -> np.ndarray:
     """The representative of 1 of each element of a (p, k, n, n) stack."""
     occ = occupied(c)
     unit = c[0] @ dagger(c[0]) + occ
     for a in range(1, len(c)):
         defect = max_abs(c[a] @ dagger(c[a]) + occ - unit, axis=(-2, -1))
-        _refuse(~(defect <= tol), labels, NotARepresentationError,
+        _refuse(~(defect <= tol), label, NotARepresentationError,
                 lambda i: f"unit candidates from indices 1 and {a + 1} disagree by {defect[i]:.3e}")
     for a, m in enumerate(c):
         law = _worst((unit @ m - m, m @ unit - m))
-        _refuse(~(law <= tol), labels, NotARepresentationError,
+        _refuse(~(law <= tol), label, NotARepresentationError,
                 lambda i: f"inferred unit fails the unit law on c_{a + 1} by {law[i]:.3e}")
     return unit
 
@@ -119,35 +123,81 @@ def infer_unit(rep: OrthoRep, tol: float = DEFAULT_TOL) -> np.ndarray:
     both are checked within ``tol``. A representation with all generators
     zero legitimately yields R = 0.
     """
-    return _infer_units(np.stack(rep.c)[:, None], tol, ("",))[0]
+    return _infer_units(np.stack(rep.c)[:, None], tol, _unnamed)[0]
 
 
-def _units(c: np.ndarray, unit, tol: float, labels) -> np.ndarray:
+def _units(c: np.ndarray, unit, tol: float, label) -> np.ndarray:
     """The unit of each element of ``c``: ``unit``, one n x n matrix for all,
     or the units inferred per element when ``unit`` is None."""
     if unit is None:
-        return _infer_units(c, tol, labels)
+        return _infer_units(c, tol, label)
     unit = as_matrix(unit)
     if unit.shape != c.shape[-2:]:
         raise DimensionError(f"annihilator shape {c.shape[-2:]} does not match unit {unit.shape}")
     return unit
 
 
+def _index(mask: np.ndarray):
+    """The positions of ``mask`` as an index; a slice when it keeps all, so
+    that indexing with it copies nothing."""
+    return slice(None) if mask.all() else np.flatnonzero(mask)
+
+
 def _relation_defects(c: np.ndarray, unit: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per element of a (p, ..., n, n) stack: the defects of the two relations.
 
     The kernel of :func:`relation_residuals`; each value is the worst over
-    all index pairs (a, b) of that element.
+    all index pairs (a, b) of that element. Only the products that can be
+    nonzero are formed. Call row i of c_a kept when it holds a nonzero entry
+    in some element of the stack, and let R and C be the rows and the
+    columns that hold one in any c_b.
+
+      * Entry (i, j) of c_a c_b^dag sums over columns in C, and it vanishes
+        unless row i of c_a is kept and j is in R.
+      * Entry (i, j) of c_a c_b sums over L, the indices in both R and C, and
+        it vanishes unless row i of c_a is kept and column j of some c_b has
+        an entry in a row of L.
+
+    The kept rows of [c_1; ..; c_p] go in slabs of at most n, and each slab
+    meets every c_b in one batched product per relation, so a product is at
+    most (p, k, n, n). Every term and entry left out is exactly 0, so each
+    value is that of the full products up to the order in which the nonzero
+    terms are summed; a stack with nothing to leave out forms the full
+    c_a c_b and c_a c_b^dag, one c_a at a time. The blocks a = b of the
+    mixed relation add occ - unit in full: to the formed entries, and on its
+    own elsewhere.
     """
-    c_dag = dagger(c)
-    excess = occupied(c) - unit
-    nilpotent = mixed = 0.0
-    for a in range(len(c)):
-        nilpotent = np.maximum(nilpotent, max_abs(c[a] @ c, axis=_PER_REP))
-        products = c[a] @ c_dag
-        products[a] += excess
-        mixed = np.maximum(mixed, max_abs(products, axis=_PER_REP))
-    return nilpotent, mixed
+    p, *lead, n, _ = c.shape
+    excess = np.broadcast_to(occupied(c) - unit, (*lead, n, n)).reshape(-1, n, n)
+    c = c.reshape(p, -1, n, n)
+    k = c.shape[1]
+    nonzero = c != 0
+    rows = nonzero.any(axis=(1, 3))
+    in_rows, in_cols = rows.any(axis=0), nonzero.any(axis=(0, 1, 2))
+    kept, cols, inner = _index(in_rows), _index(in_cols), _index(in_rows & in_cols)
+    nilpotent_rhs = c[:, :, inner][..., _index(nonzero[:, :, inner].any(axis=(0, 1, 2)))]
+    mixed_rhs = dagger(c[:, :, kept][..., cols])
+    excess_rows = excess[..., kept]
+    a, i = np.nonzero(rows)
+    # the kept rows of [c_1; ..; c_p]: all of them, as a reshape, when none is dropped
+    stacked = np.moveaxis(c, 0, 1)
+    stacked = stacked.reshape(k, p * n, n) if a.size == p * n else stacked[:, a, i]
+    nilpotent, mixed = np.zeros(k), np.zeros(k)
+    for start in range(0, a.size, n):
+        sa, si = a[start:start + n], i[start:start + n]
+        slab = stacked[:, start:start + n]
+        nilpotent = np.maximum(nilpotent, max_abs(slab[..., inner] @ nilpotent_rhs,
+                                                  axis=(0, -2, -1)))
+        products = slab[..., cols] @ mixed_rhs
+        products[sa, :, np.arange(sa.size)] += np.swapaxes(excess_rows[:, si], 0, 1)
+        mixed = np.maximum(mixed, max_abs(products, axis=(0, -2, -1)))
+    # the blocks (a, a) hold occ - unit alone on the rows of c_a that are not
+    # kept and on the columns outside R
+    loose = _index(~rows.all(axis=0))
+    beside = np.where(rows[:, None, loose], 0.0, max_abs(excess_rows[:, loose], axis=-1))
+    mixed = np.maximum(mixed, np.maximum(beside.max(axis=(0, -1), initial=0.0),
+                                         max_abs(excess[..., ~in_rows], axis=(-2, -1))))
+    return nilpotent.reshape(lead), mixed.reshape(lead)
 
 
 def relation_residuals(c, unit: np.ndarray) -> tuple[float, float]:
@@ -156,7 +206,11 @@ def relation_residuals(c, unit: np.ndarray) -> tuple[float, float]:
     Returns max_abs(c_a c_b) and max_abs(c_a c_b^dag + delta_ab (occ - unit)),
     where occ = sum_g c_g^dag c_g and ``unit`` represents 1. ``c`` holds p
     matrices, or p stacks of shape (..., n, n) with ``unit`` broadcasting
-    against each; every c_a multiplies all c_b in one broadcast product.
+    against each. Only the products that can be nonzero are formed
+    (:func:`_relation_defects`): the rows that hold an entry, in slabs of at
+    most n, each against all c_b in one batched product. So a sparse stack,
+    such as the oscillator's charges in their natural basis, costs little,
+    and each value is that of the full products up to summation order.
     """
     nilpotent, mixed = _relation_defects(np.asarray(c), unit)
     return float(nilpotent.max(initial=0.0)), float(mixed.max(initial=0.0))
@@ -193,7 +247,7 @@ def verify(rep: OrthoRep, unit: np.ndarray | None = None, tol: float = DEFAULT_T
     max_abs defect over all index combinations.
     """
     c = np.stack(rep.c)[:, None]
-    table = _relation_table(c, _units(c, unit, tol, ("",)))
+    table = _relation_table(c, _units(c, unit, tol, _unnamed))
     return {name: float(value[0]) for name, value in table.items()}
 
 
@@ -229,7 +283,7 @@ def _pair_bounds(d_u, d_b, d_1, n: int, p: int) -> tuple[np.ndarray, np.ndarray]
 
 
 def _grow_copies(c: np.ndarray, vacua: np.ndarray, unit: np.ndarray, tol: float,
-                 rank_tol: float, labels) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+                 rank_tol: float, label) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """Steps 3 to 5 on a (p, k, n, n) stack whose vacua all have m columns.
 
     Returns the (k, n, n) unitaries U and the residuals of the split.
@@ -275,7 +329,7 @@ def _grow_copies(c: np.ndarray, vacua: np.ndarray, unit: np.ndarray, tol: float,
     m = vacua.shape[-1]
     if m == 0:
         stray = _worst(c)
-        _refuse(~(stray <= tol), labels, NotARepresentationError,
+        _refuse(~(stray <= tol), label, NotARepresentationError,
                 lambda i: f"vacuum projector vanishes but generators have norm {stray[i]:.3e}")
         basis = np.broadcast_to(np.eye(n, dtype=complex), (k, n, n))
         residuals = {"unitarity": np.zeros(k), "block": stray, "gram": np.zeros(k),
@@ -286,13 +340,13 @@ def _grow_copies(c: np.ndarray, vacua: np.ndarray, unit: np.ndarray, tol: float,
         family = np.stack([vacua, *(dagger(ca) @ vacua for ca in c)], axis=-1)
         family = family.reshape(k, n, m * (p + 1))
         gram = max_abs(dagger(family) @ family - np.eye(m * (p + 1)), axis=(-2, -1))
-        _refuse(~(gram <= tol), labels, NumericalDegeneracyError,
+        _refuse(~(gram <= tol), label, NumericalDegeneracyError,
                 lambda i: f"copy vectors fail orthonormality with Gram defect {gram[i]:.3e}")
 
         outside = np.eye(n) - family @ dagger(family)
         complements = _ranges(outside, tol, rank_tol)
         trivial = np.array([v.shape[1] for v in complements])
-        _refuse(m * (p + 1) + trivial != n, labels, NumericalDegeneracyError,
+        _refuse(m * (p + 1) + trivial != n, label, NumericalDegeneracyError,
                 lambda i: f"dimension bookkeeping failed: {m} copies of {p + 1} plus "
                           f"{trivial[i]} != {n}")
         t = n - m * (p + 1)
@@ -301,7 +355,7 @@ def _grow_copies(c: np.ndarray, vacua: np.ndarray, unit: np.ndarray, tol: float,
         if t:
             annihilation = _worst(term for ca in c
                                   for term in (ca @ complement, dagger(ca) @ complement))
-            _refuse(~(annihilation <= tol), labels, NotARepresentationError,
+            _refuse(~(annihilation <= tol), label, NotARepresentationError,
                     lambda i: f"complement of the copies is not annihilated, "
                               f"residual {annihilation[i]:.3e}")
 
@@ -315,19 +369,19 @@ def _grow_copies(c: np.ndarray, vacua: np.ndarray, unit: np.ndarray, tol: float,
         outside += unit - np.eye(n)
     bound = np.maximum(*_pair_bounds(residuals["unitarity"], residuals["block"],
                                      max_abs(outside, axis=(-2, -1)), n, p))
-    _refuse(~(bound <= tol), labels, NumericalDegeneracyError,
+    _refuse(~(bound <= tol), label, NumericalDegeneracyError,
             lambda i: f"the split certifies the relations only within {bound[i]:.3e} > tol {tol:.3e}")
     return basis, residuals
 
 
-def _split(c: np.ndarray, unit, tol: float, rank_tol: float, labels) -> Decomposition:
+def _split(c: np.ndarray, unit, tol: float, rank_tol: float, label) -> Decomposition:
     """Steps 2 to 5 of the module docstring on a (p, k, n, n) stack."""
     p, k, n, _ = c.shape
     rows, pi = _vacuum_rows(c, unit)
     worst = np.max(list(rows.values()), axis=0)
     # these rows are part of the relation table, so decompose_stack reports
     # this refusal as the table's
-    _refuse(~(worst <= tol), labels, NotARepresentationError,
+    _refuse(~(worst <= tol), label, NotARepresentationError,
             lambda i: f"vacuum projector fails with residual {worst[i]:.3e} > tol {tol:.3e}")
 
     vacua = _ranges(pi, tol, rank_tol)
@@ -339,7 +393,7 @@ def _split(c: np.ndarray, unit, tol: float, rank_tol: float, labels) -> Decompos
         group = np.flatnonzero(copies == m)
         basis[group], found = _grow_copies(c[:, group], np.stack([vacua[i] for i in group]),
                                            units[group], tol, rank_tol,
-                                           [labels[i] for i in group])
+                                           lambda i: label(group[i]))
         for name, value in found.items():
             residuals.setdefault(name, np.empty(k))[group] = value
     return Decomposition(copies, n - copies * (p + 1), basis, residuals)
@@ -356,7 +410,8 @@ def decompose_stack(c, unit=None, tol: float = DEFAULT_TOL, rank_tol: float = DE
     stack, under the same checks and tolerances. When a check refuses, the
     relations of :func:`verify` are checked on the whole stack first, and a
     failing one is reported in place of that check. An error names the first
-    failing representation by its entry of ``labels`` (by default
+    failing representation i by ``labels``: its entry i, or ``labels(i)``
+    when ``labels`` is a function, formed only then (by default
     "representation i"). Returns one :class:`Decomposition` of the whole
     stack, whose fields have a leading axis in stack order.
     """
@@ -365,14 +420,16 @@ def decompose_stack(c, unit=None, tol: float = DEFAULT_TOL, rank_tol: float = DE
         raise DimensionError(f"expected a (p, k, n, n) stack of annihilators, got {c.shape}")
     if not np.isfinite(c).all():
         raise ValueError("annihilators contain non-finite entries")
-    k = c.shape[1]
-    labels = [f"representation {i}" for i in range(k)] if labels is None else list(labels)
-    unit = _units(c, unit, tol, labels)
+    if labels is None:
+        label = "representation {}".format
+    else:
+        label = labels if callable(labels) else list(labels).__getitem__
+    unit = _units(c, unit, tol, label)
     try:
-        return _split(c, unit, tol, rank_tol, labels)
+        return _split(c, unit, tol, rank_tol, label)
     except (NotARepresentationError, NumericalDegeneracyError):
         worst = np.max(list(_relation_table(c, unit).values()), axis=0)
-        _refuse(~(worst <= tol), labels, NotARepresentationError,
+        _refuse(~(worst <= tol), label, NotARepresentationError,
                 lambda i: f"relations fail with residual {worst[i]:.3e} > tol {tol:.3e}")
         raise
 

@@ -4,6 +4,10 @@ Dense oracles over the block stacks of :mod:`orthofermi.osusy`: the pipeline
 keeps no dense operators, no dense eigenvectors and no dense H^a; these
 helpers build them from the blocks, for checks that need the whole space.
 
+A brute-force oracle for the relation kernel of :mod:`orthofermi.reptheory`:
+:func:`pair_relation_defects` forms every pair product in full, one pair and
+one stack element at a time.
+
 A symbolic oracle for :mod:`orthofermi.algebra`: :func:`monomial_product`
 multiplies two basis monomials from the defining relations alone, without
 the coefficient formulas of ``alg_mul`` and without ``rho0``.
@@ -68,6 +72,30 @@ def monomial_element(p, label):
     constructors = {"Pi": AlgebraElement.vacuum, "c": AlgebraElement.annihilator,
                 "cdag": AlgebraElement.creator, "cdag c": AlgebraElement.transfer}
     return constructors[label[0]](p, *label[1:])
+
+
+def pair_relation_defects(c, unit):
+    """Per element of a (p, k, n, n) stack, the worst max|c_a c_b| and
+    max|c_a c_b^dag + d_ab (occ - unit)| over all pairs (a, b).
+
+    Each element and each pair is formed on its own, with dense n x n
+    products; occ = sum_g c_g^dag c_g is summed in index order. ``unit`` is
+    one n x n matrix or one per element. NaN propagates into the maxima.
+    """
+    p, k, n, _ = c.shape
+    unit = np.broadcast_to(unit, (k, n, n))
+    nilpotent, mixed = np.zeros(k), np.zeros(k)
+    for i in range(k):
+        m = c[:, i]
+        excess = sum(g.conj().T @ g for g in m) - unit[i]
+        for a in range(p):
+            for b in range(p):
+                product = m[a] @ m[b].conj().T
+                if a == b:
+                    product = product + excess
+                nilpotent[i] = np.maximum(nilpotent[i], np.abs(m[a] @ m[b]).max())
+                mixed[i] = np.maximum(mixed[i], np.abs(product).max())
+    return nilpotent, mixed
 
 
 def dense(blocks, stacks):

@@ -109,6 +109,23 @@ def test_linear_structure():
     assert same(2.0 * x + (-2.0) * x, AlgebraElement.zero(2))
 
 
+@pytest.mark.parametrize("s", [2, 2.0, -1.5, 1 - 2j, np.float64(0.5), np.complex128(3j)])
+def test_a_scalar_multiplies_from_either_side(s):
+    x = AlgebraElement(2, 1 - 1j, [1, 2j], [3, 0.5], [[1, 2], [3j, 4]])
+    assert same(x * s, s * x)
+    assert same(AlgebraElement.vacuum(2) * s, AlgebraElement(2, lam=s))
+
+
+@pytest.mark.parametrize("other", [1, 2.0, 1j, None, "x", [1, 2], np.zeros(3)])
+def test_adding_a_non_element_is_a_type_error(other):
+    x = AlgebraElement.vacuum(2)
+    for op in (lambda a, b: a + b, lambda a, b: a - b):
+        with pytest.raises(TypeError):
+            op(x, other)
+        with pytest.raises(TypeError):
+            op(other, x)
+
+
 @pytest.mark.parametrize("p", [math.nan, math.inf, -math.inf, None, "3", 2.5, True, 0, -1, 1j])
 def test_check_order_rejects_every_non_positive_integer(p):
     with pytest.raises(OrderError):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import pair_relation_defects
 from orthofermi import reptheory
 from orthofermi.canonical import canonical
 from orthofermi.errors import (DimensionError, NotARepresentationError, NumericalDegeneracyError,
@@ -46,6 +47,98 @@ def test_relation_residuals_on_stacks_take_the_worst_matrix():
     each = [relation_residuals([m[k] for m in c], unit[k]) for k in range(4)]
     worst = [max(r[i] for r in each) for i in range(2)]
     assert relation_residuals(c, unit) == pytest.approx(worst, rel=1e-13)
+
+
+#: Entries of the exact stacks; their pair products are single rounded terms.
+EXACT_VALUES = np.array([1, -1, 1j, 2**0.5, 3**0.5, -(5**0.5)])
+
+#: Stack kinds of :func:`kernel_stack`.
+KINDS = ("dense", "exact", "rep")
+
+
+def kernel_stack(p, n, k, kind, row_mode, col_mode, seed):
+    """A seeded (p, k, n, n) stack of ``kind`` and its unit.
+
+      * "dense": complex Gaussian annihilators and units;
+      * "exact": at most one entry from ``EXACT_VALUES`` per row and column
+        of each matrix, so every pair product entry is one term and occ sums
+        one term per annihilator; a diagonal unit of such entries;
+      * "rep": canonical copies plus a trivial block in a permuted basis and
+        their unit, off by 1e-3 in one entry of one element, so that the
+        relations hold exactly everywhere else.
+
+    A mode of 0, 1 or 2 then zeroes no rows (columns) of an annihilator, a
+    random half or all of them, in every element of the stack.
+    """
+    rng = np.random.default_rng(seed)
+    if kind == "dense":
+        c = rng.standard_normal((p, k, n, n, 2)) @ [1, 1j]
+        unit = rng.standard_normal((k, n, n, 2)) @ [1, 1j]
+    elif kind == "exact":
+        c = np.zeros((p, k, n, n), dtype=complex)
+        slots = rng.permuted(np.broadcast_to(np.arange(n), (p, k, n)), axis=-1)
+        values = rng.choice(EXACT_VALUES, (p, k, n)) * (rng.random((p, k, n)) < 0.7)
+        np.put_along_axis(c, slots[..., None], values[..., None], axis=-1)
+        unit = np.diag(rng.choice(EXACT_VALUES, n))
+    else:
+        copies = int(rng.integers(n // (p + 1) + 1))
+        rep = block_rep(p, copies, n - copies * (p + 1))
+        turn = np.eye(n)[rng.permutation(n)]
+        c = np.repeat((turn @ np.stack(rep.c) @ turn.T)[:, None], k, axis=1)
+        unit = np.repeat((turn @ infer_unit(rep) @ turn.T)[None], k, axis=0)
+        unit[rng.integers(k), rng.integers(n), rng.integers(n)] += 1e-3
+    rows, cols = (rng.random((p, n)) < 0.5 if mode == 1 else np.full((p, n), mode == 2)
+                  for mode in (row_mode, col_mode))
+    c[np.broadcast_to(rows[:, None, :, None], c.shape)] = 0
+    c[np.broadcast_to(cols[:, None, None, :], c.shape)] = 0
+    return c, unit
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(p=st.integers(1, 8), n=st.integers(1, 12), k=st.integers(1, 3), kind=st.sampled_from(KINDS),
+       row_mode=st.integers(0, 2), col_mode=st.integers(0, 2), seed=st.integers(0, 2**32 - 1))
+def test_relation_kernel_matches_the_pair_oracle(p, n, k, kind, row_mode, col_mode, seed):
+    # the kernel forms only the products that can be nonzero; the oracle forms
+    # every pair in full
+    c, unit = kernel_stack(p, n, k, kind, row_mode, col_mode, seed)
+    found = reptheory._relation_defects(c, unit)
+    expected = pair_relation_defects(c, unit)
+    for got, want in zip(found, expected):
+        if kind == "dense":
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+        else:
+            assert np.array_equal(got, want)
+
+
+def test_a_row_that_only_some_annihilators_hold_still_counts_the_unit():
+    # c_2 = 0 beside c_1 = E_{0,1}: the block (2, 2) is occ - unit alone, and
+    # it fails on row 0, which only c_1 holds
+    c = np.zeros((2, 1, 3, 3), dtype=complex)
+    c[0, 0, 0, 1] = 1
+    unit = np.diag([1.0, 1.0, 0.0])
+    assert relation_residuals(c, unit) == (0.0, 1.0)
+    assert [v.tolist() for v in pair_relation_defects(c, unit)] == [[0.0], [1.0]]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(p=st.integers(1, 8), n=st.integers(1, 12), k=st.integers(1, 3), kind=st.sampled_from(KINDS),
+       row_mode=st.integers(0, 2), col_mode=st.integers(0, 2), seed=st.integers(0, 2**32 - 1),
+       bad=st.sampled_from([np.nan, np.inf, complex(0, -np.inf)]), in_unit=st.booleans())
+def test_one_non_finite_entry_fails_the_relation_kernel(p, n, k, kind, row_mode, col_mode, seed,
+                                                         bad, in_unit):
+    # also where the entry sits in a row or column that is otherwise zero
+    c, unit = kernel_stack(p, n, k, kind, row_mode, col_mode, seed)
+    unit = np.array(np.broadcast_to(unit, (k, n, n)))
+    rng = np.random.default_rng(seed)
+    where = (rng.integers(k), rng.integers(n), rng.integers(n))
+    if in_unit:
+        unit[where] = bad
+    else:
+        c[(rng.integers(p), *where)] = bad
+    with np.errstate(invalid="ignore", over="ignore"):
+        nilpotent, mixed = reptheory._relation_defects(c, unit)
+    worst = np.maximum(nilpotent, mixed)[where[0]]
+    assert not np.isfinite(worst) and not worst <= DEFAULT_TOL
 
 
 @pytest.mark.parametrize("p", range(1, 7))
@@ -195,6 +288,22 @@ def test_decompose_stack_names_the_failing_element():
         decompose_stack(stack_of([reps[0], reps[1], broken, reps[2]]))
     with pytest.raises(NotARepresentationError, match="^third: "):
         decompose_stack(stack_of([reps[0], reps[1], broken]), labels=["first", "second", "third"])
+
+
+def test_decompose_stack_forms_only_the_failing_label():
+    reps = [random_rep(2, copies, trivial, seed) for copies, trivial, seed in MIXED]
+    asked = []
+
+    def label(i):
+        asked.append(i)
+        return f"rep #{i}"
+    decompose_stack(stack_of(reps), labels=label)
+    assert asked == []
+    broken = random_rep(2, 1, 3, seed=14)
+    broken.c[0][0, 0] += 1e-3
+    with pytest.raises(NotARepresentationError, match="^rep #2: "):
+        decompose_stack(stack_of([reps[0], reps[1], broken, reps[2]]), labels=label)
+    assert asked == [2]
 
 
 def test_decompose_stack_checks_every_element_against_a_given_unit():
