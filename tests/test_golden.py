@@ -63,6 +63,8 @@ CASES = {
                           "--out {tmp}/rep.json --json"] + SCRAMBLED,
     "scrambled-pure": ["random-rep --p 3 --copies 2 --trivial 0 --seed 11 "
                        "--out {tmp}/rep.json --json"] + SCRAMBLED,
+    "scrambled-zero": ["random-rep --p 3 --copies 0 --trivial 5 --seed 1 "
+                       "--out {tmp}/rep.json --json"] + SCRAMBLED,
 }
 
 #: The files each case writes into its directory, recorded after its reports.
@@ -71,6 +73,7 @@ WRITES = {
     "canonical-p3": ["rep.json"],
     "scrambled-trivial": ["rep.json", "basis.json"],
     "scrambled-pure": ["rep.json", "basis.json"],
+    "scrambled-zero": ["rep.json", "basis.json"],
 }
 
 
