@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import OrderError
+from .linalg import check_addressable
 
 
 def check_order(p: int) -> int:
@@ -42,7 +43,8 @@ def check_order(p: int) -> int:
 
     Any value equal to a positive integer is accepted (``3.0`` gives 3);
     everything else, bools, NaN, infinities, strings and None included,
-    raises :class:`OrderError`.
+    raises :class:`OrderError`, as does an order too large for numpy to
+    address its (p+1) x (p+1) matrices.
     """
     try:
         valid = not isinstance(p, (bool, np.bool_)) and int(p) == p and p >= 1
@@ -50,6 +52,7 @@ def check_order(p: int) -> int:
         valid = False
     if not valid:
         raise OrderError(f"order p must be a positive integer, got {p!r}")
+    check_addressable(OrderError, f"order p = {int(p)}", int(p) + 1, int(p) + 1)
     return int(p)
 
 

@@ -15,6 +15,7 @@ explicit tolerance.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,9 @@ DEFAULT_TOL = 1e-10
 #: Default relative threshold for numerical rank decisions.
 DEFAULT_RANK_TOL = 1e-8
 
+#: The most bytes one numpy array can span.
+MAX_BYTES = np.iinfo(np.intp).max
+
 
 def as_matrix(a) -> np.ndarray:
     """Coerce ``a`` to a 2-d complex128 array with finite entries."""
@@ -36,6 +40,20 @@ def as_matrix(a) -> np.ndarray:
     if m.size and not np.isfinite(m).all():
         raise ValueError("matrix contains non-finite entries")
     return m
+
+
+def check_addressable(error, what: str, *shape: int) -> None:
+    """Raise ``error`` when a complex array of ``shape`` would span more bytes
+    than one numpy array can address.
+
+    numpy refuses such a size with a ValueError or OverflowError, not with
+    the MemoryError of a size that is merely too large for the machine, so
+    a size read from the command line or a file is checked before any array
+    is made. The arithmetic is on Python ints, so no size can wrap.
+    """
+    if math.prod(shape) * np.dtype(complex).itemsize > MAX_BYTES:
+        raise error(f"{what} is too large: a complex array of shape {shape} "
+                    f"exceeds numpy's index range")
 
 
 def dagger(a) -> np.ndarray:
@@ -49,12 +67,8 @@ def max_abs(a, axis=None):
     With ``axis``, the maximum over those axes only, as an array: for a
     (k, n, n) stack, ``axis=(-2, -1)`` gives one value per matrix.
     """
-    a = np.asarray(a)
-    if axis is not None:
-        return np.abs(a).max(axis=axis, initial=0.0)
-    if a.size == 0:
-        return 0.0
-    return float(np.abs(a).max())
+    worst = np.abs(np.asarray(a)).max(axis=axis, initial=0.0)
+    return float(worst) if axis is None else worst
 
 
 @dataclass(frozen=True)

@@ -54,14 +54,15 @@ ones of one size (in the oscillator, every positive piece) with one
 :func:`~orthofermi.reptheory.decompose_stack` against the identity as
 unit, which certifies each piece by the unitary it builds; the pair
 relations are checked once per system, by :func:`check_relations`, on the
-blocks of the natural operators, where the relation kernel forms only the
-products that can be nonzero: each charge block of the oscillator has one
-nonzero entry, so a block takes p matrix-vector products in place of 2p^2
-matrix products. A piece
-with E <= 0 must carry no charge and is trivial. A piece starts wherever
-the cluster changes along a block's ascending levels, so the pieces of
-every block of one size are found at once, and a class is cut out of C with
-one gather per block size, not one slice per piece.
+blocks of the natural operators, where the relation kernel runs its pair
+loop on the rows and columns that hold an entry: every charge block of the
+oscillator holds its one nonzero entry in the same row, so all p charges of
+a block size enter together as one row each, and the singleton blocks,
+which hold no entry, form no product. A piece with E <= 0 must carry no
+charge and is trivial. A piece starts wherever the cluster changes along a
+block's ascending levels, so the pieces of every block of one size are
+found at once, and a class is cut out of C with one gather per block size,
+not one slice per piece.
 """
 
 from __future__ import annotations
@@ -74,7 +75,7 @@ import numpy as np
 from .algebra import check_order
 from .canonical import cyclic_from, lowering_from, occupied
 from .errors import ClusteringError, DimensionError, NotARepresentationError, TruncationError
-from .linalg import DEFAULT_TOL, HermEig, dagger, herm_eig, max_abs
+from .linalg import DEFAULT_TOL, HermEig, check_addressable, dagger, herm_eig, max_abs
 from .reptheory import decompose_stack, relation_residuals
 
 #: Default relative tolerance for grouping eigenvalues into clusters.
@@ -178,6 +179,7 @@ def build_system(p: int, levels: int) -> OsusySystem:
     if int(levels) != levels or levels < 2:
         raise TruncationError(f"need at least 2 boson levels, got {levels!r}")
     levels = int(levels)
+    check_addressable(TruncationError, f"levels = {levels} at p = {p}", p, levels, p + 1, p + 1)
     dim = levels * (p + 1)
     n = np.repeat(np.arange(levels - 1), p)
     a = np.tile(np.arange(1, p + 1), levels - 1)
@@ -270,9 +272,9 @@ def check_relations(spectrum: SpectralData) -> dict[str, float]:
     The charges of ``spectrum.system`` obey the orthofermion relations with
     2H as unit; a NaN defect in any block makes its residual NaN. Every
     pair (a, b) is checked, each block size in one call of
-    :func:`~orthofermi.reptheory.relation_residuals`, which forms only the
-    pair products that the blocks' nonzero entries allow; the values are
-    those of the full products. The positivity entry is
+    :func:`~orthofermi.reptheory.relation_residuals`, which runs its pair
+    loop on the rows and columns where the blocks hold an entry; the values
+    are those of the full products. The positivity entry is
     max(0, -min eigenvalue) over ``spectrum``, so 0.0 means a nonnegative
     spectrum.
     """

@@ -45,8 +45,8 @@ import numpy as np
 
 from .canonical import OrthoRep, canonical, occupied
 from .errors import DimensionError, NotARepresentationError, NumericalDegeneracyError
-from .linalg import (DEFAULT_RANK_TOL, DEFAULT_TOL, as_matrix, dagger, haar_unitary, max_abs,
-                     orthonormal_range)
+from .linalg import (DEFAULT_RANK_TOL, DEFAULT_TOL, as_matrix, check_addressable, dagger,
+                     haar_unitary, max_abs, orthonormal_range)
 
 
 def _worst(terms) -> np.ndarray:
@@ -147,56 +147,46 @@ def _relation_defects(c: np.ndarray, unit: np.ndarray) -> tuple[np.ndarray, np.n
     """Per element of a (p, ..., n, n) stack: the defects of the two relations.
 
     The kernel of :func:`relation_residuals`; each value is the worst over
-    all index pairs (a, b) of that element. Only the products that can be
-    nonzero are formed. Call row i of c_a kept when it holds a nonzero entry
-    in some element of the stack, and let R and C be the rows and the
-    columns that hold one in any c_b.
+    all index pairs (a, b) of that element. Let R and C be the rows and the
+    columns that hold a nonzero entry in some c_b of some element, and L the
+    indices in both.
 
-      * Entry (i, j) of c_a c_b^dag sums over columns in C, and it vanishes
-        unless row i of c_a is kept and j is in R.
-      * Entry (i, j) of c_a c_b sums over L, the indices in both R and C, and
-        it vanishes unless row i of c_a is kept and column j of some c_b has
-        an entry in a row of L.
+      * Entry (i, j) of c_a c_b sums over L, and it vanishes unless i is in
+        R and column j of some c_b has an entry in a row of L.
+      * Entry (i, j) of c_a c_b^dag sums over C, and it vanishes unless both
+        i and j are in R.
 
-    The kept rows of [c_1; ..; c_p] go in slabs of at most n, and each slab
-    meets every c_b in one batched product per relation, so a product is at
-    most (p, k, n, n). Every term and entry left out is exactly 0, so each
-    value is that of the full products up to the order in which the nonzero
-    terms are summed; a stack with nothing to leave out forms the full
-    c_a c_b and c_a c_b^dag, one c_a at a time. The blocks a = b of the
-    mixed relation add occ - unit in full: to the formed entries, and on its
-    own elsewhere.
+    So each c_a enters whole on its rows R, in groups of n // |R|
+    annihilators, and each group meets every c_b in one batched product per
+    relation, at most (p, k, n, n). Every term and entry left out is exactly
+    0, so each value is that of the full products up to the order in which
+    the nonzero terms are summed; a dense stack forms the full c_a c_b and
+    c_a c_b^dag, one c_a at a time. The blocks a = b of the mixed relation
+    add occ - unit, to the products on R x R and on its own outside it.
     """
     p, *lead, n, _ = c.shape
     excess = np.broadcast_to(occupied(c) - unit, (*lead, n, n)).reshape(-1, n, n)
     c = c.reshape(p, -1, n, n)
     k = c.shape[1]
     nonzero = c != 0
-    rows = nonzero.any(axis=(1, 3))
-    in_rows, in_cols = rows.any(axis=0), nonzero.any(axis=(0, 1, 2))
-    kept, cols, inner = _index(in_rows), _index(in_cols), _index(in_rows & in_cols)
+    in_rows, in_cols = nonzero.any(axis=(0, 1, 3)), nonzero.any(axis=(0, 1, 2))
+    rows, cols, inner = _index(in_rows), _index(in_cols), _index(in_rows & in_cols)
     nilpotent_rhs = c[:, :, inner][..., _index(nonzero[:, :, inner].any(axis=(0, 1, 2)))]
-    mixed_rhs = dagger(c[:, :, kept][..., cols])
-    excess_rows = excess[..., kept]
-    a, i = np.nonzero(rows)
-    # the kept rows of [c_1; ..; c_p]: all of them, as a reshape, when none is dropped
-    stacked = np.moveaxis(c, 0, 1)
-    stacked = stacked.reshape(k, p * n, n) if a.size == p * n else stacked[:, a, i]
-    nilpotent, mixed = np.zeros(k), np.zeros(k)
-    for start in range(0, a.size, n):
-        sa, si = a[start:start + n], i[start:start + n]
-        slab = stacked[:, start:start + n]
-        nilpotent = np.maximum(nilpotent, max_abs(slab[..., inner] @ nilpotent_rhs,
+    mixed_rhs = dagger(c[:, :, rows][..., cols])
+    excess_inside = excess[:, rows][..., rows]
+    nilpotent = np.zeros(k)
+    mixed = max_abs(excess[:, ~(in_rows[:, None] & in_rows)], axis=-1)
+    r = np.count_nonzero(in_rows)
+    for a in range(0, p if r else 0, n // max(r, 1)):
+        group = c[a:a + n // r, :, rows]
+        j = np.arange(len(group))
+        group = np.moveaxis(group, 0, 1).reshape(k, -1, n)
+        nilpotent = np.maximum(nilpotent, max_abs(group[..., inner] @ nilpotent_rhs,
                                                   axis=(0, -2, -1)))
-        products = slab[..., cols] @ mixed_rhs
-        products[sa, :, np.arange(sa.size)] += np.swapaxes(excess_rows[:, si], 0, 1)
+        products = group[..., cols] @ mixed_rhs
+        # block (a + j, a + j) sits in rows j r .. (j + 1) r - 1 of the group
+        products.reshape(p, k, j.size, r, r)[a + j, :, j] += excess_inside
         mixed = np.maximum(mixed, max_abs(products, axis=(0, -2, -1)))
-    # the blocks (a, a) hold occ - unit alone on the rows of c_a that are not
-    # kept and on the columns outside R
-    loose = _index(~rows.all(axis=0))
-    beside = np.where(rows[:, None, loose], 0.0, max_abs(excess_rows[:, loose], axis=-1))
-    mixed = np.maximum(mixed, np.maximum(beside.max(axis=(0, -1), initial=0.0),
-                                         max_abs(excess[..., ~in_rows], axis=(-2, -1))))
     return nilpotent.reshape(lead), mixed.reshape(lead)
 
 
@@ -206,11 +196,10 @@ def relation_residuals(c, unit: np.ndarray) -> tuple[float, float]:
     Returns max_abs(c_a c_b) and max_abs(c_a c_b^dag + delta_ab (occ - unit)),
     where occ = sum_g c_g^dag c_g and ``unit`` represents 1. ``c`` holds p
     matrices, or p stacks of shape (..., n, n) with ``unit`` broadcasting
-    against each. Only the products that can be nonzero are formed
-    (:func:`_relation_defects`): the rows that hold an entry, in slabs of at
-    most n, each against all c_b in one batched product. So a sparse stack,
-    such as the oscillator's charges in their natural basis, costs little,
-    and each value is that of the full products up to summation order.
+    against each. The pair loop runs on the rows and columns that hold an
+    entry (:func:`_relation_defects`), so a sparse stack, such as the
+    oscillator's charges in their natural basis, costs little, and each
+    value is that of the full products up to summation order.
     """
     nilpotent, mixed = _relation_defects(np.asarray(c), unit)
     return float(nilpotent.max(initial=0.0)), float(mixed.max(initial=0.0))
@@ -286,7 +275,9 @@ def _grow_copies(c: np.ndarray, vacua: np.ndarray, unit: np.ndarray, tol: float,
                  rank_tol: float, label) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """Steps 3 to 5 on a (p, k, n, n) stack whose vacua all have m columns.
 
-    Returns the (k, n, n) unitaries U and the residuals of the split.
+    Returns the (k, n, n) unitaries U and the residuals of the split. When
+    m = 0 the copy family is empty and U is the complement's basis, so a
+    nonzero generator fails the complement annihilation.
 
     The certificate. Let U = [F, G] with F the m(p+1) copy columns, T_a the
     target blocks (:func:`_expected_blocks`), R = ``unit``, and let d_U, d_B
@@ -327,46 +318,34 @@ def _grow_copies(c: np.ndarray, vacua: np.ndarray, unit: np.ndarray, tol: float,
     """
     p, k, n, _ = c.shape
     m = vacua.shape[-1]
-    if m == 0:
-        stray = _worst(c)
-        _refuse(~(stray <= tol), label, NotARepresentationError,
-                lambda i: f"vacuum projector vanishes but generators have norm {stray[i]:.3e}")
-        basis = np.broadcast_to(np.eye(n, dtype=complex), (k, n, n))
-        residuals = {"unitarity": np.zeros(k), "block": stray, "gram": np.zeros(k),
-                     "complement annihilation": stray}
-        outside = unit
-    else:
-        # column i (p+1) + a holds e_i for a = 0 and c_a^dag e_i otherwise
-        family = np.stack([vacua, *(dagger(ca) @ vacua for ca in c)], axis=-1)
-        family = family.reshape(k, n, m * (p + 1))
-        gram = max_abs(dagger(family) @ family - np.eye(m * (p + 1)), axis=(-2, -1))
-        _refuse(~(gram <= tol), label, NumericalDegeneracyError,
-                lambda i: f"copy vectors fail orthonormality with Gram defect {gram[i]:.3e}")
+    # column i (p+1) + a holds e_i for a = 0 and c_a^dag e_i otherwise
+    family = np.stack([vacua, *(dagger(ca) @ vacua for ca in c)], axis=-1)
+    family = family.reshape(k, n, m * (p + 1))
+    gram = max_abs(dagger(family) @ family - np.eye(m * (p + 1)), axis=(-2, -1))
+    _refuse(~(gram <= tol), label, NumericalDegeneracyError,
+            lambda i: f"copy vectors fail orthonormality with Gram defect {gram[i]:.3e}")
 
-        outside = np.eye(n) - family @ dagger(family)
-        complements = _ranges(outside, tol, rank_tol)
-        trivial = np.array([v.shape[1] for v in complements])
-        _refuse(m * (p + 1) + trivial != n, label, NumericalDegeneracyError,
-                lambda i: f"dimension bookkeeping failed: {m} copies of {p + 1} plus "
-                          f"{trivial[i]} != {n}")
-        t = n - m * (p + 1)
-        complement = np.stack(complements)
-        annihilation = np.zeros(k)
-        if t:
-            annihilation = _worst(term for ca in c
-                                  for term in (ca @ complement, dagger(ca) @ complement))
-            _refuse(~(annihilation <= tol), label, NotARepresentationError,
-                    lambda i: f"complement of the copies is not annihilated, "
-                              f"residual {annihilation[i]:.3e}")
+    outside = np.eye(n) - family @ dagger(family)
+    complements = _ranges(outside, tol, rank_tol)
+    trivial = np.array([v.shape[1] for v in complements])
+    _refuse(m * (p + 1) + trivial != n, label, NumericalDegeneracyError,
+            lambda i: f"dimension bookkeeping failed: {m} copies of {p + 1} plus "
+                      f"{trivial[i]} != {n}")
+    t = n - m * (p + 1)
+    complement = np.stack(complements)
+    annihilation = _worst(term for ca in c for term in (ca @ complement, dagger(ca) @ complement))
+    _refuse(~(annihilation <= tol), label, NotARepresentationError,
+            lambda i: f"complement of the copies is not annihilated, "
+                      f"residual {annihilation[i]:.3e}")
 
-        basis = np.concatenate([family, complement], axis=-1)
-        basis_dag = dagger(basis)
-        residuals = {
-            "unitarity": max_abs(basis_dag @ basis - np.eye(n), axis=(-2, -1)),
-            "block": _worst(basis_dag @ ca @ basis - target
-                            for ca, target in zip(c, _expected_blocks(p, m, t))),
-            "gram": gram, "complement annihilation": annihilation}
-        outside += unit - np.eye(n)
+    basis = np.concatenate([family, complement], axis=-1)
+    basis_dag = dagger(basis)
+    residuals = {
+        "unitarity": max_abs(basis_dag @ basis - np.eye(n), axis=(-2, -1)),
+        "block": _worst(basis_dag @ ca @ basis - target
+                        for ca, target in zip(c, _expected_blocks(p, m, t))),
+        "gram": gram, "complement annihilation": annihilation}
+    outside += unit - np.eye(n)
     bound = np.maximum(*_pair_bounds(residuals["unitarity"], residuals["block"],
                                      max_abs(outside, axis=(-2, -1)), n, p))
     _refuse(~(bound <= tol), label, NumericalDegeneracyError,
@@ -461,7 +440,8 @@ def random_rep(p: int, copies: int, trivial: int, seed: int) -> OrthoRep:
     """
     if copies < 0 or trivial < 0 or copies + trivial < 1:
         raise DimensionError("need copies >= 0, trivial >= 0 and copies + trivial >= 1")
-    blocks = _expected_blocks(p, copies, trivial)
     n = copies * (p + 1) + trivial
+    check_addressable(DimensionError, f"dimension {n}", p, n, n)
+    blocks = _expected_blocks(p, copies, trivial)
     u = haar_unitary(n, np.random.default_rng(seed))
     return OrthoRep(p=p, dim=n, c=[u @ b @ u.conj().T for b in blocks])

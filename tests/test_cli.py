@@ -321,17 +321,34 @@ def test_ladder_builds_the_representation_and_lowering_operator_once(capsys, mon
     ["decompose", "{rep}", "--tol", "nan"],
     ["verify", "{rep}", "--tol", "-1"],
     ["ladder", "--p", "2", "--tol", "nan"],
-    # each asks for exbibytes at once, so that the request fails and nothing is allocated
+    # each asks for more than one numpy array can address, so that the size is
+    # refused before any array is made
     ["osusy", "--p", "2", "--levels", "1000000000000000000"],
     ["random-rep", "--p", "2", "--copies", "1000000000", "--trivial", "0", "--seed", "1"],
+    ["osusy", "--p", "3", "--levels", "99999999999999999999"],
+    ["osusy", "--p", "2", "--levels", "4611686018427387904"],
+    ["osusy", "--p", "99999999999999999999", "--levels", "2"],
+    ["random-rep", "--p", "99999999999999999999", "--copies", "1", "--trivial", "0",
+     "--seed", "1"],
+    ["random-rep", "--p", "2", "--copies", "99999999999999999999", "--trivial", "0",
+     "--seed", "1"],
+    ["random-rep", "--p", "2", "--copies", "1", "--trivial", "99999999999999999999",
+     "--seed", "1"],
+    ["ladder", "--p", "99999999999999999999"],
+    ["canonical", "--p", "99999999999999999999"],
+    # addressable, but petabytes at once, so that the request fails and nothing is allocated
+    ["osusy", "--p", "2", "--levels", "10000000000000000"],
 ], ids=["osusy-p", "osusy-levels", "ladder-p", "random-rep-negative", "random-rep-empty",
         "random-rep-seed", "osusy-tol-nan", "osusy-tol-negative", "osusy-tol-inf",
         "osusy-cluster-tol-nan", "osusy-cluster-tol-negative", "osusy-cluster-tol-inf",
         "decompose-rank-tol-nan", "decompose-rank-tol-negative", "decompose-tol-nan",
         "verify-tol-negative", "ladder-tol-nan", "osusy-levels-too-large",
-        "random-rep-too-large"])
+        "random-rep-too-large", "osusy-levels-past-intp", "osusy-levels-past-bytes",
+        "osusy-p-past-intp", "random-rep-p-past-intp", "random-rep-copies-past-intp",
+        "random-rep-trivial-past-intp", "ladder-p-past-intp", "canonical-p-past-intp",
+        "osusy-levels-beyond-memory"])
 def test_invalid_argument_values_are_input_failures(tmp_path, capsys, argv):
-    if argv[0] == "random-rep":
+    if argv[0] in ("random-rep", "canonical"):
         argv = argv + ["--out", str(tmp_path / "rep.json")]
     if "{rep}" in argv:
         # a readable file, so that only the option value can be at fault

@@ -68,7 +68,9 @@ def kernel_stack(p, n, k, kind, row_mode, col_mode, seed):
         relations hold exactly everywhere else.
 
     A mode of 0, 1 or 2 then zeroes no rows (columns) of an annihilator, a
-    random half or all of them, in every element of the stack.
+    random half or all of them, in every element of the stack; a mode of 3
+    zeroes a random half in each element independently, so that the kernel's
+    support is a union over elements as well as over annihilators.
     """
     rng = np.random.default_rng(seed)
     if kind == "dense":
@@ -87,19 +89,19 @@ def kernel_stack(p, n, k, kind, row_mode, col_mode, seed):
         c = np.repeat((turn @ np.stack(rep.c) @ turn.T)[:, None], k, axis=1)
         unit = np.repeat((turn @ infer_unit(rep) @ turn.T)[None], k, axis=0)
         unit[rng.integers(k), rng.integers(n), rng.integers(n)] += 1e-3
-    rows, cols = (rng.random((p, n)) < 0.5 if mode == 1 else np.full((p, n), mode == 2)
-                  for mode in (row_mode, col_mode))
-    c[np.broadcast_to(rows[:, None, :, None], c.shape)] = 0
-    c[np.broadcast_to(cols[:, None, None, :], c.shape)] = 0
+    rows, cols = (rng.random((p, k if mode == 3 else 1, n)) < 0.5 if mode in (1, 3)
+                  else np.full((p, 1, n), mode == 2) for mode in (row_mode, col_mode))
+    c[np.broadcast_to(rows[..., None], c.shape)] = 0
+    c[np.broadcast_to(cols[..., None, :], c.shape)] = 0
     return c, unit
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(p=st.integers(1, 8), n=st.integers(1, 12), k=st.integers(1, 3), kind=st.sampled_from(KINDS),
-       row_mode=st.integers(0, 2), col_mode=st.integers(0, 2), seed=st.integers(0, 2**32 - 1))
+       row_mode=st.integers(0, 3), col_mode=st.integers(0, 3), seed=st.integers(0, 2**32 - 1))
 def test_relation_kernel_matches_the_pair_oracle(p, n, k, kind, row_mode, col_mode, seed):
-    # the kernel forms only the products that can be nonzero; the oracle forms
-    # every pair in full
+    # the kernel multiplies on the stack's support; the oracle forms every
+    # pair in full
     c, unit = kernel_stack(p, n, k, kind, row_mode, col_mode, seed)
     found = reptheory._relation_defects(c, unit)
     expected = pair_relation_defects(c, unit)
@@ -122,7 +124,7 @@ def test_a_row_that_only_some_annihilators_hold_still_counts_the_unit():
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(p=st.integers(1, 8), n=st.integers(1, 12), k=st.integers(1, 3), kind=st.sampled_from(KINDS),
-       row_mode=st.integers(0, 2), col_mode=st.integers(0, 2), seed=st.integers(0, 2**32 - 1),
+       row_mode=st.integers(0, 3), col_mode=st.integers(0, 3), seed=st.integers(0, 2**32 - 1),
        bad=st.sampled_from([np.nan, np.inf, complex(0, -np.inf)]), in_unit=st.booleans())
 def test_one_non_finite_entry_fails_the_relation_kernel(p, n, k, kind, row_mode, col_mode, seed,
                                                          bad, in_unit):
