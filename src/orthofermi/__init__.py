@@ -4,7 +4,7 @@ para- and fractional supersymmetries of the orthosupersymmetric oscillator.
 
 from .algebra import AlgebraElement, alg_adjoint, alg_mul, rho0
 from .canonical import (OrthoRep, canonical, cyclic_from, ladder_identity_residuals,
-                        ladder_operators, lowering_from, occupied, pi_of)
+                        ladder_operators, lowering_from, occupied)
 from .errors import (ClusteringError, DimensionError, IoError, NotARepresentationError,
                      NotHermitianError, NumericalDegeneracyError, OrderError,
                      OrthofermiError, ParseError, TruncationError)
@@ -22,7 +22,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AlgebraElement", "alg_adjoint", "alg_mul", "rho0",
     "OrthoRep", "canonical", "cyclic_from", "ladder_identity_residuals",
-    "ladder_operators", "lowering_from", "occupied", "pi_of",
+    "ladder_operators", "lowering_from", "occupied",
     "ClusteringError", "DimensionError", "IoError", "NotARepresentationError",
     "NotHermitianError", "NumericalDegeneracyError", "OrderError",
     "OrthofermiError", "ParseError", "TruncationError",

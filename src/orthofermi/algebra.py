@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import OrderError
-from .linalg import check_addressable
+from .linalg import check_addressable, is_count
 
 
 def check_order(p: int) -> int:
@@ -46,11 +46,7 @@ def check_order(p: int) -> int:
     raises :class:`OrderError`, as does an order too large for numpy to
     address its (p+1) x (p+1) matrices.
     """
-    try:
-        valid = not isinstance(p, (bool, np.bool_)) and int(p) == p and p >= 1
-    except (TypeError, ValueError, OverflowError):
-        valid = False
-    if not valid:
+    if not is_count(p, 1):
         raise OrderError(f"order p must be a positive integer, got {p!r}")
     check_addressable(OrderError, f"order p = {int(p)}", int(p) + 1, int(p) + 1)
     return int(p)

@@ -1,7 +1,10 @@
 """Representations, the canonical irreducible one and its ladder operators.
 
-:class:`OrthoRep` is the package's one representation type; :func:`canonical`
-returns one.
+:class:`OrthoRep` is the package's one representation type: the p
+annihilators as one complex (p, n, n) stack, c[a - 1] being c_a.
+:func:`canonical` returns one, and :func:`occupied`, :func:`lowering_from`
+and :func:`cyclic_from` take such a stack, or a (p, ..., n, n) stack of
+such families.
 
 On the (p+1)-dimensional Fock space with kets |0>, |1>, .., |p> (ket n is
 matrix row/column n+1), the annihilators act as the matrix units
@@ -26,69 +29,73 @@ import numpy as np
 
 from .algebra import AlgebraElement, check_order, rho0
 from .errors import DimensionError
-from .linalg import as_matrix, dagger, max_abs
+from .linalg import dagger, max_abs
 
 
 @dataclass(frozen=True)
 class OrthoRep:
-    """Candidate representation: order p and p square matrices of equal size."""
+    """Candidate representation: its p annihilators as one (p, n, n) stack.
 
-    p: int
-    dim: int
-    c: list[np.ndarray]
+    ``c`` may be given as any array of that shape or a list of p n x n
+    matrices; it is stored as complex128, and the order ``p`` and the
+    dimension ``dim`` are read off its shape. Raises :class:`OrderError`
+    for p = 0, :class:`DimensionError` for any other shape, matrices of
+    unequal shapes or n = 0, and ValueError for a non-finite entry.
+    """
+
+    c: np.ndarray
 
     def __post_init__(self):
-        p = check_order(self.p)
-        if len(self.c) != p:
-            raise DimensionError(f"expected {p} matrices, got {len(self.c)}")
-        mats = [as_matrix(m) for m in self.c]
-        for m in mats:
-            if m.shape != (self.dim, self.dim):
-                raise DimensionError(f"matrix shape {m.shape} does not match dim {self.dim}")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "c", mats)
+        try:
+            c = np.asarray(self.c, dtype=complex)
+        except ValueError as exc:
+            raise DimensionError(f"annihilators must be matrices of one shape: {exc}") from exc
+        if c.ndim:
+            check_order(len(c))
+        if c.ndim != 3 or c.shape[1] != c.shape[2] or not c.shape[1]:
+            raise DimensionError(f"expected a (p, n, n) stack of annihilators with n >= 1, "
+                                 f"got shape {c.shape}")
+        if not np.isfinite(c).all():
+            raise ValueError("matrix contains non-finite entries")
+        object.__setattr__(self, "c", c)
+
+    @property
+    def p(self) -> int:
+        return self.c.shape[0]
+
+    @property
+    def dim(self) -> int:
+        return self.c.shape[1]
 
 
 def canonical(p: int) -> OrthoRep:
     """The canonical representation: c_a is its :func:`~orthofermi.algebra.rho0`
     image, the matrix unit E_{1,a+1}."""
     p = check_order(p)
-    return OrthoRep(p=p, dim=p + 1,
-                    c=[rho0(AlgebraElement.annihilator(p, a)) for a in range(1, p + 1)])
+    # stacked before the constructor runs, so the p matrices are freed before its checks
+    return OrthoRep(np.stack([rho0(AlgebraElement.annihilator(p, a)) for a in range(1, p + 1)]))
 
 
-def occupied(c: list[np.ndarray]) -> np.ndarray:
-    """sum_g c_g^dag c_g over the given annihilators.
+def occupied(c: np.ndarray) -> np.ndarray:
+    """sum_g c_g^dag c_g over a (p, ..., n, n) stack of annihilators.
 
-    Like :func:`lowering_from` and :func:`cyclic_from`, it also takes stacks:
-    each c_g may have shape (..., n, n), one matrix per stack position.
+    Like :func:`lowering_from` and :func:`cyclic_from`, it acts on the last
+    two axes: each c_g = c[g - 1] may itself be a stack of shape (..., n, n),
+    one matrix per stack position.
     """
     return sum(dagger(m) @ m for m in c)
 
 
-def pi_of(rep: OrthoRep, unit: np.ndarray) -> np.ndarray:
-    """Vacuum projector unit - sum_a c_a^dag c_a of a representation.
-
-    ``unit`` must represent 1 on the same space (the identity for the
-    canonical representation).
-    """
-    unit = np.asarray(unit, dtype=complex)
-    for m in rep.c:
-        if m.shape != unit.shape:
-            raise DimensionError(f"annihilator shape {m.shape} does not match unit {unit.shape}")
-    return unit - occupied(rep.c)
-
-
-def lowering_from(c: list[np.ndarray]) -> np.ndarray:
-    """L = c_1 + sum_{a=2..p} c_{a-1}^dag c_a built from given annihilators."""
+def lowering_from(c: np.ndarray) -> np.ndarray:
+    """L = c_1 + sum_{a=2..p} c_{a-1}^dag c_a built from a stack of annihilators."""
     out = c[0].copy()
     for a in range(1, len(c)):
         out = out + dagger(c[a - 1]) @ c[a]
     return out
 
 
-def cyclic_from(c: list[np.ndarray]) -> np.ndarray:
-    """F = L + c_p^dag built from given annihilators."""
+def cyclic_from(c: np.ndarray) -> np.ndarray:
+    """F = L + c_p^dag built from a stack of annihilators."""
     return lowering_from(c) + dagger(c[-1])
 
 
@@ -116,7 +123,7 @@ def ladder_identity_residuals(rep: OrthoRep, L: np.ndarray, F: np.ndarray) -> di
     n = p + 1
     eye = np.eye(n, dtype=complex)
     c = rep.c
-    pi = pi_of(rep, eye)
+    pi = eye - occupied(c)
     Ld = L.conj().T
     Lk = [eye]  # Lk[k] = L^k for k in 0..p+2
     for _ in range(p + 2):

@@ -3,14 +3,16 @@
 All operators in this package are plain ``numpy.ndarray`` values of dtype
 complex128, and everything defers to LAPACK through numpy. Operators of the
 oscillator model are dense n x n arrays, but ``osusy`` only ever multiplies
-their diagonal blocks, which it stacks into (count, size, size) arrays, and
-``reptheory.decompose_stack`` takes k representations as one stack; so
-:func:`dagger` and :func:`herm_eig` act on the last two axes of any
-(..., n, n) stack, :func:`orthonormal_range` takes a (k, m, n) stack with
-one batched SVD, and :func:`max_abs` takes the maximum per matrix when
+their diagonal blocks, which it stacks into (count, size, size) arrays. A
+representation is one (p, n, n) stack of annihilators, and
+``reptheory.decompose_stack`` takes k representations as one (p, k, n, n)
+stack. So :func:`dagger` and :func:`herm_eig` act on the last two axes of
+any (..., n, n) stack, :func:`orthonormal_range` takes a (k, m, n) stack
+with one batched SVD, and :func:`max_abs` takes the maximum per matrix when
 given ``axis``. Identity checks throughout the package are residual based:
 compute the defect matrix, take :func:`max_abs`, compare against an
-explicit tolerance.
+explicit tolerance. Sizes read from input are checked with :func:`is_count`
+and :func:`check_addressable` before any array is made.
 """
 
 from __future__ import annotations
@@ -32,14 +34,17 @@ DEFAULT_RANK_TOL = 1e-8
 MAX_BYTES = np.iinfo(np.intp).max
 
 
-def as_matrix(a) -> np.ndarray:
-    """Coerce ``a`` to a 2-d complex128 array with finite entries."""
-    m = np.asarray(a, dtype=complex)
-    if m.ndim != 2:
-        raise DimensionError(f"expected a matrix, got array of shape {m.shape}")
-    if m.size and not np.isfinite(m).all():
-        raise ValueError("matrix contains non-finite entries")
-    return m
+def is_count(value, least: int) -> bool:
+    """Whether ``value`` equals an integer of at least ``least``.
+
+    ``3.0`` counts as 3; bools, NaN, infinities, strings and None never
+    count. The order p, the boson levels and the sizes of a random
+    representation are checked this way.
+    """
+    try:
+        return not isinstance(value, (bool, np.bool_)) and int(value) == value >= least
+    except (TypeError, ValueError, OverflowError):
+        return False
 
 
 def check_addressable(error, what: str, *shape: int) -> None:
@@ -104,24 +109,22 @@ def herm_eig(a, tol: float = DEFAULT_TOL) -> HermEig:
     return HermEig(values=values, vectors=vectors)
 
 
-def orthonormal_range(a, rank_tol: float = DEFAULT_RANK_TOL):
-    """Orthonormal basis of the column space of ``a``.
+def orthonormal_range(a, rank_tol: float = DEFAULT_RANK_TOL) -> list[np.ndarray]:
+    """Orthonormal bases of the column spaces of a (k, m, n) stack ``a``.
 
-    The number of columns returned is the numerical rank: singular values
-    strictly above ``rank_tol`` times the largest one count. A zero matrix
-    yields a matrix with zero columns. For a stack of shape (k, m, n) the
-    result is a list of k such bases, one per matrix, from one batched SVD;
-    their widths differ when the ranks do.
+    Returns k bases, one per matrix, from one batched SVD. The number of
+    columns of each is that matrix's numerical rank: singular values
+    strictly above ``rank_tol`` times its largest one count, so a zero
+    matrix yields a basis with zero columns, and the widths differ when the
+    ranks do.
     """
     a = np.asarray(a, dtype=complex)
-    if a.ndim not in (2, 3):
-        raise DimensionError(f"expected a matrix or a stack of matrices, got shape {a.shape}")
+    if a.ndim != 3:
+        raise DimensionError(f"expected a (k, m, n) stack of matrices, got shape {a.shape}")
     if a.size and not np.isfinite(a).all():
         raise ValueError("matrix contains non-finite entries")
     u, s, _ = np.linalg.svd(a, full_matrices=False)
     rank = np.count_nonzero(s > rank_tol * s[..., :1], axis=-1)
-    if a.ndim == 2:
-        return u[:, :rank]
     return [vectors[:, :r] for vectors, r in zip(u, rank)]
 
 

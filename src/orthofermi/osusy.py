@@ -75,7 +75,7 @@ import numpy as np
 from .algebra import check_order
 from .canonical import cyclic_from, lowering_from, occupied
 from .errors import ClusteringError, DimensionError, NotARepresentationError, TruncationError
-from .linalg import DEFAULT_TOL, HermEig, check_addressable, dagger, herm_eig, max_abs
+from .linalg import DEFAULT_TOL, HermEig, check_addressable, dagger, herm_eig, is_count, max_abs
 from .reptheory import decompose_stack, relation_residuals
 
 #: Default relative tolerance for grouping eigenvalues into clusters.
@@ -176,7 +176,7 @@ def build_system(p: int, levels: int) -> OsusySystem:
     index pairs and H is formed block by block, with no dim x dim array.
     """
     p = check_order(p)
-    if int(levels) != levels or levels < 2:
+    if not is_count(levels, 2):
         raise TruncationError(f"need at least 2 boson levels, got {levels!r}")
     levels = int(levels)
     check_addressable(TruncationError, f"levels = {levels} at p = {p}", p, levels, p + 1, p + 1)

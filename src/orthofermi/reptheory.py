@@ -29,10 +29,12 @@ product is one batched call over the stack, and the result is one
 decisions of steps 2 and 4 are made per representation, and representations
 whose vacuum ranks differ are split into groups of one rank, so that each
 group keeps one shape. :func:`decompose`, :func:`verify` and
-:func:`infer_unit` are the k = 1 case of the same code. When the
-representative of 1 is known (the identity, for an energy eigenspace of
-``osusy``), ``unit=`` passes it, with the same meaning as in :func:`verify`;
-given and inferred units then take the same path from step 2 on.
+:func:`infer_unit` are the k = 1 case of the same code: they pass the
+(p, n, n) stack of an :class:`OrthoRep` on as the view ``rep.c[:, None]``.
+When the representative of 1 is known (the identity, for an energy
+eigenspace of ``osusy``), ``unit=`` passes it, with the same meaning as in
+:func:`verify`; given and inferred units then take the same path from
+step 2 on.
 
 All decisions are residual based; nothing here assumes exact arithmetic.
 """
@@ -43,10 +45,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .algebra import check_order
 from .canonical import OrthoRep, canonical, occupied
 from .errors import DimensionError, NotARepresentationError, NumericalDegeneracyError
-from .linalg import (DEFAULT_RANK_TOL, DEFAULT_TOL, as_matrix, check_addressable, dagger,
-                     haar_unitary, max_abs, orthonormal_range)
+from .linalg import (DEFAULT_RANK_TOL, DEFAULT_TOL, check_addressable, dagger, haar_unitary,
+                     is_count, max_abs, orthonormal_range)
 
 
 def _worst(terms) -> np.ndarray:
@@ -123,7 +126,7 @@ def infer_unit(rep: OrthoRep, tol: float = DEFAULT_TOL) -> np.ndarray:
     both are checked within ``tol``. A representation with all generators
     zero legitimately yields R = 0.
     """
-    return _infer_units(np.stack(rep.c)[:, None], tol, _unnamed)[0]
+    return _infer_units(rep.c[:, None], tol, _unnamed)[0]
 
 
 def _units(c: np.ndarray, unit, tol: float, label) -> np.ndarray:
@@ -131,7 +134,11 @@ def _units(c: np.ndarray, unit, tol: float, label) -> np.ndarray:
     or the units inferred per element when ``unit`` is None."""
     if unit is None:
         return _infer_units(c, tol, label)
-    unit = as_matrix(unit)
+    unit = np.asarray(unit, dtype=complex)
+    if unit.ndim != 2:
+        raise DimensionError(f"expected a matrix, got array of shape {unit.shape}")
+    if unit.size and not np.isfinite(unit).all():
+        raise ValueError("matrix contains non-finite entries")
     if unit.shape != c.shape[-2:]:
         raise DimensionError(f"annihilator shape {c.shape[-2:]} does not match unit {unit.shape}")
     return unit
@@ -194,12 +201,13 @@ def relation_residuals(c, unit: np.ndarray) -> tuple[float, float]:
     """Worst defects of the two defining relations over all index pairs.
 
     Returns max_abs(c_a c_b) and max_abs(c_a c_b^dag + delta_ab (occ - unit)),
-    where occ = sum_g c_g^dag c_g and ``unit`` represents 1. ``c`` holds p
-    matrices, or p stacks of shape (..., n, n) with ``unit`` broadcasting
-    against each. The pair loop runs on the rows and columns that hold an
-    entry (:func:`_relation_defects`), so a sparse stack, such as the
-    oscillator's charges in their natural basis, costs little, and each
-    value is that of the full products up to summation order.
+    where occ = sum_g c_g^dag c_g and ``unit`` represents 1. ``c`` is a
+    (p, n, n) stack such as ``OrthoRep.c``, or a (p, ..., n, n) stack of
+    such families with ``unit`` broadcasting against each. The pair loop
+    runs on the rows and columns that hold an entry
+    (:func:`_relation_defects`), so a sparse stack, such as the oscillator's
+    charges in their natural basis, costs little, and each value is that of
+    the full products up to summation order.
     """
     nilpotent, mixed = _relation_defects(np.asarray(c), unit)
     return float(nilpotent.max(initial=0.0)), float(mixed.max(initial=0.0))
@@ -235,14 +243,14 @@ def verify(rep: OrthoRep, unit: np.ndarray | None = None, tol: float = DEFAULT_T
     derived vacuum-projector properties; each value is the worst
     max_abs defect over all index combinations.
     """
-    c = np.stack(rep.c)[:, None]
+    c = rep.c[:, None]
     table = _relation_table(c, _units(c, unit, tol, _unnamed))
     return {name: float(value[0]) for name, value in table.items()}
 
 
 def _expected_blocks(p: int, multiplicity: int, trivial_dim: int) -> np.ndarray:
     """Target annihilators, shape (p, n, n): canonical copies, then a zero block."""
-    copies = np.kron(np.eye(multiplicity), np.stack(canonical(p).c))
+    copies = np.kron(np.eye(multiplicity), canonical(p).c)
     return np.pad(copies, ((0, 0), (0, trivial_dim), (0, trivial_dim)))
 
 
@@ -389,20 +397,17 @@ def decompose_stack(c, unit=None, tol: float = DEFAULT_TOL, rank_tol: float = DE
     stack, under the same checks and tolerances. When a check refuses, the
     relations of :func:`verify` are checked on the whole stack first, and a
     failing one is reported in place of that check. An error names the first
-    failing representation i by ``labels``: its entry i, or ``labels(i)``
-    when ``labels`` is a function, formed only then (by default
-    "representation i"). Returns one :class:`Decomposition` of the whole
-    stack, whose fields have a leading axis in stack order.
+    failing representation i by ``labels(i)``, a function of the stack index
+    called only then (by default "representation i"). Returns one
+    :class:`Decomposition` of the whole stack, whose fields have a leading
+    axis in stack order.
     """
     c = np.asarray(c, dtype=complex)
     if c.ndim != 4 or not c.shape[0] or c.shape[-1] != c.shape[-2]:
         raise DimensionError(f"expected a (p, k, n, n) stack of annihilators, got {c.shape}")
     if not np.isfinite(c).all():
         raise ValueError("annihilators contain non-finite entries")
-    if labels is None:
-        label = "representation {}".format
-    else:
-        label = labels if callable(labels) else list(labels).__getitem__
+    label = "representation {}".format if labels is None else labels
     unit = _units(c, unit, tol, label)
     try:
         return _split(c, unit, tol, rank_tol, label)
@@ -426,7 +431,7 @@ def decompose(rep: OrthoRep, tol: float = DEFAULT_TOL, rank_tol: float = DEFAULT
     close to the rank threshold to classify. This is the k = 1 case of
     :func:`decompose_stack`.
     """
-    dec = decompose_stack(np.stack(rep.c)[:, None], unit, tol, rank_tol, labels=("",))
+    dec = decompose_stack(rep.c[:, None], unit, tol, rank_tol, labels=_unnamed)
     return Decomposition(int(dec.multiplicity[0]), int(dec.trivial_dim[0]), dec.basis[0],
                          {name: float(value[0]) for name, value in dec.residuals.items()})
 
@@ -438,10 +443,13 @@ def random_rep(p: int, copies: int, trivial: int, seed: int) -> OrthoRep:
     deterministically from ``seed``, so the result passes :func:`verify`
     up to roundoff while hiding the block structure from plain inspection.
     """
-    if copies < 0 or trivial < 0 or copies + trivial < 1:
-        raise DimensionError("need copies >= 0, trivial >= 0 and copies + trivial >= 1")
+    p = check_order(p)
+    if not (is_count(copies, 0) and is_count(trivial, 0)) or copies + trivial < 1:
+        raise DimensionError(f"need integers copies >= 0 and trivial >= 0 with "
+                             f"copies + trivial >= 1, got {copies!r} and {trivial!r}")
+    copies, trivial = int(copies), int(trivial)
     n = copies * (p + 1) + trivial
     check_addressable(DimensionError, f"dimension {n}", p, n, n)
     blocks = _expected_blocks(p, copies, trivial)
     u = haar_unitary(n, np.random.default_rng(seed))
-    return OrthoRep(p=p, dim=n, c=[u @ b @ u.conj().T for b in blocks])
+    return OrthoRep(u @ blocks @ dagger(u))

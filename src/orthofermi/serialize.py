@@ -37,14 +37,16 @@ def encode_matrix(m: np.ndarray) -> list:
 def decode_matrix(data, rows: int, cols: int, what: str) -> np.ndarray:
     """Inverse of :func:`encode_matrix`, validating the expected shape."""
     try:
-        m = np.asarray(data, dtype=float)
+        m = np.array(data, dtype=float)
     except (TypeError, ValueError) as exc:
         raise ParseError(f"{what}: entries are not numeric") from exc
     if m.shape != (rows, cols, 2):
         raise ParseError(f"{what}: expected shape {rows}x{cols} of [re, im] pairs, got {m.shape}")
     if not np.isfinite(m).all():
         raise ParseError(f"{what}: entries must be finite")
-    return m[..., 0] + 1j * m[..., 1]
+    # m is a fresh C-ordered array, so it views as complex; re + 1j * im would
+    # drop the sign of a zero part
+    return m.view(complex)[..., 0]
 
 
 def rep_to_dict(rep: OrthoRep, unit: np.ndarray | None = None) -> dict:
@@ -52,7 +54,7 @@ def rep_to_dict(rep: OrthoRep, unit: np.ndarray | None = None) -> dict:
         "schema_version": REP_SCHEMA,
         "p": rep.p,
         "dim": rep.dim,
-        "matrices": [encode_matrix(m) for m in rep.c],
+        "matrices": encode_matrix(rep.c),
     }
     if unit is not None:
         doc["unit"] = encode_matrix(unit)
@@ -78,7 +80,7 @@ def rep_from_dict(doc: dict) -> tuple[OrthoRep, np.ndarray | None]:
     if "unit" in doc:
         unit = decode_matrix(doc["unit"], dim, dim, "unit")
     try:
-        rep = OrthoRep(p=p, dim=dim, c=mats)
+        rep = OrthoRep(mats)
     except Exception as exc:
         raise ParseError(str(exc)) from exc
     return rep, unit

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from orthofermi.canonical import (OrthoRep, canonical, cyclic_from, ladder_identity_residuals,
-                                  ladder_operators, lowering_from, occupied, pi_of)
-from orthofermi.errors import DimensionError, OrderError
+                                  ladder_operators, lowering_from, occupied)
+from orthofermi.errors import OrderError
 from orthofermi.linalg import max_abs
 
 
@@ -41,18 +41,14 @@ def test_canonical_rejects_bad_order():
 
 
 def test_vacuum_projector_of_canonical():
-    assert np.array_equal(pi_of(canonical(2), np.eye(3)), np.diag([1.0, 0.0, 0.0]).astype(complex))
-    assert np.array_equal(pi_of(canonical(1), np.eye(2)), np.diag([1.0, 0.0]).astype(complex))
+    assert np.array_equal(np.eye(3) - occupied(canonical(2).c), np.diag([1.0, 0.0, 0.0]))
+    assert np.array_equal(np.eye(2) - occupied(canonical(1).c), np.diag([1.0, 0.0]))
 
 
 def test_vacuum_projector_of_trivial_rep():
-    zero = OrthoRep(p=2, dim=3, c=[np.zeros((3, 3), dtype=complex)] * 2)
-    assert np.array_equal(pi_of(zero, np.zeros((3, 3))), np.zeros((3, 3), dtype=complex))
-
-
-def test_pi_of_rejects_mismatched_unit():
-    with pytest.raises(DimensionError):
-        pi_of(canonical(2), np.eye(4))
+    # the unit of the zero representation is 0, and so is its vacuum projector
+    zero = OrthoRep(np.zeros((2, 3, 3)))
+    assert np.array_equal(np.zeros((3, 3)) - occupied(zero.c), np.zeros((3, 3)))
 
 
 def test_lowering_operator_shifts_kets_down():

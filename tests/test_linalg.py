@@ -51,13 +51,13 @@ def test_herm_eig_rejects_non_hermitian():
 
 
 def test_orthonormal_range_rank_one_projector():
-    cols = linalg.orthonormal_range(np.diag([1.0, 0.0, 0.0]).astype(complex))
+    [cols] = linalg.orthonormal_range(np.diag([1.0, 0.0, 0.0]).astype(complex)[None])
     assert cols.shape == (3, 1)
     assert np.allclose(np.abs(cols[:, 0]), [1.0, 0.0, 0.0])
 
 
 def test_orthonormal_range_zero_matrix():
-    cols = linalg.orthonormal_range(np.zeros((3, 3), dtype=complex))
+    [cols] = linalg.orthonormal_range(np.zeros((1, 3, 3), dtype=complex))
     assert cols.shape == (3, 0)
 
 
@@ -65,7 +65,7 @@ def test_orthonormal_range_recovers_projector_subspace():
     rng = np.random.default_rng(11)
     u = linalg.haar_unitary(4, rng)
     proj = u @ np.diag([1.0, 1.0, 0.0, 0.0]).astype(complex) @ u.conj().T
-    cols = linalg.orthonormal_range(proj)
+    [cols] = linalg.orthonormal_range(proj[None])
     assert cols.shape == (4, 2)
     # same subspace iff the two orthogonal projectors coincide
     ref = u[:, :2] @ u[:, :2].conj().T
@@ -131,4 +131,4 @@ def test_orthonormal_range_of_a_stack_decides_each_rank_on_its_own():
     bases = linalg.orthonormal_range(np.stack(stack))
     assert [b.shape for b in bases] == [(4, r) for r in ranks]
     for m, basis in zip(stack, bases):
-        assert linalg.max_abs(basis - linalg.orthonormal_range(m)) == 0.0
+        assert linalg.max_abs(basis - linalg.orthonormal_range(m[None])[0]) == 0.0

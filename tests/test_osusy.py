@@ -64,6 +64,12 @@ def test_construction_guards():
         build_system(0, 4)
 
 
+@pytest.mark.parametrize("levels", [np.nan, np.inf, -np.inf, None, 2.5, 1, 1.0, "3", True, 3 + 0j])
+def test_every_non_integer_or_too_small_truncation_is_refused(levels):
+    with pytest.raises(TruncationError, match="^need at least 2 boson levels"):
+        build_system(2, levels)
+
+
 @pytest.mark.parametrize("p, levels", [(1, 2), (2, 5), (3, 7), (8, 6), (16, 3)])
 def test_blockwise_hamiltonian_equals_the_dense_formula(p, levels):
     Q, H = build_system(p, levels).dense()

@@ -9,18 +9,18 @@ from oracles import pair_relation_defects
 from orthofermi import reptheory
 from orthofermi.canonical import canonical
 from orthofermi.errors import (DimensionError, NotARepresentationError, NumericalDegeneracyError,
-                               OrthofermiError)
+                               OrderError, OrthofermiError)
 from orthofermi.linalg import DEFAULT_TOL, max_abs
 from orthofermi.reptheory import (OrthoRep, decompose, decompose_stack, infer_unit, random_rep,
                                   relation_residuals, verify)
 
 
 def as_rep(canon):
-    return OrthoRep(p=canon.p, dim=canon.dim, c=canon.c)
+    return OrthoRep(canon.c)
 
 
 def zero_rep(p, dim):
-    return OrthoRep(p=p, dim=dim, c=[np.zeros((dim, dim), dtype=complex) for _ in range(p)])
+    return OrthoRep(np.zeros((p, dim, dim), dtype=complex))
 
 
 def block_rep(p, copies, trivial):
@@ -34,7 +34,7 @@ def block_rep(p, copies, trivial):
             lo = i * (p + 1)
             m[lo:lo + p + 1, lo:lo + p + 1] = model.c[a]
         mats.append(m)
-    return OrthoRep(p=p, dim=n, c=mats)
+    return OrthoRep(mats)
 
 
 # -- verify -------------------------------------------------------------------
@@ -86,7 +86,7 @@ def kernel_stack(p, n, k, kind, row_mode, col_mode, seed):
         copies = int(rng.integers(n // (p + 1) + 1))
         rep = block_rep(p, copies, n - copies * (p + 1))
         turn = np.eye(n)[rng.permutation(n)]
-        c = np.repeat((turn @ np.stack(rep.c) @ turn.T)[:, None], k, axis=1)
+        c = np.repeat((turn @ rep.c @ turn.T)[:, None], k, axis=1)
         unit = np.repeat((turn @ infer_unit(rep) @ turn.T)[None], k, axis=0)
         unit[rng.integers(k), rng.integers(n), rng.integers(n)] += 1e-3
     rows, cols = (rng.random((p, k if mode == 3 else 1, n)) < 0.5 if mode in (1, 3)
@@ -250,7 +250,7 @@ def test_decompose_with_a_given_unit_skips_inference():
     dec = decompose(rep, unit=np.eye(rep.dim))
     assert (dec.multiplicity, dec.trivial_dim) == (2, 0)
     # against the given identity, a uniformly scaled copy fails the relations
-    scaled = OrthoRep(p=2, dim=rep.dim, c=[1.01 * m for m in rep.c])
+    scaled = OrthoRep(1.01 * rep.c)
     with pytest.raises(NotARepresentationError):
         decompose(scaled, unit=np.eye(rep.dim))
     with pytest.raises(DimensionError):
@@ -263,7 +263,7 @@ MIXED = [(2, 0, 11), (1, 3, 12), (0, 6, 13)]  # (copies, trivial, seed) at p = 2
 
 
 def stack_of(reps):
-    return np.stack([np.stack(rep.c) for rep in reps], axis=1)
+    return np.stack([rep.c for rep in reps], axis=1)
 
 
 def test_decompose_stack_of_mixed_ranks_matches_each_instance():
@@ -289,7 +289,7 @@ def test_decompose_stack_names_the_failing_element():
     with pytest.raises(NotARepresentationError, match="representation 2"):
         decompose_stack(stack_of([reps[0], reps[1], broken, reps[2]]))
     with pytest.raises(NotARepresentationError, match="^third: "):
-        decompose_stack(stack_of([reps[0], reps[1], broken]), labels=["first", "second", "third"])
+        decompose_stack(stack_of([reps[0], reps[1], broken]), labels=["first", "second", "third"].__getitem__)
 
 
 def test_decompose_stack_forms_only_the_failing_label():
@@ -339,8 +339,7 @@ def noise(shape, size, seed):
 
 def perturbed(rep, size, seed):
     """``rep`` with :func:`noise` added to every annihilator."""
-    return OrthoRep(p=rep.p, dim=rep.dim,
-                    c=list(np.stack(rep.c) + noise((rep.p, rep.dim, rep.dim), size, seed)))
+    return OrthoRep(rep.c + noise(rep.c.shape, size, seed))
 
 
 def test_a_split_that_cannot_certify_the_relations_is_refused():
@@ -420,11 +419,49 @@ def test_random_rep_validates_sizes():
         random_rep(2, copies=0, trivial=0, seed=1)
 
 
+@pytest.mark.parametrize("copies,trivial", [
+    (1.5, 0), (1, 0.5), (np.nan, 1), (1, np.inf), (-np.inf, 1), (None, 1), (1, "2"), (True, 1),
+])
+def test_random_rep_rejects_non_integer_sizes(copies, trivial):
+    with pytest.raises(DimensionError):
+        random_rep(2, copies, trivial, seed=1)
+
+
+@pytest.mark.parametrize("p", [None, 0, 1.5, np.nan, "2"])
+def test_random_rep_rejects_a_bad_order(p):
+    with pytest.raises(OrderError):
+        random_rep(p, 1, 0, seed=1)
+
+
+def test_random_rep_takes_integral_floats():
+    assert np.array_equal(random_rep(2, 2.0, 1.0, seed=4).c, random_rep(2, 2, 1, seed=4).c)
+
+
 def test_ortho_rep_validates_shapes():
-    with pytest.raises(DimensionError):
-        OrthoRep(p=2, dim=3, c=[np.zeros((3, 3))])
-    with pytest.raises(DimensionError):
-        OrthoRep(p=1, dim=3, c=[np.zeros((2, 2))])
+    for c in (np.zeros((3, 3)), np.zeros((2, 3, 4)), np.zeros((2, 0, 0)), np.zeros((2, 1, 3, 3)),
+              np.zeros(()), [np.zeros((3, 3)), np.zeros((2, 2))]):
+        with pytest.raises(DimensionError):
+            OrthoRep(c)
+    for c in (np.zeros((0, 3, 3)), []):
+        with pytest.raises(OrderError, match="^order p must be a positive integer, got 0$"):
+            OrthoRep(c)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
+def test_ortho_rep_rejects_non_finite_entries(bad):
+    c = np.zeros((2, 3, 3), dtype=complex)
+    c[1, 2, 0] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        OrthoRep(c)
+
+
+def test_ortho_rep_of_a_list_is_the_stack():
+    rep = random_rep(3, copies=1, trivial=2, seed=5)
+    for given in (list(rep.c), rep.c, rep.c.real.astype(np.float32)):
+        built = OrthoRep(given)
+        assert built.c.dtype == complex and built.c.shape == (3, 6, 6)
+        assert (built.p, built.dim) == (3, 6)
+    assert np.array_equal(OrthoRep(list(rep.c)).c, rep.c)
 
 
 # -- structural invariants on a small grid -------------------------------------

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -39,8 +40,31 @@ def test_rep_file_round_trip(tmp_path):
     assert np.array_equal(unit, np.eye(4))
 
 
+def complex_array(draw, shape):
+    """A complex array of ``shape`` with arbitrary finite parts, signed zeros included."""
+    parts = draw(st.lists(finite_floats, min_size=2 * math.prod(shape),
+                          max_size=2 * math.prod(shape)))
+    out = np.empty(shape, dtype=complex)
+    out.real.flat[:], out.imag.flat[:] = parts[0::2], parts[1::2]
+    return out
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), p=st.integers(1, 6), n=st.integers(1, 8), with_unit=st.booleans())
+def test_rep_dict_round_trip_is_bitwise(data, p, n, with_unit):
+    rep = OrthoRep(complex_array(data.draw, (p, n, n)))
+    unit = complex_array(data.draw, (n, n)) if with_unit else None
+    loaded, loaded_unit = rep_from_dict(rep_to_dict(rep, unit))
+    assert (loaded.p, loaded.dim) == (p, n)
+    assert loaded.c.dtype == rep.c.dtype and loaded.c.tobytes() == rep.c.tobytes()
+    if with_unit:
+        assert loaded_unit.dtype == unit.dtype and loaded_unit.tobytes() == unit.tobytes()
+    else:
+        assert loaded_unit is None
+
+
 def test_rep_file_without_unit(tmp_path):
-    rep = OrthoRep(p=1, dim=2, c=[canonical(1).c[0]])
+    rep = OrthoRep([canonical(1).c[0]])
     path = tmp_path / "rep.json"
     write_rep_file(path, rep)
     _, unit = read_rep_file(path)
@@ -55,16 +79,23 @@ def test_malformed_json_raises_parse_error(tmp_path):
 
 
 def test_wrong_schema_raises_parse_error():
-    doc = rep_to_dict(OrthoRep(p=1, dim=2, c=[canonical(1).c[0]]))
+    doc = rep_to_dict(OrthoRep([canonical(1).c[0]]))
     doc["schema_version"] = "something-else/9"
     with pytest.raises(ParseError):
         rep_from_dict(doc)
 
 
 def test_shape_mismatch_raises_parse_error():
-    doc = rep_to_dict(OrthoRep(p=1, dim=2, c=[canonical(1).c[0]]))
+    doc = rep_to_dict(OrthoRep([canonical(1).c[0]]))
     doc["dim"] = 3
     with pytest.raises(ParseError):
+        rep_from_dict(doc)
+
+
+@pytest.mark.parametrize("dim", [3, -1])
+def test_a_file_of_order_zero_names_the_order(dim):
+    doc = {"schema_version": "orthofermion-rep/1", "p": 0, "dim": dim, "matrices": []}
+    with pytest.raises(ParseError, match="^order p must be a positive integer, got 0$"):
         rep_from_dict(doc)
 
 
@@ -74,7 +105,7 @@ def test_missing_field_raises_parse_error():
 
 
 def test_non_numeric_entries_raise_parse_error():
-    doc = rep_to_dict(OrthoRep(p=1, dim=2, c=[canonical(1).c[0]]))
+    doc = rep_to_dict(OrthoRep([canonical(1).c[0]]))
     doc["matrices"][0][0][0] = ["a", "b"]
     with pytest.raises(ParseError):
         rep_from_dict(doc)
@@ -86,7 +117,7 @@ def test_missing_file_raises_io_error(tmp_path):
 
 
 def test_unwritable_path_raises_io_error(tmp_path):
-    rep = OrthoRep(p=1, dim=2, c=[canonical(1).c[0]])
+    rep = OrthoRep([canonical(1).c[0]])
     with pytest.raises(IoError):
         write_rep_file(tmp_path / "no-such-dir" / "rep.json", rep)
 
