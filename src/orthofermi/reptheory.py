@@ -7,20 +7,23 @@ generator acts as zero. :func:`decompose` makes that split constructive:
 
   1. take the representative R of the algebra unit, given or inferred from
      the relations,
-  2. take the vacuum projector P = R - sum c^dag c and check its O(p)
-     projector rows; its range fixes one vacuum vector e_i per canonical copy,
+  2. form the vacuum projector P = R - sum c^dag c and check that it is a
+     projector, P^2 = P and P^dag = P; its range fixes one vacuum vector e_i
+     per canonical copy,
   3. grow each copy as (e_i, c_1^dag e_i, .., c_p^dag e_i) and check that
      these m(p+1) vectors are orthonormal,
   4. check that everything orthogonal to them is annihilated by all
      generators,
   5. stack the vectors into the block-diagonalizing unitary U and certify
      the split by U itself: its unitarity and block residuals, with
-     R = F F^dag on its copy columns F, bound both pair relations
-     (:func:`_grow_copies`), and that bound must be at most ``tol``.
+     R = F F^dag on its copy columns F, bound both pair relations and the
+     four O(p) vacuum rows P c_a = c_a, c_a^dag P = c_a^dag, c_a P = 0 and
+     P c_a^dag = 0 (:func:`_grow_copies`), and that bound must be at most
+     ``tol``.
 
-The O(p^2) table of pair relations is thus not formed on success: it runs
-in :func:`verify`, and when a check refuses, so that a failing relation is
-named before any later check.
+Neither the O(p^2) table of pair relations nor those four rows are thus
+formed on success: the whole table runs in :func:`verify`, and when a check
+refuses, so that a failing relation is named before any later check.
 
 :func:`decompose_stack` runs these steps on k representations of one order
 and dimension at once, given as a (p, k, n, n) stack: every check and every
@@ -46,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import check_order
-from .canonical import OrthoRep, canonical, occupied
+from .canonical import OrthoRep, occupied
 from .errors import DimensionError, NotARepresentationError, NumericalDegeneracyError
 from .linalg import (DEFAULT_RANK_TOL, DEFAULT_TOL, check_addressable, dagger, haar_unitary,
                      is_count, max_abs, orthonormal_range)
@@ -213,25 +216,23 @@ def relation_residuals(c, unit: np.ndarray) -> tuple[float, float]:
     return float(nilpotent.max(initial=0.0)), float(mixed.max(initial=0.0))
 
 
-def _vacuum_rows(c: np.ndarray, unit) -> tuple[dict[str, np.ndarray], np.ndarray]:
-    """The six vacuum-projector rows of :func:`verify`, one value per element
-    of a (p, k, n, n) stack, and the vacuum projectors Pi = unit - occ."""
-    pi = unit - occupied(c)
-    res: dict[str, np.ndarray] = {}
-    res["Pi^2 = Pi"] = max_abs(pi @ pi - pi, axis=(-2, -1))
-    res["Pi^dag = Pi"] = max_abs(dagger(pi) - pi, axis=(-2, -1))
-    res["Pi c_a = c_a"] = _worst(pi @ m - m for m in c)
-    res["c_a^dag Pi = c_a^dag"] = _worst(dagger(m) @ pi - dagger(m) for m in c)
-    res["c_a Pi = 0"] = _worst(m @ pi for m in c)
-    res["Pi c_a^dag = 0"] = _worst(pi @ dagger(m) for m in c)
-    return res, pi
+def _projector_rows(pi: np.ndarray) -> dict[str, np.ndarray]:
+    """The rows Pi^2 = Pi and Pi^dag = Pi of :func:`verify`, one value per
+    vacuum projector of a (k, n, n) stack."""
+    return {"Pi^2 = Pi": max_abs(pi @ pi - pi, axis=(-2, -1)),
+            "Pi^dag = Pi": max_abs(dagger(pi) - pi, axis=(-2, -1))}
 
 
 def _relation_table(c: np.ndarray, unit) -> dict[str, np.ndarray]:
     """:func:`verify`'s residuals, one value per element of a (p, k, n, n) stack."""
     res: dict[str, np.ndarray] = {}
     res["c_a c_b = 0"], res["c_a c_b^dag + d_ab sum c^dag c = d_ab 1"] = _relation_defects(c, unit)
-    res.update(_vacuum_rows(c, unit)[0])
+    pi = unit - occupied(c)
+    res.update(_projector_rows(pi))
+    res["Pi c_a = c_a"] = _worst(pi @ m - m for m in c)
+    res["c_a^dag Pi = c_a^dag"] = _worst(dagger(m) @ pi - dagger(m) for m in c)
+    res["c_a Pi = 0"] = _worst(m @ pi for m in c)
+    res["Pi c_a^dag = 0"] = _worst(pi @ dagger(m) for m in c)
     return res
 
 
@@ -249,9 +250,16 @@ def verify(rep: OrthoRep, unit: np.ndarray | None = None, tol: float = DEFAULT_T
 
 
 def _expected_blocks(p: int, multiplicity: int, trivial_dim: int) -> np.ndarray:
-    """Target annihilators, shape (p, n, n): canonical copies, then a zero block."""
-    copies = np.kron(np.eye(multiplicity), canonical(p).c)
-    return np.pad(copies, ((0, 0), (0, trivial_dim), (0, trivial_dim)))
+    """Target annihilators, shape (p, n, n): canonical copies, then a zero block.
+
+    In copy i, on rows and columns i (p+1) .. i (p+1) + p, c_a is the matrix
+    unit E_{1,a+1} of :func:`~orthofermi.canonical.canonical`.
+    """
+    n = multiplicity * (p + 1) + trivial_dim
+    blocks = np.zeros((p, n, n), dtype=complex)
+    a, vacua = np.ogrid[:p, :multiplicity * (p + 1):p + 1]
+    blocks[a, vacua, vacua + a + 1] = 1
+    return blocks
 
 
 def _ranges(a: np.ndarray, tol: float, rank_tol: float) -> list[np.ndarray]:
@@ -264,19 +272,35 @@ def _ranges(a: np.ndarray, tol: float, rank_tol: float) -> list[np.ndarray]:
     return [v[:, :0] if z else v for v, z in zip(orthonormal_range(a, rank_tol), zero)]
 
 
+def _slack(d_u, d_b, n: int):
+    """eps = n d_B, delta = n d_U, 1/(1 - delta) and s = delta/(1 - delta)
+    of :func:`_grow_copies`; the last two are infinite unless delta < 1."""
+    eps, delta = n * d_b, n * d_u
+    shrink = np.divide(1.0, 1.0 - delta, out=np.full_like(delta, np.inf), where=delta < 1.0)
+    return eps, delta, shrink, delta * shrink
+
+
 def _pair_bounds(d_u, d_b, d_1, n: int, p: int) -> tuple[np.ndarray, np.ndarray]:
     """The bounds of :func:`_grow_copies` on the max_abs defects of the
     nilpotent and the mixed relation, from the largest entries d_U, d_B and
     d_1 of U^dag U - 1, U^dag c_a U - T_a and R - F F^dag, each one value per
     element; infinite unless n d_U < 1."""
-    eps, delta = n * d_b, n * d_u
-    shrink = np.divide(1.0, 1.0 - delta, out=np.full_like(delta, np.inf), where=delta < 1.0)
-    drift = delta * shrink
+    eps, delta, shrink, drift = _slack(d_u, d_b, n)
     root = p**0.5 * eps
     nilpotent = (2 * eps + eps**2 + (1 + eps)**2 * drift) * shrink
     mixed = (2 * eps + eps**2 + 2 * root + root**2 + ((1 + eps)**2 + (1 + root)**2) * drift
              + 2 * delta + delta**2) * shrink + d_1
     return nilpotent, mixed
+
+
+def _vacuum_bound(d_u, d_b, d_1, n: int, p: int) -> np.ndarray:
+    """The bound of :func:`_grow_copies` on the max_abs defects of the four
+    O(p) vacuum rows of :func:`verify`, from the same d_U, d_B and d_1 as
+    :func:`_pair_bounds`; infinite unless n d_U < 1."""
+    eps, delta, shrink, drift = _slack(d_u, d_b, n)
+    root = p**0.5 * eps
+    y = 2 * delta + delta**2 + 2 * root + root**2 + (1 + root)**2 * drift
+    return (n * d_1 * (1 + eps) + eps + (1 + eps) * drift + (1 + eps) * y * shrink) * shrink
 
 
 def _grow_copies(c: np.ndarray, vacua: np.ndarray, unit: np.ndarray, tol: float,
@@ -320,9 +344,32 @@ def _grow_copies(c: np.ndarray, vacua: np.ndarray, unit: np.ndarray, tol: float,
           + p eps^2 + ((1 + eps)^2 + (1 + sqrt(p) eps)^2) s + 2 delta
           + delta^2] / (1 - delta) + d_1.
 
-    The split is refused unless both bounds (:func:`_pair_bounds`) are at
-    most ``tol``; with the vacuum rows of step 2, every row of
-    :func:`verify` then holds within ``tol``.
+    Vacuum rows: let E_1 = R - F F^dag, so ||E_1|| <= n d_1, and let
+    occ = sum_g c_g^dag c_g = U S (sum_g B_g^dag S B_g) S U^dag. Then
+    Pi = R - occ = E_1 + U S Z S U^dag with the Hermitian
+    Z = (1 + D) P (1 + D) - sum_g B_g^dag S B_g. The targets' vacuum
+    projector Pi_T = P - sum_g T_g^dag T_g is an orthogonal projector with
+    Pi_T T_a = T_a and T_a Pi_T = 0, and by the two norms above
+    Z = Pi_T + Y with
+
+      ||Y|| <= y := 2 delta + delta^2 + 2 sqrt(p) eps + p eps^2
+          + (1 + sqrt(p) eps)^2 s.
+
+    Since S U^dag U S = S, Pi c_a - c_a = E_1 c_a + U S (Z S B_a - B_a) S U^dag,
+    where Z S B_a - B_a = (Pi_T - 1) E_a + Pi_T (S - 1) B_a + Y S B_a; and
+    c_a Pi = c_a E_1 + U S B_a S Z S U^dag, where
+    B_a S Z = E_a Pi_T + B_a (S - 1) Pi_T + B_a S Y. The rows
+    c_a^dag Pi = c_a^dag and Pi c_a^dag = 0 are the same products with
+    c_a^dag and the adjoints of these middles. With
+    ||c_a|| <= (1 + eps)/(1 - delta),
+
+      max|each of the four rows| <= n d_1 (1 + eps) / (1 - delta)
+          + [eps + (1 + eps) s + (1 + eps) y / (1 - delta)] / (1 - delta).
+
+    The split is refused unless both pair bounds (:func:`_pair_bounds`) and
+    the row bound (:func:`_vacuum_bound`) are at most ``tol``; with the two
+    projector rows of step 2, every row of :func:`verify` then holds within
+    ``tol``.
     """
     p, k, n, _ = c.shape
     m = vacua.shape[-1]
@@ -354,8 +401,8 @@ def _grow_copies(c: np.ndarray, vacua: np.ndarray, unit: np.ndarray, tol: float,
                         for ca, target in zip(c, _expected_blocks(p, m, t))),
         "gram": gram, "complement annihilation": annihilation}
     outside += unit - np.eye(n)
-    bound = np.maximum(*_pair_bounds(residuals["unitarity"], residuals["block"],
-                                     max_abs(outside, axis=(-2, -1)), n, p))
+    defects = (residuals["unitarity"], residuals["block"], max_abs(outside, axis=(-2, -1)), n, p)
+    bound = np.maximum(np.maximum(*_pair_bounds(*defects)), _vacuum_bound(*defects))
     _refuse(~(bound <= tol), label, NumericalDegeneracyError,
             lambda i: f"the split certifies the relations only within {bound[i]:.3e} > tol {tol:.3e}")
     return basis, residuals
@@ -364,10 +411,11 @@ def _grow_copies(c: np.ndarray, vacua: np.ndarray, unit: np.ndarray, tol: float,
 def _split(c: np.ndarray, unit, tol: float, rank_tol: float, label) -> Decomposition:
     """Steps 2 to 5 of the module docstring on a (p, k, n, n) stack."""
     p, k, n, _ = c.shape
-    rows, pi = _vacuum_rows(c, unit)
-    worst = np.max(list(rows.values()), axis=0)
-    # these rows are part of the relation table, so decompose_stack reports
-    # this refusal as the table's
+    pi = unit - occupied(c)
+    worst = np.maximum(*_projector_rows(pi).values())
+    # the four O(p) vacuum rows are certified by _grow_copies; these two are
+    # part of the relation table as well, so decompose_stack reports this
+    # refusal as the table's
     _refuse(~(worst <= tol), label, NotARepresentationError,
             lambda i: f"vacuum projector fails with residual {worst[i]:.3e} > tol {tol:.3e}")
 
@@ -394,9 +442,11 @@ def decompose_stack(c, unit=None, tol: float = DEFAULT_TOL, rank_tol: float = DE
     representation i. ``unit`` represents 1 as in :func:`verify`, for every
     representation of the stack; when it is None it is inferred per
     representation. Every step of :func:`decompose` runs once on the whole
-    stack, under the same checks and tolerances. When a check refuses, the
-    relations of :func:`verify` are checked on the whole stack first, and a
-    failing one is reported in place of that check. An error names the first
+    stack, under the same checks and tolerances. On success the pair
+    relations and the four O(p) vacuum rows of :func:`verify` are certified
+    by the split's unitary, not formed. When a check refuses, the relations
+    of :func:`verify`, every row, are checked on the whole stack first, and
+    a failing one is reported in place of that check. An error names the first
     failing representation i by ``labels(i)``, a function of the stack index
     called only then (by default "representation i"). Returns one
     :class:`Decomposition` of the whole stack, whose fields have a leading

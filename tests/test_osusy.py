@@ -332,6 +332,30 @@ def test_a_perturbed_sector_is_blamed_on_its_energy():
         "eigenspace E = 5: relations fail with residual 2.000e-06 > tol 1.000e-10"
 
 
+def test_eigenspace_refusal_messages_are_pinned():
+    sys_ = build_system(2, 8)
+    Q, H = sys_.dense()
+
+    def refusal(scale, noise=0.0, energies=(5,), index=0):
+        q = [m.copy() for m in Q]
+        for e in energies:
+            rows = np.ix_(*2 * [sector_rows(sys_, e)])
+            for a in np.atleast_1d(index):
+                q[a][rows] *= scale
+            q[0][rows] += noise * np.random.default_rng(3).standard_normal((3, 3))
+        with pytest.raises(NotARepresentationError) as info:
+            eigenspace_reps(spectral(system_from_dense(2, q, H)))
+        return str(info.value)
+    assert refusal(1.0, noise=1e-3) == \
+        "eigenspace E = 5: relations fail with residual 1.277e-03 > tol 1.000e-10"
+    # every restricted charge times sqrt(2): a family whose unit is 2I
+    assert refusal(np.sqrt(2), index=[0, 1]) == \
+        "eigenspace E = 5: relations fail with residual 2.000e+00 > tol 1.000e-10"
+    # two failing sectors among the class's pieces: the lower energy is named
+    assert refusal(1 + 1e-6, energies=(6, 3), index=1) == \
+        "eigenspace E = 3: relations fail with residual 2.000e-06 > tol 1.000e-10"
+
+
 def test_charges_scaled_off_the_unit_are_refused():
     # 1.01 Q_a keeps both relations up to the unit: only the law with unit I breaks
     sys_ = build_system(3, 6)

@@ -10,7 +10,7 @@ from orthofermi import reptheory
 from orthofermi.canonical import canonical
 from orthofermi.errors import (DimensionError, NotARepresentationError, NumericalDegeneracyError,
                                OrderError, OrthofermiError)
-from orthofermi.linalg import DEFAULT_TOL, max_abs
+from orthofermi.linalg import DEFAULT_TOL, dagger, haar_unitary, max_abs
 from orthofermi.reptheory import (OrthoRep, decompose, decompose_stack, infer_unit, random_rep,
                                   relation_residuals, verify)
 
@@ -321,6 +321,53 @@ def test_decompose_stack_checks_every_element_against_a_given_unit():
         decompose_stack(c[0])
 
 
+def broken_family(name):
+    """A seeded broken p = 3 family of dim 8, the unbroken family it came
+    from and the unit both are checked against (None: inferred)."""
+    if name == "trivial-block leak":
+        # x E_{5,6} in c_1, inside the trivial block: both pair relations hold
+        # within tol, and only the rows Pi c_a = c_a and c_a^dag Pi = c_a^dag
+        # see that the given unit misses it
+        u = haar_unitary(8, np.random.default_rng(45))
+        good = block_rep(3, 1, 4).c
+        leak = good.copy()
+        leak[0, 4, 5] = 1e-6
+        unit = np.diag([1.0, 1, 1, 1, 0, 0, 0, 0])
+        return u @ leak @ dagger(u), u @ good @ dagger(u), u @ unit @ dagger(u)
+    good = random_rep(3, 2, 0, seed=41).c
+    c = good.copy()
+    if name.startswith("scaled"):
+        c[0] *= 1 + 1e-6
+    if name.startswith("perturbed"):
+        c += noise(c.shape, 1e-3, 41)
+    unit = {"unit I": np.eye(8), "unit 2I": 2 * np.eye(8)}.get(name.rpartition(", ")[2])
+    return c, good, unit
+
+
+# decompose's message for each broken family; decompose_stack names it as
+# element 2 of [good, good, broken, good], except that a unit of 2I fails all
+REFUSALS = {
+    "scaled": "unit candidates from indices 1 and 2 disagree by 9.673e-07",
+    "scaled, unit I": "relations fail with residual 1.672e-06 > tol 1.000e-10",
+    "perturbed": "unit candidates from indices 1 and 2 disagree by 3.558e-03",
+    "perturbed, unit I": "relations fail with residual 4.611e-03 > tol 1.000e-10",
+    "good, unit 2I": "relations fail with residual 1.000e+00 > tol 1.000e-10",
+    "trivial-block leak": "relations fail with residual 2.800e-07 > tol 1.000e-10",
+}
+
+
+@pytest.mark.parametrize("name", REFUSALS)
+def test_refusal_messages_are_pinned(name):
+    c, good, unit = broken_family(name)
+    with pytest.raises(NotARepresentationError) as alone:
+        decompose(OrthoRep(c), unit=unit)
+    assert str(alone.value) == REFUSALS[name]
+    with pytest.raises(NotARepresentationError) as stacked:
+        decompose_stack(np.stack([good, good, c, good], axis=1), unit)
+    first = 0 if name.endswith("unit 2I") else 2
+    assert str(stacked.value) == f"representation {first}: {REFUSALS[name]}"
+
+
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(p=st.integers(1, 6), copies=st.integers(0, 4), trivial=st.integers(0, 5),
        seed=st.integers(0, 2**32 - 1))
@@ -354,15 +401,16 @@ def test_a_split_that_cannot_certify_the_relations_is_refused():
         decompose(bent, 1e-6, 1e-3, unit=unit)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(p=st.integers(1, 5), copies=st.integers(1, 3), trivial=st.integers(0, 3),
-       seed=st.integers(0, 2**32 - 1), exponent=st.floats(-10, -4),
-       unit_exponent=st.floats(-10, -4))
-def test_a_certified_split_bounds_both_pair_defects(p, copies, trivial, seed, exponent,
-                                                    unit_exponent):
-    # generators and unit perturbed apart, at a tolerance loose enough that
-    # the certificate passes on perturbations up to about 1e-4; the unit is
-    # shifted on the trivial block only, where no residual of U sees it
+def certified_split(p, copies, trivial, seed, exponent, unit_exponent, bound):
+    """Decompose a perturbed ``random_rep`` against a perturbed unit,
+    recording what ``reptheory.<bound>`` returns.
+
+    Generators and unit are perturbed apart, at a tolerance loose enough that
+    the certificate passes on perturbations up to about 1e-4; the unit is
+    shifted on the trivial block only, where no residual of U sees it.
+    Returns the family, its unit and the recorded bound, or None when the
+    split is refused.
+    """
     rep = random_rep(p, copies, trivial, seed)
     unit = infer_unit(rep)
     outside = np.eye(rep.dim) - unit
@@ -371,18 +419,60 @@ def test_a_certified_split_bounds_both_pair_defects(p, copies, trivial, seed, ex
     bent = perturbed(rep, 10.0**exponent, seed)
     found = []
 
-    def recorded(*args, _bounds=reptheory._pair_bounds):
-        found.append(_bounds(*args))
+    def recorded(*args, _bound=getattr(reptheory, bound)):
+        found.append(_bound(*args))
         return found[-1]
-    with mock.patch.object(reptheory, "_pair_bounds", recorded):
+    with mock.patch.object(reptheory, bound, recorded):
         try:
             decompose(bent, 1e-2, 1e-2, unit=unit)
         except OrthofermiError:
-            return
-    [((nilpotent,), (mixed,))] = found
+            return None
+    [value] = found
+    return bent, unit, value
+
+
+SPLITS = dict(p=st.integers(1, 5), copies=st.integers(1, 3), trivial=st.integers(0, 3),
+              seed=st.integers(0, 2**32 - 1), exponent=st.floats(-10, -4),
+              unit_exponent=st.floats(-10, -4))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(**SPLITS)
+def test_a_certified_split_bounds_both_pair_defects(p, copies, trivial, seed, exponent,
+                                                    unit_exponent):
+    split = certified_split(p, copies, trivial, seed, exponent, unit_exponent, "_pair_bounds")
+    if split is None:
+        return
+    bent, unit, ((nilpotent,), (mixed,)) = split
     assert max(nilpotent, mixed) <= 1e-2
     defects = relation_residuals(bent.c, unit)
     assert defects[0] <= nilpotent and defects[1] <= mixed, (defects, nilpotent, mixed)
+
+
+VACUUM_ROWS = ("Pi c_a = c_a", "c_a^dag Pi = c_a^dag", "c_a Pi = 0", "Pi c_a^dag = 0")
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(**SPLITS)
+def test_a_certified_split_bounds_the_four_vacuum_rows(p, copies, trivial, seed, exponent,
+                                                       unit_exponent):
+    split = certified_split(p, copies, trivial, seed, exponent, unit_exponent, "_vacuum_bound")
+    if split is None:
+        return
+    bent, unit, (bound,) = split
+    assert bound <= 1e-2
+    rows = verify(bent, unit)
+    assert all(rows[name] <= bound for name in VACUUM_ROWS), (rows, bound)
+
+
+def test_expected_blocks_are_the_padded_canonical_copies():
+    for p in range(1, 7):
+        for m in range(4):
+            for t in range(4):
+                old = np.pad(np.kron(np.eye(m), canonical(p).c), ((0, 0), (0, t), (0, t)))
+                new = reptheory._expected_blocks(p, m, t)
+                assert (new.shape, new.dtype) == (old.shape, old.dtype)
+                assert new.tobytes() == old.tobytes(), (p, m, t)
 
 
 # -- random_rep ---------------------------------------------------------------
