@@ -300,7 +300,7 @@ def _vacuum_bound(d_u, d_b, d_1, n: int, p: int) -> np.ndarray:
     eps, delta, shrink, drift = _slack(d_u, d_b, n)
     root = p**0.5 * eps
     y = 2 * delta + delta**2 + 2 * root + root**2 + (1 + root)**2 * drift
-    return (n * d_1 * (1 + eps) + eps + (1 + eps) * drift + (1 + eps) * y * shrink) * shrink
+    return (n**0.5 * d_1 * (1 + eps) + eps + (1 + eps) * drift + (1 + eps) * y * shrink) * shrink
 
 
 def _grow_copies(c: np.ndarray, vacua: np.ndarray, unit: np.ndarray, tol: float,
@@ -344,9 +344,9 @@ def _grow_copies(c: np.ndarray, vacua: np.ndarray, unit: np.ndarray, tol: float,
           + p eps^2 + ((1 + eps)^2 + (1 + sqrt(p) eps)^2) s + 2 delta
           + delta^2] / (1 - delta) + d_1.
 
-    Vacuum rows: let E_1 = R - F F^dag, so ||E_1|| <= n d_1, and let
-    occ = sum_g c_g^dag c_g = U S (sum_g B_g^dag S B_g) S U^dag. Then
-    Pi = R - occ = E_1 + U S Z S U^dag with the Hermitian
+    Vacuum rows: let K = R - F F^dag, whose rows and columns have 2-norm at
+    most sqrt(n) d_1, and occ = sum_g c_g^dag c_g = U S (sum_g B_g^dag S B_g) S U^dag.
+    Then Pi = R - occ = K + U S Z S U^dag with the Hermitian
     Z = (1 + D) P (1 + D) - sum_g B_g^dag S B_g. The targets' vacuum
     projector Pi_T = P - sum_g T_g^dag T_g is an orthogonal projector with
     Pi_T T_a = T_a and T_a Pi_T = 0, and by the two norms above
@@ -355,15 +355,16 @@ def _grow_copies(c: np.ndarray, vacua: np.ndarray, unit: np.ndarray, tol: float,
       ||Y|| <= y := 2 delta + delta^2 + 2 sqrt(p) eps + p eps^2
           + (1 + sqrt(p) eps)^2 s.
 
-    Since S U^dag U S = S, Pi c_a - c_a = E_1 c_a + U S (Z S B_a - B_a) S U^dag,
+    Since S U^dag U S = S, Pi c_a - c_a = K c_a + U S (Z S B_a - B_a) S U^dag,
     where Z S B_a - B_a = (Pi_T - 1) E_a + Pi_T (S - 1) B_a + Y S B_a; and
-    c_a Pi = c_a E_1 + U S B_a S Z S U^dag, where
+    c_a Pi = c_a K + U S B_a S Z S U^dag, where
     B_a S Z = E_a Pi_T + B_a (S - 1) Pi_T + B_a S Y. The rows
     c_a^dag Pi = c_a^dag and Pi c_a^dag = 0 are the same products with
-    c_a^dag and the adjoints of these middles. With
-    ||c_a|| <= (1 + eps)/(1 - delta),
+    c_a^dag and the adjoints of these middles. An entry of K c_a or c_a K
+    is a row of one factor times a column of the other, so it is at most
+    sqrt(n) d_1 ||c_a||, and ||c_a|| <= (1 + eps)/(1 - delta). Hence
 
-      max|each of the four rows| <= n d_1 (1 + eps) / (1 - delta)
+      max|each of the four rows| <= sqrt(n) d_1 (1 + eps) / (1 - delta)
           + [eps + (1 + eps) s + (1 + eps) y / (1 - delta)] / (1 - delta).
 
     The split is refused unless both pair bounds (:func:`_pair_bounds`) and

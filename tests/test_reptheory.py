@@ -465,6 +465,17 @@ def test_a_certified_split_bounds_the_four_vacuum_rows(p, copies, trivial, seed,
     assert all(rows[name] <= bound for name in VACUUM_ROWS), (rows, bound)
 
 
+def test_a_unit_off_on_the_trivial_block_by_less_than_tol_over_sqrt_n_is_accepted():
+    # the row bound charges R - F F^dag by sqrt(n) d_1; here d_1 = 3e-11 at
+    # n = 8, and every row of verify holds within tol
+    rep = random_rep(2, 2, 2, seed=3)
+    outside = np.eye(8) - infer_unit(rep)
+    unit = infer_unit(rep) + 3e-11 / max_abs(outside) * outside
+    assert max(verify(rep, unit).values()) <= DEFAULT_TOL
+    dec = decompose(rep, unit=unit)
+    assert (dec.multiplicity, dec.trivial_dim) == (2, 2)
+
+
 def test_expected_blocks_are_the_padded_canonical_copies():
     for p in range(1, 7):
         for m in range(4):
