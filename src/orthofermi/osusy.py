@@ -28,14 +28,17 @@ The number N = a^dag a + sum_g c_g^dag c_g is conserved: it commutes with H
 and with every Q_a, since Q_a moves |n-1, a> to |n, 0>. Every operator is
 therefore block-diagonal, with one (p+1)-dimensional block per sector
 N = 1..levels-1 and 1+p singletons (the vacuum and the boundary states).
-The pipeline does not assume this structure but reads it off the operators:
-an :class:`OsusySystem` holds H and the charges as stacks of equal-size
-blocks on the finest block partition that their nonzero entries admit
-(:func:`block_partition`). :func:`build_system` writes the charges' blocks
-straight from their index pattern and forms H block by block;
-:func:`system_from_dense` cuts dense operators, such as a system in a
-generic basis, which is simply one block. Every stage works on these stacks
-and on that partition, with no dim x dim array. Every nonzero entry lies
+An :class:`OsusySystem` holds H and the charges as stacks of equal-size
+blocks on a partition of the basis, one stack per block size; it checks
+that the blocks partition the basis and that every stack fits them, and
+reads p and dim off them. :func:`build_system` writes the oscillator's
+sectors and their charge entries directly and forms H block by block.
+:func:`system_from_dense` partitions dense operators, such as a system in a
+generic basis (which is simply one block), by the finest block partition
+that their nonzero entries admit (:func:`block_partition`), and cuts each
+block size out of them with one gather. The stages do not assume the
+oscillator's structure but read the partition off the system, and work on
+its stacks, with no dim x dim array. Every nonzero entry lies
 inside a block, so each residual is the dense one up to summation order.
 Eigenvalues are clustered over all blocks together, so a cluster may span
 several blocks: the E = 0 cluster spans the 1+p singletons. Each stage takes
@@ -96,19 +99,46 @@ class OsusySystem:
     :func:`block_partition`), one (count, size) index array per block size.
     Per block size, ``Q`` holds the (p, count, size, size) stack of the
     charges' blocks and ``H`` the (count, size, size) stack of H's blocks;
-    every entry outside the blocks is zero. :meth:`dense` assembles the
-    dim x dim matrices.
+    every entry outside the blocks is zero. The order ``p`` and the
+    dimension ``dim`` are read off the stacks and the blocks. Raises
+    :class:`DimensionError` unless the blocks partition 0..dim-1 and every
+    stack fits its blocks, and :class:`OrderError` for p = 0. :meth:`dense`
+    assembles the dim x dim matrices.
     """
 
-    p: int
-    dim: int
     blocks: list[np.ndarray]
     Q: list[np.ndarray]
     H: list[np.ndarray]
 
+    def __post_init__(self):
+        found = np.concatenate([np.ravel(rows) for rows in self.blocks] or [[]])
+        if (any(np.ndim(rows) != 2 for rows in self.blocks)
+                or not np.array_equal(np.sort(found), np.arange(max(found.size, 1)))):
+            raise DimensionError("blocks must be (count, size) arrays that partition 0..dim-1")
+        _check_stacks("H", self.H, self.blocks)
+        _check_stacks("Q", self.Q, self.blocks, np.shape(self.Q[0])[:1] if self.Q else ())
+        check_order(self.p)
+
+    @property
+    def p(self) -> int:
+        return len(self.Q[0])
+
+    @property
+    def dim(self) -> int:
+        return sum(rows.size for rows in self.blocks)
+
     def dense(self) -> tuple[np.ndarray, np.ndarray]:
         """The (p, dim, dim) charges and the dim x dim H."""
         return _assemble(self.dim, self.blocks, self.Q), _assemble(self.dim, self.blocks, self.H)
+
+
+def _check_stacks(name: str, stacks, blocks: list[np.ndarray], lead: tuple = ()) -> None:
+    """Raise :class:`DimensionError` unless ``stacks`` holds one
+    (*lead, count, size, size) stack per (count, size) array of ``blocks``."""
+    shapes = [(*lead, *rows.shape, rows.shape[1]) for rows in blocks]
+    found = [np.shape(stack) for stack in stacks]
+    if found != shapes:
+        raise DimensionError(f"{name} needs block stacks {shapes}, got {found}")
 
 
 @dataclass(frozen=True)
@@ -159,42 +189,45 @@ class SusyGenerators:
     frac_direct: list[np.ndarray]
 
     def __post_init__(self):
-        shapes = [(*rows.shape, rows.shape[1]) for rows in self.spectrum.system.blocks]
         for name in ("para", "frac", "frac_direct"):
-            found = [np.shape(stack) for stack in getattr(self, name)]
-            if found != shapes:
-                raise DimensionError(f"{name} needs block stacks {shapes}, got {found}")
+            _check_stacks(name, getattr(self, name), self.spectrum.system.blocks)
 
 
 def build_system(p: int, levels: int) -> OsusySystem:
     """Construct the truncated model of order ``p`` with ``levels`` boson states.
 
     The boson annihilator acts as a|n> = sqrt(n)|n-1> on occupations
-    0..levels-1 with a^dag|levels-1> = 0 (hard cutoff). Each Q_a has one
-    nonzero entry per n < levels-1, sqrt(2) sqrt(n+1) from |n, a> (index
-    n(p+1) + a) to |n+1, 0> (index (n+1)(p+1)); the blocks are read off those
-    index pairs and H is formed block by block, with no dim x dim array.
+    0..levels-1 with a^dag|levels-1> = 0 (hard cutoff), and Q_a moves
+    |n, a> (index n(p+1) + a) to |n+1, 0> (index (n+1)(p+1)). The sectors of
+    the conserved number N are written directly: sector N = n+1, for
+    n < levels-1, is the index range n(p+1)+1 .. (n+1)(p+1), in which Q_a has
+    the one entry sqrt(2) sqrt(n+1) at slot (p, a-1); the vacuum and the p
+    boundary states (levels-1)(p+1) + a are singletons without charge. H is
+    formed block by block, with no dim x dim array.
     """
     p = check_order(p)
     if not is_count(levels, 2):
         raise TruncationError(f"need at least 2 boson levels, got {levels!r}")
     levels = int(levels)
     check_addressable(TruncationError, f"levels = {levels} at p = {p}", p, levels, p + 1, p + 1)
-    dim = levels * (p + 1)
-    n = np.repeat(np.arange(levels - 1), p)
-    a = np.tile(np.arange(1, p + 1), levels - 1)
-    rows, cols = (n + 1) * (p + 1), n * (p + 1) + a
-    blocks = block_partition(dim, rows, cols)
-    Q = _scatter(blocks, p, a - 1, rows, cols, math.sqrt(2.0) * np.sqrt(n + 1.0))
+    n, top = np.arange(levels - 1), (levels - 1) * (p + 1)
+    blocks = [np.append(0, top + np.arange(1, p + 1))[:, None],
+              np.arange(1, top + 1).reshape(n.size, p + 1)]
+    sectors = np.zeros((p, n.size, p + 1, p + 1), dtype=complex)
+    a = np.arange(p)
+    sectors[a, :, p, a] = math.sqrt(2.0) * np.sqrt(n + 1.0)
+    Q = [np.zeros((p, p + 1, 1, 1), dtype=complex), sectors]
     H = [0.5 * (q[0] @ dagger(q[0]) + occupied(q)) for q in Q]
-    return OsusySystem(p=p, dim=dim, blocks=blocks, Q=Q, H=H)
+    return OsusySystem(blocks, Q, H)
 
 
 def system_from_dense(p: int, Q, H) -> OsusySystem:
     """The system of the dense dim x dim charges ``Q`` (p of them) and ``H``.
 
-    The blocks are the :func:`block_partition` of every nonzero entry of H
-    and the charges, so no entry falls outside them.
+    The blocks are the :func:`block_partition` of the entries that are
+    nonzero in H or in some charge, so no entry falls outside them; each
+    block size is then cut out of the dense operators with one gather, the
+    inverse of :meth:`OsusySystem.dense`.
     """
     p = check_order(p)
     shapes = [np.shape(m) for m in (H, *Q)]
@@ -202,11 +235,9 @@ def system_from_dense(p: int, Q, H) -> OsusySystem:
         raise DimensionError(f"need H and {p} charges as square matrices of one size, "
                              f"got shapes {shapes}")
     ops = np.asarray([H, *Q], dtype=complex)
-    op, rows, cols = np.nonzero(ops)
-    blocks = block_partition(ops.shape[1], rows, cols)
-    stacks = _scatter(blocks, p + 1, op, rows, cols, ops[op, rows, cols])
-    return OsusySystem(p=p, dim=ops.shape[1], blocks=blocks,
-                       Q=[s[1:] for s in stacks], H=[s[0] for s in stacks])
+    blocks = block_partition(ops.shape[1], *np.nonzero((ops != 0).any(axis=0)))
+    stacks = [ops[:, rows[:, :, None], rows[:, None, :]] for rows in blocks]
+    return OsusySystem(blocks, [s[1:] for s in stacks], [s[0] for s in stacks])
 
 
 def block_partition(dim: int, rows: np.ndarray, cols: np.ndarray) -> list[np.ndarray]:
@@ -235,26 +266,6 @@ def block_partition(dim: int, rows: np.ndarray, cols: np.ndarray) -> list[np.nda
     _, starts, sizes = np.unique(label[order], return_index=True, return_counts=True)
     return [order[starts[sizes == size][:, None] + np.arange(size)]
             for size in sorted(set(sizes.tolist()))]
-
-
-def _scatter(blocks: list[np.ndarray], k: int, op: np.ndarray, rows: np.ndarray,
-             cols: np.ndarray, values: np.ndarray) -> list[np.ndarray]:
-    """Per block size, the (k, count, size, size) stack of k operators whose
-    entries ``values`` sit at (``rows``, ``cols``) of operator ``op``; each
-    pair must lie inside one of the ``blocks``."""
-    dim = sum(group.size for group in blocks)
-    group_of, block_of, slot = (np.empty(dim, dtype=int) for _ in range(3))
-    for g, group in enumerate(blocks):
-        group_of[group] = g
-        block_of[group] = np.arange(len(group))[:, None]
-        slot[group] = np.arange(group.shape[1])
-    stacks = []
-    for g, group in enumerate(blocks):
-        stack = np.zeros((k, *group.shape, group.shape[1]), dtype=complex)
-        at = group_of[rows] == g
-        stack[op[at], block_of[rows[at]], slot[rows[at]], slot[cols[at]]] = values[at]
-        stacks.append(stack)
-    return stacks
 
 
 def _assemble(dim: int, blocks: list[np.ndarray], stacks: list[np.ndarray]) -> np.ndarray:

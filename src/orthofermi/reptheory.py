@@ -293,14 +293,19 @@ def _pair_bounds(d_u, d_b, d_1, n: int, p: int) -> tuple[np.ndarray, np.ndarray]
     return nilpotent, mixed
 
 
-def _vacuum_bound(d_u, d_b, d_1, n: int, p: int) -> np.ndarray:
+def _vacuum_bound(d_u, d_b, d_1, n: int, p: int, d_f) -> np.ndarray:
     """The bound of :func:`_grow_copies` on the max_abs defects of the four
     O(p) vacuum rows of :func:`verify`, from the same d_U, d_B and d_1 as
-    :func:`_pair_bounds`; infinite unless n d_U < 1."""
+    :func:`_pair_bounds` and the largest entry d_F of R F - F and
+    F^dag R - F^dag; infinite unless n d_U < 1."""
     eps, delta, shrink, drift = _slack(d_u, d_b, n)
     root = p**0.5 * eps
     y = 2 * delta + delta**2 + 2 * root + root**2 + (1 + root)**2 * drift
-    return (n**0.5 * d_1 * (1 + eps) + eps + (1 + eps) * drift + (1 + eps) * y * shrink) * shrink
+    by_rows = (n**0.5 * d_1 * (1 + eps) + eps + (1 + eps) * drift + (1 + eps) * y * shrink) * shrink
+    grow = (1 + delta)**0.5
+    by_copies = ((n * d_f + grow * delta + n * d_1 * grow * (eps + (1 + eps) * drift))
+                 * shrink**0.5 + (eps + (1 + eps) * drift + (1 + eps) * y * shrink) * shrink)
+    return np.minimum(by_rows, by_copies)
 
 
 def _grow_copies(c: np.ndarray, vacua: np.ndarray, unit: np.ndarray, tol: float,
@@ -367,6 +372,29 @@ def _grow_copies(c: np.ndarray, vacua: np.ndarray, unit: np.ndarray, tol: float,
       max|each of the four rows| <= sqrt(n) d_1 (1 + eps) / (1 - delta)
           + [eps + (1 + eps) s + (1 + eps) y / (1 - delta)] / (1 - delta).
 
+    A given unit may be off on the trivial block by more than tol / sqrt(n)
+    while every row holds, so the terms K c_a and c_a K are also bounded
+    through F. Let d_F be the largest entry of R F - F and of
+    F^dag R - F^dag; both are needed, as R need not be Hermitian. Since
+    F^dag F - 1 is a block of D, ||F|| <= sqrt(1 + delta), and
+    K F = (R F - F) - F (F^dag F - 1) has norm at most
+    n d_F + sqrt(1 + delta) delta, as has F^dag K = (F^dag R - F^dag)
+    - (F^dag F - 1) F^dag. T_a lives on the copy coordinates, so
+    U T_a = [F T_a^cc, 0] with ||T_a^cc|| <= 1, and with S B_a = T_a + E_a
+    + (S - 1) B_a,
+
+      K c_a = [K F T_a^cc, 0] S U^dag + K U (E_a + (S - 1) B_a) S U^dag,
+
+    where ||S U^dag||^2 = ||S U^dag U S|| = ||S|| <= 1/(1 - delta),
+    ||U|| <= sqrt(1 + delta) and ||K|| <= n d_1. Hence
+
+      max|K c_a| <= [n d_F + sqrt(1 + delta) delta
+          + n d_1 sqrt(1 + delta) (eps + (1 + eps) s)] / sqrt(1 - delta),
+
+    and the same bound covers c_a K through F^dag K, and c_a^dag, whose
+    B_a^dag = T_a^dag + E_a^dag also lives on the copy coordinates. Both
+    charges of these terms are sound, and the row bound keeps the smaller.
+
     The split is refused unless both pair bounds (:func:`_pair_bounds`) and
     the row bound (:func:`_vacuum_bound`) are at most ``tol``; with the two
     projector rows of step 2, every row of :func:`verify` then holds within
@@ -403,22 +431,24 @@ def _grow_copies(c: np.ndarray, vacua: np.ndarray, unit: np.ndarray, tol: float,
         "gram": gram, "complement annihilation": annihilation}
     outside += unit - np.eye(n)
     defects = (residuals["unitarity"], residuals["block"], max_abs(outside, axis=(-2, -1)), n, p)
-    bound = np.maximum(np.maximum(*_pair_bounds(*defects)), _vacuum_bound(*defects))
+    d_f = _worst(r @ family - family for r in (unit, dagger(unit)))
+    bound = np.maximum(np.maximum(*_pair_bounds(*defects)), _vacuum_bound(*defects, d_f))
     _refuse(~(bound <= tol), label, NumericalDegeneracyError,
             lambda i: f"the split certifies the relations only within {bound[i]:.3e} > tol {tol:.3e}")
     return basis, residuals
 
 
 def _split(c: np.ndarray, unit, tol: float, rank_tol: float, label) -> Decomposition:
-    """Steps 2 to 5 of the module docstring on a (p, k, n, n) stack."""
+    """Steps 2 to 5 of the module docstring on a (p, k, n, n) stack.
+
+    A failing projector row of step 2 raises a bare
+    :class:`NotARepresentationError`; :func:`decompose_stack` then names the
+    failing row from the relation table, which holds both projector rows.
+    """
     p, k, n, _ = c.shape
     pi = unit - occupied(c)
-    worst = np.maximum(*_projector_rows(pi).values())
-    # the four O(p) vacuum rows are certified by _grow_copies; these two are
-    # part of the relation table as well, so decompose_stack reports this
-    # refusal as the table's
-    _refuse(~(worst <= tol), label, NotARepresentationError,
-            lambda i: f"vacuum projector fails with residual {worst[i]:.3e} > tol {tol:.3e}")
+    if not (np.maximum(*_projector_rows(pi).values()) <= tol).all():
+        raise NotARepresentationError
 
     vacua = _ranges(pi, tol, rank_tol)
     copies = np.array([v.shape[1] for v in vacua])

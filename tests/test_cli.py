@@ -10,6 +10,8 @@ import pytest
 from orthofermi.canonical import canonical
 from orthofermi import cli
 from orthofermi.cli import EXIT_FAIL, EXIT_IO, EXIT_PASS, main
+from orthofermi.linalg import max_abs
+from orthofermi.reptheory import infer_unit, random_rep
 from orthofermi.serialize import read_rep_file, rep_to_dict
 
 
@@ -189,6 +191,20 @@ def test_decompose_checks_against_the_unit_in_the_file(tmp_path, capsys):
     path.write_text(json.dumps(rep_to_dict(canonical(2), 2 * np.eye(3))))
     assert run(capsys, "verify", str(path))[0] == EXIT_FAIL
     assert run(capsys, "decompose", str(path))[0] == EXIT_FAIL
+
+
+def test_decompose_accepts_a_file_unit_off_on_the_trivial_block(tmp_path, capsys):
+    # 4e-11 off where no copy reaches: every row of verify holds within tol at
+    # n = 6, although sqrt(n) times that offset does not
+    rep = random_rep(2, 2, 2, seed=3)
+    unit = infer_unit(rep)
+    outside = np.eye(rep.dim) - unit
+    path = tmp_path / "shifted-unit.json"
+    path.write_text(json.dumps(rep_to_dict(rep, unit + 4e-11 / max_abs(outside) * outside)))
+    assert run(capsys, "verify", str(path))[0] == EXIT_PASS
+    code, doc = run_json(capsys, "decompose", str(path))
+    assert code == EXIT_PASS
+    assert (doc["payload"]["multiplicity"], doc["payload"]["trivial_dim"]) == (2, 2)
 
 
 @pytest.mark.parametrize("command", ["verify", "decompose"])

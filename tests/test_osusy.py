@@ -1,7 +1,8 @@
+import itertools
 import math
 import tracemalloc
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -13,8 +14,8 @@ from orthofermi.canonical import canonical, cyclic_from, lowering_from
 from orthofermi.errors import (ClusteringError, DimensionError, NotARepresentationError,
                                OrderError, TruncationError)
 from orthofermi.linalg import haar_unitary, max_abs
-from orthofermi.osusy import (CLOSED_FORM_TOL, DEFAULT_GENERATOR_TOL, SusyGenerators,
-                              block_partition, build_generators, build_system,
+from orthofermi.osusy import (CLOSED_FORM_TOL, DEFAULT_GENERATOR_TOL, OsusySystem,
+                              SusyGenerators, block_partition, build_generators, build_system,
                               check_generators, check_relations, closed_form_frac,
                               closed_form_para, eigenspace_reps, spectral, system_from_dense)
 from oracles import cluster_bases, cut, dense, dense_generators, h_power, loop_clusters
@@ -87,10 +88,15 @@ def test_charges_equal_the_kron_formula_bitwise(p, levels):
     assert [q.tobytes() for q in Q] == [q.tobytes() for q in kron]
 
 
-@pytest.mark.parametrize("p, levels", [(1, 2), (2, 5), (3, 7), (8, 6), (16, 3)])
+@pytest.mark.parametrize("p, levels", [*itertools.product(range(1, 9), range(2, 9)), (16, 3)])
 def test_a_dense_system_has_the_same_blocks_and_stacks(p, levels):
+    # build_system writes its sectors; they must be the partition that the
+    # nonzero pattern gives, and cutting the dense operators must give its stacks
     sys_ = build_system(p, levels)
     Q, H = sys_.dense()
+    pattern = (np.asarray([H, *Q]) != 0).any(axis=0)
+    assert [rows.tolist() for rows in block_partition(sys_.dim, *np.nonzero(pattern))] == \
+        [rows.tolist() for rows in sys_.blocks]
     again = system_from_dense(p, Q, H)
     assert (again.p, again.dim) == (sys_.p, sys_.dim)
     assert [rows.tolist() for rows in again.blocks] == [rows.tolist() for rows in sys_.blocks]
@@ -103,6 +109,59 @@ def test_a_dense_system_needs_p_square_charges_of_the_size_of_h():
     for charges, h in [(Q[:1], H), (Q, H[:, :-1]), ([q[:-1, :-1] for q in Q], H)]:
         with pytest.raises(DimensionError):
             system_from_dense(2, charges, h)
+
+
+def test_order_and_dimension_are_read_off_the_stacks():
+    assert [f.name for f in fields(OsusySystem)] == ["blocks", "Q", "H"]
+    sys_ = build_system(3, 4)
+    assert (sys_.p, sys_.dim) == (3, 16)
+    fewer = replace(sys_, Q=[q[:2] for q in sys_.Q])
+    assert (fewer.p, fewer.dim) == (2, 16)
+    Q, H = sys_.dense()
+    whole = OsusySystem([np.arange(16)[None]], [Q[:, None]], [H[None]])
+    assert (whole.p, whole.dim) == (3, 16)
+
+
+def test_build_system_writes_its_blocks_without_a_partition(monkeypatch):
+    def refused(*args):
+        raise AssertionError("block_partition called")
+    monkeypatch.setattr(osusy, "block_partition", refused)
+    assert build_system(2, 4).dim == 12
+
+
+def broken_systems(sys_):
+    """Field replacements that leave ``sys_`` inconsistent: a stack that does
+    not fit its blocks, or blocks that skip or repeat an index."""
+    last = sys_.dim - 1
+    return [
+        {"Q": [q[..., :-1] for q in sys_.Q]},
+        {"Q": [sys_.Q[0], sys_.Q[1][:1]]},
+        {"Q": sys_.Q[:1]},
+        {"Q": []},
+        {"H": [h[:-1] for h in sys_.H]},
+        {"H": sys_.H[::-1]},
+        {"H": [h[None] for h in sys_.H]},
+        {"blocks": [np.where(rows == last, last + 1, rows) for rows in sys_.blocks]},
+        {"blocks": [np.where(rows == 0, 1, rows) for rows in sys_.blocks]},
+        {"blocks": [rows.ravel() for rows in sys_.blocks]},
+        {"blocks": [], "Q": [], "H": []},
+    ]
+
+
+@pytest.mark.parametrize("case", range(len(broken_systems(build_system(2, 3)))))
+def test_a_system_refuses_stacks_that_do_not_fit_and_blocks_that_do_not_partition(case):
+    sys_ = build_system(2, 3)
+    change = broken_systems(sys_)[case]
+    with pytest.raises(DimensionError):
+        replace(sys_, **change)
+    with pytest.raises(DimensionError):
+        OsusySystem(**{"blocks": sys_.blocks, "Q": sys_.Q, "H": sys_.H, **change})
+
+
+def test_a_system_without_charges_is_refused():
+    sys_ = build_system(2, 3)
+    with pytest.raises(OrderError):
+        replace(sys_, Q=[q[:0] for q in sys_.Q])
 
 
 def test_a_long_chain_allocates_no_dense_matrix():
@@ -828,9 +887,10 @@ def spectrum_table(analyses, spectrum):
             for a, mult in zip(analyses, spectrum.multiplicities)]
 
 
-@settings(max_examples=12, deadline=None, derandomize=True, database=None)
-@given(p=st.integers(1, 3), levels=st.integers(2, 6), seed=st.integers(0, 2**32 - 1))
-def test_pipeline_is_basis_covariant(p, levels, seed):
+def assert_basis_covariant(p, levels, seed):
+    """The pipeline on the natural system of (p, levels) turned by a Haar
+    unitary, one dense block: every check passes, the spectrum table is the
+    natural one, and the generators and H^a turn with the basis."""
     natural, natural_spectrum, natural_analyses, natural_gens = pipeline(p, levels)
     u = haar_unitary(natural.dim, np.random.default_rng(seed))
     Q, H = natural.dense()
@@ -848,3 +908,14 @@ def test_pipeline_is_basis_covariant(p, levels, seed):
     for got, want in [*zip(dense_generators(gens), dense_generators(natural_gens)),
                       (h_power(spectrum, -0.5), h_power(natural_spectrum, -0.5))]:
         assert max_abs(got - u @ want @ u.conj().T) <= 1e-10
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(p=st.integers(1, 3), levels=st.integers(2, 6), seed=st.integers(0, 2**32 - 1))
+def test_pipeline_is_basis_covariant(p, levels, seed):
+    assert_basis_covariant(p, levels, seed)
+
+
+@pytest.mark.parametrize("p, levels, seed", [(8, 12, 81), (16, 6, 166)])
+def test_a_large_order_pipeline_is_basis_covariant(p, levels, seed):
+    assert_basis_covariant(p, levels, seed)

@@ -417,6 +417,13 @@ def certified_split(p, copies, trivial, seed, exponent, unit_exponent, bound):
     shift = noise((rep.dim, rep.dim), 10.0**unit_exponent, seed + 1)
     unit = unit + outside @ (shift + shift.conj().T) @ outside
     bent = perturbed(rep, 10.0**exponent, seed)
+    value = recorded_bound(bent, unit, bound)
+    return None if value is None else (bent, unit, value)
+
+
+def recorded_bound(rep, unit, bound):
+    """What ``reptheory.<bound>`` returns while ``rep`` is decomposed against
+    ``unit`` at tol and rank_tol 1e-2, or None when the split is refused."""
     found = []
 
     def recorded(*args, _bound=getattr(reptheory, bound)):
@@ -424,11 +431,11 @@ def certified_split(p, copies, trivial, seed, exponent, unit_exponent, bound):
         return found[-1]
     with mock.patch.object(reptheory, bound, recorded):
         try:
-            decompose(bent, 1e-2, 1e-2, unit=unit)
+            decompose(rep, 1e-2, 1e-2, unit=unit)
         except OrthofermiError:
             return None
     [value] = found
-    return bent, unit, value
+    return value
 
 
 SPLITS = dict(p=st.integers(1, 5), copies=st.integers(1, 3), trivial=st.integers(0, 3),
@@ -474,6 +481,66 @@ def test_a_unit_off_on_the_trivial_block_by_less_than_tol_over_sqrt_n_is_accepte
     assert max(verify(rep, unit).values()) <= DEFAULT_TOL
     dec = decompose(rep, unit=unit)
     assert (dec.multiplicity, dec.trivial_dim) == (2, 2)
+
+
+def unit_off_on_the_trivial_block(rep, off):
+    """The inferred unit of ``rep`` plus ``off`` times its largest-entry-normed
+    complement: off by ``off`` where the copies do not reach."""
+    unit = infer_unit(rep)
+    outside = np.eye(rep.dim) - unit
+    return unit + off / max_abs(outside) * outside
+
+
+@pytest.mark.parametrize("copies, trivial, off", [(2, 2, 4e-11), (30, 10, 2e-11)])
+def test_a_unit_off_on_the_trivial_block_by_more_than_tol_over_sqrt_n_is_accepted(
+        copies, trivial, off):
+    # sqrt(n) d_1 alone exceeds tol, but the unit is exact on the copy columns
+    # F, so R F - F is roundoff and the row bound through it certifies the split
+    rep = random_rep(2, copies, trivial, seed=3)
+    unit = unit_off_on_the_trivial_block(rep, off)
+    assert rep.dim**0.5 * off > DEFAULT_TOL
+    assert max(verify(rep, unit).values()) <= DEFAULT_TOL
+    dec = decompose(rep, unit=unit)
+    assert (dec.multiplicity, dec.trivial_dim) == (copies, trivial)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(p=st.integers(1, 5), copies=st.integers(1, 3), trivial=st.integers(0, 3),
+       seed=st.integers(0, 2**32 - 1), unit_exponent=st.floats(-10, -4),
+       gap=st.floats(0, 4), hermitian=st.booleans())
+def test_the_vacuum_row_bound_holds_for_a_unit_off_on_the_copies(p, copies, trivial, seed,
+                                                                 unit_exponent, gap, hermitian):
+    # a shift on the trivial block, plus one smaller by 10^gap on every block:
+    # R F - F is then not roundoff, and for about half of these splits the
+    # bound through it is the smaller one; a non-Hermitian shift makes
+    # F^dag R - F^dag differ from R F - F
+    rep = random_rep(p, copies, trivial, seed)
+    unit = infer_unit(rep)
+    outside = np.eye(rep.dim) - unit
+    shift = noise((rep.dim, rep.dim), 10.0**unit_exponent, seed + 1)
+    stray = noise((rep.dim, rep.dim), 10.0**(unit_exponent - gap), seed + 2)
+    unit = (unit + outside @ (shift + shift.conj().T) @ outside
+            + (stray + stray.conj().T if hermitian else stray))
+    bound = recorded_bound(rep, unit, "_vacuum_bound")
+    if bound is None:
+        return
+    rows = verify(rep, unit)
+    assert all(rows[name] <= bound[0] for name in VACUUM_ROWS), (rows, bound)
+
+
+@pytest.mark.parametrize("hermitian", [True, False])
+def test_the_vacuum_row_bound_sees_a_unit_off_on_one_copy_column(hermitian):
+    # R + 1e-4 |f><g| with f = c_1^dag e_1 keeps the vacua, so U and its block
+    # residuals stay roundoff, while c_1 Pi moves by about 1e-4: only d_1 and
+    # d_F see it. With g a trivial vector, R F = F, and only F^dag R - F^dag does.
+    rep = random_rep(2, 2, 2, seed=3)
+    basis = decompose(rep).basis
+    f, g = basis[:, 1], basis[:, 1 if hermitian else -1]
+    unit = infer_unit(rep) + 1e-4 * np.outer(f, g.conj())
+    (bound,) = recorded_bound(rep, unit, "_vacuum_bound")
+    rows = verify(rep, unit)
+    assert rows["c_a Pi = 0"] > 1e-5
+    assert all(rows[name] <= bound for name in VACUUM_ROWS), (rows, bound)
 
 
 def test_expected_blocks_are_the_padded_canonical_copies():
