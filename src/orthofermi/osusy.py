@@ -235,7 +235,7 @@ def system_from_dense(p: int, Q, H) -> OsusySystem:
         raise DimensionError(f"need H and {p} charges as square matrices of one size, "
                              f"got shapes {shapes}")
     ops = np.asarray([H, *Q], dtype=complex)
-    blocks = block_partition(ops.shape[1], *np.nonzero((ops != 0).any(axis=0)))
+    blocks = block_partition(ops.shape[1], *np.nonzero(ops.any(axis=0)))
     stacks = [ops[:, rows[:, :, None], rows[:, None, :]] for rows in blocks]
     return OsusySystem(blocks, [s[1:] for s in stacks], [s[0] for s in stacks])
 
