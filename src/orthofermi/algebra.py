@@ -11,26 +11,29 @@ element is a coefficient vector
 
     x = lam * Pi + sum_a (nu_a c_a + mu_a c_a^dag) + sum_ab sigma_ab c_a^dag c_b.
 
-Products expand through the structure constants of those monomials, which
-coincide with the block rule
+An element is held as its coefficient square of side p+1,
 
-    [[lam, nu^T], [mu, sigma]] . [[lam', nu'^T], [mu', sigma']]
+    [[lam, nu^T],
+     [mu,  sigma]],
 
-i.e. the coefficient square of side p+1 multiplies like a matrix. The map
-:func:`rho0` sends the monomials to the matrix units of that square and is a
-faithful *-isomorphism onto the full (p+1)x(p+1) matrix algebra.
+the monomials being the matrix units Pi = E_11, c_a = E_{1,a+1},
+c_a^dag = E_{a+1,1} and c_a^dag c_b = E_{a+1,b+1}. The structure constants
+of the monomials are those of the matrix units, so the product of two
+elements is the matrix product of their squares and the * operation is the
+conjugate transpose: the square is the faithful *-isomorphism :func:`rho0`
+onto the full (p+1)x(p+1) matrix algebra.
 
 Validation happens once, in the public constructor
 ``AlgebraElement(p, lam, nu, mu, sigma)``: it checks the order, converts
 every coefficient to complex and checks the shapes. The results of
 arithmetic on elements (products, adjoints, sums, differences and scalar
-multiples) are built from fresh complex arrays of the right shapes and skip
+multiples) wrap the fresh complex square of one array operation and skip
 that step; no result shares an array with an operand.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,37 +55,56 @@ def check_order(p: int) -> int:
     return int(p)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class AlgebraElement:
-    """Coefficient vector of an orthofermion-algebra element of order p.
+    """An orthofermion-algebra element of order p, held as its coefficient square.
 
     ``lam`` multiplies the vacuum projector Pi, ``nu[a]`` the annihilator
     c_{a+1}, ``mu[a]`` the creator c_{a+1}^dag and ``sigma[a, b]`` the
-    quantum-transfer monomial c_{a+1}^dag c_{b+1}.
+    quantum-transfer monomial c_{a+1}^dag c_{b+1}. ``square`` is the complex
+    (p+1, p+1) array [[lam, nu^T], [mu, sigma]]; ``p`` is read off its
+    shape, ``lam`` reads as a complex number and ``nu``, ``mu``, ``sigma``
+    as views of shapes (p,), (p,), (p, p) into it.
 
     The constructor validates: it checks ``p`` with :func:`check_order`,
-    stores ``lam`` as a complex number and ``nu``, ``mu``, ``sigma`` as
-    complex copies of shapes (p,), (p,), (p, p), zeros when omitted, and
-    raises :class:`OrderError` on a wrong shape. Arithmetic results are
-    built by :func:`_element` without repeating those checks.
+    converts ``lam`` to complex and ``nu``, ``mu``, ``sigma`` to complex
+    arrays of shapes (p,), (p,), (p, p), zeros when omitted, and raises
+    :class:`OrderError` on a wrong shape. Arithmetic results are built by
+    :func:`_element` without repeating those checks.
     """
 
-    p: int
-    lam: complex = 0.0
-    nu: np.ndarray = field(default=None)
-    mu: np.ndarray = field(default=None)
-    sigma: np.ndarray = field(default=None)
+    square: np.ndarray
 
-    def __post_init__(self):
-        p = check_order(self.p)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "lam", complex(self.lam))
-        for name, shape in (("nu", (p,)), ("mu", (p,)), ("sigma", (p, p))):
-            value = getattr(self, name)
-            arr = np.zeros(shape, dtype=complex) if value is None else np.array(value, dtype=complex)
-            if arr.shape != shape:
-                raise OrderError(f"{name} must have shape {shape}, got {arr.shape}")
-            object.__setattr__(self, name, arr)
+    def __init__(self, p: int, lam: complex = 0.0, nu=None, mu=None, sigma=None):
+        square = np.zeros((check_order(p) + 1,) * 2, dtype=complex)
+        square[0, 0] = complex(lam)
+        object.__setattr__(self, "square", square)
+        for name, value in (("nu", nu), ("mu", mu), ("sigma", sigma)):
+            if value is not None:
+                view, arr = getattr(self, name), np.asarray(value, dtype=complex)
+                if arr.shape != view.shape:
+                    raise OrderError(f"{name} must have shape {view.shape}, got {arr.shape}")
+                view[...] = arr
+
+    @property
+    def p(self) -> int:
+        return len(self.square) - 1
+
+    @property
+    def lam(self) -> complex:
+        return complex(self.square[0, 0])
+
+    @property
+    def nu(self) -> np.ndarray:
+        return self.square[0, 1:]
+
+    @property
+    def mu(self) -> np.ndarray:
+        return self.square[1:, 0]
+
+    @property
+    def sigma(self) -> np.ndarray:
+        return self.square[1:, 1:]
 
     # -- constructors for the monomial basis --------------------------------
 
@@ -119,31 +141,28 @@ class AlgebraElement:
     @classmethod
     def one(cls, p: int) -> "AlgebraElement":
         """The unit, expanded as Pi + sum_a c_a^dag c_a."""
-        return cls(p, lam=1.0, sigma=np.eye(p, dtype=complex))
+        return _element(np.eye(check_order(p) + 1, dtype=complex))
 
     # -- arithmetic ----------------------------------------------------------
 
     def _same_order(self, other: "AlgebraElement") -> None:
-        if self.p != other.p:
+        if self.square.shape != other.square.shape:
             raise OrderError(f"mixed orders p={self.p} and p={other.p}")
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         if not isinstance(other, AlgebraElement):
             return NotImplemented
         self._same_order(other)
-        return _element(self.p, self.lam + other.lam, self.nu + other.nu,
-                        self.mu + other.mu, self.sigma + other.sigma)
+        return _element(self.square + other.square)
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
         if not isinstance(other, AlgebraElement):
             return NotImplemented
         self._same_order(other)
-        return _element(self.p, self.lam - other.lam, self.nu - other.nu,
-                        self.mu - other.mu, self.sigma - other.sigma)
+        return _element(self.square - other.square)
 
     def __rmul__(self, scalar: complex) -> "AlgebraElement":
-        s = complex(scalar)
-        return _element(self.p, s * self.lam, s * self.nu, s * self.mu, s * self.sigma)
+        return _element(complex(scalar) * self.square)
 
     def __mul__(self, other) -> "AlgebraElement":
         """The algebra product with an element; with a scalar, the same
@@ -156,40 +175,22 @@ class AlgebraElement:
         return alg_adjoint(self)
 
 
-def _element(p: int, lam: complex, nu: np.ndarray, mu: np.ndarray,
-             sigma: np.ndarray) -> AlgebraElement:
-    """An element from coefficients that are already valid, unchecked.
-
-    The caller guarantees a positive int ``p``, a complex ``lam`` and fresh
-    complex arrays of shapes (p,), (p,), (p, p); the constructor's checks
-    and copies are skipped.
-    """
+def _element(square: np.ndarray) -> AlgebraElement:
+    """An element from a fresh complex (p+1, p+1) square, p >= 1, unchecked."""
     x = object.__new__(AlgebraElement)
-    x.__dict__.update(p=p, lam=lam, nu=nu, mu=mu, sigma=sigma)
+    object.__setattr__(x, "square", square)
     return x
 
 
 def alg_mul(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
-    """Product in the orthofermion algebra, expanded on the monomial basis.
-
-    The structure constants collapse to four coefficient formulas:
-
-        lam''   = lam lam' + nu . mu'
-        nu''    = lam nu' + sigma'^T nu
-        mu''    = lam' mu + sigma mu'
-        sigma'' = outer(mu, nu') + sigma sigma'
-    """
+    """Product in the orthofermion algebra: the matrix product of the squares."""
     x._same_order(y)
-    return _element(x.p,
-                    x.lam * y.lam + complex(x.nu.dot(y.mu)),
-                    x.lam * y.nu + x.nu.dot(y.sigma),
-                    y.lam * x.mu + x.sigma.dot(y.mu),
-                    np.multiply.outer(x.mu, y.nu) + x.sigma.dot(y.sigma))
+    return _element(x.square @ y.square)
 
 
 def alg_adjoint(x: AlgebraElement) -> AlgebraElement:
-    """The * operation: Pi is fixed, nu and mu swap, sigma conjugate-transposes."""
-    return _element(x.p, x.lam.conjugate(), x.mu.conj(), x.nu.conj(), x.sigma.conj().T)
+    """The * operation: the conjugate transpose of the square."""
+    return _element(x.square.conj().T)
 
 
 def rho0(x: AlgebraElement) -> np.ndarray:
@@ -199,12 +200,7 @@ def rho0(x: AlgebraElement) -> np.ndarray:
     c_a^dag c_b -> E_{a+1,b+1}; extended linearly. Exact in the coefficients.
     Every call returns a new array.
     """
-    m = np.empty((x.p + 1, x.p + 1), dtype=complex)
-    m[0, 0] = x.lam
-    m[0, 1:] = x.nu
-    m[1:, 0] = x.mu
-    m[1:, 1:] = x.sigma
-    return m
+    return x.square.copy()
 
 
 def basis(p: int) -> list[AlgebraElement]:

@@ -118,6 +118,10 @@ def ladder_identity_residuals(rep: OrthoRep, L: np.ndarray, F: np.ndarray) -> di
     The sandwich identity L^{p-k} L^dag L^k = L^{p-1} is listed for k in
     1..p-1; at k = p the product instead equals L^{p-1} - c_{p-1}, which is
     covered by its own entry.
+
+    The closed form of L^k, c_k + sum_a c_a^dag c_{a+k}, is formed as one
+    product per k from the rows that hold an entry in some c_a: one row for
+    the canonical rep, so every temporary is O(n^2).
     """
     p = rep.p
     n = p + 1
@@ -137,9 +141,11 @@ def ladder_identity_residuals(rep: OrthoRep, L: np.ndarray, F: np.ndarray) -> di
     res["Ldag L = 1 - Pi"] = max_abs(Ld @ L - (eye - pi))
     res["L Ldag = 1 - c_p^dag c_p"] = max_abs(L @ Ld - (eye - c[p - 1].conj().T @ c[p - 1]))
 
+    # the rows that hold an entry in some c_a, stacked per annihilator
+    rows = c[:, np.flatnonzero(c.any(axis=(0, 2))), :]
     for k in range(1, p + 3):
         if k < p:
-            closed = c[k - 1] + sum(c[a - 1].conj().T @ c[a + k - 1] for a in range(1, p - k + 1))
+            closed = c[k - 1] + rows[:p - k].reshape(-1, n).conj().T @ rows[k:].reshape(-1, n)
         elif k == p:
             closed = c[p - 1]
         else:

@@ -226,17 +226,26 @@ def system_from_dense(p: int, Q, H) -> OsusySystem:
 
     The blocks are the :func:`block_partition` of the entries that are
     nonzero in H or in some charge, so no entry falls outside them; each
-    block size is then cut out of the dense operators with one gather, the
-    inverse of :meth:`OsusySystem.dense`.
+    block size is then cut out of each operator with one gather, the
+    inverse of :meth:`OsusySystem.dense`. The operators are read one at a
+    time, so beyond its input the call holds one bool pattern, one complex
+    copy of a non-complex operator and the blocks.
     """
     p = check_order(p)
-    shapes = [np.shape(m) for m in (H, *Q)]
+    ops = (H, *Q)
+    shapes = [np.shape(m) for m in ops]
     if len(Q) != p or len(shapes[0]) != 2 or len(set(shapes)) != 1 or len(set(shapes[0])) != 1:
         raise DimensionError(f"need H and {p} charges as square matrices of one size, "
                              f"got shapes {shapes}")
-    ops = np.asarray([H, *Q], dtype=complex)
-    blocks = block_partition(ops.shape[1], *np.nonzero(ops.any(axis=0)))
-    stacks = [ops[:, rows[:, :, None], rows[:, None, :]] for rows in blocks]
+    pattern = np.zeros(shapes[0], dtype=bool)
+    for m in ops:
+        pattern |= np.asarray(m, dtype=complex) != 0
+    blocks = block_partition(len(pattern), *np.nonzero(pattern))
+    stacks = [np.empty((p + 1, *rows.shape, rows.shape[1]), dtype=complex) for rows in blocks]
+    for i, m in enumerate(ops):
+        m = np.asarray(m, dtype=complex)
+        for rows, stack in zip(blocks, stacks):
+            stack[i] = m[rows[:, :, None], rows[:, None, :]]
     return OsusySystem(blocks, [s[1:] for s in stacks], [s[0] for s in stacks])
 
 

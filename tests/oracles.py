@@ -10,7 +10,13 @@ one stack element at a time.
 
 A symbolic oracle for :mod:`orthofermi.algebra`: :func:`monomial_product`
 multiplies two basis monomials from the defining relations alone, without
-the coefficient formulas of ``alg_mul`` and without ``rho0``.
+the coefficient squares and without ``rho0``; :func:`coefficient_product`
+multiplies any two elements by the four coefficient formulas that the
+structure constants give.
+
+A brute-force oracle for the ladder catalog of :mod:`orthofermi.canonical`:
+:func:`ladder_closed_form_residuals` sums the L^k closed forms one dense
+product per pair.
 """
 
 import numpy as np
@@ -72,6 +78,40 @@ def monomial_element(p, label):
     constructors = {"Pi": AlgebraElement.vacuum, "c": AlgebraElement.annihilator,
                 "cdag": AlgebraElement.creator, "cdag c": AlgebraElement.transfer}
     return constructors[label[0]](p, *label[1:])
+
+
+def coefficient_product(x, y):
+    """x * y expanded on the monomial basis, coefficient by coefficient:
+
+        lam''   = lam lam' + nu . mu'
+        nu''    = lam nu' + sigma'^T nu
+        mu''    = lam' mu + sigma mu'
+        sigma'' = outer(mu, nu') + sigma sigma'
+    """
+    return AlgebraElement(x.p, x.lam * y.lam + x.nu.dot(y.mu), x.lam * y.nu + x.nu.dot(y.sigma),
+                          y.lam * x.mu + x.sigma.dot(y.mu),
+                          np.multiply.outer(x.mu, y.nu) + x.sigma.dot(y.sigma))
+
+
+def ladder_closed_form_residuals(c, L):
+    """The "L^k closed form" entries of ``ladder_identity_residuals`` for the
+    (p, n, n) stack ``c`` and its lowering operator ``L``: max|L^k - closed|
+    with closed = c_k + sum_a c_a^dag c_{a+k} (k < p), c_p (k = p) and 0
+    (k = p+1, p+2). L^k is the product of k factors L from the left, and the
+    sum takes one dense product per a, in index order."""
+    p, n, _ = c.shape
+    power = np.eye(n, dtype=complex)
+    out = {}
+    for k in range(1, p + 3):
+        power = power @ L
+        if k < p:
+            closed = c[k - 1] + sum(c[a - 1].conj().T @ c[a + k - 1] for a in range(1, p - k + 1))
+        elif k == p:
+            closed = c[p - 1]
+        else:
+            closed = np.zeros((n, n), dtype=complex)
+        out[f"L^{k} closed form"] = float(np.abs(power - closed).max())
+    return out
 
 
 def pair_relation_defects(c, unit):

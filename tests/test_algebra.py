@@ -1,10 +1,13 @@
+import dataclasses
 import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import monomial_element, monomial_product, monomials
+from oracles import coefficient_product, monomial_element, monomial_product, monomials
 from orthofermi import algebra
 from orthofermi.algebra import AlgebraElement, alg_adjoint, alg_mul, basis, check_order, rho0
 from orthofermi.errors import OrderError
@@ -66,7 +69,7 @@ def test_rho0_is_a_linear_bijection_onto_matrix_units():
         assert np.linalg.matrix_rank(stacked) == (p + 1) ** 2
 
 
-@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 6])
 def test_product_and_adjoint_commute_with_rho0_exactly(p):
     elements = basis(p)
     for x in elements:
@@ -94,9 +97,9 @@ def test_unit_element_acts_as_identity():
 
 
 def test_mixed_orders_raise():
-    with pytest.raises(OrderError):
+    with pytest.raises(OrderError, match=r"^mixed orders p=1 and p=2$"):
         alg_mul(AlgebraElement.vacuum(1), AlgebraElement.vacuum(2))
-    with pytest.raises(OrderError):
+    with pytest.raises(OrderError, match=r"^order p must be a positive integer, got 0$"):
         AlgebraElement(0)
 
 
@@ -138,7 +141,7 @@ def test_check_order_accepts_integral_values():
     assert check_order(1) == 1
 
 
-@pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 6])
 def test_product_matches_the_symbolic_oracle_on_every_monomial_pair(p):
     labels = monomials(p)
     elements = basis(p)
@@ -161,14 +164,53 @@ def test_product_and_adjoint_never_call_rho0(monkeypatch):
 
 
 def test_constructor_rejects_wrong_shapes():
-    with pytest.raises(OrderError):
+    with pytest.raises(OrderError, match=r"^nu must have shape \(2,\), got \(3,\)$"):
         AlgebraElement(2, nu=[1.0, 2.0, 3.0])
-    with pytest.raises(OrderError):
+    with pytest.raises(OrderError, match=r"^mu must have shape \(2,\), got \(1,\)$"):
         AlgebraElement(2, mu=[1.0])
-    with pytest.raises(OrderError):
+    with pytest.raises(OrderError, match=r"^sigma must have shape \(2, 2\), got \(3, 3\)$"):
         AlgebraElement(2, sigma=np.eye(3))
-    with pytest.raises(OrderError):
+    with pytest.raises(OrderError, match=r"^sigma must have shape \(2, 2\), got \(2,\)$"):
         AlgebraElement(2, sigma=[1.0, 0.0])
+
+
+def test_elements_refuse_attribute_assignment():
+    x = AlgebraElement.vacuum(2)
+    for name in ("square", "p", "lam", "nu", "mu", "sigma", "other"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(x, name, 1.0)
+    assert np.array_equal(rho0(x), rho0(AlgebraElement.vacuum(2)))
+
+
+def test_coefficients_are_views_of_the_square():
+    x = AlgebraElement(2, 1 + 2j, [3, 4], [5, 6], [[7, 8], [9, 10]])
+    assert x.p == 2 and x.square.shape == (3, 3) and x.square.dtype == np.complex128
+    assert type(x.lam) is complex and x.lam == 1 + 2j
+    for name, shape in (("nu", (2,)), ("mu", (2,)), ("sigma", (2, 2))):
+        view = getattr(x, name)
+        assert view.dtype == np.complex128 and view.shape == shape
+        assert np.shares_memory(view, x.square)
+    assert np.array_equal(x.square, [[1 + 2j, 3, 4], [5, 7, 8], [6, 9, 10]])
+
+
+def random_element(p, data):
+    values = data.draw(st.lists(st.floats(-1, 1), min_size=2 * (p + 1) ** 2,
+                                max_size=2 * (p + 1) ** 2))
+    m = np.reshape(values[::2], (p + 1, p + 1)) + 1j * np.reshape(values[1::2], (p + 1, p + 1))
+    return AlgebraElement(p, m[0, 0], m[0, 1:], m[1:, 0], m[1:, 1:])
+
+
+def close(x, y):
+    return np.allclose(x.square, y.square, rtol=0, atol=1e-13)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 6), st.data())
+def test_random_products_match_the_coefficient_formulas_and_the_star_algebra(p, data):
+    x, y, z = (random_element(p, data) for _ in range(3))
+    assert close(alg_mul(x, y), coefficient_product(x, y))
+    assert close(alg_mul(alg_mul(x, y), z), alg_mul(x, alg_mul(y, z)))
+    assert close(alg_adjoint(alg_mul(x, y)), alg_mul(alg_adjoint(y), alg_adjoint(x)))
 
 
 def test_arithmetic_on_mixed_orders_raises():

@@ -5,6 +5,7 @@ from orthofermi.canonical import (OrthoRep, canonical, cyclic_from, ladder_ident
                                   ladder_operators, lowering_from, occupied)
 from orthofermi.errors import OrderError
 from orthofermi.linalg import max_abs
+from oracles import ladder_closed_form_residuals
 
 
 def ladder_L(p):
@@ -88,6 +89,21 @@ def test_ladder_identity_suite_is_exact(p):
     assert residuals, "empty identity catalog"
     for name, value in residuals.items():
         assert value == 0.0, f"{name} has residual {value}"
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 5, 8])
+def test_ladder_closed_forms_match_the_pairwise_oracle_off_the_exact_case(p):
+    # a perturbed, dense stack: every row holds entries and no identity is exact
+    rng = np.random.default_rng(p)
+    c = canonical(p).c + 0.1 * (rng.normal(size=(p, p + 1, p + 1))
+                                + 1j * rng.normal(size=(p, p + 1, p + 1)))
+    rep = OrthoRep(c)
+    L = lowering_from(rep.c)
+    residuals = ladder_identity_residuals(rep, L, cyclic_from(rep.c))
+    oracle = ladder_closed_form_residuals(rep.c, L)
+    assert max(oracle.values()) > 1e-3
+    for name, want in oracle.items():
+        assert abs(residuals[name] - want) <= 1e-15, name
 
 
 def test_nilpotency_at_large_order():

@@ -104,6 +104,19 @@ def test_a_dense_system_has_the_same_blocks_and_stacks(p, levels):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
+def test_a_dense_system_is_cut_without_copying_its_operators():
+    # the dense operators are read one at a time: no copy of all p + 1 of them
+    Q, H = build_system(3, 80).dense()
+    tracemalloc.start()
+    try:
+        sys_ = system_from_dense(3, Q, H)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sys_.dim == 320
+    assert peak < (Q.nbytes + H.nbytes) / 4
+
+
 def test_a_dense_system_needs_p_square_charges_of_the_size_of_h():
     Q, H = build_system(2, 3).dense()
     for charges, h in [(Q[:1], H), (Q, H[:, :-1]), ([q[:-1, :-1] for q in Q], H)]:
