@@ -6,6 +6,12 @@ annihilators as one complex (p, n, n) stack, c[a - 1] being c_a.
 and :func:`cyclic_from` take such a stack, or a (p, ..., n, n) stack of
 such families.
 
+Every sum of quantum-transfer monomials the package forms,
+sum_a c_a^dag c_{a+k}, is one call of :func:`transfer`, which multiplies
+only the rows that hold an entry (:func:`held_rows`): the vacuum projector
+is unit - occupied(c) = unit - transfer(c, 0), and the lowering operator
+and the closed forms of its powers below add c_k to transfer(c, k).
+
 On the (p+1)-dimensional Fock space with kets |0>, |1>, .., |p> (ket n is
 matrix row/column n+1), the annihilators act as the matrix units
 
@@ -76,22 +82,59 @@ def canonical(p: int) -> OrthoRep:
     return OrthoRep(np.stack([rho0(AlgebraElement.annihilator(p, a)) for a in range(1, p + 1)]))
 
 
-def occupied(c: np.ndarray) -> np.ndarray:
-    """sum_g c_g^dag c_g over a (p, ..., n, n) stack of annihilators.
+def held_rows(c) -> np.ndarray:
+    """Mask of the rows that hold a nonzero entry (NaN included) in some
+    matrix of a (..., m, n) stack; the stack axes are reduced first, as
+    one pass over whole matrices."""
+    return c.any(axis=tuple(range(c.ndim - 2))).any(axis=-1)
+
+
+def as_index(mask: np.ndarray):
+    """The positions of ``mask`` as an index; a slice when it keeps all, so
+    that indexing with it copies nothing."""
+    return slice(None) if mask.all() else np.flatnonzero(mask)
+
+
+def transfer(c, k: int) -> np.ndarray:
+    """sum_{a=1..p-k} c_a^dag c_{a+k} over a (p, ..., m, n) stack of annihilators.
+
+    Each c_a = c[a - 1] may itself be a stack of shape (..., m, n), one
+    matrix per stack position, and the result has shape (..., n, n); for
+    k >= p the sum is empty and the result exact zeros. Only the rows R
+    that hold an entry in some c_a (:func:`held_rows`) enter: the c_a are
+    stacked on R in groups of n // |R|, so each group costs one product of
+    at most n rows, and the groups are summed in order of a, starting from
+    zero. A stack whose every row holds an entry takes groups of one, so
+    its sum is that of the dense products, one c_a at a time.
+    """
+    c = np.asarray(c)
+    p, *lead, _, n = c.shape
+    held = held_rows(c)
+    r = np.count_nonzero(held)
+    size = max(n // max(r, 1), 1)
+    # (..., p, |R|, n): the c_a on the held rows, their index next to the rows
+    stacked = c[..., as_index(held), :].transpose(*range(1, c.ndim - 2), 0, -2, -1)
+    out = np.zeros((*lead, n, n), dtype=c.dtype)
+    for a in range(0, p - k if r else 0, size):
+        span = min(size, p - k - a)
+        lhs, rhs = (stacked[..., b:b + span, :, :].reshape(*lead, span * r, n) for b in (a, a + k))
+        out += dagger(lhs) @ rhs
+    return out
+
+
+def occupied(c) -> np.ndarray:
+    """sum_g c_g^dag c_g over a (p, ..., n, n) stack of annihilators: transfer(c, 0).
 
     Like :func:`lowering_from` and :func:`cyclic_from`, it acts on the last
     two axes: each c_g = c[g - 1] may itself be a stack of shape (..., n, n),
     one matrix per stack position.
     """
-    return sum(dagger(m) @ m for m in c)
+    return transfer(c, 0)
 
 
-def lowering_from(c: np.ndarray) -> np.ndarray:
+def lowering_from(c) -> np.ndarray:
     """L = c_1 + sum_{a=2..p} c_{a-1}^dag c_a built from a stack of annihilators."""
-    out = c[0].copy()
-    for a in range(1, len(c)):
-        out = out + dagger(c[a - 1]) @ c[a]
-    return out
+    return c[0] + transfer(c, 1)
 
 
 def cyclic_from(c: np.ndarray) -> np.ndarray:
@@ -119,15 +162,15 @@ def ladder_identity_residuals(rep: OrthoRep, L: np.ndarray, F: np.ndarray) -> di
     1..p-1; at k = p the product instead equals L^{p-1} - c_{p-1}, which is
     covered by its own entry.
 
-    The closed form of L^k, c_k + sum_a c_a^dag c_{a+k}, is formed as one
-    product per k from the rows that hold an entry in some c_a: one row for
-    the canonical rep, so every temporary is O(n^2).
+    The closed form of L^k, c_k + sum_a c_a^dag c_{a+k}, is c_k plus one
+    :func:`transfer` of the rows that hold an entry, read once per call: one
+    row for the canonical rep, so every temporary is O(n^2).
     """
     p = rep.p
-    n = p + 1
-    eye = np.eye(n, dtype=complex)
+    eye = np.eye(p + 1, dtype=complex)
     c = rep.c
-    pi = eye - occupied(c)
+    held = c[:, held_rows(c)]
+    pi = eye - occupied(held)
     Ld = L.conj().T
     Lk = [eye]  # Lk[k] = L^k for k in 0..p+2
     for _ in range(p + 2):
@@ -141,15 +184,8 @@ def ladder_identity_residuals(rep: OrthoRep, L: np.ndarray, F: np.ndarray) -> di
     res["Ldag L = 1 - Pi"] = max_abs(Ld @ L - (eye - pi))
     res["L Ldag = 1 - c_p^dag c_p"] = max_abs(L @ Ld - (eye - c[p - 1].conj().T @ c[p - 1]))
 
-    # the rows that hold an entry in some c_a, stacked per annihilator
-    rows = c[:, np.flatnonzero(c.any(axis=(0, 2))), :]
     for k in range(1, p + 3):
-        if k < p:
-            closed = c[k - 1] + rows[:p - k].reshape(-1, n).conj().T @ rows[k:].reshape(-1, n)
-        elif k == p:
-            closed = c[p - 1]
-        else:
-            closed = np.zeros((n, n), dtype=complex)
+        closed = transfer(held, k) + (c[k - 1] if k <= p else 0)
         res[f"L^{k} closed form"] = max_abs(Lk[k] - closed)
 
     # ssum collects the sandwiches L^{p-k} Ldag L^k of the sum rule, k = 0 and p first

@@ -76,7 +76,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import check_order
-from .canonical import cyclic_from, lowering_from, occupied
+from .canonical import cyclic_from, lowering_from, occupied, transfer
 from .errors import ClusteringError, DimensionError, NotARepresentationError, TruncationError
 from .linalg import DEFAULT_TOL, HermEig, check_addressable, dagger, herm_eig, is_count, max_abs
 from .reptheory import decompose_stack, relation_residuals
@@ -379,16 +379,15 @@ def eigenspace_reps(spectrum: SpectralData, tol: float = DEFAULT_TOL) -> list[Ei
     trivial representation, with no decomposition. Each piece of a cluster,
     its part in one block, is a contiguous run of the block's ascending
     levels: per block size, a piece starts at column 0 and wherever the
-    cluster changes along a row. It is cut out of ``spectrum.charges``, a
-    whole block in one take and the partial runs of one class (sign of E,
-    size) in one gather; the cluster's copies and trivial dimension are the
-    sums over its pieces. The pieces of one positive class are decomposed
-    in one :func:`decompose_stack` against the identity as unit, which
-    certifies each split by its unitary and forms the table of pair
-    relations only when a check refuses. Classes run in the
-    order they first appear, blocks by ascending size, and pieces within a
-    class by energy, so an error names the energy of the first failing
-    eigenspace of the first failing class.
+    cluster changes along a row. The pieces of one class (sign of E, size)
+    are cut out of ``spectrum.charges`` in one gather; the cluster's copies
+    and trivial dimension are the sums over its pieces. The pieces of one
+    positive class are decomposed in one :func:`decompose_stack` against
+    the identity as unit, which certifies each split by its unitary and
+    forms the table of pair relations only when a check refuses. Classes
+    run in the order they first appear, blocks by ascending size, and
+    pieces within a class by energy, so an error names the energy of the
+    first failing eigenspace of the first failing class.
     """
     classes: dict[tuple, list[tuple]] = {}
     for level, c in zip(spectrum.levels, spectrum.charges):
@@ -402,11 +401,8 @@ def eigenspace_reps(spectrum: SpectralData, tol: float = DEFAULT_TOL) -> list[Ei
         kinds = 2 * lengths + (level.flat[starts] > 0.0)
         for kind in dict.fromkeys(kinds.tolist()):  # in the order they first appear
             mine, e = kinds == kind, kind // 2
-            if e == size:
-                piece = np.take(c, block[mine], axis=1)
-            else:
-                r, s = np.arange(e), at[mine, None, None]
-                piece = c[:, block[mine, None, None], s + r[:, None], s + r]
+            r, s = np.arange(e), at[mine, None, None]
+            piece = c[:, block[mine, None, None], s + r[:, None], s + r]
             classes.setdefault((kind % 2 == 1, e), []).append((idx.flat[starts[mine]], piece))
     copies, trivial = (np.zeros(len(spectrum.energies), dtype=int) for _ in range(2))
     for (positive, size), found in classes.items():
@@ -476,8 +472,9 @@ def _powers(spectrum: SpectralData, a: float) -> list[np.ndarray]:
 
 def closed_form_para(spectrum: SpectralData) -> list[np.ndarray]:
     """Q_1 + (2H)^{-1/2} sum_{a=2..p} Q_{a-1}^dag Q_a via spectral calculus,
-    one (count, size, size) stack per block size."""
-    return [q[0] + (2.0 ** -0.5 * r) @ (lowering_from(q) - q[0])
+    one (count, size, size) stack per block size; the transfer sum is
+    :func:`~orthofermi.canonical.transfer` of the charges at k = 1."""
+    return [q[0] + (2.0 ** -0.5 * r) @ transfer(q, 1)
             for r, q in zip(_powers(spectrum, -0.5), spectrum.system.Q)]
 
 
@@ -487,15 +484,13 @@ def closed_form_frac(spectrum: SpectralData) -> list[np.ndarray]:
 
     The outer terms carry H^{-(p-1)/(2(p+1))} so that on a cluster of energy
     E they contribute E^{1/(p+1)} once the sqrt(2E) inside the charges is
-    accounted for; the transfer sum carries H^{-p/(p+1)}.
+    accounted for; the transfer sum, :func:`~orthofermi.canonical.transfer`
+    of the charges at k = 1, carries H^{-p/(p+1)}.
     """
     p = spectrum.system.p
-    stacks = []
-    for o, i, q in zip(_powers(spectrum, -(p - 1) / (2.0 * (p + 1))),
-                       _powers(spectrum, -p / (p + 1)), spectrum.system.Q):
-        o, i = 2.0 ** -0.5 * o, 0.5 * i
-        stacks.append(o @ q[0] + i @ (lowering_from(q) - q[0]) + o @ dagger(q[p - 1]))
-    return stacks
+    return [2.0 ** -0.5 * o @ q[0] + 0.5 * i @ transfer(q, 1) + 2.0 ** -0.5 * o @ dagger(q[-1])
+            for o, i, q in zip(_powers(spectrum, -(p - 1) / (2.0 * (p + 1))),
+                               _powers(spectrum, -p / (p + 1)), spectrum.system.Q)]
 
 
 def _generator_terms(p: int, H, para, frac, direct, closed_para, closed_frac) -> dict:

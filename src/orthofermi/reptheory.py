@@ -49,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import check_order
-from .canonical import OrthoRep, occupied
+from .canonical import OrthoRep, as_index, held_rows, occupied
 from .errors import DimensionError, NotARepresentationError, NumericalDegeneracyError
 from .linalg import (DEFAULT_RANK_TOL, DEFAULT_TOL, check_addressable, dagger, haar_unitary,
                      is_count, max_abs, orthonormal_range)
@@ -147,19 +147,14 @@ def _units(c: np.ndarray, unit, tol: float, label) -> np.ndarray:
     return unit
 
 
-def _index(mask: np.ndarray):
-    """The positions of ``mask`` as an index; a slice when it keeps all, so
-    that indexing with it copies nothing."""
-    return slice(None) if mask.all() else np.flatnonzero(mask)
-
-
 def _relation_defects(c: np.ndarray, unit: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per element of a (p, ..., n, n) stack: the defects of the two relations.
 
     The kernel of :func:`relation_residuals`; each value is the worst over
     all index pairs (a, b) of that element. Let R and C be the rows and the
-    columns that hold a nonzero entry in some c_b of some element, and L the
-    indices in both.
+    columns that hold a nonzero entry in some c_b of some element, read by
+    :func:`~orthofermi.canonical.held_rows` of the stack and of its
+    transpose, and L the indices in both.
 
       * Entry (i, j) of c_a c_b sums over L, and it vanishes unless i is in
         R and column j of some c_b has an entry in a row of L.
@@ -172,16 +167,18 @@ def _relation_defects(c: np.ndarray, unit: np.ndarray) -> tuple[np.ndarray, np.n
     0, so each value is that of the full products up to the order in which
     the nonzero terms are summed; a dense stack forms the full c_a c_b and
     c_a c_b^dag, one c_a at a time. The blocks a = b of the mixed relation
-    add occ - unit, to the products on R x R and on its own outside it.
+    add occ - unit, to the products on R x R and on its own outside it;
+    occ is :func:`~orthofermi.canonical.occupied`, the transfer kernel at
+    k = 0, which also multiplies on R only.
     """
     p, *lead, n, _ = c.shape
     excess = np.broadcast_to(occupied(c) - unit, (*lead, n, n)).reshape(-1, n, n)
     c = c.reshape(p, -1, n, n)
     k = c.shape[1]
-    nonzero = c != 0
-    in_rows, in_cols = nonzero.any(axis=(0, 1, 3)), nonzero.any(axis=(0, 1, 2))
-    rows, cols, inner = _index(in_rows), _index(in_cols), _index(in_rows & in_cols)
-    nilpotent_rhs = c[:, :, inner][..., _index(nonzero[:, :, inner].any(axis=(0, 1, 2)))]
+    in_rows, in_cols = held_rows(c), held_rows(np.swapaxes(c, -1, -2))
+    rows, cols, inner = as_index(in_rows), as_index(in_cols), as_index(in_rows & in_cols)
+    inside = c[:, :, inner]
+    nilpotent_rhs = inside[..., as_index(held_rows(np.swapaxes(inside, -1, -2)))]
     mixed_rhs = dagger(c[:, :, rows][..., cols])
     excess_inside = excess[:, rows][..., rows]
     nilpotent = np.zeros(k)

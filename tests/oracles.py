@@ -14,9 +14,10 @@ the coefficient squares and without ``rho0``; :func:`coefficient_product`
 multiplies any two elements by the four coefficient formulas that the
 structure constants give.
 
-A brute-force oracle for the ladder catalog of :mod:`orthofermi.canonical`:
-:func:`ladder_closed_form_residuals` sums the L^k closed forms one dense
-product per pair.
+Brute-force oracles for :mod:`orthofermi.canonical`:
+:func:`ladder_closed_form_residuals` sums the L^k closed forms of the ladder
+catalog one dense product per pair, and :func:`transfer_sum` sums
+c_a^dag c_{a+k} one dense product per pair and stack element.
 """
 
 import numpy as np
@@ -111,6 +112,18 @@ def ladder_closed_form_residuals(c, L):
         else:
             closed = np.zeros((n, n), dtype=complex)
         out[f"L^{k} closed form"] = float(np.abs(power - closed).max())
+    return out
+
+
+def transfer_sum(c, k):
+    """sum_{a=1..p-k} c_a^dag c_{a+k} over a (p, ..., n, n) stack: one dense
+    n x n product per pair (a, a+k) and stack element, added in order of a
+    to a complex zero of shape (..., n, n)."""
+    p, *lead, _, n = c.shape
+    out = np.zeros((*lead, n, n), dtype=complex)
+    for a in range(p - k):
+        for i in np.ndindex(*lead):
+            out[i] = out[i] + c[a][i].conj().T @ c[a + k][i]
     return out
 
 

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from orthofermi.canonical import (OrthoRep, canonical, cyclic_from, ladder_identity_residuals,
-                                  ladder_operators, lowering_from, occupied)
+from orthofermi.canonical import (OrthoRep, canonical, cyclic_from, held_rows,
+                                  ladder_identity_residuals, ladder_operators, lowering_from,
+                                  occupied, transfer)
 from orthofermi.errors import OrderError
-from orthofermi.linalg import max_abs
-from oracles import ladder_closed_form_residuals
+from orthofermi.linalg import dagger, max_abs
+from orthofermi.reptheory import random_rep
+from oracles import ladder_closed_form_residuals, transfer_sum
 
 
 def ladder_L(p):
@@ -163,3 +167,36 @@ def test_cyclic_power_of_a_stack_is_the_identity():
     stack = np.stack([canonical(3).c] * 2, axis=1)  # 3 annihilators, 2 copies each
     power = np.linalg.matrix_power(cyclic_from(stack), 4)
     assert np.array_equal(power, np.broadcast_to(np.eye(4), (2, 4, 4)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(p=st.integers(1, 6), n=st.integers(1, 7), lead=st.sampled_from([(), (1,), (3,)]),
+       held=st.sampled_from(["none", "one", "some", "all"]), as_list=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_transfer_matches_the_pair_oracle(p, n, lead, held, as_list, seed):
+    # Gaussian-integer entries make every sum exact in any order, so the
+    # grouped products on the held rows must give the oracle's values bitwise
+    rng = np.random.default_rng(seed)
+    count = {"none": 0, "one": 1, "some": int(rng.integers(1, max(n, 2))), "all": n}[held]
+    rows = rng.permutation(n)[:count]
+    c = np.zeros((p, *lead, n, n), dtype=complex)
+    c[..., rows, :] = rng.integers(-3, 4, (p, *lead, count, n, 2)) @ [1, 1j]
+    c[rng.integers(p), ..., rows, rng.integers(n)] = 1 + 2j  # every chosen row holds an entry
+    assert np.array_equal(np.flatnonzero(held_rows(c)), np.sort(rows))
+    for k in range(p + 2):
+        got = transfer(list(c) if as_list else c, k)
+        assert got.shape == (*lead, n, n) and got.dtype == complex
+        assert np.array_equal(got, transfer_sum(c, k)), k
+        if k >= p:
+            assert not got.any()
+
+
+@pytest.mark.parametrize("p, copies, trivial, seed", [(2, 7, 3, 1), (3, 5, 2, 4), (5, 3, 0, 3)])
+def test_occupied_on_a_dense_stack_is_the_sequential_sum_bitwise(p, copies, trivial, seed):
+    # the unit that random-rep writes into a rep file is inferred from this sum,
+    # and the written files are compared byte for byte
+    turned = random_rep(p, copies, trivial, seed).c
+    rng = np.random.default_rng(seed)
+    for c in (turned[:, None], rng.standard_normal((p, 4, 9, 9, 2)) @ [1, 1j]):
+        assert held_rows(c).all()
+        assert np.array_equal(occupied(c), sum(dagger(m) @ m for m in c))
