@@ -11,6 +11,7 @@ sum_a c_a^dag c_{a+k}, is one call of :func:`transfer`, which multiplies
 only the rows that hold an entry (:func:`held_rows`): the vacuum projector
 is unit - occupied(c) = unit - transfer(c, 0), and the lowering operator
 and the closed forms of its powers below add c_k to transfer(c, k).
+:func:`conjugate` forms V^dag c_a V on the same rows.
 
 On the (p+1)-dimensional Fock space with kets |0>, |1>, .., |p> (ket n is
 matrix row/column n+1), the annihilators act as the matrix units
@@ -93,6 +94,24 @@ def as_index(mask: np.ndarray):
     """The positions of ``mask`` as an index; a slice when it keeps all, so
     that indexing with it copies nothing."""
     return slice(None) if mask.all() else np.flatnonzero(mask)
+
+
+def conjugate(c, v) -> np.ndarray:
+    """V^dag c_a V for a (..., n, n) stack ``c`` and unitaries ``v`` that
+    broadcast against it, on the rows R that hold an entry of ``c``
+    (:func:`held_rows`).
+
+    A stack whose every row holds an entry forms the dense (V^dag c_a) V,
+    so that its values, which reports print, stay those of the dense
+    products bitwise; otherwise c_a vanishes off R, and
+    V^dag[:, R] (c_a[R, :] V) forms the same matrix up to summation order
+    with one full-size product in place of two.
+    """
+    held = held_rows(c)
+    if held.all():
+        return (dagger(v) @ c) @ v
+    rows = np.flatnonzero(held)
+    return dagger(v[..., rows, :]) @ (c[..., rows, :] @ v)
 
 
 def transfer(c, k: int) -> np.ndarray:

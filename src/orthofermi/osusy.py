@@ -64,8 +64,18 @@ a block size enter together as one row each, and the singleton blocks,
 which hold no entry, form no product. A piece with E <= 0 must carry no
 charge and is trivial. A piece starts wherever the cluster changes along a
 block's ascending levels, so the pieces of every block of one size are
-found at once, and a class is cut out of C with one gather per block size,
-not one slice per piece.
+found at once; the pieces of a class are ordered by cluster first and then
+cut out of C with one gather, in C order, not one slice per piece.
+
+The O(p) charge products are formed on the rows R that hold a charge
+entry (:func:`~orthofermi.canonical.held_rows`), one row per block in the
+oscillator: [H, Q_a] as H[:, R] Q_a[R, :] less Q_a[R, :] H on the rows R;
+V^dag Q_a V, and the certificate's U^dag c_a U, by
+:func:`~orthofermi.canonical.conjugate`, with one full-size product in
+place of two. A stack whose every row holds an entry, such as a system in
+a generic basis, forms the dense products, in the same association. The
+generator sum rule is summed by doubling, in O(log p) products
+(:func:`_sum_rule`).
 """
 
 from __future__ import annotations
@@ -76,7 +86,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import check_order
-from .canonical import cyclic_from, lowering_from, occupied, transfer
+from .canonical import (as_index, conjugate, cyclic_from, held_rows, lowering_from, occupied,
+                        transfer)
 from .errors import ClusteringError, DimensionError, NotARepresentationError, TruncationError
 from .linalg import DEFAULT_TOL, HermEig, check_addressable, dagger, herm_eig, is_count, max_abs
 from .reptheory import decompose_stack, relation_residuals
@@ -286,6 +297,17 @@ def _assemble(dim: int, blocks: list[np.ndarray], stacks: list[np.ndarray]) -> n
     return out
 
 
+def _commutator(h: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """[H, Q_a] of a (count, size, size) H stack and a (p, count, size, size)
+    charge stack. Q_a vanishes off the rows R that hold an entry of some
+    charge, so H Q_a needs only H's columns R, and Q_a H is zero off the rows
+    R; the products keep the association of h @ q - q @ h."""
+    rows = as_index(held_rows(q))
+    out = h[..., :, rows] @ q[..., rows, :]
+    out[..., rows, :] -= q[..., rows, :] @ h
+    return out
+
+
 def check_relations(spectrum: SpectralData) -> dict[str, float]:
     """Residuals of the orthosupersymmetry relations and of H >= 0.
 
@@ -293,15 +315,16 @@ def check_relations(spectrum: SpectralData) -> dict[str, float]:
     2H as unit; a NaN defect in any block makes its residual NaN. Every
     pair (a, b) is checked, each block size in one call of
     :func:`~orthofermi.reptheory.relation_residuals`, which runs its pair
-    loop on the rows and columns where the blocks hold an entry; the values
-    are those of the full products. The positivity entry is
+    loop on the rows and columns where the blocks hold an entry, and
+    [H, Q_a] on the rows that hold a charge entry (:func:`_commutator`); the
+    values are those of the full products. The positivity entry is
     max(0, -min eigenvalue) over ``spectrum``, so 0.0 means a nonnegative
     spectrum.
     """
     sys = spectrum.system
     worst = np.zeros(3)
     for h, q in zip(sys.H, sys.Q):
-        worst = np.maximum(worst, (max_abs(h @ q - q @ h), *relation_residuals(q, 2 * h)))
+        worst = np.maximum(worst, (max_abs(_commutator(h, q)), *relation_residuals(q, 2 * h)))
     res = {"[H, Q_a] = 0": float(worst[0])}
     res["Q_a Q_b = 0"], res["Q_a Q_b^dag + d_ab sum Q^dag Q = 2 d_ab H"] = worst[1:].tolist()
     res["H >= 0"] = max(0.0, -min(float(eig.values.min()) for eig in spectrum.eigs))
@@ -313,8 +336,9 @@ def spectral(sys: OsusySystem, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> Spec
 
     H is diagonalized block by block on the system's partition, with one
     batched eigensolve per block size, and the charges are
-    restricted to each block's eigenbasis as V^dag Q_a V. ``cluster_tol`` is
-    relative to max(1, largest |eigenvalue|). Eigenvalues within that
+    restricted to each block's eigenbasis as V^dag Q_a V, on the rows that
+    hold a charge entry (:func:`~orthofermi.canonical.conjugate`).
+    ``cluster_tol`` is relative to max(1, largest |eigenvalue|). Eigenvalues within that
     threshold of zero are snapped into a single E = 0 cluster; the others,
     sorted, form a new cluster wherever the step from the previous value
     exceeds the threshold. A cluster's energy is ``np.mean`` of its sorted
@@ -325,7 +349,7 @@ def spectral(sys: OsusySystem, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> Spec
     order, spreads checked before gaps.
     """
     eigs = [herm_eig(h) for h in sys.H]
-    charges = [dagger(eig.vectors) @ q @ eig.vectors for eig, q in zip(eigs, sys.Q)]
+    charges = [conjugate(q, eig.vectors) for eig, q in zip(eigs, sys.Q)]
     values = np.concatenate([eig.values.ravel() for eig in eigs])
     order = np.argsort(values, kind="stable")
     vals = values[order]
@@ -380,8 +404,9 @@ def eigenspace_reps(spectrum: SpectralData, tol: float = DEFAULT_TOL) -> list[Ei
     its part in one block, is a contiguous run of the block's ascending
     levels: per block size, a piece starts at column 0 and wherever the
     cluster changes along a row. The pieces of one class (sign of E, size)
-    are cut out of ``spectrum.charges`` in one gather; the cluster's copies
-    and trivial dimension are the sums over its pieces. The pieces of one
+    are ordered by cluster and cut out of ``spectrum.charges`` in one
+    gather per block size they come from (:func:`_cut_pieces`); the
+    cluster's copies and trivial dimension are the sums over its pieces. The pieces of one
     positive class are decomposed in one :func:`decompose_stack` against
     the identity as unit, which certifies each split by its unitary and
     forms the table of pair relations only when a check refuses. Classes
@@ -390,7 +415,7 @@ def eigenspace_reps(spectrum: SpectralData, tol: float = DEFAULT_TOL) -> list[Ei
     first failing eigenspace of the first failing class.
     """
     classes: dict[tuple, list[tuple]] = {}
-    for level, c in zip(spectrum.levels, spectrum.charges):
+    for stack, level in enumerate(spectrum.levels):
         idx = np.searchsorted(spectrum.energies, level)
         size = level.shape[1]
         cut = np.ones(level.shape, dtype=bool)
@@ -400,15 +425,16 @@ def eigenspace_reps(spectrum: SpectralData, tol: float = DEFAULT_TOL) -> list[Ei
         block, at = np.divmod(starts, size)
         kinds = 2 * lengths + (level.flat[starts] > 0.0)
         for kind in dict.fromkeys(kinds.tolist()):  # in the order they first appear
-            mine, e = kinds == kind, kind // 2
-            r, s = np.arange(e), at[mine, None, None]
-            piece = c[:, block[mine, None, None], s + r[:, None], s + r]
-            classes.setdefault((kind % 2 == 1, e), []).append((idx.flat[starts[mine]], piece))
+            mine = kinds == kind
+            classes.setdefault((kind % 2 == 1, kind // 2), []).append(
+                (np.full(np.count_nonzero(mine), stack), idx.flat[starts[mine]], block[mine],
+                 at[mine]))
     copies, trivial = (np.zeros(len(spectrum.energies), dtype=int) for _ in range(2))
     for (positive, size), found in classes.items():
-        idx, cs = zip(*found)
-        idx = np.concatenate(idx)
-        c = cs[0] if len(cs) == 1 else np.concatenate(cs, axis=1)
+        stacks, idx, block, at = (np.concatenate(part) for part in zip(*found))
+        by_cluster = np.argsort(idx, kind="stable")
+        idx = idx[by_cluster]
+        c = _cut_pieces(spectrum.charges, *(x[by_cluster] for x in (stacks, block, at)), size)
         if not positive:
             stray = max_abs(c)
             if not stray <= tol:
@@ -416,10 +442,6 @@ def eigenspace_reps(spectrum: SpectralData, tol: float = DEFAULT_TOL) -> list[Ei
                     f"E = 0 eigenspace carries nonzero charges, residual {stray:.3e}")
             np.add.at(trivial, idx, size)
             continue
-        by_cluster = np.argsort(idx, kind="stable")
-        # a C-ordered copy, as decompose_stack's products are fastest on one
-        c = np.take(c, by_cluster, axis=1)
-        idx = idx[by_cluster]
         energies = np.asarray(spectrum.energies)[idx]
         c *= (1.0 / np.sqrt(2.0 * energies))[:, None, None]
         dec = decompose_stack(c, np.eye(size, dtype=complex), tol,
@@ -427,12 +449,37 @@ def eigenspace_reps(spectrum: SpectralData, tol: float = DEFAULT_TOL) -> list[Ei
         np.add.at(copies, idx, dec.multiplicity)
         np.add.at(trivial, idx, dec.trivial_dim)
     copies, trivial = copies.tolist(), trivial.tolist()
+    p = spectrum.system.p
     for energy, mult, m, t in zip(spectrum.energies, spectrum.multiplicities, copies, trivial):
-        if energy > 0.0 and (t != 0 or m * (spectrum.system.p + 1) != mult):
+        if energy > 0.0 and (t != 0 or m * (p + 1) != mult):
             raise NotARepresentationError(
                 f"eigenspace E = {energy:.6g} of dimension {mult} is not a pure sum of "
                 f"canonical copies (got {m} copies, trivial {t})")
     return [EigenspaceAnalysis(*row) for row in zip(spectrum.energies, copies, trivial)]
+
+
+def _cut_pieces(charges: list[np.ndarray], stacks, block, at, size: int) -> np.ndarray:
+    """The C-ordered (p, pieces, size, size) stack of the pieces of one
+    class, in the given order: piece i is the square of ``size`` at diagonal
+    offset ``at[i]`` of block ``block[i]`` of the charge stack
+    ``charges[stacks[i]]``. Pieces of one charge stack, every piece of the
+    oscillator, are cut with one gather, which is also the result; as every
+    axis is indexed by an array, the gather lays the stack out in C order,
+    which is what :func:`decompose_stack`'s products are fastest on."""
+    r = np.arange(size)
+    a = np.arange(len(charges[0]))[:, None, None, None]
+
+    def gather(source, mine):
+        s = at[mine, None, None]
+        return charges[source][a, block[mine, None, None], s + r[:, None], s + r]
+    sources = dict.fromkeys(stacks.tolist())
+    if len(sources) == 1:
+        return gather(stacks[0], slice(None))
+    out = np.empty((len(charges[0]), stacks.size, size, size), dtype=complex)
+    for source in sources:
+        mine = stacks == source
+        out[:, mine] = gather(source, mine)
+    return out
 
 
 def _positive(levels: np.ndarray) -> np.ndarray:
@@ -493,19 +540,34 @@ def closed_form_frac(spectrum: SpectralData) -> list[np.ndarray]:
                                _powers(spectrum, -p / (p + 1)), spectrum.system.Q)]
 
 
+def _sum_rule(p: int, H: np.ndarray, para: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Both sides of sum_{k=0..p} para^{p-k} para^dag para^k = 2p para^{p-1} H,
+    p >= 2, in O(log p) products.
+
+    U(n) := sum_{k<n} para^{n-1-k} para^dag para^k obeys
+    U(2n) = para^n U(n) + U(n) para^n and U(n+1) = para U(n) + para^dag para^n,
+    so walking the bits of p-1 from U(1) = para^dag gives U(p-1) and
+    para^{p-1}, and two steps of one more give the left side U(p+1).
+    """
+    para_dag = dagger(para)
+    lhs, power = para_dag, para
+    for bit in bin(p - 1)[3:]:
+        lhs = power @ lhs + lhs @ power
+        power = power @ power
+        if bit == "1":
+            lhs = para @ lhs + para_dag @ power
+            power = para @ power
+    rhs = 2.0 * p * power @ H
+    lhs = para @ lhs + para_dag @ power
+    return para @ lhs + para_dag @ (para @ power), rhs
+
+
 def _generator_terms(p: int, H, para, frac, direct, closed_para, closed_frac) -> dict:
     """The matrices whose max_abs make up the generator residuals, on one stack."""
     power = np.linalg.matrix_power
     terms = {"H": H, "para": para, "frac": frac, "para^{p+1}": power(para, p + 1)}
     if p >= 2:
-        # T_j := sum_{k<=j} para^{j-k} para^dag para^k = para T_{j-1} + para^dag para^j
-        para_dag = dagger(para)
-        lhs, para_j = para_dag, np.eye(H.shape[-1], dtype=complex)
-        for _ in range(p - 1):
-            para_j = para_j @ para
-            lhs = para @ lhs + para_dag @ para_j
-        lhs = para @ lhs + para_dag @ para_j @ para
-        rhs = 2.0 * p * para_j @ H
+        lhs, rhs = _sum_rule(p, H, para)
         terms["sum rule"], terms["sum rule rhs"] = lhs - rhs, rhs
     terms["frac^{p+1} - H"] = power(frac, p + 1) - H
     terms["(2H)^p"] = power(2.0 * H, p)

@@ -49,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import check_order
-from .canonical import OrthoRep, as_index, held_rows, occupied
+from .canonical import OrthoRep, as_index, conjugate, held_rows, occupied
 from .errors import DimensionError, NotARepresentationError, NumericalDegeneracyError
 from .linalg import (DEFAULT_RANK_TOL, DEFAULT_TOL, check_addressable, dagger, haar_unitary,
                      is_count, max_abs, orthonormal_range)
@@ -254,18 +254,30 @@ def _expected_blocks(p: int, multiplicity: int, trivial_dim: int) -> np.ndarray:
     """
     n = multiplicity * (p + 1) + trivial_dim
     blocks = np.zeros((p, n, n), dtype=complex)
-    a, vacua = np.ogrid[:p, :multiplicity * (p + 1):p + 1]
-    blocks[a, vacua, vacua + a + 1] = 1
+    a, rows, cols = _target_entries(p, multiplicity)
+    blocks[a, rows, cols] = 1
     return blocks
 
 
+def _target_entries(p: int, multiplicity: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The index arrays (a, row, column) of the unit entries of the targets
+    of :func:`_expected_blocks`: in copy i, entry (i (p+1), i (p+1) + a + 1)
+    of T_a, broadcast to shape (p, multiplicity)."""
+    a, vacua = np.ogrid[:p, :multiplicity * (p + 1):p + 1]
+    return a, vacua, vacua + a + 1
+
+
 def _ranges(a: np.ndarray, tol: float, rank_tol: float) -> list[np.ndarray]:
-    """Orthonormal range of each matrix of a (k, n, n) stack, one batched SVD.
+    """Orthonormal range of each matrix of a (k, n, n) stack, from at most one batched SVD.
 
     A matrix that is zero within ``tol`` has an empty range: the relative
     threshold ``rank_tol`` alone would promote roundoff noise to basis vectors.
+    A stack that is zero within ``tol`` throughout, such as the complement of
+    a pure split, runs no SVD.
     """
     zero = max_abs(a, axis=(-2, -1)) <= tol
+    if zero.all():
+        return [m[:, :0] for m in a]
     return [v[:, :0] if z else v for v, z in zip(orthonormal_range(a, rank_tol), zero)]
 
 
@@ -305,13 +317,33 @@ def _vacuum_bound(d_u, d_b, d_1, n: int, p: int, d_f) -> np.ndarray:
     return np.minimum(by_rows, by_copies)
 
 
+def _block_defects(c: np.ndarray, basis: np.ndarray, m: int) -> np.ndarray:
+    """U^dag c_a U - T_a for a (p, k, n, n) stack and its (k, n, n) unitaries
+    U, as one (p, k, n, n) stack; T_a are the targets of
+    :func:`_expected_blocks` with m copies.
+
+    The products are :func:`~orthofermi.canonical.conjugate`'s, on the rows
+    that hold an entry, and the targets are subtracted in place.
+    """
+    out = conjugate(c, basis)
+    a, rows, cols = _target_entries(len(c), m)
+    out[a, :, rows, cols] -= 1
+    return out
+
+
 def _grow_copies(c: np.ndarray, vacua: np.ndarray, unit: np.ndarray, tol: float,
                  rank_tol: float, label) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """Steps 3 to 5 on a (p, k, n, n) stack whose vacua all have m columns.
 
     Returns the (k, n, n) unitaries U and the residuals of the split. When
     m = 0 the copy family is empty and U is the complement's basis, so a
-    nonzero generator fails the complement annihilation.
+    nonzero generator fails the complement annihilation. The copy family,
+    the complement annihilation and the block residual are each one batched
+    call over the whole (p, k, n, n) stack, formed on the rows R that hold
+    an entry of some c_a: c_a^dag e_i = c_a[R, :]^dag e_i[R], c_a G is zero
+    off the rows R, and the block residual is :func:`_block_defects`. A pure
+    split, whose complement is zero within ``tol``, runs no complement SVD
+    (:func:`_ranges`).
 
     The certificate. Let U = [F, G] with F the m(p+1) copy columns, T_a the
     target blocks (:func:`_expected_blocks`), R = ``unit``, and let d_U, d_B
@@ -399,9 +431,11 @@ def _grow_copies(c: np.ndarray, vacua: np.ndarray, unit: np.ndarray, tol: float,
     """
     p, k, n, _ = c.shape
     m = vacua.shape[-1]
+    rows = as_index(held_rows(c))
+    held = c[..., rows, :]
     # column i (p+1) + a holds e_i for a = 0 and c_a^dag e_i otherwise
-    family = np.stack([vacua, *(dagger(ca) @ vacua for ca in c)], axis=-1)
-    family = family.reshape(k, n, m * (p + 1))
+    family = np.concatenate([vacua[None], dagger(held) @ vacua[..., rows, :]])
+    family = np.moveaxis(family, 0, -1).reshape(k, n, m * (p + 1))
     gram = max_abs(dagger(family) @ family - np.eye(m * (p + 1)), axis=(-2, -1))
     _refuse(~(gram <= tol), label, NumericalDegeneracyError,
             lambda i: f"copy vectors fail orthonormality with Gram defect {gram[i]:.3e}")
@@ -412,19 +446,17 @@ def _grow_copies(c: np.ndarray, vacua: np.ndarray, unit: np.ndarray, tol: float,
     _refuse(m * (p + 1) + trivial != n, label, NumericalDegeneracyError,
             lambda i: f"dimension bookkeeping failed: {m} copies of {p + 1} plus "
                       f"{trivial[i]} != {n}")
-    t = n - m * (p + 1)
     complement = np.stack(complements)
-    annihilation = _worst(term for ca in c for term in (ca @ complement, dagger(ca) @ complement))
+    annihilation = np.maximum(max_abs(held @ complement, axis=(0, -2, -1)),
+                              max_abs(dagger(held) @ complement[..., rows, :], axis=(0, -2, -1)))
     _refuse(~(annihilation <= tol), label, NotARepresentationError,
             lambda i: f"complement of the copies is not annihilated, "
                       f"residual {annihilation[i]:.3e}")
 
     basis = np.concatenate([family, complement], axis=-1)
-    basis_dag = dagger(basis)
     residuals = {
-        "unitarity": max_abs(basis_dag @ basis - np.eye(n), axis=(-2, -1)),
-        "block": _worst(basis_dag @ ca @ basis - target
-                        for ca, target in zip(c, _expected_blocks(p, m, t))),
+        "unitarity": max_abs(dagger(basis) @ basis - np.eye(n), axis=(-2, -1)),
+        "block": max_abs(_block_defects(c, basis, m), axis=(0, -2, -1)),
         "gram": gram, "complement annihilation": annihilation}
     outside += unit - np.eye(n)
     defects = (residuals["unitarity"], residuals["block"], max_abs(outside, axis=(-2, -1)), n, p)
@@ -453,10 +485,10 @@ def _split(c: np.ndarray, unit, tol: float, rank_tol: float, label) -> Decomposi
     basis = np.empty((k, n, n), dtype=complex)
     residuals: dict[str, np.ndarray] = {}
     for m in sorted(set(copies.tolist())):  # np.unique would import numpy.ma
-        group = np.flatnonzero(copies == m)
-        basis[group], found = _grow_copies(c[:, group], np.stack([vacua[i] for i in group]),
-                                           units[group], tol, rank_tol,
-                                           lambda i: label(group[i]))
+        # a slice when every element has m vacua, so the stack is not copied
+        group, at = as_index(copies == m), np.flatnonzero(copies == m)
+        basis[group], found = _grow_copies(c[:, group], np.stack([vacua[i] for i in at]),
+                                           units[group], tol, rank_tol, lambda i: label(at[i]))
         for name, value in found.items():
             residuals.setdefault(name, np.empty(k))[group] = value
     return Decomposition(copies, n - copies * (p + 1), basis, residuals)

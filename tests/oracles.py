@@ -18,6 +18,14 @@ Brute-force oracles for :mod:`orthofermi.canonical`:
 :func:`ladder_closed_form_residuals` sums the L^k closed forms of the ladder
 catalog one dense product per pair, and :func:`transfer_sum` sums
 c_a^dag c_{a+k} one dense product per pair and stack element.
+
+Dense oracles for the products that the package forms on the rows that hold
+an entry: :func:`commutator` ([H, Q_a] of ``osusy.check_relations``),
+:func:`restricted` (V^dag Q_a V of ``osusy.spectral``) and
+:func:`block_residual` (U^dag c_a U - T_a of ``reptheory._grow_copies``),
+each with the full products in the association the package uses on a dense
+stack; and :func:`sum_rule_recurrence`, both sides of the generator sum rule
+by the recurrence T_j = para T_{j-1} + para^dag para^j, one power at a time.
 """
 
 import numpy as np
@@ -226,3 +234,45 @@ def loop_clusters(spectrum, cluster_tol=osusy.DEFAULT_CLUSTER_TOL):
     levels = [level[end - eig.values.size:end].reshape(eig.values.shape)
               for eig, end in zip(spectrum.eigs, ends)]
     return [e for e, _ in clusters], [len(idx) for _, idx in clusters], levels
+
+
+def adjoint(m):
+    """Conjugate transpose over the last two axes."""
+    return np.conj(np.swapaxes(m, -1, -2))
+
+
+def commutator(h, q):
+    """[H, Q_a] of a (..., n, n) H and a (p, ..., n, n) charge stack: h @ q - q @ h."""
+    return h @ q - q @ h
+
+
+def restricted(v, q):
+    """V^dag Q_a V as the full products (V^dag Q_a) V."""
+    return (adjoint(v) @ q) @ v
+
+
+def block_residual(basis, c, m):
+    """U^dag c_a U - T_a for a (p, k, n, n) stack and its (k, n, n) unitaries,
+    one a at a time: (U^dag c_a) U minus the target T_a, the matrix unit
+    E_{i(p+1), i(p+1)+a+1} summed over the m copies i."""
+    p, k, n, _ = c.shape
+    out = []
+    for a in range(p):
+        target = np.zeros((n, n), dtype=complex)
+        for i in range(m):
+            target[i * (p + 1), i * (p + 1) + a + 1] = 1
+        out.append((adjoint(basis) @ c[a]) @ basis - target)
+    return np.stack(out)
+
+
+def sum_rule_recurrence(p, H, para):
+    """Both sides of sum_k para^{p-k} para^dag para^k = 2p para^{p-1} H, p >= 2,
+    with T_j := sum_{k<=j} para^{j-k} para^dag para^k = para T_{j-1} + para^dag para^j
+    and para^j formed one factor at a time from the identity."""
+    para_dag = adjoint(para)
+    lhs, para_j = para_dag, np.eye(H.shape[-1], dtype=complex)
+    for _ in range(p - 1):
+        para_j = para_j @ para
+        lhs = para @ lhs + para_dag @ para_j
+    lhs = para @ lhs + para_dag @ para_j @ para
+    return lhs, 2.0 * p * para_j @ H

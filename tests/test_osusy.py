@@ -10,15 +10,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orthofermi import osusy, reptheory
-from orthofermi.canonical import canonical, cyclic_from, lowering_from
+from orthofermi.canonical import canonical, conjugate, cyclic_from, held_rows, lowering_from
 from orthofermi.errors import (ClusteringError, DimensionError, NotARepresentationError,
                                OrderError, TruncationError)
-from orthofermi.linalg import haar_unitary, max_abs
+from orthofermi.linalg import dagger, haar_unitary, max_abs
 from orthofermi.osusy import (CLOSED_FORM_TOL, DEFAULT_GENERATOR_TOL, OsusySystem,
                               SusyGenerators, block_partition, build_generators, build_system,
                               check_generators, check_relations, closed_form_frac,
                               closed_form_para, eigenspace_reps, spectral, system_from_dense)
-from oracles import cluster_bases, cut, dense, dense_generators, h_power, loop_clusters
+from oracles import (block_residual, cluster_bases, commutator, cut, dense, dense_generators,
+                     h_power, loop_clusters, restricted, sum_rule_recurrence)
 
 
 def pipeline(p, levels):
@@ -932,3 +933,97 @@ def test_pipeline_is_basis_covariant(p, levels, seed):
 @pytest.mark.parametrize("p, levels, seed", [(8, 12, 81), (16, 6, 166)])
 def test_a_large_order_pipeline_is_basis_covariant(p, levels, seed):
     assert_basis_covariant(p, levels, seed)
+
+
+# -- products on the rows that hold an entry --------------------------------------
+
+def gaussian_integers(rng, shape):
+    return rng.integers(-3, 4, (*shape, 2)) @ [1, 1j]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(p=st.integers(1, 5), count=st.integers(1, 3), n=st.integers(1, 7),
+       held=st.sampled_from(["none", "one", "some", "all"]), seed=st.integers(0, 2**32 - 1))
+def test_support_products_match_the_dense_oracles(p, count, n, held, seed):
+    # Gaussian-integer entries make every sum exact in any order, so the
+    # products on the held rows must give the dense products bitwise
+    rng = np.random.default_rng(seed)
+    held_count = {"none": 0, "one": 1, "some": int(rng.integers(1, max(n, 2))), "all": n}[held]
+    rows = rng.permutation(n)[:held_count]
+    q = np.zeros((p, count, n, n), dtype=complex)
+    q[..., rows, :] = gaussian_integers(rng, (p, count, held_count, n))
+    q[rng.integers(p), :, rows, rng.integers(n)] = 1 + 2j  # every chosen row holds an entry
+    assert np.array_equal(np.flatnonzero(held_rows(q)), np.sort(rows))
+    h, v = gaussian_integers(rng, (count, n, n)), gaussian_integers(rng, (count, n, n))
+    assert np.array_equal(osusy._commutator(h, q), commutator(h, q))
+    assert np.array_equal(conjugate(q, v), restricted(v, q))
+    m = int(rng.integers(n // (p + 1) + 1))
+    assert np.array_equal(reptheory._block_defects(q, v, m), block_residual(v, q, m))
+
+
+@pytest.mark.parametrize("p, levels, seed", [(8, 12, 81), (16, 6, 166)])
+def test_support_products_of_a_turned_system_are_the_dense_products_bitwise(
+        p, levels, seed, monkeypatch):
+    # every row of a Haar-turned system holds an entry: the products are the
+    # dense ones, formed in the same association
+    split = []
+
+    def recorded(c, *args, **kwargs):
+        split.append((c.copy(), reptheory.decompose_stack(c, *args, **kwargs)))
+        return split[-1][1]
+    monkeypatch.setattr(osusy, "decompose_stack", recorded)
+    spectrum = spectral(turned(p, levels, seed))
+    [q], [h], [eig] = spectrum.system.Q, spectrum.system.H, spectrum.eigs
+    assert held_rows(q).all()
+    assert np.array_equal(osusy._commutator(h, q), commutator(h, q))
+    assert np.array_equal(spectrum.charges[0], restricted(eig.vectors, q))
+    eigenspace_reps(spectrum)
+    [(c, dec)] = split
+    assert held_rows(c).all() and set(dec.multiplicity.tolist()) == {1}
+    assert np.array_equal(reptheory._block_defects(c, dec.basis, 1),
+                          block_residual(dec.basis, c, 1))
+
+
+def test_the_commutator_sees_h_off_the_rows_that_hold_a_charge():
+    # |0, 1> (index 1) holds no charge entry; H couples it to |1, 0> (index 3),
+    # which does, inside the N = 1 sector
+    p, eps = 2, 0.25
+    Q, H = build_system(p, 4).dense()
+    H = couple(H, 1, p + 1, eps, hermitian=True)
+    sys_ = system_from_dense(p, Q, H)
+    assert not Q[:, 1].any() and Q[:, p + 1].any()
+    for h, q in zip(sys_.H, sys_.Q):
+        assert np.array_equal(osusy._commutator(h, q), commutator(h, q))
+    got = check_relations(spectral(sys_))["[H, Q_a] = 0"]
+    assert got == max(max_abs(H @ q - q @ H) for q in Q) > eps
+
+
+def partial_monomials(rng, count, n):
+    """(count, n, n) matrices that map some basis vectors to others with phases
+    in {1, -1, i, -i}: every product of them is one too, so every sum of such
+    products has small Gaussian-integer entries and is exact in any order."""
+    out = np.zeros((count, n, n), dtype=complex)
+    for m in out:
+        keep = rng.random(n) < 0.8
+        m[rng.permutation(n)[keep], np.arange(n)[keep]] = 1j ** rng.integers(4, size=keep.sum())
+    return out
+
+
+@pytest.mark.parametrize("p", range(2, 21))
+def test_the_doubled_sum_rule_is_the_recurrence_bitwise(p):
+    rng = np.random.default_rng(p)
+    para = partial_monomials(rng, 3, 5)
+    H = gaussian_integers(rng, (3, 5, 5))
+    lhs, rhs = osusy._sum_rule(p, H, para)
+    want_lhs, want_rhs = sum_rule_recurrence(p, H, para)
+    assert np.array_equal(lhs, want_lhs) and np.array_equal(rhs, want_rhs)
+    assert np.array_equal(lhs, sum(mpow(para, p - k) @ dagger(para) @ mpow(para, k)
+                                   for k in range(p + 1)))
+
+
+@pytest.mark.parametrize("p, levels, seed", [(2, 6, 21), (3, 5, 31), (5, 4, 51), (12, 3, 121)])
+def test_the_doubled_sum_rule_of_a_turned_system_is_the_recurrence(p, levels, seed):
+    gens = build_generators(spectral(turned(p, levels, seed)))
+    for h, para in zip(gens.spectrum.system.H, gens.para):
+        for got, want in zip(osusy._sum_rule(p, h, para), sum_rule_recurrence(p, h, para)):
+            assert max_abs(got - want) <= 1e-13 * max(1.0, max_abs(want))

@@ -10,7 +10,7 @@ from orthofermi import reptheory
 from orthofermi.canonical import canonical
 from orthofermi.errors import (DimensionError, NotARepresentationError, NumericalDegeneracyError,
                                OrderError, OrthofermiError)
-from orthofermi.linalg import DEFAULT_TOL, dagger, haar_unitary, max_abs
+from orthofermi.linalg import DEFAULT_TOL, dagger, haar_unitary, max_abs, orthonormal_range
 from orthofermi.reptheory import (OrthoRep, decompose, decompose_stack, infer_unit, random_rep,
                                   relation_residuals, verify)
 
@@ -654,3 +654,35 @@ def test_round_trip_invariants(p, copies, trivial, seed):
     for m in rep.c:
         assert max_abs(m @ comp) < 1e-10
         assert max_abs(m.conj().T @ comp) < 1e-10
+
+
+@pytest.mark.parametrize("trivial, ranges", [(0, 1), (2, 2)])
+def test_a_pure_split_runs_no_complement_svd(trivial, ranges, monkeypatch):
+    # the complement of a pure split is zero within tol, so only the vacuum
+    # projector's range takes an SVD
+    widths = []
+
+    def counted(a, rank_tol):
+        widths.append(a.shape)
+        return orthonormal_range(a, rank_tol)
+    monkeypatch.setattr(reptheory, "orthonormal_range", counted)
+    dec = decompose(random_rep(3, 2, trivial, seed=5))
+    assert (dec.multiplicity, dec.trivial_dim) == (2, trivial)
+    assert len(widths) == ranges
+
+
+def test_a_complement_beyond_tol_fails_the_dimension_bookkeeping():
+    # F = A V with A = 1 + eps e_1 e_1^dag and V a real Hadamard matrix over 2:
+    # F^dag F - 1 spreads its defect 2 eps + eps^2 over every entry as a
+    # quarter of it, within tol, while 1 - F F^dag = -(2 eps + eps^2) e_1 e_1^dag
+    # is a complement of rank one beyond tol
+    eps, tol = 1e-6, 1e-6
+    v = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]]) / 2
+    family = (np.eye(4) + eps * np.diag([1.0, 0, 0, 0])) @ v
+    # p = 1, two copies: columns (e_1, c^dag e_1, e_2, c^dag e_2)
+    vacua, created = family[:, [0, 2]], family[:, [1, 3]]
+    c = dagger(created @ np.linalg.pinv(vacua))
+    with pytest.raises(NumericalDegeneracyError) as info:
+        reptheory._grow_copies(c[None, None], vacua[None].astype(complex), np.eye(4)[None],
+                               tol, 1e-8, lambda i: "")
+    assert str(info.value) == "dimension bookkeeping failed: 2 copies of 2 plus 1 != 4"
