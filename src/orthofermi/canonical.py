@@ -8,10 +8,13 @@ such families.
 
 Every sum of quantum-transfer monomials the package forms,
 sum_a c_a^dag c_{a+k}, is one call of :func:`transfer`, which multiplies
-only the rows that hold an entry (:func:`held_rows`): the vacuum projector
+only on the rows its caller carries: the rows that hold an entry, as
+:func:`held_rows` reads them where the stack is made. The vacuum projector
 is unit - occupied(c) = unit - transfer(c, 0), and the lowering operator
 and the closed forms of its powers below add c_k to transfer(c, k).
-:func:`conjugate` forms V^dag c_a V on the same rows.
+:func:`conjugate` forms V^dag c_a V on the same rows. Each of these
+kernels takes the mask as ``held`` and reads the stack itself only when it
+is not given.
 
 On the (p+1)-dimensional Fock space with kets |0>, |1>, .., |p> (ket n is
 matrix row/column n+1), the annihilators act as the matrix units
@@ -83,11 +86,13 @@ def canonical(p: int) -> OrthoRep:
     return OrthoRep(np.stack([rho0(AlgebraElement.annihilator(p, a)) for a in range(1, p + 1)]))
 
 
-def held_rows(c) -> np.ndarray:
+def held_rows(c, columns: bool = False):
     """Mask of the rows that hold a nonzero entry (NaN included) in some
     matrix of a (..., m, n) stack; the stack axes are reduced first, as
-    one pass over whole matrices."""
-    return c.any(axis=tuple(range(c.ndim - 2))).any(axis=-1)
+    one pass over whole matrices. With ``columns``, the pair of that mask
+    and the mask of the columns that hold one, both from the same pass."""
+    pattern = c.any(axis=tuple(range(c.ndim - 2)))
+    return (pattern.any(axis=-1), pattern.any(axis=-2)) if columns else pattern.any(axis=-1)
 
 
 def as_index(mask: np.ndarray):
@@ -96,10 +101,11 @@ def as_index(mask: np.ndarray):
     return slice(None) if mask.all() else np.flatnonzero(mask)
 
 
-def conjugate(c, v) -> np.ndarray:
+def conjugate(c, v, held=None) -> np.ndarray:
     """V^dag c_a V for a (..., n, n) stack ``c`` and unitaries ``v`` that
-    broadcast against it, on the rows R that hold an entry of ``c``
-    (:func:`held_rows`).
+    broadcast against it, on the rows R that hold an entry of ``c``:
+    ``held``, the mask :func:`held_rows` reads, as the caller carries it
+    (read here when None).
 
     A stack whose every row holds an entry forms the dense (V^dag c_a) V,
     so that its values, which reports print, stay those of the dense
@@ -107,20 +113,23 @@ def conjugate(c, v) -> np.ndarray:
     V^dag[:, R] (c_a[R, :] V) forms the same matrix up to summation order
     with one full-size product in place of two.
     """
-    held = held_rows(c)
+    if held is None:
+        held = held_rows(c)
     if held.all():
         return (dagger(v) @ c) @ v
     rows = np.flatnonzero(held)
     return dagger(v[..., rows, :]) @ (c[..., rows, :] @ v)
 
 
-def transfer(c, k: int) -> np.ndarray:
+def transfer(c, k: int, held=None) -> np.ndarray:
     """sum_{a=1..p-k} c_a^dag c_{a+k} over a (p, ..., m, n) stack of annihilators.
 
     Each c_a = c[a - 1] may itself be a stack of shape (..., m, n), one
     matrix per stack position, and the result has shape (..., n, n); for
     k >= p the sum is empty and the result exact zeros. Only the rows R
-    that hold an entry in some c_a (:func:`held_rows`) enter: the c_a are
+    that hold an entry in some c_a enter, given by ``held``, the mask
+    :func:`held_rows` reads, as the caller carries it (read here when
+    None); it must be exactly that mask, as it sets the groups: the c_a are
     stacked on R in groups of n // |R|, so each group costs one product of
     at most n rows, and the groups are summed in order of a, starting from
     zero. A stack whose every row holds an entry takes groups of one, so
@@ -128,7 +137,8 @@ def transfer(c, k: int) -> np.ndarray:
     """
     c = np.asarray(c)
     p, *lead, _, n = c.shape
-    held = held_rows(c)
+    if held is None:
+        held = held_rows(c)
     r = np.count_nonzero(held)
     size = max(n // max(r, 1), 1)
     # (..., p, |R|, n): the c_a on the held rows, their index next to the rows
@@ -141,24 +151,24 @@ def transfer(c, k: int) -> np.ndarray:
     return out
 
 
-def occupied(c) -> np.ndarray:
-    """sum_g c_g^dag c_g over a (p, ..., n, n) stack of annihilators: transfer(c, 0).
+def occupied(c, held=None) -> np.ndarray:
+    """sum_g c_g^dag c_g over a (p, ..., n, n) stack of annihilators: transfer(c, 0, held).
 
     Like :func:`lowering_from` and :func:`cyclic_from`, it acts on the last
     two axes: each c_g = c[g - 1] may itself be a stack of shape (..., n, n),
-    one matrix per stack position.
+    one matrix per stack position. ``held`` is as in :func:`transfer`.
     """
-    return transfer(c, 0)
+    return transfer(c, 0, held)
 
 
-def lowering_from(c) -> np.ndarray:
+def lowering_from(c, held=None) -> np.ndarray:
     """L = c_1 + sum_{a=2..p} c_{a-1}^dag c_a built from a stack of annihilators."""
-    return c[0] + transfer(c, 1)
+    return c[0] + transfer(c, 1, held)
 
 
-def cyclic_from(c: np.ndarray) -> np.ndarray:
+def cyclic_from(c: np.ndarray, held=None) -> np.ndarray:
     """F = L + c_p^dag built from a stack of annihilators."""
-    return lowering_from(c) + dagger(c[-1])
+    return lowering_from(c, held) + dagger(c[-1])
 
 
 def ladder_operators(p: int) -> tuple[OrthoRep, np.ndarray, np.ndarray]:
@@ -188,8 +198,9 @@ def ladder_identity_residuals(rep: OrthoRep, L: np.ndarray, F: np.ndarray) -> di
     p = rep.p
     eye = np.eye(p + 1, dtype=complex)
     c = rep.c
-    held = c[:, held_rows(c)]
-    pi = eye - occupied(held)
+    rows = held_rows(c)
+    held, every = c[:, rows], rows[rows]  # every row kept holds an entry
+    pi = eye - occupied(held, every)
     Ld = L.conj().T
     Lk = [eye]  # Lk[k] = L^k for k in 0..p+2
     for _ in range(p + 2):
@@ -204,7 +215,7 @@ def ladder_identity_residuals(rep: OrthoRep, L: np.ndarray, F: np.ndarray) -> di
     res["L Ldag = 1 - c_p^dag c_p"] = max_abs(L @ Ld - (eye - c[p - 1].conj().T @ c[p - 1]))
 
     for k in range(1, p + 3):
-        closed = transfer(held, k) + (c[k - 1] if k <= p else 0)
+        closed = transfer(held, k, every) + (c[k - 1] if k <= p else 0)
         res[f"L^{k} closed form"] = max_abs(Lk[k] - closed)
 
     # ssum collects the sandwiches L^{p-k} Ldag L^k of the sum rule, k = 0 and p first

@@ -68,20 +68,25 @@ found at once; the pieces of a class are ordered by cluster first and then
 cut out of C with one gather, in C order, not one slice per piece.
 
 The O(p) charge products are formed on the rows R that hold a charge
-entry (:func:`~orthofermi.canonical.held_rows`), one row per block in the
-oscillator: [H, Q_a] as H[:, R] Q_a[R, :] less Q_a[R, :] H on the rows R;
-V^dag Q_a V, and the certificate's U^dag c_a U, by
-:func:`~orthofermi.canonical.conjugate`, with one full-size product in
-place of two. A stack whose every row holds an entry, such as a system in
-a generic basis, forms the dense products, in the same association. The
-generator sum rule is summed by doubling, in O(log p) products
-(:func:`_sum_rule`).
+entry, one row per block in the oscillator: [H, Q_a] as
+H[:, R] Q_a[R, :] less Q_a[R, :] H on the rows R; V^dag Q_a V, and the
+certificate's U^dag c_a U, by :func:`~orthofermi.canonical.conjugate`,
+with one full-size product in place of two. A stack whose every row holds
+an entry, such as a system in a generic basis, forms the dense products,
+in the same association. The rows R are read once per stack, by
+:func:`~orthofermi.canonical.held_rows`, where the stack is made, and
+passed to every kernel that multiplies it: an :class:`OsusySystem` holds
+its charge stacks read-only and carries their rows and columns
+(``support``), so the support cannot go stale;
+:func:`~orthofermi.reptheory.decompose_stack` reads its piece stack once,
+and :func:`build_generators` its cut of each charge stack. The generator
+sum rule is summed by doubling, in O(log p) products (:func:`_sum_rule`).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -115,13 +120,27 @@ class OsusySystem:
     :class:`DimensionError` unless the blocks partition 0..dim-1 and every
     stack fits its blocks, and :class:`OrderError` for p = 0. :meth:`dense`
     assembles the dim x dim matrices.
+
+    The system holds its charge stacks read-only and carries their
+    support: ``support`` holds, per block size, the masks of the rows and
+    of the columns that hold an entry, as ``held_rows(Q, columns=True)``
+    reads them (:func:`~orthofermi.canonical.held_rows`). Given ``held``,
+    those masks as read by the maker of stacks that nothing else holds,
+    such as :func:`build_system`, the system takes the stacks as they are;
+    otherwise it copies them and reads their support, so that no write into
+    the arrays a caller passed can make the support stale. A write through
+    the system raises ValueError. ``held`` is an init-only variable, which
+    ``dataclasses.replace`` passes as its class default, None, so a
+    replaced system copies its stacks and reads its support anew, as does a
+    copy made by the ``copy`` or ``pickle`` modules.
     """
 
     blocks: list[np.ndarray]
     Q: list[np.ndarray]
     H: list[np.ndarray]
+    held: InitVar[list | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, held):
         found = np.concatenate([np.ravel(rows) for rows in self.blocks] or [[]])
         if (any(np.ndim(rows) != 2 for rows in self.blocks)
                 or not np.array_equal(np.sort(found), np.arange(max(found.size, 1)))):
@@ -129,6 +148,17 @@ class OsusySystem:
         _check_stacks("H", self.H, self.blocks)
         _check_stacks("Q", self.Q, self.blocks, np.shape(self.Q[0])[:1] if self.Q else ())
         check_order(self.p)
+        if held is None:
+            object.__setattr__(self, "Q", [np.array(q) for q in self.Q])
+            held = [held_rows(q, columns=True) for q in self.Q]
+        for q in self.Q:
+            q.flags.writeable = False
+        object.__setattr__(self, "support", held)
+
+    def __reduce__(self):
+        # a copy or an unpickled system is built anew, so it holds its stacks
+        # read-only and reads its own support
+        return OsusySystem, (self.blocks, self.Q, self.H)
 
     @property
     def p(self) -> int:
@@ -214,7 +244,8 @@ def build_system(p: int, levels: int) -> OsusySystem:
     n < levels-1, is the index range n(p+1)+1 .. (n+1)(p+1), in which Q_a has
     the one entry sqrt(2) sqrt(n+1) at slot (p, a-1); the vacuum and the p
     boundary states (levels-1)(p+1) + a are singletons without charge. H is
-    formed block by block, with no dim x dim array.
+    formed block by block, with no dim x dim array, on the support that the
+    system then carries.
     """
     p = check_order(p)
     if not is_count(levels, 2):
@@ -228,8 +259,9 @@ def build_system(p: int, levels: int) -> OsusySystem:
     a = np.arange(p)
     sectors[a, :, p, a] = math.sqrt(2.0) * np.sqrt(n + 1.0)
     Q = [np.zeros((p, p + 1, 1, 1), dtype=complex), sectors]
-    H = [0.5 * (q[0] @ dagger(q[0]) + occupied(q)) for q in Q]
-    return OsusySystem(blocks, Q, H)
+    support = [held_rows(q, columns=True) for q in Q]
+    H = [0.5 * (q[0] @ dagger(q[0]) + occupied(q, rows)) for q, (rows, _) in zip(Q, support)]
+    return OsusySystem(blocks, Q, H, support)
 
 
 def system_from_dense(p: int, Q, H) -> OsusySystem:
@@ -257,7 +289,8 @@ def system_from_dense(p: int, Q, H) -> OsusySystem:
         m = np.asarray(m, dtype=complex)
         for rows, stack in zip(blocks, stacks):
             stack[i] = m[rows[:, :, None], rows[:, None, :]]
-    return OsusySystem(blocks, [s[1:] for s in stacks], [s[0] for s in stacks])
+    Q = [s[1:] for s in stacks]
+    return OsusySystem(blocks, Q, [s[0] for s in stacks], [held_rows(q, columns=True) for q in Q])
 
 
 def block_partition(dim: int, rows: np.ndarray, cols: np.ndarray) -> list[np.ndarray]:
@@ -297,12 +330,13 @@ def _assemble(dim: int, blocks: list[np.ndarray], stacks: list[np.ndarray]) -> n
     return out
 
 
-def _commutator(h: np.ndarray, q: np.ndarray) -> np.ndarray:
+def _commutator(h: np.ndarray, q: np.ndarray, held=None) -> np.ndarray:
     """[H, Q_a] of a (count, size, size) H stack and a (p, count, size, size)
     charge stack. Q_a vanishes off the rows R that hold an entry of some
-    charge, so H Q_a needs only H's columns R, and Q_a H is zero off the rows
-    R; the products keep the association of h @ q - q @ h."""
-    rows = as_index(held_rows(q))
+    charge, ``held`` as the caller carries it (read here when None), so
+    H Q_a needs only H's columns R, and Q_a H is zero off the rows R; the
+    products keep the association of h @ q - q @ h."""
+    rows = as_index(held_rows(q) if held is None else held)
     out = h[..., :, rows] @ q[..., rows, :]
     out[..., rows, :] -= q[..., rows, :] @ h
     return out
@@ -316,15 +350,17 @@ def check_relations(spectrum: SpectralData) -> dict[str, float]:
     pair (a, b) is checked, each block size in one call of
     :func:`~orthofermi.reptheory.relation_residuals`, which runs its pair
     loop on the rows and columns where the blocks hold an entry, and
-    [H, Q_a] on the rows that hold a charge entry (:func:`_commutator`); the
-    values are those of the full products. The positivity entry is
+    [H, Q_a] on the rows that hold a charge entry (:func:`_commutator`),
+    both on the support the system carries; the values are those of the
+    full products. The positivity entry is
     max(0, -min eigenvalue) over ``spectrum``, so 0.0 means a nonnegative
     spectrum.
     """
     sys = spectrum.system
     worst = np.zeros(3)
-    for h, q in zip(sys.H, sys.Q):
-        worst = np.maximum(worst, (max_abs(_commutator(h, q)), *relation_residuals(q, 2 * h)))
+    for h, q, held in zip(sys.H, sys.Q, sys.support):
+        worst = np.maximum(worst, (max_abs(_commutator(h, q, held[0])),
+                                   *relation_residuals(q, 2 * h, held)))
     res = {"[H, Q_a] = 0": float(worst[0])}
     res["Q_a Q_b = 0"], res["Q_a Q_b^dag + d_ab sum Q^dag Q = 2 d_ab H"] = worst[1:].tolist()
     res["H >= 0"] = max(0.0, -min(float(eig.values.min()) for eig in spectrum.eigs))
@@ -337,7 +373,8 @@ def spectral(sys: OsusySystem, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> Spec
     H is diagonalized block by block on the system's partition, with one
     batched eigensolve per block size, and the charges are
     restricted to each block's eigenbasis as V^dag Q_a V, on the rows that
-    hold a charge entry (:func:`~orthofermi.canonical.conjugate`).
+    hold a charge entry, as the system carries them
+    (:func:`~orthofermi.canonical.conjugate`).
     ``cluster_tol`` is relative to max(1, largest |eigenvalue|). Eigenvalues within that
     threshold of zero are snapped into a single E = 0 cluster; the others,
     sorted, form a new cluster wherever the step from the previous value
@@ -349,7 +386,8 @@ def spectral(sys: OsusySystem, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> Spec
     order, spreads checked before gaps.
     """
     eigs = [herm_eig(h) for h in sys.H]
-    charges = [conjugate(q, eig.vectors) for eig, q in zip(eigs, sys.Q)]
+    charges = [conjugate(q, eig.vectors, rows)
+               for eig, q, (rows, _) in zip(eigs, sys.Q, sys.support)]
     values = np.concatenate([eig.values.ravel() for eig in eigs])
     order = np.argsort(values, kind="stable")
     vals = values[order]
@@ -463,13 +501,18 @@ def _cut_pieces(charges: list[np.ndarray], stacks, block, at, size: int) -> np.n
     class, in the given order: piece i is the square of ``size`` at diagonal
     offset ``at[i]`` of block ``block[i]`` of the charge stack
     ``charges[stacks[i]]``. Pieces of one charge stack, every piece of the
-    oscillator, are cut with one gather, which is also the result; as every
-    axis is indexed by an array, the gather lays the stack out in C order,
-    which is what :func:`decompose_stack`'s products are fastest on."""
+    oscillator, are cut with one gather, which is also the result and lies
+    in C order, which is what :func:`decompose_stack`'s products are
+    fastest on. A piece cut from a stack of blocks of ``size`` is a whole
+    block, as every piece of the oscillator is, and such pieces are taken
+    with one ``np.take`` of their blocks; other pieces are gathered with
+    every axis indexed by an array."""
     r = np.arange(size)
     a = np.arange(len(charges[0]))[:, None, None, None]
 
     def gather(source, mine):
+        if charges[source].shape[-1] == size:
+            return np.take(charges[source], block[mine], axis=1)
         s = at[mine, None, None]
         return charges[source][a, block[mine, None, None], s + r[:, None], s + r]
     sources = dict.fromkeys(stacks.tolist())
@@ -495,19 +538,23 @@ def build_generators(spectrum: SpectralData) -> SusyGenerators:
     ladder formulas give L and F on every cluster of a block at once; they
     are dressed with sqrt(2E) and E^{1/(p+1)} and transported back with V. Both
     generators vanish on the kernel of H by construction, which also makes
-    them commute with H exactly. ``frac_direct`` is cyclic_from(Q)^dag.
+    them commute with H exactly. ``frac_direct`` is cyclic_from(Q)^dag. The
+    cut of each charge stack is made in one array, and its held rows are
+    read once; the charges themselves enter on the support the system
+    carries.
     """
     sys = spectrum.system
     para, frac, direct = [], [], []
-    for eig, level, c, q in zip(spectrum.eigs, spectrum.levels, spectrum.charges, sys.Q):
+    for eig, level, c, q, (rows, _) in zip(spectrum.eigs, spectrum.levels, spectrum.charges,
+                                           sys.Q, sys.support):
         v, energy = eig.vectors, _positive(level)[..., :, None]
         same = (level[..., :, None] == level[..., None, :]) & (level > 0.0)[..., :, None]
-        c = np.where(same, c, 0.0) * (1.0 / np.sqrt(2.0 * energy))
-        ladder = lowering_from(c)
+        c = np.multiply(c, 1.0 / np.sqrt(2.0 * energy), out=np.zeros_like(c), where=same)
+        ladder = lowering_from(c, held_rows(c))
         para.append(v @ (np.sqrt(2.0 * energy) * ladder) @ dagger(v))
         ladder += dagger(c[-1])  # L becomes F = L + c_p^dag
         frac.append(v @ (energy ** (1.0 / (sys.p + 1)) * ladder) @ dagger(v))
-        direct.append(dagger(cyclic_from(q)))
+        direct.append(dagger(cyclic_from(q, rows)))
     return SusyGenerators(spectrum, para, frac, direct)
 
 
@@ -520,9 +567,11 @@ def _powers(spectrum: SpectralData, a: float) -> list[np.ndarray]:
 def closed_form_para(spectrum: SpectralData) -> list[np.ndarray]:
     """Q_1 + (2H)^{-1/2} sum_{a=2..p} Q_{a-1}^dag Q_a via spectral calculus,
     one (count, size, size) stack per block size; the transfer sum is
-    :func:`~orthofermi.canonical.transfer` of the charges at k = 1."""
-    return [q[0] + (2.0 ** -0.5 * r) @ transfer(q, 1)
-            for r, q in zip(_powers(spectrum, -0.5), spectrum.system.Q)]
+    :func:`~orthofermi.canonical.transfer` of the charges at k = 1, on the
+    support the system carries."""
+    sys = spectrum.system
+    return [q[0] + (2.0 ** -0.5 * r) @ transfer(q, 1, rows)
+            for r, q, (rows, _) in zip(_powers(spectrum, -0.5), sys.Q, sys.support)]
 
 
 def closed_form_frac(spectrum: SpectralData) -> list[np.ndarray]:
@@ -534,10 +583,12 @@ def closed_form_frac(spectrum: SpectralData) -> list[np.ndarray]:
     accounted for; the transfer sum, :func:`~orthofermi.canonical.transfer`
     of the charges at k = 1, carries H^{-p/(p+1)}.
     """
-    p = spectrum.system.p
-    return [2.0 ** -0.5 * o @ q[0] + 0.5 * i @ transfer(q, 1) + 2.0 ** -0.5 * o @ dagger(q[-1])
-            for o, i, q in zip(_powers(spectrum, -(p - 1) / (2.0 * (p + 1))),
-                               _powers(spectrum, -p / (p + 1)), spectrum.system.Q)]
+    sys = spectrum.system
+    p = sys.p
+    return [2.0 ** -0.5 * o @ q[0] + 0.5 * i @ transfer(q, 1, rows)
+            + 2.0 ** -0.5 * o @ dagger(q[-1])
+            for o, i, q, (rows, _) in zip(_powers(spectrum, -(p - 1) / (2.0 * (p + 1))),
+                                          _powers(spectrum, -p / (p + 1)), sys.Q, sys.support)]
 
 
 def _sum_rule(p: int, H: np.ndarray, para: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -106,9 +106,10 @@ def _unnamed(i) -> str:
     return ""
 
 
-def _infer_units(c: np.ndarray, tol: float, label) -> np.ndarray:
-    """The representative of 1 of each element of a (p, k, n, n) stack."""
-    occ = occupied(c)
+def _infer_units(c: np.ndarray, tol: float, label, held=None) -> np.ndarray:
+    """The representative of 1 of each element of a (p, k, n, n) stack whose
+    held rows are ``held`` (:func:`~orthofermi.canonical.transfer`)."""
+    occ = occupied(c, held)
     unit = c[0] @ dagger(c[0]) + occ
     for a in range(1, len(c)):
         defect = max_abs(c[a] @ dagger(c[a]) + occ - unit, axis=(-2, -1))
@@ -132,11 +133,11 @@ def infer_unit(rep: OrthoRep, tol: float = DEFAULT_TOL) -> np.ndarray:
     return _infer_units(rep.c[:, None], tol, _unnamed)[0]
 
 
-def _units(c: np.ndarray, unit, tol: float, label) -> np.ndarray:
+def _units(c: np.ndarray, unit, tol: float, label, held=None) -> np.ndarray:
     """The unit of each element of ``c``: ``unit``, one n x n matrix for all,
     or the units inferred per element when ``unit`` is None."""
     if unit is None:
-        return _infer_units(c, tol, label)
+        return _infer_units(c, tol, label, held)
     unit = np.asarray(unit, dtype=complex)
     if unit.ndim != 2:
         raise DimensionError(f"expected a matrix, got array of shape {unit.shape}")
@@ -147,17 +148,19 @@ def _units(c: np.ndarray, unit, tol: float, label) -> np.ndarray:
     return unit
 
 
-def _relation_defects(c: np.ndarray, unit: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _relation_defects(c: np.ndarray, unit: np.ndarray,
+                      held=None) -> tuple[np.ndarray, np.ndarray]:
     """Per element of a (p, ..., n, n) stack: the defects of the two relations.
 
     The kernel of :func:`relation_residuals`; each value is the worst over
     all index pairs (a, b) of that element. Let R and C be the rows and the
-    columns that hold a nonzero entry in some c_b of some element, read by
-    :func:`~orthofermi.canonical.held_rows` of the stack and of its
-    transpose, and L the indices in both.
+    columns that hold a nonzero entry in some c_b of some element, ``held``
+    as ``held_rows(c, columns=True)`` reads them
+    (:func:`~orthofermi.canonical.held_rows`; read here when None), and L
+    the indices in both.
 
       * Entry (i, j) of c_a c_b sums over L, and it vanishes unless i is in
-        R and column j of some c_b has an entry in a row of L.
+        R and j in C; when L is empty, every c_a c_b is zero.
       * Entry (i, j) of c_a c_b^dag sums over C, and it vanishes unless both
         i and j are in R.
 
@@ -172,13 +175,14 @@ def _relation_defects(c: np.ndarray, unit: np.ndarray) -> tuple[np.ndarray, np.n
     k = 0, which also multiplies on R only.
     """
     p, *lead, n, _ = c.shape
-    excess = np.broadcast_to(occupied(c) - unit, (*lead, n, n)).reshape(-1, n, n)
+    in_rows, in_cols = held_rows(c, columns=True) if held is None else held
+    excess = np.broadcast_to(occupied(c, in_rows) - unit, (*lead, n, n)).reshape(-1, n, n)
     c = c.reshape(p, -1, n, n)
     k = c.shape[1]
-    in_rows, in_cols = held_rows(c), held_rows(np.swapaxes(c, -1, -2))
-    rows, cols, inner = as_index(in_rows), as_index(in_cols), as_index(in_rows & in_cols)
-    inside = c[:, :, inner]
-    nilpotent_rhs = inside[..., as_index(held_rows(np.swapaxes(inside, -1, -2)))]
+    both = in_rows & in_cols
+    rows, cols, inner = as_index(in_rows), as_index(in_cols), as_index(both)
+    # c_b on the rows L and, unless L is empty, on the columns C
+    nilpotent_rhs = c[:, :, inner][..., cols if both.any() else slice(0)]
     mixed_rhs = dagger(c[:, :, rows][..., cols])
     excess_inside = excess[:, rows][..., rows]
     nilpotent = np.zeros(k)
@@ -197,7 +201,7 @@ def _relation_defects(c: np.ndarray, unit: np.ndarray) -> tuple[np.ndarray, np.n
     return nilpotent.reshape(lead), mixed.reshape(lead)
 
 
-def relation_residuals(c, unit: np.ndarray) -> tuple[float, float]:
+def relation_residuals(c, unit: np.ndarray, held=None) -> tuple[float, float]:
     """Worst defects of the two defining relations over all index pairs.
 
     Returns max_abs(c_a c_b) and max_abs(c_a c_b^dag + delta_ab (occ - unit)),
@@ -207,9 +211,11 @@ def relation_residuals(c, unit: np.ndarray) -> tuple[float, float]:
     runs on the rows and columns that hold an entry
     (:func:`_relation_defects`), so a sparse stack, such as the oscillator's
     charges in their natural basis, costs little, and each value is that of
-    the full products up to summation order.
+    the full products up to summation order. ``held`` is the pair of masks
+    ``held_rows(c, columns=True)``, as the caller carries it (read here
+    when None).
     """
-    nilpotent, mixed = _relation_defects(np.asarray(c), unit)
+    nilpotent, mixed = _relation_defects(np.asarray(c), unit, held)
     return float(nilpotent.max(initial=0.0)), float(mixed.max(initial=0.0))
 
 
@@ -220,11 +226,13 @@ def _projector_rows(pi: np.ndarray) -> dict[str, np.ndarray]:
             "Pi^dag = Pi": max_abs(dagger(pi) - pi, axis=(-2, -1))}
 
 
-def _relation_table(c: np.ndarray, unit) -> dict[str, np.ndarray]:
-    """:func:`verify`'s residuals, one value per element of a (p, k, n, n) stack."""
+def _relation_table(c: np.ndarray, unit, held) -> dict[str, np.ndarray]:
+    """:func:`verify`'s residuals, one value per element of a (p, k, n, n)
+    stack, whose held rows and columns are ``held``."""
     res: dict[str, np.ndarray] = {}
-    res["c_a c_b = 0"], res["c_a c_b^dag + d_ab sum c^dag c = d_ab 1"] = _relation_defects(c, unit)
-    pi = unit - occupied(c)
+    res["c_a c_b = 0"], res["c_a c_b^dag + d_ab sum c^dag c = d_ab 1"] = \
+        _relation_defects(c, unit, held)
+    pi = unit - occupied(c, held[0])
     res.update(_projector_rows(pi))
     res["Pi c_a = c_a"] = _worst(pi @ m - m for m in c)
     res["c_a^dag Pi = c_a^dag"] = _worst(dagger(m) @ pi - dagger(m) for m in c)
@@ -242,7 +250,8 @@ def verify(rep: OrthoRep, unit: np.ndarray | None = None, tol: float = DEFAULT_T
     max_abs defect over all index combinations.
     """
     c = rep.c[:, None]
-    table = _relation_table(c, _units(c, unit, tol, _unnamed))
+    held = held_rows(c, columns=True)
+    table = _relation_table(c, _units(c, unit, tol, _unnamed, held[0]), held)
     return {name: float(value[0]) for name, value in table.items()}
 
 
@@ -317,22 +326,22 @@ def _vacuum_bound(d_u, d_b, d_1, n: int, p: int, d_f) -> np.ndarray:
     return np.minimum(by_rows, by_copies)
 
 
-def _block_defects(c: np.ndarray, basis: np.ndarray, m: int) -> np.ndarray:
+def _block_defects(c: np.ndarray, basis: np.ndarray, m: int, held=None) -> np.ndarray:
     """U^dag c_a U - T_a for a (p, k, n, n) stack and its (k, n, n) unitaries
     U, as one (p, k, n, n) stack; T_a are the targets of
     :func:`_expected_blocks` with m copies.
 
     The products are :func:`~orthofermi.canonical.conjugate`'s, on the rows
-    that hold an entry, and the targets are subtracted in place.
+    ``held`` that hold an entry, and the targets are subtracted in place.
     """
-    out = conjugate(c, basis)
+    out = conjugate(c, basis, held)
     a, rows, cols = _target_entries(len(c), m)
     out[a, :, rows, cols] -= 1
     return out
 
 
 def _grow_copies(c: np.ndarray, vacua: np.ndarray, unit: np.ndarray, tol: float,
-                 rank_tol: float, label) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+                 rank_tol: float, label, held=None) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """Steps 3 to 5 on a (p, k, n, n) stack whose vacua all have m columns.
 
     Returns the (k, n, n) unitaries U and the residuals of the split. When
@@ -340,7 +349,8 @@ def _grow_copies(c: np.ndarray, vacua: np.ndarray, unit: np.ndarray, tol: float,
     nonzero generator fails the complement annihilation. The copy family,
     the complement annihilation and the block residual are each one batched
     call over the whole (p, k, n, n) stack, formed on the rows R that hold
-    an entry of some c_a: c_a^dag e_i = c_a[R, :]^dag e_i[R], c_a G is zero
+    an entry of some c_a, ``held`` as the caller carries it (read here when
+    None): c_a^dag e_i = c_a[R, :]^dag e_i[R], c_a G is zero
     off the rows R, and the block residual is :func:`_block_defects`. A pure
     split, whose complement is zero within ``tol``, runs no complement SVD
     (:func:`_ranges`).
@@ -431,10 +441,12 @@ def _grow_copies(c: np.ndarray, vacua: np.ndarray, unit: np.ndarray, tol: float,
     """
     p, k, n, _ = c.shape
     m = vacua.shape[-1]
-    rows = as_index(held_rows(c))
-    held = c[..., rows, :]
+    if held is None:
+        held = held_rows(c)
+    rows = as_index(held)
+    on_rows = c[..., rows, :]
     # column i (p+1) + a holds e_i for a = 0 and c_a^dag e_i otherwise
-    family = np.concatenate([vacua[None], dagger(held) @ vacua[..., rows, :]])
+    family = np.concatenate([vacua[None], dagger(on_rows) @ vacua[..., rows, :]])
     family = np.moveaxis(family, 0, -1).reshape(k, n, m * (p + 1))
     gram = max_abs(dagger(family) @ family - np.eye(m * (p + 1)), axis=(-2, -1))
     _refuse(~(gram <= tol), label, NumericalDegeneracyError,
@@ -447,8 +459,9 @@ def _grow_copies(c: np.ndarray, vacua: np.ndarray, unit: np.ndarray, tol: float,
             lambda i: f"dimension bookkeeping failed: {m} copies of {p + 1} plus "
                       f"{trivial[i]} != {n}")
     complement = np.stack(complements)
-    annihilation = np.maximum(max_abs(held @ complement, axis=(0, -2, -1)),
-                              max_abs(dagger(held) @ complement[..., rows, :], axis=(0, -2, -1)))
+    annihilation = np.maximum(max_abs(on_rows @ complement, axis=(0, -2, -1)),
+                              max_abs(dagger(on_rows) @ complement[..., rows, :],
+                                      axis=(0, -2, -1)))
     _refuse(~(annihilation <= tol), label, NotARepresentationError,
             lambda i: f"complement of the copies is not annihilated, "
                       f"residual {annihilation[i]:.3e}")
@@ -456,7 +469,7 @@ def _grow_copies(c: np.ndarray, vacua: np.ndarray, unit: np.ndarray, tol: float,
     basis = np.concatenate([family, complement], axis=-1)
     residuals = {
         "unitarity": max_abs(dagger(basis) @ basis - np.eye(n), axis=(-2, -1)),
-        "block": max_abs(_block_defects(c, basis, m), axis=(0, -2, -1)),
+        "block": max_abs(_block_defects(c, basis, m, held), axis=(0, -2, -1)),
         "gram": gram, "complement annihilation": annihilation}
     outside += unit - np.eye(n)
     defects = (residuals["unitarity"], residuals["block"], max_abs(outside, axis=(-2, -1)), n, p)
@@ -467,15 +480,18 @@ def _grow_copies(c: np.ndarray, vacua: np.ndarray, unit: np.ndarray, tol: float,
     return basis, residuals
 
 
-def _split(c: np.ndarray, unit, tol: float, rank_tol: float, label) -> Decomposition:
-    """Steps 2 to 5 of the module docstring on a (p, k, n, n) stack.
+def _split(c: np.ndarray, unit, tol: float, rank_tol: float, label, held) -> Decomposition:
+    """Steps 2 to 5 of the module docstring on a (p, k, n, n) stack whose
+    held rows are ``held``.
 
     A failing projector row of step 2 raises a bare
     :class:`NotARepresentationError`; :func:`decompose_stack` then names the
     failing row from the relation table, which holds both projector rows.
+    A group of elements of one vacuum rank that is not the whole stack is a
+    new stack, whose held rows are read once.
     """
     p, k, n, _ = c.shape
-    pi = unit - occupied(c)
+    pi = unit - occupied(c, held)
     if not (np.maximum(*_projector_rows(pi).values()) <= tol).all():
         raise NotARepresentationError
 
@@ -487,8 +503,10 @@ def _split(c: np.ndarray, unit, tol: float, rank_tol: float, label) -> Decomposi
     for m in sorted(set(copies.tolist())):  # np.unique would import numpy.ma
         # a slice when every element has m vacua, so the stack is not copied
         group, at = as_index(copies == m), np.flatnonzero(copies == m)
-        basis[group], found = _grow_copies(c[:, group], np.stack([vacua[i] for i in at]),
-                                           units[group], tol, rank_tol, lambda i: label(at[i]))
+        part = c[:, group]
+        basis[group], found = _grow_copies(
+            part, np.stack([vacua[i] for i in at]), units[group], tol, rank_tol,
+            lambda i: label(at[i]), held if isinstance(group, slice) else held_rows(part))
         for name, value in found.items():
             residuals.setdefault(name, np.empty(k))[group] = value
     return Decomposition(copies, n - copies * (p + 1), basis, residuals)
@@ -510,7 +528,8 @@ def decompose_stack(c, unit=None, tol: float = DEFAULT_TOL, rank_tol: float = DE
     failing representation i by ``labels(i)``, a function of the stack index
     called only then (by default "representation i"). Returns one
     :class:`Decomposition` of the whole stack, whose fields have a leading
-    axis in stack order.
+    axis in stack order. The stack's held rows and columns are read once
+    (:func:`~orthofermi.canonical.held_rows`) and passed to every product.
     """
     c = np.asarray(c, dtype=complex)
     if c.ndim != 4 or not c.shape[0] or c.shape[-1] != c.shape[-2]:
@@ -518,11 +537,12 @@ def decompose_stack(c, unit=None, tol: float = DEFAULT_TOL, rank_tol: float = DE
     if not np.isfinite(c).all():
         raise ValueError("annihilators contain non-finite entries")
     label = "representation {}".format if labels is None else labels
-    unit = _units(c, unit, tol, label)
+    held = held_rows(c, columns=True)
+    unit = _units(c, unit, tol, label, held[0])
     try:
-        return _split(c, unit, tol, rank_tol, label)
+        return _split(c, unit, tol, rank_tol, label, held[0])
     except (NotARepresentationError, NumericalDegeneracyError):
-        worst = np.max(list(_relation_table(c, unit).values()), axis=0)
+        worst = np.max(list(_relation_table(c, unit, held).values()), axis=0)
         _refuse(~(worst <= tol), label, NotARepresentationError,
                 lambda i: f"relations fail with residual {worst[i]:.3e} > tol {tol:.3e}")
         raise

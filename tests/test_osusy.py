@@ -1,5 +1,10 @@
+import contextlib
+import copy
+import importlib
+import io
 import itertools
 import math
+import pickle
 import tracemalloc
 from collections import Counter
 from dataclasses import fields, replace
@@ -9,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orthofermi import osusy, reptheory
+from orthofermi import cli, osusy, reptheory
 from orthofermi.canonical import canonical, conjugate, cyclic_from, held_rows, lowering_from
 from orthofermi.errors import (ClusteringError, DimensionError, NotARepresentationError,
                                OrderError, TruncationError)
@@ -19,7 +24,8 @@ from orthofermi.osusy import (CLOSED_FORM_TOL, DEFAULT_GENERATOR_TOL, OsusySyste
                               check_generators, check_relations, closed_form_frac,
                               closed_form_para, eigenspace_reps, spectral, system_from_dense)
 from oracles import (block_residual, cluster_bases, commutator, cut, dense, dense_generators,
-                     h_power, loop_clusters, restricted, sum_rule_recurrence)
+                     h_power, loop_clusters, pair_relation_defects, restricted,
+                     sum_rule_recurrence)
 
 
 def pipeline(p, levels):
@@ -996,6 +1002,70 @@ def test_the_commutator_sees_h_off_the_rows_that_hold_a_charge():
         assert np.array_equal(osusy._commutator(h, q), commutator(h, q))
     got = check_relations(spectral(sys_))["[H, Q_a] = 0"]
     assert got == max(max_abs(H @ q - q @ H) for q in Q) > eps
+
+
+def test_an_osusy_op_reads_each_support_once(monkeypatch):
+    # the support of a stack is read where the stack is made: the two charge
+    # stacks of build_system, the one positive piece class of eigenspace_reps
+    # and the two cuts of build_generators; no kernel reads one itself
+    reads = []
+    canonical_module = importlib.import_module("orthofermi.canonical")
+    read = canonical_module.held_rows
+
+    def counted(c, *args, **kwargs):
+        reads.append(np.shape(c))
+        return read(c, *args, **kwargs)
+    for module in (canonical_module, osusy, reptheory):
+        if hasattr(module, "held_rows"):
+            monkeypatch.setattr(module, "held_rows", counted)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["osusy", "--p", "3", "--levels", "6", "--json"]) == 0
+    # 4 singletons and 5 sectors of 4 states
+    singletons, sectors = (3, 4, 1, 1), (3, 5, 4, 4)
+    assert reads == [singletons, sectors, sectors, singletons, sectors]
+
+
+def test_a_carried_support_cannot_go_stale():
+    sys_ = build_system(2, 4)
+    spectrum = spectral(sys_)
+    for q in (sys_.Q[1], spectrum.system.Q[1], system_from_dense(2, *sys_.dense()).Q[1]):
+        with pytest.raises(ValueError):
+            q[0, 0, 0, 1] = 0.5
+    for copied in (copy.copy(sys_), copy.deepcopy(sys_), pickle.loads(pickle.dumps(sys_))):
+        with pytest.raises(ValueError):
+            copied.Q[1][0, 0, 0, 1] = 0.5
+    # a system made from arrays its caller keeps holds copies of them
+    Q, H = ([np.array(m) for m in stacks] for stacks in (sys_.Q, sys_.H))
+    own = OsusySystem(sys_.blocks, Q, H)
+    Q[1][0, 0, 0, 1] = 0.5
+    assert own.Q[1][0, 0, 0, 1] == 0 and not own.support[1][0][0]
+    # a charge entry in row 0 of a sector, which held none: the replaced
+    # system reads its support anew, and both relations see the entry (H is
+    # a multiple of the identity on the sector, so [H, Q_a] stays 0)
+    q = sys_.Q[1].copy()
+    q[0, 0, 0, 1] = 0.5
+    moved = replace(sys_, Q=[sys_.Q[0], q])
+    assert not sys_.support[1][0][0] and moved.support[1][0][0]
+    for got, want in zip(moved.support[1], held_rows(q, columns=True)):
+        assert np.array_equal(got, want)
+    Q, H = moved.dense()
+    nilpotent, mixed = pair_relation_defects(Q[:, None], 2 * H)
+    expected = {"[H, Q_a] = 0": max(max_abs(H @ m - m @ H) for m in Q),
+                "Q_a Q_b = 0": nilpotent[0],
+                "Q_a Q_b^dag + d_ab sum Q^dag Q = 2 d_ab H": mixed[0]}
+    got = check_relations(spectral(moved))
+    for name, value in expected.items():
+        assert got[name] == pytest.approx(value, rel=1e-12)
+    assert min(nilpotent[0], mixed[0]) > 0.1
+
+
+def test_whole_block_pieces_are_taken_in_c_order():
+    spectrum = spectral(build_system(4, 6))
+    charges, size = spectrum.charges, 5
+    block = np.array([3, 0, 2])
+    found = osusy._cut_pieces(charges, np.ones(3, dtype=int), block, np.zeros(3, dtype=int), size)
+    assert found.flags.c_contiguous and found.flags.writeable
+    assert np.array_equal(found, charges[1][:, block])
 
 
 def partial_monomials(rng, count, n):
