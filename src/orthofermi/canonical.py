@@ -8,13 +8,12 @@ such families.
 
 Every sum of quantum-transfer monomials the package forms,
 sum_a c_a^dag c_{a+k}, is one call of :func:`transfer`, which multiplies
-only on the rows its caller carries: the rows that hold an entry, as
-:func:`held_rows` reads them where the stack is made. The vacuum projector
-is unit - occupied(c) = unit - transfer(c, 0), and the lowering operator
-and the closed forms of its powers below add c_k to transfer(c, k).
-:func:`conjugate` forms V^dag c_a V on the same rows. Each of these
-kernels takes the mask as ``held`` and reads the stack itself only when it
-is not given.
+only on the rows that hold an entry: the row mask :func:`held_rows` reads
+where the stack is made, which every kernel takes as ``held``. The vacuum
+projector is unit - occupied(c) = unit - transfer(c, 0), and the lowering
+operator and the closed forms of its powers below add c_k to
+transfer(c, k). :func:`conjugate` forms V^dag c_a V on the same rows. These
+public kernels read the mask themselves when their caller passes none.
 
 On the (p+1)-dimensional Fock space with kets |0>, |1>, .., |p> (ket n is
 matrix row/column n+1), the annihilators act as the matrix units
@@ -86,13 +85,11 @@ def canonical(p: int) -> OrthoRep:
     return OrthoRep(np.stack([rho0(AlgebraElement.annihilator(p, a)) for a in range(1, p + 1)]))
 
 
-def held_rows(c, columns: bool = False):
+def held_rows(c) -> np.ndarray:
     """Mask of the rows that hold a nonzero entry (NaN included) in some
-    matrix of a (..., m, n) stack; the stack axes are reduced first, as
-    one pass over whole matrices. With ``columns``, the pair of that mask
-    and the mask of the columns that hold one, both from the same pass."""
-    pattern = c.any(axis=tuple(range(c.ndim - 2)))
-    return (pattern.any(axis=-1), pattern.any(axis=-2)) if columns else pattern.any(axis=-1)
+    matrix of a (..., n, n) stack; the stack axes are reduced first, as
+    one pass over whole matrices."""
+    return c.any(axis=tuple(range(c.ndim - 2))).any(axis=-1)
 
 
 def as_index(mask: np.ndarray):
@@ -113,8 +110,7 @@ def conjugate(c, v, held=None) -> np.ndarray:
     V^dag[:, R] (c_a[R, :] V) forms the same matrix up to summation order
     with one full-size product in place of two.
     """
-    if held is None:
-        held = held_rows(c)
+    held = held_rows(c) if held is None else held
     if held.all():
         return (dagger(v) @ c) @ v
     rows = np.flatnonzero(held)
@@ -122,10 +118,10 @@ def conjugate(c, v, held=None) -> np.ndarray:
 
 
 def transfer(c, k: int, held=None) -> np.ndarray:
-    """sum_{a=1..p-k} c_a^dag c_{a+k} over a (p, ..., m, n) stack of annihilators.
+    """sum_{a=1..p-k} c_a^dag c_{a+k} over a (p, ..., n, n) stack of annihilators.
 
-    Each c_a = c[a - 1] may itself be a stack of shape (..., m, n), one
-    matrix per stack position, and the result has shape (..., n, n); for
+    Each c_a = c[a - 1] may itself be a stack of shape (..., n, n), one
+    matrix per stack position, and so is the result; for
     k >= p the sum is empty and the result exact zeros. Only the rows R
     that hold an entry in some c_a enter, given by ``held``, the mask
     :func:`held_rows` reads, as the caller carries it (read here when
@@ -137,10 +133,9 @@ def transfer(c, k: int, held=None) -> np.ndarray:
     """
     c = np.asarray(c)
     p, *lead, _, n = c.shape
-    if held is None:
-        held = held_rows(c)
+    held = held_rows(c) if held is None else held
     r = np.count_nonzero(held)
-    size = max(n // max(r, 1), 1)
+    size = n // max(r, 1)
     # (..., p, |R|, n): the c_a on the held rows, their index next to the rows
     stacked = c[..., as_index(held), :].transpose(*range(1, c.ndim - 2), 0, -2, -1)
     out = np.zeros((*lead, n, n), dtype=c.dtype)
@@ -192,15 +187,14 @@ def ladder_identity_residuals(rep: OrthoRep, L: np.ndarray, F: np.ndarray) -> di
     covered by its own entry.
 
     The closed form of L^k, c_k + sum_a c_a^dag c_{a+k}, is c_k plus one
-    :func:`transfer` of the rows that hold an entry, read once per call: one
+    :func:`transfer` on the rows that hold an entry, read once per call: one
     row for the canonical rep, so every temporary is O(n^2).
     """
     p = rep.p
     eye = np.eye(p + 1, dtype=complex)
     c = rep.c
     rows = held_rows(c)
-    held, every = c[:, rows], rows[rows]  # every row kept holds an entry
-    pi = eye - occupied(held, every)
+    pi = eye - occupied(c, rows)
     Ld = L.conj().T
     Lk = [eye]  # Lk[k] = L^k for k in 0..p+2
     for _ in range(p + 2):
@@ -215,7 +209,7 @@ def ladder_identity_residuals(rep: OrthoRep, L: np.ndarray, F: np.ndarray) -> di
     res["L Ldag = 1 - c_p^dag c_p"] = max_abs(L @ Ld - (eye - c[p - 1].conj().T @ c[p - 1]))
 
     for k in range(1, p + 3):
-        closed = transfer(held, k, every) + (c[k - 1] if k <= p else 0)
+        closed = transfer(c, k, rows) + (c[k - 1] if k <= p else 0)
         res[f"L^{k} closed form"] = max_abs(Lk[k] - closed)
 
     # ssum collects the sandwiches L^{p-k} Ldag L^k of the sum rule, k = 0 and p first

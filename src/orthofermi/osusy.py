@@ -75,9 +75,9 @@ with one full-size product in place of two. A stack whose every row holds
 an entry, such as a system in a generic basis, forms the dense products,
 in the same association. The rows R are read once per stack, by
 :func:`~orthofermi.canonical.held_rows`, where the stack is made, and
-passed to every kernel that multiplies it: an :class:`OsusySystem` holds
-its charge stacks read-only and carries their rows and columns
-(``support``), so the support cannot go stale;
+passed to every kernel that multiplies it as one row mask: an
+:class:`OsusySystem` holds its charge stacks read-only and carries that
+mask (``support``), so the support cannot go stale;
 :func:`~orthofermi.reptheory.decompose_stack` reads its piece stack once,
 and :func:`build_generators` its cut of each charge stack. The generator
 sum rule is summed by doubling, in O(log p) products (:func:`_sum_rule`).
@@ -122,17 +122,16 @@ class OsusySystem:
     assembles the dim x dim matrices.
 
     The system holds its charge stacks read-only and carries their
-    support: ``support`` holds, per block size, the masks of the rows and
-    of the columns that hold an entry, as ``held_rows(Q, columns=True)``
-    reads them (:func:`~orthofermi.canonical.held_rows`). Given ``held``,
-    those masks as read by the maker of stacks that nothing else holds,
-    such as :func:`build_system`, the system takes the stacks as they are;
-    otherwise it copies them and reads their support, so that no write into
-    the arrays a caller passed can make the support stale. A write through
-    the system raises ValueError. ``held`` is an init-only variable, which
-    ``dataclasses.replace`` passes as its class default, None, so a
-    replaced system copies its stacks and reads its support anew, as does a
-    copy made by the ``copy`` or ``pickle`` modules.
+    support: ``support`` holds, per block size, the mask of the rows that
+    hold an entry, as :func:`~orthofermi.canonical.held_rows` reads it.
+    Given ``held``, those masks as read by the maker of stacks that nothing
+    else holds, such as :func:`build_system`, the system takes the stacks as
+    they are; otherwise it copies them and reads their support, so that no
+    write into the arrays a caller passed can make the support stale. A
+    write through the system raises ValueError. ``held`` is an init-only
+    variable, which ``dataclasses.replace`` passes as its class default,
+    None, so a replaced system copies its stacks and reads its support
+    anew, as does a copy made by the ``copy`` or ``pickle`` modules.
     """
 
     blocks: list[np.ndarray]
@@ -150,7 +149,7 @@ class OsusySystem:
         check_order(self.p)
         if held is None:
             object.__setattr__(self, "Q", [np.array(q) for q in self.Q])
-            held = [held_rows(q, columns=True) for q in self.Q]
+            held = [held_rows(q) for q in self.Q]
         for q in self.Q:
             q.flags.writeable = False
         object.__setattr__(self, "support", held)
@@ -259,8 +258,8 @@ def build_system(p: int, levels: int) -> OsusySystem:
     a = np.arange(p)
     sectors[a, :, p, a] = math.sqrt(2.0) * np.sqrt(n + 1.0)
     Q = [np.zeros((p, p + 1, 1, 1), dtype=complex), sectors]
-    support = [held_rows(q, columns=True) for q in Q]
-    H = [0.5 * (q[0] @ dagger(q[0]) + occupied(q, rows)) for q, (rows, _) in zip(Q, support)]
+    support = [held_rows(q) for q in Q]
+    H = [0.5 * (q[0] @ dagger(q[0]) + occupied(q, rows)) for q, rows in zip(Q, support)]
     return OsusySystem(blocks, Q, H, support)
 
 
@@ -290,7 +289,7 @@ def system_from_dense(p: int, Q, H) -> OsusySystem:
         for rows, stack in zip(blocks, stacks):
             stack[i] = m[rows[:, :, None], rows[:, None, :]]
     Q = [s[1:] for s in stacks]
-    return OsusySystem(blocks, Q, [s[0] for s in stacks], [held_rows(q, columns=True) for q in Q])
+    return OsusySystem(blocks, Q, [s[0] for s in stacks], [held_rows(q) for q in Q])
 
 
 def block_partition(dim: int, rows: np.ndarray, cols: np.ndarray) -> list[np.ndarray]:
@@ -330,13 +329,13 @@ def _assemble(dim: int, blocks: list[np.ndarray], stacks: list[np.ndarray]) -> n
     return out
 
 
-def _commutator(h: np.ndarray, q: np.ndarray, held=None) -> np.ndarray:
+def _commutator(h: np.ndarray, q: np.ndarray, held: np.ndarray) -> np.ndarray:
     """[H, Q_a] of a (count, size, size) H stack and a (p, count, size, size)
     charge stack. Q_a vanishes off the rows R that hold an entry of some
-    charge, ``held`` as the caller carries it (read here when None), so
-    H Q_a needs only H's columns R, and Q_a H is zero off the rows R; the
-    products keep the association of h @ q - q @ h."""
-    rows = as_index(held_rows(q) if held is None else held)
+    charge, ``held`` as the caller carries it, so H Q_a needs only H's
+    columns R, and Q_a H is zero off the rows R; the products keep the
+    association of h @ q - q @ h."""
+    rows = as_index(held)
     out = h[..., :, rows] @ q[..., rows, :]
     out[..., rows, :] -= q[..., rows, :] @ h
     return out
@@ -359,7 +358,7 @@ def check_relations(spectrum: SpectralData) -> dict[str, float]:
     sys = spectrum.system
     worst = np.zeros(3)
     for h, q, held in zip(sys.H, sys.Q, sys.support):
-        worst = np.maximum(worst, (max_abs(_commutator(h, q, held[0])),
+        worst = np.maximum(worst, (max_abs(_commutator(h, q, held)),
                                    *relation_residuals(q, 2 * h, held)))
     res = {"[H, Q_a] = 0": float(worst[0])}
     res["Q_a Q_b = 0"], res["Q_a Q_b^dag + d_ab sum Q^dag Q = 2 d_ab H"] = worst[1:].tolist()
@@ -387,7 +386,7 @@ def spectral(sys: OsusySystem, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> Spec
     """
     eigs = [herm_eig(h) for h in sys.H]
     charges = [conjugate(q, eig.vectors, rows)
-               for eig, q, (rows, _) in zip(eigs, sys.Q, sys.support)]
+               for eig, q, rows in zip(eigs, sys.Q, sys.support)]
     values = np.concatenate([eig.values.ravel() for eig in eigs])
     order = np.argsort(values, kind="stable")
     vals = values[order]
@@ -545,8 +544,8 @@ def build_generators(spectrum: SpectralData) -> SusyGenerators:
     """
     sys = spectrum.system
     para, frac, direct = [], [], []
-    for eig, level, c, q, (rows, _) in zip(spectrum.eigs, spectrum.levels, spectrum.charges,
-                                           sys.Q, sys.support):
+    for eig, level, c, q, rows in zip(spectrum.eigs, spectrum.levels, spectrum.charges,
+                                      sys.Q, sys.support):
         v, energy = eig.vectors, _positive(level)[..., :, None]
         same = (level[..., :, None] == level[..., None, :]) & (level > 0.0)[..., :, None]
         c = np.multiply(c, 1.0 / np.sqrt(2.0 * energy), out=np.zeros_like(c), where=same)
@@ -571,7 +570,7 @@ def closed_form_para(spectrum: SpectralData) -> list[np.ndarray]:
     support the system carries."""
     sys = spectrum.system
     return [q[0] + (2.0 ** -0.5 * r) @ transfer(q, 1, rows)
-            for r, q, (rows, _) in zip(_powers(spectrum, -0.5), sys.Q, sys.support)]
+            for r, q, rows in zip(_powers(spectrum, -0.5), sys.Q, sys.support)]
 
 
 def closed_form_frac(spectrum: SpectralData) -> list[np.ndarray]:
@@ -587,8 +586,8 @@ def closed_form_frac(spectrum: SpectralData) -> list[np.ndarray]:
     p = sys.p
     return [2.0 ** -0.5 * o @ q[0] + 0.5 * i @ transfer(q, 1, rows)
             + 2.0 ** -0.5 * o @ dagger(q[-1])
-            for o, i, q, (rows, _) in zip(_powers(spectrum, -(p - 1) / (2.0 * (p + 1))),
-                                          _powers(spectrum, -p / (p + 1)), sys.Q, sys.support)]
+            for o, i, q, rows in zip(_powers(spectrum, -(p - 1) / (2.0 * (p + 1))),
+                                     _powers(spectrum, -p / (p + 1)), sys.Q, sys.support)]
 
 
 def _sum_rule(p: int, H: np.ndarray, para: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

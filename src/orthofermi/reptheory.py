@@ -106,9 +106,9 @@ def _unnamed(i) -> str:
     return ""
 
 
-def _infer_units(c: np.ndarray, tol: float, label, held=None) -> np.ndarray:
+def _infer_units(c: np.ndarray, tol: float, label, held) -> np.ndarray:
     """The representative of 1 of each element of a (p, k, n, n) stack whose
-    held rows are ``held`` (:func:`~orthofermi.canonical.transfer`)."""
+    held rows are ``held`` (:func:`~orthofermi.canonical.held_rows`)."""
     occ = occupied(c, held)
     unit = c[0] @ dagger(c[0]) + occ
     for a in range(1, len(c)):
@@ -130,10 +130,11 @@ def infer_unit(rep: OrthoRep, tol: float = DEFAULT_TOL) -> np.ndarray:
     both are checked within ``tol``. A representation with all generators
     zero legitimately yields R = 0.
     """
-    return _infer_units(rep.c[:, None], tol, _unnamed)[0]
+    c = rep.c[:, None]
+    return _infer_units(c, tol, _unnamed, held_rows(c))[0]
 
 
-def _units(c: np.ndarray, unit, tol: float, label, held=None) -> np.ndarray:
+def _units(c: np.ndarray, unit, tol: float, label, held) -> np.ndarray:
     """The unit of each element of ``c``: ``unit``, one n x n matrix for all,
     or the units inferred per element when ``unit`` is None."""
     if unit is None:
@@ -149,15 +150,15 @@ def _units(c: np.ndarray, unit, tol: float, label, held=None) -> np.ndarray:
 
 
 def _relation_defects(c: np.ndarray, unit: np.ndarray,
-                      held=None) -> tuple[np.ndarray, np.ndarray]:
+                      held: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per element of a (p, ..., n, n) stack: the defects of the two relations.
 
     The kernel of :func:`relation_residuals`; each value is the worst over
-    all index pairs (a, b) of that element. Let R and C be the rows and the
-    columns that hold a nonzero entry in some c_b of some element, ``held``
-    as ``held_rows(c, columns=True)`` reads them
-    (:func:`~orthofermi.canonical.held_rows`; read here when None), and L
-    the indices in both.
+    all index pairs (a, b) of that element. Let R be the rows that hold a
+    nonzero entry in some c_b of some element, ``held`` as
+    :func:`~orthofermi.canonical.held_rows` reads them, C the columns that
+    hold one, read here from the rows R alone, as every entry lies in them,
+    and L the indices in both.
 
       * Entry (i, j) of c_a c_b sums over L, and it vanishes unless i is in
         R and j in C; when L is empty, every c_a c_b is zero.
@@ -175,21 +176,23 @@ def _relation_defects(c: np.ndarray, unit: np.ndarray,
     k = 0, which also multiplies on R only.
     """
     p, *lead, n, _ = c.shape
-    in_rows, in_cols = held_rows(c, columns=True) if held is None else held
-    excess = np.broadcast_to(occupied(c, in_rows) - unit, (*lead, n, n)).reshape(-1, n, n)
+    excess = np.broadcast_to(occupied(c, held) - unit, (*lead, n, n)).reshape(-1, n, n)
     c = c.reshape(p, -1, n, n)
     k = c.shape[1]
-    both = in_rows & in_cols
-    rows, cols, inner = as_index(in_rows), as_index(in_cols), as_index(both)
+    rows = as_index(held)
+    on_rows = c[:, :, rows]
+    in_cols = on_rows.any(axis=(0, 1, 2))
+    both = held & in_cols
+    cols, inner = as_index(in_cols), as_index(both)
     # c_b on the rows L and, unless L is empty, on the columns C
     nilpotent_rhs = c[:, :, inner][..., cols if both.any() else slice(0)]
-    mixed_rhs = dagger(c[:, :, rows][..., cols])
+    mixed_rhs = dagger(on_rows[..., cols])
     excess_inside = excess[:, rows][..., rows]
     nilpotent = np.zeros(k)
-    mixed = max_abs(excess[:, ~(in_rows[:, None] & in_rows)], axis=-1)
-    r = np.count_nonzero(in_rows)
+    mixed = max_abs(excess[:, ~(held[:, None] & held)], axis=-1)
+    r = np.count_nonzero(held)
     for a in range(0, p if r else 0, n // max(r, 1)):
-        group = c[a:a + n // r, :, rows]
+        group = on_rows[a:a + n // r]
         j = np.arange(len(group))
         group = np.moveaxis(group, 0, 1).reshape(k, -1, n)
         nilpotent = np.maximum(nilpotent, max_abs(group[..., inner] @ nilpotent_rhs,
@@ -211,11 +214,12 @@ def relation_residuals(c, unit: np.ndarray, held=None) -> tuple[float, float]:
     runs on the rows and columns that hold an entry
     (:func:`_relation_defects`), so a sparse stack, such as the oscillator's
     charges in their natural basis, costs little, and each value is that of
-    the full products up to summation order. ``held`` is the pair of masks
-    ``held_rows(c, columns=True)``, as the caller carries it (read here
-    when None).
+    the full products up to summation order. ``held`` is the row mask
+    :func:`~orthofermi.canonical.held_rows` reads, as the caller carries it
+    (read here when None).
     """
-    nilpotent, mixed = _relation_defects(np.asarray(c), unit, held)
+    c = np.asarray(c)
+    nilpotent, mixed = _relation_defects(c, unit, held_rows(c) if held is None else held)
     return float(nilpotent.max(initial=0.0)), float(mixed.max(initial=0.0))
 
 
@@ -228,11 +232,11 @@ def _projector_rows(pi: np.ndarray) -> dict[str, np.ndarray]:
 
 def _relation_table(c: np.ndarray, unit, held) -> dict[str, np.ndarray]:
     """:func:`verify`'s residuals, one value per element of a (p, k, n, n)
-    stack, whose held rows and columns are ``held``."""
+    stack, whose held rows are ``held``."""
     res: dict[str, np.ndarray] = {}
     res["c_a c_b = 0"], res["c_a c_b^dag + d_ab sum c^dag c = d_ab 1"] = \
         _relation_defects(c, unit, held)
-    pi = unit - occupied(c, held[0])
+    pi = unit - occupied(c, held)
     res.update(_projector_rows(pi))
     res["Pi c_a = c_a"] = _worst(pi @ m - m for m in c)
     res["c_a^dag Pi = c_a^dag"] = _worst(dagger(m) @ pi - dagger(m) for m in c)
@@ -250,8 +254,8 @@ def verify(rep: OrthoRep, unit: np.ndarray | None = None, tol: float = DEFAULT_T
     max_abs defect over all index combinations.
     """
     c = rep.c[:, None]
-    held = held_rows(c, columns=True)
-    table = _relation_table(c, _units(c, unit, tol, _unnamed, held[0]), held)
+    held = held_rows(c)
+    table = _relation_table(c, _units(c, unit, tol, _unnamed, held), held)
     return {name: float(value[0]) for name, value in table.items()}
 
 
@@ -326,7 +330,7 @@ def _vacuum_bound(d_u, d_b, d_1, n: int, p: int, d_f) -> np.ndarray:
     return np.minimum(by_rows, by_copies)
 
 
-def _block_defects(c: np.ndarray, basis: np.ndarray, m: int, held=None) -> np.ndarray:
+def _block_defects(c: np.ndarray, basis: np.ndarray, m: int, held) -> np.ndarray:
     """U^dag c_a U - T_a for a (p, k, n, n) stack and its (k, n, n) unitaries
     U, as one (p, k, n, n) stack; T_a are the targets of
     :func:`_expected_blocks` with m copies.
@@ -341,7 +345,7 @@ def _block_defects(c: np.ndarray, basis: np.ndarray, m: int, held=None) -> np.nd
 
 
 def _grow_copies(c: np.ndarray, vacua: np.ndarray, unit: np.ndarray, tol: float,
-                 rank_tol: float, label, held=None) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+                 rank_tol: float, label, held) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """Steps 3 to 5 on a (p, k, n, n) stack whose vacua all have m columns.
 
     Returns the (k, n, n) unitaries U and the residuals of the split. When
@@ -349,10 +353,10 @@ def _grow_copies(c: np.ndarray, vacua: np.ndarray, unit: np.ndarray, tol: float,
     nonzero generator fails the complement annihilation. The copy family,
     the complement annihilation and the block residual are each one batched
     call over the whole (p, k, n, n) stack, formed on the rows R that hold
-    an entry of some c_a, ``held`` as the caller carries it (read here when
-    None): c_a^dag e_i = c_a[R, :]^dag e_i[R], c_a G is zero
-    off the rows R, and the block residual is :func:`_block_defects`. A pure
-    split, whose complement is zero within ``tol``, runs no complement SVD
+    an entry of some c_a, ``held`` as the caller carries it:
+    c_a^dag e_i = c_a[R, :]^dag e_i[R], c_a G is zero off the rows R, and
+    the block residual is :func:`_block_defects`. A pure split, whose
+    complement is zero within ``tol``, runs no complement SVD
     (:func:`_ranges`).
 
     The certificate. Let U = [F, G] with F the m(p+1) copy columns, T_a the
@@ -441,8 +445,6 @@ def _grow_copies(c: np.ndarray, vacua: np.ndarray, unit: np.ndarray, tol: float,
     """
     p, k, n, _ = c.shape
     m = vacua.shape[-1]
-    if held is None:
-        held = held_rows(c)
     rows = as_index(held)
     on_rows = c[..., rows, :]
     # column i (p+1) + a holds e_i for a = 0 and c_a^dag e_i otherwise
@@ -528,7 +530,7 @@ def decompose_stack(c, unit=None, tol: float = DEFAULT_TOL, rank_tol: float = DE
     failing representation i by ``labels(i)``, a function of the stack index
     called only then (by default "representation i"). Returns one
     :class:`Decomposition` of the whole stack, whose fields have a leading
-    axis in stack order. The stack's held rows and columns are read once
+    axis in stack order. The stack's held rows are read once
     (:func:`~orthofermi.canonical.held_rows`) and passed to every product.
     """
     c = np.asarray(c, dtype=complex)
@@ -537,10 +539,10 @@ def decompose_stack(c, unit=None, tol: float = DEFAULT_TOL, rank_tol: float = DE
     if not np.isfinite(c).all():
         raise ValueError("annihilators contain non-finite entries")
     label = "representation {}".format if labels is None else labels
-    held = held_rows(c, columns=True)
-    unit = _units(c, unit, tol, label, held[0])
+    held = held_rows(c)
+    unit = _units(c, unit, tol, label, held)
     try:
-        return _split(c, unit, tol, rank_tol, label, held[0])
+        return _split(c, unit, tol, rank_tol, label, held)
     except (NotARepresentationError, NumericalDegeneracyError):
         worst = np.max(list(_relation_table(c, unit, held).values()), axis=0)
         _refuse(~(worst <= tol), label, NotARepresentationError,

@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from orthofermi.canonical import canonical
-from orthofermi import cli
+from orthofermi import cli, osusy, reptheory
 from orthofermi.cli import EXIT_FAIL, EXIT_IO, EXIT_PASS, main
 from orthofermi.linalg import max_abs
 from orthofermi.reptheory import infer_unit, random_rep
@@ -24,6 +25,9 @@ def run(capsys, *argv):
 def run_json(capsys, *argv):
     code, out = run(capsys, *argv, "--json")
     return code, json.loads(out)
+
+
+canonical_module = importlib.import_module("orthofermi.canonical")
 
 
 def subprocess_env():
@@ -136,6 +140,30 @@ def test_rep_file_needs_positive_integer_order_and_dim(tmp_path, capsys, command
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("command", ["verify", "decompose"])
+@pytest.mark.parametrize("doc", [[1, 2], "rep"], ids=["array", "string"])
+def test_a_rep_file_that_holds_no_object_is_a_parse_failure(tmp_path, capsys, command, doc):
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps(doc))
+    assert main([command, str(path)]) == EXIT_IO
+    assert capsys.readouterr().err == "error: representation file must hold a JSON object\n"
+
+
+@pytest.mark.parametrize("command", ["verify", "decompose"])
+@pytest.mark.parametrize("field", ["p", "dim"])
+@pytest.mark.parametrize("value", [2.0, True, "2"], ids=["float", "bool", "string"])
+def test_a_rep_file_p_or_dim_of_another_json_type_is_a_parse_failure(tmp_path, capsys, command,
+                                                                     field, value):
+    doc = rep_to_dict(canonical(2))
+    doc[field] = value
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps(doc))
+    assert main([command, str(path)]) == EXIT_IO
+    p, dim = (value, 3) if field == "p" else (2, value)
+    assert capsys.readouterr().err == \
+        f"error: p and dim must be JSON integers, got {p!r} and {dim!r}\n"
+
+
 # -- decompose ---------------------------------------------------------------------
 
 def test_decompose_round_trip_through_files(tmp_path, capsys):
@@ -220,6 +248,34 @@ def test_an_overflowing_entry_fails_with_an_error_not_a_traceback(tmp_path, comm
     assert out.returncode == EXIT_FAIL
     assert "Traceback" not in out.stderr
     assert any(line.startswith("error: ") for line in out.stderr.splitlines())
+
+
+def test_the_decompose_path_reads_each_support_once(tmp_path, capsys, monkeypatch):
+    # each command makes one single-rank (p, 1, n, n) stack of the file's
+    # rep and reads its support there: random-rep to infer the unit, verify
+    # for the relation table, decompose for the split; no kernel reads one
+    reads = []
+    read = canonical_module.held_rows
+
+    def counted(c, *args, **kwargs):
+        reads.append(np.shape(c))
+        return read(c, *args, **kwargs)
+    for module in (canonical_module, osusy, reptheory):
+        if hasattr(module, "held_rows"):
+            monkeypatch.setattr(module, "held_rows", counted)
+    rep = tmp_path / "rep.json"
+    found = {}
+    for argv in (["random-rep", "--p", "3", "--copies", "5", "--trivial", "2", "--seed", "4",
+                  "--out", str(rep)],
+                 ["verify", str(rep), "--json"],
+                 ["decompose", str(rep), "--emit-basis", str(tmp_path / "basis.json"), "--json"]):
+        reads.clear()
+        assert main(argv) == EXIT_PASS
+        found[argv[0]] = list(reads)
+    capsys.readouterr()
+    # 5 copies of 4 states and a trivial block of 2
+    stack = (3, 1, 22, 22)
+    assert found == {"random-rep": [stack], "verify": [stack], "decompose": [stack]}
 
 
 # -- random-rep ----------------------------------------------------------------------

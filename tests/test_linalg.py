@@ -1,8 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
 from orthofermi import linalg
-from orthofermi.errors import NotHermitianError
+from orthofermi.errors import DimensionError, NotHermitianError
 
 
 def _unit(i, j, n=2):
@@ -132,3 +134,30 @@ def test_orthonormal_range_of_a_stack_decides_each_rank_on_its_own():
     assert [b.shape for b in bases] == [(4, r) for r in ranks]
     for m, basis in zip(stack, bases):
         assert linalg.max_abs(basis - linalg.orthonormal_range(m[None])[0]) == 0.0
+
+
+@pytest.mark.parametrize("a", [np.zeros(3), np.zeros((2, 3))], ids=["1-d", "non-square"])
+def test_herm_eig_rejects_an_array_that_is_not_square_matrices(a):
+    message = f"eigendecomposition needs square matrices, got {a.shape}"
+    with pytest.raises(DimensionError, match=f"^{re.escape(message)}$"):
+        linalg.herm_eig(a)
+
+
+def test_herm_eig_rejects_a_nan_entry():
+    a = np.eye(3, dtype=complex)
+    a[1, 2] = np.nan
+    with pytest.raises(ValueError, match="^matrix contains non-finite entries$"):
+        linalg.herm_eig(a)
+
+
+def test_orthonormal_range_rejects_a_single_matrix():
+    with pytest.raises(DimensionError,
+                       match=r"^expected a \(k, m, n\) stack of matrices, got shape \(2, 2\)$"):
+        linalg.orthonormal_range(np.eye(2))
+
+
+def test_orthonormal_range_rejects_an_inf_entry():
+    a = np.zeros((2, 3, 3), dtype=complex)
+    a[1, 0, 2] = np.inf
+    with pytest.raises(ValueError, match="^matrix contains non-finite entries$"):
+        linalg.orthonormal_range(a)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from oracles import pair_relation_defects
 from orthofermi import reptheory
-from orthofermi.canonical import canonical
+from orthofermi.canonical import canonical, held_rows
 from orthofermi.errors import (DimensionError, NotARepresentationError, NumericalDegeneracyError,
                                OrderError, OrthofermiError)
 from orthofermi.linalg import DEFAULT_TOL, dagger, haar_unitary, max_abs, orthonormal_range
@@ -103,7 +103,7 @@ def test_relation_kernel_matches_the_pair_oracle(p, n, k, kind, row_mode, col_mo
     # the kernel multiplies on the stack's support; the oracle forms every
     # pair in full
     c, unit = kernel_stack(p, n, k, kind, row_mode, col_mode, seed)
-    found = reptheory._relation_defects(c, unit)
+    found = reptheory._relation_defects(c, unit, held_rows(c))
     expected = pair_relation_defects(c, unit)
     for got, want in zip(found, expected):
         if kind == "dense":
@@ -138,7 +138,7 @@ def test_one_non_finite_entry_fails_the_relation_kernel(p, n, k, kind, row_mode,
     else:
         c[(rng.integers(p), *where)] = bad
     with np.errstate(invalid="ignore", over="ignore"):
-        nilpotent, mixed = reptheory._relation_defects(c, unit)
+        nilpotent, mixed = reptheory._relation_defects(c, unit, held_rows(c))
     worst = np.maximum(nilpotent, mixed)[where[0]]
     assert not np.isfinite(worst) and not worst <= DEFAULT_TOL
 
@@ -160,6 +160,18 @@ def test_verify_reports_injected_perturbation():
     residuals = verify(rep, np.eye(3, dtype=complex))
     worst = max(residuals.values())
     assert 5e-4 < worst < 5e-3
+
+
+def test_verify_rejects_a_unit_that_is_not_a_matrix():
+    with pytest.raises(DimensionError, match=r"^expected a matrix, got array of shape \(3,\)$"):
+        verify(canonical(2), np.ones(3))
+
+
+def test_verify_rejects_a_nan_unit():
+    unit = np.eye(3, dtype=complex)
+    unit[2, 0] = np.nan
+    with pytest.raises(ValueError, match="^matrix contains non-finite entries$"):
+        verify(canonical(2), unit)
 
 
 # -- infer_unit ---------------------------------------------------------------
@@ -258,6 +270,13 @@ def test_decompose_with_a_given_unit_skips_inference():
 
 
 # -- decompose_stack --------------------------------------------------------------
+
+def test_decompose_stack_rejects_an_inf_annihilator():
+    c = np.repeat(canonical(2).c[:, None], 2, axis=1)
+    c[1, 1, 0, 2] = np.inf
+    with pytest.raises(ValueError, match="^annihilators contain non-finite entries$"):
+        decompose_stack(c)
+
 
 MIXED = [(2, 0, 11), (1, 3, 12), (0, 6, 13)]  # (copies, trivial, seed) at p = 2, dim 6
 
@@ -684,5 +703,5 @@ def test_a_complement_beyond_tol_fails_the_dimension_bookkeeping():
     c = dagger(created @ np.linalg.pinv(vacua))
     with pytest.raises(NumericalDegeneracyError) as info:
         reptheory._grow_copies(c[None, None], vacua[None].astype(complex), np.eye(4)[None],
-                               tol, 1e-8, lambda i: "")
+                               tol, 1e-8, lambda i: "", held_rows(c[None, None]))
     assert str(info.value) == "dimension bookkeeping failed: 2 copies of 2 plus 1 != 4"
