@@ -25,9 +25,12 @@ so c_a |a> = |0> and c_a kills every other ket. The lowering operator
     L = c_1 + sum_{a=2..p} c_{a-1}^dag c_a
 
 steps |n> -> |n-1> and kills |0>; adding the wrap-around creator gives the
-cyclic lowering operator F = L + c_p^dag with F^{p+1} = 1. Every identity
-in :func:`ladder_identity_residuals` holds exactly because all matrices
-involved have 0/1 integer entries.
+cyclic lowering operator F = L + c_p^dag with F^{p+1} = 1. Each of L, L^dag,
+F, the vacuum projector and the c_a holds at most one entry per row, so
+:func:`ladder_identity_residuals` forms every product of its catalog from
+the operands' row entries, one multiplication per entry, and every identity
+holds exactly, as every entry is 0 or 1. An input with two entries in one
+row takes the dense products instead.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraElement, check_order, rho0
+from .algebra import check_order
 from .errors import DimensionError
 from .linalg import dagger, max_abs
 
@@ -80,9 +83,28 @@ class OrthoRep:
 def canonical(p: int) -> OrthoRep:
     """The canonical representation: c_a is its :func:`~orthofermi.algebra.rho0`
     image, the matrix unit E_{1,a+1}."""
-    p = check_order(p)
-    # stacked before the constructor runs, so the p matrices are freed before its checks
-    return OrthoRep(np.stack([rho0(AlgebraElement.annihilator(p, a)) for a in range(1, p + 1)]))
+    return OrthoRep(_expected_blocks(check_order(p), 1, 0))
+
+
+def _expected_blocks(p: int, multiplicity: int, trivial_dim: int) -> np.ndarray:
+    """Target annihilators, shape (p, n, n): canonical copies, then a zero block.
+
+    In copy i, on rows and columns i (p+1) .. i (p+1) + p, c_a is the matrix
+    unit E_{1,a+1} of :func:`canonical`.
+    """
+    n = multiplicity * (p + 1) + trivial_dim
+    blocks = np.zeros((p, n, n), dtype=complex)
+    a, rows, cols = _target_entries(p, multiplicity)
+    blocks[a, rows, cols] = 1
+    return blocks
+
+
+def _target_entries(p: int, multiplicity: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The index arrays (a, row, column) of the unit entries of the targets
+    of :func:`_expected_blocks`: in copy i, entry (i (p+1), i (p+1) + a + 1)
+    of T_a, broadcast to shape (p, multiplicity)."""
+    a, vacua = np.ogrid[:p, :multiplicity * (p + 1):p + 1]
+    return a, vacua, vacua + a + 1
 
 
 def held_rows(c) -> np.ndarray:
@@ -175,6 +197,109 @@ def ladder_operators(p: int) -> tuple[OrthoRep, np.ndarray, np.ndarray]:
     return rep, L, L + dagger(rep.c[-1])
 
 
+@dataclass
+class _Rows:
+    """A stack of matrices with at most one entry per row: row i of matrix k
+    holds ``vals[k, i]`` in column ``cols[k, i]`` (column 0, value 0 when
+    the row is empty). Indexing selects matrices."""
+
+    cols: np.ndarray
+    vals: np.ndarray
+
+    @classmethod
+    def of(cls, m: np.ndarray, held=None) -> _Rows | None:
+        """The rows of a (..., n, n) stack, or None when some row holds two
+        entries. Only the rows of the mask ``held`` are read, when it is
+        given; the others are empty. A row's one entry is its sum, as the
+        rest are zeros."""
+        rows = slice(None) if held is None else as_index(held)
+        part = m[..., rows, :]
+        nonzero = part != 0
+        if np.count_nonzero(nonzero) > np.count_nonzero(nonzero.any(axis=-1)):
+            return None
+        cols, vals = np.zeros(m.shape[:-1], dtype=int), np.zeros(m.shape[:-1], dtype=m.dtype)
+        cols[..., rows], vals[..., rows] = nonzero.argmax(axis=-1), part.sum(axis=-1)
+        return cls(cols, vals)
+
+    def __getitem__(self, k) -> _Rows:
+        return _Rows(self.cols[k], self.vals[k])
+
+    def __matmul__(self, other: _Rows) -> _Rows:
+        # row i of A B is A[i, col_A[i]] times row col_A[i] of B; a stack of
+        # k matrices pairs with one matrix or with k, and ``at`` indexes B's
+        # rows as one flat array
+        at = self.cols
+        if other.cols.ndim == 2:
+            at = at + other.cols.shape[1] * np.arange(len(other.cols))[:, None]
+        return _Rows(other.cols.ravel()[at], self.vals * other.vals.ravel()[at])
+
+    def dense(self) -> np.ndarray:
+        """The one matrix, as an n x n array."""
+        n = len(self.cols)
+        out = np.zeros((n, n), dtype=complex)
+        out[np.arange(n), self.cols] = self.vals
+        return out
+
+
+def _defect(a: _Rows, b: _Rows) -> np.ndarray:
+    """max_abs(A - B) of each matrix of two stacks, row by row: |a - b| where
+    the two entries share a column, else the larger of |a| and |b|."""
+    same = a.cols == b.cols
+    diff = np.where(same, np.abs(a.vals - b.vals), np.maximum(np.abs(a.vals), np.abs(b.vals)))
+    return max_abs(diff, axis=-1)
+
+
+def _powers(L: _Rows, count: int) -> _Rows:
+    """L^0 .. L^{count-1}, each L^k = L^{k-1} L. Row i of L^k walks the
+    column path i, col(i), col(col(i)), ..: the paths come by doubling, and
+    the values are the running products of L's entries along them."""
+    path, step = np.arange(len(L.cols))[None], L.cols
+    while len(path) < count:  # path[j] = col^j; step = col^len(path)
+        path, step = np.concatenate([path, step[path]]), step[step]
+    path = path[:count]
+    vals = np.ones(path.shape, dtype=complex)
+    np.cumprod(L.vals[path[:-1]], axis=0, out=vals[1:])
+    return _Rows(path, vals)
+
+
+def _power(a: _Rows, n: int) -> _Rows:
+    """A^n for n >= 2 by the products numpy.linalg.matrix_power forms, in its order."""
+    if n <= 3:
+        return a @ a if n == 2 else a @ a @ a
+    z = result = None
+    while n:
+        z = a if z is None else z @ z
+        n, bit = divmod(n, 2)
+        if bit:
+            result = z if result is None else result @ z
+    return result
+
+
+def _closed_forms(c: _Rows, held: np.ndarray, count: int) -> _Rows | None:
+    """c_k + sum_a c_a^dag c_{a+k} for k = 1..count (zero for k > p), or
+    None when some row of one would hold two terms.
+
+    With c_0 the identity on the rows R that ``held`` marks, c_k is
+    c_0^dag c_k, so the closed form is sum_{a < b, b - a = k} c_a^dag c_b.
+    On a row r of R, c_a^dag c_b puts conj(c_a[r]) c_b[r] at
+    (col_a[r], col_b[r]); every pair a < b is formed in one call. With one
+    term per row, each entry is that term alone, as in the sum that
+    :func:`transfer` forms.
+    """
+    p, n = c.cols.shape
+    r = np.flatnonzero(held)
+    ext = _Rows(np.vstack([r, c.cols[:, r]]), np.vstack([np.ones(len(r)), c.vals[:, r]]))
+    a, b = np.triu_indices(p + 1, 1)
+    lhs, rhs = ext[a], ext[b]
+    term = (lhs.vals != 0) & (rhs.vals != 0)
+    slot = ((b - a - 1)[:, None] * n + lhs.cols)[term]
+    if np.bincount(slot, minlength=1).max() > 1:
+        return None
+    cols, vals = np.zeros(count * n, dtype=int), np.zeros(count * n, dtype=complex)
+    cols[slot], vals[slot] = rhs.cols[term], (np.conj(lhs.vals) * rhs.vals)[term]
+    return _Rows(cols.reshape(count, n), vals.reshape(count, n))
+
+
 def ladder_identity_residuals(rep: OrthoRep, L: np.ndarray, F: np.ndarray) -> dict[str, float]:
     """Residuals of the ladder-operator identity catalog on the canonical rep.
 
@@ -186,15 +311,66 @@ def ladder_identity_residuals(rep: OrthoRep, L: np.ndarray, F: np.ndarray) -> di
     1..p-1; at k = p the product instead equals L^{p-1} - c_{p-1}, which is
     covered by its own entry.
 
-    The closed form of L^k, c_k + sum_a c_a^dag c_{a+k}, is c_k plus one
-    :func:`transfer` on the rows that hold an entry, read once per call: one
-    row for the canonical rep, so every temporary is O(n^2).
+    Each of L, L^dag, F, Pi and the c_a of the canonical rep holds at most
+    one entry per row, and the catalog holds each by its rows
+    (:class:`_Rows`): row i of a product A B is A[i, col_A[i]] times row
+    col_A[i] of B, one gather. Each family of identities (the powers, L^k Pi
+    and Pi L^k, the sandwiches, the closed forms) is then a few calls over
+    k, and F^{p+1} takes the products that numpy.linalg.matrix_power takes.
+    Each entry is one multiplication, as in the dense products, so the
+    residuals are theirs bitwise for real entries (to rounding for complex
+    ones) unless a product overflows. When an operand or a closed form has
+    two entries in one row, the catalog takes the dense products, with the
+    closed forms from :func:`transfer`.
     """
-    p = rep.p
-    eye = np.eye(p + 1, dtype=complex)
-    c = rep.c
-    rows = held_rows(c)
-    pi = eye - occupied(c, rows)
+    p, n, c = rep.p, rep.dim, rep.c
+    held = held_rows(c)
+    eye = np.eye(n, dtype=complex)
+    pi = eye - occupied(c, held)
+    Ld = L.conj().T
+    ops = [_Rows.of(c, held), *(_Rows.of(m) for m in (L, Ld, F, pi))]
+    closed = None if any(o is None for o in ops) else _closed_forms(ops[0], held, p + 2)
+    if closed is None:
+        return _dense_ladder_residuals(c, L, F, pi, held)
+    cs, l, ld, f, pi_rows = ops
+    powers = _powers(l, p + 3)  # powers[k] = L^k for k in 0..p+2
+    below = powers[p - 1]
+    # sandwich[k] = L^{p-k} Ldag L^k for k in 0..p, the terms of the sum rule
+    sandwich = powers[p::-1] @ ld @ powers[:p + 1]
+    # c_{p-1}, with c_0 = Pi, as a matrix and by rows
+    c_last, c_last_rows = (pi, pi_rows) if p == 1 else (c[p - 2], cs[p - 2])
+    ks = range(1, p + 1)
+
+    res: dict[str, float] = {}
+    res["Ldag L = 1 - Pi"] = max_abs((ld @ l).dense() - (eye - pi))
+    res["L Ldag = 1 - c_p^dag c_p"] = max_abs((l @ ld).dense() - (eye - c[p - 1].conj().T @ c[p - 1]))
+    res.update(zip((f"L^{k} closed form" for k in range(1, p + 3)),
+                   _defect(powers[1:], closed).tolist()))
+
+    res["L^p Ldag = c_{p-1}"] = float(_defect(sandwich[0], c_last_rows))
+    res["Ldag L^p = L^{p-1} - c_{p-1}"] = max_abs(sandwich[p].dense() - (below.dense() - c_last))
+    kill = max_abs((powers[1:p + 1] @ pi_rows).vals, axis=-1)
+    lift = _defect(pi_rows @ powers[1:p + 1], cs)
+    res.update(zip((name for k in ks for name in (f"L^{k} Pi = 0", f"Pi L^{k} = c_{k}")),
+                   np.column_stack([kill, lift]).ravel().tolist()))
+    res.update(zip((f"L^{p - k} Ldag L^{k} = L^{p-1}" for k in ks[:-1]),
+                   _defect(sandwich[1:p], below).tolist()))
+
+    res["L^{p+1} = 0"] = max_abs(powers[p + 1].vals)
+    # the sum rule adds the sandwiches in the dense catalog's order, k = 0 and p
+    # first, then k = 1..p-1, so that every sum is the same bitwise
+    terms = sandwich[[0, p, *ks[:-1]]]
+    ssum = np.zeros((n, n), dtype=complex)
+    np.add.at(ssum, (np.broadcast_to(np.arange(n), terms.cols.shape), terms.cols), terms.vals)
+    res["sum_k L^{p-k} Ldag L^k = p L^{p-1}"] = max_abs(ssum - p * below.dense())
+    res["F^{p+1} = 1"] = float(_defect(_power(f, p + 1), powers[0]))
+    return res
+
+
+def _dense_ladder_residuals(c, L, F, pi, held) -> dict[str, float]:
+    """The catalog of :func:`ladder_identity_residuals` by dense products."""
+    p = len(c)
+    eye = np.eye(len(L), dtype=complex)
     Ld = L.conj().T
     Lk = [eye]  # Lk[k] = L^k for k in 0..p+2
     for _ in range(p + 2):
@@ -209,7 +385,7 @@ def ladder_identity_residuals(rep: OrthoRep, L: np.ndarray, F: np.ndarray) -> di
     res["L Ldag = 1 - c_p^dag c_p"] = max_abs(L @ Ld - (eye - c[p - 1].conj().T @ c[p - 1]))
 
     for k in range(1, p + 3):
-        closed = transfer(c, k, rows) + (c[k - 1] if k <= p else 0)
+        closed = transfer(c, k, held) + (c[k - 1] if k <= p else 0)
         res[f"L^{k} closed form"] = max_abs(Lk[k] - closed)
 
     # ssum collects the sandwiches L^{p-k} Ldag L^k of the sum rule, k = 0 and p first

@@ -49,7 +49,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import check_order
-from .canonical import OrthoRep, as_index, conjugate, held_rows, occupied
+from .canonical import (OrthoRep, _expected_blocks, _target_entries, as_index, conjugate,
+                        held_rows, occupied)
 from .errors import DimensionError, NotARepresentationError, NumericalDegeneracyError
 from .linalg import (DEFAULT_RANK_TOL, DEFAULT_TOL, check_addressable, dagger, haar_unitary,
                      is_count, max_abs, orthonormal_range)
@@ -257,27 +258,6 @@ def verify(rep: OrthoRep, unit: np.ndarray | None = None, tol: float = DEFAULT_T
     held = held_rows(c)
     table = _relation_table(c, _units(c, unit, tol, _unnamed, held), held)
     return {name: float(value[0]) for name, value in table.items()}
-
-
-def _expected_blocks(p: int, multiplicity: int, trivial_dim: int) -> np.ndarray:
-    """Target annihilators, shape (p, n, n): canonical copies, then a zero block.
-
-    In copy i, on rows and columns i (p+1) .. i (p+1) + p, c_a is the matrix
-    unit E_{1,a+1} of :func:`~orthofermi.canonical.canonical`.
-    """
-    n = multiplicity * (p + 1) + trivial_dim
-    blocks = np.zeros((p, n, n), dtype=complex)
-    a, rows, cols = _target_entries(p, multiplicity)
-    blocks[a, rows, cols] = 1
-    return blocks
-
-
-def _target_entries(p: int, multiplicity: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The index arrays (a, row, column) of the unit entries of the targets
-    of :func:`_expected_blocks`: in copy i, entry (i (p+1), i (p+1) + a + 1)
-    of T_a, broadcast to shape (p, multiplicity)."""
-    a, vacua = np.ogrid[:p, :multiplicity * (p + 1):p + 1]
-    return a, vacua, vacua + a + 1
 
 
 def _ranges(a: np.ndarray, tol: float, rank_tol: float) -> list[np.ndarray]:

@@ -18,6 +18,8 @@ Brute-force oracles for :mod:`orthofermi.canonical`:
 :func:`ladder_closed_form_residuals` sums the L^k closed forms of the ladder
 catalog one dense product per pair, and :func:`transfer_sum` sums
 c_a^dag c_{a+k} one dense product per pair and stack element.
+:func:`dense_ladder_residuals` is the whole ladder catalog with every
+product a dense (p+1) x (p+1) one, in the order the package forms them.
 
 Dense oracles for the products that the package forms on the rows that hold
 an entry: :func:`commutator` ([H, Q_a] of ``osusy.check_relations``),
@@ -32,6 +34,8 @@ import numpy as np
 
 from orthofermi import osusy
 from orthofermi.algebra import AlgebraElement
+from orthofermi.canonical import held_rows, occupied, transfer
+from orthofermi.linalg import max_abs
 
 
 def monomials(p):
@@ -121,6 +125,66 @@ def ladder_closed_form_residuals(c, L):
             closed = np.zeros((n, n), dtype=complex)
         out[f"L^{k} closed form"] = float(np.abs(power - closed).max())
     return out
+
+
+def dense_ladder_residuals(rep, L, F):
+    """The ladder identity catalog of ``canonical.ladder_identity_residuals``
+    with every product a dense (p+1) x (p+1) one.
+
+    ``rep``, ``L`` and ``F`` are what :func:`ladder_operators` returns, so a
+    caller that also needs L and F builds them once. Every entry is
+    max_abs(LHS - RHS) and equals 0.0 exactly. Conventions that make the
+    catalog uniform down to p = 1: c_0 means Pi and L^0 means the identity.
+    The sandwich identity L^{p-k} L^dag L^k = L^{p-1} is listed for k in
+    1..p-1; at k = p the product instead equals L^{p-1} - c_{p-1}, which is
+    covered by its own entry.
+
+    The closed form of L^k, c_k + sum_a c_a^dag c_{a+k}, is c_k plus one
+    :func:`transfer` on the rows that hold an entry, read once per call: one
+    row for the canonical rep, so every temporary is O(n^2).
+    """
+    p = rep.p
+    eye = np.eye(p + 1, dtype=complex)
+    c = rep.c
+    rows = held_rows(c)
+    pi = eye - occupied(c, rows)
+    Ld = L.conj().T
+    Lk = [eye]  # Lk[k] = L^k for k in 0..p+2
+    for _ in range(p + 2):
+        Lk.append(Lk[-1] @ L)
+
+    def c_or_pi(k: int) -> np.ndarray:
+        # c_0 denotes the vacuum projector; closes the identities at p = 1
+        return pi if k == 0 else c[k - 1]
+
+    res: dict[str, float] = {}
+    res["Ldag L = 1 - Pi"] = max_abs(Ld @ L - (eye - pi))
+    res["L Ldag = 1 - c_p^dag c_p"] = max_abs(L @ Ld - (eye - c[p - 1].conj().T @ c[p - 1]))
+
+    for k in range(1, p + 3):
+        closed = transfer(c, k, rows) + (c[k - 1] if k <= p else 0)
+        res[f"L^{k} closed form"] = max_abs(Lk[k] - closed)
+
+    # ssum collects the sandwiches L^{p-k} Ldag L^k of the sum rule, k = 0 and p first
+    ssum = Lk[p] @ Ld
+    res["L^p Ldag = c_{p-1}"] = max_abs(ssum - c_or_pi(p - 1))
+    sandwich = Ld @ Lk[p]
+    res["Ldag L^p = L^{p-1} - c_{p-1}"] = max_abs(sandwich - (Lk[p - 1] - c_or_pi(p - 1)))
+    ssum += sandwich
+
+    for k in range(1, p + 1):
+        res[f"L^{k} Pi = 0"] = max_abs(Lk[k] @ pi)
+        res[f"Pi L^{k} = c_{k}"] = max_abs(pi @ Lk[k] - c[k - 1])
+
+    for k in range(1, p):
+        sandwich = Lk[p - k] @ Ld @ Lk[k]
+        res[f"L^{p - k} Ldag L^{k} = L^{p-1}"] = max_abs(sandwich - Lk[p - 1])
+        ssum += sandwich
+
+    res["L^{p+1} = 0"] = max_abs(Lk[p + 1])
+    res["sum_k L^{p-k} Ldag L^k = p L^{p-1}"] = max_abs(ssum - p * Lk[p - 1])
+    res["F^{p+1} = 1"] = max_abs(np.linalg.matrix_power(F, p + 1) - eye)
+    return res
 
 
 def transfer_sum(c, k):

@@ -1,15 +1,20 @@
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from orthofermi.algebra import AlgebraElement, rho0
 from orthofermi.canonical import (OrthoRep, canonical, cyclic_from, held_rows,
                                   ladder_identity_residuals, ladder_operators, lowering_from,
                                   occupied, transfer)
 from orthofermi.errors import OrderError
 from orthofermi.linalg import dagger, max_abs
 from orthofermi.reptheory import random_rep
-from oracles import ladder_closed_form_residuals, transfer_sum
+from oracles import dense_ladder_residuals, ladder_closed_form_residuals, transfer_sum
+
+canonical_module = importlib.import_module("orthofermi.canonical")
 
 
 def ladder_L(p):
@@ -37,6 +42,14 @@ def test_canonical_entry_formula():
     assert np.array_equal(canonical(1).c[0], np.array([[0.0, 1.0], [0.0, 0.0]]))
     for m in canonical(3).c:
         assert np.count_nonzero(m) == 1
+
+
+@pytest.mark.parametrize("p", range(1, 13))
+def test_canonical_is_the_stacked_rho0_images(p):
+    images = np.stack([rho0(AlgebraElement.annihilator(p, a)) for a in range(1, p + 1)])
+    c = canonical(p).c
+    assert (c.shape, c.dtype) == (images.shape, images.dtype)
+    assert c.tobytes() == images.tobytes()
 
 
 def test_canonical_rejects_bad_order():
@@ -108,6 +121,97 @@ def test_ladder_closed_forms_match_the_pairwise_oracle_off_the_exact_case(p):
     assert max(oracle.values()) > 1e-3
     for name, want in oracle.items():
         assert abs(residuals[name] - want) <= 1e-15, name
+
+
+def catalog(rep, L, F, monkeypatch, dense):
+    """The catalog, asserting that it takes the dense products exactly when ``dense``."""
+    taken = []
+    fallback = canonical_module._dense_ladder_residuals
+
+    def recorded(*args):
+        taken.append(True)
+        return fallback(*args)
+    monkeypatch.setattr(canonical_module, "_dense_ladder_residuals", recorded)
+    residuals = ladder_identity_residuals(rep, L, F)
+    assert bool(taken) == dense
+    return residuals
+
+
+@pytest.mark.parametrize("p", [*range(1, 41), 64])
+def test_ladder_catalog_on_the_rows_is_the_dense_catalog_bitwise(p, monkeypatch):
+    operators = ladder_operators(p)
+    got = catalog(*operators, monkeypatch, dense=False)
+    # same keys in the same order, same values; no residual is NaN or -0.0
+    assert list(got.items()) == list(dense_ladder_residuals(*operators).items())
+
+
+def perturbed(p, which, change):
+    """The canonical rep, L and F with one operand changed in row 0:
+    "scaled" scales the operand by 1 + 1e-6, a number replaces the one entry
+    of row 0, and "extra" puts a second entry, 0.5, at (0, 0). The operand
+    is L, F or c_{p//2+1}; L and F are built anew from a changed c."""
+    rep, L, F = ladder_operators(p)
+    c = rep.c.copy()
+    target = c[p // 2] if which == "c" else {"L": L, "F": F}[which]
+    if change == "scaled":
+        target *= 1 + 1e-6
+    elif change == "extra":
+        target[0, 0] = 0.5
+    else:
+        target[0, np.flatnonzero(target[0])] = change
+    if which == "c":
+        rep = OrthoRep(c)
+        L, F = lowering_from(rep.c), cyclic_from(rep.c)
+    return rep, L, F
+
+
+@pytest.mark.parametrize("p", [1, 2, 5, 9])
+@pytest.mark.parametrize("which", ["L", "F", "c"])
+@pytest.mark.parametrize("change", ["scaled", 0.75, 1 + 2e-6])
+def test_ladder_catalog_off_the_exact_case_is_the_dense_catalog_bitwise(p, which, change,
+                                                                        monkeypatch):
+    # one entry per row still, so the rows decide; the residuals are inexact
+    operators = perturbed(p, which, change)
+    got = catalog(*operators, monkeypatch, dense=False)
+    want = dense_ladder_residuals(*operators)
+    assert max(want.values()) > 0.0
+    assert list(got.items()) == list(want.items())
+
+
+@pytest.mark.parametrize("p", [1, 3, 6])
+@pytest.mark.parametrize("which", ["L", "F", "c"])
+def test_ladder_catalog_with_two_entries_in_a_row_takes_the_dense_products(p, which,
+                                                                           monkeypatch):
+    operators = perturbed(p, which, "extra")
+    got = catalog(*operators, monkeypatch, dense=True)
+    want = dense_ladder_residuals(*operators)
+    assert max(want.values()) > 0.0
+    assert list(got.items()) == list(want.items())
+
+
+def test_ladder_closed_form_with_two_terms_in_a_row_takes_the_dense_products(monkeypatch):
+    # every operand holds one entry per row, but c_1 + c_1^dag c_2 holds two terms in row 0
+    c = np.zeros((2, 3, 3))
+    c[0, 0, 0] = c[1, 0, 0] = c[1, 1, 2] = 1
+    rep = OrthoRep(c)
+    operators = rep, lowering_from(rep.c), cyclic_from(rep.c)
+    got = catalog(*operators, monkeypatch, dense=True)
+    assert list(got.items()) == list(dense_ladder_residuals(*operators).items())
+
+
+@pytest.mark.parametrize("p", [1, 2, 4])
+@pytest.mark.parametrize("copies", [2, 3])
+def test_ladder_catalog_of_canonical_copies_is_exact(p, copies, monkeypatch):
+    # every identity holds on each copy, so on their direct sum, by the rows
+    # and by the dense products alike
+    rep = OrthoRep(np.kron(np.eye(copies), canonical(p).c))
+    L, F = lowering_from(rep.c), cyclic_from(rep.c)
+    got = catalog(rep, L, F, monkeypatch, dense=False)
+    held = held_rows(rep.c)
+    dense = canonical_module._dense_ladder_residuals(
+        rep.c, L, F, np.eye(rep.dim) - occupied(rep.c, held), held)
+    assert list(got.items()) == list(dense.items())
+    assert set(got.values()) == {0.0}
 
 
 def test_nilpotency_at_large_order():
