@@ -11,9 +11,10 @@ sum_a c_a^dag c_{a+k}, is one call of :func:`transfer`, which multiplies
 only on the rows that hold an entry: the row mask :func:`held_rows` reads
 where the stack is made, which every kernel takes as ``held``. The vacuum
 projector is unit - occupied(c) = unit - transfer(c, 0), and the lowering
-operator and the closed forms of its powers below add c_k to
-transfer(c, k). :func:`conjugate` forms V^dag c_a V on the same rows. These
-public kernels read the mask themselves when their caller passes none.
+operator below is c_1 + transfer(c, 1); only the closed forms of its powers
+in the ladder catalog are formed from row entries instead (see below).
+:func:`conjugate` forms V^dag c_a V on the same rows. These public kernels
+read the mask themselves when their caller passes none.
 
 On the (p+1)-dimensional Fock space with kets |0>, |1>, .., |p> (ket n is
 matrix row/column n+1), the annihilators act as the matrix units
@@ -29,8 +30,10 @@ cyclic lowering operator F = L + c_p^dag with F^{p+1} = 1. Each of L, L^dag,
 F, the vacuum projector and the c_a holds at most one entry per row, so
 :func:`ladder_identity_residuals` forms every product of its catalog from
 the operands' row entries, one multiplication per entry, and every identity
-holds exactly, as every entry is 0 or 1. An input with two entries in one
-row takes the dense products instead.
+holds exactly, as every entry is 0 or 1. That is the catalog's domain: the
+canonical rep, direct sums of it and any change to the values of its
+entries. An operand or closed form with two entries in one row raises
+ValueError.
 """
 
 from __future__ import annotations
@@ -207,16 +210,19 @@ class _Rows:
     vals: np.ndarray
 
     @classmethod
-    def of(cls, m: np.ndarray, held=None) -> _Rows | None:
-        """The rows of a (..., n, n) stack, or None when some row holds two
-        entries. Only the rows of the mask ``held`` are read, when it is
+    def of(cls, m: np.ndarray, name: str, held=None) -> _Rows:
+        """The rows of a (..., n, n) stack; ValueError, naming the matrix and
+        the row, when some row holds two entries. ``name`` is the matrix's
+        name, a format string that takes the 1-based index of a matrix in
+        the stack. Only the rows of the mask ``held`` are read, when it is
         given; the others are empty. A row's one entry is its sum, as the
         rest are zeros."""
         rows = slice(None) if held is None else as_index(held)
         part = m[..., rows, :]
         nonzero = part != 0
         if np.count_nonzero(nonzero) > np.count_nonzero(nonzero.any(axis=-1)):
-            return None
+            *k, row = np.argwhere(np.count_nonzero(m != 0, axis=-1) > 1)[0]
+            raise ValueError(f"{name.format(*(i + 1 for i in k))} holds two entries in row {row}")
         cols, vals = np.zeros(m.shape[:-1], dtype=int), np.zeros(m.shape[:-1], dtype=m.dtype)
         cols[..., rows], vals[..., rows] = nonzero.argmax(axis=-1), part.sum(axis=-1)
         return cls(cols, vals)
@@ -275,9 +281,10 @@ def _power(a: _Rows, n: int) -> _Rows:
     return result
 
 
-def _closed_forms(c: _Rows, held: np.ndarray, count: int) -> _Rows | None:
-    """c_k + sum_a c_a^dag c_{a+k} for k = 1..count (zero for k > p), or
-    None when some row of one would hold two terms.
+def _closed_forms(c: _Rows, held: np.ndarray, count: int) -> _Rows:
+    """c_k + sum_a c_a^dag c_{a+k} for k = 1..count (zero for k > p);
+    ValueError, naming k and the row, when some row of one would hold two
+    terms.
 
     With c_0 the identity on the rows R that ``held`` marks, c_k is
     c_0^dag c_k, so the closed form is sum_{a < b, b - a = k} c_a^dag c_b.
@@ -293,8 +300,10 @@ def _closed_forms(c: _Rows, held: np.ndarray, count: int) -> _Rows | None:
     lhs, rhs = ext[a], ext[b]
     term = (lhs.vals != 0) & (rhs.vals != 0)
     slot = ((b - a - 1)[:, None] * n + lhs.cols)[term]
-    if np.bincount(slot, minlength=1).max() > 1:
-        return None
+    terms = np.bincount(slot, minlength=1)
+    if terms.max() > 1:
+        k, row = divmod(int(terms.argmax()), n)
+        raise ValueError(f"closed form of L^{k + 1} holds two terms in row {row}")
     cols, vals = np.zeros(count * n, dtype=int), np.zeros(count * n, dtype=complex)
     cols[slot], vals[slot] = rhs.cols[term], (np.conj(lhs.vals) * rhs.vals)[term]
     return _Rows(cols.reshape(count, n), vals.reshape(count, n))
@@ -319,20 +328,22 @@ def ladder_identity_residuals(rep: OrthoRep, L: np.ndarray, F: np.ndarray) -> di
     k, and F^{p+1} takes the products that numpy.linalg.matrix_power takes.
     Each entry is one multiplication, as in the dense products, so the
     residuals are theirs bitwise for real entries (to rounding for complex
-    ones) unless a product overflows. When an operand or a closed form has
-    two entries in one row, the catalog takes the dense products, with the
-    closed forms from :func:`transfer`.
+    ones) unless a product overflows.
+
+    The catalog's domain is operands with at most one entry per row: the
+    canonical rep, direct sums of it and any change to the values of its
+    entries. Raises :class:`DimensionError` unless L and F are (dim, dim),
+    and ValueError, naming the operand and the row, when an operand or a
+    closed form holds two entries in one row.
     """
     p, n, c = rep.p, rep.dim, rep.c
+    if np.shape(L) != (n, n) or np.shape(F) != (n, n):
+        raise DimensionError(f"L and F must be {n} x {n}, got {np.shape(L)} and {np.shape(F)}")
     held = held_rows(c)
     eye = np.eye(n, dtype=complex)
     pi = eye - occupied(c, held)
-    Ld = L.conj().T
-    ops = [_Rows.of(c, held), *(_Rows.of(m) for m in (L, Ld, F, pi))]
-    closed = None if any(o is None for o in ops) else _closed_forms(ops[0], held, p + 2)
-    if closed is None:
-        return _dense_ladder_residuals(c, L, F, pi, held)
-    cs, l, ld, f, pi_rows = ops
+    cs = _Rows.of(c, "c_{}", held)
+    l, ld, f, pi_rows = map(_Rows.of, (L, L.conj().T, F, pi), ("L", "L^dag", "F", "Pi"))
     powers = _powers(l, p + 3)  # powers[k] = L^k for k in 0..p+2
     below = powers[p - 1]
     # sandwich[k] = L^{p-k} Ldag L^k for k in 0..p, the terms of the sum rule
@@ -345,7 +356,7 @@ def ladder_identity_residuals(rep: OrthoRep, L: np.ndarray, F: np.ndarray) -> di
     res["Ldag L = 1 - Pi"] = max_abs((ld @ l).dense() - (eye - pi))
     res["L Ldag = 1 - c_p^dag c_p"] = max_abs((l @ ld).dense() - (eye - c[p - 1].conj().T @ c[p - 1]))
     res.update(zip((f"L^{k} closed form" for k in range(1, p + 3)),
-                   _defect(powers[1:], closed).tolist()))
+                   _defect(powers[1:], _closed_forms(cs, held, p + 2)).tolist()))
 
     res["L^p Ldag = c_{p-1}"] = float(_defect(sandwich[0], c_last_rows))
     res["Ldag L^p = L^{p-1} - c_{p-1}"] = max_abs(sandwich[p].dense() - (below.dense() - c_last))
@@ -364,47 +375,4 @@ def ladder_identity_residuals(rep: OrthoRep, L: np.ndarray, F: np.ndarray) -> di
     np.add.at(ssum, (np.broadcast_to(np.arange(n), terms.cols.shape), terms.cols), terms.vals)
     res["sum_k L^{p-k} Ldag L^k = p L^{p-1}"] = max_abs(ssum - p * below.dense())
     res["F^{p+1} = 1"] = float(_defect(_power(f, p + 1), powers[0]))
-    return res
-
-
-def _dense_ladder_residuals(c, L, F, pi, held) -> dict[str, float]:
-    """The catalog of :func:`ladder_identity_residuals` by dense products."""
-    p = len(c)
-    eye = np.eye(len(L), dtype=complex)
-    Ld = L.conj().T
-    Lk = [eye]  # Lk[k] = L^k for k in 0..p+2
-    for _ in range(p + 2):
-        Lk.append(Lk[-1] @ L)
-
-    def c_or_pi(k: int) -> np.ndarray:
-        # c_0 denotes the vacuum projector; closes the identities at p = 1
-        return pi if k == 0 else c[k - 1]
-
-    res: dict[str, float] = {}
-    res["Ldag L = 1 - Pi"] = max_abs(Ld @ L - (eye - pi))
-    res["L Ldag = 1 - c_p^dag c_p"] = max_abs(L @ Ld - (eye - c[p - 1].conj().T @ c[p - 1]))
-
-    for k in range(1, p + 3):
-        closed = transfer(c, k, held) + (c[k - 1] if k <= p else 0)
-        res[f"L^{k} closed form"] = max_abs(Lk[k] - closed)
-
-    # ssum collects the sandwiches L^{p-k} Ldag L^k of the sum rule, k = 0 and p first
-    ssum = Lk[p] @ Ld
-    res["L^p Ldag = c_{p-1}"] = max_abs(ssum - c_or_pi(p - 1))
-    sandwich = Ld @ Lk[p]
-    res["Ldag L^p = L^{p-1} - c_{p-1}"] = max_abs(sandwich - (Lk[p - 1] - c_or_pi(p - 1)))
-    ssum += sandwich
-
-    for k in range(1, p + 1):
-        res[f"L^{k} Pi = 0"] = max_abs(Lk[k] @ pi)
-        res[f"Pi L^{k} = c_{k}"] = max_abs(pi @ Lk[k] - c[k - 1])
-
-    for k in range(1, p):
-        sandwich = Lk[p - k] @ Ld @ Lk[k]
-        res[f"L^{p - k} Ldag L^{k} = L^{p-1}"] = max_abs(sandwich - Lk[p - 1])
-        ssum += sandwich
-
-    res["L^{p+1} = 0"] = max_abs(Lk[p + 1])
-    res["sum_k L^{p-k} Ldag L^k = p L^{p-1}"] = max_abs(ssum - p * Lk[p - 1])
-    res["F^{p+1} = 1"] = max_abs(np.linalg.matrix_power(F, p + 1) - eye)
     return res

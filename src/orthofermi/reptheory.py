@@ -432,7 +432,8 @@ def _grow_copies(c: np.ndarray, vacua: np.ndarray, unit: np.ndarray, tol: float,
     family = np.moveaxis(family, 0, -1).reshape(k, n, m * (p + 1))
     gram = max_abs(dagger(family) @ family - np.eye(m * (p + 1)), axis=(-2, -1))
     _refuse(~(gram <= tol), label, NumericalDegeneracyError,
-            lambda i: f"copy vectors fail orthonormality with Gram defect {gram[i]:.3e}")
+            lambda i: f"copy vectors fail orthonormality with Gram defect {gram[i]:.3e}; "
+                      f"they were grown from {m} vacua, counted at rank_tol {rank_tol:.3e}")
 
     outside = np.eye(n) - family @ dagger(family)
     complements = _ranges(outside, tol, rank_tol)

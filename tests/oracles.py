@@ -19,7 +19,7 @@ Brute-force oracles for :mod:`orthofermi.canonical`:
 catalog one dense product per pair, and :func:`transfer_sum` sums
 c_a^dag c_{a+k} one dense product per pair and stack element.
 :func:`dense_ladder_residuals` is the whole ladder catalog with every
-product a dense (p+1) x (p+1) one, in the order the package forms them.
+product a dense n x n one, in the order the package forms them.
 
 Dense oracles for the products that the package forms on the rows that hold
 an entry: :func:`commutator` ([H, Q_a] of ``osusy.check_relations``),
@@ -129,7 +129,7 @@ def ladder_closed_form_residuals(c, L):
 
 def dense_ladder_residuals(rep, L, F):
     """The ladder identity catalog of ``canonical.ladder_identity_residuals``
-    with every product a dense (p+1) x (p+1) one.
+    with every product a dense n x n one, n = ``rep.dim``.
 
     ``rep``, ``L`` and ``F`` are what :func:`ladder_operators` returns, so a
     caller that also needs L and F builds them once. Every entry is
@@ -144,7 +144,7 @@ def dense_ladder_residuals(rep, L, F):
     row for the canonical rep, so every temporary is O(n^2).
     """
     p = rep.p
-    eye = np.eye(p + 1, dtype=complex)
+    eye = np.eye(rep.dim, dtype=complex)
     c = rep.c
     rows = held_rows(c)
     pi = eye - occupied(c, rows)

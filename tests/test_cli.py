@@ -235,6 +235,26 @@ def test_decompose_accepts_a_file_unit_off_on_the_trivial_block(tmp_path, capsys
     assert (doc["payload"]["multiplicity"], doc["payload"]["trivial_dim"]) == (2, 2)
 
 
+def test_a_gram_refusal_names_the_vacua_and_the_rank_tolerance(tmp_path, capsys):
+    # 1e-6 on one entry keeps every relation within --tol 1e-5, but the
+    # vacuum projector's spurious singular values exceed the relative
+    # rank_tol 1e-8, so decompose counts extra vacua and its grown copy
+    # vectors are not orthonormal
+    path = tmp_path / "nudged.json"
+    run(capsys, "random-rep", "--p", "3", "--copies", "5", "--trivial", "2", "--seed", "4",
+        "--out", str(path))
+    doc = json.loads(path.read_text())
+    doc["matrices"][0][3][5][0] += 1e-6
+    path.write_text(json.dumps(doc))
+    assert run(capsys, "verify", str(path), "--tol", "1e-5")[0] == EXIT_PASS
+    code = main(["decompose", str(path), "--tol", "1e-5"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (EXIT_FAIL, "")
+    assert err == (
+        "error: copy vectors fail orthonormality with Gram defect 1.000e+00; they were "
+        "grown from 7 vacua, counted at rank_tol 1.000e-08\n")
+
+
 @pytest.mark.parametrize("command", ["verify", "decompose"])
 def test_an_overflowing_entry_fails_with_an_error_not_a_traceback(tmp_path, command):
     # 1e155 is finite, but its square overflows, so the inferred unit is NaN. In a

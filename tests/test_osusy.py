@@ -443,6 +443,23 @@ def test_charges_scaled_off_the_unit_are_refused():
         eigenspace_reps(spectral(scaled))
 
 
+def test_a_positive_piece_with_a_trivial_block_is_refused(monkeypatch):
+    # no system the certificate accepts splits off a trivial block on E > 0,
+    # so the split reports one: the first piece trades a copy for p + 1
+    # trivial dimensions, and its eigenspace is no pure sum of copies
+    def impure(c, *args, **kwargs):
+        dec = reptheory.decompose_stack(c, *args, **kwargs)
+        copies, trivial = dec.multiplicity.copy(), dec.trivial_dim.copy()
+        copies[0] -= 1
+        trivial[0] += len(c) + 1
+        return replace(dec, multiplicity=copies, trivial_dim=trivial)
+    monkeypatch.setattr(osusy, "decompose_stack", impure)
+    with pytest.raises(NotARepresentationError) as info:
+        eigenspace_reps(spectral(build_system(2, 4)))
+    assert str(info.value) == ("eigenspace E = 1 of dimension 3 is not a pure sum of "
+                               "canonical copies (got 0 copies, trivial 3)")
+
+
 def pieces(spectrum):
     """(energy, size) of every piece: the part of a cluster in one block."""
     return [(energy, size) for level in spectrum.levels for row in level

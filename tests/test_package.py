@@ -2,6 +2,7 @@ import ast
 from pathlib import Path
 
 import orthofermi
+from code_lines import code_lines
 
 
 def test_every_export_is_used_inside_the_package():
@@ -34,3 +35,24 @@ def test_every_export_is_used_inside_the_package():
     unused = [name for name in orthofermi.__all__
               if name != "__version__" and (defined_in[name], name) not in used]
     assert unused == []
+
+
+def test_code_lines_skip_blanks_comments_and_docstrings():
+    source = '''"""Module
+docstring."""
+
+import numpy  # a comment after code counts
+
+
+class A:
+    """One line."""
+    x = """a string that is no docstring
+    counts on both lines"""
+
+    def f(self):
+        # a comment alone
+        y = 1
+        """A string after a statement is no docstring."""
+        return y
+'''
+    assert code_lines(source) == 8
