@@ -11,9 +11,9 @@ from .errors import (ClusteringError, DimensionError, IoError, NotARepresentatio
 from .linalg import (DEFAULT_RANK_TOL, DEFAULT_TOL, HermEig, haar_unitary, herm_eig, max_abs,
                      orthonormal_range)
 from .osusy import (CLOSED_FORM_TOL, DEFAULT_CLUSTER_TOL, DEFAULT_GENERATOR_TOL,
-                    EigenspaceAnalysis, OsusySystem, SpectralData, SusyGenerators,
-                    build_generators, build_system, check_generators, check_relations,
-                    closed_form_frac, closed_form_para, eigenspace_reps, spectral)
+                    OsusySystem, SpectralData, SusyGenerators, build_generators,
+                    build_system, check_generators, check_relations, closed_form_frac,
+                    closed_form_para, eigenspace_reps, run_suite, spectral)
 from .reptheory import (Decomposition, decompose, decompose_stack, infer_unit, random_rep,
                         relation_residuals, verify)
 
@@ -29,9 +29,9 @@ __all__ = [
     "DEFAULT_RANK_TOL", "DEFAULT_TOL", "HermEig", "haar_unitary",
     "herm_eig", "max_abs", "orthonormal_range",
     "CLOSED_FORM_TOL", "DEFAULT_CLUSTER_TOL", "DEFAULT_GENERATOR_TOL",
-    "EigenspaceAnalysis", "OsusySystem", "SpectralData", "SusyGenerators",
-    "build_generators", "build_system", "check_generators", "check_relations",
-    "closed_form_frac", "closed_form_para", "eigenspace_reps", "spectral",
+    "OsusySystem", "SpectralData", "SusyGenerators", "build_generators",
+    "build_system", "check_generators", "check_relations", "closed_form_frac",
+    "closed_form_para", "eigenspace_reps", "run_suite", "spectral",
     "Decomposition", "decompose", "decompose_stack", "infer_unit", "random_rep",
     "relation_residuals", "verify",
     "__version__",

@@ -174,24 +174,12 @@ def cmd_random_rep(args) -> Report:
 
 def cmd_osusy(args) -> Report:
     sys_ = osy.build_system(args.p, args.levels)
-    report = Report("osusy", {"p": args.p, "levels": args.levels,
-                              "tol": args.tol, "cluster_tol": args.cluster_tol})
-    spectrum = osy.spectral(sys_, args.cluster_tol)
-    for name, value in osy.check_relations(spectrum).items():
-        report.add(name, value, args.tol)
-
-    analyses = osy.eigenspace_reps(spectrum, args.tol)
-    gens = osy.build_generators(spectrum)
-    for name, value in osy.check_generators(gens).items():
-        tol = osy.CLOSED_FORM_TOL if "closed form" in name else osy.DEFAULT_GENERATOR_TOL
-        report.add(name, value, tol)
-
-    table = []
-    for analysis, mult in zip(analyses, spectrum.multiplicities):
-        row = {"E": round(analysis.energy, 12), "dim": mult, "copies": analysis.copies}
-        if analysis.energy <= 0.0:
+    residuals, tolerances, table = osy.run_suite(sys_, args.tol, args.cluster_tol)
+    report = Report("osusy", {"p": args.p, "levels": args.levels, "tol": args.tol,
+                              "cluster_tol": args.cluster_tol}, residuals, tolerances)
+    for row in table:
+        if row["E"] <= 0.0:
             row["note"] = f"1 vacuum + {sys_.p} truncation-boundary states"
-        table.append(row)
     report.payload["spectrum"] = table
     report.payload["dim"] = sys_.dim
     notes = ["generator sum rule uses the standard normalization "
@@ -296,11 +284,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_ranges(args) -> None:
-    """Raise :class:`ParseError` for a :data:`NONNEGATIVE` option out of range."""
+    """Raise :class:`ParseError` for a :data:`NONNEGATIVE` option out of range,
+    or for ``--rank-tol`` >= 1, at which no singular value counts toward a
+    rank, so every split would fail."""
     for name in NONNEGATIVE:
         value = getattr(args, name, None)
         if value is not None and not 0 <= value < math.inf:
             raise ParseError(f"--{name.replace('_', '-')} must be finite and >= 0, got {value!r}")
+    if not getattr(args, "rank_tol", 0.0) < 1.0:
+        raise ParseError(f"--rank-tol must be < 1, got {args.rank_tol!r}")
 
 
 @functools.cache

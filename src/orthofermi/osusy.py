@@ -43,7 +43,9 @@ inside a block, so each residual is the dense one up to summation order.
 Eigenvalues are clustered over all blocks together, so a cluster may span
 several blocks: the E = 0 cluster spans the 1+p singletons. Each stage takes
 only the result of the one before it, which holds its source
-(``SpectralData.system``, ``SusyGenerators.spectrum``).
+(``SpectralData.system``, ``SusyGenerators.spectrum``). :func:`run_suite`
+is the one pipeline: it runs the stages in order on any system and
+returns the residuals, the tolerance of each and the spectrum table.
 
 Past :func:`spectral`, operators are multiplied on the blocks in each
 block's eigenbasis V (``SpectralData.eigs``), in which :func:`spectral` has
@@ -105,6 +107,10 @@ DEFAULT_GENERATOR_TOL = 1e-8
 
 #: Tolerance for entrywise agreement of spectral and closed-form generators.
 CLOSED_FORM_TOL = 1e-9
+
+#: The checks of :func:`check_generators` held to :data:`CLOSED_FORM_TOL`;
+#: its other checks are held to :data:`DEFAULT_GENERATOR_TOL`.
+CLOSED_FORMS = ("para closed form", "frac closed form")
 
 
 @dataclass(frozen=True)
@@ -200,16 +206,6 @@ class SpectralData:
     eigs: list[HermEig]
     levels: list[np.ndarray]
     charges: list[np.ndarray]
-
-
-@dataclass(frozen=True)
-class EigenspaceAnalysis:
-    """Split of the orthofermion representation of one energy eigenspace:
-    ``copies`` canonical copies plus a trivial block of ``trivial_dim``."""
-
-    energy: float
-    copies: int
-    trivial_dim: int
 
 
 @dataclass(frozen=True)
@@ -429,27 +425,29 @@ def spectral(sys: OsusySystem, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> Spec
     return SpectralData(energies.tolist(), sizes.tolist(), sys, eigs, levels, charges)
 
 
-def eigenspace_reps(spectrum: SpectralData, tol: float = DEFAULT_TOL) -> list[EigenspaceAnalysis]:
-    """Restrict the charges to each eigenspace and decompose the result.
+def eigenspace_reps(spectrum: SpectralData, tol: float = DEFAULT_TOL) -> list[int]:
+    """The canonical copies in the representation of each eigenspace, in
+    the order of ``spectrum.energies``.
 
     For E > 0 the rescaled restrictions (2E)^{-1/2} B^dag Q_a B satisfy the
     orthofermion relations with the eigenspace identity as unit; the
     decomposition must then consist purely of canonical copies, forcing the
     eigenspace dimension to be a multiple of p+1. For E <= 0 the restricted
     charges must vanish within ``tol``; the eigenspace then carries the
-    trivial representation, with no decomposition. Each piece of a cluster,
-    its part in one block, is a contiguous run of the block's ascending
-    levels: per block size, a piece starts at column 0 and wherever the
-    cluster changes along a row. The pieces of one class (sign of E, size)
-    are ordered by cluster and cut out of ``spectrum.charges`` in one
-    gather per block size they come from (:func:`_cut_pieces`); the
-    cluster's copies and trivial dimension are the sums over its pieces. The pieces of one
-    positive class are decomposed in one :func:`decompose_stack` against
-    the identity as unit, which certifies each split by its unitary and
-    forms the table of pair relations only when a check refuses. Classes
-    run in the order they first appear, blocks by ascending size, and
-    pieces within a class by energy, so an error names the energy of the
-    first failing eigenspace of the first failing class.
+    trivial representation, with no decomposition, and holds no copy. Each
+    piece of a cluster, its part in one block, is a contiguous run of the
+    block's ascending levels: per block size, a piece starts at column 0
+    and wherever the cluster changes along a row. The pieces of one class
+    (sign of E, size) are ordered by cluster and cut out of
+    ``spectrum.charges`` in one gather per block size they come from
+    (:func:`_cut_pieces`); the cluster's copies are the sum over its
+    pieces. The pieces of one positive class are decomposed in one
+    :func:`decompose_stack` against the identity as unit, which certifies
+    each split by its unitary and forms the table of pair relations only
+    when a check refuses. Classes run in the order they first appear,
+    blocks by ascending size, and pieces within a class by energy, so an
+    error names the energy of the first failing eigenspace of the first
+    failing class.
     """
     classes: dict[tuple, list[tuple]] = {}
     for stack, level in enumerate(spectrum.levels):
@@ -466,7 +464,7 @@ def eigenspace_reps(spectrum: SpectralData, tol: float = DEFAULT_TOL) -> list[Ei
             classes.setdefault((kind % 2 == 1, kind // 2), []).append(
                 (np.full(np.count_nonzero(mine), stack), idx.flat[starts[mine]], block[mine],
                  at[mine]))
-    copies, trivial = (np.zeros(len(spectrum.energies), dtype=int) for _ in range(2))
+    copies = np.zeros(len(spectrum.energies), dtype=int)
     for (positive, size), found in classes.items():
         stacks, idx, block, at = (np.concatenate(part) for part in zip(*found))
         by_cluster = np.argsort(idx, kind="stable")
@@ -477,22 +475,21 @@ def eigenspace_reps(spectrum: SpectralData, tol: float = DEFAULT_TOL) -> list[Ei
             if not stray <= tol:
                 raise NotARepresentationError(
                     f"E = 0 eigenspace carries nonzero charges, residual {stray:.3e}")
-            np.add.at(trivial, idx, size)
             continue
         energies = np.asarray(spectrum.energies)[idx]
         c *= (1.0 / np.sqrt(2.0 * energies))[:, None, None]
         dec = decompose_stack(c, np.eye(size, dtype=complex), tol,
                               labels=lambda i: f"eigenspace E = {energies[i]:.6g}")
         np.add.at(copies, idx, dec.multiplicity)
-        np.add.at(trivial, idx, dec.trivial_dim)
-    copies, trivial = copies.tolist(), trivial.tolist()
+    copies = copies.tolist()
     p = spectrum.system.p
-    for energy, mult, m, t in zip(spectrum.energies, spectrum.multiplicities, copies, trivial):
-        if energy > 0.0 and (t != 0 or m * (p + 1) != mult):
+    # a split's trivial dimension is its size less (p + 1) per copy
+    for energy, mult, m in zip(spectrum.energies, spectrum.multiplicities, copies):
+        if energy > 0.0 and m * (p + 1) != mult:
             raise NotARepresentationError(
                 f"eigenspace E = {energy:.6g} of dimension {mult} is not a pure sum of "
-                f"canonical copies (got {m} copies, trivial {t})")
-    return [EigenspaceAnalysis(*row) for row in zip(spectrum.energies, copies, trivial)]
+                f"canonical copies (got {m} copies, trivial {mult - m * (p + 1)})")
+    return copies
 
 
 def _cut_pieces(charges: list[np.ndarray], stacks, block, at, size: int) -> np.ndarray:
@@ -624,8 +621,7 @@ def _generator_terms(p: int, H, para, frac, direct, closed_para, closed_frac) ->
     terms["frac_direct^{p+1} - (2H)^p"] = power(direct, p + 1) - terms["(2H)^p"]
     terms["[para, H]"] = para @ H - H @ para
     terms["[frac, H]"] = frac @ H - H @ frac
-    terms["para - closed form"] = para - closed_para
-    terms["frac - closed form"] = frac - closed_frac
+    terms.update(zip(CLOSED_FORMS, (para - closed_para, frac - closed_frac)))
     return terms
 
 
@@ -668,6 +664,34 @@ def check_generators(gens: SusyGenerators) -> dict[str, float]:
     res["frac_direct^{p+1} = (2H)^p"] = rel("frac_direct^{p+1} - (2H)^p", worst["(2H)^p"])
     res["[para, H] = 0"] = rel("[para, H]", worst["para"] * h)
     res["[frac, H] = 0"] = rel("[frac, H]", worst["frac"] * h)
-    res["para closed form"] = worst["para - closed form"]
-    res["frac closed form"] = worst["frac - closed form"]
+    res.update((name, worst[name]) for name in CLOSED_FORMS)
     return res
+
+
+def run_suite(system: OsusySystem, tol: float = DEFAULT_TOL,
+              cluster_tol: float = DEFAULT_CLUSTER_TOL) -> tuple[dict, dict, list[dict]]:
+    """The identity suite on ``system``: every stage, in order, and its table.
+
+    Runs :func:`spectral` at ``cluster_tol``, :func:`check_relations`,
+    :func:`eigenspace_reps` at ``tol``, :func:`build_generators` and
+    :func:`check_generators`, so the first stage that refuses raises its
+    error. Returns three things: the residuals, the relations' before the
+    generators'; the tolerance of each, in the same order, ``tol`` for the
+    relations, :data:`CLOSED_FORM_TOL` for :data:`CLOSED_FORMS` and
+    :data:`DEFAULT_GENERATOR_TOL` for the other generator checks; and the
+    spectrum table, one row ``{"E": E rounded to 12 places, "dim": its
+    dimension, "copies": its canonical copies}`` per cluster, by ascending
+    energy. The table holds only what any system has; a caller that knows
+    its system may annotate the rows.
+    """
+    spectrum = spectral(system, cluster_tol)
+    residuals = check_relations(spectrum)
+    tolerances = dict.fromkeys(residuals, tol)
+    copies = eigenspace_reps(spectrum, tol)
+    generators = check_generators(build_generators(spectrum))
+    residuals |= generators
+    tolerances |= dict.fromkeys(generators, DEFAULT_GENERATOR_TOL)
+    tolerances |= dict.fromkeys(CLOSED_FORMS, CLOSED_FORM_TOL)
+    table = [{"E": round(energy, 12), "dim": mult, "copies": m}
+             for energy, mult, m in zip(spectrum.energies, spectrum.multiplicities, copies)]
+    return residuals, tolerances, table

@@ -410,6 +410,7 @@ def test_ladder_builds_the_representation_and_lowering_operator_once(capsys, mon
     ["osusy", "--p", "2", "--levels", "3", "--cluster-tol", "inf"],
     ["decompose", "{rep}", "--rank-tol", "nan"],
     ["decompose", "{rep}", "--rank-tol=-1e-8"],
+    ["decompose", "{rep}", "--rank-tol", "1"],
     ["decompose", "{rep}", "--tol", "nan"],
     ["verify", "{rep}", "--tol", "-1"],
     ["ladder", "--p", "2", "--tol", "nan"],
@@ -433,8 +434,8 @@ def test_ladder_builds_the_representation_and_lowering_operator_once(capsys, mon
 ], ids=["osusy-p", "osusy-levels", "ladder-p", "random-rep-negative", "random-rep-empty",
         "random-rep-seed", "osusy-tol-nan", "osusy-tol-negative", "osusy-tol-inf",
         "osusy-cluster-tol-nan", "osusy-cluster-tol-negative", "osusy-cluster-tol-inf",
-        "decompose-rank-tol-nan", "decompose-rank-tol-negative", "decompose-tol-nan",
-        "verify-tol-negative", "ladder-tol-nan", "osusy-levels-too-large",
+        "decompose-rank-tol-nan", "decompose-rank-tol-negative", "decompose-rank-tol-one",
+        "decompose-tol-nan", "verify-tol-negative", "ladder-tol-nan", "osusy-levels-too-large",
         "random-rep-too-large", "osusy-levels-past-intp", "osusy-levels-past-bytes",
         "osusy-p-past-intp", "random-rep-p-past-intp", "random-rep-copies-past-intp",
         "random-rep-trivial-past-intp", "ladder-p-past-intp", "canonical-p-past-intp",

@@ -19,10 +19,10 @@ from orthofermi.canonical import canonical, conjugate, cyclic_from, held_rows, l
 from orthofermi.errors import (ClusteringError, DimensionError, NotARepresentationError,
                                OrderError, TruncationError)
 from orthofermi.linalg import dagger, haar_unitary, max_abs
-from orthofermi.osusy import (CLOSED_FORM_TOL, DEFAULT_GENERATOR_TOL, OsusySystem,
-                              SusyGenerators, block_partition, build_generators, build_system,
-                              check_generators, check_relations, closed_form_frac,
-                              closed_form_para, eigenspace_reps, spectral, system_from_dense)
+from orthofermi.osusy import (OsusySystem, SusyGenerators, block_partition, build_generators,
+                              build_system, check_generators, check_relations, closed_form_frac,
+                              closed_form_para, eigenspace_reps, run_suite, spectral,
+                              system_from_dense)
 from oracles import (block_residual, cluster_bases, commutator, cut, dense, dense_generators,
                      h_power, loop_clusters, pair_relation_defects, restricted,
                      sum_rule_recurrence)
@@ -31,9 +31,18 @@ from oracles import (block_residual, cluster_bases, commutator, cut, dense, dens
 def pipeline(p, levels):
     sys_ = build_system(p, levels)
     spectrum = spectral(sys_)
-    analyses = eigenspace_reps(spectrum)
+    copies = eigenspace_reps(spectrum)
     gens = build_generators(spectrum)
-    return sys_, spectrum, analyses, gens
+    return sys_, spectrum, copies, gens
+
+
+def suite_table(system):
+    """The spectrum table of :func:`run_suite` on ``system``, once every
+    residual of the suite is within its tolerance."""
+    residuals, tolerances, table = run_suite(system)
+    for name, value in residuals.items():
+        assert value <= tolerances[name], name
+    return table
 
 
 def diag_system(values):
@@ -349,15 +358,15 @@ def test_cluster_energies_are_the_means_of_their_values(make):
 # -- eigenspace representations ---------------------------------------------------
 
 def test_each_positive_eigenspace_carries_one_canonical_copy():
-    sys_, spectrum, analyses, _ = pipeline(2, 4)
-    for analysis, mult in zip(analyses, spectrum.multiplicities):
-        if analysis.energy > 0:
-            assert analysis.copies == 1
-            assert analysis.trivial_dim == 0
+    sys_, spectrum, copies, _ = pipeline(2, 4)
+    for energy, mult, m in zip(spectrum.energies, spectrum.multiplicities, copies):
+        if energy > 0:
+            assert m == 1
             assert mult == 3
         else:
-            assert analysis.copies == 0
-            assert analysis.trivial_dim == 1 + sys_.p
+            # the E = 0 eigenspace is trivial: no copy, the whole kernel
+            assert m == 0
+            assert mult == 1 + sys_.p
 
 
 def test_kernel_charges_vanish():
@@ -371,10 +380,10 @@ def test_kernel_charges_vanish():
 
 def test_positive_eigenspace_dimensions_are_multiples():
     for p, levels in [(1, 3), (2, 3), (3, 4)]:
-        _, spectrum, analyses, _ = pipeline(p, levels)
-        for analysis, mult in zip(analyses, spectrum.multiplicities):
-            if analysis.energy > 0:
-                assert mult == analysis.copies * (p + 1)
+        _, spectrum, copies, _ = pipeline(p, levels)
+        for energy, mult, m in zip(spectrum.energies, spectrum.multiplicities, copies):
+            if energy > 0:
+                assert mult == m * (p + 1)
 
 
 def test_eigenspace_reps_flags_broken_systems():
@@ -505,7 +514,7 @@ def test_build_generators_forms_each_lowering_operator_once(monkeypatch):
 
 
 def test_generator_identity_suite():
-    sys_, spectrum, analyses, gens = pipeline(2, 4)
+    sys_, spectrum, _, gens = pipeline(2, 4)
     residuals = check_generators(gens)
     assert residuals["para^{p+1} = 0"] < 1e-9
     assert residuals["sum_k para^{p-k} para^dag para^k = 2p para^{p-1} H"] < 1e-8
@@ -518,7 +527,7 @@ def test_generator_identity_suite():
 
 
 def test_generator_suite_at_order_three():
-    sys_, spectrum, analyses, gens = pipeline(3, 5)
+    sys_, spectrum, _, gens = pipeline(3, 5)
     residuals = check_generators(gens)
     assert max(residuals.values()) < 1e-8
 
@@ -555,7 +564,7 @@ def test_a_nilpotency_scale_beyond_the_float_range_is_divided_out():
 
 
 def test_order_one_generators():
-    sys_, spectrum, analyses, gens = pipeline(1, 3)
+    sys_, spectrum, _, gens = pipeline(1, 3)
     residuals = check_generators(gens)
     assert "sum_k para^{p-k} para^dag para^k = 2p para^{p-1} H" not in residuals
     para, frac, frac_direct = dense_generators(gens)
@@ -569,7 +578,7 @@ def test_sum_rule_normalization_is_forced():
     # the multilinear sum equals 2p para^{p-1} H on the nose; replacing the
     # constant 2p by p misses by exactly the removed half, so the halved
     # variant is not merely loose, it is off by a finite amount
-    sys_, spectrum, analyses, gens = pipeline(2, 4)
+    sys_, spectrum, _, gens = pipeline(2, 4)
     p, H, para = sys_.p, sys_.dense()[1], dense(sys_.blocks, gens.para)
     lhs = sum(mpow(para, p - k) @ para.conj().T @ mpow(para, k) for k in range(p + 1))
     rhs_full = 2 * p * mpow(para, p - 1) @ H
@@ -583,7 +592,7 @@ def test_closed_form_frac_exponent_is_forced():
     # halving the outer exponent is what makes the charge expression match
     # the spectrally assembled generator; the doubled exponent visibly fails
     # as soon as an eigenvalue differs from 1
-    sys_, spectrum, analyses, gens = pipeline(2, 4)
+    sys_, spectrum, _, gens = pipeline(2, 4)
     p, Q, frac = sys_.p, sys_.dense()[0], dense(sys_.blocks, gens.frac)
     transfer = Q[0].conj().T @ Q[1]
     outer_bad = (2 ** -0.5) * h_power(spectrum, -(p - 1) / (p + 1))
@@ -595,7 +604,7 @@ def test_closed_form_frac_exponent_is_forced():
 
 def test_closed_form_para_matches_spectral_assembly():
     for p, levels in [(2, 4), (3, 4), (4, 3)]:
-        sys_, spectrum, analyses, gens = pipeline(p, levels)
+        sys_, spectrum, _, gens = pipeline(p, levels)
         para, frac, _ = dense_generators(gens)
         assert max_abs(dense(sys_.blocks, closed_form_para(spectrum)) - para) < 1e-9
         assert max_abs(dense(sys_.blocks, closed_form_frac(spectrum)) - frac) < 1e-9
@@ -603,24 +612,23 @@ def test_closed_form_para_matches_spectral_assembly():
 
 def test_clusters_spanning_blocks_match_the_single_system():
     # kron(I_2, .) doubles every sector, so each positive cluster spans two blocks
-    single, single_spectrum, single_analyses, single_gens = pipeline(2, 5)
+    single, single_spectrum, single_copies, single_gens = pipeline(2, 5)
 
     def twice(m):
         return np.kron(np.eye(2), m)
     Q, H = single.dense()
     sys_ = system_from_dense(single.p, [twice(q) for q in Q], twice(H))
     spectrum = spectral(sys_)
-    analyses = eigenspace_reps(spectrum)
+    copies = eigenspace_reps(spectrum)
     gens = build_generators(spectrum)
     assert spectrum.multiplicities == [2 * m for m in single_spectrum.multiplicities]
-    assert [a.copies for a in analyses] == [2 * a.copies for a in single_analyses]
+    assert copies == [2 * m for m in single_copies]
     for got, want in [*zip(dense_generators(gens), dense_generators(single_gens)),
                       (dense(sys_.blocks, closed_form_frac(spectrum)),
                        dense(single.blocks, closed_form_frac(single_spectrum))),
                       (h_power(spectrum, -0.5), h_power(single_spectrum, -0.5))]:
         assert max_abs(got - twice(want)) < 1e-12
-    for name, value in check_generators(gens).items():
-        assert value <= (CLOSED_FORM_TOL if "closed form" in name else DEFAULT_GENERATOR_TOL), name
+    suite_table(sys_)
 
 
 def natural_beside_turned_copies(natural_q, natural_h, small_q, small_h, copies=2):
@@ -642,12 +650,8 @@ def test_a_cluster_splits_into_pieces_of_different_sizes():
     assert {rows.shape[1]: rows.shape[0] for rows in sys_.blocks} == {1: 3, 3: 3, 18: 1}
     found = Counter((round(energy), size) for energy, size in pieces(spectrum))
     assert found[1, 3] == found[1, 6] == 1
-    analyses = eigenspace_reps(spectrum)
-    assert spectrum_table(analyses, spectrum) == [(0, 9, 0), (1, 9, 3), (2, 9, 3), (3, 3, 1)]
-    assert max(check_relations(spectrum).values()) <= 1e-10
-    gens = build_generators(spectrum)
-    for name, value in check_generators(gens).items():
-        assert value <= (CLOSED_FORM_TOL if "closed form" in name else DEFAULT_GENERATOR_TOL), name
+    assert suite_table(sys_) == [{"E": 0, "dim": 9, "copies": 0}, {"E": 1, "dim": 9, "copies": 3},
+                                 {"E": 2, "dim": 9, "copies": 3}, {"E": 3, "dim": 3, "copies": 1}]
 
 
 def test_the_first_failing_piece_class_is_blamed():
@@ -668,6 +672,10 @@ def test_the_first_failing_piece_class_is_blamed():
         eigenspace_reps(spectral(broken))
     assert str(info.value) == \
         "eigenspace E = 20: relations fail with residual 2.050e-02 > tol 1.000e-10"
+    # the split is the first stage of the suite that refuses
+    with pytest.raises(NotARepresentationError) as through_suite:
+        run_suite(broken)
+    assert str(through_suite.value) == str(info.value)
     only_turned = natural_beside_turned_copies(natural_q, natural_h, broken_small, small_h)
     with pytest.raises(NotARepresentationError) as info:
         eigenspace_reps(spectral(only_turned))
@@ -681,6 +689,25 @@ def test_the_first_failing_piece_class_is_blamed():
         eigenspace_reps(spectral(broken))
     assert str(info.value) == \
         "eigenspace E = 1: relations fail with residual 1.764e-02 > tol 1.000e-10"
+
+
+def test_the_suite_holds_beyond_the_oscillator():
+    # a turned system and a natural one beside a turned one: every check holds
+    # within its tolerance, and no row carries a note, which only the
+    # oscillator's report adds
+    natural = build_system(2, 4).dense()
+    for system in (turned(2, 4, 24),
+                   natural_beside_turned_copies(*natural, *build_system(2, 3).dense())):
+        assert all(row.keys() == {"E", "dim", "copies"} for row in suite_table(system))
+
+
+def test_the_suite_refuses_levels_too_close_to_cluster():
+    values = [1.0, 1.006, 1.012]
+    with pytest.raises(ClusteringError) as info:
+        spectral(diag_system(values), cluster_tol=1e-2)
+    with pytest.raises(ClusteringError) as through_suite:
+        run_suite(diag_system(values), cluster_tol=1e-2)
+    assert str(through_suite.value) == str(info.value)
 
 
 def test_generators_are_built_cluster_by_cluster():
@@ -703,7 +730,7 @@ def test_generators_are_built_cluster_by_cluster():
 
 
 def test_generators_vanish_on_the_kernel():
-    sys_, spectrum, analyses, gens = pipeline(2, 3)
+    sys_, spectrum, _, gens = pipeline(2, 3)
     kernel = cluster_bases(spectrum)[0]
     para, frac, _ = dense_generators(gens)
     for g in (para, frac):
@@ -919,28 +946,18 @@ def test_generators_on_another_partition_are_rejected():
             replace(gens, spectrum=spectrum)
 
 
-def spectrum_table(analyses, spectrum):
-    return [(round(a.energy, 12), mult, a.copies)
-            for a, mult in zip(analyses, spectrum.multiplicities)]
-
-
 def assert_basis_covariant(p, levels, seed):
     """The pipeline on the natural system of (p, levels) turned by a Haar
     unitary, one dense block: every check passes, the spectrum table is the
     natural one, and the generators and H^a turn with the basis."""
-    natural, natural_spectrum, natural_analyses, natural_gens = pipeline(p, levels)
+    natural, natural_spectrum, _, natural_gens = pipeline(p, levels)
     u = haar_unitary(natural.dim, np.random.default_rng(seed))
     Q, H = natural.dense()
     turned = system_from_dense(p, [u @ q @ u.conj().T for q in Q], u @ H @ u.conj().T)
-    spectrum = spectral(turned)
     assert [rows.shape for rows in turned.blocks] == [(1, natural.dim)]
-    assert max(check_relations(spectrum).values()) <= 1e-10
-    analyses = eigenspace_reps(spectrum)
+    assert suite_table(turned) == suite_table(natural)
+    spectrum = spectral(turned)
     gens = build_generators(spectrum)
-    for name, value in check_generators(gens).items():
-        assert value <= (CLOSED_FORM_TOL if "closed form" in name else DEFAULT_GENERATOR_TOL), name
-    assert spectrum_table(analyses, spectrum) == \
-        spectrum_table(natural_analyses, natural_spectrum)
     # one block holds every cluster; the generators and H^a still turn with the basis
     for got, want in [*zip(dense_generators(gens), dense_generators(natural_gens)),
                       (h_power(spectrum, -0.5), h_power(natural_spectrum, -0.5))]:
