@@ -1,7 +1,14 @@
-"""Dense complex-matrix substrate.
+"""Dense matrix substrate.
 
-All operators in this package are plain ``numpy.ndarray`` values of dtype
-complex128, and everything defers to LAPACK through numpy. Operators of the
+All operators in this package are plain ``numpy.ndarray`` values, and
+everything defers to LAPACK through numpy. One dtype rule, :func:`field`,
+holds throughout: an array whose dtype is complex is held as complex128,
+any other as float64. The rule reads the dtype, never the values, so a
+real system, such as the oscillator in its natural basis, stays real and
+its products cost a real product's flops, while a complex input keeps its
+imaginary part even when every entry of it is zero. An
+:class:`~orthofermi.canonical.OrthoRep` is complex128 whatever its input.
+Operators of the
 oscillator model are dense n x n arrays, but ``osusy`` only ever multiplies
 their diagonal blocks, which it stacks into (count, size, size) arrays. A
 representation is one (p, n, n) stack of annihilators, and
@@ -54,11 +61,21 @@ def check_addressable(error, what: str, *shape: int) -> None:
     numpy refuses such a size with a ValueError or OverflowError, not with
     the MemoryError of a size that is merely too large for the machine, so
     a size read from the command line or a file is checked before any array
-    is made. The arithmetic is on Python ints, so no size can wrap.
+    is made. The arithmetic is on Python ints, so no size can wrap. The size
+    is that of complex128, the larger itemsize of :func:`field`'s two, so
+    the check holds for a real array of ``shape`` as well.
     """
     if math.prod(shape) * np.dtype(complex).itemsize > MAX_BYTES:
         raise error(f"{what} is too large: a complex array of shape {shape} "
                     f"exceeds numpy's index range")
+
+
+def field(a) -> np.ndarray:
+    """``a`` as an array of the package's one dtype: complex128 when its
+    dtype is complex, float64 otherwise; an array already of that dtype is
+    returned as it is. Only the dtype is read, never the values."""
+    a = np.asarray(a)
+    return a.astype(complex if np.iscomplexobj(a) else float, copy=False)
 
 
 def dagger(a) -> np.ndarray:
@@ -95,9 +112,10 @@ def herm_eig(a, tol: float = DEFAULT_TOL) -> HermEig:
     ``a`` may also be a stack of shape (..., n, n); ``values`` then has shape
     (..., n) and ``vectors`` (..., n, n), one decomposition per matrix.
     Raises :class:`NotHermitianError` if ``max_abs(a - a^dagger) > tol``
-    for any matrix of the stack.
+    for any matrix of the stack. The vectors are real when ``a`` is
+    (:func:`field`).
     """
-    a = np.asarray(a, dtype=complex)
+    a = field(a)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise DimensionError(f"eigendecomposition needs square matrices, got {a.shape}")
     if a.size and not np.isfinite(a).all():
@@ -116,9 +134,9 @@ def orthonormal_range(a, rank_tol: float = DEFAULT_RANK_TOL) -> list[np.ndarray]
     columns of each is that matrix's numerical rank: singular values
     strictly above ``rank_tol`` times its largest one count, so a zero
     matrix yields a basis with zero columns, and the widths differ when the
-    ranks do.
+    ranks do. The bases are real when ``a`` is (:func:`field`).
     """
-    a = np.asarray(a, dtype=complex)
+    a = field(a)
     if a.ndim != 3:
         raise DimensionError(f"expected a (k, m, n) stack of matrices, got shape {a.shape}")
     if a.size and not np.isfinite(a).all():

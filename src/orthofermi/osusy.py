@@ -96,7 +96,8 @@ from .algebra import check_order
 from .canonical import (as_index, conjugate, cyclic_from, held_rows, lowering_from, occupied,
                         transfer)
 from .errors import ClusteringError, DimensionError, NotARepresentationError, TruncationError
-from .linalg import DEFAULT_TOL, HermEig, check_addressable, dagger, herm_eig, is_count, max_abs
+from .linalg import (DEFAULT_TOL, HermEig, check_addressable, dagger, field, herm_eig, is_count,
+                     max_abs)
 from .reptheory import decompose_stack, relation_residuals
 
 #: Default relative tolerance for grouping eigenvalues into clusters.
@@ -240,7 +241,7 @@ def build_system(p: int, levels: int) -> OsusySystem:
     the one entry sqrt(2) sqrt(n+1) at slot (p, a-1); the vacuum and the p
     boundary states (levels-1)(p+1) + a are singletons without charge. H is
     formed block by block, with no dim x dim array, on the support that the
-    system then carries.
+    system then carries. Every stack is real, float64.
     """
     p = check_order(p)
     if not is_count(levels, 2):
@@ -250,10 +251,10 @@ def build_system(p: int, levels: int) -> OsusySystem:
     n, top = np.arange(levels - 1), (levels - 1) * (p + 1)
     blocks = [np.append(0, top + np.arange(1, p + 1))[:, None],
               np.arange(1, top + 1).reshape(n.size, p + 1)]
-    sectors = np.zeros((p, n.size, p + 1, p + 1), dtype=complex)
+    sectors = np.zeros((p, n.size, p + 1, p + 1))
     a = np.arange(p)
     sectors[a, :, p, a] = math.sqrt(2.0) * np.sqrt(n + 1.0)
-    Q = [np.zeros((p, p + 1, 1, 1), dtype=complex), sectors]
+    Q = [np.zeros((p, p + 1, 1, 1)), sectors]
     support = [held_rows(q) for q in Q]
     H = [0.5 * (q[0] @ dagger(q[0]) + occupied(q, rows)) for q, rows in zip(Q, support)]
     return OsusySystem(blocks, Q, H, support)
@@ -265,9 +266,12 @@ def system_from_dense(p: int, Q, H) -> OsusySystem:
     The blocks are the :func:`block_partition` of the entries that are
     nonzero in H or in some charge, so no entry falls outside them; each
     block size is then cut out of each operator with one gather, the
-    inverse of :meth:`OsusySystem.dense`. The operators are read one at a
-    time, so beyond its input the call holds one bool pattern, one complex
-    copy of a non-complex operator and the blocks.
+    inverse of :meth:`OsusySystem.dense`. The stacks take the common
+    dtype of the operators under :func:`~orthofermi.linalg.field`'s rule:
+    float64 when none of them is complex, complex128 otherwise. The
+    operators are read one at a time, so beyond its input the call holds
+    one bool pattern, one copy of an operator not already float64 or
+    complex128, and the blocks.
     """
     p = check_order(p)
     ops = (H, *Q)
@@ -275,13 +279,15 @@ def system_from_dense(p: int, Q, H) -> OsusySystem:
     if len(Q) != p or len(shapes[0]) != 2 or len(set(shapes)) != 1 or len(set(shapes[0])) != 1:
         raise DimensionError(f"need H and {p} charges as square matrices of one size, "
                              f"got shapes {shapes}")
-    pattern = np.zeros(shapes[0], dtype=bool)
+    pattern, kind = np.zeros(shapes[0], dtype=bool), float
     for m in ops:
-        pattern |= np.asarray(m, dtype=complex) != 0
+        m = field(m)
+        pattern |= m != 0
+        kind = np.result_type(kind, m)
     blocks = block_partition(len(pattern), *np.nonzero(pattern))
-    stacks = [np.empty((p + 1, *rows.shape, rows.shape[1]), dtype=complex) for rows in blocks]
+    stacks = [np.empty((p + 1, *rows.shape, rows.shape[1]), dtype=kind) for rows in blocks]
     for i, m in enumerate(ops):
-        m = np.asarray(m, dtype=complex)
+        m = field(m)
         for rows, stack in zip(blocks, stacks):
             stack[i] = m[rows[:, :, None], rows[:, None, :]]
     Q = [s[1:] for s in stacks]
@@ -318,8 +324,9 @@ def block_partition(dim: int, rows: np.ndarray, cols: np.ndarray) -> list[np.nda
 
 def _assemble(dim: int, blocks: list[np.ndarray], stacks: list[np.ndarray]) -> np.ndarray:
     """The dim x dim matrix with the given block stacks and zeros elsewhere;
-    (k, count, size, size) stacks give k such matrices, as (k, dim, dim)."""
-    out = np.zeros((*stacks[0].shape[:-3], dim, dim), dtype=complex)
+    (k, count, size, size) stacks give k such matrices, as (k, dim, dim), in
+    the stacks' common dtype."""
+    out = np.zeros((*stacks[0].shape[:-3], dim, dim), dtype=np.result_type(float, *stacks))
     for rows, stack in zip(blocks, stacks):
         out[..., rows[:, :, None], rows[:, None, :]] = stack
     return out
@@ -478,7 +485,7 @@ def eigenspace_reps(spectrum: SpectralData, tol: float = DEFAULT_TOL) -> list[in
             continue
         energies = np.asarray(spectrum.energies)[idx]
         c *= (1.0 / np.sqrt(2.0 * energies))[:, None, None]
-        dec = decompose_stack(c, np.eye(size, dtype=complex), tol,
+        dec = decompose_stack(c, np.eye(size, dtype=c.dtype), tol,
                               labels=lambda i: f"eigenspace E = {energies[i]:.6g}")
         np.add.at(copies, idx, dec.multiplicity)
     copies = copies.tolist()
@@ -502,7 +509,8 @@ def _cut_pieces(charges: list[np.ndarray], stacks, block, at, size: int) -> np.n
     fastest on. A piece cut from a stack of blocks of ``size`` is a whole
     block, as every piece of the oscillator is, and such pieces are taken
     with one ``np.take`` of their blocks; other pieces are gathered with
-    every axis indexed by an array."""
+    every axis indexed by an array. The result takes the common dtype of
+    ``charges``."""
     r = np.arange(size)
     a = np.arange(len(charges[0]))[:, None, None, None]
 
@@ -514,7 +522,7 @@ def _cut_pieces(charges: list[np.ndarray], stacks, block, at, size: int) -> np.n
     sources = dict.fromkeys(stacks.tolist())
     if len(sources) == 1:
         return gather(stacks[0], slice(None))
-    out = np.empty((len(charges[0]), stacks.size, size, size), dtype=complex)
+    out = np.empty((len(charges[0]), stacks.size, size, size), dtype=np.result_type(*charges))
     for source in sources:
         mine = stacks == source
         out[:, mine] = gather(source, mine)

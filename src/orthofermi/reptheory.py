@@ -52,8 +52,8 @@ from .algebra import check_order
 from .canonical import (OrthoRep, _expected_blocks, _target_entries, as_index, conjugate,
                         held_rows, occupied)
 from .errors import DimensionError, NotARepresentationError, NumericalDegeneracyError
-from .linalg import (DEFAULT_RANK_TOL, DEFAULT_TOL, check_addressable, dagger, haar_unitary,
-                     is_count, max_abs, orthonormal_range)
+from .linalg import (DEFAULT_RANK_TOL, DEFAULT_TOL, check_addressable, dagger, field,
+                     haar_unitary, is_count, max_abs, orthonormal_range)
 
 
 def _worst(terms) -> np.ndarray:
@@ -140,7 +140,7 @@ def _units(c: np.ndarray, unit, tol: float, label, held) -> np.ndarray:
     or the units inferred per element when ``unit`` is None."""
     if unit is None:
         return _infer_units(c, tol, label, held)
-    unit = np.asarray(unit, dtype=complex)
+    unit = field(unit)
     if unit.ndim != 2:
         raise DimensionError(f"expected a matrix, got array of shape {unit.shape}")
     if unit.size and not np.isfinite(unit).all():
@@ -198,7 +198,8 @@ def _relation_defects(c: np.ndarray, unit: np.ndarray,
         group = np.moveaxis(group, 0, 1).reshape(k, -1, n)
         nilpotent = np.maximum(nilpotent, max_abs(group[..., inner] @ nilpotent_rhs,
                                                   axis=(0, -2, -1)))
-        products = group[..., cols] @ mixed_rhs
+        # in the dtype of excess, so that a complex unit adds into a real stack's products
+        products = (group[..., cols] @ mixed_rhs).astype(excess.dtype, copy=False)
         # block (a + j, a + j) sits in rows j r .. (j + 1) r - 1 of the group
         products.reshape(p, k, j.size, r, r)[a + j, :, j] += excess_inside
         mixed = np.maximum(mixed, max_abs(products, axis=(0, -2, -1)))
@@ -481,7 +482,7 @@ def _split(c: np.ndarray, unit, tol: float, rank_tol: float, label, held) -> Dec
     vacua = _ranges(pi, tol, rank_tol)
     copies = np.array([v.shape[1] for v in vacua])
     units = np.broadcast_to(unit, (k, n, n))
-    basis = np.empty((k, n, n), dtype=complex)
+    basis = np.empty((k, n, n), dtype=np.result_type(c, unit))
     residuals: dict[str, np.ndarray] = {}
     for m in sorted(set(copies.tolist())):  # np.unique would import numpy.ma
         # a slice when every element has m vacua, so the stack is not copied
@@ -514,7 +515,7 @@ def decompose_stack(c, unit=None, tol: float = DEFAULT_TOL, rank_tol: float = DE
     axis in stack order. The stack's held rows are read once
     (:func:`~orthofermi.canonical.held_rows`) and passed to every product.
     """
-    c = np.asarray(c, dtype=complex)
+    c = field(c)
     if c.ndim != 4 or not c.shape[0] or c.shape[-1] != c.shape[-2]:
         raise DimensionError(f"expected a (p, k, n, n) stack of annihilators, got {c.shape}")
     if not np.isfinite(c).all():

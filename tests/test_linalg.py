@@ -161,3 +161,41 @@ def test_orthonormal_range_rejects_an_inf_entry():
     a[1, 0, 2] = np.inf
     with pytest.raises(ValueError, match="^matrix contains non-finite entries$"):
         linalg.orthonormal_range(a)
+
+
+@pytest.mark.parametrize("given, want", [
+    (np.eye(2, dtype=int), float), (np.eye(2, dtype=bool), float),
+    (np.eye(2, dtype=np.float32), float), ([[1, 2], [3, 4]], float),
+    (np.eye(2, dtype=np.complex64), complex), ([[1j, 0], [0, 1]], complex),
+    (np.eye(2, dtype=complex), complex)])  # complex with a zero imaginary part stays complex
+def test_field_holds_complex_as_complex128_and_the_rest_as_float64(given, want):
+    assert linalg.field(given).dtype == want
+    assert np.array_equal(linalg.field(given), np.asarray(given))
+
+
+def test_field_returns_an_array_of_its_dtype_as_it_is():
+    for a in (np.eye(3), np.eye(3, dtype=complex)):
+        assert linalg.field(a) is a
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_herm_eig_and_orthonormal_range_keep_a_real_input_real(dtype):
+    # a real input comes back float64; the same values held as complex128
+    # come back complex128, and each side reconstructs its input
+    z = np.random.default_rng(8).standard_normal((5, 5)).astype(dtype)
+    eig = linalg.herm_eig(z + z.T)
+    assert (eig.values.dtype, eig.vectors.dtype) == (np.dtype(float), np.dtype(dtype))
+    assert linalg.max_abs(eig.vectors * eig.values @ eig.vectors.conj().T - (z + z.T)) <= 1e-12
+    (basis,) = linalg.orthonormal_range(z[None, :, :3])
+    assert basis.shape == (5, 3) and basis.dtype == dtype
+
+
+def test_herm_eig_and_orthonormal_range_keep_the_imaginary_part_of_a_complex_input():
+    u = linalg.haar_unitary(6, np.random.default_rng(9))
+    h = u @ np.diag(np.arange(6.0)) @ u.conj().T
+    eig = linalg.herm_eig(h)
+    assert eig.vectors.dtype == complex and linalg.max_abs(eig.vectors.imag) > 0.1
+    assert linalg.max_abs(eig.vectors * eig.values @ eig.vectors.conj().T - h) <= 1e-12
+    (basis,) = linalg.orthonormal_range(u[None, :, :2])
+    assert basis.dtype == complex
+    assert linalg.max_abs(basis @ basis.conj().T - u[:, :2] @ u[:, :2].conj().T) <= 1e-12

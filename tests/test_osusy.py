@@ -6,6 +6,7 @@ import itertools
 import math
 import pickle
 import tracemalloc
+import warnings
 from collections import Counter
 from dataclasses import fields, replace
 
@@ -97,11 +98,52 @@ def test_blockwise_hamiltonian_equals_the_dense_formula(p, levels):
 @pytest.mark.parametrize("p, levels", [(1, 2), (2, 5), (3, 7), (8, 6), (16, 3)])
 def test_charges_equal_the_kron_formula_bitwise(p, levels):
     # the stacks are written from the index pattern of a^dag (x) c_a; assembled,
-    # they must be the dense sqrt(2) a^dag (x) c_a to the last bit
+    # they must be the dense sqrt(2) a^dag (x) c_a to the last bit, cast to the
+    # stacks' dtype, which is float64: the oscillator is real
     a = np.diag(np.sqrt(np.arange(1, levels)), 1).astype(complex)
-    kron = [math.sqrt(2.0) * np.kron(a.conj().T, c) for c in canonical(p).c]
-    Q, _ = build_system(p, levels).dense()
-    assert [q.tobytes() for q in Q] == [q.tobytes() for q in kron]
+    kron = np.array([math.sqrt(2.0) * np.kron(a.conj().T, c) for c in canonical(p).c])
+    sys_ = build_system(p, levels)
+    assert {stack.dtype for stack in (*sys_.Q, *sys_.H)} == {np.dtype(float)}
+    Q, _ = sys_.dense()
+    assert not kron.imag.any()  # so the cast drops nothing
+    assert [q.tobytes() for q in Q] == [q.tobytes() for q in kron.real.astype(Q.dtype)]
+
+
+@pytest.mark.parametrize("p, levels", [*itertools.product(range(1, 5), (2, 5)), (16, 3)])
+def test_a_real_system_runs_the_suite_as_its_complex_cast(p, levels):
+    # the oscillator runs in float64; the same operators held as complex128
+    # stay complex and give the same residuals, tolerances and table exactly
+    natural = build_system(p, levels)
+    Q, H = natural.dense()
+    cast = system_from_dense(p, Q.astype(complex), H.astype(complex))
+    assert {stack.dtype for stack in (*cast.Q, *cast.H)} == {np.dtype(complex)}
+    assert run_suite(cast) == run_suite(natural)
+    spectrum = spectral(natural)
+    assert {a.dtype for eig, c in zip(spectrum.eigs, spectrum.charges)
+            for a in (eig.values, eig.vectors, c)} == {np.dtype(float)}
+
+
+def test_a_dense_system_takes_the_common_dtype_of_its_operators():
+    Q, H = build_system(2, 3).dense()
+    for charges, h, want in [(Q, H, float), (Q.astype(int), H, float),
+                             (Q, H.astype(complex), complex),
+                             ([Q[0].astype(np.complex64), Q[1]], H, complex)]:
+        sys_ = system_from_dense(2, charges, h)
+        assert {stack.dtype for stack in (*sys_.Q, *sys_.H)} == {np.dtype(want)}
+        assert all(m.dtype == want for m in sys_.dense())
+
+
+def test_a_turned_system_stays_complex_and_the_suite_warns_nothing():
+    # no stage writes a complex value into a real array: numpy would warn
+    system = turned(3, 5, 7)
+    assert {stack.dtype for stack in (*system.Q, *system.H)} == {np.dtype(complex)}
+    assert max_abs(system.Q[0].imag) > 0.1 and max_abs(system.H[0].imag) > 0.1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        residuals, tolerances, table = run_suite(system)
+        assert all(eig.vectors.dtype == complex for eig in spectral(system).eigs)
+    assert all(residuals[name] <= tolerances[name] for name in residuals)
+    assert table == suite_table(build_system(3, 5))
 
 
 @pytest.mark.parametrize("p, levels", [*itertools.product(range(1, 9), range(2, 9)), (16, 3)])
@@ -652,6 +694,23 @@ def test_a_cluster_splits_into_pieces_of_different_sizes():
     assert found[1, 3] == found[1, 6] == 1
     assert suite_table(sys_) == [{"E": 0, "dim": 9, "copies": 0}, {"E": 1, "dim": 9, "copies": 3},
                                  {"E": 2, "dim": 9, "copies": 3}, {"E": 3, "dim": 3, "copies": 1}]
+
+
+def test_pieces_cut_from_a_real_and_a_complex_stack_keep_their_imaginary_parts():
+    # the natural (2, 4) held real beside a turned (2, 3) held complex: the
+    # E = 1 and E = 2 classes cut 3-row pieces from both stacks into one stack,
+    # which must be complex, and the suite reads as on the all-complex system
+    mixed = natural_beside_turned_copies(*build_system(2, 4).dense(),
+                                         *build_system(2, 3).dense(), copies=1)
+    assert {rows.shape[1]: rows.shape[0] for rows in mixed.blocks} == {1: 3, 3: 3, 9: 1}
+    held_real = OsusySystem(mixed.blocks, [q if q.shape[-1] == 9 else q.real for q in mixed.Q],
+                            [h if h.shape[-1] == 9 else h.real for h in mixed.H])
+    assert [h.dtype for h in held_real.H] == [np.dtype(float), np.dtype(float), np.dtype(complex)]
+    for got, want in zip(held_real.dense(), mixed.dense()):
+        assert got.dtype == complex and np.array_equal(got, want)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_suite(held_real) == run_suite(mixed)
 
 
 def test_the_first_failing_piece_class_is_blamed():

@@ -49,6 +49,18 @@ def test_relation_residuals_on_stacks_take_the_worst_matrix():
     assert relation_residuals(c, unit) == pytest.approx(worst, rel=1e-13)
 
 
+@pytest.mark.parametrize("p", [1, 2, 5])
+def test_a_real_stack_with_a_complex_unit_has_the_complex_stacks_residuals(p):
+    # the unit's dtype rules the products: a complex unit adds into the
+    # products of a real stack, as into those of a complex one
+    c, unit = canonical(p).c, np.eye(p + 1, dtype=complex)
+    assert relation_residuals(c.real, unit) == relation_residuals(c, unit) == (0.0, 0.0)
+    broken = c.real.copy()
+    broken[0, 0, 1] = 1.5
+    assert relation_residuals(broken, unit) == relation_residuals(broken.astype(complex), unit)
+    assert relation_residuals(broken, unit)[1] > 1.0
+
+
 #: Entries of the exact stacks; their pair products are single rounded terms.
 EXACT_VALUES = np.array([1, -1, 1j, 2**0.5, 3**0.5, -(5**0.5)])
 
@@ -570,6 +582,32 @@ def test_expected_blocks_are_the_padded_canonical_copies():
                 new = reptheory._expected_blocks(p, m, t)
                 assert (new.shape, new.dtype) == (old.shape, old.dtype)
                 assert new.tobytes() == old.tobytes(), (p, m, t)
+
+
+@pytest.mark.parametrize("unit_dtype", [float, complex, None])
+def test_decompose_stack_keeps_a_real_stack_real(unit_dtype):
+    # the basis takes the common dtype of the stack and the unit, so a real
+    # stack with a real (or inferred) unit splits in float64 and otherwise
+    # in complex128, with the same split either way
+    c = block_rep(3, 2, 1).c.real
+    turn = [*range(7, -1, -1), 8]  # a permutation that keeps the trivial index 8
+    c = np.stack([c, c[:, turn][..., turn]], axis=1)
+    unit = None if unit_dtype is None else np.diag([1.0] * 8 + [0.0]).astype(unit_dtype)
+    for stack, want in [(c, complex if unit_dtype is complex else float),
+                        (c.astype(complex), complex)]:
+        dec = decompose_stack(stack, unit)
+        assert dec.basis.dtype == want
+        assert (dec.multiplicity.tolist(), dec.trivial_dim.tolist()) == ([2, 2], [1, 1])
+        assert all(value.max() <= DEFAULT_TOL for value in dec.residuals.values())
+
+
+def test_decompose_stack_keeps_the_imaginary_part_of_a_complex_stack():
+    rep = random_rep(2, 2, 1, seed=3)
+    dec = decompose_stack(rep.c[:, None])
+    assert dec.basis.dtype == complex and max_abs(dec.basis.imag) > 0.1
+    u = dec.basis[0]
+    blocks = reptheory._expected_blocks(2, 2, 1)
+    assert max_abs(u.conj().T @ rep.c @ u - blocks) <= 1e-10
 
 
 # -- random_rep ---------------------------------------------------------------
