@@ -8,8 +8,7 @@ from .canonical import (OrthoRep, canonical, cyclic_from, ladder_identity_residu
 from .errors import (ClusteringError, DimensionError, IoError, NotARepresentationError,
                      NotHermitianError, NumericalDegeneracyError, OrderError,
                      OrthofermiError, ParseError, TruncationError)
-from .linalg import (DEFAULT_RANK_TOL, DEFAULT_TOL, HermEig, haar_unitary, herm_eig, max_abs,
-                     orthonormal_range)
+from .linalg import DEFAULT_TOL, HermEig, haar_unitary, herm_eig, max_abs, orthonormal_range
 from .osusy import (CLOSED_FORM_TOL, DEFAULT_CLUSTER_TOL, DEFAULT_GENERATOR_TOL,
                     OsusySystem, SpectralData, SusyGenerators, build_generators,
                     build_system, check_generators, check_relations, closed_form_frac,
@@ -26,7 +25,7 @@ __all__ = [
     "ClusteringError", "DimensionError", "IoError", "NotARepresentationError",
     "NotHermitianError", "NumericalDegeneracyError", "OrderError",
     "OrthofermiError", "ParseError", "TruncationError",
-    "DEFAULT_RANK_TOL", "DEFAULT_TOL", "HermEig", "haar_unitary",
+    "DEFAULT_TOL", "HermEig", "haar_unitary",
     "herm_eig", "max_abs", "orthonormal_range",
     "CLOSED_FORM_TOL", "DEFAULT_CLUSTER_TOL", "DEFAULT_GENERATOR_TOL",
     "OsusySystem", "SpectralData", "SusyGenerators", "build_generators",

@@ -23,7 +23,7 @@ from . import reptheory as rt
 from . import serialize as ser
 from .canonical import canonical, ladder_identity_residuals, ladder_operators
 from .errors import DimensionError, IoError, OrderError, OrthofermiError, ParseError, TruncationError
-from .linalg import DEFAULT_RANK_TOL, DEFAULT_TOL
+from .linalg import DEFAULT_TOL
 
 REPORT_SCHEMA = "orthofermion-report/1"
 
@@ -37,7 +37,7 @@ INPUT_ERRORS = (ParseError, IoError, OrderError, TruncationError, DimensionError
 #: Options whose value must be finite and >= 0, by argparse destination: a
 #: NaN, negative or infinite tolerance would turn every verdict into a
 #: mathematical failure, and numpy refuses a negative seed.
-NONNEGATIVE = ("tol", "rank_tol", "cluster_tol", "seed")
+NONNEGATIVE = ("tol", "cluster_tol", "seed")
 
 #: A negative number as ``float`` reads it. argparse's own pattern misses the
 #: exponent form, so ``--tol -1e-10`` failed as a missing value before the
@@ -145,9 +145,8 @@ def cmd_verify(args) -> Report:
 
 def cmd_decompose(args) -> Report:
     rep, unit = ser.read_rep_file(args.input)
-    dec = rt.decompose(rep, args.tol, args.rank_tol, unit=unit)
-    report = Report("decompose", {"input": str(args.input), "tol": args.tol,
-                                  "rank_tol": args.rank_tol})
+    dec = rt.decompose(rep, args.tol, unit=unit)
+    report = Report("decompose", {"input": str(args.input), "tol": args.tol})
     for name, value in dec.residuals.items():
         report.add(name, value, 10.0 * args.tol)
     report.payload["multiplicity"] = dec.multiplicity
@@ -248,8 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decompose", help="split a representation into canonical copies "
                                          "plus a trivial block")
     p.add_argument("input", help="representation file")
-    p.add_argument("--rank-tol", type=float, default=DEFAULT_RANK_TOL,
-                   help=f"relative rank threshold (default {DEFAULT_RANK_TOL:g})")
     p.add_argument("--emit-basis", metavar="PATH", default=None,
                    help="also write the block-diagonalizing unitary")
     common(p)
@@ -284,15 +281,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_ranges(args) -> None:
-    """Raise :class:`ParseError` for a :data:`NONNEGATIVE` option out of range,
-    or for ``--rank-tol`` >= 1, at which no singular value counts toward a
-    rank, so every split would fail."""
+    """Raise :class:`ParseError` for a :data:`NONNEGATIVE` option out of range."""
     for name in NONNEGATIVE:
         value = getattr(args, name, None)
         if value is not None and not 0 <= value < math.inf:
             raise ParseError(f"--{name.replace('_', '-')} must be finite and >= 0, got {value!r}")
-    if not getattr(args, "rank_tol", 0.0) < 1.0:
-        raise ParseError(f"--rank-tol must be < 1, got {args.rank_tol!r}")
 
 
 @functools.cache

@@ -26,7 +26,8 @@ class NotARepresentationError(OrthofermiError):
 
 
 class NumericalDegeneracyError(OrthofermiError):
-    """Rank or orthonormality decision sits too close to the threshold to call."""
+    """A split cannot be certified within tolerance: its copy vectors are not
+    orthonormal, its ranks miss the dimension, or its certificate exceeds tol."""
 
 
 class ClusteringError(OrthofermiError):

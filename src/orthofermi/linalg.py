@@ -15,11 +15,12 @@ representation is one (p, n, n) stack of annihilators, and
 ``reptheory.decompose_stack`` takes k representations as one (p, k, n, n)
 stack. So :func:`dagger` and :func:`herm_eig` act on the last two axes of
 any (..., n, n) stack, :func:`orthonormal_range` takes a (k, m, n) stack
-with one batched SVD, and :func:`max_abs` takes the maximum per matrix when
-given ``axis``. Identity checks throughout the package are residual based:
-compute the defect matrix, take :func:`max_abs`, compare against an
-explicit tolerance. Sizes read from input are checked with :func:`is_count`
-and :func:`check_addressable` before any array is made.
+of near-projectors with one batched SVD, and :func:`max_abs` takes the
+maximum per matrix when given ``axis``. Identity checks throughout the
+package are residual based: compute the defect matrix, take
+:func:`max_abs`, compare against an explicit tolerance. Sizes read from
+input are checked with :func:`is_count` and :func:`check_addressable`
+before any array is made.
 """
 
 from __future__ import annotations
@@ -33,9 +34,6 @@ from .errors import DimensionError, NotHermitianError
 
 #: Default tolerance on residuals of algebraic identities.
 DEFAULT_TOL = 1e-10
-
-#: Default relative threshold for numerical rank decisions.
-DEFAULT_RANK_TOL = 1e-8
 
 #: The most bytes one numpy array can span.
 MAX_BYTES = np.iinfo(np.intp).max
@@ -127,14 +125,22 @@ def herm_eig(a, tol: float = DEFAULT_TOL) -> HermEig:
     return HermEig(values=values, vectors=vectors)
 
 
-def orthonormal_range(a, rank_tol: float = DEFAULT_RANK_TOL) -> list[np.ndarray]:
-    """Orthonormal bases of the column spaces of a (k, m, n) stack ``a``.
+def orthonormal_range(a) -> list[np.ndarray]:
+    """Orthonormal bases of the column spaces of a (k, m, n) stack ``a`` of
+    near-projectors.
 
-    Returns k bases, one per matrix, from one batched SVD. The number of
-    columns of each is that matrix's numerical rank: singular values
-    strictly above ``rank_tol`` times its largest one count, so a zero
-    matrix yields a basis with zero columns, and the widths differ when the
-    ranks do. The bases are real when ``a`` is (:func:`field`).
+    Returns k bases, one per matrix, from one batched SVD. Each matrix is a
+    projector up to residuals, and its rank is counted at the projector gap:
+    singular values strictly above 1/2 count. :mod:`~orthofermi.reptheory`
+    takes a rank only after Pi^2 = Pi and Pi^dag = Pi, or the Gram check of
+    the copies, held within ``tol``. An n x n matrix whose entries are at
+    most tol has spectral norm at most n tol, so every eigenvalue l then
+    has |l^2 - l| = O(n tol) and lies within O(n tol) of 0 or of 1, and 1/2
+    separates the two groups. At a ``tol`` so large that they meet, the
+    count can be wrong; the Gram, bookkeeping and certificate checks that
+    follow it refuse such a count. A zero matrix yields a basis with zero
+    columns, and the widths differ when the ranks do. The bases are real
+    when ``a`` is (:func:`field`).
     """
     a = field(a)
     if a.ndim != 3:
@@ -142,7 +148,7 @@ def orthonormal_range(a, rank_tol: float = DEFAULT_RANK_TOL) -> list[np.ndarray]
     if a.size and not np.isfinite(a).all():
         raise ValueError("matrix contains non-finite entries")
     u, s, _ = np.linalg.svd(a, full_matrices=False)
-    rank = np.count_nonzero(s > rank_tol * s[..., :1], axis=-1)
+    rank = np.count_nonzero(s > 0.5, axis=-1)
     return [vectors[:, :r] for vectors, r in zip(u, rank)]
 
 

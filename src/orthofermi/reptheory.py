@@ -9,7 +9,9 @@ generator acts as zero. :func:`decompose` makes that split constructive:
      the relations,
   2. form the vacuum projector P = R - sum c^dag c and check that it is a
      projector, P^2 = P and P^dag = P; its range fixes one vacuum vector e_i
-     per canonical copy,
+     per canonical copy, and its rank is counted at the projector gap: the
+     check puts every eigenvalue of P near 0 or near 1, so the singular
+     values above 1/2 count and no rank threshold is set,
   3. grow each copy as (e_i, c_1^dag e_i, .., c_p^dag e_i) and check that
      these m(p+1) vectors are orthonormal,
   4. check that everything orthogonal to them is annihilated by all
@@ -52,8 +54,8 @@ from .algebra import check_order
 from .canonical import (OrthoRep, _expected_blocks, _target_entries, as_index, conjugate,
                         held_rows, occupied)
 from .errors import DimensionError, NotARepresentationError, NumericalDegeneracyError
-from .linalg import (DEFAULT_RANK_TOL, DEFAULT_TOL, check_addressable, dagger, field,
-                     haar_unitary, is_count, max_abs, orthonormal_range)
+from .linalg import (DEFAULT_TOL, check_addressable, dagger, field, haar_unitary, is_count,
+                     max_abs, orthonormal_range)
 
 
 def _worst(terms) -> np.ndarray:
@@ -261,18 +263,17 @@ def verify(rep: OrthoRep, unit: np.ndarray | None = None, tol: float = DEFAULT_T
     return {name: float(value[0]) for name, value in table.items()}
 
 
-def _ranges(a: np.ndarray, tol: float, rank_tol: float) -> list[np.ndarray]:
-    """Orthonormal range of each matrix of a (k, n, n) stack, from at most one batched SVD.
+def _ranges(a: np.ndarray, tol: float) -> list[np.ndarray]:
+    """Orthonormal range of each near-projector of a (k, n, n) stack, from at
+    most one batched SVD, with ranks counted at the projector gap
+    (:func:`~orthofermi.linalg.orthonormal_range`).
 
-    A matrix that is zero within ``tol`` has an empty range: the relative
-    threshold ``rank_tol`` alone would promote roundoff noise to basis vectors.
     A stack that is zero within ``tol`` throughout, such as the complement of
-    a pure split, runs no SVD.
+    a pure split, has empty ranges and runs no SVD.
     """
-    zero = max_abs(a, axis=(-2, -1)) <= tol
-    if zero.all():
+    if (max_abs(a, axis=(-2, -1)) <= tol).all():
         return [m[:, :0] for m in a]
-    return [v[:, :0] if z else v for v, z in zip(orthonormal_range(a, rank_tol), zero)]
+    return orthonormal_range(a)
 
 
 def _slack(d_u, d_b, n: int):
@@ -325,8 +326,8 @@ def _block_defects(c: np.ndarray, basis: np.ndarray, m: int, held) -> np.ndarray
     return out
 
 
-def _grow_copies(c: np.ndarray, vacua: np.ndarray, unit: np.ndarray, tol: float,
-                 rank_tol: float, label, held) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+def _grow_copies(c: np.ndarray, vacua: np.ndarray, unit: np.ndarray, tol: float, label,
+                 held) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """Steps 3 to 5 on a (p, k, n, n) stack whose vacua all have m columns.
 
     Returns the (k, n, n) unitaries U and the residuals of the split. When
@@ -434,10 +435,10 @@ def _grow_copies(c: np.ndarray, vacua: np.ndarray, unit: np.ndarray, tol: float,
     gram = max_abs(dagger(family) @ family - np.eye(m * (p + 1)), axis=(-2, -1))
     _refuse(~(gram <= tol), label, NumericalDegeneracyError,
             lambda i: f"copy vectors fail orthonormality with Gram defect {gram[i]:.3e}; "
-                      f"they were grown from {m} vacua, counted at rank_tol {rank_tol:.3e}")
+                      f"they were grown from {m} vacua")
 
     outside = np.eye(n) - family @ dagger(family)
-    complements = _ranges(outside, tol, rank_tol)
+    complements = _ranges(outside, tol)
     trivial = np.array([v.shape[1] for v in complements])
     _refuse(m * (p + 1) + trivial != n, label, NumericalDegeneracyError,
             lambda i: f"dimension bookkeeping failed: {m} copies of {p + 1} plus "
@@ -464,7 +465,7 @@ def _grow_copies(c: np.ndarray, vacua: np.ndarray, unit: np.ndarray, tol: float,
     return basis, residuals
 
 
-def _split(c: np.ndarray, unit, tol: float, rank_tol: float, label, held) -> Decomposition:
+def _split(c: np.ndarray, unit, tol: float, label, held) -> Decomposition:
     """Steps 2 to 5 of the module docstring on a (p, k, n, n) stack whose
     held rows are ``held``.
 
@@ -479,7 +480,7 @@ def _split(c: np.ndarray, unit, tol: float, rank_tol: float, label, held) -> Dec
     if not (np.maximum(*_projector_rows(pi).values()) <= tol).all():
         raise NotARepresentationError
 
-    vacua = _ranges(pi, tol, rank_tol)
+    vacua = _ranges(pi, tol)
     copies = np.array([v.shape[1] for v in vacua])
     units = np.broadcast_to(unit, (k, n, n))
     basis = np.empty((k, n, n), dtype=np.result_type(c, unit))
@@ -489,15 +490,14 @@ def _split(c: np.ndarray, unit, tol: float, rank_tol: float, label, held) -> Dec
         group, at = as_index(copies == m), np.flatnonzero(copies == m)
         part = c[:, group]
         basis[group], found = _grow_copies(
-            part, np.stack([vacua[i] for i in at]), units[group], tol, rank_tol,
-            lambda i: label(at[i]), held if isinstance(group, slice) else held_rows(part))
+            part, np.stack([vacua[i] for i in at]), units[group], tol, lambda i: label(at[i]),
+            held if isinstance(group, slice) else held_rows(part))
         for name, value in found.items():
             residuals.setdefault(name, np.empty(k))[group] = value
     return Decomposition(copies, n - copies * (p + 1), basis, residuals)
 
 
-def decompose_stack(c, unit=None, tol: float = DEFAULT_TOL, rank_tol: float = DEFAULT_RANK_TOL,
-                    labels=None) -> Decomposition:
+def decompose_stack(c, unit=None, tol: float = DEFAULT_TOL, labels=None) -> Decomposition:
     """Split each of k representations of one order and dimension at once.
 
     ``c`` has shape (p, k, n, n): ``c[a, i]`` is annihilator a+1 of
@@ -524,7 +524,7 @@ def decompose_stack(c, unit=None, tol: float = DEFAULT_TOL, rank_tol: float = DE
     held = held_rows(c)
     unit = _units(c, unit, tol, label, held)
     try:
-        return _split(c, unit, tol, rank_tol, label, held)
+        return _split(c, unit, tol, label, held)
     except (NotARepresentationError, NumericalDegeneracyError):
         worst = np.max(list(_relation_table(c, unit, held).values()), axis=0)
         _refuse(~(worst <= tol), label, NotARepresentationError,
@@ -532,20 +532,22 @@ def decompose_stack(c, unit=None, tol: float = DEFAULT_TOL, rank_tol: float = DE
         raise
 
 
-def decompose(rep: OrthoRep, tol: float = DEFAULT_TOL, rank_tol: float = DEFAULT_RANK_TOL, *,
+def decompose(rep: OrthoRep, tol: float = DEFAULT_TOL, *,
               unit: np.ndarray | None = None) -> Decomposition:
     """Split ``rep`` into canonical copies plus a trivial block.
 
     ``unit`` represents 1 as in :func:`verify`; when omitted it is inferred.
     Requires the relations and vacuum-projector checks of :func:`verify` to
-    hold within ``tol``, as certified by the split itself. Numerical rank
-    decisions use ``rank_tol`` (relative). Raises
+    hold within ``tol``, as certified by the split itself. Both ranks are
+    counted at the projector gap, singular values above 1/2, so no rank
+    threshold is set (:func:`~orthofermi.linalg.orthonormal_range`). Raises
     :class:`NumericalDegeneracyError` when the grown family of copy vectors
-    is not orthonormal within ``tol``, which signals an input sitting too
-    close to the rank threshold to classify. This is the k = 1 case of
-    :func:`decompose_stack`.
+    is not orthonormal within ``tol``, when the ranks do not add up to the
+    dimension, or when the split certifies the relations only beyond
+    ``tol``; at a ``tol`` so loose that the gap closes, a miscounted rank
+    meets one of these. This is the k = 1 case of :func:`decompose_stack`.
     """
-    dec = decompose_stack(rep.c[:, None], unit, tol, rank_tol, labels=_unnamed)
+    dec = decompose_stack(rep.c[:, None], unit, tol, labels=_unnamed)
     return Decomposition(int(dec.multiplicity[0]), int(dec.trivial_dim[0]), dec.basis[0],
                          {name: float(value[0]) for name, value in dec.residuals.items()})
 

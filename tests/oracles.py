@@ -28,7 +28,13 @@ an entry: :func:`commutator` ([H, Q_a] of ``osusy.check_relations``),
 each with the full products in the association the package uses on a dense
 stack; and :func:`sum_rule_recurrence`, both sides of the generator sum rule
 by the recurrence T_j = para T_{j-1} + para^dag para^j, one power at a time.
+
+An exact oracle for :func:`orthofermi.reptheory.verify`: :func:`exact_verify`
+forms every row in rational arithmetic from the floats as they are, for
+n <= 12, with no roundoff.
 """
+
+from fractions import Fraction
 
 import numpy as np
 
@@ -340,3 +346,82 @@ def sum_rule_recurrence(p, H, para):
         lhs = para @ lhs + para_dag @ para_j
     lhs = para @ lhs + para_dag @ para_j @ para
     return lhs, 2.0 * p * para_j @ H
+
+
+#: The largest dimension :func:`exact_verify` takes.
+EXACT_MAX_DIM = 12
+
+
+def _gaussian(m, scale):
+    """The complex matrix ``m`` times the integer ``scale`` as rows of exact
+    Gaussian integers (re, im); ``scale`` clears every denominator."""
+    return [[(int(Fraction(z.real) * scale), int(Fraction(z.imag) * scale)) for z in row]
+            for row in np.asarray(m, dtype=complex)]
+
+
+def _mul(x, y):
+    """The exact product of two matrices of Gaussian integers."""
+    cols = list(zip(*y))
+    return [[(sum(ar * br - ai * bi for (ar, ai), (br, bi) in zip(row, col)),
+              sum(ar * bi + ai * br for (ar, ai), (br, bi) in zip(row, col)))
+             for col in cols] for row in x]
+
+
+def _add(x, y, sign=1):
+    return [[(a[0] + sign * b[0], a[1] + sign * b[1]) for a, b in zip(u, v)]
+            for u, v in zip(x, y)]
+
+
+def _scale(x, k):
+    return [[(re * k, im * k) for re, im in row] for row in x]
+
+
+def _adj(x):
+    return [[(re, -im) for re, im in col] for col in zip(*x)]
+
+
+def _worst_square(x):
+    """The largest re^2 + im^2 over the entries of ``x``."""
+    return max((re * re + im * im for row in x for re, im in row), default=0)
+
+
+def exact_verify(c, unit):
+    """The rows of ``reptheory.verify(OrthoRep(c), unit)`` in exact arithmetic:
+    per row, the largest squared modulus of an entry of its defect, as a
+    :class:`~fractions.Fraction`, so that a row holds within tol exactly when
+    its value is at most Fraction(tol) ** 2.
+
+    Every float is a dyadic rational, so one power of two D clears the
+    denominators of ``c`` (p, n, n) and ``unit`` (n, n). Each matrix is held
+    as Gaussian integers times D^-level, a product adds the levels of its
+    factors, and a sum lifts each term to the larger level; no value is ever
+    rounded. Raises ValueError when n exceeds :data:`EXACT_MAX_DIM`.
+    """
+    c, unit = np.asarray(c), np.asarray(unit)
+    n = unit.shape[-1]
+    if n > EXACT_MAX_DIM:
+        raise ValueError(f"exact_verify takes n <= {EXACT_MAX_DIM}, got {n}")
+    d = max(Fraction(x).denominator for z in (*c.ravel(), *unit.ravel())
+            for x in (z.real, z.imag))
+    ms = [_gaussian(m, d) for m in c]
+    occ = _mul(_adj(ms[0]), ms[0])
+    for m in ms[1:]:
+        occ = _add(occ, _mul(_adj(m), m))
+    pi = _add(_scale(_gaussian(unit, d), d), occ, -1)           # level 2
+    levels = {}
+
+    def row(name, level, defects):
+        levels[name] = Fraction(max(map(_worst_square, defects), default=0), d ** (2 * level))
+
+    row("c_a c_b = 0", 2, [_mul(x, y) for x in ms for y in ms])
+    row("c_a c_b^dag + d_ab sum c^dag c = d_ab 1", 2,
+        [_mul(x, _adj(y)) if a != b else _add(_mul(x, _adj(y)), pi, -1)
+         for a, x in enumerate(ms) for b, y in enumerate(ms)])
+    row("Pi^2 = Pi", 4, [_add(_mul(pi, pi), _scale(pi, d * d), -1)])
+    row("Pi^dag = Pi", 2, [_add(_adj(pi), pi, -1)])
+    row("Pi c_a = c_a", 3, [_add(_mul(pi, m), _scale(m, d * d), -1) for m in ms])
+    row("c_a^dag Pi = c_a^dag", 3, [_add(_mul(_adj(m), pi), _scale(_adj(m), d * d), -1)
+                                    for m in ms])
+    row("c_a Pi = 0", 3, [_mul(m, pi) for m in ms])
+    row("Pi c_a^dag = 0", 3, [_mul(pi, _adj(m)) for m in ms])
+    return levels

@@ -235,11 +235,11 @@ def test_decompose_accepts_a_file_unit_off_on_the_trivial_block(tmp_path, capsys
     assert (doc["payload"]["multiplicity"], doc["payload"]["trivial_dim"]) == (2, 2)
 
 
-def test_a_gram_refusal_names_the_vacua_and_the_rank_tolerance(tmp_path, capsys):
-    # 1e-6 on one entry keeps every relation within --tol 1e-5, but the
-    # vacuum projector's spurious singular values exceed the relative
-    # rank_tol 1e-8, so decompose counts extra vacua and its grown copy
-    # vectors are not orthonormal
+def test_a_nudged_file_is_refused_at_the_certificate_and_split_at_a_looser_tol(tmp_path,
+                                                                                capsys):
+    # 1e-6 on one entry keeps every relation within --tol 1e-5. The vacua are
+    # counted at the projector gap, so all 5 are found, but at 1e-5 the
+    # certificate's norm bounds exceed tol; at 1e-4 the split is certified
     path = tmp_path / "nudged.json"
     run(capsys, "random-rep", "--p", "3", "--copies", "5", "--trivial", "2", "--seed", "4",
         "--out", str(path))
@@ -250,9 +250,12 @@ def test_a_gram_refusal_names_the_vacua_and_the_rank_tolerance(tmp_path, capsys)
     code = main(["decompose", str(path), "--tol", "1e-5"])
     out, err = capsys.readouterr()
     assert (code, out) == (EXIT_FAIL, "")
-    assert err == (
-        "error: copy vectors fail orthonormality with Gram defect 1.000e+00; they were "
-        "grown from 7 vacua, counted at rank_tol 1.000e-08\n")
+    assert err == ("error: the split certifies the relations only within 5.607e-05 "
+                   "> tol 1.000e-05\n")
+    assert run(capsys, "verify", str(path), "--tol", "1e-4")[0] == EXIT_PASS
+    code, doc = run_json(capsys, "decompose", str(path), "--tol", "1e-4")
+    assert code == EXIT_PASS
+    assert (doc["payload"]["multiplicity"], doc["payload"]["trivial_dim"]) == (5, 2)
 
 
 @pytest.mark.parametrize("command", ["verify", "decompose"])
@@ -408,9 +411,6 @@ def test_ladder_builds_the_representation_and_lowering_operator_once(capsys, mon
     ["osusy", "--p", "2", "--levels", "3", "--cluster-tol", "nan"],
     ["osusy", "--p", "2", "--levels", "3", "--cluster-tol", "-1"],
     ["osusy", "--p", "2", "--levels", "3", "--cluster-tol", "inf"],
-    ["decompose", "{rep}", "--rank-tol", "nan"],
-    ["decompose", "{rep}", "--rank-tol=-1e-8"],
-    ["decompose", "{rep}", "--rank-tol", "1"],
     ["decompose", "{rep}", "--tol", "nan"],
     ["verify", "{rep}", "--tol", "-1"],
     ["ladder", "--p", "2", "--tol", "nan"],
@@ -434,7 +434,6 @@ def test_ladder_builds_the_representation_and_lowering_operator_once(capsys, mon
 ], ids=["osusy-p", "osusy-levels", "ladder-p", "random-rep-negative", "random-rep-empty",
         "random-rep-seed", "osusy-tol-nan", "osusy-tol-negative", "osusy-tol-inf",
         "osusy-cluster-tol-nan", "osusy-cluster-tol-negative", "osusy-cluster-tol-inf",
-        "decompose-rank-tol-nan", "decompose-rank-tol-negative", "decompose-rank-tol-one",
         "decompose-tol-nan", "verify-tol-negative", "ladder-tol-nan", "osusy-levels-too-large",
         "random-rep-too-large", "osusy-levels-past-intp", "osusy-levels-past-bytes",
         "osusy-p-past-intp", "random-rep-p-past-intp", "random-rep-copies-past-intp",
@@ -456,9 +455,9 @@ def test_invalid_argument_values_are_input_failures(tmp_path, capsys, argv):
     ["osusy", "--p", "2", "--levels", "3", "--cluster-tol", "-1e-10"],
     ["osusy", "--p", "2", "--levels", "3", "--tol", "-1.5E+3"],
     ["osusy", "--p", "2", "--levels", "3", "--tol", "-inf"],
-    ["decompose", "{rep}", "--rank-tol", "-1e-8"],
+    ["decompose", "{rep}", "--tol", "-1e-8"],
 ], ids=["osusy-tol", "osusy-cluster-tol", "osusy-tol-upper-case", "osusy-tol-inf",
-        "decompose-rank-tol"])
+        "decompose-tol"])
 def test_a_negative_value_after_a_space_reaches_the_range_check(tmp_path, capsys, argv):
     # argparse's own pattern takes "-1e-10" for an option and blames a missing value
     if "{rep}" in argv:
@@ -466,6 +465,16 @@ def test_a_negative_value_after_a_space_reaches_the_range_check(tmp_path, capsys
         capsys.readouterr()
     assert main(argv) == EXIT_IO
     assert "must be finite and >= 0" in capsys.readouterr().err
+
+
+def test_rank_tol_is_an_unrecognized_option(tmp_path, capsys):
+    # decompose counts its ranks at the projector gap, so no rank threshold is set
+    argv = ["decompose", str(canonical_file(tmp_path, capsys)), "--rank-tol", "1e-8"]
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == EXIT_IO
+    assert "error: unrecognized arguments: --rank-tol 1e-8" in capsys.readouterr().err
 
 
 def test_a_positive_exponent_after_a_space_still_parses(capsys):

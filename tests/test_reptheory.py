@@ -1,3 +1,4 @@
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import pair_relation_defects
+from oracles import EXACT_MAX_DIM, exact_verify, pair_relation_defects
 from orthofermi import reptheory
 from orthofermi.canonical import canonical, held_rows
 from orthofermi.errors import (DimensionError, NotARepresentationError, NumericalDegeneracyError,
@@ -429,7 +430,7 @@ def test_a_split_that_cannot_certify_the_relations_is_refused():
     assert max(verify(bent, unit).values()) <= 1e-6
     with pytest.raises(NumericalDegeneracyError,
                        match=r"^the split certifies the relations only within \S+ > tol 1.000e-06$"):
-        decompose(bent, 1e-6, 1e-3, unit=unit)
+        decompose(bent, 1e-6, unit=unit)
 
 
 def certified_split(p, copies, trivial, seed, exponent, unit_exponent, bound):
@@ -454,7 +455,7 @@ def certified_split(p, copies, trivial, seed, exponent, unit_exponent, bound):
 
 def recorded_bound(rep, unit, bound):
     """What ``reptheory.<bound>`` returns while ``rep`` is decomposed against
-    ``unit`` at tol and rank_tol 1e-2, or None when the split is refused."""
+    ``unit`` at tol 1e-2, or None when the split is refused."""
     found = []
 
     def recorded(*args, _bound=getattr(reptheory, bound)):
@@ -462,7 +463,7 @@ def recorded_bound(rep, unit, bound):
         return found[-1]
     with mock.patch.object(reptheory, bound, recorded):
         try:
-            decompose(rep, 1e-2, 1e-2, unit=unit)
+            decompose(rep, 1e-2, unit=unit)
         except OrthofermiError:
             return None
     [value] = found
@@ -689,6 +690,41 @@ def test_ortho_rep_of_a_list_is_the_stack():
     assert np.array_equal(OrthoRep(list(rep.c)).c, rep.c)
 
 
+@pytest.mark.parametrize("p, copies, trivial", [(1, 1, 0), (2, 2, 1), (4, 2, 2)])
+def test_exact_verify_matches_verify_up_to_roundoff(p, copies, trivial):
+    rep = random_rep(p, copies, trivial, seed=7)
+    unit = infer_unit(rep)
+    bent = perturbed(rep, 1e-7, seed=7)
+    exact, rows = exact_verify(bent.c, unit), verify(bent, unit)
+    assert exact.keys() == rows.keys()
+    assert all(abs(float(exact[name]) ** 0.5 - rows[name]) <= 1e-14 for name in rows), (exact, rows)
+    assert set(exact_verify(canonical(3).c, np.eye(4)).values()) == {0}
+    with pytest.raises(ValueError, match=f"^exact_verify takes n <= {EXACT_MAX_DIM}, got 13$"):
+        exact_verify(np.zeros((1, 13, 13)), np.eye(13))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(p=st.integers(1, 4), copies=st.integers(1, 2), trivial=st.integers(0, 2),
+       seed=st.integers(0, 2**32 - 1), exponent=st.floats(-9, -3),
+       gap=st.integers(0, 40).map(lambda k: k / 10 - 4))
+def test_an_accepted_split_holds_every_exact_row_within_tol(p, copies, trivial, seed, exponent,
+                                                            gap):
+    # perturbations from 1e-4 tol up to tol, across where the certificate and
+    # then verify begin to refuse (the simplest draw, 1e-4 tol, is accepted);
+    # n <= 12, so every row of verify is formed exactly
+    tol = 10.0**exponent
+    rep = random_rep(p, copies, trivial, seed)
+    unit = infer_unit(rep)
+    bent = perturbed(rep, tol * 10.0**gap, seed)
+    try:
+        dec = decompose(bent, tol, unit=unit)
+    except OrthofermiError:
+        return
+    assert (dec.multiplicity, dec.trivial_dim) == (copies, trivial)
+    rows = exact_verify(bent.c, unit)
+    assert all(value <= Fraction(tol) ** 2 for value in rows.values()), (rows, tol)
+
+
 # -- structural invariants on a small grid -------------------------------------
 
 @pytest.mark.parametrize("p,copies,trivial,seed", [
@@ -719,27 +755,45 @@ def test_a_pure_split_runs_no_complement_svd(trivial, ranges, monkeypatch):
     # projector's range takes an SVD
     widths = []
 
-    def counted(a, rank_tol):
+    def counted(a):
         widths.append(a.shape)
-        return orthonormal_range(a, rank_tol)
+        return orthonormal_range(a)
     monkeypatch.setattr(reptheory, "orthonormal_range", counted)
     dec = decompose(random_rep(3, 2, trivial, seed=5))
     assert (dec.multiplicity, dec.trivial_dim) == (2, trivial)
     assert len(widths) == ranges
 
 
-def test_a_complement_beyond_tol_fails_the_dimension_bookkeeping():
-    # F = A V with A = 1 + eps e_1 e_1^dag and V a real Hadamard matrix over 2:
-    # F^dag F - 1 spreads its defect 2 eps + eps^2 over every entry as a
-    # quarter of it, within tol, while 1 - F F^dag = -(2 eps + eps^2) e_1 e_1^dag
-    # is a complement of rank one beyond tol
-    eps, tol = 1e-6, 1e-6
+def hadamard_split(eps, tol):
+    """Steps 3 to 5 at ``tol`` on the p = 1 family F = A V of two copies, with
+    A = 1 + eps e_1 e_1^dag and V a real Hadamard matrix over 2.
+
+    F^dag F - 1 spreads its defect 2 eps + eps^2 over every entry as a
+    quarter of it, while 1 - F F^dag = -(2 eps + eps^2) e_1 e_1^dag is a
+    complement of rank one and of that size.
+    """
     v = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]]) / 2
     family = (np.eye(4) + eps * np.diag([1.0, 0, 0, 0])) @ v
-    # p = 1, two copies: columns (e_1, c^dag e_1, e_2, c^dag e_2)
+    # columns (e_1, c^dag e_1, e_2, c^dag e_2)
     vacua, created = family[:, [0, 2]], family[:, [1, 3]]
     c = dagger(created @ np.linalg.pinv(vacua))
+    return reptheory._grow_copies(c[None, None], vacua[None].astype(complex), np.eye(4)[None],
+                                  tol, lambda i: "", held_rows(c[None, None]))
+
+
+def test_a_complement_beyond_tol_fails_the_dimension_bookkeeping():
+    # (1 + eps)^2 = 0.4: the Gram defect 0.15 is within tol 0.2, and the
+    # complement 0.6 lies beyond tol and above the projector gap 1/2, so it
+    # counts as one trivial dimension too many
     with pytest.raises(NumericalDegeneracyError) as info:
-        reptheory._grow_copies(c[None, None], vacua[None].astype(complex), np.eye(4)[None],
-                               tol, 1e-8, lambda i: "", held_rows(c[None, None]))
+        hadamard_split(0.4**0.5 - 1, 0.2)
     assert str(info.value) == "dimension bookkeeping failed: 2 copies of 2 plus 1 != 4"
+
+
+def test_a_complement_beyond_tol_below_the_gap_is_refused_at_the_certificate():
+    # eps = tol = 1e-6: the complement 2e-6 lies beyond tol but below the
+    # projector gap, so the dimensions add up, and the certificate refuses
+    with pytest.raises(NumericalDegeneracyError) as info:
+        hadamard_split(1e-6, 1e-6)
+    assert str(info.value) == ("the split certifies the relations only within 1.800e-05 "
+                               "> tol 1.000e-06")
