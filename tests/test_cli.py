@@ -411,6 +411,9 @@ def test_ladder_builds_the_representation_and_lowering_operator_once(capsys, mon
     ["osusy", "--p", "2", "--levels", "3", "--cluster-tol", "nan"],
     ["osusy", "--p", "2", "--levels", "3", "--cluster-tol", "-1"],
     ["osusy", "--p", "2", "--levels", "3", "--cluster-tol", "inf"],
+    ["decompose", "{rep}", "--rank-tol", "nan"],
+    ["decompose", "{rep}", "--rank-tol=-1e-8"],
+    ["decompose", "{rep}", "--rank-tol", "1"],
     ["decompose", "{rep}", "--tol", "nan"],
     ["verify", "{rep}", "--tol", "-1"],
     ["ladder", "--p", "2", "--tol", "nan"],
@@ -434,6 +437,7 @@ def test_ladder_builds_the_representation_and_lowering_operator_once(capsys, mon
 ], ids=["osusy-p", "osusy-levels", "ladder-p", "random-rep-negative", "random-rep-empty",
         "random-rep-seed", "osusy-tol-nan", "osusy-tol-negative", "osusy-tol-inf",
         "osusy-cluster-tol-nan", "osusy-cluster-tol-negative", "osusy-cluster-tol-inf",
+        "decompose-rank-tol-nan", "decompose-rank-tol-negative", "decompose-rank-tol-one",
         "decompose-tol-nan", "verify-tol-negative", "ladder-tol-nan", "osusy-levels-too-large",
         "random-rep-too-large", "osusy-levels-past-intp", "osusy-levels-past-bytes",
         "osusy-p-past-intp", "random-rep-p-past-intp", "random-rep-copies-past-intp",
@@ -446,6 +450,15 @@ def test_invalid_argument_values_are_input_failures(tmp_path, capsys, argv):
         # a readable file, so that only the option value can be at fault
         argv = [str(canonical_file(tmp_path, capsys)) if a == "{rep}" else a for a in argv]
         capsys.readouterr()
+    if any(a.startswith("--rank-tol") for a in argv):
+        # decompose counts its ranks at the projector gap and takes no rank
+        # threshold, so argparse refuses the option itself, with the same code
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == EXIT_IO
+        assert f"error: unrecognized arguments: {' '.join(argv[2:])}\n" in (
+            capsys.readouterr().err)
+        return
     assert main(argv) == EXIT_IO
     assert capsys.readouterr().err.startswith("error: ")
 
@@ -465,16 +478,6 @@ def test_a_negative_value_after_a_space_reaches_the_range_check(tmp_path, capsys
         capsys.readouterr()
     assert main(argv) == EXIT_IO
     assert "must be finite and >= 0" in capsys.readouterr().err
-
-
-def test_rank_tol_is_an_unrecognized_option(tmp_path, capsys):
-    # decompose counts its ranks at the projector gap, so no rank threshold is set
-    argv = ["decompose", str(canonical_file(tmp_path, capsys)), "--rank-tol", "1e-8"]
-    capsys.readouterr()
-    with pytest.raises(SystemExit) as info:
-        main(argv)
-    assert info.value.code == EXIT_IO
-    assert "error: unrecognized arguments: --rank-tol 1e-8" in capsys.readouterr().err
 
 
 def test_a_positive_exponent_after_a_space_still_parses(capsys):
