@@ -1,7 +1,7 @@
 """Representations, the canonical irreducible one and its ladder operators.
 
 :class:`OrthoRep` is the package's one representation type: the p
-annihilators as one complex (p, n, n) stack, c[a - 1] being c_a.
+annihilators as one (p, n, n) stack, c[a - 1] being c_a.
 :func:`canonical` returns one, and :func:`occupied`, :func:`lowering_from`
 and :func:`cyclic_from` take such a stack, or a (p, ..., n, n) stack of
 such families.
@@ -43,8 +43,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import check_order
-from .errors import DimensionError
-from .linalg import dagger, max_abs
+from .errors import DimensionError, OrderError
+from .linalg import check_addressable, dagger, field, max_abs
 
 
 @dataclass(frozen=True)
@@ -52,17 +52,18 @@ class OrthoRep:
     """Candidate representation: its p annihilators as one (p, n, n) stack.
 
     ``c`` may be given as any array of that shape or a list of p n x n
-    matrices; it is stored as complex128, and the order ``p`` and the
-    dimension ``dim`` are read off its shape. Raises :class:`OrderError`
-    for p = 0, :class:`DimensionError` for any other shape, matrices of
-    unequal shapes or n = 0, and ValueError for a non-finite entry.
+    matrices; it is stored in the dtype :func:`~orthofermi.linalg.field`
+    picks, and the order ``p`` and the dimension ``dim`` are read off its
+    shape. Raises :class:`OrderError` for p = 0, :class:`DimensionError`
+    for any other shape, matrices of unequal shapes or n = 0, and
+    ValueError for a non-finite entry.
     """
 
     c: np.ndarray
 
     def __post_init__(self):
         try:
-            c = np.asarray(self.c, dtype=complex)
+            c = field(self.c)
         except ValueError as exc:
             raise DimensionError(f"annihilators must be matrices of one shape: {exc}") from exc
         if c.ndim:
@@ -85,8 +86,11 @@ class OrthoRep:
 
 def canonical(p: int) -> OrthoRep:
     """The canonical representation: c_a is its :func:`~orthofermi.algebra.rho0`
-    image, the matrix unit E_{1,a+1}."""
-    return OrthoRep(_expected_blocks(check_order(p), 1, 0))
+    image, the matrix unit E_{1,a+1}, in float64. Raises :class:`OrderError`
+    for an order whose (p, p+1, p+1) stack numpy cannot address."""
+    p = check_order(p)
+    check_addressable(OrderError, f"order p = {p}", p, p + 1, p + 1)
+    return OrthoRep(_expected_blocks(p, 1, 0))
 
 
 def _expected_blocks(p: int, multiplicity: int, trivial_dim: int) -> np.ndarray:
@@ -96,7 +100,7 @@ def _expected_blocks(p: int, multiplicity: int, trivial_dim: int) -> np.ndarray:
     unit E_{1,a+1} of :func:`canonical`.
     """
     n = multiplicity * (p + 1) + trivial_dim
-    blocks = np.zeros((p, n, n), dtype=complex)
+    blocks = np.zeros((p, n, n))
     a, rows, cols = _target_entries(p, multiplicity)
     blocks[a, rows, cols] = 1
     return blocks
@@ -242,7 +246,7 @@ class _Rows:
     def dense(self) -> np.ndarray:
         """The one matrix, as an n x n array."""
         n = len(self.cols)
-        out = np.zeros((n, n), dtype=complex)
+        out = np.zeros((n, n), dtype=self.vals.dtype)
         out[np.arange(n), self.cols] = self.vals
         return out
 
@@ -263,7 +267,7 @@ def _powers(L: _Rows, count: int) -> _Rows:
     while len(path) < count:  # path[j] = col^j; step = col^len(path)
         path, step = np.concatenate([path, step[path]]), step[step]
     path = path[:count]
-    vals = np.ones(path.shape, dtype=complex)
+    vals = np.ones(path.shape, dtype=L.vals.dtype)
     np.cumprod(L.vals[path[:-1]], axis=0, out=vals[1:])
     return _Rows(path, vals)
 
@@ -304,7 +308,7 @@ def _closed_forms(c: _Rows, held: np.ndarray, count: int) -> _Rows:
     if terms.max() > 1:
         k, row = divmod(int(terms.argmax()), n)
         raise ValueError(f"closed form of L^{k + 1} holds two terms in row {row}")
-    cols, vals = np.zeros(count * n, dtype=int), np.zeros(count * n, dtype=complex)
+    cols, vals = np.zeros(count * n, dtype=int), np.zeros(count * n, dtype=c.vals.dtype)
     cols[slot], vals[slot] = rhs.cols[term], (np.conj(lhs.vals) * rhs.vals)[term]
     return _Rows(cols.reshape(count, n), vals.reshape(count, n))
 
@@ -340,7 +344,7 @@ def ladder_identity_residuals(rep: OrthoRep, L: np.ndarray, F: np.ndarray) -> di
     if np.shape(L) != (n, n) or np.shape(F) != (n, n):
         raise DimensionError(f"L and F must be {n} x {n}, got {np.shape(L)} and {np.shape(F)}")
     held = held_rows(c)
-    eye = np.eye(n, dtype=complex)
+    eye = np.eye(n, dtype=c.dtype)
     pi = eye - occupied(c, held)
     cs = _Rows.of(c, "c_{}", held)
     l, ld, f, pi_rows = map(_Rows.of, (L, L.conj().T, F, pi), ("L", "L^dag", "F", "Pi"))
@@ -371,7 +375,7 @@ def ladder_identity_residuals(rep: OrthoRep, L: np.ndarray, F: np.ndarray) -> di
     # the sum rule adds the sandwiches in the dense catalog's order, k = 0 and p
     # first, then k = 1..p-1, so that every sum is the same bitwise
     terms = sandwich[[0, p, *ks[:-1]]]
-    ssum = np.zeros((n, n), dtype=complex)
+    ssum = np.zeros((n, n), dtype=terms.vals.dtype)
     np.add.at(ssum, (np.broadcast_to(np.arange(n), terms.cols.shape), terms.cols), terms.vals)
     res["sum_k L^{p-k} Ldag L^k = p L^{p-1}"] = max_abs(ssum - p * below.dense())
     res["F^{p+1} = 1"] = float(_defect(_power(f, p + 1), powers[0]))

@@ -124,11 +124,9 @@ def _fmt_entry(z) -> str:
 
 def cmd_canonical(args) -> Report:
     rep = canonical(args.p)
-    ser.write_rep_file(args.out, rep, np.eye(rep.dim, dtype=complex))
-    report = Report("canonical", {"p": args.p, "out": str(args.out)})
-    report.payload["written"] = str(args.out)
-    report.payload["dim"] = rep.dim
-    return report
+    ser.write_rep_file(args.out, rep, np.eye(rep.dim))
+    return Report("canonical", {"p": args.p, "out": str(args.out)},
+                  payload={"written": str(args.out), "dim": rep.dim})
 
 
 def cmd_verify(args) -> Report:

@@ -6,9 +6,7 @@ holds throughout: an array whose dtype is complex is held as complex128,
 any other as float64. The rule reads the dtype, never the values, so a
 real system, such as the oscillator in its natural basis, stays real and
 its products cost a real product's flops, while a complex input keeps its
-imaginary part even when every entry of it is zero. An
-:class:`~orthofermi.canonical.OrthoRep` is complex128 whatever its input.
-Operators of the
+imaginary part even when every entry of it is zero. Operators of the
 oscillator model are dense n x n arrays, but ``osusy`` only ever multiplies
 their diagonal blocks, which it stacks into (count, size, size) arrays. A
 representation is one (p, n, n) stack of annihilators, and

@@ -44,8 +44,9 @@ def test_canonical_entry_formula():
 def test_canonical_is_the_stacked_rho0_images(p):
     images = np.stack([rho0(AlgebraElement.annihilator(p, a)) for a in range(1, p + 1)])
     c = canonical(p).c
-    assert (c.shape, c.dtype) == (images.shape, images.dtype)
-    assert c.tobytes() == images.tobytes()
+    # the matrix units are real, so the stack is float64 under linalg.field
+    assert (c.shape, c.dtype) == (images.shape, np.float64)
+    assert np.array_equal(c, images)
 
 
 def test_canonical_rejects_bad_order():
@@ -126,6 +127,18 @@ def test_ladder_catalog_on_the_rows_is_the_dense_catalog_bitwise(p):
     got = ladder_identity_residuals(*operators)
     # same keys in the same order, same values; no residual is NaN or -0.0
     assert list(got.items()) == list(dense_ladder_residuals(*operators).items())
+
+
+@pytest.mark.parametrize("p", [1, 2, 5, 17])
+def test_ladder_catalog_on_complex_operands_is_the_dense_catalog(p):
+    # c_a -> e^{i theta_a} c_a is still a representation with one entry per
+    # row; its catalog runs in complex128 and holds to rounding
+    theta = np.random.default_rng(p).uniform(0, 2 * np.pi, p)
+    rep = OrthoRep(np.exp(1j * theta)[:, None, None] * canonical(p).c)
+    operators = rep, lowering_from(rep.c), cyclic_from(rep.c)
+    got, want = ladder_identity_residuals(*operators), dense_ladder_residuals(*operators)
+    assert rep.c.dtype == complex and list(got) == list(want)
+    assert all(abs(got[k] - want[k]) <= 1e-14 and got[k] <= 1e-14 for k in got), (got, want)
 
 
 def perturbed(p, which, change):

@@ -432,6 +432,9 @@ def test_ladder_builds_the_representation_and_lowering_operator_once(capsys, mon
      "--seed", "1"],
     ["ladder", "--p", "99999999999999999999"],
     ["canonical", "--p", "99999999999999999999"],
+    # the (p+1) x (p+1) square fits, the (p, p+1, p+1) stack of annihilators does not
+    ["ladder", "--p", "3000000"],
+    ["canonical", "--p", "3000000"],
     # addressable, but petabytes at once, so that the request fails and nothing is allocated
     ["osusy", "--p", "2", "--levels", "10000000000000000"],
 ], ids=["osusy-p", "osusy-levels", "ladder-p", "random-rep-negative", "random-rep-empty",
@@ -442,8 +445,8 @@ def test_ladder_builds_the_representation_and_lowering_operator_once(capsys, mon
         "random-rep-too-large", "osusy-levels-past-intp", "osusy-levels-past-bytes",
         "osusy-p-past-intp", "random-rep-p-past-intp", "random-rep-copies-past-intp",
         "random-rep-trivial-past-intp", "ladder-p-past-intp", "canonical-p-past-intp",
-        "osusy-levels-beyond-memory"])
-def test_invalid_argument_values_are_input_failures(tmp_path, capsys, argv):
+        "ladder-stack-past-intp", "canonical-stack-past-intp", "osusy-levels-beyond-memory"])
+def test_invalid_argument_values_are_input_failures(tmp_path, capsys, request, argv):
     if argv[0] in ("random-rep", "canonical"):
         argv = argv + ["--out", str(tmp_path / "rep.json")]
     if "{rep}" in argv:
@@ -460,7 +463,10 @@ def test_invalid_argument_values_are_input_failures(tmp_path, capsys, argv):
             capsys.readouterr().err)
         return
     assert main(argv) == EXIT_IO
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    if request.node.callspec.id.endswith(("too-large", "past-intp")):
+        assert "too large" in err, err
 
 
 @pytest.mark.parametrize("argv", [

@@ -602,6 +602,13 @@ def test_decompose_stack_keeps_a_real_stack_real(unit_dtype):
         assert all(value.max() <= DEFAULT_TOL for value in dec.residuals.values())
 
 
+@pytest.mark.parametrize("p", [1, 2, 5])
+def test_the_canonical_rep_splits_in_float64(p):
+    dec = decompose(canonical(p))
+    assert dec.basis.dtype == np.float64
+    assert (dec.multiplicity, dec.trivial_dim) == (1, 0)
+
+
 def test_decompose_stack_keeps_the_imaginary_part_of_a_complex_stack():
     rep = random_rep(2, 2, 1, seed=3)
     dec = decompose_stack(rep.c[:, None])
@@ -682,10 +689,14 @@ def test_ortho_rep_rejects_non_finite_entries(bad):
 
 
 def test_ortho_rep_of_a_list_is_the_stack():
+    # linalg.field's rule: a complex stack stays complex128, even with an
+    # imaginary part of zeros, and any other becomes float64
     rep = random_rep(3, copies=1, trivial=2, seed=5)
-    for given in (list(rep.c), rep.c, rep.c.real.astype(np.float32)):
+    real = rep.c.real
+    for given, dtype in [(list(rep.c), complex), (rep.c, complex), (real.astype(complex), complex),
+                         (real.astype(np.float32), float), (list(real), float)]:
         built = OrthoRep(given)
-        assert built.c.dtype == complex and built.c.shape == (3, 6, 6)
+        assert built.c.dtype == dtype and built.c.shape == (3, 6, 6)
         assert (built.p, built.dim) == (3, 6)
     assert np.array_equal(OrthoRep(list(rep.c)).c, rep.c)
 
