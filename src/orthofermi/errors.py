@@ -27,7 +27,8 @@ class NotARepresentationError(OrthofermiError):
 
 class NumericalDegeneracyError(OrthofermiError):
     """A split cannot be certified within tolerance: its copy vectors are not
-    orthonormal, its ranks miss the dimension, or its certificate exceeds tol."""
+    orthonormal, its ranks miss the dimension, or its certificate exceeds tol;
+    or a stack split at once holds representations of different vacuum ranks."""
 
 
 class ClusteringError(OrthofermiError):

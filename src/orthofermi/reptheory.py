@@ -11,7 +11,9 @@ generator acts as zero. :func:`decompose` makes that split constructive:
      projector, P^2 = P and P^dag = P; its range fixes one vacuum vector e_i
      per canonical copy, and its rank is counted at the projector gap: the
      check puts every eigenvalue of P near 0 or near 1, so the singular
-     values above 1/2 count and no rank threshold is set,
+     values above 1/2 count and no rank threshold is set (the SVD is
+     skipped only where its count is known exactly, for a P of Frobenius
+     norm below 1/2, whose rank is 0),
   3. grow each copy as (e_i, c_1^dag e_i, .., c_p^dag e_i) and check that
      these m(p+1) vectors are orthonormal,
   4. check that everything orthogonal to them is annihilated by all
@@ -30,12 +32,13 @@ refuses, so that a failing relation is named before any later check.
 :func:`decompose_stack` runs these steps on k representations of one order
 and dimension at once, given as a (p, k, n, n) stack: every check and every
 product is one batched call over the stack, and the result is one
-:class:`Decomposition` whose fields have a leading stack axis. The rank
-decisions of steps 2 and 4 are made per representation, and representations
-whose vacuum ranks differ are split into groups of one rank, so that each
-group keeps one shape. :func:`decompose`, :func:`verify` and
-:func:`infer_unit` are the k = 1 case of the same code: they pass the
-(p, n, n) stack of an :class:`OrthoRep` on as the view ``rep.c[:, None]``.
+:class:`Decomposition` whose fields have a leading stack axis. The ranks of
+steps 2 and 4 are counted per representation by the one gap rule, and the
+stack takes one vacuum rank, so that every step keeps one shape: a
+representation whose vacuum rank differs from the first one's is refused.
+:func:`decompose`, :func:`verify` and :func:`infer_unit` are the k = 1 case
+of the same code: they pass the (p, n, n) stack of an :class:`OrthoRep` on
+as the view ``rep.c[:, None]``.
 When the representative of 1 is known (the identity, for an energy
 eigenspace of ``osusy``), ``unit=`` passes it, with the same meaning as in
 :func:`verify`; given and inferred units then take the same path from
@@ -263,15 +266,17 @@ def verify(rep: OrthoRep, unit: np.ndarray | None = None, tol: float = DEFAULT_T
     return {name: float(value[0]) for name, value in table.items()}
 
 
-def _ranges(a: np.ndarray, tol: float) -> list[np.ndarray]:
+def _ranges(a: np.ndarray) -> list[np.ndarray]:
     """Orthonormal range of each near-projector of a (k, n, n) stack, from at
     most one batched SVD, with ranks counted at the projector gap
     (:func:`~orthofermi.linalg.orthonormal_range`).
 
-    A stack that is zero within ``tol`` throughout, such as the complement of
-    a pure split, has empty ranges and runs no SVD.
+    A stack whose every matrix has Frobenius norm below 1/2, such as the
+    complement of a pure split, has empty ranges and runs no SVD: no
+    singular value exceeds the Frobenius norm, so none lies above the gap,
+    and the count is the SVD's own.
     """
-    if (max_abs(a, axis=(-2, -1)) <= tol).all():
+    if (np.linalg.norm(a, axis=(-2, -1)) < 0.5).all():
         return [m[:, :0] for m in a]
     return orthonormal_range(a)
 
@@ -338,7 +343,7 @@ def _grow_copies(c: np.ndarray, vacua: np.ndarray, unit: np.ndarray, tol: float,
     an entry of some c_a, ``held`` as the caller carries it:
     c_a^dag e_i = c_a[R, :]^dag e_i[R], c_a G is zero off the rows R, and
     the block residual is :func:`_block_defects`. A pure split, whose
-    complement is zero within ``tol``, runs no complement SVD
+    complement is zero up to roundoff, runs no complement SVD
     (:func:`_ranges`).
 
     The certificate. Let U = [F, G] with F the m(p+1) copy columns, T_a the
@@ -438,7 +443,7 @@ def _grow_copies(c: np.ndarray, vacua: np.ndarray, unit: np.ndarray, tol: float,
                       f"they were grown from {m} vacua")
 
     outside = np.eye(n) - family @ dagger(family)
-    complements = _ranges(outside, tol)
+    complements = _ranges(outside)
     trivial = np.array([v.shape[1] for v in complements])
     _refuse(m * (p + 1) + trivial != n, label, NumericalDegeneracyError,
             lambda i: f"dimension bookkeeping failed: {m} copies of {p + 1} plus "
@@ -465,38 +470,6 @@ def _grow_copies(c: np.ndarray, vacua: np.ndarray, unit: np.ndarray, tol: float,
     return basis, residuals
 
 
-def _split(c: np.ndarray, unit, tol: float, label, held) -> Decomposition:
-    """Steps 2 to 5 of the module docstring on a (p, k, n, n) stack whose
-    held rows are ``held``.
-
-    A failing projector row of step 2 raises a bare
-    :class:`NotARepresentationError`; :func:`decompose_stack` then names the
-    failing row from the relation table, which holds both projector rows.
-    A group of elements of one vacuum rank that is not the whole stack is a
-    new stack, whose held rows are read once.
-    """
-    p, k, n, _ = c.shape
-    pi = unit - occupied(c, held)
-    if not (np.maximum(*_projector_rows(pi).values()) <= tol).all():
-        raise NotARepresentationError
-
-    vacua = _ranges(pi, tol)
-    copies = np.array([v.shape[1] for v in vacua])
-    units = np.broadcast_to(unit, (k, n, n))
-    basis = np.empty((k, n, n), dtype=np.result_type(c, unit))
-    residuals: dict[str, np.ndarray] = {}
-    for m in sorted(set(copies.tolist())):  # np.unique would import numpy.ma
-        # a slice when every element has m vacua, so the stack is not copied
-        group, at = as_index(copies == m), np.flatnonzero(copies == m)
-        part = c[:, group]
-        basis[group], found = _grow_copies(
-            part, np.stack([vacua[i] for i in at]), units[group], tol, lambda i: label(at[i]),
-            held if isinstance(group, slice) else held_rows(part))
-        for name, value in found.items():
-            residuals.setdefault(name, np.empty(k))[group] = value
-    return Decomposition(copies, n - copies * (p + 1), basis, residuals)
-
-
 def decompose_stack(c, unit=None, tol: float = DEFAULT_TOL, labels=None) -> Decomposition:
     """Split each of k representations of one order and dimension at once.
 
@@ -504,15 +477,20 @@ def decompose_stack(c, unit=None, tol: float = DEFAULT_TOL, labels=None) -> Deco
     representation i. ``unit`` represents 1 as in :func:`verify`, for every
     representation of the stack; when it is None it is inferred per
     representation. Every step of :func:`decompose` runs once on the whole
-    stack, under the same checks and tolerances. On success the pair
-    relations and the four O(p) vacuum rows of :func:`verify` are certified
-    by the split's unitary, not formed. When a check refuses, the relations
-    of :func:`verify`, every row, are checked on the whole stack first, and
-    a failing one is reported in place of that check. An error names the first
-    failing representation i by ``labels(i)``, a function of the stack index
-    called only then (by default "representation i"). Returns one
-    :class:`Decomposition` of the whole stack, whose fields have a leading
-    axis in stack order. The stack's held rows are read once
+    stack, under the same checks and tolerances, and each rank is counted at
+    the projector gap (:func:`_ranges`). The stack takes one vacuum rank:
+    an element whose rank differs from element 0's is refused with
+    :class:`NumericalDegeneracyError`. On success the pair relations and the
+    four O(p) vacuum rows of :func:`verify` are certified by the split's
+    unitary, not formed. When a check refuses, the relations of
+    :func:`verify`, every row, are checked on the whole stack first, and a
+    failing one is reported in place of that check; a failing projector row
+    of step 2 raises a bare :class:`NotARepresentationError` for this to
+    name. An error names the first failing representation i by
+    ``labels(i)``, a function of the stack index called only then (by
+    default "representation i"). Returns one :class:`Decomposition` of the
+    whole stack, whose fields have a leading axis in stack order. The
+    stack's held rows are read once
     (:func:`~orthofermi.canonical.held_rows`) and passed to every product.
     """
     c = field(c)
@@ -524,12 +502,21 @@ def decompose_stack(c, unit=None, tol: float = DEFAULT_TOL, labels=None) -> Deco
     held = held_rows(c)
     unit = _units(c, unit, tol, label, held)
     try:
-        return _split(c, unit, tol, label, held)
+        pi = unit - occupied(c, held)
+        if not (np.maximum(*_projector_rows(pi).values()) <= tol).all():
+            raise NotARepresentationError
+        vacua = _ranges(pi)
+        copies = np.array([v.shape[1] for v in vacua])
+        _refuse(copies != copies[0], label, NumericalDegeneracyError,
+                lambda i: f"vacuum rank {copies[i]} differs from the first element's "
+                          f"{copies[0]}; a stack takes one vacuum rank")
+        basis, residuals = _grow_copies(c, np.stack(vacua), unit, tol, label, held)
     except (NotARepresentationError, NumericalDegeneracyError):
         worst = np.max(list(_relation_table(c, unit, held).values()), axis=0)
         _refuse(~(worst <= tol), label, NotARepresentationError,
                 lambda i: f"relations fail with residual {worst[i]:.3e} > tol {tol:.3e}")
         raise
+    return Decomposition(copies, c.shape[-1] - copies * (len(c) + 1), basis, residuals)
 
 
 def decompose(rep: OrthoRep, tol: float = DEFAULT_TOL, *,
@@ -540,7 +527,8 @@ def decompose(rep: OrthoRep, tol: float = DEFAULT_TOL, *,
     Requires the relations and vacuum-projector checks of :func:`verify` to
     hold within ``tol``, as certified by the split itself. Both ranks are
     counted at the projector gap, singular values above 1/2, so no rank
-    threshold is set (:func:`~orthofermi.linalg.orthonormal_range`). Raises
+    threshold is set and no entry is held to ``tol`` to count one
+    (:func:`_ranges`). Raises
     :class:`NumericalDegeneracyError` when the grown family of copy vectors
     is not orthonormal within ``tol``, when the ranks do not add up to the
     dimension, or when the split certifies the relations only beyond

@@ -299,19 +299,40 @@ def stack_of(reps):
 
 
 def test_decompose_stack_of_mixed_ranks_matches_each_instance():
+    # a stack takes one vacuum rank, so each rank group of MIXED is its own
+    # stack, with a second member drawn at another seed
+    for copies, trivial, seed in MIXED:
+        reps = [random_rep(2, copies, trivial, seed), random_rep(2, copies, trivial, seed + 10)]
+        got = decompose_stack(stack_of(reps))
+        assert got.multiplicity.tolist() == [copies] * 2
+        assert got.trivial_dim.tolist() == [trivial] * 2
+        for i, rep in enumerate(reps):
+            want = decompose(rep)
+            assert (got.multiplicity[i], got.trivial_dim[i]) == (want.multiplicity,
+                                                                 want.trivial_dim)
+            assert list(got.residuals) == list(want.residuals)
+            for name, value in want.residuals.items():
+                assert abs(got.residuals[name][i] - value) <= 1e-14, name
+            assert max_abs(got.basis[i] - want.basis) <= 1e-12
+
+
+def test_a_stack_of_mixed_vacuum_ranks_is_refused_naming_the_first_other_rank():
     reps = [random_rep(2, copies, trivial, seed) for copies, trivial, seed in MIXED]
-    reps.append(reps[0])  # a second member of the first rank group
-    got = decompose_stack(stack_of(reps))
-    assert len(got.multiplicity) == len(reps)
-    for i, rep in enumerate(reps):
-        want = decompose(rep)
-        assert (got.multiplicity[i], got.trivial_dim[i]) == (want.multiplicity, want.trivial_dim)
-        assert list(got.residuals) == list(want.residuals)
-        for name, value in want.residuals.items():
-            assert abs(got.residuals[name][i] - value) <= 1e-14, name
-        assert max_abs(got.basis[i] - want.basis) <= 1e-12
-    assert list(zip(got.multiplicity.tolist(), got.trivial_dim.tolist())) == \
-        [(2, 0), (1, 3), (0, 6), (2, 0)]
+    with pytest.raises(NumericalDegeneracyError) as info:
+        decompose_stack(stack_of(reps))
+    assert str(info.value) == ("representation 1: vacuum rank 1 differs from the first "
+                               "element's 2; a stack takes one vacuum rank")
+    with pytest.raises(NumericalDegeneracyError,
+                       match="^representation 2: vacuum rank 2 differs from the first element's 0;"):
+        decompose_stack(stack_of([reps[2], reps[2], reps[0]]))
+    # a relation that fails in a later element is named first: its unit is
+    # inferred within tol and its projector rows hold, and only Pi c_a = c_a
+    # exceeds tol
+    bent = perturbed(random_rep(2, 1, 3, seed=9), 10**-6.5, seed=9)
+    with pytest.raises(NotARepresentationError) as info:
+        decompose_stack(stack_of([reps[0], reps[2], bent]), tol=1e-6)
+    assert str(info.value) == ("representation 2: relations fail with residual 1.011e-06 "
+                               "> tol 1.000e-06")
 
 
 def test_decompose_stack_names_the_failing_element():
@@ -325,7 +346,7 @@ def test_decompose_stack_names_the_failing_element():
 
 
 def test_decompose_stack_forms_only_the_failing_label():
-    reps = [random_rep(2, copies, trivial, seed) for copies, trivial, seed in MIXED]
+    reps = [random_rep(2, 1, 3, seed) for seed in (12, 15, 16)]
     asked = []
 
     def label(i):
@@ -773,6 +794,69 @@ def test_a_pure_split_runs_no_complement_svd(trivial, ranges, monkeypatch):
     dec = decompose(random_rep(3, 2, trivial, seed=5))
     assert (dec.multiplicity, dec.trivial_dim) == (2, trivial)
     assert len(widths) == ranges
+
+
+def test_ranges_skip_the_svd_only_below_frobenius_norm_one_half(monkeypatch):
+    # no singular value exceeds the Frobenius norm, so below 1/2 every rank is
+    # 0 at the gap; at or above it the SVD counts, even where it counts 0
+    calls = []
+
+    def counted(a):
+        calls.append(len(a))
+        return orthonormal_range(a)
+    monkeypatch.setattr(reptheory, "orthonormal_range", counted)
+    a = np.zeros((2, 3, 3))
+    a[0, 0, 0], a[1] = 0.49, 0.16 * np.eye(3)
+    assert [v.shape for v in reptheory._ranges(a)] == [(3, 0), (3, 0)]
+    assert calls == []
+    a[1] = 0.4 * np.diag([1.0, 1, 0])
+    assert [v.shape for v in reptheory._ranges(a)] == [(3, 0), (3, 0)]
+    a[0, 1, 1] = 0.51
+    assert [v.shape for v in reptheory._ranges(a)] == [(3, 1), (3, 0)]
+    assert calls == [2, 2]
+
+
+def loose_draws(count):
+    """``count`` seeded exact ``random_rep`` draws, each with its copies,
+    trivial dimension and a tolerance from 1e-3 to 1/4."""
+    rng = np.random.default_rng(1)
+    for _ in range(count):
+        p, copies, trivial = (int(rng.integers(1, 5)), int(rng.integers(1, 5)),
+                              int(rng.integers(0, 60)))
+        seed, tol = int(rng.integers(0, 2**31)), 10 ** rng.uniform(-3, np.log10(0.25))
+        yield random_rep(p, copies, trivial, seed), copies, trivial, tol
+
+
+def holds_its_residuals_within(dec, tol, n):
+    """Every residual of an accepted split is within ``tol``: gram and
+    complement annihilation are refused above it, and the certificate's
+    bound, at most ``tol``, is at least 2n d_U and 2n d_B."""
+    return (max(dec.residuals.values()) <= tol
+            and max(dec.residuals["unitarity"], dec.residuals["block"]) <= tol / (2 * n))
+
+
+def test_every_exact_rep_splits_with_its_counts_at_a_loose_tol():
+    for rep, copies, trivial, tol in loose_draws(40):
+        unit = infer_unit(rep)
+        assert max(verify(rep, unit, tol).values()) <= tol
+        dec = decompose(rep, tol, unit=unit)
+        assert (dec.multiplicity, dec.trivial_dim) == (copies, trivial), tol
+        assert holds_its_residuals_within(dec, tol, rep.dim), (dec.residuals, tol)
+
+
+@pytest.mark.parametrize("p, copies, trivial, seed, tol", [
+    (2, 2, 1, 7, DEFAULT_TOL), (3, 2, 0, 11, DEFAULT_TOL), (3, 0, 5, 1, DEFAULT_TOL),
+    (2, 1, 97, 1, 0.06), (2, 33, 1, 5, 0.06)])
+def test_an_accepted_split_has_its_counts_and_its_four_residuals_within_tol(p, copies, trivial,
+                                                                           seed, tol):
+    # the inputs of the scrambled goldens, and two at n = 100 and tol 0.06,
+    # where every entry of the rank-one vacuum projector (copies = 1), or of
+    # the rank-one complement (trivial = 1), lies within tol, and its rank is
+    # still 1 at the projector gap
+    rep = random_rep(p, copies, trivial, seed)
+    dec = decompose(rep, tol, unit=infer_unit(rep))
+    assert (dec.multiplicity, dec.trivial_dim) == (copies, trivial)
+    assert holds_its_residuals_within(dec, tol, rep.dim), dec.residuals
 
 
 def hadamard_split(eps, tol):
