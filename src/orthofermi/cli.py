@@ -4,7 +4,7 @@ Commands: ``canonical``, ``verify``, ``decompose``, ``random-rep``,
 ``osusy``, ``ladder``. Every command builds one :class:`Report`; pass
 ``--json`` for the machine-readable form. Exit codes: 0 all checks pass,
 1 a mathematical check failed, 2 an input could not be read or parsed, or
-is too large to allocate.
+is too large to allocate, or the report could not be written.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
 import re
 import sys
 from dataclasses import dataclass, field
@@ -309,8 +310,28 @@ def main(argv=None) -> int:
     except OrthofermiError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
-    print(report.to_json() if args.json else report.to_table())
+    try:
+        print(report.to_json() if args.json else report.to_table())
+        sys.stdout.flush()
+    except OSError as exc:
+        # a closed pipe or a full device
+        _drop_stdout()
+        print(f"error: cannot write the report: {exc}", file=sys.stderr)
+        return EXIT_IO
     return EXIT_PASS if report.all_pass else EXIT_FAIL
+
+
+def _drop_stdout() -> None:
+    """Point the file descriptor of stdout at the null device, so that the
+    flush at interpreter shutdown writes what is left there and cannot fail
+    again; a stdout with no descriptor is left as it is."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, fd)
+    os.close(null)
 
 
 if __name__ == "__main__":

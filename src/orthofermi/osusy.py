@@ -27,21 +27,26 @@ only) reproduces both spectrally built generators in closed form.
 The number N = a^dag a + sum_g c_g^dag c_g is conserved: it commutes with H
 and with every Q_a, since Q_a moves |n-1, a> to |n, 0>. Every operator is
 therefore block-diagonal, with one (p+1)-dimensional block per sector
-N = 1..levels-1 and 1+p singletons (the vacuum and the boundary states).
-An :class:`OsusySystem` holds H and the charges as stacks of equal-size
-blocks on a partition of the basis, one stack per block size; it checks
-that the blocks partition the basis and that every stack fits them, and
-reads p and dim off them. :func:`build_system` writes the oscillator's
-sectors and their charge entries directly and forms H block by block.
-:func:`system_from_dense` partitions dense operators, such as a system in a
-generic basis (which is simply one block), by the finest block partition
-that their nonzero entries admit (:func:`block_partition`), and cuts each
-block size out of them with one gather. The stages do not assume the
+N = 1..levels-1; the vacuum and the p boundary states are annihilated by H
+and by every charge. An :class:`OsusySystem` holds H and the charges as
+stacks of equal-size blocks on a partition of the basis, one stack per
+block size, and holds the states that every operator annihilates as null
+states (``null``), one index each, in no block; it checks that the blocks
+and the null states partition the basis and that every stack fits its
+blocks, and reads p and dim off them. :func:`build_system` writes the
+oscillator's sectors and their charge entries directly, forms H block by
+block and holds the vacuum and the boundary states as null states, so no
+stage makes a pass over them. :func:`system_from_dense` partitions dense
+operators, such as a system in a generic basis (which is simply one
+block), by the finest block partition that their nonzero entries admit
+(:func:`block_partition`), and cuts each block size out of them with one
+gather; it holds no null states. The stages do not assume the
 oscillator's structure but read the partition off the system, and work on
 its stacks, with no dim x dim array. Every nonzero entry lies
 inside a block, so each residual is the dense one up to summation order.
-Eigenvalues are clustered over all blocks together, so a cluster may span
-several blocks: the E = 0 cluster spans the 1+p singletons. Each stage takes
+Eigenvalues are clustered over all blocks together, each null state adding
+one eigenvalue 0, so a cluster may span several blocks and null states:
+in the oscillator, the E = 0 cluster is the 1+p null states. Each stage takes
 only the result of the one before it, which holds its source
 (``SpectralData.system``, ``SusyGenerators.spectrum``). :func:`run_suite`
 is the one pipeline: it runs the stages in order on any system and
@@ -62,9 +67,9 @@ relations are checked once per system, by :func:`check_relations`, on the
 blocks of the natural operators, where the relation kernel runs its pair
 loop on the rows and columns that hold an entry: every charge block of the
 oscillator holds its one nonzero entry in the same row, so all p charges of
-a block size enter together as one row each, and the singleton blocks,
-which hold no entry, form no product. A piece with E <= 0 must carry no
-charge and is trivial. A piece starts wherever the cluster changes along a
+a block size enter together as one row each; the null states lie in no
+block and form no product, no piece and no copy. A piece with E <= 0 must
+carry no charge and is trivial. A piece starts wherever the cluster changes along a
 block's ascending levels, so the pieces of every block of one size are
 found at once; the pieces of a class are ordered by cluster first and then
 cut out of C with one gather, in C order, not one slice per piece.
@@ -88,7 +93,7 @@ sum rule is summed by doubling, in O(log p) products (:func:`_sum_rule`).
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass
+from dataclasses import InitVar, dataclass, field as dataclass_field
 
 import numpy as np
 
@@ -119,14 +124,19 @@ class OsusySystem:
     """Orthosupersymmetric system of order p: its charges and H.
 
     The operators are held on their block partition ``blocks`` (see
-    :func:`block_partition`), one (count, size) index array per block size.
-    Per block size, ``Q`` holds the (p, count, size, size) stack of the
-    charges' blocks and ``H`` the (count, size, size) stack of H's blocks;
-    every entry outside the blocks is zero. The order ``p`` and the
-    dimension ``dim`` are read off the stacks and the blocks. Raises
-    :class:`DimensionError` unless the blocks partition 0..dim-1 and every
-    stack fits its blocks, and :class:`OrderError` for p = 0. :meth:`dense`
-    assembles the dim x dim matrices.
+    :func:`block_partition`), one (count, size) index array per block size,
+    and on the null states ``null``, a 1-D index array, empty by default:
+    the basis states that H and every charge annihilate, whose rows and
+    columns are zero and which lie in no block. Per block size, ``Q`` holds
+    the (p, count, size, size) stack of the charges' blocks and ``H`` the
+    (count, size, size) stack of H's blocks; every entry outside the blocks
+    is zero. The order ``p`` is read off the stacks, and the dimension
+    ``dim`` counts the blocks' indices and the null states. Raises
+    :class:`DimensionError` unless there is a block and the blocks and the
+    null states together partition 0..dim-1 (so a null index out of range,
+    repeated or also in a block is refused) and every stack fits its blocks,
+    and :class:`OrderError` for p = 0. :meth:`dense` assembles the dim x dim
+    matrices, with the null rows and columns zero.
 
     The system holds its charge stacks read-only and carries their
     support: ``support`` holds, per block size, the mask of the rows that
@@ -138,19 +148,24 @@ class OsusySystem:
     write through the system raises ValueError. ``held`` is an init-only
     variable, which ``dataclasses.replace`` passes as its class default,
     None, so a replaced system copies its stacks and reads its support
-    anew, as does a copy made by the ``copy`` or ``pickle`` modules.
+    anew, as does a copy made by the ``copy`` or ``pickle`` modules; both
+    carry ``null``.
     """
 
     blocks: list[np.ndarray]
     Q: list[np.ndarray]
     H: list[np.ndarray]
+    null: np.ndarray = dataclass_field(default_factory=lambda: np.zeros(0, dtype=int))
     held: InitVar[list | None] = None
 
     def __post_init__(self, held):
-        found = np.concatenate([np.ravel(rows) for rows in self.blocks] or [[]])
-        if (any(np.ndim(rows) != 2 for rows in self.blocks)
-                or not np.array_equal(np.sort(found), np.arange(max(found.size, 1)))):
-            raise DimensionError("blocks must be (count, size) arrays that partition 0..dim-1")
+        null = np.asarray(self.null)
+        found = np.concatenate([np.ravel(rows) for rows in self.blocks] + [null.ravel()])
+        if (not self.blocks or any(np.ndim(rows) != 2 for rows in self.blocks) or null.ndim != 1
+                or not np.array_equal(np.sort(found), np.arange(found.size))):
+            raise DimensionError("blocks must be (count, size) arrays and null a 1-D array "
+                                 "that together partition 0..dim-1, with at least one block")
+        object.__setattr__(self, "null", null)
         _check_stacks("H", self.H, self.blocks)
         _check_stacks("Q", self.Q, self.blocks, np.shape(self.Q[0])[:1] if self.Q else ())
         check_order(self.p)
@@ -164,7 +179,7 @@ class OsusySystem:
     def __reduce__(self):
         # a copy or an unpickled system is built anew, so it holds its stacks
         # read-only and reads its own support
-        return OsusySystem, (self.blocks, self.Q, self.H)
+        return OsusySystem, (self.blocks, self.Q, self.H, self.null)
 
     @property
     def p(self) -> int:
@@ -172,7 +187,7 @@ class OsusySystem:
 
     @property
     def dim(self) -> int:
-        return sum(rows.size for rows in self.blocks)
+        return sum(rows.size for rows in self.blocks) + self.null.size
 
     def dense(self) -> tuple[np.ndarray, np.ndarray]:
         """The (p, dim, dim) charges and the dim x dim H."""
@@ -193,7 +208,8 @@ class SpectralData:
     """Clustered eigendecomposition of the Hamiltonian, block by block.
 
     ``energies`` are the distinct cluster values of the H of ``system``,
-    ascending, and ``multiplicities[k]`` the dimension of cluster k. Per
+    ascending, and ``multiplicities[k]`` the dimension of cluster k; the
+    E = 0 cluster counts the system's null states. Per
     block size of the system's partition, ``eigs`` holds the eigensolve of
     H's (count, size, size) block stack, ``levels`` the (count, size)
     cluster energy of each of its eigenvalues (0 on the E = 0 cluster) and
@@ -238,10 +254,12 @@ def build_system(p: int, levels: int) -> OsusySystem:
     |n, a> (index n(p+1) + a) to |n+1, 0> (index (n+1)(p+1)). The sectors of
     the conserved number N are written directly: sector N = n+1, for
     n < levels-1, is the index range n(p+1)+1 .. (n+1)(p+1), in which Q_a has
-    the one entry sqrt(2) sqrt(n+1) at slot (p, a-1); the vacuum and the p
-    boundary states (levels-1)(p+1) + a are singletons without charge. H is
-    formed block by block, with no dim x dim array, on the support that the
-    system then carries. Every stack is real, float64.
+    the one entry sqrt(2) sqrt(n+1) at slot (p, a-1). The vacuum 0 and the
+    p boundary states (levels-1)(p+1) + a carry no charge and no energy:
+    they are the system's null states, in no block, so the system holds one
+    stack, the sectors'. H is formed block by block, with no dim x dim
+    array, on the support that the system then carries. Every stack is
+    real, float64.
     """
     p = check_order(p)
     if not is_count(levels, 2):
@@ -249,23 +267,22 @@ def build_system(p: int, levels: int) -> OsusySystem:
     levels = int(levels)
     check_addressable(TruncationError, f"levels = {levels} at p = {p}", p, levels, p + 1, p + 1)
     n, top = np.arange(levels - 1), (levels - 1) * (p + 1)
-    blocks = [np.append(0, top + np.arange(1, p + 1))[:, None],
-              np.arange(1, top + 1).reshape(n.size, p + 1)]
-    sectors = np.zeros((p, n.size, p + 1, p + 1))
+    q = np.zeros((p, n.size, p + 1, p + 1))
     a = np.arange(p)
-    sectors[a, :, p, a] = math.sqrt(2.0) * np.sqrt(n + 1.0)
-    Q = [np.zeros((p, p + 1, 1, 1)), sectors]
-    support = [held_rows(q) for q in Q]
-    H = [0.5 * (q[0] @ dagger(q[0]) + occupied(q, rows)) for q, rows in zip(Q, support)]
-    return OsusySystem(blocks, Q, H, support)
+    q[a, :, p, a] = math.sqrt(2.0) * np.sqrt(n + 1.0)
+    rows = held_rows(q)
+    h = 0.5 * (q[0] @ dagger(q[0]) + occupied(q, rows))
+    return OsusySystem([np.arange(1, top + 1).reshape(n.size, p + 1)], [q], [h],
+                       np.append(0, top + np.arange(1, p + 1)), [rows])
 
 
 def system_from_dense(p: int, Q, H) -> OsusySystem:
     """The system of the dense dim x dim charges ``Q`` (p of them) and ``H``.
 
     The blocks are the :func:`block_partition` of the entries that are
-    nonzero in H or in some charge, so no entry falls outside them; each
-    block size is then cut out of each operator with one gather, the
+    nonzero in H or in some charge, so no entry falls outside them, and the
+    system holds no null states: a state with no entry is a block of size 1.
+    Each block size is then cut out of each operator with one gather, the
     inverse of :meth:`OsusySystem.dense`. The stacks take the common
     dtype of the operators under :func:`~orthofermi.linalg.field`'s rule:
     float64 when none of them is complex, complex128 otherwise. The
@@ -291,7 +308,7 @@ def system_from_dense(p: int, Q, H) -> OsusySystem:
         for rows, stack in zip(blocks, stacks):
             stack[i] = m[rows[:, :, None], rows[:, None, :]]
     Q = [s[1:] for s in stacks]
-    return OsusySystem(blocks, Q, [s[0] for s in stacks], [held_rows(q) for q in Q])
+    return OsusySystem(blocks, Q, [s[0] for s in stacks], held=[held_rows(q) for q in Q])
 
 
 def block_partition(dim: int, rows: np.ndarray, cols: np.ndarray) -> list[np.ndarray]:
@@ -373,7 +390,8 @@ def spectral(sys: OsusySystem, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> Spec
     """Group the spectrum of H into well-separated eigenvalue clusters.
 
     H is diagonalized block by block on the system's partition, with one
-    batched eigensolve per block size, and the charges are
+    batched eigensolve per block size, each null state adding one
+    eigenvalue 0 after the stacks' values, and the charges are
     restricted to each block's eigenbasis as V^dag Q_a V, on the rows that
     hold a charge entry, as the system carries them
     (:func:`~orthofermi.canonical.conjugate`).
@@ -390,7 +408,7 @@ def spectral(sys: OsusySystem, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> Spec
     eigs = [herm_eig(h) for h in sys.H]
     charges = [conjugate(q, eig.vectors, rows)
                for eig, q, rows in zip(eigs, sys.Q, sys.support)]
-    values = np.concatenate([eig.values.ravel() for eig in eigs])
+    values = np.concatenate([eig.values.ravel() for eig in eigs] + [np.zeros(sys.null.size)])
     order = np.argsort(values, kind="stable")
     vals = values[order]
     threshold = cluster_tol * max(1.0, float(np.abs(vals).max())) if vals.size else cluster_tol

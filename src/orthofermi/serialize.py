@@ -35,13 +35,27 @@ def encode_matrix(m: np.ndarray) -> list:
 
 
 def decode_matrix(data, rows: int, cols: int, what: str) -> np.ndarray:
-    """Inverse of :func:`encode_matrix`, validating the expected shape."""
+    """Inverse of :func:`encode_matrix`, validating the expected shape and
+    that every entry is a finite JSON number: an int, not a bool, or a
+    float. The nested lists are flattened and their types read in C loops,
+    with no Python step per entry; the flat values then convert as one."""
+    # a row or a pair that is no list is refused here by its length, or
+    # below by the type of what it holds: a JSON object yields its keys
     try:
-        m = np.array(data, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"{what}: entries are not numeric") from exc
-    if m.shape != (rows, cols, 2):
-        raise ParseError(f"{what}: expected shape {rows}x{cols} of [re, im] pairs, got {m.shape}")
+        pairs = list(chain.from_iterable(data))
+        shaped = (len(data) == rows and set(map(len, data)) <= {cols}
+                  and set(map(len, pairs)) <= {2})
+    except TypeError:
+        shaped = False
+    if not shaped:
+        raise ParseError(f"{what}: expected {rows} rows of {cols} [re, im] pairs")
+    values = list(chain.from_iterable(pairs))
+    if set(map(type, values)) - {int, float}:
+        raise ParseError(f"{what}: entries must be JSON numbers")
+    try:
+        m = np.array(values, dtype=float).reshape(rows, cols, 2)
+    except OverflowError as exc:
+        raise ParseError(f"{what}: an entry lies beyond the float range") from exc
     if not np.isfinite(m).all():
         raise ParseError(f"{what}: entries must be finite")
     # m is a fresh C-ordered array, so it views as complex; re + 1j * im would

@@ -229,11 +229,11 @@ def pair_relation_defects(c, unit):
     return nilpotent, mixed
 
 
-def dense(blocks, stacks):
-    """The dim x dim matrix of per-size (count, size, size) block stacks,
-    such as a generator or a closed form."""
-    dim = sum(rows.size for rows in blocks)
-    return osusy._assemble(dim, blocks, stacks)
+def dense(system, stacks):
+    """The dim x dim matrix of per-size (count, size, size) block stacks on
+    the blocks of ``system``, such as a generator or a closed form; the rows
+    and columns of its null states are zero."""
+    return osusy._assemble(system.dim, system.blocks, stacks)
 
 
 def cut(blocks, m):
@@ -244,31 +244,34 @@ def cut(blocks, m):
 
 def dense_generators(gens):
     """para, frac and frac_direct as dim x dim matrices."""
-    blocks = gens.spectrum.system.blocks
-    return [dense(blocks, g) for g in (gens.para, gens.frac, gens.frac_direct)]
+    system = gens.spectrum.system
+    return [dense(system, g) for g in (gens.para, gens.frac, gens.frac_direct)]
 
 
 def cluster_bases(spectrum):
     """Per cluster, the dim x multiplicity matrix of its orthonormal eigenvectors.
 
     Column by column from ``blocks``, ``eigs`` and ``levels``: block order,
-    then eigenvalue order within a block.
+    then eigenvalue order within a block; then each null state i, in the
+    order of ``null``, as the unit vector e_i at E = 0.
     """
-    dim = sum(rows.size for rows in spectrum.system.blocks)
+    system = spectrum.system
     columns = [[] for _ in spectrum.energies]
-    for rows, eig, level in zip(spectrum.system.blocks, spectrum.eigs, spectrum.levels):
+    for rows, eig, level in zip(system.blocks, spectrum.eigs, spectrum.levels):
         for block_rows, vectors, block_levels in zip(rows, eig.vectors, level):
             for t, energy in enumerate(block_levels):
-                column = np.zeros(dim, dtype=complex)
+                column = np.zeros(system.dim, dtype=complex)
                 column[block_rows] = vectors[:, t]
                 columns[spectrum.energies.index(energy)].append(column)
+    for i in system.null:
+        columns[spectrum.energies.index(0.0)].append(np.eye(system.dim, dtype=complex)[i])
     return [np.stack(cols, axis=1) for cols in columns]
 
 
 def h_power(spectrum, a):
     """H^a over the positive clusters, from the per-block V diag(E^a) V^dag
     that the closed forms use."""
-    return dense(spectrum.system.blocks, osusy._powers(spectrum, a))
+    return dense(spectrum.system, osusy._powers(spectrum, a))
 
 
 def loop_clusters(spectrum, cluster_tol=osusy.DEFAULT_CLUSTER_TOL):
@@ -278,10 +281,12 @@ def loop_clusters(spectrum, cluster_tol=osusy.DEFAULT_CLUSTER_TOL):
     A value within the threshold of zero joins the E = 0 cluster; any other
     value joins the last cluster when it lies within the threshold of that
     cluster's last value, and starts a cluster otherwise. A cluster's energy
-    is ``np.mean`` of its values in ascending order. The separation checks of
-    :func:`osusy.spectral` are left out.
+    is ``np.mean`` of its values in ascending order. Each null state of the
+    system is one more value 0, after the blocks' values. The separation
+    checks of :func:`osusy.spectral` are left out.
     """
-    values = np.concatenate([eig.values.ravel() for eig in spectrum.eigs])
+    values = np.concatenate([eig.values.ravel() for eig in spectrum.eigs]
+                            + [np.zeros(spectrum.system.null.size)])
     order = np.argsort(values, kind="stable")
     vals = values[order]
     threshold = cluster_tol * max(1.0, float(np.abs(vals).max()))

@@ -131,8 +131,8 @@ def test_criterion_8_closed_forms_match_spectral_assembly():
                 eigenspace_reps(spectrum)
                 gens = build_generators(spectrum)
                 para, frac, _ = dense_generators(gens)
-                assert max_abs(dense(sys_.blocks, closed_form_para(spectrum)) - para) < 1e-9
-                assert max_abs(dense(sys_.blocks, closed_form_frac(spectrum)) - frac) < 1e-9
+                assert max_abs(dense(sys_, closed_form_para(spectrum)) - para) < 1e-9
+                assert max_abs(dense(sys_, closed_form_frac(spectrum)) - frac) < 1e-9
 
 
 def test_criterion_9_cli_contract(tmp_path, capsys):

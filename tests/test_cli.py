@@ -1,4 +1,6 @@
+import errno
 import importlib
+import io
 import json
 import os
 import subprocess
@@ -273,6 +275,21 @@ def test_an_overflowing_entry_fails_with_an_error_not_a_traceback(tmp_path, comm
     assert any(line.startswith("error: ") for line in out.stderr.splitlines())
 
 
+@pytest.mark.parametrize("command", ["verify", "decompose"])
+@pytest.mark.parametrize("value", [True, 10**400], ids=["true", "400-digit-integer"])
+def test_an_entry_that_is_no_json_number_is_a_parse_failure(tmp_path, command, value):
+    # verify passed a file with true for 1.0, and a 400-digit integer ended
+    # in an uncaught OverflowError; both are input errors
+    doc = rep_to_dict(canonical(2), np.eye(3))
+    doc["matrices"][0][0][1][0] = value
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps(doc))
+    out = subprocess.run([sys.executable, "-m", "orthofermi.cli", command, str(path)],
+                         env=subprocess_env(), capture_output=True, text=True)
+    assert out.returncode == EXIT_IO
+    assert out.stderr.startswith("error: matrix 1: ") and "Traceback" not in out.stderr
+
+
 def test_the_decompose_path_reads_each_support_once(tmp_path, capsys, monkeypatch):
     # each command makes one single-rank (p, 1, n, n) stack of the file's
     # rep and reads its support there: random-rep to infer the unit, verify
@@ -519,6 +536,55 @@ def test_calls_in_one_process_reuse_the_parser_and_answer_as_fresh_ones(tmp_path
 
 
 # -- report contract -------------------------------------------------------------------
+
+class FailingStdout(io.StringIO):
+    """A stdout with no file descriptor whose ``method`` raises ``error``."""
+
+    def __init__(self, method, error):
+        super().__init__()
+        self.error = error
+        setattr(self, method, self.fail)
+
+    def fail(self, *args):
+        raise self.error
+
+
+@pytest.mark.parametrize("method", ["write", "flush"])
+@pytest.mark.parametrize("error", [BrokenPipeError(errno.EPIPE, "Broken pipe"),
+                                   OSError(errno.ENOSPC, "No space left on device")],
+                         ids=["broken-pipe", "device-full"])
+@pytest.mark.parametrize("argv", [["ladder", "--p", "3", "--json"], ["osusy", "--p", "2",
+                                                                     "--levels", "3"]])
+def test_a_report_that_cannot_be_written_is_an_io_failure(capsys, monkeypatch, method, error,
+                                                          argv):
+    monkeypatch.setattr(sys, "stdout", FailingStdout(method, error))
+    assert main(argv) == EXIT_IO
+    assert capsys.readouterr().err == f"error: cannot write the report: {error}\n"
+
+
+def test_a_failed_write_points_the_descriptor_of_stdout_at_the_null_device(tmp_path,
+                                                                          monkeypatch):
+    # whatever is left in stdout's buffer then goes there at interpreter
+    # shutdown, so that flush cannot fail a second time
+    with open(tmp_path / "out", "w") as kept:
+        stdout = FailingStdout("write", BrokenPipeError(errno.EPIPE, "Broken pipe"))
+        stdout.fileno = kept.fileno
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert main(["ladder", "--p", "2", "--json"]) == EXIT_IO
+        assert os.path.samestat(os.fstat(kept.fileno()), os.stat(os.devnull))
+
+
+def test_a_closed_pipe_exits_2_with_no_traceback():
+    # the reader takes 100 bytes of a 184 kB report and closes the pipe
+    with subprocess.Popen([sys.executable, "-m", "orthofermi.cli", "ladder", "--p", "40",
+                           "--json"], env=subprocess_env(), stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE) as proc:
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait() == EXIT_IO
+    assert err == "error: cannot write the report: [Errno 32] Broken pipe\n"
+
 
 def test_reports_are_deterministic(capsys):
     _, first = run(capsys, "osusy", "--p", "2", "--levels", "3", "--json")

@@ -37,6 +37,13 @@ def pipeline(p, levels):
     return sys_, spectrum, copies, gens
 
 
+def two_stacks(p, levels):
+    """The oscillator of (p, levels) from its dense form: the finest
+    partition, whose first stack holds the vacuum and the boundary states
+    as 1 x 1 blocks and whose second stack holds the sectors."""
+    return system_from_dense(p, *build_system(p, levels).dense())
+
+
 def suite_table(system):
     """The spectrum table of :func:`run_suite` on ``system``, once every
     residual of the suite is within its tolerance."""
@@ -148,17 +155,22 @@ def test_a_turned_system_stays_complex_and_the_suite_warns_nothing():
 
 @pytest.mark.parametrize("p, levels", [*itertools.product(range(1, 9), range(2, 9)), (16, 3)])
 def test_a_dense_system_has_the_same_blocks_and_stacks(p, levels):
-    # build_system writes its sectors; they must be the partition that the
-    # nonzero pattern gives, and cutting the dense operators must give its stacks
+    # build_system writes its sectors and its null states; the partition that
+    # the nonzero pattern gives must be the null states, as 1 x 1 blocks,
+    # and then the sectors, and cutting the dense operators must give the
+    # sectors' stacks and zero 1 x 1 stacks
     sys_ = build_system(p, levels)
     Q, H = sys_.dense()
     pattern = (np.asarray([H, *Q]) != 0).any(axis=0)
-    assert [rows.tolist() for rows in block_partition(sys_.dim, *np.nonzero(pattern))] == \
-        [rows.tolist() for rows in sys_.blocks]
+    finest = [rows.tolist() for rows in block_partition(sys_.dim, *np.nonzero(pattern))]
+    null = [[[i] for i in sys_.null.tolist()]]
+    assert finest == null + [rows.tolist() for rows in sys_.blocks]
     again = system_from_dense(p, Q, H)
-    assert (again.p, again.dim) == (sys_.p, sys_.dim)
-    assert [rows.tolist() for rows in again.blocks] == [rows.tolist() for rows in sys_.blocks]
-    for got, want in [*zip(again.Q, sys_.Q), *zip(again.H, sys_.H)]:
+    assert (again.p, again.dim, again.null.size) == (sys_.p, sys_.dim, 0)
+    assert [rows.tolist() for rows in again.blocks] == finest
+    assert not again.Q[0].any() and not again.H[0].any()
+    assert again.Q[0].shape == (p, p + 1, 1, 1) and again.H[0].shape == (p + 1, 1, 1)
+    for got, want in [*zip(again.Q[1:], sys_.Q), *zip(again.H[1:], sys_.H)]:
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
@@ -183,7 +195,7 @@ def test_a_dense_system_needs_p_square_charges_of_the_size_of_h():
 
 
 def test_order_and_dimension_are_read_off_the_stacks():
-    assert [f.name for f in fields(OsusySystem)] == ["blocks", "Q", "H"]
+    assert [f.name for f in fields(OsusySystem)] == ["blocks", "Q", "H", "null"]
     sys_ = build_system(3, 4)
     assert (sys_.p, sys_.dim) == (3, 16)
     fewer = replace(sys_, Q=[q[:2] for q in sys_.Q])
@@ -219,14 +231,58 @@ def broken_systems(sys_):
     ]
 
 
-@pytest.mark.parametrize("case", range(len(broken_systems(build_system(2, 3)))))
+@pytest.mark.parametrize("case", range(len(broken_systems(two_stacks(2, 3)))))
 def test_a_system_refuses_stacks_that_do_not_fit_and_blocks_that_do_not_partition(case):
-    sys_ = build_system(2, 3)
+    sys_ = two_stacks(2, 3)
     change = broken_systems(sys_)[case]
     with pytest.raises(DimensionError):
         replace(sys_, **change)
     with pytest.raises(DimensionError):
         OsusySystem(**{"blocks": sys_.blocks, "Q": sys_.Q, "H": sys_.H, **change})
+
+
+# build_system(2, 3) has the sectors [1, 2, 3] and [4, 5, 6] and the null states [0, 7, 8]
+@pytest.mark.parametrize("null", [
+    [0, 7, 8, 3], [0, 1, 7, 8], [3, 7, 8], [0, 8], [1, 7, 8], [0, 7, 9], [-1, 7, 8], [0, 7, 8, 10],
+    [0, 7, 7], [0, 7, 8, 8], [[0, 7, 8]], [[0], [7], [8]],
+], ids=["overlaps-last", "overlaps-first", "overlaps-for-0", "skips-7", "skips-0",
+        "out-of-range", "negative", "beyond-dim", "repeated", "repeated-extra",
+        "2-d-row", "2-d-column"])
+def test_a_system_refuses_null_states_that_do_not_partition_with_the_blocks(null):
+    sys_ = build_system(2, 3)
+    assert sys_.null.tolist() == [0, 7, 8]
+    with pytest.raises(DimensionError):
+        replace(sys_, null=np.array(null))
+    with pytest.raises(DimensionError):
+        OsusySystem(sys_.blocks, sys_.Q, sys_.H, np.array(null))
+
+
+@pytest.mark.parametrize("p, levels",
+                         [*itertools.product(range(1, 17), range(2, 13)), (2, 100), (64, 4)])
+def test_null_states_run_the_suite_as_the_finest_partition(p, levels):
+    # the vacuum and the boundary states held as null states, or as 1 x 1
+    # blocks of zeros: the residuals, the tolerances and the table are equal
+    natural = build_system(p, levels)
+    assert natural.null.size == p + 1 and len(natural.blocks) == 1
+    assert run_suite(natural) == run_suite(two_stacks(p, levels))
+
+
+def test_a_system_needs_a_block_beside_its_null_states():
+    sys_ = build_system(2, 3)
+    with pytest.raises(DimensionError):
+        OsusySystem([], [], [], np.arange(sys_.dim))
+
+
+def test_null_states_are_carried_by_replace_copy_and_pickle():
+    sys_ = build_system(2, 3)
+    for again in (replace(sys_), replace(sys_, Q=[2.0 * q for q in sys_.Q]), copy.copy(sys_),
+                  copy.deepcopy(sys_), pickle.loads(pickle.dumps(sys_))):
+        assert again.null.tolist() == [0, 7, 8] and again.dim == 9
+    # a null state may be any index: here the first state of the first sector
+    moved = OsusySystem([np.array([[0, 2, 3], [4, 5, 6]])], sys_.Q, sys_.H, np.array([1, 7, 8]))
+    Q, H = moved.dense()
+    assert not Q[:, 1].any() and not Q[:, :, 1].any() and not H[1].any() and not H[:, 1].any()
+    assert np.array_equal(Q[:, [0, 2, 3]][:, :, [0, 2, 3]], sys_.dense()[0][:, 1:4, 1:4])
 
 
 def test_a_system_without_charges_is_refused():
@@ -576,7 +632,7 @@ def test_generator_suite_at_order_three():
 
 def test_a_nan_generator_entry_is_not_folded_away():
     # a NaN in the N-sectors' stack of para, after the singletons' exact zeros
-    _, _, _, gens = pipeline(2, 4)
+    gens = build_generators(spectral(two_stacks(2, 4)))
     para = [stack.copy() for stack in gens.para]
     para[1][0, 0, 0] = np.nan
     residuals = check_generators(replace(gens, para=para))
@@ -621,7 +677,7 @@ def test_sum_rule_normalization_is_forced():
     # constant 2p by p misses by exactly the removed half, so the halved
     # variant is not merely loose, it is off by a finite amount
     sys_, spectrum, _, gens = pipeline(2, 4)
-    p, H, para = sys_.p, sys_.dense()[1], dense(sys_.blocks, gens.para)
+    p, H, para = sys_.p, sys_.dense()[1], dense(sys_, gens.para)
     lhs = sum(mpow(para, p - k) @ para.conj().T @ mpow(para, k) for k in range(p + 1))
     rhs_full = 2 * p * mpow(para, p - 1) @ H
     rhs_half = p * mpow(para, p - 1) @ H
@@ -635,12 +691,12 @@ def test_closed_form_frac_exponent_is_forced():
     # the spectrally assembled generator; the doubled exponent visibly fails
     # as soon as an eigenvalue differs from 1
     sys_, spectrum, _, gens = pipeline(2, 4)
-    p, Q, frac = sys_.p, sys_.dense()[0], dense(sys_.blocks, gens.frac)
+    p, Q, frac = sys_.p, sys_.dense()[0], dense(sys_, gens.frac)
     transfer = Q[0].conj().T @ Q[1]
     outer_bad = (2 ** -0.5) * h_power(spectrum, -(p - 1) / (p + 1))
     inner = 0.5 * h_power(spectrum, -p / (p + 1))
     bad = outer_bad @ Q[0] + inner @ transfer + outer_bad @ Q[p - 1].conj().T
-    assert max_abs(dense(sys_.blocks, closed_form_frac(spectrum)) - frac) < 1e-12
+    assert max_abs(dense(sys_, closed_form_frac(spectrum)) - frac) < 1e-12
     assert max_abs(bad - frac) > 0.05
 
 
@@ -648,8 +704,8 @@ def test_closed_form_para_matches_spectral_assembly():
     for p, levels in [(2, 4), (3, 4), (4, 3)]:
         sys_, spectrum, _, gens = pipeline(p, levels)
         para, frac, _ = dense_generators(gens)
-        assert max_abs(dense(sys_.blocks, closed_form_para(spectrum)) - para) < 1e-9
-        assert max_abs(dense(sys_.blocks, closed_form_frac(spectrum)) - frac) < 1e-9
+        assert max_abs(dense(sys_, closed_form_para(spectrum)) - para) < 1e-9
+        assert max_abs(dense(sys_, closed_form_frac(spectrum)) - frac) < 1e-9
 
 
 def test_clusters_spanning_blocks_match_the_single_system():
@@ -666,8 +722,8 @@ def test_clusters_spanning_blocks_match_the_single_system():
     assert spectrum.multiplicities == [2 * m for m in single_spectrum.multiplicities]
     assert copies == [2 * m for m in single_copies]
     for got, want in [*zip(dense_generators(gens), dense_generators(single_gens)),
-                      (dense(sys_.blocks, closed_form_frac(spectrum)),
-                       dense(single.blocks, closed_form_frac(single_spectrum))),
+                      (dense(sys_, closed_form_frac(spectrum)),
+                       dense(single, closed_form_frac(single_spectrum))),
                       (h_power(spectrum, -0.5), h_power(single_spectrum, -0.5))]:
         assert max_abs(got - twice(want)) < 1e-12
     suite_table(sys_)
@@ -784,8 +840,8 @@ def test_generators_are_built_cluster_by_cluster():
             c = [b.conj().T @ q @ b / np.sqrt(2 * e) for q in Q]
             para = para + np.sqrt(2 * e) * b @ lowering_from(c) @ b.conj().T
             frac = frac + e ** (1 / (sys_.p + 1)) * b @ cyclic_from(c) @ b.conj().T
-    assert max_abs(dense(sys_.blocks, gens.para) - para) < 1e-12
-    assert max_abs(dense(sys_.blocks, gens.frac) - frac) < 1e-12
+    assert max_abs(dense(sys_, gens.para) - para) < 1e-12
+    assert max_abs(dense(sys_, gens.frac) - frac) < 1e-12
 
 
 def test_generators_vanish_on_the_kernel():
@@ -842,14 +898,17 @@ def number_of_state(p, i):
 @pytest.mark.parametrize("p, levels", [(1, 2), (2, 5), (12, 10)])
 def test_natural_partition_is_the_number_sectors(p, levels):
     sys_ = build_system(p, levels)
-    blocks = sys_.blocks
-    assert {rows.shape[1]: rows.shape[0] for rows in blocks} == {1: p + 1, p + 1: levels - 1}
-    sectors = [rows for group in blocks for rows in group]
-    assert sorted(np.concatenate(sectors)) == list(range(sys_.dim))
+    [sectors] = sys_.blocks
+    assert sectors.shape == (levels - 1, p + 1)
+    assert sorted([*sectors.ravel(), *sys_.null]) == list(range(sys_.dim))
     for rows in sectors:
         assert len({number_of_state(p, i) for i in rows}) == 1
-    # every positive sector is a full one: |n, 0> and the p states |n-1, a>
-    assert {number_of_state(p, i) for i in blocks[1][:, 0]} == set(range(1, levels))
+    # every sector is a full one: |n, 0> and the p states |n-1, a>, for N = 1..levels-1
+    assert [number_of_state(p, i) for i in sectors[:, 0]] == list(range(1, levels))
+    # the null states are the vacuum |0, 0> and the p boundary states |levels-1, a>
+    assert sys_.null.tolist() == [0, *((levels - 1) * (p + 1) + np.arange(1, p + 1))]
+    assert [divmod(int(i), p + 1) for i in sys_.null] == \
+        [(0, 0), *((levels - 1, a) for a in range(1, p + 1))]
 
 
 def test_partition_links_entries_in_either_direction():
@@ -1099,9 +1158,10 @@ def test_the_commutator_sees_h_off_the_rows_that_hold_a_charge():
 
 
 def test_an_osusy_op_reads_each_support_once(monkeypatch):
-    # the support of a stack is read where the stack is made: the two charge
-    # stacks of build_system, the one positive piece class of eigenspace_reps
-    # and the two cuts of build_generators; no kernel reads one itself
+    # the support of a stack is read where the stack is made: the one charge
+    # stack of build_system, the one positive piece class of eigenspace_reps
+    # and the one cut of build_generators; no kernel reads one itself, and
+    # the null states have no stack to read
     reads = []
     canonical_module = importlib.import_module("orthofermi.canonical")
     read = canonical_module.held_rows
@@ -1114,15 +1174,15 @@ def test_an_osusy_op_reads_each_support_once(monkeypatch):
             monkeypatch.setattr(module, "held_rows", counted)
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["osusy", "--p", "3", "--levels", "6", "--json"]) == 0
-    # 4 singletons and 5 sectors of 4 states
-    singletons, sectors = (3, 4, 1, 1), (3, 5, 4, 4)
-    assert reads == [singletons, sectors, sectors, singletons, sectors]
+    # 5 sectors of 4 states
+    sectors = (3, 5, 4, 4)
+    assert reads == [sectors, sectors, sectors]
 
 
 def test_a_carried_support_cannot_go_stale():
-    sys_ = build_system(2, 4)
+    sys_ = two_stacks(2, 4)
     spectrum = spectral(sys_)
-    for q in (sys_.Q[1], spectrum.system.Q[1], system_from_dense(2, *sys_.dense()).Q[1]):
+    for q in (sys_.Q[1], spectrum.system.Q[1], build_system(2, 4).Q[0]):
         with pytest.raises(ValueError):
             q[0, 0, 0, 1] = 0.5
     for copied in (copy.copy(sys_), copy.deepcopy(sys_), pickle.loads(pickle.dumps(sys_))):
@@ -1153,7 +1213,7 @@ def test_a_carried_support_cannot_go_stale():
 
 
 def test_whole_block_pieces_are_taken_in_c_order():
-    spectrum = spectral(build_system(4, 6))
+    spectrum = spectral(two_stacks(4, 6))
     charges, size = spectrum.charges, 5
     block = np.array([3, 0, 2])
     found = osusy._cut_pieces(charges, np.ones(3, dtype=int), block, np.zeros(3, dtype=int), size)

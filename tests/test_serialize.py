@@ -111,6 +111,48 @@ def test_non_numeric_entries_raise_parse_error():
         rep_from_dict(doc)
 
 
+NOT_NUMBERS = [True, False, "1", None, 10**400]
+NOT_NUMBER_IDS = ["true", "false", "string", "null", "400-digit-integer"]
+
+
+@pytest.mark.parametrize("field", ["matrices", "unit"])
+@pytest.mark.parametrize("value", NOT_NUMBERS, ids=NOT_NUMBER_IDS)
+def test_an_entry_that_is_no_json_number_raises_parse_error(field, value):
+    # float() reads true as 1.0 and " 1e0 " as 1.0, and an integer beyond the
+    # float range overflows: each must be a refusal, in the real or the
+    # imaginary part, through the file's text as well
+    for part in (0, 1):
+        doc = rep_to_dict(canonical(2), np.eye(3))
+        matrix = doc["matrices"][1] if field == "matrices" else doc["unit"]
+        matrix[2][0][part] = value
+        with pytest.raises(ParseError, match="entries must be JSON numbers$"
+                           if type(value) is not int else "beyond the float range$"):
+            rep_from_dict(doc)
+        with pytest.raises(ParseError):
+            rep_from_dict(json.loads(json.dumps(doc)))
+
+
+def test_integer_entries_read_as_their_floats():
+    doc = rep_to_dict(canonical(2), np.eye(3))
+    doc["unit"] = [[[int(re), int(im)] for re, im in row] for row in doc["unit"]]
+    doc["matrices"][0][0][1] = [1, -0]
+    rep, unit = rep_from_dict(doc)
+    assert np.array_equal(unit, np.eye(3)) and np.array_equal(rep.c, canonical(2).c)
+
+
+@pytest.mark.parametrize("data", [
+    [[[1.0, 0.0]] * 3] * 2, [[[1.0, 0.0]] * 2] * 3, [[[1.0, 0.0, 0.0]] * 3] * 3,
+    [[[1.0]] * 3] * 3, [[[1.0, 0.0]] * 3, [[1.0, 0.0]] * 3, [[1.0, 0.0]] * 2 + [[1.0]]],
+    [[1.0] * 3] * 3, [[[1.0, 0.0]] * 3] * 2 + [{"a": [1.0, 0.0]}], "abc", 1.0, None,
+    [[[[1.0], [0.0]]] * 3] * 3, [[{"re": 1.0, "im": 0.0}] * 3] * 3, [["10"] * 3] * 3,
+], ids=["two-rows", "two-columns", "triples", "singles", "one-short-pair", "no-pairs",
+        "object-row", "string", "number", "null", "nested-pairs", "object-pairs",
+        "string-pairs"])
+def test_a_matrix_of_another_shape_raises_parse_error(data):
+    with pytest.raises(ParseError):
+        decode_matrix(data, 3, 3, "m")
+
+
 def test_missing_file_raises_io_error(tmp_path):
     with pytest.raises(IoError):
         read_rep_file(tmp_path / "does-not-exist.json")
