@@ -25,10 +25,14 @@ onto the full (p+1)x(p+1) matrix algebra.
 
 Validation happens once, in the public constructor
 ``AlgebraElement(p, lam, nu, mu, sigma)``: it checks the order, converts
-every coefficient to complex and checks the shapes. The results of
-arithmetic on elements (products, adjoints, sums, differences and scalar
-multiples) wrap the fresh complex square of one array operation and skip
-that step; no result shares an array with an operand.
+the coefficients and checks the shapes. The square follows the package's
+one dtype rule, :func:`~orthofermi.linalg.field`: it is complex128 when
+some coefficient given has a complex dtype and float64 otherwise, so the
+monomials, whose coefficients are 0 and 1, are real, like their images
+in :func:`~orthofermi.canonical.canonical`. The results of arithmetic on
+elements (products, adjoints, sums, differences and scalar multiples) wrap
+the fresh square of one array operation, in its operands' common dtype,
+and skip that step; no result shares an array with an operand.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OrderError
-from .linalg import check_addressable, is_count
+from .linalg import check_addressable, dagger, field, is_count
 
 
 def check_order(p: int) -> int:
@@ -61,30 +65,34 @@ class AlgebraElement:
 
     ``lam`` multiplies the vacuum projector Pi, ``nu[a]`` the annihilator
     c_{a+1}, ``mu[a]`` the creator c_{a+1}^dag and ``sigma[a, b]`` the
-    quantum-transfer monomial c_{a+1}^dag c_{b+1}. ``square`` is the complex
+    quantum-transfer monomial c_{a+1}^dag c_{b+1}. ``square`` is the
     (p+1, p+1) array [[lam, nu^T], [mu, sigma]]; ``p`` is read off its
     shape, ``lam`` reads as a complex number and ``nu``, ``mu``, ``sigma``
     as views of shapes (p,), (p,), (p, p) into it.
 
     The constructor validates: it checks ``p`` with :func:`check_order`,
-    converts ``lam`` to complex and ``nu``, ``mu``, ``sigma`` to complex
-    arrays of shapes (p,), (p,), (p, p), zeros when omitted, and raises
-    :class:`OrderError` on a wrong shape. Arithmetic results are built by
-    :func:`_element` without repeating those checks.
+    converts ``lam`` to a number and ``nu``, ``mu``, ``sigma`` to arrays of
+    shapes (p,), (p,), (p, p), zeros when omitted, and raises
+    :class:`OrderError` on a wrong shape. The square is complex128 when the
+    dtype of some coefficient given is complex, as ``1+0j``'s is, and
+    float64 otherwise; only dtypes are read, never values. Arithmetic
+    results are built by :func:`_element` without repeating those checks.
     """
 
     square: np.ndarray
 
     def __init__(self, p: int, lam: complex = 0.0, nu=None, mu=None, sigma=None):
-        square = np.zeros((check_order(p) + 1,) * 2, dtype=complex)
-        square[0, 0] = complex(lam)
+        n, lam = check_order(p) + 1, _number(lam)
+        given = {name: field(value) for name, value in (("nu", nu), ("mu", mu), ("sigma", sigma))
+                 if value is not None}
+        square = np.zeros((n, n), dtype=np.result_type(lam, *given.values()))
+        square[0, 0] = lam
         object.__setattr__(self, "square", square)
-        for name, value in (("nu", nu), ("mu", mu), ("sigma", sigma)):
-            if value is not None:
-                view, arr = getattr(self, name), np.asarray(value, dtype=complex)
-                if arr.shape != view.shape:
-                    raise OrderError(f"{name} must have shape {view.shape}, got {arr.shape}")
-                view[...] = arr
+        for name, arr in given.items():
+            view = getattr(self, name)
+            if arr.shape != view.shape:
+                raise OrderError(f"{name} must have shape {view.shape}, got {arr.shape}")
+            view[...] = arr
 
     @property
     def p(self) -> int:
@@ -141,7 +149,7 @@ class AlgebraElement:
     @classmethod
     def one(cls, p: int) -> "AlgebraElement":
         """The unit, expanded as Pi + sum_a c_a^dag c_a."""
-        return _element(np.eye(check_order(p) + 1, dtype=complex))
+        return _element(np.eye(check_order(p) + 1))
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -162,7 +170,7 @@ class AlgebraElement:
         return _element(self.square - other.square)
 
     def __rmul__(self, scalar: complex) -> "AlgebraElement":
-        return _element(complex(scalar) * self.square)
+        return _element(_number(scalar) * self.square)
 
     def __mul__(self, other) -> "AlgebraElement":
         """The algebra product with an element; with a scalar, the same
@@ -175,8 +183,18 @@ class AlgebraElement:
         return alg_adjoint(self)
 
 
+def _number(value) -> complex | float:
+    """``value`` as a Python float when its dtype is real (bool, integer or
+    float) and as a complex otherwise, so that a real scalar leaves a real
+    square real. ``complex(value)`` refuses a value that is no number, with
+    its TypeError or ValueError."""
+    number = complex(value)
+    return number.real if np.asarray(value).dtype.kind in "biuf" else number
+
+
 def _element(square: np.ndarray) -> AlgebraElement:
-    """An element from a fresh complex (p+1, p+1) square, p >= 1, unchecked."""
+    """An element from a fresh (p+1, p+1) square of :func:`~orthofermi.linalg.field`'s
+    dtype, p >= 1, unchecked."""
     x = object.__new__(AlgebraElement)
     object.__setattr__(x, "square", square)
     return x
@@ -190,7 +208,7 @@ def alg_mul(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
 
 def alg_adjoint(x: AlgebraElement) -> AlgebraElement:
     """The * operation: the conjugate transpose of the square."""
-    return _element(x.square.conj().T)
+    return _element(dagger(x.square))
 
 
 def rho0(x: AlgebraElement) -> np.ndarray:

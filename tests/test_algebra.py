@@ -112,11 +112,59 @@ def test_linear_structure():
     assert same(2.0 * x + (-2.0) * x, AlgebraElement.zero(2))
 
 
-@pytest.mark.parametrize("s", [2, 2.0, -1.5, 1 - 2j, np.float64(0.5), np.complex128(3j)])
+@pytest.mark.parametrize("s", [2, 2.0, -1.5, 1 - 2j, np.float64(0.5), np.complex128(3j), 1 + 0j])
 def test_a_scalar_multiplies_from_either_side(s):
     x = AlgebraElement(2, 1 - 1j, [1, 2j], [3, 0.5], [[1, 2], [3j, 4]])
     assert same(x * s, s * x)
     assert same(AlgebraElement.vacuum(2) * s, AlgebraElement(2, lam=s))
+    # a real multiple of a real element stays real; a complex scalar, even
+    # 1+0j, makes it complex
+    dtype = np.complex128 if isinstance(s, complex) else np.float64
+    for z in (s * AlgebraElement.vacuum(2), AlgebraElement.vacuum(2) * s, AlgebraElement(2, lam=s)):
+        assert z.square.dtype == dtype
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 6])
+def test_monomials_and_the_unit_are_real(p):
+    elements = [*basis(p), AlgebraElement.zero(p), AlgebraElement.vacuum(p), AlgebraElement.one(p),
+                AlgebraElement.annihilator(p, p), AlgebraElement.creator(p, 1),
+                AlgebraElement.transfer(p, 1, p), AlgebraElement(p, 2, [1] * p, np.ones(p),
+                                                                 np.eye(p, dtype=np.float32))]
+    assert [x.square.dtype for x in elements] == [np.float64] * len(elements)
+
+
+@pytest.mark.parametrize("coefficients", [
+    {"lam": 1 + 0j}, {"lam": np.complex128(2)}, {"nu": [1, 2 + 0j]}, {"mu": [0, 1 + 0j]},
+    {"sigma": np.eye(2, dtype=complex)}, {"lam": 1.0, "nu": np.zeros(2, dtype=np.complex64)},
+], ids=["lam-1+0j", "lam-complex128", "nu", "mu-1+0j", "sigma-zero-imaginary", "nu-complex64"])
+def test_a_complex_coefficient_makes_the_square_complex(coefficients):
+    # the dtype decides, never the values: every imaginary part here is 0
+    x = AlgebraElement(2, **coefficients)
+    assert x.square.dtype == np.complex128 and type(x.lam) is complex
+    assert same(x, AlgebraElement(2, **{k: np.real(v) for k, v in coefficients.items()}))
+
+
+def test_arithmetic_on_a_real_and_a_complex_element_is_complex():
+    real, cplx = AlgebraElement.annihilator(2, 1), AlgebraElement(2, 1 + 0j, [1, 0], [0, 2])
+    for z in (real * cplx, cplx * real, real + cplx, cplx + real, real - cplx, cplx - real,
+              alg_adjoint(cplx), 1j * real):
+        assert z.square.dtype == np.complex128
+    for z in (real * real, real + real, real - real, alg_adjoint(real)):
+        assert z.square.dtype == np.float64
+
+
+@pytest.mark.parametrize("make, error", [
+    (lambda x: "x" * x, ValueError), (lambda x: x * "x", ValueError),
+    (lambda x: None * x, TypeError), (lambda x: x * [1, 2], TypeError),
+    (lambda x: AlgebraElement(2, lam="x"), ValueError),
+    (lambda x: AlgebraElement(2, lam=None), TypeError),
+    (lambda x: AlgebraElement(2, nu=["a", "b"]), ValueError),
+    (lambda x: AlgebraElement(2, sigma="x"), ValueError),
+], ids=["str-times", "times-str", "None-times", "times-list", "str-lam", "None-lam", "str-nu",
+        "str-sigma"])
+def test_a_non_number_is_refused(make, error):
+    with pytest.raises(error):
+        make(AlgebraElement.vacuum(2))
 
 
 @pytest.mark.parametrize("other", [1, 2.0, 1j, None, "x", [1, 2], np.zeros(3)])
@@ -221,19 +269,24 @@ def test_arithmetic_on_mixed_orders_raises():
 
 
 def test_arithmetic_results_are_complex_fresh_and_shaped():
+    # a complex x with a real y gives complex results; the all-real pair u, y
+    # gives float64 ones, the adjoint included
     p = 3
     rng = np.random.default_rng(5)
     x = AlgebraElement(p, 1 - 2j, rng.normal(size=p), rng.normal(size=p),
                        rng.normal(size=(p, p)) + 1j)
     y = AlgebraElement(p, 0.5, rng.normal(size=p), rng.normal(size=p), rng.normal(size=(p, p)))
-    for z in (x * y, alg_adjoint(x), x + y, x - y, 2 * x):
-        assert z.p == p and isinstance(z.lam, complex)
-        for name, shape in (("nu", (p,)), ("mu", (p,)), ("sigma", (p, p))):
-            arr = getattr(z, name)
-            assert arr.dtype == np.complex128 and arr.shape == shape, name
-            for operand in (x, y):
-                for other in ("nu", "mu", "sigma"):
-                    assert not np.shares_memory(arr, getattr(operand, other)), name
+    u = AlgebraElement(p, -1.5, rng.normal(size=p), rng.normal(size=p), rng.normal(size=(p, p)))
+    for (a, b), dtype in (((x, y), np.complex128), ((u, y), np.float64)):
+        for z in (a * b, alg_adjoint(a), a + b, a - b, 2 * a):
+            assert z.p == p and isinstance(z.lam, complex)
+            assert z.square.dtype == dtype
+            for name, shape in (("square", (p + 1, p + 1)), ("nu", (p,)), ("mu", (p,)),
+                                ("sigma", (p, p))):
+                arr = getattr(z, name)
+                assert arr.dtype == dtype and arr.shape == shape, name
+                for operand in (a, b):
+                    assert not np.shares_memory(arr, operand.square), name
 
 
 def test_rho0_returns_a_fresh_writable_array_on_every_call():

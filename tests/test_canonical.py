@@ -44,8 +44,8 @@ def test_canonical_entry_formula():
 def test_canonical_is_the_stacked_rho0_images(p):
     images = np.stack([rho0(AlgebraElement.annihilator(p, a)) for a in range(1, p + 1)])
     c = canonical(p).c
-    # the matrix units are real, so the stack is float64 under linalg.field
-    assert (c.shape, c.dtype) == (images.shape, np.float64)
+    # the matrix units are real, so both stacks are float64 under linalg.field
+    assert (c.shape, c.dtype) == (images.shape, np.float64) and images.dtype == np.float64
     assert np.array_equal(c, images)
 
 

@@ -257,6 +257,33 @@ def test_a_system_refuses_null_states_that_do_not_partition_with_the_blocks(null
         OsusySystem(sys_.blocks, sys_.Q, sys_.H, np.array(null))
 
 
+@pytest.mark.parametrize("case, dtype", [("float-blocks", "float64"), ("float-null", "float64"),
+                                         ("bool-null", "bool")],
+                         ids=["float-blocks", "float-null", "bool-null"])
+def test_a_system_refuses_index_arrays_that_are_not_integer(case, dtype):
+    # each partitions 0..dim-1 by value (1.0 == 1, True == 1), so only the
+    # dtype can refuse it; float blocks would fail later, as indices in dense()
+    sys_ = build_system(2, 3)
+    blocks, null = sys_.blocks, sys_.null
+    if case == "float-blocks":
+        blocks = [rows.astype(float) for rows in blocks]
+    elif case == "float-null":
+        null = null.astype(float)
+    else:  # the null states 0, 1 beside the sectors moved to 2..7
+        blocks, null = [rows + 1 for rows in blocks], np.array([0, 1])
+        OsusySystem(blocks, sys_.Q, sys_.H, null)
+        null = null.astype(bool)
+    with pytest.raises(DimensionError, match=f"got {dtype}$"):
+        OsusySystem(blocks, sys_.Q, sys_.H, null)
+
+
+def test_an_empty_null_list_is_held_as_no_null_states():
+    # numpy reads [] as float64; it names no state, so its dtype is not refused
+    sys_ = OsusySystem([np.arange(9).reshape(3, 3)], [np.zeros((2, 3, 3, 3))],
+                       [np.zeros((3, 3, 3))], [])
+    assert sys_.null.dtype == np.dtype(int) and sys_.null.size == 0 and sys_.dim == 9
+
+
 @pytest.mark.parametrize("p, levels",
                          [*itertools.product(range(1, 17), range(2, 13)), (2, 100), (64, 4)])
 def test_null_states_run_the_suite_as_the_finest_partition(p, levels):

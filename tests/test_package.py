@@ -1,6 +1,8 @@
 import ast
 from pathlib import Path
 
+import pytest
+
 import orthofermi
 from code_lines import code_lines
 
@@ -56,3 +58,62 @@ class A:
         return y
 '''
     assert code_lines(source) == 8
+
+
+#: The places that may write out a complex dtype: the one dtype rule itself,
+#: the addressable-size check (it sizes by complex128, the larger itemsize)
+#: and the [re, im] file format, whose matrices are complex by contract.
+COMPLEX_DTYPE_PLACES = {"linalg.field", "linalg.check_addressable", "serialize.encode_matrix",
+                        "serialize.decode_matrix"}
+
+COMPLEX_NAMES = {"complex", "complex64", "complex128", "complex256", "csingle", "cdouble",
+                 "clongdouble", "complexfloating"}
+
+
+def names_complex(node):
+    return any(isinstance(n, ast.Name) and n.id in COMPLEX_NAMES
+               or isinstance(n, ast.Attribute) and n.attr in COMPLEX_NAMES
+               or isinstance(n, ast.Constant) and n.value in COMPLEX_NAMES
+               for n in ast.walk(node))
+
+
+def complex_dtype_places(node, scope):
+    """``scope.function:line`` of each place under ``node`` that writes out a
+    complex dtype: a ``dtype=`` argument, an ``astype``, ``view`` or
+    ``np.dtype`` argument that names one, or a numpy complex type."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        scope = f"{scope}.{node.name}"
+    if (isinstance(node, ast.Attribute) and node.attr in COMPLEX_NAMES
+            or isinstance(node, ast.keyword) and node.arg == "dtype" and names_complex(node.value)
+            or isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("astype", "view", "dtype")
+            and any(names_complex(arg) for arg in node.args)):
+        yield f"{scope}:{node.lineno}"
+    for child in ast.iter_child_nodes(node):
+        yield from complex_dtype_places(child, scope)
+
+
+def test_only_the_dtype_rule_and_the_file_format_write_out_a_complex_dtype():
+    # every other module takes its dtype from linalg.field or from its operands,
+    # so a real input stays real
+    package = Path(orthofermi.__file__).parent
+    places = {place for path in sorted(package.glob("*.py"))
+              for place in complex_dtype_places(ast.parse(path.read_text(encoding="utf-8")),
+                                                path.stem)}
+    offending = sorted(place for place in places
+                       if place.split(":")[0] not in COMPLEX_DTYPE_PLACES)
+    assert offending == [], f"a complex dtype is written out at {', '.join(offending)}"
+    # the allow-list names no place that has stopped writing one
+    assert {place.split(":")[0] for place in places} == COMPLEX_DTYPE_PLACES
+
+
+@pytest.mark.parametrize("source, found", [
+    ("def f(n):\n    return np.zeros(n, dtype=complex)\n", {"m.f:2"}),
+    ("def f(a):\n    return a.astype(complex if a.any() else float)\n", {"m.f:2"}),
+    ("class A:\n    def f(self, a):\n        return a.view(np.complex128)\n", {"m.A.f:3"}),
+    ("x = np.complex64(1)\n", {"m:1"}),
+    ("size = np.dtype('complex').itemsize\n", {"m:1"}),
+    ("def f(x):\n    return complex(x), np.zeros(2, dtype=float)\n", set()),
+])
+def test_the_complex_dtype_guard_finds_each_form(source, found):
+    assert set(complex_dtype_places(ast.parse(source), "m")) == found
