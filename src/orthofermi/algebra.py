@@ -25,7 +25,8 @@ onto the full (p+1)x(p+1) matrix algebra.
 
 Validation happens once, in the public constructor
 ``AlgebraElement(p, lam, nu, mu, sigma)``: it checks the order, converts
-the coefficients and checks the shapes. The square follows the package's
+the coefficients, refusing text, None and any other value that is no
+number, and checks the shapes. The square follows the package's
 one dtype rule, :func:`~orthofermi.linalg.field`: it is complex128 when
 some coefficient given has a complex dtype and float64 otherwise, so the
 monomials, whose coefficients are 0 and 1, are real, like their images
@@ -73,7 +74,9 @@ class AlgebraElement:
     The constructor validates: it checks ``p`` with :func:`check_order`,
     converts ``lam`` to a number and ``nu``, ``mu``, ``sigma`` to arrays of
     shapes (p,), (p,), (p, p), zeros when omitted, and raises
-    :class:`OrderError` on a wrong shape. The square is complex128 when the
+    :class:`OrderError` on a wrong shape. Text, even ``"1"``, raises
+    ValueError, and an array of no number's dtype, such as ``[None]``,
+    TypeError. The square is complex128 when the
     dtype of some coefficient given is complex, as ``1+0j``'s is, and
     float64 otherwise; only dtypes are read, never values. Arithmetic
     results are built by :func:`_element` without repeating those checks.
@@ -83,8 +86,8 @@ class AlgebraElement:
 
     def __init__(self, p: int, lam: complex = 0.0, nu=None, mu=None, sigma=None):
         n, lam = check_order(p) + 1, _number(lam)
-        given = {name: field(value) for name, value in (("nu", nu), ("mu", mu), ("sigma", sigma))
-                 if value is not None}
+        given = {name: _coefficients(value)
+                 for name, value in (("nu", nu), ("mu", mu), ("sigma", sigma)) if value is not None}
         square = np.zeros((n, n), dtype=np.result_type(lam, *given.values()))
         square[0, 0] = lam
         object.__setattr__(self, "square", square)
@@ -186,10 +189,25 @@ class AlgebraElement:
 def _number(value) -> complex | float:
     """``value`` as a Python float when its dtype is real (bool, integer or
     float) and as a complex otherwise, so that a real scalar leaves a real
-    square real. ``complex(value)`` refuses a value that is no number, with
-    its TypeError or ValueError."""
+    square real. Text, which ``complex`` would parse, is refused with
+    ValueError, and ``complex(value)`` refuses any other value that is no
+    number, with its TypeError or ValueError."""
+    kind = np.asarray(value).dtype.kind
+    if kind in "SU":
+        raise ValueError(f"not a number: {value!r}")
     number = complex(value)
-    return number.real if np.asarray(value).dtype.kind in "biuf" else number
+    return number.real if kind in "biuf" else number
+
+
+def _coefficients(value) -> np.ndarray:
+    """``value`` as an array of :func:`~orthofermi.linalg.field`'s dtype,
+    refusing one whose dtype is no number's (bool, integer, float or
+    complex): ValueError for text, as ``complex`` refuses it, and TypeError
+    for anything else, such as None, which numpy would read as NaN."""
+    arr = np.asarray(value)
+    if arr.dtype.kind not in "biufc":
+        raise (ValueError if arr.dtype.kind in "SU" else TypeError)(f"not numbers: {value!r}")
+    return field(arr)
 
 
 def _element(square: np.ndarray) -> AlgebraElement:

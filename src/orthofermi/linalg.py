@@ -13,8 +13,9 @@ representation is one (p, n, n) stack of annihilators, and
 ``reptheory.decompose_stack`` takes k representations as one (p, k, n, n)
 stack. So :func:`dagger` and :func:`herm_eig` act on the last two axes of
 any (..., n, n) stack, :func:`orthonormal_range` takes a (k, m, n) stack
-of near-projectors with one batched SVD, and :func:`max_abs` takes the
-maximum per matrix when given ``axis``. Identity checks throughout the
+of near-projectors and returns their k ranks and one (k, m, min(m, n))
+stack of bases from one batched SVD, and :func:`max_abs` takes the maximum
+per matrix when given ``axis``. Identity checks throughout the
 package are residual based: compute the defect matrix, take
 :func:`max_abs`, compare against an explicit tolerance. Sizes read from
 input are checked with :func:`is_count` and :func:`check_addressable`
@@ -123,11 +124,13 @@ def herm_eig(a, tol: float = DEFAULT_TOL) -> HermEig:
     return HermEig(values=values, vectors=vectors)
 
 
-def orthonormal_range(a) -> list[np.ndarray]:
+def orthonormal_range(a) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal bases of the column spaces of a (k, m, n) stack ``a`` of
-    near-projectors.
+    near-projectors, as ``(rank, vectors)``.
 
-    Returns k bases, one per matrix, from one batched SVD. Each matrix is a
+    One batched SVD gives ``vectors``, the (k, m, min(m, n)) stack of left
+    singular vectors, and ``rank``, a (k,) int array: the first ``rank[i]``
+    columns of ``vectors[i]`` span the range of matrix i. Each matrix is a
     projector up to residuals, and its rank is counted at the projector gap:
     singular values strictly above 1/2 count. :mod:`~orthofermi.reptheory`
     takes a rank only after Pi^2 = Pi and Pi^dag = Pi, or the Gram check of
@@ -136,9 +139,9 @@ def orthonormal_range(a) -> list[np.ndarray]:
     has |l^2 - l| = O(n tol) and lies within O(n tol) of 0 or of 1, and 1/2
     separates the two groups. At a ``tol`` so large that they meet, the
     count can be wrong; the Gram, bookkeeping and certificate checks that
-    follow it refuse such a count. A zero matrix yields a basis with zero
-    columns, and the widths differ when the ranks do. The bases are real
-    when ``a`` is (:func:`field`).
+    follow it refuse such a count. A zero matrix has rank 0. ``vectors``
+    has one width whatever the ranks, so a stack of mixed ranks stays one
+    array. It is real when ``a`` is (:func:`field`).
     """
     a = field(a)
     if a.ndim != 3:
@@ -146,8 +149,7 @@ def orthonormal_range(a) -> list[np.ndarray]:
     if a.size and not np.isfinite(a).all():
         raise ValueError("matrix contains non-finite entries")
     u, s, _ = np.linalg.svd(a, full_matrices=False)
-    rank = np.count_nonzero(s > 0.5, axis=-1)
-    return [vectors[:, :r] for vectors, r in zip(u, rank)]
+    return np.count_nonzero(s > 0.5, axis=-1), u
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -132,12 +132,13 @@ class OsusySystem:
     (count, size, size) stack of H's blocks; every entry outside the blocks
     is zero. The order ``p`` is read off the stacks, and the dimension
     ``dim`` counts the blocks' indices and the null states. Raises
-    :class:`DimensionError` unless the blocks and ``null`` are integer
-    arrays (an empty ``null``, such as ``[]``, is held as an empty int
-    array), there is a block and the blocks and the null states together
-    partition 0..dim-1 (so a null index out of range, repeated or also in a
-    block is refused) and every stack fits its blocks,
-    and :class:`OrderError` for p = 0. :meth:`dense` assembles the dim x dim
+    :class:`DimensionError` unless the blocks are integer
+    ``numpy.ndarray`` values, nested lists included in the refusal, and
+    ``null`` an integer array (an empty ``null``, such as ``[]``, is held
+    as an empty int array), there is a block and the blocks and the null
+    states together partition 0..dim-1 (so a null index out of range,
+    repeated or also in a block is refused) and every stack fits its
+    blocks, and :class:`OrderError` for p = 0. :meth:`dense` assembles the dim x dim
     matrices, with the null rows and columns zero.
 
     The system holds its charge stacks read-only and carries their
@@ -164,7 +165,11 @@ class OsusySystem:
         null = np.asarray(self.null)
         if not null.size:
             null = null.astype(int)  # [] reads as float64, yet names no state
-        for dtype in (np.asarray(rows).dtype for rows in (*self.blocks, null)):
+        for rows in self.blocks:
+            if not isinstance(rows, np.ndarray):
+                raise DimensionError("blocks must be integer index arrays, "
+                                     f"got {type(rows).__name__}")
+        for dtype in (rows.dtype for rows in (*self.blocks, null)):
             if dtype.kind not in "iu":
                 raise DimensionError(f"blocks and null must be integer index arrays, got {dtype}")
         found = np.concatenate([np.ravel(rows) for rows in self.blocks] + [null.ravel()])

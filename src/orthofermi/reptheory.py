@@ -266,18 +266,20 @@ def verify(rep: OrthoRep, unit: np.ndarray | None = None, tol: float = DEFAULT_T
     return {name: float(value[0]) for name, value in table.items()}
 
 
-def _ranges(a: np.ndarray) -> list[np.ndarray]:
-    """Orthonormal range of each near-projector of a (k, n, n) stack, from at
-    most one batched SVD, with ranks counted at the projector gap
-    (:func:`~orthofermi.linalg.orthonormal_range`).
+def _ranges(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ranks and the stacked orthonormal bases of the near-projectors of
+    a (k, n, n) stack, from at most one batched SVD, with ranks counted at
+    the projector gap (:func:`~orthofermi.linalg.orthonormal_range`): the
+    first ``rank[i]`` columns of ``vectors[i]`` span the range of matrix i.
 
     A stack whose every matrix has Frobenius norm below 1/2, such as the
     complement of a pure split, has empty ranges and runs no SVD: no
     singular value exceeds the Frobenius norm, so none lies above the gap,
-    and the count is the SVD's own.
+    and the count is the SVD's own. Its bases are then the zero-width
+    ``a[..., :0]``.
     """
     if (np.linalg.norm(a, axis=(-2, -1)) < 0.5).all():
-        return [m[:, :0] for m in a]
+        return np.zeros(len(a), int), a[..., :0]
     return orthonormal_range(a)
 
 
@@ -344,7 +346,9 @@ def _grow_copies(c: np.ndarray, vacua: np.ndarray, unit: np.ndarray, tol: float,
     c_a^dag e_i = c_a[R, :]^dag e_i[R], c_a G is zero off the rows R, and
     the block residual is :func:`_block_defects`. A pure split, whose
     complement is zero up to roundoff, runs no complement SVD
-    (:func:`_ranges`).
+    (:func:`_ranges`). The complement takes one width: the bookkeeping
+    m(p+1) + rank = n must hold for every element, and each complement is
+    the first n - m(p+1) columns of its stacked singular vectors.
 
     The certificate. Let U = [F, G] with F the m(p+1) copy columns, T_a the
     target blocks (:func:`_expected_blocks`), R = ``unit``, and let d_U, d_B
@@ -443,12 +447,11 @@ def _grow_copies(c: np.ndarray, vacua: np.ndarray, unit: np.ndarray, tol: float,
                       f"they were grown from {m} vacua")
 
     outside = np.eye(n) - family @ dagger(family)
-    complements = _ranges(outside)
-    trivial = np.array([v.shape[1] for v in complements])
+    trivial, complement = _ranges(outside)
     _refuse(m * (p + 1) + trivial != n, label, NumericalDegeneracyError,
             lambda i: f"dimension bookkeeping failed: {m} copies of {p + 1} plus "
                       f"{trivial[i]} != {n}")
-    complement = np.stack(complements)
+    complement = complement[..., :n - m * (p + 1)]
     annihilation = np.maximum(max_abs(on_rows @ complement, axis=(0, -2, -1)),
                               max_abs(dagger(on_rows) @ complement[..., rows, :],
                                       axis=(0, -2, -1)))
@@ -505,12 +508,11 @@ def decompose_stack(c, unit=None, tol: float = DEFAULT_TOL, labels=None) -> Deco
         pi = unit - occupied(c, held)
         if not (np.maximum(*_projector_rows(pi).values()) <= tol).all():
             raise NotARepresentationError
-        vacua = _ranges(pi)
-        copies = np.array([v.shape[1] for v in vacua])
+        copies, vacua = _ranges(pi)
         _refuse(copies != copies[0], label, NumericalDegeneracyError,
                 lambda i: f"vacuum rank {copies[i]} differs from the first element's "
                           f"{copies[0]}; a stack takes one vacuum rank")
-        basis, residuals = _grow_copies(c, np.stack(vacua), unit, tol, label, held)
+        basis, residuals = _grow_copies(c, vacua[..., :copies[0]], unit, tol, label, held)
     except (NotARepresentationError, NumericalDegeneracyError):
         worst = np.max(list(_relation_table(c, unit, held).values()), axis=0)
         _refuse(~(worst <= tol), label, NotARepresentationError,

@@ -9,7 +9,11 @@ The layout of every file and report is a contract: :func:`render_json`
 writes exactly the text of ``json.dumps(doc, indent=2, sort_keys=True)``.
 It walks dicts and lists itself and renders scalars with the encoders
 stdlib uses; a matrix of [re, im] float pairs is written in one pass, one
-``float.__repr__`` per entry joined with fixed separators.
+``float.__repr__`` per entry joined with fixed separators. A table, a list
+of flat dicts with str keys and float, int or str values such as the
+``spectrum`` of an osusy report, is also written in one pass: the text
+before each value is built once per key set, and each value is rendered
+by a lookup on its exact type.
 """
 
 from __future__ import annotations
@@ -112,9 +116,9 @@ def _render(o, level: int, out: list[str]) -> None:
         if not o:
             out.append("[]")
             return
-        matrix = _matrix_text(o, level) if type(o[0]) is list else None
-        if matrix is not None:
-            out.append(matrix)
+        text = (_matrix_text if type(o[0]) is list else _rows_text)(o, level)
+        if text is not None:
+            out.append(text)
             return
         inner = "\n" + "  " * (level + 1)
         out.append("[" + inner)
@@ -199,6 +203,42 @@ def _matrix_text(rows: list, level: int) -> str | None:
     # 'nan', 'inf' and '-inf' are the only float reprs with an "n"; JSON
     # wants NaN and Infinity there.
     return None if "n" in text else text
+
+
+#: The renderer of each value type that :func:`_rows_text` writes itself.
+_VALUE_TEXT = {float: float.__repr__, int: int.__repr__, str: _encode_str}
+
+
+def _rows_text(rows: list, level: int) -> str | None:
+    """The text of a nonempty list of nonempty flat dicts with str keys and
+    values of exact type float, int or str at indent ``level``, or None for
+    any other list, which :func:`_render` then walks. The rows' key sets
+    may differ; the text before each value is built once per key set, and
+    each value is rendered by a lookup on its type."""
+    if (type(rows[0]) is not dict or set(map(type, rows)) != {dict} or not all(rows)
+            or set(map(type, chain.from_iterable(rows))) != {str}
+            or not set(map(type, chain.from_iterable(map(dict.values, rows))))
+            <= _VALUE_TEXT.keys()):
+        return None
+    i0, i1, i2 = ("\n" + "  " * (level + k) for k in range(3))
+    after = i1 + "},"  # closes a row that another row follows
+    heads, seps, values = {}, [], []
+    for row in rows:
+        found = heads.get(tuple(row))  # by the keys in insertion order
+        if found is None:
+            keys = tuple(sorted(row))
+            found = heads[tuple(row)] = keys, [
+                ("," if j else after + i1 + "{") + i2 + _encode_str(key) + ": "
+                for j, key in enumerate(keys)]
+        seps += found[1]
+        values += map(row.__getitem__, found[0])
+    seps[0] = "[" + seps[0][len(after):]  # the first row follows no row
+    texts = [_VALUE_TEXT[type(v)](v) for v in values]
+    # a str's text is quoted, so only a float's text can be 'nan', 'inf' or
+    # '-inf', which JSON spells NaN and Infinity
+    if not {"nan", "inf", "-inf"}.isdisjoint(texts):
+        texts = [_scalar_text(v) if "n" in text else text for v, text in zip(values, texts)]
+    return "".join(chain.from_iterable(zip(seps, texts))) + i1 + "}" + i0 + "]"
 
 
 def dump_json(doc: dict, path: str | Path) -> None:

@@ -160,8 +160,11 @@ def test_arithmetic_on_a_real_and_a_complex_element_is_complex():
     (lambda x: AlgebraElement(2, lam=None), TypeError),
     (lambda x: AlgebraElement(2, nu=["a", "b"]), ValueError),
     (lambda x: AlgebraElement(2, sigma="x"), ValueError),
+    # numpy would read None as NaN, and complex() would parse "1"
+    (lambda x: AlgebraElement(2, nu=[None, None]), TypeError),
+    (lambda x: AlgebraElement(2, lam="1"), ValueError), (lambda x: "1" * x, ValueError),
 ], ids=["str-times", "times-str", "None-times", "times-list", "str-lam", "None-lam", "str-nu",
-        "str-sigma"])
+        "str-sigma", "None-nu", "numeric-str-lam", "numeric-str-times"])
 def test_a_non_number_is_refused(make, error):
     with pytest.raises(error):
         make(AlgebraElement.vacuum(2))

@@ -52,14 +52,21 @@ def test_herm_eig_rejects_non_hermitian():
         linalg.herm_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def _bases(a) -> list[np.ndarray]:
+    """The k bases of :func:`linalg.orthonormal_range`, each cut to its rank."""
+    rank, vectors = linalg.orthonormal_range(a)
+    assert rank.shape == (len(vectors),) and rank.dtype.kind == "i"
+    return [v[:, :r] for v, r in zip(vectors, rank)]
+
+
 def test_orthonormal_range_rank_one_projector():
-    [cols] = linalg.orthonormal_range(np.diag([1.0, 0.0, 0.0]).astype(complex)[None])
+    [cols] = _bases(np.diag([1.0, 0.0, 0.0]).astype(complex)[None])
     assert cols.shape == (3, 1)
     assert np.allclose(np.abs(cols[:, 0]), [1.0, 0.0, 0.0])
 
 
 def test_orthonormal_range_zero_matrix():
-    [cols] = linalg.orthonormal_range(np.zeros((1, 3, 3), dtype=complex))
+    [cols] = _bases(np.zeros((1, 3, 3), dtype=complex))
     assert cols.shape == (3, 0)
 
 
@@ -67,7 +74,7 @@ def test_orthonormal_range_recovers_projector_subspace():
     rng = np.random.default_rng(11)
     u = linalg.haar_unitary(4, rng)
     proj = u @ np.diag([1.0, 1.0, 0.0, 0.0]).astype(complex) @ u.conj().T
-    [cols] = linalg.orthonormal_range(proj[None])
+    [cols] = _bases(proj[None])
     assert cols.shape == (4, 2)
     # same subspace iff the two orthogonal projectors coincide
     ref = u[:, :2] @ u[:, :2].conj().T
@@ -130,10 +137,20 @@ def test_orthonormal_range_of_a_stack_decides_each_rank_on_its_own():
     for r in ranks:
         z = rng.standard_normal((4, r)) + 1j * rng.standard_normal((4, r))
         stack.append(z @ z.conj().T)
-    bases = linalg.orthonormal_range(np.stack(stack))
+    bases = _bases(np.stack(stack))
     assert [b.shape for b in bases] == [(4, r) for r in ranks]
     for m, basis in zip(stack, bases):
-        assert linalg.max_abs(basis - linalg.orthonormal_range(m[None])[0]) == 0.0
+        assert linalg.max_abs(basis - _bases(m[None])[0]) == 0.0
+
+
+def test_orthonormal_range_of_mixed_ranks_is_one_array_of_full_width():
+    # the ranks differ, yet the bases come back as one (k, m, min(m, n)) stack
+    a = np.zeros((3, 4, 3))
+    a[1, 0, 0] = a[2, 1, 1] = a[2, 2, 2] = 1.0
+    rank, vectors = linalg.orthonormal_range(a)
+    assert rank.tolist() == [0, 1, 2] and vectors.shape == (3, 4, 3)
+    for v in vectors:
+        assert linalg.max_abs(v.T @ v - np.eye(3)) < 1e-15
 
 
 @pytest.mark.parametrize("a", [np.zeros(3), np.zeros((2, 3))], ids=["1-d", "non-square"])
@@ -186,7 +203,7 @@ def test_herm_eig_and_orthonormal_range_keep_a_real_input_real(dtype):
     eig = linalg.herm_eig(z + z.T)
     assert (eig.values.dtype, eig.vectors.dtype) == (np.dtype(float), np.dtype(dtype))
     assert linalg.max_abs(eig.vectors * eig.values @ eig.vectors.conj().T - (z + z.T)) <= 1e-12
-    (basis,) = linalg.orthonormal_range(z[None, :, :3])
+    (basis,) = _bases(z[None, :, :3])
     assert basis.shape == (5, 3) and basis.dtype == dtype
 
 
@@ -196,6 +213,6 @@ def test_herm_eig_and_orthonormal_range_keep_the_imaginary_part_of_a_complex_inp
     eig = linalg.herm_eig(h)
     assert eig.vectors.dtype == complex and linalg.max_abs(eig.vectors.imag) > 0.1
     assert linalg.max_abs(eig.vectors * eig.values @ eig.vectors.conj().T - h) <= 1e-12
-    (basis,) = linalg.orthonormal_range(u[None, :, :2])
+    (basis,) = _bases(u[None, :, :2])
     assert basis.dtype == complex
     assert linalg.max_abs(basis @ basis.conj().T - u[:, :2] @ u[:, :2].conj().T) <= 1e-12

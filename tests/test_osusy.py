@@ -258,15 +258,19 @@ def test_a_system_refuses_null_states_that_do_not_partition_with_the_blocks(null
 
 
 @pytest.mark.parametrize("case, dtype", [("float-blocks", "float64"), ("float-null", "float64"),
-                                         ("bool-null", "bool")],
-                         ids=["float-blocks", "float-null", "bool-null"])
+                                         ("bool-null", "bool"), ("nested-list-blocks", "list")],
+                         ids=["float-blocks", "float-null", "bool-null", "nested-list-blocks"])
 def test_a_system_refuses_index_arrays_that_are_not_integer(case, dtype):
     # each partitions 0..dim-1 by value (1.0 == 1, True == 1), so only the
-    # dtype can refuse it; float blocks would fail later, as indices in dense()
+    # dtype can refuse it; float blocks would fail later, as indices in dense(),
+    # and nested lists of ints, whose dtype is an integer one, when the
+    # stacks are checked against the blocks' shapes
     sys_ = build_system(2, 3)
     blocks, null = sys_.blocks, sys_.null
     if case == "float-blocks":
         blocks = [rows.astype(float) for rows in blocks]
+    elif case == "nested-list-blocks":
+        blocks = [rows.tolist() for rows in blocks]
     elif case == "float-null":
         null = null.astype(float)
     else:  # the null states 0, 1 beside the sectors moved to 2..7

@@ -200,8 +200,33 @@ near_matrices = st.one_of(
     st.lists(st.lists(st.lists(st.one_of(floats, scalars), min_size=1, max_size=3),
                       min_size=1, max_size=3), min_size=1, max_size=3))
 
+
+@st.composite
+def tables(draw):
+    """A list of flat dicts, as a report's table: rows over a few keys, so
+    that key sets are shared and differ. Half the draws hold only int, float
+    and str values under str keys, which the writer renders in one pass,
+    non-finite floats and escaped texts included; the others draw every
+    scalar, may take int keys and may hold an empty dict or a nested value
+    in the middle of the list."""
+    plain = draw(st.booleans())
+    names = texts if plain or draw(st.booleans()) else st.integers()
+    keys = st.sampled_from(draw(st.lists(names, min_size=1, max_size=4, unique=True)))
+    values = st.one_of(st.integers(), floats, texts) if plain else scalars
+    rows = draw(st.lists(st.dictionaries(keys, values, min_size=1, max_size=4),
+                         min_size=1, max_size=5))
+    if not plain and draw(st.booleans()):
+        odd = draw(st.sampled_from([{}, [1.0, 2.0], {"k": [0.5]}]))
+        at = draw(st.integers(0, len(rows)))
+        if draw(st.booleans()):
+            rows.insert(at, odd)
+        else:
+            rows[min(at, len(rows) - 1)][draw(keys)] = odd
+    return rows
+
+
 documents = st.recursive(
-    st.one_of(scalars, matrices(), matrices(), near_matrices),
+    st.one_of(scalars, matrices(), matrices(), near_matrices, tables()),
     lambda inner: st.one_of(
         st.lists(inner, max_size=4),
         st.lists(inner, max_size=3).map(tuple),
@@ -216,12 +241,24 @@ documents = st.recursive(
 @example(doc=encode_matrix(np.zeros((0, 0))))
 @example(doc=encode_matrix(np.zeros((1, 0))))
 @example(doc={"a": [], "b": {}, "c": [[], {}], "m": [encode_matrix(np.eye(2)), []]})
+@example(doc={"spectrum": [{"E": 0.0, "copies": 0, "dim": 3, "note": "1 vacuum"},
+                           {"E": 1.0, "copies": 1, "dim": 3}, {"dim": 3, "copies": 1, "E": 2.0}]})
 def test_writer_matches_stdlib(doc, tmp_path_factory):
     expected = json.dumps(doc, indent=2, sort_keys=True)
     assert render_json(doc) == expected
     path = tmp_path_factory.getbasetemp() / "writer-doc.json"
     dump_json(doc, path)
     assert path.read_text(encoding="utf-8") == expected + "\n"
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(table=tables())
+@example(table=[{"E": float("nan"), "dim": 3}, {"E": float("inf")}, {"E": -float("inf")}])
+@example(table=[{"copies": 1, "pure": True}, {"copies": False}])
+def test_tables_match_stdlib(table):
+    # a table at the top and nested, where its indent is deeper
+    for doc in (table, {"payload": {"spectrum": table}}):
+        assert render_json(doc) == json.dumps(doc, indent=2, sort_keys=True)
 
 
 def test_writer_refuses_what_stdlib_refuses():
