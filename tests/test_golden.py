@@ -47,6 +47,7 @@ CASES = {
     "ladder-p2": ["ladder --p 2 --json"],
     "ladder-p5": ["ladder --p 5 --json"],
     "ladder-p17": ["ladder --p 17 --json"],
+    "ladder-p3-table": ["ladder --p 3"],
     "osusy-p1-l3": ["osusy --p 1 --levels 3 --json"],
     "osusy-p2-l5": ["osusy --p 2 --levels 5 --json"],
     "osusy-p3-l7": ["osusy --p 3 --levels 7 --json"],
