@@ -102,6 +102,8 @@ class Report:
 
 
 def _render_payload(value) -> str:
+    # an encode_matrix array prints as its nested [re, im] pair list
+    value = value.tolist() if isinstance(value, np.ndarray) else value
     if isinstance(value, list) and value and isinstance(value[0], dict):
         rows = ["  " + "  ".join(f"{k}={v}" for k, v in row.items()) for row in value]
         return "\n".join(rows)

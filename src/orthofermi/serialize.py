@@ -6,19 +6,27 @@ Representation files carry a ``schema_version`` tag so the layout can
 evolve without silent misreads.
 
 The layout of every file and report is a contract: :func:`render_json`
-writes exactly the text of ``json.dumps(doc, indent=2, sort_keys=True)``.
-It walks dicts and lists itself and renders scalars with the encoders
-stdlib uses; a matrix of [re, im] float pairs is written in one pass, one
-``float.__repr__`` per entry joined with fixed separators. A table, a list
-of flat dicts with str keys and float, int or str values such as the
-``spectrum`` of an osusy report, is also written in one pass: the text
-before each value is built once per key set, and each value is rendered
-by a lookup on its exact type.
+writes exactly the text of ``json.dumps(doc, indent=2, sort_keys=True)``,
+with each ``np.ndarray`` in ``doc`` written as its ``tolist()``. It walks
+dicts and lists itself and renders scalars with the encoders stdlib uses.
+The package hands it matrices as the float64 arrays of
+:func:`encode_matrix`; a finite one is written in one pass, one
+``float.__repr__`` per entry joined with fixed separators, and no nested
+list is built. A table, a list of flat dicts with str keys and float, int
+or str values such as the ``spectrum`` of an osusy report, is also
+written in one pass: the text before each value is built once per key
+set, and each value is rendered by a lookup on its exact type.
+
+A representation file is read with the cycle collector paused: the tree
+``json.loads`` builds holds no reference cycle, so a collection pass
+while it is alive frees nothing.
 """
 
 from __future__ import annotations
 
+import gc
 import json
+from contextlib import contextmanager
 from itertools import chain
 from pathlib import Path
 
@@ -32,10 +40,12 @@ BASIS_SCHEMA = "orthofermion-basis/1"
 SYSTEM_SCHEMA = "orthofermion-osusy/1"
 
 
-def encode_matrix(m: np.ndarray) -> list:
-    """Nested-list encoding with [re, im] entry pairs, row major."""
+def encode_matrix(m: np.ndarray) -> np.ndarray:
+    """The float64 array of shape (..., rows, cols, 2) that holds each entry
+    of ``m`` as its [re, im] pair; its ``tolist()`` is the nested-list
+    encoding of the file format, which :func:`render_json` writes."""
     m = np.asarray(m, dtype=complex)
-    return np.stack((m.real, m.imag), axis=-1).tolist()
+    return np.stack((m.real, m.imag), axis=-1)
 
 
 def decode_matrix(data, rows: int, cols: int, what: str) -> np.ndarray:
@@ -67,16 +77,24 @@ def decode_matrix(data, rows: int, cols: int, what: str) -> np.ndarray:
     return m.view(complex)[..., 0]
 
 
-def rep_to_dict(rep: OrthoRep, unit: np.ndarray | None = None) -> dict:
+def _rep_doc(rep: OrthoRep, unit: np.ndarray | None, encode) -> dict:
+    """The key layout of a representation file, each matrix or stack of
+    matrices as ``encode`` writes it."""
     doc = {
         "schema_version": REP_SCHEMA,
         "p": rep.p,
         "dim": rep.dim,
-        "matrices": encode_matrix(rep.c),
+        "matrices": list(encode(rep.c)),
     }
     if unit is not None:
-        doc["unit"] = encode_matrix(unit)
+        doc["unit"] = encode(unit)
     return doc
+
+
+def rep_to_dict(rep: OrthoRep, unit: np.ndarray | None = None) -> dict:
+    """The document of a representation file as ``json.loads`` reads it
+    back, with nested lists for matrices: the inverse of :func:`rep_from_dict`."""
+    return _rep_doc(rep, unit, lambda m: encode_matrix(m).tolist())
 
 
 def rep_from_dict(doc: dict) -> tuple[OrthoRep, np.ndarray | None]:
@@ -105,18 +123,27 @@ def rep_from_dict(doc: dict) -> tuple[OrthoRep, np.ndarray | None]:
 
 
 def render_json(doc) -> str:
-    """``json.dumps(doc, indent=2, sort_keys=True)``, byte for byte."""
+    """``json.dumps(doc, indent=2, sort_keys=True)``, byte for byte, with
+    each ``np.ndarray`` in ``doc`` written as its ``tolist()``; anything
+    else that stdlib refuses, a ``np.int64`` scalar say, raises
+    ``TypeError``."""
     out: list[str] = []
     _render(doc, 0, out)
     return "".join(out)
 
 
 def _render(o, level: int, out: list[str]) -> None:
+    if isinstance(o, np.ndarray):
+        text = _matrix_text(o, level)
+        if text is not None:
+            out.append(text)
+            return
+        o = o.tolist()
     if isinstance(o, (list, tuple)):
         if not o:
             out.append("[]")
             return
-        text = (_matrix_text if type(o[0]) is list else _rows_text)(o, level)
+        text = _rows_text(o, level)
         if text is not None:
             out.append(text)
             return
@@ -175,34 +202,26 @@ def _scalar_text(o) -> str:
     raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
 
 
-def _matrix_text(rows: list, level: int) -> str | None:
-    """The text of a nonempty list of equal-length rows of [re, im] float
-    pairs at indent ``level``, or None for any other list or a non-finite
-    entry, which :func:`_render` then walks."""
-    cols = len(rows[0])
-    if not cols or set(map(type, rows)) != {list} or set(map(len, rows)) != {cols}:
-        return None
-    entries = list(chain.from_iterable(rows))
-    if set(map(type, entries)) != {list} or set(map(len, entries)) != {2}:
-        return None
-    values = list(chain.from_iterable(entries))
-    if set(map(type, values)) != {float}:
+def _matrix_text(a: np.ndarray, level: int) -> str | None:
+    """The text of a nonempty float64 array of shape (rows, cols, 2) with
+    finite entries at indent ``level``, or None for any other array, which
+    :func:`_render` then walks as its ``tolist()``: stdlib spells a
+    non-finite float NaN or Infinity, not as its repr."""
+    if (a.dtype != np.float64 or a.ndim != 3 or a.shape[2] != 2 or not a.size
+            or not np.isfinite(a).all()):
         return None
     i0, i1, i2, i3 = ("\n" + "  " * (level + k) for k in range(4))
     # The text before each value: a row's first real part, any other real
     # part, an imaginary part; and the text after the last value.
-    seps = [i2 + "]," + i2 + "[" + i3, "," + i3] * cols
+    seps = [i2 + "]," + i2 + "[" + i3, "," + i3] * a.shape[1]
     seps[0] = i2 + "]" + i1 + "]," + i1 + "[" + i2 + "[" + i3
-    seps *= len(rows)
+    seps *= a.shape[0]
     seps[0] = "[" + i1 + "[" + i2 + "[" + i3
     seps.append(i2 + "]" + i1 + "]" + i0 + "]")
-    parts = [""] * (len(seps) + len(values))
+    parts = [""] * (2 * len(seps) - 1)
     parts[0::2] = seps
-    parts[1::2] = map(float.__repr__, values)
-    text = "".join(parts)
-    # 'nan', 'inf' and '-inf' are the only float reprs with an "n"; JSON
-    # wants NaN and Infinity there.
-    return None if "n" in text else text
+    parts[1::2] = map(float.__repr__, a.ravel().tolist())
+    return "".join(parts)
 
 
 #: The renderer of each value type that :func:`_rows_text` writes itself.
@@ -265,8 +284,26 @@ def load_json(path: str | Path) -> dict:
 
 
 def write_rep_file(path: str | Path, rep: OrthoRep, unit: np.ndarray | None = None) -> None:
-    dump_json(rep_to_dict(rep, unit), path)
+    dump_json(_rep_doc(rep, unit, encode_matrix), path)
+
+
+@contextmanager
+def _collector_paused():
+    """Pause the cycle collector for the body, if it runs; a collector the
+    caller turned off stays off. Reading a file builds a ``json.loads``
+    tree of one list per row and per entry that is alive until the file is
+    decoded and holds no reference cycle, so every pass in that window
+    traverses it and frees nothing."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def read_rep_file(path: str | Path) -> tuple[OrthoRep, np.ndarray | None]:
-    return rep_from_dict(load_json(path))
+    # the parsed tree is released when rep_from_dict returns, inside the pause
+    with _collector_paused():
+        return rep_from_dict(load_json(path))

@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from orthofermi import serialize
 from orthofermi.canonical import canonical
 from orthofermi.errors import IoError, ParseError
 from orthofermi.reptheory import OrthoRep, random_rep
@@ -17,7 +19,7 @@ def test_matrix_encoding_round_trips_losslessly():
     rng = np.random.default_rng(23)
     m = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
     m[0, 0] = np.sqrt(2) + 1j * np.pi
-    back = decode_matrix(encode_matrix(m), 3, 4, "m")
+    back = decode_matrix(encode_matrix(m).tolist(), 3, 4, "m")
     assert np.array_equal(back, m)
 
 
@@ -25,8 +27,8 @@ def test_encoded_matrix_is_the_nested_pair_list():
     m = np.array([[1.5 - 0.0j, -0.0 + 2j], [np.nan, 1e308 - 1j * np.inf]])
     encoded = encode_matrix(m)
     expected = [[[float(z.real), float(z.imag)] for z in row] for row in m]
-    assert type(encoded) is list
-    assert repr(encoded) == repr(expected)
+    assert type(encoded) is np.ndarray and encoded.dtype == np.float64
+    assert repr(encoded.tolist()) == repr(expected)
 
 
 def test_rep_file_round_trip(tmp_path):
@@ -158,6 +160,38 @@ def test_missing_file_raises_io_error(tmp_path):
         read_rep_file(tmp_path / "does-not-exist.json")
 
 
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+def test_reading_a_rep_file_pauses_the_collector_and_restores_it(tmp_path, monkeypatch, enabled):
+    good, broken, true_entry = tmp_path / "rep.json", tmp_path / "broken.json", tmp_path / "true.json"
+    write_rep_file(good, canonical(2), np.eye(3))
+    broken.write_text("{not json", encoding="utf-8")
+    doc = rep_to_dict(canonical(2))
+    doc["matrices"][1][2][0][0] = True
+    true_entry.write_text(json.dumps(doc), encoding="utf-8")
+    cases = [(good, None), (broken, ParseError), (true_entry, ParseError),
+             (tmp_path / "does-not-exist.json", IoError)]
+    during = []
+
+    def decode(doc):
+        during.append(gc.isenabled())
+        return rep_from_dict(doc)
+
+    monkeypatch.setattr(serialize, "rep_from_dict", decode)
+    was = gc.isenabled()
+    try:
+        for path, error in cases:
+            (gc.enable if enabled else gc.disable)()
+            if error is None:
+                assert read_rep_file(path)[0].dim == 3
+            else:
+                with pytest.raises(error):
+                    read_rep_file(path)
+            assert gc.isenabled() is enabled, path.name
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert during == [False, False]
+
+
 def test_unwritable_path_raises_io_error(tmp_path):
     rep = OrthoRep([canonical(1).c[0]])
     with pytest.raises(IoError):
@@ -180,14 +214,15 @@ scalars = st.one_of(st.none(), st.booleans(), st.integers(), floats, floats.map(
 
 @st.composite
 def matrices(draw):
-    """encode_matrix of a matrix up to 5 x 5; one draw in four has a non-finite entry."""
+    """The nested-list encoding of a matrix up to 5 x 5; one draw in four
+    has a non-finite entry."""
     rows, cols = draw(st.integers(0, 5)), draw(st.integers(0, 5))
     parts = draw(st.lists(finite_floats, min_size=2 * rows * cols, max_size=2 * rows * cols))
     if parts and draw(st.integers(0, 3)) == 0:
         parts[draw(st.integers(0, len(parts) - 1))] = draw(st.sampled_from(NON_FINITE))
     m = np.empty((rows, cols), dtype=complex)
     m.real.flat[:], m.imag.flat[:] = parts[0::2], parts[1::2]
-    return encode_matrix(m)
+    return encode_matrix(m).tolist()
 
 
 # nested lists that almost have a matrix's shape: rows of unequal length,
@@ -238,9 +273,9 @@ documents = st.recursive(
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(doc=documents)
-@example(doc=encode_matrix(np.zeros((0, 0))))
-@example(doc=encode_matrix(np.zeros((1, 0))))
-@example(doc={"a": [], "b": {}, "c": [[], {}], "m": [encode_matrix(np.eye(2)), []]})
+@example(doc=encode_matrix(np.zeros((0, 0))).tolist())
+@example(doc=encode_matrix(np.zeros((1, 0))).tolist())
+@example(doc={"a": [], "b": {}, "c": [[], {}], "m": [encode_matrix(np.eye(2)).tolist(), []]})
 @example(doc={"spectrum": [{"E": 0.0, "copies": 0, "dim": 3, "note": "1 vacuum"},
                            {"E": 1.0, "copies": 1, "dim": 3}, {"dim": 3, "copies": 1, "E": 2.0}]})
 def test_writer_matches_stdlib(doc, tmp_path_factory):
@@ -261,9 +296,75 @@ def test_tables_match_stdlib(table):
         assert render_json(doc) == json.dumps(doc, indent=2, sort_keys=True)
 
 
+# the writer given encode_matrix arrays, against stdlib writing each as its tolist()
+
+ARRAY_SPECIALS = [-0.0, 5e-324, 1e16, 1e-05, 1e22]
+array_floats = st.one_of(finite_floats, st.sampled_from(ARRAY_SPECIALS))
+
+
+def array_as_list(o):
+    """The ``default`` of json.dumps that writes an ndarray as its tolist()."""
+    if isinstance(o, np.ndarray):
+        return o.tolist()
+    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+
+
+@st.composite
+def pair_arrays(draw):
+    """A float64 array of shape (rows, cols, 2), rows and cols in 0..5, as
+    encode_matrix returns; one draw in four has a NaN or an infinity, and one
+    in eight has another shape."""
+    rows, cols = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    values = draw(st.lists(array_floats, min_size=2 * rows * cols, max_size=2 * rows * cols))
+    if values and draw(st.integers(0, 3)) == 0:
+        values[draw(st.integers(0, len(values) - 1))] = draw(st.sampled_from(NON_FINITE))
+    shape = draw(st.sampled_from([(rows, cols, 2)] * 7 + [(1, rows, cols, 2), (rows, 2 * cols),
+                                                          (2 * rows * cols,)]))
+    return np.array(values, dtype=np.float64).reshape(shape)
+
+
+def as_pairs(values: list, dtype) -> np.ndarray:
+    """``values`` as an array of dtype ``dtype``: of [a, b] pairs, as an
+    encoded matrix holds them, when there is an even number of them."""
+    a = np.array(values, dtype=dtype)
+    return a.reshape(-1, 1, 2) if len(values) % 2 == 0 else a
+
+
+other_arrays = st.one_of(
+    st.lists(st.integers(-2**63, 2**63 - 1), max_size=12).map(lambda v: as_pairs(v, np.int64)),
+    st.lists(st.booleans(), max_size=8).map(lambda v: as_pairs(v, bool)))
+
+array_documents = st.recursive(
+    st.one_of(pair_arrays(), pair_arrays(), other_arrays, scalars),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.dictionaries(texts, inner, max_size=4)),
+    max_leaves=10)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(doc=array_documents)
+@example(doc=np.zeros((0, 0, 2)))
+@example(doc=np.zeros((1, 0, 2)))
+@example(doc={"m": [encode_matrix(np.eye(2) + 1j), {"u": [encode_matrix(np.eye(1))]}]})
+@example(doc=encode_matrix([[np.nan, 1.0], [np.inf, -np.inf * 1j]]))
+def test_array_writer_matches_stdlib(doc, tmp_path_factory):
+    expected = json.dumps(doc, indent=2, sort_keys=True, default=array_as_list)
+    assert render_json(doc) == expected
+    path = tmp_path_factory.getbasetemp() / "writer-array-doc.json"
+    dump_json(doc, path)
+    assert path.read_text(encoding="utf-8") == expected + "\n"
+
+
 def test_writer_refuses_what_stdlib_refuses():
     for doc in [{"x": object()}, {"x": np.int64(1)}, {1: "a", "b": 2}, {(1, 2): 0}]:
         with pytest.raises(TypeError):
             json.dumps(doc, indent=2, sort_keys=True)
+        with pytest.raises(TypeError):
+            render_json(doc)
+    # with arrays written as their tolist(), a complex entry is still refused
+    for doc in [{"x": np.eye(2, dtype=complex)}, [np.int64(1), np.zeros((1, 1, 2))]]:
+        with pytest.raises(TypeError):
+            json.dumps(doc, indent=2, sort_keys=True, default=array_as_list)
         with pytest.raises(TypeError):
             render_json(doc)
