@@ -2,7 +2,6 @@
 para- and fractional supersymmetries of the orthosupersymmetric oscillator.
 """
 
-from .algebra import AlgebraElement, alg_adjoint, alg_mul
 from .canonical import (OrthoRep, canonical, cyclic_from, ladder_identity_residuals,
                         ladder_operators, lowering_from, occupied)
 from .errors import (ClusteringError, DimensionError, IoError, NotARepresentationError,
@@ -19,7 +18,6 @@ from .reptheory import (Decomposition, decompose, decompose_stack, infer_unit, r
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlgebraElement", "alg_adjoint", "alg_mul",
     "OrthoRep", "canonical", "cyclic_from", "ladder_identity_residuals",
     "ladder_operators", "lowering_from", "occupied",
     "ClusteringError", "DimensionError", "IoError", "NotARepresentationError",

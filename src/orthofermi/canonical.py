@@ -42,9 +42,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import check_order
 from .errors import DimensionError, OrderError
-from .linalg import check_addressable, dagger, field, max_abs
+from .linalg import check_addressable, check_order, dagger, field, max_abs
 
 
 @dataclass(frozen=True)
@@ -85,8 +84,8 @@ class OrthoRep:
 
 
 def canonical(p: int) -> OrthoRep:
-    """The canonical representation: c_a is its :func:`~orthofermi.algebra.rho0`
-    image, the matrix unit E_{1,a+1}, in float64. Raises :class:`OrderError`
+    """The canonical representation: c_a is the matrix unit E_{1,a+1} on the
+    (p+1)-dimensional Fock space, in float64. Raises :class:`OrderError`
     for an order whose (p, p+1, p+1) stack numpy cannot address."""
     p = check_order(p)
     check_addressable(OrderError, f"order p = {p}", p, p + 1, p + 1)

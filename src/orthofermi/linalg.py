@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, NotHermitianError
+from .errors import DimensionError, NotHermitianError, OrderError
 
 #: Default tolerance on residuals of algebraic identities.
 DEFAULT_TOL = 1e-10
@@ -49,6 +49,20 @@ def is_count(value, least: int) -> bool:
         return not isinstance(value, (bool, np.bool_)) and int(value) == value >= least
     except (TypeError, ValueError, OverflowError):
         return False
+
+
+def check_order(p: int) -> int:
+    """The orthofermion order ``p`` as an int.
+
+    Any value equal to a positive integer is accepted (``3.0`` gives 3);
+    everything else, bools, NaN, infinities, strings and None included,
+    raises :class:`OrderError`, as does an order too large for numpy to
+    address its (p+1) x (p+1) matrices.
+    """
+    if not is_count(p, 1):
+        raise OrderError(f"order p must be a positive integer, got {p!r}")
+    check_addressable(OrderError, f"order p = {int(p)}", int(p) + 1, int(p) + 1)
+    return int(p)
 
 
 def check_addressable(error, what: str, *shape: int) -> None:

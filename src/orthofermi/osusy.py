@@ -97,12 +97,11 @@ from dataclasses import InitVar, dataclass, field as dataclass_field
 
 import numpy as np
 
-from .algebra import check_order
 from .canonical import (as_index, conjugate, cyclic_from, held_rows, lowering_from, occupied,
                         transfer)
 from .errors import ClusteringError, DimensionError, NotARepresentationError, TruncationError
-from .linalg import (DEFAULT_TOL, HermEig, check_addressable, dagger, field, herm_eig, is_count,
-                     max_abs)
+from .linalg import (DEFAULT_TOL, HermEig, check_addressable, check_order, dagger, field,
+                     herm_eig, is_count, max_abs)
 from .reptheory import decompose_stack, relation_residuals
 
 #: Default relative tolerance for grouping eigenvalues into clusters.

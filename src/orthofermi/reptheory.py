@@ -53,12 +53,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import check_order
 from .canonical import (OrthoRep, _expected_blocks, _target_entries, as_index, conjugate,
                         held_rows, occupied)
 from .errors import DimensionError, NotARepresentationError, NumericalDegeneracyError
-from .linalg import (DEFAULT_TOL, check_addressable, dagger, field, haar_unitary, is_count,
-                     max_abs, orthonormal_range)
+from .linalg import (DEFAULT_TOL, check_addressable, check_order, dagger, field, haar_unitary,
+                     is_count, max_abs, orthonormal_range)
 
 
 def _worst(terms) -> np.ndarray:

@@ -8,11 +8,11 @@ A brute-force oracle for the relation kernel of :mod:`orthofermi.reptheory`:
 :func:`pair_relation_defects` forms every pair product in full, one pair and
 one stack element at a time.
 
-A symbolic oracle for :mod:`orthofermi.algebra`: :func:`monomial_product`
-multiplies two basis monomials from the defining relations alone, without
-the coefficient squares and without ``rho0``; :func:`coefficient_product`
-multiplies any two elements by the four coefficient formulas that the
-structure constants give.
+A symbolic oracle for the orthofermion algebra: :func:`monomial_product`
+multiplies two monomial labels from the defining relations alone, and
+:func:`adjoint_label` applies the * operation to one; :func:`image` is a
+label's matrix in a representation, formed from its annihilators, so that
+the *-isomorphism onto the canonical matrices can be checked label by label.
 
 Brute-force oracles for :mod:`orthofermi.canonical`:
 :func:`ladder_closed_form_residuals` sums the L^k closed forms of the ladder
@@ -39,7 +39,6 @@ from fractions import Fraction
 import numpy as np
 
 from orthofermi import osusy
-from orthofermi.algebra import AlgebraElement
 from orthofermi.canonical import held_rows, occupied, transfer
 from orthofermi.linalg import max_abs
 
@@ -90,26 +89,31 @@ def monomial_product(x, y):
     return monomial_product(head, tail)    # Pi c_g = c_g, c_a^dag c_g = transfer
 
 
-def monomial_element(p, label):
-    """The :class:`AlgebraElement` of a monomial label, or zero for None."""
+def adjoint_label(label):
+    """The * operation on a monomial label: Pi^dag = Pi, c_a -> c_a^dag,
+    c_a^dag -> c_a and (c_a^dag c_b)^dag = c_b^dag c_a."""
+    kind = label[0]
+    if kind == "cdag c":
+        return ("cdag c", label[2], label[1])
+    return {"Pi": label, "c": ("cdag", *label[1:]), "cdag": ("c", *label[1:])}[kind]
+
+
+def image(c, label):
+    """The matrix of a monomial label, or of zero for None, in the
+    representation whose (p, n, n) annihilators are ``c``:
+    Pi = 1 - occupied(c), c_a = c[a-1], c_a^dag = c[a-1]^dag and
+    c_a^dag c_b = c[a-1]^dag c[b-1]."""
+    n = c.shape[-1]
     if label is None:
-        return AlgebraElement.zero(p)
-    constructors = {"Pi": AlgebraElement.vacuum, "c": AlgebraElement.annihilator,
-                "cdag": AlgebraElement.creator, "cdag c": AlgebraElement.transfer}
-    return constructors[label[0]](p, *label[1:])
-
-
-def coefficient_product(x, y):
-    """x * y expanded on the monomial basis, coefficient by coefficient:
-
-        lam''   = lam lam' + nu . mu'
-        nu''    = lam nu' + sigma'^T nu
-        mu''    = lam' mu + sigma mu'
-        sigma'' = outer(mu, nu') + sigma sigma'
-    """
-    return AlgebraElement(x.p, x.lam * y.lam + x.nu.dot(y.mu), x.lam * y.nu + x.nu.dot(y.sigma),
-                          y.lam * x.mu + x.sigma.dot(y.mu),
-                          np.multiply.outer(x.mu, y.nu) + x.sigma.dot(y.sigma))
+        return np.zeros((n, n), dtype=c.dtype)
+    kind, *index = label
+    if kind == "Pi":
+        return np.eye(n, dtype=c.dtype) - occupied(c)
+    if kind == "c":
+        return c[index[0] - 1]
+    if kind == "cdag":
+        return adjoint(c[index[0] - 1])
+    return adjoint(c[index[0] - 1]) @ c[index[1] - 1]
 
 
 def ladder_closed_form_residuals(c, L):

@@ -11,7 +11,6 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from orthofermi.algebra import alg_adjoint, alg_mul, basis, rho0
 from orthofermi.canonical import canonical, ladder_identity_residuals, ladder_operators
 from orthofermi.cli import EXIT_FAIL, EXIT_IO, EXIT_PASS, main
 from orthofermi.linalg import herm_eig, max_abs
@@ -19,7 +18,8 @@ from orthofermi.osusy import (build_generators, build_system, check_generators,
                               check_relations, closed_form_frac, closed_form_para,
                               eigenspace_reps, spectral)
 from orthofermi.reptheory import decompose, random_rep, verify
-from oracles import cluster_bases, dense, dense_generators
+from oracles import (adjoint_label, cluster_bases, dense, dense_generators, image,
+                     monomial_product, monomials)
 
 SEEDS = (1, 2, 3, 7, 11)
 
@@ -44,13 +44,20 @@ def test_criterion_1_canonical_relations_exact():
 
 
 def test_criterion_2_coefficient_algebra_isomorphism():
-    with criterion(2, "coefficient algebra maps isomorphically onto matrices, p = 1..3"):
+    with criterion(2, "the algebra of the relations is *-isomorphic to the canonical matrices, p = 1..3"):
         for p in (1, 2, 3):
-            elements = basis(p)
-            for x in elements:
-                assert np.array_equal(rho0(alg_adjoint(x)), rho0(x).conj().T)
-                for y in elements:
-                    assert np.array_equal(rho0(alg_mul(x, y)), rho0(x) @ rho0(y))
+            c = canonical(p).c
+            labels = monomials(p)
+            # the product and the * operation, taken from the relations alone,
+            # are the matrix product and the conjugate transpose of the images
+            for x in labels:
+                assert np.array_equal(image(c, adjoint_label(x)), image(c, x).conj().T), x
+                for y in labels:
+                    assert np.array_equal(image(c, monomial_product(x, y)),
+                                          image(c, x) @ image(c, y)), (x, y)
+            # and the images of the (p+1)^2 monomials span the matrix algebra
+            stacked = np.array([image(c, x).ravel() for x in labels])
+            assert np.linalg.matrix_rank(stacked) == (p + 1) ** 2
 
 
 def test_criterion_3_ladder_identities_exact():

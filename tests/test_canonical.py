@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orthofermi.algebra import AlgebraElement, rho0
+from orthofermi.algebra import basis, rho0
 from orthofermi.canonical import (OrthoRep, canonical, cyclic_from, held_rows,
                                   ladder_identity_residuals, ladder_operators, lowering_from,
                                   occupied, transfer)
@@ -42,7 +42,8 @@ def test_canonical_entry_formula():
 
 @pytest.mark.parametrize("p", range(1, 13))
 def test_canonical_is_the_stacked_rho0_images(p):
-    images = np.stack([rho0(AlgebraElement.annihilator(p, a)) for a in range(1, p + 1)])
+    # basis(p) lists Pi, then c_1 .. c_p
+    images = np.stack([rho0(x) for x in basis(p)[1:p + 1]])
     c = canonical(p).c
     # the matrix units are real, so both stacks are float64 under linalg.field
     assert (c.shape, c.dtype) == (images.shape, np.float64) and images.dtype == np.float64

@@ -1,10 +1,12 @@
+import math
 import re
 
 import numpy as np
 import pytest
 
 from orthofermi import linalg
-from orthofermi.errors import DimensionError, NotHermitianError
+from orthofermi.errors import DimensionError, NotHermitianError, OrderError
+from orthofermi.linalg import check_order
 
 
 def _unit(i, j, n=2):
@@ -216,3 +218,15 @@ def test_herm_eig_and_orthonormal_range_keep_the_imaginary_part_of_a_complex_inp
     (basis,) = _bases(u[None, :, :2])
     assert basis.dtype == complex
     assert linalg.max_abs(basis @ basis.conj().T - u[:, :2] @ u[:, :2].conj().T) <= 1e-12
+
+
+@pytest.mark.parametrize("p", [math.nan, math.inf, -math.inf, None, "3", 2.5, True, 0, -1, 1j])
+def test_check_order_rejects_every_non_positive_integer(p):
+    with pytest.raises(OrderError):
+        check_order(p)
+
+
+def test_check_order_accepts_integral_values():
+    assert check_order(3.0) == 3 and type(check_order(3.0)) is int
+    assert check_order(np.int64(4)) == 4
+    assert check_order(1) == 1

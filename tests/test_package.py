@@ -39,6 +39,41 @@ def test_every_export_is_used_inside_the_package():
     assert unused == []
 
 
+def imported(tree):
+    """The dotted names that ``tree`` imports, a relative import read as one
+    inside ``orthofermi``: ``from . import algebra`` gives ``orthofermi`` and
+    ``orthofermi.algebra``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ("orthofermi" if node.level else "", node.module)))
+            yield base
+            yield from (f"{base}.{alias.name}" for alias in node.names)
+
+
+def test_the_algebra_module_is_a_leaf():
+    # the algebra is its matrix image, and the package itself needs neither:
+    # no module imports it and the root exports nothing defined there
+    package = Path(orthofermi.__file__).parent
+    importers = [path.stem for path in sorted(package.glob("*.py"))
+                 if "orthofermi.algebra" in imported(ast.parse(path.read_text(encoding="utf-8")))]
+    assert importers == []
+    tree = ast.parse((package / "algebra.py").read_text(encoding="utf-8"))
+    defined = {node.name for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert defined and not defined & set(orthofermi.__all__)
+
+
+@pytest.mark.parametrize("source, found", [
+    ("from .algebra import basis\n", True), ("from . import algebra\n", True),
+    ("import orthofermi.algebra\n", True),
+    ("from orthofermi.algebra import rho0\n", True), ("from orthofermi import algebra\n", True),
+    ("from .linalg import check_order\n", False), ("from . import linalg\n", False),
+])
+def test_the_leaf_guard_finds_each_import_form(source, found):
+    assert ("orthofermi.algebra" in imported(ast.parse(source))) is found
+
+
 def test_code_lines_skip_blanks_comments_and_docstrings():
     source = '''"""Module
 docstring."""
