@@ -8,13 +8,17 @@ such families.
 
 Every sum of quantum-transfer monomials the package forms,
 sum_a c_a^dag c_{a+k}, is one call of :func:`transfer`, which multiplies
-only on the rows that hold an entry: the row mask :func:`held_rows` reads
-where the stack is made, which every kernel takes as ``held``. The vacuum
-projector is unit - occupied(c) = unit - transfer(c, 0), and the lowering
-operator below is c_1 + transfer(c, 1); only the closed forms of its powers
-in the ladder catalog are formed from row entries instead (see below).
-:func:`conjugate` forms V^dag c_a V on the same rows. These public kernels
-read the mask themselves when their caller passes none.
+only on the rows that hold an entry. A kernel takes a stack in its held
+form: its values on the rows R that hold an entry, of shape (..., |R|, n),
+with ``held``, the mask of R that :func:`held_rows` reads where the stack
+is made; :func:`hold` makes that form of a dense stack, and :func:`spread`
+puts the zero rows back. The vacuum projector is
+unit - occupied(c) = unit - transfer(c, 0), and the lowering operator below
+is c_1 + transfer(c, 1); only the closed forms of its powers in the ladder
+catalog are formed from row entries instead (see below). :func:`conjugate`
+forms V^dag c_a V on the same rows and returns only the rows of it that can
+be nonzero. These public kernels take a dense stack, and hold it
+themselves, when their caller passes no mask.
 
 On the (p+1)-dimensional Fock space with kets |0>, |1>, .., |p> (ket n is
 matrix row/column n+1), the annihilators act as the matrix units
@@ -126,23 +130,46 @@ def as_index(mask: np.ndarray):
     return slice(None) if mask.all() else np.flatnonzero(mask)
 
 
-def conjugate(c, v, held=None) -> np.ndarray:
-    """V^dag c_a V for a (..., n, n) stack ``c`` and unitaries ``v`` that
-    broadcast against it, on the rows R that hold an entry of ``c``:
-    ``held``, the mask :func:`held_rows` reads, as the caller carries it
-    (read here when None).
+def hold(c) -> tuple[np.ndarray, np.ndarray]:
+    """The held form of a dense (..., n, n) stack: its (..., |R|, n) values
+    on the rows R that hold an entry, and the mask of R (:func:`held_rows`).
+    The values are a view of ``c`` when every row holds an entry."""
+    held = held_rows(c)
+    return c[..., as_index(held), :], held
+
+
+def spread(values, held, rows=None) -> np.ndarray:
+    """The stack whose held form is ``values`` on the rows of the mask
+    ``held``, on the rows of the mask ``rows``, which holds ``held``: the
+    rows outside ``held`` are zeros. With ``rows`` None it is every row,
+    and the result is the dense (..., n, n) stack."""
+    rows = np.ones_like(held) if rows is None else rows
+    out = np.zeros((*values.shape[:-2], np.count_nonzero(rows), values.shape[-1]),
+                   dtype=values.dtype)
+    out[..., held[rows], :] = values
+    return out
+
+
+def conjugate(c, v, held=None) -> tuple[np.ndarray, np.ndarray]:
+    """V^dag c_a V for the held form (``c``, ``held``) of a stack and
+    unitaries ``v`` that broadcast against it, in held form: the rows J that
+    can be nonzero, the columns j of V[R, :] that hold an entry, and the
+    mask of J. A dense ``c`` is held here when ``held`` is None.
 
     A stack whose every row holds an entry forms the dense (V^dag c_a) V,
-    so that its values, which reports print, stay those of the dense
-    products bitwise; otherwise c_a vanishes off R, and
-    V^dag[:, R] (c_a[R, :] V) forms the same matrix up to summation order
-    with one full-size product in place of two.
+    with J every row, so that its values, which reports print, stay those
+    of the dense products bitwise; otherwise c_a vanishes off R, and
+    V^dag[J, R] (c_a[R, :] V) forms the rows J of the same matrix up to
+    summation order, with one full-size product in place of two. When V
+    is the identity, as for H of the oscillator in its natural basis, J is R.
     """
-    held = held_rows(c) if held is None else held
+    if held is None:
+        c, held = hold(c)
     if held.all():
-        return (dagger(v) @ c) @ v
-    rows = np.flatnonzero(held)
-    return dagger(v[..., rows, :]) @ (c[..., rows, :] @ v)
+        return (dagger(v) @ c) @ v, held
+    on_rows = v[..., np.flatnonzero(held), :]
+    rows = on_rows.any(axis=tuple(range(on_rows.ndim - 2))).any(axis=0)
+    return dagger(on_rows[..., as_index(rows)]) @ (c @ v), rows
 
 
 def transfer(c, k: int, held=None) -> np.ndarray:
@@ -150,22 +177,21 @@ def transfer(c, k: int, held=None) -> np.ndarray:
 
     Each c_a = c[a - 1] may itself be a stack of shape (..., n, n), one
     matrix per stack position, and so is the result; for
-    k >= p the sum is empty and the result exact zeros. Only the rows R
-    that hold an entry in some c_a enter, given by ``held``, the mask
-    :func:`held_rows` reads, as the caller carries it (read here when
-    None); it must be exactly that mask, as it sets the groups: the c_a are
-    stacked on R in groups of n // |R|, so each group costs one product of
-    at most n rows, and the groups are summed in order of a, starting from
-    zero. A stack whose every row holds an entry takes groups of one, so
-    its sum is that of the dense products, one c_a at a time.
+    k >= p the sum is empty and the result exact zeros. ``c`` is the held
+    form on the rows R of the mask ``held``, which must be exactly the mask
+    :func:`held_rows` reads (a dense ``c`` is held here when ``held`` is
+    None), as it sets the groups: the c_a are stacked on R in groups of
+    n // |R|, so each group costs one product of at most n rows, and the
+    groups are summed in order of a, starting from zero. A stack whose every
+    row holds an entry takes groups of one, so its sum is that of the dense
+    products, one c_a at a time.
     """
-    c = np.asarray(c)
-    p, *lead, _, n = c.shape
-    held = held_rows(c) if held is None else held
-    r = np.count_nonzero(held)
+    if held is None:
+        c, held = hold(np.asarray(c))
+    p, *lead, r, n = c.shape
     size = n // max(r, 1)
     # (..., p, |R|, n): the c_a on the held rows, their index next to the rows
-    stacked = c[..., as_index(held), :].transpose(*range(1, c.ndim - 2), 0, -2, -1)
+    stacked = c.transpose(*range(1, c.ndim - 2), 0, -2, -1)
     out = np.zeros((*lead, n, n), dtype=c.dtype)
     for a in range(0, p - k if r else 0, size):
         span = min(size, p - k - a)
@@ -179,19 +205,30 @@ def occupied(c, held=None) -> np.ndarray:
 
     Like :func:`lowering_from` and :func:`cyclic_from`, it acts on the last
     two axes: each c_g = c[g - 1] may itself be a stack of shape (..., n, n),
-    one matrix per stack position. ``held`` is as in :func:`transfer`.
+    one matrix per stack position. ``c`` and ``held`` are as in
+    :func:`transfer`, and the result is dense.
     """
     return transfer(c, 0, held)
 
 
 def lowering_from(c, held=None) -> np.ndarray:
-    """L = c_1 + sum_{a=2..p} c_{a-1}^dag c_a built from a stack of annihilators."""
-    return c[0] + transfer(c, 1, held)
+    """L = c_1 + sum_{a=2..p} c_{a-1}^dag c_a built from a stack of annihilators,
+    held as in :func:`transfer`; c_1 is added on its rows R alone."""
+    if held is None:
+        c, held = hold(np.asarray(c))
+    out = transfer(c, 1, held)
+    out[..., held, :] += c[0]
+    return out
 
 
-def cyclic_from(c: np.ndarray, held=None) -> np.ndarray:
-    """F = L + c_p^dag built from a stack of annihilators."""
-    return lowering_from(c, held) + dagger(c[-1])
+def cyclic_from(c, held=None) -> np.ndarray:
+    """F = L + c_p^dag built from a stack of annihilators, held as in
+    :func:`transfer`; c_p^dag is added on its columns R alone."""
+    if held is None:
+        c, held = hold(np.asarray(c))
+    out = lowering_from(c, held)
+    out[..., :, held] += dagger(c[-1])
+    return out
 
 
 def ladder_operators(p: int) -> tuple[OrthoRep, np.ndarray, np.ndarray]:
@@ -342,9 +379,9 @@ def ladder_identity_residuals(rep: OrthoRep, L: np.ndarray, F: np.ndarray) -> di
     p, n, c = rep.p, rep.dim, rep.c
     if np.shape(L) != (n, n) or np.shape(F) != (n, n):
         raise DimensionError(f"L and F must be {n} x {n}, got {np.shape(L)} and {np.shape(F)}")
-    held = held_rows(c)
+    on_rows, held = hold(c)
     eye = np.eye(n, dtype=c.dtype)
-    pi = eye - occupied(c, held)
+    pi = eye - occupied(on_rows, held)
     cs = _Rows.of(c, "c_{}", held)
     l, ld, f, pi_rows = map(_Rows.of, (L, L.conj().T, F, pi), ("L", "L^dag", "F", "Pi"))
     powers = _powers(l, p + 3)  # powers[k] = L^k for k in 0..p+2

@@ -74,31 +74,40 @@ block's ascending levels, so the pieces of every block of one size are
 found at once; the pieces of a class are ordered by cluster first and then
 cut out of C with one gather, in C order, not one slice per piece.
 
-The O(p) charge products are formed on the rows R that hold a charge
-entry, one row per block in the oscillator: [H, Q_a] as
-H[:, R] Q_a[R, :] less Q_a[R, :] H on the rows R; V^dag Q_a V, and the
-certificate's U^dag c_a U, by :func:`~orthofermi.canonical.conjugate`,
-with one full-size product in place of two. A stack whose every row holds
-an entry, such as a system in a generic basis, forms the dense products,
-in the same association. The rows R are read once per stack, by
-:func:`~orthofermi.canonical.held_rows`, where the stack is made, and
-passed to every kernel that multiplies it as one row mask: an
-:class:`OsusySystem` holds its charge stacks read-only and carries that
-mask (``support``), so the support cannot go stale;
-:func:`~orthofermi.reptheory.decompose_stack` reads its piece stack once,
-and :func:`build_generators` its cut of each charge stack. The generator
-sum rule is summed by doubling, in O(log p) products (:func:`_sum_rule`).
+Every stack with a p axis is held on the rows that hold an entry: as its
+(p, count, |R|, size) values on those rows R, with the mask of R
+(:func:`~orthofermi.canonical.hold`), so the zeros off R are never
+stored, copied, gathered or reduced. In the oscillator R is one row per
+block, as Q_a moves |n-1, a> to |n, 0>; in a generic basis R is every row,
+and the same code forms the dense products in the same association. An
+:class:`OsusySystem` holds its charges so, read-only, with the mask
+(``support``), so the support cannot go stale, and :meth:`OsusySystem.dense`
+still assembles them. :func:`spectral` keeps C = V^dag Q_a V on the rows J
+that can hold an entry, the columns of V[R, :] that hold one (J = R where
+V = 1, as in the oscillator), by :func:`~orthofermi.canonical.conjugate`,
+with one full-size product in place of two; the pieces are cut on those
+rows, scaled and split on them, and the certificate's U^dag c_a U is
+formed on the rows it can reach. [H, Q_a] is formed on R and the rows
+where H[:, R] holds an entry, as H[:, R] Q_a[R, :] less Q_a[R, :] H on
+the rows R. Only :func:`build_generators` reads rows, those of its cluster
+cut of C that keep an entry, and it reads them from the rows J. The
+closed forms and :func:`check_generators` form their (count, size, size)
+temporaries in runs of blocks (:func:`_runs`), so a long chain holds none
+of its whole stack. The
+generator sum rule is summed by doubling, in O(log p) products
+(:func:`_sum_rule`).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass, field as dataclass_field
+from collections.abc import Sequence
+from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .canonical import (as_index, conjugate, cyclic_from, held_rows, lowering_from, occupied,
-                        transfer)
+from .canonical import (as_index, conjugate, cyclic_from, held_rows, hold, lowering_from,
+                        occupied, spread, transfer)
 from .errors import ClusteringError, DimensionError, NotARepresentationError, TruncationError
 from .linalg import (DEFAULT_TOL, HermEig, check_addressable, check_order, dagger, field,
                      herm_eig, is_count, max_abs)
@@ -113,6 +122,9 @@ DEFAULT_GENERATOR_TOL = 1e-8
 #: Tolerance for entrywise agreement of spectral and closed-form generators.
 CLOSED_FORM_TOL = 1e-9
 
+#: Entries of a block stack that :func:`check_generators` takes at once.
+_RUN_ENTRIES = 2**18
+
 #: The checks of :func:`check_generators` held to :data:`CLOSED_FORM_TOL`;
 #: its other checks are held to :data:`DEFAULT_GENERATOR_TOL`.
 CLOSED_FORMS = ("para closed form", "frac closed form")
@@ -126,11 +138,11 @@ class OsusySystem:
     :func:`block_partition`), one (count, size) index array per block size,
     and on the null states ``null``, a 1-D index array, empty by default:
     the basis states that H and every charge annihilate, whose rows and
-    columns are zero and which lie in no block. Per block size, ``Q`` holds
-    the (p, count, size, size) stack of the charges' blocks and ``H`` the
-    (count, size, size) stack of H's blocks; every entry outside the blocks
-    is zero. The order ``p`` is read off the stacks, and the dimension
-    ``dim`` counts the blocks' indices and the null states. Raises
+    columns are zero and which lie in no block. Per block size, ``Q`` gives
+    the (p, count, size, size) stack of the charges' blocks and ``H`` holds
+    the (count, size, size) stack of H's blocks; every entry outside the
+    blocks is zero. The order ``p`` is read off the stacks, and the
+    dimension ``dim`` counts the blocks' indices and the null states. Raises
     :class:`DimensionError` unless the blocks are integer
     ``numpy.ndarray`` values, nested lists included in the refusal, and
     ``null`` an integer array (an empty ``null``, such as ``[]``, is held
@@ -140,27 +152,27 @@ class OsusySystem:
     blocks, and :class:`OrderError` for p = 0. :meth:`dense` assembles the dim x dim
     matrices, with the null rows and columns zero.
 
-    The system holds its charge stacks read-only and carries their
-    support: ``support`` holds, per block size, the mask of the rows that
-    hold an entry, as :func:`~orthofermi.canonical.held_rows` reads it.
-    Given ``held``, those masks as read by the maker of stacks that nothing
-    else holds, such as :func:`build_system`, the system takes the stacks as
-    they are; otherwise it copies them and reads their support, so that no
-    write into the arrays a caller passed can make the support stale. A
-    write through the system raises ValueError. ``held`` is an init-only
-    variable, which ``dataclasses.replace`` passes as its class default,
-    None, so a replaced system copies its stacks and reads its support
-    anew, as does a copy made by the ``copy`` or ``pickle`` modules; both
-    carry ``null``.
+    The system holds its charges once, on the rows that hold an entry, and
+    read-only: per block size, ``support`` is the mask of the rows R that
+    hold an entry of some charge block, as
+    :func:`~orthofermi.canonical.held_rows` reads it, and ``charges`` the
+    (p, count, |R|, size) values on them
+    (:func:`~orthofermi.canonical.hold`). ``Q`` takes dense stacks, which
+    the system holds on their rows, copying what a caller passed, so that
+    no write into those arrays can make the support stale; read back, ``Q``
+    assembles each dense stack afresh, read-only. Given the ``Q`` of
+    another system, as ``dataclasses.replace`` and the ``copy`` and
+    ``pickle`` modules pass it, the system takes its held stacks as they
+    are; all three carry ``null``. A write through the system raises
+    ValueError.
     """
 
     blocks: list[np.ndarray]
     Q: list[np.ndarray]
     H: list[np.ndarray]
     null: np.ndarray = dataclass_field(default_factory=lambda: np.zeros(0, dtype=int))
-    held: InitVar[list | None] = None
 
-    def __post_init__(self, held):
+    def __post_init__(self):
         null = np.asarray(self.null)
         if not null.size:
             null = null.astype(int)  # [] reads as float64, yet names no state
@@ -177,24 +189,28 @@ class OsusySystem:
             raise DimensionError("blocks must be (count, size) arrays and null a 1-D array "
                                  "that together partition 0..dim-1, with at least one block")
         object.__setattr__(self, "null", null)
-        _check_stacks("H", self.H, self.blocks)
-        _check_stacks("Q", self.Q, self.blocks, np.shape(self.Q[0])[:1] if self.Q else ())
-        check_order(self.p)
-        if held is None:
-            object.__setattr__(self, "Q", [np.array(q) for q in self.Q])
-            held = [held_rows(q) for q in self.Q]
-        for q in self.Q:
-            q.flags.writeable = False
-        object.__setattr__(self, "support", held)
+        _check_stacks("H", [np.shape(h) for h in self.H], self.blocks)
+        charges = self.Q
+        shapes = (charges.shapes() if isinstance(charges, _Charges)
+                  else [np.shape(q) for q in charges])
+        _check_stacks("Q", shapes, self.blocks, shapes[0][:1] if shapes else ())
+        if not isinstance(charges, _Charges):
+            charges = _Charges.hold(charges)
+        check_order(len(charges.values[0]))
+        for values in charges.values:
+            values.flags.writeable = False
+        object.__setattr__(self, "Q", charges)
+        object.__setattr__(self, "charges", charges.values)
+        object.__setattr__(self, "support", charges.support)
 
     def __reduce__(self):
         # a copy or an unpickled system is built anew, so it holds its stacks
-        # read-only and reads its own support
+        # read-only
         return OsusySystem, (self.blocks, self.Q, self.H, self.null)
 
     @property
     def p(self) -> int:
-        return len(self.Q[0])
+        return len(self.charges[0])
 
     @property
     def dim(self) -> int:
@@ -205,11 +221,45 @@ class OsusySystem:
         return _assemble(self.dim, self.blocks, self.Q), _assemble(self.dim, self.blocks, self.H)
 
 
-def _check_stacks(name: str, stacks, blocks: list[np.ndarray], lead: tuple = ()) -> None:
-    """Raise :class:`DimensionError` unless ``stacks`` holds one
-    (*lead, count, size, size) stack per (count, size) array of ``blocks``."""
+class _Charges(Sequence):
+    """The charge stacks of a system, held on the rows that hold an entry:
+    per block size, ``values[k]`` on the rows of the mask ``support[k]``.
+    Item k is the dense (p, count, size, size) stack, assembled afresh and
+    read-only."""
+
+    def __init__(self, values, support):
+        self.values, self.support = list(values), list(support)
+
+    @classmethod
+    def hold(cls, stacks, own: bool = False) -> _Charges:
+        """The held form of dense stacks (:func:`~orthofermi.canonical.hold`);
+        values that are views of a stack are copied, unless the caller
+        ``own``s the stacks."""
+        held = [hold(np.asarray(q)) for q in stacks]
+        return cls([values if own or not rows.all() else values.copy() for values, rows in held],
+                   [rows for _, rows in held])
+
+    def shapes(self) -> list[tuple]:
+        return [(*values.shape[:-2], rows.size, rows.size)
+                for values, rows in zip(self.values, self.support)]
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[i] for i in range(len(self))[k]]
+        out = spread(self.values[k], self.support[k])
+        out.flags.writeable = False
+        return out
+
+
+def _check_stacks(name: str, found: list[tuple], blocks: list[np.ndarray],
+                  lead: tuple = ()) -> None:
+    """Raise :class:`DimensionError` unless the stack shapes ``found`` are one
+    (*lead, count, size, size) per (count, size) array of ``blocks``."""
     shapes = [(*lead, *rows.shape, rows.shape[1]) for rows in blocks]
-    found = [np.shape(stack) for stack in stacks]
+    found = list(found)
     if found != shapes:
         raise DimensionError(f"{name} needs block stacks {shapes}, got {found}")
 
@@ -223,9 +273,10 @@ class SpectralData:
     E = 0 cluster counts the system's null states. Per
     block size of the system's partition, ``eigs`` holds the eigensolve of
     H's (count, size, size) block stack, ``levels`` the (count, size)
-    cluster energy of each of its eigenvalues (0 on the E = 0 cluster) and
-    ``charges`` the (p, count, size, size) charges in the eigenbasis,
-    V^dag Q_a V.
+    cluster energy of each of its eigenvalues (0 on the E = 0 cluster),
+    ``charges`` the charges in the eigenbasis, C = V^dag Q_a V, held on the
+    rows J that can hold an entry, as (p, count, |J|, size) values, and
+    ``support`` the mask of J (:func:`~orthofermi.canonical.conjugate`).
     """
 
     energies: list[float]
@@ -234,6 +285,7 @@ class SpectralData:
     eigs: list[HermEig]
     levels: list[np.ndarray]
     charges: list[np.ndarray]
+    support: list[np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -254,7 +306,7 @@ class SusyGenerators:
 
     def __post_init__(self):
         for name in ("para", "frac", "frac_direct"):
-            _check_stacks(name, getattr(self, name), self.spectrum.system.blocks)
+            _check_stacks(name, map(np.shape, getattr(self, name)), self.spectrum.system.blocks)
 
 
 def build_system(p: int, levels: int) -> OsusySystem:
@@ -268,9 +320,10 @@ def build_system(p: int, levels: int) -> OsusySystem:
     the one entry sqrt(2) sqrt(n+1) at slot (p, a-1). The vacuum 0 and the
     p boundary states (levels-1)(p+1) + a carry no charge and no energy:
     they are the system's null states, in no block, so the system holds one
-    stack, the sectors'. H is formed block by block, with no dim x dim
-    array, on the support that the system then carries. Every stack is
-    real, float64.
+    stack, the sectors'. The charges are written on the one row that holds
+    their entries, slot p, and H is formed from them block by block, with
+    no dim x dim array and no (p, count, p+1, p+1) one. Every stack is real,
+    float64.
     """
     p = check_order(p)
     if not is_count(levels, 2):
@@ -278,13 +331,14 @@ def build_system(p: int, levels: int) -> OsusySystem:
     levels = int(levels)
     check_addressable(TruncationError, f"levels = {levels} at p = {p}", p, levels, p + 1, p + 1)
     n, top = np.arange(levels - 1), (levels - 1) * (p + 1)
-    q = np.zeros((p, n.size, p + 1, p + 1))
+    q = np.zeros((p, n.size, 1, p + 1))
     a = np.arange(p)
-    q[a, :, p, a] = math.sqrt(2.0) * np.sqrt(n + 1.0)
-    rows = held_rows(q)
-    h = 0.5 * (q[0] @ dagger(q[0]) + occupied(q, rows))
-    return OsusySystem([np.arange(1, top + 1).reshape(n.size, p + 1)], [q], [h],
-                       np.append(0, top + np.arange(1, p + 1)), [rows])
+    q[a, :, 0, a] = math.sqrt(2.0) * np.sqrt(n + 1.0)
+    held = np.arange(p + 1) == p
+    h = occupied(q, held)
+    h[:, p, p] += (q[0] @ dagger(q[0]))[:, 0, 0]  # Q_1 Q_1^dag, on the held row alone
+    return OsusySystem([np.arange(1, top + 1).reshape(n.size, p + 1)], _Charges([q], [held]),
+                       [0.5 * h], np.append(0, top + np.arange(1, p + 1)))
 
 
 def system_from_dense(p: int, Q, H) -> OsusySystem:
@@ -318,8 +372,8 @@ def system_from_dense(p: int, Q, H) -> OsusySystem:
         m = field(m)
         for rows, stack in zip(blocks, stacks):
             stack[i] = m[rows[:, :, None], rows[:, None, :]]
-    Q = [s[1:] for s in stacks]
-    return OsusySystem(blocks, Q, [s[0] for s in stacks], held=[held_rows(q) for q in Q])
+    return OsusySystem(blocks, _Charges.hold([s[1:] for s in stacks], own=True),
+                       [s[0] for s in stacks])
 
 
 def block_partition(dim: int, rows: np.ndarray, cols: np.ndarray) -> list[np.ndarray]:
@@ -360,16 +414,20 @@ def _assemble(dim: int, blocks: list[np.ndarray], stacks: list[np.ndarray]) -> n
     return out
 
 
-def _commutator(h: np.ndarray, q: np.ndarray, held: np.ndarray) -> np.ndarray:
+def _commutator(h: np.ndarray, q: np.ndarray,
+                held: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """[H, Q_a] of a (count, size, size) H stack and a (p, count, size, size)
-    charge stack. Q_a vanishes off the rows R that hold an entry of some
-    charge, ``held`` as the caller carries it, so H Q_a needs only H's
-    columns R, and Q_a H is zero off the rows R; the products keep the
+    charge stack held on the rows R that hold an entry of some charge,
+    ``held`` as the caller carries it, in held form: the (p, count, |O|,
+    size) values on the rows O = R and the rows where H[:, R] holds an
+    entry, and the mask of O. H Q_a needs only H's columns R, and is zero
+    off the rows O; Q_a H is zero off the rows R. The products keep the
     association of h @ q - q @ h."""
-    rows = as_index(held)
-    out = h[..., :, rows] @ q[..., rows, :]
-    out[..., rows, :] -= q[..., rows, :] @ h
-    return out
+    cols = as_index(held)
+    rows = held | h[..., :, cols].any(axis=(0, -1))
+    out = h[..., as_index(rows), :][..., cols] @ q
+    out[..., held[rows], :] -= q @ h
+    return out, rows
 
 
 def check_relations(spectrum: SpectralData) -> dict[str, float]:
@@ -380,16 +438,16 @@ def check_relations(spectrum: SpectralData) -> dict[str, float]:
     pair (a, b) is checked, each block size in one call of
     :func:`~orthofermi.reptheory.relation_residuals`, which runs its pair
     loop on the rows and columns where the blocks hold an entry, and
-    [H, Q_a] on the rows that hold a charge entry (:func:`_commutator`),
-    both on the support the system carries; the values are those of the
-    full products. The positivity entry is
+    [H, Q_a] on the rows that can hold an entry (:func:`_commutator`),
+    both on the charges as the system holds them; the values are those of
+    the full products. The positivity entry is
     max(0, -min eigenvalue) over ``spectrum``, so 0.0 means a nonnegative
     spectrum.
     """
     sys = spectrum.system
     worst = np.zeros(3)
-    for h, q, held in zip(sys.H, sys.Q, sys.support):
-        worst = np.maximum(worst, (max_abs(_commutator(h, q, held)),
+    for h, q, held in zip(sys.H, sys.charges, sys.support):
+        worst = np.maximum(worst, (max_abs(_commutator(h, q, held)[0]),
                                    *relation_residuals(q, 2 * h, held)))
     res = {"[H, Q_a] = 0": float(worst[0])}
     res["Q_a Q_b = 0"], res["Q_a Q_b^dag + d_ab sum Q^dag Q = 2 d_ab H"] = worst[1:].tolist()
@@ -403,8 +461,8 @@ def spectral(sys: OsusySystem, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> Spec
     H is diagonalized block by block on the system's partition, with one
     batched eigensolve per block size, each null state adding one
     eigenvalue 0 after the stacks' values, and the charges are
-    restricted to each block's eigenbasis as V^dag Q_a V, on the rows that
-    hold a charge entry, as the system carries them
+    restricted to each block's eigenbasis as V^dag Q_a V, from the charges
+    as the system holds them, and held on the rows that can hold an entry
     (:func:`~orthofermi.canonical.conjugate`).
     ``cluster_tol`` is relative to max(1, largest |eigenvalue|). Eigenvalues within that
     threshold of zero are snapped into a single E = 0 cluster; the others,
@@ -417,8 +475,8 @@ def spectral(sys: OsusySystem, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> Spec
     order, spreads checked before gaps.
     """
     eigs = [herm_eig(h) for h in sys.H]
-    charges = [conjugate(q, eig.vectors, rows)
-               for eig, q, rows in zip(eigs, sys.Q, sys.support)]
+    charges, support = zip(*(conjugate(q, eig.vectors, held)
+                             for eig, q, held in zip(eigs, sys.charges, sys.support)))
     values = np.concatenate([eig.values.ravel() for eig in eigs] + [np.zeros(sys.null.size)])
     order = np.argsort(values, kind="stable")
     vals = values[order]
@@ -458,7 +516,8 @@ def spectral(sys: OsusySystem, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> Spec
     ends = np.cumsum([eig.values.size for eig in eigs])
     levels = [level[end - eig.values.size:end].reshape(eig.values.shape)
               for eig, end in zip(eigs, ends)]
-    return SpectralData(energies.tolist(), sizes.tolist(), sys, eigs, levels, charges)
+    return SpectralData(energies.tolist(), sizes.tolist(), sys, eigs, levels, list(charges),
+                        list(support))
 
 
 def eigenspace_reps(spectrum: SpectralData, tol: float = DEFAULT_TOL) -> list[int]:
@@ -505,7 +564,8 @@ def eigenspace_reps(spectrum: SpectralData, tol: float = DEFAULT_TOL) -> list[in
         stacks, idx, block, at = (np.concatenate(part) for part in zip(*found))
         by_cluster = np.argsort(idx, kind="stable")
         idx = idx[by_cluster]
-        c = _cut_pieces(spectrum.charges, *(x[by_cluster] for x in (stacks, block, at)), size)
+        c, held = _cut_pieces(spectrum.charges, spectrum.support,
+                              *(x[by_cluster] for x in (stacks, block, at)), size)
         if not positive:
             stray = max_abs(c)
             if not stray <= tol:
@@ -515,7 +575,7 @@ def eigenspace_reps(spectrum: SpectralData, tol: float = DEFAULT_TOL) -> list[in
         energies = np.asarray(spectrum.energies)[idx]
         c *= (1.0 / np.sqrt(2.0 * energies))[:, None, None]
         dec = decompose_stack(c, np.eye(size, dtype=c.dtype), tol,
-                              labels=lambda i: f"eigenspace E = {energies[i]:.6g}")
+                              labels=lambda i: f"eigenspace E = {energies[i]:.6g}", held=held)
         np.add.at(copies, idx, dec.multiplicity)
     copies = copies.tolist()
     p = spectrum.system.p
@@ -528,34 +588,46 @@ def eigenspace_reps(spectrum: SpectralData, tol: float = DEFAULT_TOL) -> list[in
     return copies
 
 
-def _cut_pieces(charges: list[np.ndarray], stacks, block, at, size: int) -> np.ndarray:
-    """The C-ordered (p, pieces, size, size) stack of the pieces of one
-    class, in the given order: piece i is the square of ``size`` at diagonal
-    offset ``at[i]`` of block ``block[i]`` of the charge stack
-    ``charges[stacks[i]]``. Pieces of one charge stack, every piece of the
-    oscillator, are cut with one gather, which is also the result and lies
-    in C order, which is what :func:`decompose_stack`'s products are
-    fastest on. A piece cut from a stack of blocks of ``size`` is a whole
-    block, as every piece of the oscillator is, and such pieces are taken
-    with one ``np.take`` of their blocks; other pieces are gathered with
-    every axis indexed by an array. The result takes the common dtype of
+def _cut_pieces(charges: list[np.ndarray], support: list[np.ndarray], stacks, block, at,
+                size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The C-ordered stack of the pieces of one class, in the given order,
+    held on the rows R that hold an entry of some piece: its (p, pieces, |R|,
+    size) values and the mask of R. Piece i is the square of ``size`` at
+    diagonal offset ``at[i]`` of block ``block[i]`` of the charge stack
+    ``charges[stacks[i]]``, held on the rows ``support[stacks[i]]``. Pieces
+    of one charge stack, every piece of the oscillator, are cut with one
+    gather, which is also the result and lies in C order, which is what
+    :func:`decompose_stack`'s products are fastest on. A piece cut from a
+    stack of blocks of ``size`` is a whole block, as every piece of the
+    oscillator is, and such pieces are taken with one ``np.take`` of their
+    blocks, on the stack's rows; other pieces are gathered with every axis
+    indexed by an array, on the rows that some of them hold, and a row that
+    one piece does not hold is zero in it. Pieces of several stacks are
+    held on the union of their rows. The result takes the common dtype of
     ``charges``."""
     r = np.arange(size)
     a = np.arange(len(charges[0]))[:, None, None, None]
 
     def gather(source, mine):
-        if charges[source].shape[-1] == size:
-            return np.take(charges[source], block[mine], axis=1)
+        values, held = charges[source], support[source]
+        if held.size == size:
+            return np.take(values, block[mine], axis=1), held
+        rows = at[mine, None] + r  # the block rows of each piece
+        keep = held[rows].any(axis=0)
+        rows = rows[:, keep]
         s = at[mine, None, None]
-        return charges[source][a, block[mine, None, None], s + r[:, None], s + r]
+        out = values[a, block[mine, None, None], (np.cumsum(held) - 1)[rows][..., None], s + r]
+        return np.where(held[rows][..., None], out, 0), keep
     sources = dict.fromkeys(stacks.tolist())
     if len(sources) == 1:
         return gather(stacks[0], slice(None))
-    out = np.empty((len(charges[0]), stacks.size, size, size), dtype=np.result_type(*charges))
-    for source in sources:
-        mine = stacks == source
-        out[:, mine] = gather(source, mine)
-    return out
+    found = {source: gather(source, stacks == source) for source in sources}
+    rows = np.logical_or.reduce([held for _, held in found.values()])
+    out = np.empty((len(charges[0]), stacks.size, np.count_nonzero(rows), size),
+                   dtype=np.result_type(*charges))
+    for source, (values, held) in found.items():
+        out[:, stacks == source] = spread(values, held, rows)
+    return out, rows
 
 
 def _positive(levels: np.ndarray) -> np.ndarray:
@@ -572,56 +644,98 @@ def build_generators(spectrum: SpectralData) -> SusyGenerators:
     are dressed with sqrt(2E) and E^{1/(p+1)} and transported back with V. Both
     generators vanish on the kernel of H by construction, which also makes
     them commute with H exactly. ``frac_direct`` is cyclic_from(Q)^dag. The
-    cut of each charge stack is made in one array, and its held rows are
-    read once; the charges themselves enter on the support the system
-    carries.
+    cut of each charge stack is made in one array, on the rows that C is
+    held on, and the rows of it that keep an entry are read once, from
+    those; the charges themselves enter as the system holds them.
     """
     sys = spectrum.system
     para, frac, direct = [], [], []
-    for eig, level, c, q, rows in zip(spectrum.eigs, spectrum.levels, spectrum.charges,
-                                      sys.Q, sys.support):
+    for eig, level, c, held, q, rows in zip(spectrum.eigs, spectrum.levels, spectrum.charges,
+                                            spectrum.support, sys.charges, sys.support):
         v, energy = eig.vectors, _positive(level)[..., :, None]
-        same = (level[..., :, None] == level[..., None, :]) & (level > 0.0)[..., :, None]
-        c = np.multiply(c, 1.0 / np.sqrt(2.0 * energy), out=np.zeros_like(c), where=same)
-        ladder = lowering_from(c, held_rows(c))
+        on_rows = level[..., as_index(held)]
+        same = (on_rows[..., :, None] == level[..., None, :]) & (on_rows > 0.0)[..., :, None]
+        c = np.multiply(c, 1.0 / np.sqrt(2.0 * energy[..., as_index(held), :]),
+                        out=np.zeros_like(c), where=same)
+        keep = held_rows(c)
+        c, held = c[..., as_index(keep), :], held.copy()
+        held[held] = keep
+        ladder = lowering_from(c, held)
         para.append(v @ (np.sqrt(2.0 * energy) * ladder) @ dagger(v))
-        ladder += dagger(c[-1])  # L becomes F = L + c_p^dag
+        ladder[..., :, held] += dagger(c[-1])  # L becomes F = L + c_p^dag
         frac.append(v @ (energy ** (1.0 / (sys.p + 1)) * ladder) @ dagger(v))
         direct.append(dagger(cyclic_from(q, rows)))
     return SusyGenerators(spectrum, para, frac, direct)
 
 
+def _power(vectors: np.ndarray, level: np.ndarray, a: float) -> np.ndarray:
+    """The block stack V diag(E^a) V^dag of eigenvectors V and levels E, with
+    E^a = 0 for E <= 0."""
+    return (vectors * np.where(level > 0.0, _positive(level) ** a, 0.0)[..., None, :]) \
+        @ dagger(vectors)
+
+
 def _powers(spectrum: SpectralData, a: float) -> list[np.ndarray]:
     """Per block size, the block stack V diag(E^a) V^dag, with E^a = 0 for E <= 0."""
-    return [(eig.vectors * np.where(level > 0.0, _positive(level) ** a, 0.0)[..., None, :])
-            @ dagger(eig.vectors) for eig, level in zip(spectrum.eigs, spectrum.levels)]
+    return [_power(eig.vectors, level, a) for eig, level in zip(spectrum.eigs, spectrum.levels)]
+
+
+def _runs(count: int, size: int) -> list[slice]:
+    """Slices that cut a stack of ``count`` blocks of ``size`` into runs of
+    about :data:`_RUN_ENTRIES` entries, one slice for an empty stack. A
+    stage that forms a long chain's temporaries run by run keeps them small,
+    and each block's products are those of the whole stack."""
+    step = max(1, _RUN_ENTRIES // size**2)
+    return [slice(start, start + step) for start in range(0, max(count, 1), step)]
+
+
+def _in_runs(spectrum: SpectralData, form) -> list[np.ndarray]:
+    """Per block size, the (count, size, size) stack that ``form`` makes run
+    by run (:func:`_runs`) from the run's eigenvectors, levels and held
+    charges and the charges' row mask."""
+    sys = spectrum.system
+    stacks = []
+    for eig, level, q, held in zip(spectrum.eigs, spectrum.levels, sys.charges, sys.support):
+        stack = np.empty(eig.vectors.shape, dtype=np.result_type(eig.vectors, q))
+        for run in _runs(*level.shape):
+            stack[run] = form(eig.vectors[run], level[run], q[:, run], held)
+        stacks.append(stack)
+    return stacks
 
 
 def closed_form_para(spectrum: SpectralData) -> list[np.ndarray]:
     """Q_1 + (2H)^{-1/2} sum_{a=2..p} Q_{a-1}^dag Q_a via spectral calculus,
-    one (count, size, size) stack per block size; the transfer sum is
-    :func:`~orthofermi.canonical.transfer` of the charges at k = 1, on the
-    support the system carries."""
-    sys = spectrum.system
-    return [q[0] + (2.0 ** -0.5 * r) @ transfer(q, 1, rows)
-            for r, q, rows in zip(_powers(spectrum, -0.5), sys.Q, sys.support)]
+    one (count, size, size) stack per block size, formed in runs of blocks;
+    the transfer sum is :func:`~orthofermi.canonical.transfer` of the
+    charges at k = 1, as the system holds them; Q_1 adds on its rows R
+    alone."""
+    def form(v, level, q, held):
+        out = (2.0 ** -0.5 * _power(v, level, -0.5)) @ transfer(q, 1, held)
+        out[..., held, :] += q[0]
+        return out
+    return _in_runs(spectrum, form)
 
 
 def closed_form_frac(spectrum: SpectralData) -> list[np.ndarray]:
     """Charge expression of the fractional generator via spectral calculus,
-    one (count, size, size) stack per block size.
+    one (count, size, size) stack per block size, formed in runs of blocks.
 
     The outer terms carry H^{-(p-1)/(2(p+1))} so that on a cluster of energy
     E they contribute E^{1/(p+1)} once the sqrt(2E) inside the charges is
     accounted for; the transfer sum, :func:`~orthofermi.canonical.transfer`
-    of the charges at k = 1, carries H^{-p/(p+1)}.
+    of the charges at k = 1, carries H^{-p/(p+1)}. The charges enter as the
+    system holds them: Q_1 through the columns R of the outer power, and
+    Q_p^dag onto the columns R alone.
     """
-    sys = spectrum.system
-    p = sys.p
-    return [2.0 ** -0.5 * o @ q[0] + 0.5 * i @ transfer(q, 1, rows)
-            + 2.0 ** -0.5 * o @ dagger(q[-1])
-            for o, i, q, rows in zip(_powers(spectrum, -(p - 1) / (2.0 * (p + 1))),
-                                     _powers(spectrum, -p / (p + 1)), sys.Q, sys.support)]
+    p = spectrum.system.p
+
+    def form(v, level, q, held):
+        outer = 2.0 ** -0.5 * _power(v, level, -(p - 1) / (2.0 * (p + 1)))
+        inner = 0.5 * _power(v, level, -p / (p + 1))
+        out = outer[..., :, held] @ q[0] + inner @ transfer(q, 1, held)
+        out[..., :, held] += outer @ dagger(q[-1])
+        return out
+    return _in_runs(spectrum, form)
 
 
 def _sum_rule(p: int, H: np.ndarray, para: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -646,20 +760,24 @@ def _sum_rule(p: int, H: np.ndarray, para: np.ndarray) -> tuple[np.ndarray, np.n
     return para @ lhs + para_dag @ (para @ power), rhs
 
 
-def _generator_terms(p: int, H, para, frac, direct, closed_para, closed_frac) -> dict:
-    """The matrices whose max_abs make up the generator residuals, on one stack."""
+def _generator_terms(p: int, H, para, frac, direct, closed_para, closed_frac):
+    """The matrices whose max_abs make up the generator residuals, on one
+    stack, as (name, matrix) pairs, each formed when the one before it has
+    been taken."""
     power = np.linalg.matrix_power
-    terms = {"H": H, "para": para, "frac": frac, "para^{p+1}": power(para, p + 1)}
+    yield from (("H", H), ("para", para), ("frac", frac), ("para^{p+1}", power(para, p + 1)))
     if p >= 2:
         lhs, rhs = _sum_rule(p, H, para)
-        terms["sum rule"], terms["sum rule rhs"] = lhs - rhs, rhs
-    terms["frac^{p+1} - H"] = power(frac, p + 1) - H
-    terms["(2H)^p"] = power(2.0 * H, p)
-    terms["frac_direct^{p+1} - (2H)^p"] = power(direct, p + 1) - terms["(2H)^p"]
-    terms["[para, H]"] = para @ H - H @ para
-    terms["[frac, H]"] = frac @ H - H @ frac
-    terms.update(zip(CLOSED_FORMS, (para - closed_para, frac - closed_frac)))
-    return terms
+        yield "sum rule rhs", rhs
+        yield "sum rule", lhs - rhs
+    yield "frac^{p+1} - H", power(frac, p + 1) - H
+    two_h = power(2.0 * H, p)
+    yield "(2H)^p", two_h
+    yield "frac_direct^{p+1} - (2H)^p", power(direct, p + 1) - two_h
+    yield "[para, H]", para @ H - H @ para
+    yield "[frac, H]", frac @ H - H @ frac
+    yield CLOSED_FORMS[0], para - closed_para
+    yield CLOSED_FORMS[1], frac - closed_frac
 
 
 def check_generators(gens: SusyGenerators) -> dict[str, float]:
@@ -672,15 +790,19 @@ def check_generators(gens: SusyGenerators) -> dict[str, float]:
     needs p >= 2 because its right-hand side contains the (p-1)-th power of
     the generator; for p = 1 the entry is omitted. Every term is computed
     block by block on the partition of ``gens.spectrum.system``, against
-    that system's H; a NaN defect in any block makes its residual NaN.
+    that system's H; a NaN defect in any block makes its residual NaN. A
+    stack is taken in runs of blocks (:func:`_runs`), and each term is
+    reduced before the next is formed, so that a long chain forms no
+    temporary of its whole stack; a maximum is the same in any order.
     """
     spectrum = gens.spectrum
     p = spectrum.system.p
     worst: dict[str, float] = {}
     for group in zip(spectrum.system.H, gens.para, gens.frac, gens.frac_direct,
                      closed_form_para(spectrum), closed_form_frac(spectrum)):
-        for name, m in _generator_terms(p, *group).items():
-            worst[name] = float(np.maximum(worst.get(name, 0.0), max_abs(m)))
+        for run in _runs(*group[0].shape[:2]):
+            for name, m in _generator_terms(p, *(stack[run] for stack in group)):
+                worst[name] = float(np.maximum(worst.get(name, 0.0), max_abs(m)))
 
     def rel(defect: str, scale: float) -> float:
         return worst[defect] / max(1.0, scale)

@@ -38,7 +38,12 @@ stack takes one vacuum rank, so that every step keeps one shape: a
 representation whose vacuum rank differs from the first one's is refused.
 :func:`decompose`, :func:`verify` and :func:`infer_unit` are the k = 1 case
 of the same code: they pass the (p, n, n) stack of an :class:`OrthoRep` on
-as the view ``rep.c[:, None]``.
+as the view ``rep.c[:, None]``. Every kernel takes the stack in its held
+form, its values on the rows that hold an entry with their mask
+(:func:`~orthofermi.canonical.hold`): a dense stack is held once where it
+enters, and ``osusy`` passes its pieces already held. The relation table
+takes each c_a dense again, one at a time, so that its products are the
+dense ones.
 When the representative of 1 is known (the identity, for an energy
 eigenspace of ``osusy``), ``unit=`` passes it, with the same meaning as in
 :func:`verify`; given and inferred units then take the same path from
@@ -53,8 +58,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .canonical import (OrthoRep, _expected_blocks, _target_entries, as_index, conjugate,
-                        held_rows, occupied)
+from .canonical import (OrthoRep, _expected_blocks, _target_entries, as_index, conjugate, hold,
+                        occupied, spread)
 from .errors import DimensionError, NotARepresentationError, NumericalDegeneracyError
 from .linalg import (DEFAULT_TOL, check_addressable, check_order, dagger, field, haar_unitary,
                      is_count, max_abs, orthonormal_range)
@@ -111,16 +116,25 @@ def _unnamed(i) -> str:
     return ""
 
 
+def _dense(c: np.ndarray, held):
+    """The c_a of a held (p, k, |R|, n) stack one at a time, each as the
+    dense (k, n, n) stack, so that the products of the relation table are
+    the dense ones; a stack held on every row is dense already."""
+    return iter(c) if held.all() else (spread(m, held) for m in c)
+
+
 def _infer_units(c: np.ndarray, tol: float, label, held) -> np.ndarray:
-    """The representative of 1 of each element of a (p, k, n, n) stack whose
-    held rows are ``held`` (:func:`~orthofermi.canonical.held_rows`)."""
+    """The representative of 1 of each element of a (p, k, n, n) stack, held
+    on the rows of ``held`` (:func:`~orthofermi.canonical.hold`)."""
     occ = occupied(c, held)
-    unit = c[0] @ dagger(c[0]) + occ
-    for a in range(1, len(c)):
-        defect = max_abs(c[a] @ dagger(c[a]) + occ - unit, axis=(-2, -1))
+    dense = _dense(c, held)
+    first = next(dense)
+    unit = first @ dagger(first) + occ
+    for a, m in enumerate(dense, 1):
+        defect = max_abs(m @ dagger(m) + occ - unit, axis=(-2, -1))
         _refuse(~(defect <= tol), label, NotARepresentationError,
                 lambda i: f"unit candidates from indices 1 and {a + 1} disagree by {defect[i]:.3e}")
-    for a, m in enumerate(c):
+    for a, m in enumerate(_dense(c, held)):
         law = _worst((unit @ m - m, m @ unit - m))
         _refuse(~(law <= tol), label, NotARepresentationError,
                 lambda i: f"inferred unit fails the unit law on c_{a + 1} by {law[i]:.3e}")
@@ -135,8 +149,8 @@ def infer_unit(rep: OrthoRep, tol: float = DEFAULT_TOL) -> np.ndarray:
     both are checked within ``tol``. A representation with all generators
     zero legitimately yields R = 0.
     """
-    c = rep.c[:, None]
-    return _infer_units(c, tol, _unnamed, held_rows(c))[0]
+    c, held = hold(rep.c[:, None])
+    return _infer_units(c, tol, _unnamed, held)[0]
 
 
 def _units(c: np.ndarray, unit, tol: float, label, held) -> np.ndarray:
@@ -149,8 +163,9 @@ def _units(c: np.ndarray, unit, tol: float, label, held) -> np.ndarray:
         raise DimensionError(f"expected a matrix, got array of shape {unit.shape}")
     if unit.size and not np.isfinite(unit).all():
         raise ValueError("matrix contains non-finite entries")
-    if unit.shape != c.shape[-2:]:
-        raise DimensionError(f"annihilator shape {c.shape[-2:]} does not match unit {unit.shape}")
+    if unit.shape != 2 * c.shape[-1:]:
+        raise DimensionError(f"annihilator shape {2 * c.shape[-1:]} does not match unit "
+                             f"{unit.shape}")
     return unit
 
 
@@ -160,10 +175,10 @@ def _relation_defects(c: np.ndarray, unit: np.ndarray,
 
     The kernel of :func:`relation_residuals`; each value is the worst over
     all index pairs (a, b) of that element. Let R be the rows that hold a
-    nonzero entry in some c_b of some element, ``held`` as
-    :func:`~orthofermi.canonical.held_rows` reads them, C the columns that
-    hold one, read here from the rows R alone, as every entry lies in them,
-    and L the indices in both.
+    nonzero entry in some c_b of some element, the mask ``held`` on which
+    ``c`` is held, (p, ..., |R|, n) (:func:`~orthofermi.canonical.hold`), C
+    the columns that hold one, read here from the rows R alone, as every
+    entry lies in them, and L the indices in both.
 
       * Entry (i, j) of c_a c_b sums over L, and it vanishes unless i is in
         R and j in C; when L is empty, every c_a c_b is zero.
@@ -180,22 +195,20 @@ def _relation_defects(c: np.ndarray, unit: np.ndarray,
     occ is :func:`~orthofermi.canonical.occupied`, the transfer kernel at
     k = 0, which also multiplies on R only.
     """
-    p, *lead, n, _ = c.shape
+    p, *lead, r, n = c.shape
     excess = np.broadcast_to(occupied(c, held) - unit, (*lead, n, n)).reshape(-1, n, n)
-    c = c.reshape(p, -1, n, n)
-    k = c.shape[1]
+    k = int(np.prod(lead))
+    on_rows = c.reshape(p, k, r, n)
     rows = as_index(held)
-    on_rows = c[:, :, rows]
     in_cols = on_rows.any(axis=(0, 1, 2))
     both = held & in_cols
     cols, inner = as_index(in_cols), as_index(both)
     # c_b on the rows L and, unless L is empty, on the columns C
-    nilpotent_rhs = c[:, :, inner][..., cols if both.any() else slice(0)]
+    nilpotent_rhs = on_rows[:, :, as_index(in_cols[held])][..., cols if both.any() else slice(0)]
     mixed_rhs = dagger(on_rows[..., cols])
     excess_inside = excess[:, rows][..., rows]
     nilpotent = np.zeros(k)
     mixed = max_abs(excess[:, ~(held[:, None] & held)], axis=-1)
-    r = np.count_nonzero(held)
     for a in range(0, p if r else 0, n // max(r, 1)):
         group = on_rows[a:a + n // r]
         j = np.arange(len(group))
@@ -221,11 +234,13 @@ def relation_residuals(c, unit: np.ndarray, held=None) -> tuple[float, float]:
     (:func:`_relation_defects`), so a sparse stack, such as the oscillator's
     charges in their natural basis, costs little, and each value is that of
     the full products up to summation order. ``held`` is the row mask
-    :func:`~orthofermi.canonical.held_rows` reads, as the caller carries it
-    (read here when None).
+    :func:`~orthofermi.canonical.held_rows` reads, as the caller carries it,
+    with ``c`` held on its rows, (p, ..., |R|, n); a dense ``c`` is held
+    here when ``held`` is None.
     """
-    c = np.asarray(c)
-    nilpotent, mixed = _relation_defects(c, unit, held_rows(c) if held is None else held)
+    if held is None:
+        c, held = hold(np.asarray(c))
+    nilpotent, mixed = _relation_defects(c, unit, held)
     return float(nilpotent.max(initial=0.0)), float(mixed.max(initial=0.0))
 
 
@@ -238,16 +253,16 @@ def _projector_rows(pi: np.ndarray) -> dict[str, np.ndarray]:
 
 def _relation_table(c: np.ndarray, unit, held) -> dict[str, np.ndarray]:
     """:func:`verify`'s residuals, one value per element of a (p, k, n, n)
-    stack, whose held rows are ``held``."""
+    stack held on the rows of ``held``; the vacuum rows take each c_a dense."""
     res: dict[str, np.ndarray] = {}
     res["c_a c_b = 0"], res["c_a c_b^dag + d_ab sum c^dag c = d_ab 1"] = \
         _relation_defects(c, unit, held)
     pi = unit - occupied(c, held)
     res.update(_projector_rows(pi))
-    res["Pi c_a = c_a"] = _worst(pi @ m - m for m in c)
-    res["c_a^dag Pi = c_a^dag"] = _worst(dagger(m) @ pi - dagger(m) for m in c)
-    res["c_a Pi = 0"] = _worst(m @ pi for m in c)
-    res["Pi c_a^dag = 0"] = _worst(pi @ dagger(m) for m in c)
+    res["Pi c_a = c_a"] = _worst(pi @ m - m for m in _dense(c, held))
+    res["c_a^dag Pi = c_a^dag"] = _worst(dagger(m) @ pi - dagger(m) for m in _dense(c, held))
+    res["c_a Pi = 0"] = _worst(m @ pi for m in _dense(c, held))
+    res["Pi c_a^dag = 0"] = _worst(pi @ dagger(m) for m in _dense(c, held))
     return res
 
 
@@ -259,8 +274,7 @@ def verify(rep: OrthoRep, unit: np.ndarray | None = None, tol: float = DEFAULT_T
     derived vacuum-projector properties; each value is the worst
     max_abs defect over all index combinations.
     """
-    c = rep.c[:, None]
-    held = held_rows(c)
+    c, held = hold(rep.c[:, None])
     table = _relation_table(c, _units(c, unit, tol, _unnamed, held), held)
     return {name: float(value[0]) for name, value in table.items()}
 
@@ -318,18 +332,42 @@ def _vacuum_bound(d_u, d_b, d_1, n: int, p: int, d_f) -> np.ndarray:
     return np.minimum(by_rows, by_copies)
 
 
-def _block_defects(c: np.ndarray, basis: np.ndarray, m: int, held) -> np.ndarray:
-    """U^dag c_a U - T_a for a (p, k, n, n) stack and its (k, n, n) unitaries
-    U, as one (p, k, n, n) stack; T_a are the targets of
+def _vacua(c: np.ndarray, unit, tol: float, label, held) -> tuple[np.ndarray, np.ndarray]:
+    """Step 2 on a (p, k, n, n) stack held on the rows of ``held``: the vacuum
+    ranks, one per element, and the (k, n, m) vacua of the one rank m that
+    the stack takes, as their own array, so that neither the projectors nor
+    their singular vectors outlive this step. A failing projector row raises
+    a bare :class:`NotARepresentationError`."""
+    pi = unit - occupied(c, held)
+    if not (np.maximum(*_projector_rows(pi).values()) <= tol).all():
+        raise NotARepresentationError
+    copies, vacua = _ranges(pi)
+    _refuse(copies != copies[0], label, NumericalDegeneracyError,
+            lambda i: f"vacuum rank {copies[i]} differs from the first element's "
+                      f"{copies[0]}; a stack takes one vacuum rank")
+    return copies, vacua[..., :copies[0]].copy()
+
+
+def _block_defects(c: np.ndarray, basis: np.ndarray, m: int,
+                   held) -> tuple[np.ndarray, np.ndarray]:
+    """U^dag c_a U - T_a for a (p, k, n, n) stack, held on the rows of
+    ``held``, and its (k, n, n) unitaries U, in held form: the (p, k, |J|, n)
+    values on the rows J and the mask of J. T_a are the targets of
     :func:`_expected_blocks` with m copies.
 
     The products are :func:`~orthofermi.canonical.conjugate`'s, on the rows
-    ``held`` that hold an entry, and the targets are subtracted in place.
+    that can be nonzero, and the targets are subtracted in place. A target
+    entry on a row outside those is compared against 0 on its own: J takes
+    that row too, so that its defect is seen.
     """
-    out = conjugate(c, basis, held)
-    a, rows, cols = _target_entries(len(c), m)
-    out[a, :, rows, cols] -= 1
-    return out
+    out, rows = conjugate(c, basis, held)
+    a, vacua, cols = _target_entries(len(c), m)
+    targets = np.zeros_like(rows)
+    targets[vacua] = True
+    if (targets & ~rows).any():
+        out, rows = spread(out, rows, rows | targets), rows | targets
+    out[a, :, np.cumsum(rows)[vacua] - 1, cols] -= 1
+    return out, rows
 
 
 def _grow_copies(c: np.ndarray, vacua: np.ndarray, unit: np.ndarray, tol: float, label,
@@ -340,8 +378,8 @@ def _grow_copies(c: np.ndarray, vacua: np.ndarray, unit: np.ndarray, tol: float,
     m = 0 the copy family is empty and U is the complement's basis, so a
     nonzero generator fails the complement annihilation. The copy family,
     the complement annihilation and the block residual are each one batched
-    call over the whole (p, k, n, n) stack, formed on the rows R that hold
-    an entry of some c_a, ``held`` as the caller carries it:
+    call over the whole (p, k, n, n) stack, which is held on the rows R that
+    hold an entry of some c_a, ``held`` as the caller carries it:
     c_a^dag e_i = c_a[R, :]^dag e_i[R], c_a G is zero off the rows R, and
     the block residual is :func:`_block_defects`. A pure split, whose
     complement is zero up to roundoff, runs no complement SVD
@@ -433,12 +471,11 @@ def _grow_copies(c: np.ndarray, vacua: np.ndarray, unit: np.ndarray, tol: float,
     projector rows of step 2, every row of :func:`verify` then holds within
     ``tol``.
     """
-    p, k, n, _ = c.shape
+    p, k, _, n = c.shape
     m = vacua.shape[-1]
     rows = as_index(held)
-    on_rows = c[..., rows, :]
     # column i (p+1) + a holds e_i for a = 0 and c_a^dag e_i otherwise
-    family = np.concatenate([vacua[None], dagger(on_rows) @ vacua[..., rows, :]])
+    family = np.concatenate([vacua[None], dagger(c) @ vacua[..., rows, :]])
     family = np.moveaxis(family, 0, -1).reshape(k, n, m * (p + 1))
     gram = max_abs(dagger(family) @ family - np.eye(m * (p + 1)), axis=(-2, -1))
     _refuse(~(gram <= tol), label, NumericalDegeneracyError,
@@ -451,8 +488,8 @@ def _grow_copies(c: np.ndarray, vacua: np.ndarray, unit: np.ndarray, tol: float,
             lambda i: f"dimension bookkeeping failed: {m} copies of {p + 1} plus "
                       f"{trivial[i]} != {n}")
     complement = complement[..., :n - m * (p + 1)]
-    annihilation = np.maximum(max_abs(on_rows @ complement, axis=(0, -2, -1)),
-                              max_abs(dagger(on_rows) @ complement[..., rows, :],
+    annihilation = np.maximum(max_abs(c @ complement, axis=(0, -2, -1)),
+                              max_abs(dagger(c) @ complement[..., rows, :],
                                       axis=(0, -2, -1)))
     _refuse(~(annihilation <= tol), label, NotARepresentationError,
             lambda i: f"complement of the copies is not annihilated, "
@@ -461,7 +498,7 @@ def _grow_copies(c: np.ndarray, vacua: np.ndarray, unit: np.ndarray, tol: float,
     basis = np.concatenate([family, complement], axis=-1)
     residuals = {
         "unitarity": max_abs(dagger(basis) @ basis - np.eye(n), axis=(-2, -1)),
-        "block": max_abs(_block_defects(c, basis, m, held), axis=(0, -2, -1)),
+        "block": max_abs(_block_defects(c, basis, m, held)[0], axis=(0, -2, -1)),
         "gram": gram, "complement annihilation": annihilation}
     outside += unit - np.eye(n)
     defects = (residuals["unitarity"], residuals["block"], max_abs(outside, axis=(-2, -1)), n, p)
@@ -472,7 +509,8 @@ def _grow_copies(c: np.ndarray, vacua: np.ndarray, unit: np.ndarray, tol: float,
     return basis, residuals
 
 
-def decompose_stack(c, unit=None, tol: float = DEFAULT_TOL, labels=None) -> Decomposition:
+def decompose_stack(c, unit=None, tol: float = DEFAULT_TOL, labels=None,
+                    held=None) -> Decomposition:
     """Split each of k representations of one order and dimension at once.
 
     ``c`` has shape (p, k, n, n): ``c[a, i]`` is annihilator a+1 of
@@ -491,27 +529,26 @@ def decompose_stack(c, unit=None, tol: float = DEFAULT_TOL, labels=None) -> Deco
     name. An error names the first failing representation i by
     ``labels(i)``, a function of the stack index called only then (by
     default "representation i"). Returns one :class:`Decomposition` of the
-    whole stack, whose fields have a leading axis in stack order. The
-    stack's held rows are read once
-    (:func:`~orthofermi.canonical.held_rows`) and passed to every product.
+    whole stack, whose fields have a leading axis in stack order. Every
+    product takes the stack in its held form: given ``held``, the mask of
+    the rows R that hold an entry, ``c`` is that form, (p, k, |R|, n), as
+    the caller carries it; otherwise ``c`` is dense and is held here, its
+    rows read once (:func:`~orthofermi.canonical.hold`).
     """
     c = field(c)
-    if c.ndim != 4 or not c.shape[0] or c.shape[-1] != c.shape[-2]:
+    if c.ndim != 4 or not c.shape[0] or (
+            c.shape[-2:] != (c.shape[-1], c.shape[-1]) if held is None
+            else c.shape[-2:] != (np.count_nonzero(held), len(held))):
         raise DimensionError(f"expected a (p, k, n, n) stack of annihilators, got {c.shape}")
     if not np.isfinite(c).all():
         raise ValueError("annihilators contain non-finite entries")
     label = "representation {}".format if labels is None else labels
-    held = held_rows(c)
+    if held is None:
+        c, held = hold(c)
     unit = _units(c, unit, tol, label, held)
     try:
-        pi = unit - occupied(c, held)
-        if not (np.maximum(*_projector_rows(pi).values()) <= tol).all():
-            raise NotARepresentationError
-        copies, vacua = _ranges(pi)
-        _refuse(copies != copies[0], label, NumericalDegeneracyError,
-                lambda i: f"vacuum rank {copies[i]} differs from the first element's "
-                          f"{copies[0]}; a stack takes one vacuum rank")
-        basis, residuals = _grow_copies(c, vacua[..., :copies[0]], unit, tol, label, held)
+        copies, vacua = _vacua(c, unit, tol, label, held)
+        basis, residuals = _grow_copies(c, vacua, unit, tol, label, held)
     except (NotARepresentationError, NumericalDegeneracyError):
         worst = np.max(list(_relation_table(c, unit, held).values()), axis=0)
         _refuse(~(worst <= tol), label, NotARepresentationError,

@@ -39,7 +39,7 @@ from fractions import Fraction
 import numpy as np
 
 from orthofermi import osusy
-from orthofermi.canonical import held_rows, occupied, transfer
+from orthofermi.canonical import hold, occupied, transfer
 from orthofermi.linalg import max_abs
 
 
@@ -156,8 +156,8 @@ def dense_ladder_residuals(rep, L, F):
     p = rep.p
     eye = np.eye(rep.dim, dtype=complex)
     c = rep.c
-    rows = held_rows(c)
-    pi = eye - occupied(c, rows)
+    on_rows, rows = hold(c)
+    pi = eye - occupied(on_rows, rows)
     Ld = L.conj().T
     Lk = [eye]  # Lk[k] = L^k for k in 0..p+2
     for _ in range(p + 2):
@@ -172,7 +172,7 @@ def dense_ladder_residuals(rep, L, F):
     res["L Ldag = 1 - c_p^dag c_p"] = max_abs(L @ Ld - (eye - c[p - 1].conj().T @ c[p - 1]))
 
     for k in range(1, p + 3):
-        closed = transfer(c, k, rows) + (c[k - 1] if k <= p else 0)
+        closed = transfer(on_rows, k, rows) + (c[k - 1] if k <= p else 0)
         res[f"L^{k} closed form"] = max_abs(Lk[k] - closed)
 
     # ssum collects the sandwiches L^{p-k} Ldag L^k of the sum rule, k = 0 and p first

@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orthofermi.algebra import basis, rho0
-from orthofermi.canonical import (OrthoRep, canonical, cyclic_from, held_rows,
+from orthofermi.canonical import (OrthoRep, canonical, cyclic_from, held_rows, hold,
                                   ladder_identity_residuals, ladder_operators, lowering_from,
-                                  occupied, transfer)
+                                  occupied, spread, transfer)
 from orthofermi.errors import DimensionError, OrderError
 from orthofermi.linalg import dagger, max_abs
 from orthofermi.reptheory import random_rep
@@ -286,7 +286,8 @@ def test_cyclic_power_of_a_stack_is_the_identity():
        seed=st.integers(0, 2**32 - 1))
 def test_transfer_matches_the_pair_oracle(p, n, lead, held, as_list, seed):
     # Gaussian-integer entries make every sum exact in any order, so the
-    # grouped products on the held rows must give the oracle's values bitwise
+    # grouped products on the held rows must give the oracle's values bitwise,
+    # from the dense stack and from its held form alike, and so must L and F
     rng = np.random.default_rng(seed)
     count = {"none": 0, "one": 1, "some": int(rng.integers(1, max(n, 2))), "all": n}[held]
     rows = rng.permutation(n)[:count]
@@ -294,12 +295,19 @@ def test_transfer_matches_the_pair_oracle(p, n, lead, held, as_list, seed):
     c[..., rows, :] = rng.integers(-3, 4, (p, *lead, count, n, 2)) @ [1, 1j]
     c[rng.integers(p), ..., rows, rng.integers(n)] = 1 + 2j  # every chosen row holds an entry
     assert np.array_equal(np.flatnonzero(held_rows(c)), np.sort(rows))
+    on_rows, mask = hold(c)
+    assert on_rows.shape == (p, *lead, count, n) and np.array_equal(spread(on_rows, mask), c)
     for k in range(p + 2):
         got = transfer(list(c) if as_list else c, k)
         assert got.shape == (*lead, n, n) and got.dtype == complex
         assert np.array_equal(got, transfer_sum(c, k)), k
+        assert np.array_equal(transfer(on_rows, k, mask), got)
         if k >= p:
             assert not got.any()
+    lowering = c[0] + transfer_sum(c, 1)
+    for ladder, want in ((lowering_from, lowering), (cyclic_from, lowering + dagger(c[-1]))):
+        assert np.array_equal(ladder(on_rows, mask), want)
+        assert np.array_equal(ladder(c), want)
 
 
 @pytest.mark.parametrize("p, copies, trivial, seed", [(2, 7, 3, 1), (3, 5, 2, 4), (5, 3, 0, 3)])

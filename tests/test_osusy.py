@@ -16,10 +16,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orthofermi import cli, osusy, reptheory
-from orthofermi.canonical import canonical, conjugate, cyclic_from, held_rows, lowering_from
+from orthofermi.canonical import (canonical, conjugate, cyclic_from, held_rows, hold,
+                                  lowering_from, spread)
 from orthofermi.errors import (ClusteringError, DimensionError, NotARepresentationError,
                                OrderError, TruncationError)
-from orthofermi.linalg import dagger, haar_unitary, max_abs
+from orthofermi.linalg import DEFAULT_TOL, dagger, haar_unitary, max_abs
 from orthofermi.osusy import (OsusySystem, SusyGenerators, block_partition, build_generators,
                               build_system, check_generators, check_relations, closed_form_frac,
                               closed_form_para, eigenspace_reps, run_suite, spectral,
@@ -336,6 +337,21 @@ def test_a_long_chain_allocates_no_dense_matrix():
         tracemalloc.stop()
     assert sys_.dim == 6000
     assert peak < 50 * 2**20
+
+
+def test_a_large_order_holds_no_dense_charge_stack():
+    # (256, 2): one sector of 257 states, whose 256 charges hold one entry
+    # each; a dense (p, count, p + 1, p + 1) stack of them alone would take
+    # 135 MB, and every stack derived from it as much again
+    tracemalloc.start()
+    try:
+        residuals, tolerances, table = run_suite(build_system(256, 2))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(residuals[name] <= tolerances[name] for name in residuals)
+    assert table[1] == {"E": 1.0, "dim": 257, "copies": 1}
+    assert peak < 100 * 10**6
 
 
 def test_relations_hold_exactly_on_samples():
@@ -1130,69 +1146,132 @@ def gaussian_integers(rng, shape):
     return rng.integers(-3, 4, (*shape, 2)) @ [1, 1j]
 
 
+def phased_permutations(rng, count, n):
+    """(count, n, n) unitaries that move each basis vector to another with a
+    phase in {1, -1, i, -i}: every product with them is exact."""
+    out = np.zeros((count, n, n), dtype=complex)
+    for m in out:
+        m[rng.permutation(n), np.arange(n)] = 1j ** rng.integers(4, size=n)
+    return out
+
+
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(p=st.integers(1, 5), count=st.integers(1, 3), n=st.integers(1, 7),
-       held=st.sampled_from(["none", "one", "some", "all"]), seed=st.integers(0, 2**32 - 1))
-def test_support_products_match_the_dense_oracles(p, count, n, held, seed):
-    # Gaussian-integer entries make every sum exact in any order, so the
-    # products on the held rows must give the dense products bitwise
+       held=st.sampled_from(["none", "one", "some", "all"]),
+       turn=st.sampled_from(["gaussian", "permutation", "haar"]), seed=st.integers(0, 2**32 - 1))
+def test_support_products_match_the_dense_oracles(p, count, n, held, turn, seed):
+    # every kernel takes the stack on its held rows and returns its result
+    # on the rows that can be nonzero; assembled, each is the dense product.
+    # Gaussian-integer entries and phased permutations make every sum exact
+    # in any order, so those products must be the dense ones bitwise; a
+    # permutation moves the held rows R to other rows J, and a Haar V, which
+    # is not exact, spreads them over every row
     rng = np.random.default_rng(seed)
     held_count = {"none": 0, "one": 1, "some": int(rng.integers(1, max(n, 2))), "all": n}[held]
     rows = rng.permutation(n)[:held_count]
     q = np.zeros((p, count, n, n), dtype=complex)
     q[..., rows, :] = gaussian_integers(rng, (p, count, held_count, n))
     q[rng.integers(p), :, rows, rng.integers(n)] = 1 + 2j  # every chosen row holds an entry
-    assert np.array_equal(np.flatnonzero(held_rows(q)), np.sort(rows))
-    h, v = gaussian_integers(rng, (count, n, n)), gaussian_integers(rng, (count, n, n))
-    assert np.array_equal(osusy._commutator(h, q, held_rows(q)), commutator(h, q))
-    assert np.array_equal(conjugate(q, v), restricted(v, q))
+    on_rows, mask = hold(q)
+    assert np.array_equal(np.flatnonzero(mask), np.sort(rows))
+    assert np.array_equal(on_rows, q[..., mask, :])
+    h = gaussian_integers(rng, (count, n, n))
+    got, found = osusy._commutator(h, on_rows, mask)
+    assert np.array_equal(found, mask | (h[..., mask] != 0).any(axis=(0, -1)))
+    assert np.array_equal(spread(got, found), commutator(h, q))
+    v = {"gaussian": lambda: gaussian_integers(rng, (count, n, n)),
+         "permutation": lambda: phased_permutations(rng, count, n),
+         "haar": lambda: np.stack([haar_unitary(n, rng) for _ in range(count)])}[turn]()
+    want = restricted(v, q)
     m = int(rng.integers(n // (p + 1) + 1))
-    assert np.array_equal(reptheory._block_defects(q, v, m, held_rows(q)),
-                          block_residual(v, q, m))
+    for got, found in (conjugate(on_rows, v, mask), conjugate(q, v)):
+        assert not want[..., ~found, :].any()
+        if turn == "haar":
+            np.testing.assert_allclose(spread(got, found), want, rtol=0, atol=1e-13 * n)
+        else:
+            assert np.array_equal(spread(got, found), want)
+    if turn == "permutation":
+        # J = the rows that V^dag moves R to, in some block
+        moved = (v[..., mask, :] != 0).any(axis=(0, 1))
+        assert np.array_equal(found, moved) and found.sum() <= count * mask.sum()
+    got, found = reptheory._block_defects(on_rows, v, m, mask)
+    if turn == "haar":
+        np.testing.assert_allclose(spread(got, found), block_residual(v, q, m), rtol=0,
+                                   atol=1e-13 * n)
+    else:
+        assert np.array_equal(spread(got, found), block_residual(v, q, m))
 
 
 @pytest.mark.parametrize("p, levels, seed", [(8, 12, 81), (16, 6, 166)])
 def test_support_products_of_a_turned_system_are_the_dense_products_bitwise(
         p, levels, seed, monkeypatch):
-    # every row of a Haar-turned system holds an entry: the products are the
-    # dense ones, formed in the same association
+    # every row of a Haar-turned system holds an entry: every stack is held
+    # on all its rows, and the products are the dense ones, formed in the
+    # same association
     split = []
 
-    def recorded(c, *args, **kwargs):
-        split.append((c.copy(), reptheory.decompose_stack(c, *args, **kwargs)))
-        return split[-1][1]
+    def recorded(c, *args, held, **kwargs):
+        split.append((c.copy(), held, reptheory.decompose_stack(c, *args, held=held, **kwargs)))
+        return split[-1][-1]
     monkeypatch.setattr(osusy, "decompose_stack", recorded)
     spectrum = spectral(turned(p, levels, seed))
     [q], [h], [eig] = spectrum.system.Q, spectrum.system.H, spectrum.eigs
-    assert held_rows(q).all()
-    assert np.array_equal(osusy._commutator(h, q, held_rows(q)), commutator(h, q))
+    [on_rows], [mask] = spectrum.system.charges, spectrum.system.support
+    assert held_rows(q).all() and mask.all() and np.array_equal(on_rows, q)
+    got, found = osusy._commutator(h, on_rows, mask)
+    assert found.all() and np.array_equal(got, commutator(h, q))
+    assert spectrum.support[0].all()
     assert np.array_equal(spectrum.charges[0], restricted(eig.vectors, q))
     eigenspace_reps(spectrum)
-    [(c, dec)] = split
-    assert held_rows(c).all() and set(dec.multiplicity.tolist()) == {1}
-    assert np.array_equal(reptheory._block_defects(c, dec.basis, 1, held_rows(c)),
-                          block_residual(dec.basis, c, 1))
+    [(c, mask, dec)] = split
+    assert mask.all() and held_rows(c).all() and set(dec.multiplicity.tolist()) == {1}
+    got, found = reptheory._block_defects(c, dec.basis, 1, mask)
+    assert found.all() and np.array_equal(got, block_residual(dec.basis, c, 1))
 
 
 def test_the_commutator_sees_h_off_the_rows_that_hold_a_charge():
     # |0, 1> (index 1) holds no charge entry; H couples it to |1, 0> (index 3),
-    # which does, inside the N = 1 sector
+    # which does, inside the N = 1 sector: the commutator is formed on row 1
+    # as well as on the held row
     p, eps = 2, 0.25
     Q, H = build_system(p, 4).dense()
     H = couple(H, 1, p + 1, eps, hermitian=True)
     sys_ = system_from_dense(p, Q, H)
     assert not Q[:, 1].any() and Q[:, p + 1].any()
-    for h, q in zip(sys_.H, sys_.Q):
-        assert np.array_equal(osusy._commutator(h, q, held_rows(q)), commutator(h, q))
+    for h, q, on_rows, mask in zip(sys_.H, sys_.Q, sys_.charges, sys_.support):
+        got, found = osusy._commutator(h, on_rows, mask)
+        assert np.array_equal(spread(got, found), commutator(h, q))
+    assert np.flatnonzero(found).tolist() == [0, p]
     got = check_relations(spectral(sys_))["[H, Q_a] = 0"]
     assert got == max(max_abs(H @ q - q @ H) for q in Q) > eps
 
 
+def test_a_target_outside_the_rows_of_a_piece_is_compared_against_zero():
+    # c_1 = E_{2,2} at p = 1, n = 3, turned by the identity: the product
+    # holds row 2 alone, while the one copy's target E_{0,1} lies on row 0,
+    # outside it. The defect there is the target's own 1, so the block
+    # residual is 1 and the split that this basis would certify is refused.
+    # (A split grown by decompose_stack never meets this: each vacuum
+    # meets the held rows, or its copy vectors fail the Gram check.)
+    c = np.zeros((1, 1, 3, 3))
+    c[0, 0, 2, 2] = 1
+    on_rows, mask = hold(c)
+    basis = np.eye(3)[None]
+    got, found = reptheory._block_defects(on_rows, basis, 1, mask)
+    assert found.tolist() == [True, False, True]
+    assert np.array_equal(spread(got, found), block_residual(basis, c, 1))
+    assert max_abs(got[..., 0, :]) == 1.0
+    block = max_abs(got, axis=(0, -2, -1))
+    bound = np.maximum(*reptheory._pair_bounds(np.zeros(1), block, np.zeros(1), 3, 1))
+    assert block[0] == 1.0 and not bound[0] <= DEFAULT_TOL
+
+
 def test_an_osusy_op_reads_each_support_once(monkeypatch):
-    # the support of a stack is read where the stack is made: the one charge
-    # stack of build_system, the one positive piece class of eigenspace_reps
-    # and the one cut of build_generators; no kernel reads one itself, and
-    # the null states have no stack to read
+    # the support of a stack is known where the stack is made: build_system
+    # writes its charges on their one held row, spectral carries the rows of
+    # C that can hold an entry, and the pieces are cut on those; the one read
+    # is of the rows that keep an entry in build_generators' cut, made on the
+    # held rows of C, so no dense pass reads the rows of C or of the pieces
     reads = []
     canonical_module = importlib.import_module("orthofermi.canonical")
     read = canonical_module.held_rows
@@ -1205,9 +1284,8 @@ def test_an_osusy_op_reads_each_support_once(monkeypatch):
             monkeypatch.setattr(module, "held_rows", counted)
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["osusy", "--p", "3", "--levels", "6", "--json"]) == 0
-    # 5 sectors of 4 states
-    sectors = (3, 5, 4, 4)
-    assert reads == [sectors, sectors, sectors]
+    # 5 sectors of 4 states, each held on its one charge row
+    assert reads == [(3, 5, 1, 4)]
 
 
 def test_a_carried_support_cannot_go_stale():
@@ -1245,10 +1323,13 @@ def test_a_carried_support_cannot_go_stale():
 
 def test_whole_block_pieces_are_taken_in_c_order():
     spectrum = spectral(two_stacks(4, 6))
-    charges, size = spectrum.charges, 5
+    charges, support, size = spectrum.charges, spectrum.support, 5
     block = np.array([3, 0, 2])
-    found = osusy._cut_pieces(charges, np.ones(3, dtype=int), block, np.zeros(3, dtype=int), size)
+    found, held = osusy._cut_pieces(charges, support, np.ones(3, dtype=int), block,
+                                    np.zeros(3, dtype=int), size)
     assert found.flags.c_contiguous and found.flags.writeable
+    # held on the one charge row of each sector, as C is
+    assert np.flatnonzero(held).tolist() == [4] and held is support[1]
     assert np.array_equal(found, charges[1][:, block])
 
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from oracles import EXACT_MAX_DIM, exact_verify, pair_relation_defects
 from orthofermi import reptheory
-from orthofermi.canonical import canonical, held_rows
+from orthofermi.canonical import canonical, hold
 from orthofermi.errors import (DimensionError, NotARepresentationError, NumericalDegeneracyError,
                                OrderError, OrthofermiError)
 from orthofermi.linalg import DEFAULT_TOL, dagger, haar_unitary, max_abs, orthonormal_range
@@ -116,7 +116,8 @@ def test_relation_kernel_matches_the_pair_oracle(p, n, k, kind, row_mode, col_mo
     # the kernel multiplies on the stack's support; the oracle forms every
     # pair in full
     c, unit = kernel_stack(p, n, k, kind, row_mode, col_mode, seed)
-    found = reptheory._relation_defects(c, unit, held_rows(c))
+    on_rows, held = hold(c)
+    found = reptheory._relation_defects(on_rows, unit, held)
     expected = pair_relation_defects(c, unit)
     for got, want in zip(found, expected):
         if kind == "dense":
@@ -151,7 +152,8 @@ def test_one_non_finite_entry_fails_the_relation_kernel(p, n, k, kind, row_mode,
     else:
         c[(rng.integers(p), *where)] = bad
     with np.errstate(invalid="ignore", over="ignore"):
-        nilpotent, mixed = reptheory._relation_defects(c, unit, held_rows(c))
+        on_rows, held = hold(c)
+        nilpotent, mixed = reptheory._relation_defects(on_rows, unit, held)
     worst = np.maximum(nilpotent, mixed)[where[0]]
     assert not np.isfinite(worst) and not worst <= DEFAULT_TOL
 
@@ -877,8 +879,9 @@ def hadamard_split(eps, tol):
     # columns (e_1, c^dag e_1, e_2, c^dag e_2)
     vacua, created = family[:, [0, 2]], family[:, [1, 3]]
     c = dagger(created @ np.linalg.pinv(vacua))
-    return reptheory._grow_copies(c[None, None], vacua[None].astype(complex), np.eye(4)[None],
-                                  tol, lambda i: "", held_rows(c[None, None]))
+    on_rows, held = hold(c[None, None])
+    return reptheory._grow_copies(on_rows, vacua[None].astype(complex), np.eye(4)[None],
+                                  tol, lambda i: "", held)
 
 
 def test_a_complement_beyond_tol_fails_the_dimension_bookkeeping():
