@@ -1,31 +1,35 @@
 """Representations, the canonical irreducible one and its ladder operators.
 
-:class:`OrthoRep` is the package's one representation type: the p
-annihilators as one (p, n, n) stack, c[a - 1] being c_a.
-:func:`canonical` returns one, and :func:`occupied`, :func:`lowering_from`
-and :func:`cyclic_from` take such a stack, or a (p, ..., n, n) stack of
-such families.
+:class:`OrthoRep` is the package's one stack type: a (p, ..., n, n) family
+of annihilators, c_a being the (..., n, n) stack of index a - 1, held on
+the rows R that hold an entry, as its (p, ..., |R|, n) values on R and the
+mask of R. The values vanish off the mask, as nothing else is stored there;
+a mask may hold rows whose values are zero, as the one a producer computes
+for its product often does. :meth:`OrthoRep.of` holds a dense stack, or a
+list of matrices, on the rows that :func:`held_rows` reads, and
+:meth:`OrthoRep.dense` spreads a family back out for the writers and the
+test oracles. Every kernel takes this type: :func:`occupied`,
+:func:`lowering_from`, :func:`cyclic_from` and :func:`conjugate` here, the
+relation kernels of ``reptheory`` and every stage of ``osusy``.
+:func:`canonical` returns one, held on its vacuum row alone.
 
 Every sum of quantum-transfer monomials the package forms,
 sum_a c_a^dag c_{a+k}, is one call of :func:`transfer`, which multiplies
-only on the rows that hold an entry. A kernel takes a stack in its held
-form: its values on the rows R that hold an entry, of shape (..., |R|, n),
-with ``held``, the mask of R that :func:`held_rows` reads where the stack
-is made; :func:`hold` makes that form of a dense stack, and :func:`spread`
-puts the zero rows back. The vacuum projector is
+only on the rows R. The vacuum projector is
 unit - occupied(c) = unit - transfer(c, 0), and the lowering operator below
 is c_1 + transfer(c, 1); only the closed forms of its powers in the ladder
 catalog are formed from row entries instead (see below). :func:`conjugate`
-forms V^dag c_a V on the same rows and returns only the rows of it that can
-be nonzero. These public kernels take a dense stack, and hold it
-themselves, when their caller passes no mask.
+forms V^dag c_a V on the rows R and returns it on the rows that can be
+nonzero.
 
 On the (p+1)-dimensional Fock space with kets |0>, |1>, .., |p> (ket n is
 matrix row/column n+1), the annihilators act as the matrix units
 
     c_a = E_{1, a+1}
 
-so c_a |a> = |0> and c_a kills every other ket. The lowering operator
+so c_a |a> = |0> and c_a kills every other ket: all p of them hold their
+one entry in row 0, the vacuum row, so :func:`canonical` holds them as
+(p, 1, p+1) values on that row. The lowering operator
 
     L = c_1 + sum_{a=2..p} c_{a-1}^dag c_a
 
@@ -52,61 +56,126 @@ from .linalg import check_addressable, check_order, dagger, field, max_abs
 
 @dataclass(frozen=True)
 class OrthoRep:
-    """Candidate representation: its p annihilators as one (p, n, n) stack.
+    """A (p, ..., n, n) family of annihilators, held on the rows that hold an entry.
 
-    ``c`` may be given as any array of that shape or a list of p n x n
-    matrices; it is stored in the dtype :func:`~orthofermi.linalg.field`
-    picks, and the order ``p`` and the dimension ``dim`` are read off its
-    shape. Raises :class:`OrderError` for p = 0, :class:`DimensionError`
-    for any other shape, matrices of unequal shapes or n = 0, and
-    ValueError for a non-finite entry.
+    ``values`` are the (p, ..., |R|, n) values on the rows R, in order, and
+    ``rows`` is the bool mask of R over the n rows; every entry off R is
+    zero. ``values`` is stored in the dtype :func:`~orthofermi.linalg.field`
+    picks, and ``p``, ``dim`` and the dense ``shape`` are read off the two.
+    The mask is held read-only, as a view, so that it stays the one
+    validated; a write into ``values`` cannot reach a row off the mask.
+    Raises :class:`DimensionError` for p = 0, a mask that is not a 1-D
+    bool array, or values that are not |R| rows of length n. A
+    representation, as :func:`~orthofermi.reptheory.verify` takes it, has
+    no axes between p and the rows.
     """
 
-    c: np.ndarray
+    values: np.ndarray
+    rows: np.ndarray
 
     def __post_init__(self):
+        values, rows = field(self.values), np.asarray(self.rows).view()
+        rows.flags.writeable = False  # so that the mask stays the one validated
+        if rows.dtype != bool or rows.ndim != 1:
+            raise DimensionError(f"the row mask must be a 1-D bool array, "
+                                 f"got {rows.dtype} of shape {rows.shape}")
+        if values.ndim < 3 or not len(values) or values.shape[-2:] != (np.count_nonzero(rows),
+                                                                        rows.size):
+            raise DimensionError(f"expected (p, ..., {np.count_nonzero(rows)}, {rows.size}) "
+                                 f"values with p >= 1 for the mask, got shape {values.shape}")
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "rows", rows)
+
+    def __reduce__(self):
+        # a copy or an unpickled family is validated anew, its mask read-only
+        return OrthoRep, (self.values, self.rows)
+
+    @classmethod
+    def of(cls, c) -> OrthoRep:
+        """The family of the dense (p, ..., n, n) stack ``c``, or a list of p
+        matrices, held on the rows that hold an entry other than +0.0
+        (:func:`held_rows`), so that :meth:`dense` gives ``c`` back bitwise,
+        signed zeros included; the values are a view of ``c`` when every row
+        holds one. Raises :class:`OrderError` for p = 0,
+        :class:`DimensionError` for any other shape, matrices of unequal
+        shapes or n = 0, and ValueError for a non-finite entry."""
         try:
-            c = field(self.c)
+            c = field(c)
         except ValueError as exc:
             raise DimensionError(f"annihilators must be matrices of one shape: {exc}") from exc
         if c.ndim:
             check_order(len(c))
-        if c.ndim != 3 or c.shape[1] != c.shape[2] or not c.shape[1]:
-            raise DimensionError(f"expected a (p, n, n) stack of annihilators with n >= 1, "
+        if c.ndim < 3 or c.shape[-1] != c.shape[-2] or not c.shape[-1]:
+            raise DimensionError(f"expected a (p, ..., n, n) stack of annihilators with n >= 1, "
                                  f"got shape {c.shape}")
         if not np.isfinite(c).all():
             raise ValueError("matrix contains non-finite entries")
-        object.__setattr__(self, "c", c)
+        rows = held_rows((c != 0) | np.signbit(c.real) | np.signbit(c.imag))
+        return cls(c[..., as_index(rows), :], rows)
 
     @property
     def p(self) -> int:
-        return self.c.shape[0]
+        return len(self.values)
 
     @property
     def dim(self) -> int:
-        return self.c.shape[1]
+        return self.rows.size
+
+    @property
+    def shape(self) -> tuple:
+        """The shape of the dense stack, (p, ..., n, n)."""
+        return (*self.values.shape[:-2], self.dim, self.dim)
+
+    def __getitem__(self, k) -> OrthoRep:
+        """The family at ``k`` along the first axis after p, on the same rows."""
+        return OrthoRep(self.values[:, k], self.rows)
+
+    def on(self, rows) -> OrthoRep:
+        """The same family held on the rows of the mask ``rows``, which holds
+        this one's; the rows it adds are zeros."""
+        out = np.zeros((*self.values.shape[:-2], np.count_nonzero(rows), self.dim),
+                       dtype=self.values.dtype)
+        out[..., self.rows[rows], :] = self.values
+        return OrthoRep(out, rows)
+
+    def dense(self) -> np.ndarray:
+        """The dense (p, ..., n, n) stack; a family held on every row is
+        that stack already, and returns its values."""
+        return self.values if self.rows.all() else self.on(np.ones_like(self.rows)).values
+
+
+def _hold(c: np.ndarray) -> OrthoRep:
+    """The dense stack ``c`` held on the rows that hold an entry, NaN
+    included, with no check of its values."""
+    rows = held_rows(c)
+    return OrthoRep(c[..., as_index(rows), :], rows)
 
 
 def canonical(p: int) -> OrthoRep:
     """The canonical representation: c_a is the matrix unit E_{1,a+1} on the
-    (p+1)-dimensional Fock space, in float64. Raises :class:`OrderError`
-    for an order whose (p, p+1, p+1) stack numpy cannot address."""
+    (p+1)-dimensional Fock space, in float64, held on row 0 alone as
+    (p, 1, p+1) values. Raises :class:`OrderError` for an order whose dense
+    (p, p+1, p+1) stack numpy cannot address, as the writers form it."""
     p = check_order(p)
     check_addressable(OrderError, f"order p = {p}", p, p + 1, p + 1)
-    return OrthoRep(_expected_blocks(p, 1, 0))
+    return _expected_blocks(p, 1, 0)
 
 
-def _expected_blocks(p: int, multiplicity: int, trivial_dim: int) -> np.ndarray:
-    """Target annihilators, shape (p, n, n): canonical copies, then a zero block.
+def _expected_blocks(p: int, multiplicity: int, trivial_dim: int) -> OrthoRep:
+    """Target annihilators of dimension n: canonical copies, then a zero
+    block, held on the copies' vacuum rows.
 
     In copy i, on rows and columns i (p+1) .. i (p+1) + p, c_a is the matrix
-    unit E_{1,a+1} of :func:`canonical`.
+    unit E_{1,a+1} of :func:`canonical`; its one entry lies in the vacuum
+    row i (p+1), so the values are (p, multiplicity, n).
     """
     n = multiplicity * (p + 1) + trivial_dim
-    blocks = np.zeros((p, n, n))
-    a, rows, cols = _target_entries(p, multiplicity)
-    blocks[a, rows, cols] = 1
-    return blocks
+    values = np.zeros((p, multiplicity, n))
+    a, vacua, cols = _target_entries(p, multiplicity)
+    values[a, np.arange(multiplicity), cols] = 1
+    rows = np.zeros(n, dtype=bool)
+    rows[vacua] = True
+    return OrthoRep(values, rows)
 
 
 def _target_entries(p: int, multiplicity: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -130,69 +199,45 @@ def as_index(mask: np.ndarray):
     return slice(None) if mask.all() else np.flatnonzero(mask)
 
 
-def hold(c) -> tuple[np.ndarray, np.ndarray]:
-    """The held form of a dense (..., n, n) stack: its (..., |R|, n) values
-    on the rows R that hold an entry, and the mask of R (:func:`held_rows`).
-    The values are a view of ``c`` when every row holds an entry."""
-    held = held_rows(c)
-    return c[..., as_index(held), :], held
+def conjugate(c: OrthoRep, v) -> OrthoRep:
+    """V^dag c_a V for a family ``c`` and unitaries ``v`` that broadcast
+    against it, held on the rows J that can be nonzero: the columns j of
+    V[R, :] that hold an entry.
 
-
-def spread(values, held, rows=None) -> np.ndarray:
-    """The stack whose held form is ``values`` on the rows of the mask
-    ``held``, on the rows of the mask ``rows``, which holds ``held``: the
-    rows outside ``held`` are zeros. With ``rows`` None it is every row,
-    and the result is the dense (..., n, n) stack."""
-    rows = np.ones_like(held) if rows is None else rows
-    out = np.zeros((*values.shape[:-2], np.count_nonzero(rows), values.shape[-1]),
-                   dtype=values.dtype)
-    out[..., held[rows], :] = values
-    return out
-
-
-def conjugate(c, v, held=None) -> tuple[np.ndarray, np.ndarray]:
-    """V^dag c_a V for the held form (``c``, ``held``) of a stack and
-    unitaries ``v`` that broadcast against it, in held form: the rows J that
-    can be nonzero, the columns j of V[R, :] that hold an entry, and the
-    mask of J. A dense ``c`` is held here when ``held`` is None.
-
-    A stack whose every row holds an entry forms the dense (V^dag c_a) V,
-    with J every row, so that its values, which reports print, stay those
-    of the dense products bitwise; otherwise c_a vanishes off R, and
+    A family held on every row forms the dense (V^dag c_a) V, with J every
+    row, so that its values, which reports print, stay those of the dense
+    products bitwise; otherwise c_a vanishes off R, and
     V^dag[J, R] (c_a[R, :] V) forms the rows J of the same matrix up to
     summation order, with one full-size product in place of two. When V
     is the identity, as for H of the oscillator in its natural basis, J is R.
     """
-    if held is None:
-        c, held = hold(c)
-    if held.all():
-        return (dagger(v) @ c) @ v, held
-    on_rows = v[..., np.flatnonzero(held), :]
+    if c.rows.all():
+        return OrthoRep((dagger(v) @ c.values) @ v, c.rows)
+    on_rows = v[..., np.flatnonzero(c.rows), :]
     rows = on_rows.any(axis=tuple(range(on_rows.ndim - 2))).any(axis=0)
-    return dagger(on_rows[..., as_index(rows)]) @ (c @ v), rows
+    return OrthoRep(dagger(on_rows[..., as_index(rows)]) @ (c.values @ v), rows)
 
 
-def transfer(c, k: int, held=None) -> np.ndarray:
-    """sum_{a=1..p-k} c_a^dag c_{a+k} over a (p, ..., n, n) stack of annihilators.
+def transfer(c: OrthoRep, k: int) -> np.ndarray:
+    """sum_{a=1..p-k} c_a^dag c_{a+k} over a (p, ..., n, n) family of annihilators.
 
-    Each c_a = c[a - 1] may itself be a stack of shape (..., n, n), one
-    matrix per stack position, and so is the result; for
-    k >= p the sum is empty and the result exact zeros. ``c`` is the held
-    form on the rows R of the mask ``held``, which must be exactly the mask
-    :func:`held_rows` reads (a dense ``c`` is held here when ``held`` is
-    None), as it sets the groups: the c_a are stacked on R in groups of
-    n // |R|, so each group costs one product of at most n rows, and the
-    groups are summed in order of a, starting from zero. A stack whose every
-    row holds an entry takes groups of one, so its sum is that of the dense
-    products, one c_a at a time.
+    Each c_a may itself be a stack of shape (..., n, n), one matrix per
+    stack position, and so is the dense result; for k >= p the sum is empty
+    and the result exact zeros. The values vanish off the mask R, so only
+    the rows R enter, and the mask sets the groups: the c_a are stacked on R
+    in groups of n // |R|, so each group costs one product of at most n
+    rows, and the groups are summed in order of a, starting from zero. The
+    mask is the one the family's producer computed, which may hold rows of
+    zeros; the grouping, and with it the summation order, is that mask's. A
+    family held on every row takes groups of one, so its sum is that of the
+    dense products, one c_a at a time.
     """
-    if held is None:
-        c, held = hold(np.asarray(c))
-    p, *lead, r, n = c.shape
+    values = c.values
+    p, *lead, r, n = values.shape
     size = n // max(r, 1)
     # (..., p, |R|, n): the c_a on the held rows, their index next to the rows
-    stacked = c.transpose(*range(1, c.ndim - 2), 0, -2, -1)
-    out = np.zeros((*lead, n, n), dtype=c.dtype)
+    stacked = values.transpose(*range(1, values.ndim - 2), 0, -2, -1)
+    out = np.zeros((*lead, n, n), dtype=values.dtype)
     for a in range(0, p - k if r else 0, size):
         span = min(size, p - k - a)
         lhs, rhs = (stacked[..., b:b + span, :, :].reshape(*lead, span * r, n) for b in (a, a + k))
@@ -200,35 +245,34 @@ def transfer(c, k: int, held=None) -> np.ndarray:
     return out
 
 
-def occupied(c, held=None) -> np.ndarray:
-    """sum_g c_g^dag c_g over a (p, ..., n, n) stack of annihilators: transfer(c, 0, held).
+def occupied(c: OrthoRep) -> np.ndarray:
+    """sum_g c_g^dag c_g over a (p, ..., n, n) family of annihilators: transfer(c, 0).
 
     Like :func:`lowering_from` and :func:`cyclic_from`, it acts on the last
-    two axes: each c_g = c[g - 1] may itself be a stack of shape (..., n, n),
-    one matrix per stack position. ``c`` and ``held`` are as in
-    :func:`transfer`, and the result is dense.
+    two axes: each c_g may itself be a stack of shape (..., n, n), one
+    matrix per stack position, and the result is dense.
     """
-    return transfer(c, 0, held)
+    return transfer(c, 0)
 
 
-def lowering_from(c, held=None) -> np.ndarray:
-    """L = c_1 + sum_{a=2..p} c_{a-1}^dag c_a built from a stack of annihilators,
-    held as in :func:`transfer`; c_1 is added on its rows R alone."""
-    if held is None:
-        c, held = hold(np.asarray(c))
-    out = transfer(c, 1, held)
-    out[..., held, :] += c[0]
+def lowering_from(c: OrthoRep) -> np.ndarray:
+    """L = c_1 + sum_{a=2..p} c_{a-1}^dag c_a built from a family of
+    annihilators; c_1 is added on its rows R alone."""
+    out = transfer(c, 1)
+    out[..., c.rows, :] += c.values[0]
     return out
 
 
-def cyclic_from(c, held=None) -> np.ndarray:
-    """F = L + c_p^dag built from a stack of annihilators, held as in
-    :func:`transfer`; c_p^dag is added on its columns R alone."""
-    if held is None:
-        c, held = hold(np.asarray(c))
-    out = lowering_from(c, held)
-    out[..., :, held] += dagger(c[-1])
-    return out
+def _wrap(lowering: np.ndarray, c: OrthoRep) -> np.ndarray:
+    """F = L + c_p^dag from the lowering operator of ``c``, in place:
+    c_p^dag is added on its columns R alone."""
+    lowering[..., :, c.rows] += dagger(c.values[-1])
+    return lowering
+
+
+def cyclic_from(c: OrthoRep) -> np.ndarray:
+    """F = L + c_p^dag built from a family of annihilators."""
+    return _wrap(lowering_from(c), c)
 
 
 def ladder_operators(p: int) -> tuple[OrthoRep, np.ndarray, np.ndarray]:
@@ -236,8 +280,8 @@ def ladder_operators(p: int) -> tuple[OrthoRep, np.ndarray, np.ndarray]:
     its cyclic lowering operator F = L + c_p^dag (a (p+1)-cycle permutation
     matrix), each built once."""
     rep = canonical(p)
-    L = lowering_from(rep.c)
-    return rep, L, L + dagger(rep.c[-1])
+    L = lowering_from(rep)
+    return rep, L, _wrap(L.copy(), rep)
 
 
 @dataclass
@@ -250,21 +294,22 @@ class _Rows:
     vals: np.ndarray
 
     @classmethod
-    def of(cls, m: np.ndarray, name: str, held=None) -> _Rows:
-        """The rows of a (..., n, n) stack; ValueError, naming the matrix and
-        the row, when some row holds two entries. ``name`` is the matrix's
-        name, a format string that takes the 1-based index of a matrix in
-        the stack. Only the rows of the mask ``held`` are read, when it is
-        given; the others are empty. A row's one entry is its sum, as the
-        rest are zeros."""
-        rows = slice(None) if held is None else as_index(held)
-        part = m[..., rows, :]
-        nonzero = part != 0
+    def of(cls, m: np.ndarray, name: str, rows=None) -> _Rows:
+        """The rows of a dense (..., n, n) stack, or of the (..., |R|, n)
+        values of one held on the rows of the mask ``rows``, whose other
+        rows are empty; ValueError, naming the matrix and the row, when some
+        row holds two entries. ``name`` is the matrix's name, a format
+        string that takes the 1-based index of a matrix in the stack. A
+        row's one entry is its sum, as the rest are zeros."""
+        n = m.shape[-1]
+        at = slice(None) if rows is None else as_index(rows)
+        nonzero = m != 0
         if np.count_nonzero(nonzero) > np.count_nonzero(nonzero.any(axis=-1)):
-            *k, row = np.argwhere(np.count_nonzero(m != 0, axis=-1) > 1)[0]
+            *k, row = np.argwhere(np.count_nonzero(nonzero, axis=-1) > 1)[0]
+            row = np.arange(n)[at][row]
             raise ValueError(f"{name.format(*(i + 1 for i in k))} holds two entries in row {row}")
-        cols, vals = np.zeros(m.shape[:-1], dtype=int), np.zeros(m.shape[:-1], dtype=m.dtype)
-        cols[..., rows], vals[..., rows] = nonzero.argmax(axis=-1), part.sum(axis=-1)
+        cols, vals = (np.zeros((*m.shape[:-2], n), dtype=dtype) for dtype in (int, m.dtype))
+        cols[..., at], vals[..., at] = nonzero.argmax(axis=-1), m.sum(axis=-1)
         return cls(cols, vals)
 
     def __getitem__(self, k) -> _Rows:
@@ -376,30 +421,31 @@ def ladder_identity_residuals(rep: OrthoRep, L: np.ndarray, F: np.ndarray) -> di
     and ValueError, naming the operand and the row, when an operand or a
     closed form holds two entries in one row.
     """
-    p, n, c = rep.p, rep.dim, rep.c
+    p, n, held = rep.p, rep.dim, rep.rows
     if np.shape(L) != (n, n) or np.shape(F) != (n, n):
         raise DimensionError(f"L and F must be {n} x {n}, got {np.shape(L)} and {np.shape(F)}")
-    on_rows, held = hold(c)
-    eye = np.eye(n, dtype=c.dtype)
-    pi = eye - occupied(on_rows, held)
-    cs = _Rows.of(c, "c_{}", held)
+    eye = np.eye(n, dtype=rep.values.dtype)
+    pi = eye - occupied(rep)
+    cs = _Rows.of(rep.values, "c_{}", held)
+    top = rep.values[p - 1]
     l, ld, f, pi_rows = map(_Rows.of, (L, L.conj().T, F, pi), ("L", "L^dag", "F", "Pi"))
     powers = _powers(l, p + 3)  # powers[k] = L^k for k in 0..p+2
     below = powers[p - 1]
     # sandwich[k] = L^{p-k} Ldag L^k for k in 0..p, the terms of the sum rule
     sandwich = powers[p::-1] @ ld @ powers[:p + 1]
-    # c_{p-1}, with c_0 = Pi, as a matrix and by rows
-    c_last, c_last_rows = (pi, pi_rows) if p == 1 else (c[p - 2], cs[p - 2])
+    # c_{p-1}, with c_0 = Pi, by rows
+    c_last_rows = pi_rows if p == 1 else cs[p - 2]
     ks = range(1, p + 1)
 
     res: dict[str, float] = {}
     res["Ldag L = 1 - Pi"] = max_abs((ld @ l).dense() - (eye - pi))
-    res["L Ldag = 1 - c_p^dag c_p"] = max_abs((l @ ld).dense() - (eye - c[p - 1].conj().T @ c[p - 1]))
+    res["L Ldag = 1 - c_p^dag c_p"] = max_abs((l @ ld).dense() - (eye - dagger(top) @ top))
     res.update(zip((f"L^{k} closed form" for k in range(1, p + 3)),
                    _defect(powers[1:], _closed_forms(cs, held, p + 2)).tolist()))
 
     res["L^p Ldag = c_{p-1}"] = float(_defect(sandwich[0], c_last_rows))
-    res["Ldag L^p = L^{p-1} - c_{p-1}"] = max_abs(sandwich[p].dense() - (below.dense() - c_last))
+    res["Ldag L^p = L^{p-1} - c_{p-1}"] = max_abs(sandwich[p].dense()
+                                                  - (below.dense() - c_last_rows.dense()))
     kill = max_abs((powers[1:p + 1] @ pi_rows).vals, axis=-1)
     lift = _defect(pi_rows @ powers[1:p + 1], cs)
     res.update(zip((name for k in ks for name in (f"L^{k} Pi = 0", f"Pi L^{k} = c_{k}")),

@@ -9,10 +9,11 @@ its products cost a real product's flops, while a complex input keeps its
 imaginary part even when every entry of it is zero. Operators of the
 oscillator model are dense n x n arrays, but ``osusy`` only ever multiplies
 their diagonal blocks, which it stacks into (count, size, size) arrays. A
-representation is one (p, n, n) stack of annihilators, and
-``reptheory.decompose_stack`` takes k representations as one (p, k, n, n)
-stack. So :func:`dagger` and :func:`herm_eig` act on the last two axes of
-any (..., n, n) stack, :func:`orthonormal_range` takes a (k, m, n) stack
+representation is a (p, n, n) family of annihilators, held on the rows
+that hold an entry, and ``reptheory.decompose_stack`` takes k
+representations as one (p, k, n, n) family. So :func:`dagger` and
+:func:`herm_eig` act on the last two axes of any (..., n, n) stack,
+:func:`orthonormal_range` takes a (k, m, n) stack
 of near-projectors and returns their k ranks and one (k, m, min(m, n))
 stack of bases from one batched SVD, and :func:`max_abs` takes the maximum
 per matrix when given ``axis``. Identity checks throughout the
@@ -86,7 +87,7 @@ def field(a) -> np.ndarray:
     dtype is complex, float64 otherwise; an array already of that dtype is
     returned as it is. Only the dtype is read, never the values."""
     a = np.asarray(a)
-    return a.astype(complex if np.iscomplexobj(a) else float, copy=False)
+    return a.astype(complex if a.dtype.kind == "c" else float, copy=False)
 
 
 def dagger(a) -> np.ndarray:

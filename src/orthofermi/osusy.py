@@ -74,40 +74,38 @@ block's ascending levels, so the pieces of every block of one size are
 found at once; the pieces of a class are ordered by cluster first and then
 cut out of C with one gather, in C order, not one slice per piece.
 
-Every stack with a p axis is held on the rows that hold an entry: as its
-(p, count, |R|, size) values on those rows R, with the mask of R
-(:func:`~orthofermi.canonical.hold`), so the zeros off R are never
-stored, copied, gathered or reduced. In the oscillator R is one row per
-block, as Q_a moves |n-1, a> to |n, 0>; in a generic basis R is every row,
-and the same code forms the dense products in the same association. An
-:class:`OsusySystem` holds its charges so, read-only, with the mask
-(``support``), so the support cannot go stale, and :meth:`OsusySystem.dense`
-still assembles them. :func:`spectral` keeps C = V^dag Q_a V on the rows J
-that can hold an entry, the columns of V[R, :] that hold one (J = R where
+Every stack with a p axis is an :class:`~orthofermi.canonical.OrthoRep`,
+held on the rows that hold an entry: its (p, count, |R|, size) values on
+those rows R, with the mask of R, so the zeros off R are never stored,
+copied, gathered or reduced. In the oscillator R is one row per block, as
+Q_a moves |n-1, a> to |n, 0>; in a generic basis R is every row, and the
+same code forms the dense products in the same association. An
+:class:`OsusySystem` holds its charges so, and :meth:`OsusySystem.dense`
+assembles them. :func:`spectral` keeps C = V^dag Q_a V on the rows J that
+can hold an entry, the columns of V[R, :] that hold one (J = R where
 V = 1, as in the oscillator), by :func:`~orthofermi.canonical.conjugate`,
 with one full-size product in place of two; the pieces are cut on those
 rows, scaled and split on them, and the certificate's U^dag c_a U is
-formed on the rows it can reach. [H, Q_a] is formed on R and the rows
-where H[:, R] holds an entry, as H[:, R] Q_a[R, :] less Q_a[R, :] H on
-the rows R. Only :func:`build_generators` reads rows, those of its cluster
-cut of C that keep an entry, and it reads them from the rows J. The
-closed forms and :func:`check_generators` form their (count, size, size)
-temporaries in runs of blocks (:func:`_runs`), so a long chain holds none
-of its whole stack. The
-generator sum rule is summed by doubling, in O(log p) products
-(:func:`_sum_rule`).
+formed on the rows it can reach.
+[H, Q_a] is formed on R and the rows where H[:, R] holds an entry, as
+H[:, R] Q_a[R, :] less Q_a[R, :] H on the rows R. Only
+:func:`build_generators` reads rows, those of its cluster cut of C that
+keep an entry, and it reads them from the rows J, once per stack. The
+generators, the closed forms and :func:`check_generators` form their
+(count, size, size) temporaries in runs of blocks (:func:`_runs`), so a
+long chain holds none of its whole stack. The generator sum rule is summed
+by doubling, in O(log p) products (:func:`_sum_rule`).
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .canonical import (as_index, conjugate, cyclic_from, held_rows, hold, lowering_from,
-                        occupied, spread, transfer)
+from .canonical import (OrthoRep, _hold, _wrap, as_index, conjugate, cyclic_from, held_rows,
+                        lowering_from, occupied, transfer)
 from .errors import ClusteringError, DimensionError, NotARepresentationError, TruncationError
 from .linalg import (DEFAULT_TOL, HermEig, check_addressable, check_order, dagger, field,
                      herm_eig, is_count, max_abs)
@@ -123,7 +121,7 @@ DEFAULT_GENERATOR_TOL = 1e-8
 CLOSED_FORM_TOL = 1e-9
 
 #: Entries of a block stack that :func:`check_generators` takes at once.
-_RUN_ENTRIES = 2**18
+_RUN_ENTRIES = 2**17
 
 #: The checks of :func:`check_generators` held to :data:`CLOSED_FORM_TOL`;
 #: its other checks are held to :data:`DEFAULT_GENERATOR_TOL`.
@@ -138,37 +136,27 @@ class OsusySystem:
     :func:`block_partition`), one (count, size) index array per block size,
     and on the null states ``null``, a 1-D index array, empty by default:
     the basis states that H and every charge annihilate, whose rows and
-    columns are zero and which lie in no block. Per block size, ``Q`` gives
-    the (p, count, size, size) stack of the charges' blocks and ``H`` holds
-    the (count, size, size) stack of H's blocks; every entry outside the
-    blocks is zero. The order ``p`` is read off the stacks, and the
-    dimension ``dim`` counts the blocks' indices and the null states. Raises
-    :class:`DimensionError` unless the blocks are integer
-    ``numpy.ndarray`` values, nested lists included in the refusal, and
-    ``null`` an integer array (an empty ``null``, such as ``[]``, is held
-    as an empty int array), there is a block and the blocks and the null
-    states together partition 0..dim-1 (so a null index out of range,
-    repeated or also in a block is refused) and every stack fits its
-    blocks, and :class:`OrderError` for p = 0. :meth:`dense` assembles the dim x dim
-    matrices, with the null rows and columns zero.
-
-    The system holds its charges once, on the rows that hold an entry, and
-    read-only: per block size, ``support`` is the mask of the rows R that
-    hold an entry of some charge block, as
-    :func:`~orthofermi.canonical.held_rows` reads it, and ``charges`` the
-    (p, count, |R|, size) values on them
-    (:func:`~orthofermi.canonical.hold`). ``Q`` takes dense stacks, which
-    the system holds on their rows, copying what a caller passed, so that
-    no write into those arrays can make the support stale; read back, ``Q``
-    assembles each dense stack afresh, read-only. Given the ``Q`` of
-    another system, as ``dataclasses.replace`` and the ``copy`` and
-    ``pickle`` modules pass it, the system takes its held stacks as they
-    are; all three carry ``null``. A write through the system raises
-    ValueError.
+    columns are zero and which lie in no block. Per block size, ``charges``
+    holds the charges' blocks as one (p, count, size, size)
+    :class:`~orthofermi.canonical.OrthoRep`, on the rows that hold an
+    entry, and ``H`` the (count, size, size) stack of H's blocks; every
+    entry outside the blocks is zero. The order ``p`` is read off the
+    stacks, and the dimension ``dim`` counts the blocks' indices and the
+    null states. Raises :class:`DimensionError` unless the blocks are
+    integer ``numpy.ndarray`` values, nested lists included in the refusal,
+    and ``null`` an integer array (an empty ``null``, such as ``[]``, is
+    held as an empty int array), there is a block and the blocks and the
+    null states together partition 0..dim-1 (so a null index out of range,
+    repeated or also in a block is refused), every charge stack is an
+    ``OrthoRep`` and every stack fits its blocks. :meth:`dense` assembles
+    the dim x dim matrices, with the null rows and columns zero. The mask
+    of a charge stack cannot go stale: its values hold the rows R alone,
+    and the mask is read-only. ``dataclasses.replace`` and the ``copy`` and
+    ``pickle`` modules carry ``null``.
     """
 
     blocks: list[np.ndarray]
-    Q: list[np.ndarray]
+    charges: list[OrthoRep]
     H: list[np.ndarray]
     null: np.ndarray = dataclass_field(default_factory=lambda: np.zeros(0, dtype=int))
 
@@ -190,27 +178,15 @@ class OsusySystem:
                                  "that together partition 0..dim-1, with at least one block")
         object.__setattr__(self, "null", null)
         _check_stacks("H", [np.shape(h) for h in self.H], self.blocks)
-        charges = self.Q
-        shapes = (charges.shapes() if isinstance(charges, _Charges)
-                  else [np.shape(q) for q in charges])
-        _check_stacks("Q", shapes, self.blocks, shapes[0][:1] if shapes else ())
-        if not isinstance(charges, _Charges):
-            charges = _Charges.hold(charges)
-        check_order(len(charges.values[0]))
-        for values in charges.values:
-            values.flags.writeable = False
-        object.__setattr__(self, "Q", charges)
-        object.__setattr__(self, "charges", charges.values)
-        object.__setattr__(self, "support", charges.support)
-
-    def __reduce__(self):
-        # a copy or an unpickled system is built anew, so it holds its stacks
-        # read-only
-        return OsusySystem, (self.blocks, self.Q, self.H, self.null)
+        for q in self.charges:
+            if not isinstance(q, OrthoRep):
+                raise DimensionError(f"charges must be OrthoRep stacks, got {type(q).__name__}")
+        shapes = [q.shape for q in self.charges]
+        _check_stacks("charges", shapes, self.blocks, shapes[0][:1] if shapes else ())
 
     @property
     def p(self) -> int:
-        return len(self.charges[0])
+        return self.charges[0].p
 
     @property
     def dim(self) -> int:
@@ -218,40 +194,8 @@ class OsusySystem:
 
     def dense(self) -> tuple[np.ndarray, np.ndarray]:
         """The (p, dim, dim) charges and the dim x dim H."""
-        return _assemble(self.dim, self.blocks, self.Q), _assemble(self.dim, self.blocks, self.H)
-
-
-class _Charges(Sequence):
-    """The charge stacks of a system, held on the rows that hold an entry:
-    per block size, ``values[k]`` on the rows of the mask ``support[k]``.
-    Item k is the dense (p, count, size, size) stack, assembled afresh and
-    read-only."""
-
-    def __init__(self, values, support):
-        self.values, self.support = list(values), list(support)
-
-    @classmethod
-    def hold(cls, stacks, own: bool = False) -> _Charges:
-        """The held form of dense stacks (:func:`~orthofermi.canonical.hold`);
-        values that are views of a stack are copied, unless the caller
-        ``own``s the stacks."""
-        held = [hold(np.asarray(q)) for q in stacks]
-        return cls([values if own or not rows.all() else values.copy() for values, rows in held],
-                   [rows for _, rows in held])
-
-    def shapes(self) -> list[tuple]:
-        return [(*values.shape[:-2], rows.size, rows.size)
-                for values, rows in zip(self.values, self.support)]
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return [self[i] for i in range(len(self))[k]]
-        out = spread(self.values[k], self.support[k])
-        out.flags.writeable = False
-        return out
+        return (_assemble(self.dim, self.blocks, [q.dense() for q in self.charges]),
+                _assemble(self.dim, self.blocks, self.H))
 
 
 def _check_stacks(name: str, found: list[tuple], blocks: list[np.ndarray],
@@ -274,9 +218,9 @@ class SpectralData:
     block size of the system's partition, ``eigs`` holds the eigensolve of
     H's (count, size, size) block stack, ``levels`` the (count, size)
     cluster energy of each of its eigenvalues (0 on the E = 0 cluster),
-    ``charges`` the charges in the eigenbasis, C = V^dag Q_a V, held on the
-    rows J that can hold an entry, as (p, count, |J|, size) values, and
-    ``support`` the mask of J (:func:`~orthofermi.canonical.conjugate`).
+    ``charges`` the (p, count, size, size) charges in the eigenbasis,
+    C = V^dag Q_a V, held on the rows J that can hold an entry
+    (:func:`~orthofermi.canonical.conjugate`).
     """
 
     energies: list[float]
@@ -284,8 +228,7 @@ class SpectralData:
     system: OsusySystem
     eigs: list[HermEig]
     levels: list[np.ndarray]
-    charges: list[np.ndarray]
-    support: list[np.ndarray]
+    charges: list[OrthoRep]
 
 
 @dataclass(frozen=True)
@@ -334,10 +277,10 @@ def build_system(p: int, levels: int) -> OsusySystem:
     q = np.zeros((p, n.size, 1, p + 1))
     a = np.arange(p)
     q[a, :, 0, a] = math.sqrt(2.0) * np.sqrt(n + 1.0)
-    held = np.arange(p + 1) == p
-    h = occupied(q, held)
+    charges = OrthoRep(q, np.arange(p + 1) == p)
+    h = occupied(charges)
     h[:, p, p] += (q[0] @ dagger(q[0]))[:, 0, 0]  # Q_1 Q_1^dag, on the held row alone
-    return OsusySystem([np.arange(1, top + 1).reshape(n.size, p + 1)], _Charges([q], [held]),
+    return OsusySystem([np.arange(1, top + 1).reshape(n.size, p + 1)], [charges],
                        [0.5 * h], np.append(0, top + np.arange(1, p + 1)))
 
 
@@ -372,8 +315,7 @@ def system_from_dense(p: int, Q, H) -> OsusySystem:
         m = field(m)
         for rows, stack in zip(blocks, stacks):
             stack[i] = m[rows[:, :, None], rows[:, None, :]]
-    return OsusySystem(blocks, _Charges.hold([s[1:] for s in stacks], own=True),
-                       [s[0] for s in stacks])
+    return OsusySystem(blocks, [_hold(s[1:]) for s in stacks], [s[0] for s in stacks])
 
 
 def block_partition(dim: int, rows: np.ndarray, cols: np.ndarray) -> list[np.ndarray]:
@@ -414,20 +356,18 @@ def _assemble(dim: int, blocks: list[np.ndarray], stacks: list[np.ndarray]) -> n
     return out
 
 
-def _commutator(h: np.ndarray, q: np.ndarray,
-                held: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _commutator(h: np.ndarray, q: OrthoRep) -> OrthoRep:
     """[H, Q_a] of a (count, size, size) H stack and a (p, count, size, size)
-    charge stack held on the rows R that hold an entry of some charge,
-    ``held`` as the caller carries it, in held form: the (p, count, |O|,
-    size) values on the rows O = R and the rows where H[:, R] holds an
-    entry, and the mask of O. H Q_a needs only H's columns R, and is zero
-    off the rows O; Q_a H is zero off the rows R. The products keep the
-    association of h @ q - q @ h."""
+    charge stack held on the rows R, held on the rows O = R and the rows
+    where H[:, R] holds an entry. H Q_a needs only H's columns R, and is
+    zero off the rows O; Q_a H is zero off the rows R. The products keep
+    the association of h @ q - q @ h."""
+    held = q.rows
     cols = as_index(held)
     rows = held | h[..., :, cols].any(axis=(0, -1))
-    out = h[..., as_index(rows), :][..., cols] @ q
-    out[..., held[rows], :] -= q @ h
-    return out, rows
+    out = h[..., as_index(rows), :][..., cols] @ q.values
+    out[..., held[rows], :] -= q.values @ h
+    return OrthoRep(out, rows)
 
 
 def check_relations(spectrum: SpectralData) -> dict[str, float]:
@@ -446,9 +386,9 @@ def check_relations(spectrum: SpectralData) -> dict[str, float]:
     """
     sys = spectrum.system
     worst = np.zeros(3)
-    for h, q, held in zip(sys.H, sys.charges, sys.support):
-        worst = np.maximum(worst, (max_abs(_commutator(h, q, held)[0]),
-                                   *relation_residuals(q, 2 * h, held)))
+    for h, q in zip(sys.H, sys.charges):
+        worst = np.maximum(worst, (max_abs(_commutator(h, q).values),
+                                   *relation_residuals(q, 2 * h)))
     res = {"[H, Q_a] = 0": float(worst[0])}
     res["Q_a Q_b = 0"], res["Q_a Q_b^dag + d_ab sum Q^dag Q = 2 d_ab H"] = worst[1:].tolist()
     res["H >= 0"] = max(0.0, -min(float(eig.values.min()) for eig in spectrum.eigs))
@@ -475,8 +415,7 @@ def spectral(sys: OsusySystem, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> Spec
     order, spreads checked before gaps.
     """
     eigs = [herm_eig(h) for h in sys.H]
-    charges, support = zip(*(conjugate(q, eig.vectors, held)
-                             for eig, q, held in zip(eigs, sys.charges, sys.support)))
+    charges = [conjugate(q, eig.vectors) for eig, q in zip(eigs, sys.charges)]
     values = np.concatenate([eig.values.ravel() for eig in eigs] + [np.zeros(sys.null.size)])
     order = np.argsort(values, kind="stable")
     vals = values[order]
@@ -516,8 +455,7 @@ def spectral(sys: OsusySystem, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> Spec
     ends = np.cumsum([eig.values.size for eig in eigs])
     levels = [level[end - eig.values.size:end].reshape(eig.values.shape)
               for eig, end in zip(eigs, ends)]
-    return SpectralData(energies.tolist(), sizes.tolist(), sys, eigs, levels, list(charges),
-                        list(support))
+    return SpectralData(energies.tolist(), sizes.tolist(), sys, eigs, levels, charges)
 
 
 def eigenspace_reps(spectrum: SpectralData, tol: float = DEFAULT_TOL) -> list[int]:
@@ -564,18 +502,17 @@ def eigenspace_reps(spectrum: SpectralData, tol: float = DEFAULT_TOL) -> list[in
         stacks, idx, block, at = (np.concatenate(part) for part in zip(*found))
         by_cluster = np.argsort(idx, kind="stable")
         idx = idx[by_cluster]
-        c, held = _cut_pieces(spectrum.charges, spectrum.support,
-                              *(x[by_cluster] for x in (stacks, block, at)), size)
+        c = _cut_pieces(spectrum.charges, *(x[by_cluster] for x in (stacks, block, at)), size)
         if not positive:
-            stray = max_abs(c)
+            stray = max_abs(c.values)
             if not stray <= tol:
                 raise NotARepresentationError(
                     f"E = 0 eigenspace carries nonzero charges, residual {stray:.3e}")
             continue
         energies = np.asarray(spectrum.energies)[idx]
-        c *= (1.0 / np.sqrt(2.0 * energies))[:, None, None]
-        dec = decompose_stack(c, np.eye(size, dtype=c.dtype), tol,
-                              labels=lambda i: f"eigenspace E = {energies[i]:.6g}", held=held)
+        c.values[...] *= (1.0 / np.sqrt(2.0 * energies))[:, None, None]
+        dec = decompose_stack(c, np.eye(size, dtype=c.values.dtype), tol,
+                              labels=lambda i: f"eigenspace E = {energies[i]:.6g}")
         np.add.at(copies, idx, dec.multiplicity)
     copies = copies.tolist()
     p = spectrum.system.p
@@ -588,15 +525,14 @@ def eigenspace_reps(spectrum: SpectralData, tol: float = DEFAULT_TOL) -> list[in
     return copies
 
 
-def _cut_pieces(charges: list[np.ndarray], support: list[np.ndarray], stacks, block, at,
-                size: int) -> tuple[np.ndarray, np.ndarray]:
-    """The C-ordered stack of the pieces of one class, in the given order,
-    held on the rows R that hold an entry of some piece: its (p, pieces, |R|,
-    size) values and the mask of R. Piece i is the square of ``size`` at
-    diagonal offset ``at[i]`` of block ``block[i]`` of the charge stack
-    ``charges[stacks[i]]``, held on the rows ``support[stacks[i]]``. Pieces
-    of one charge stack, every piece of the oscillator, are cut with one
-    gather, which is also the result and lies in C order, which is what
+def _cut_pieces(charges: list[OrthoRep], stacks, block, at, size: int) -> OrthoRep:
+    """The C-ordered (p, pieces, size, size) stack of the pieces of one
+    class, in the given order, held on the rows R that hold an entry of
+    some piece. Piece i is the square of ``size`` at diagonal offset
+    ``at[i]`` of block ``block[i]`` of the charge stack
+    ``charges[stacks[i]]``, held on that stack's rows. Pieces of one charge
+    stack, every piece of the oscillator, are cut with one gather, which is
+    also the result and lies in C order, which is what
     :func:`decompose_stack`'s products are fastest on. A piece cut from a
     stack of blocks of ``size`` is a whole block, as every piece of the
     oscillator is, and such pieces are taken with one ``np.take`` of their
@@ -606,28 +542,28 @@ def _cut_pieces(charges: list[np.ndarray], support: list[np.ndarray], stacks, bl
     held on the union of their rows. The result takes the common dtype of
     ``charges``."""
     r = np.arange(size)
-    a = np.arange(len(charges[0]))[:, None, None, None]
+    a = np.arange(charges[0].p)[:, None, None, None]
 
     def gather(source, mine):
-        values, held = charges[source], support[source]
+        values, held = charges[source].values, charges[source].rows
         if held.size == size:
-            return np.take(values, block[mine], axis=1), held
+            return OrthoRep(np.take(values, block[mine], axis=1), held)
         rows = at[mine, None] + r  # the block rows of each piece
         keep = held[rows].any(axis=0)
         rows = rows[:, keep]
         s = at[mine, None, None]
         out = values[a, block[mine, None, None], (np.cumsum(held) - 1)[rows][..., None], s + r]
-        return np.where(held[rows][..., None], out, 0), keep
+        return OrthoRep(np.where(held[rows][..., None], out, 0), keep)
     sources = dict.fromkeys(stacks.tolist())
     if len(sources) == 1:
         return gather(stacks[0], slice(None))
     found = {source: gather(source, stacks == source) for source in sources}
-    rows = np.logical_or.reduce([held for _, held in found.values()])
-    out = np.empty((len(charges[0]), stacks.size, np.count_nonzero(rows), size),
-                   dtype=np.result_type(*charges))
-    for source, (values, held) in found.items():
-        out[:, stacks == source] = spread(values, held, rows)
-    return out, rows
+    rows = np.logical_or.reduce([piece.rows for piece in found.values()])
+    out = np.empty((charges[0].p, stacks.size, np.count_nonzero(rows), size),
+                   dtype=np.result_type(*(q.values for q in charges)))
+    for source, piece in found.items():
+        out[:, stacks == source] = piece.on(rows).values
+    return OrthoRep(out, rows)
 
 
 def _positive(levels: np.ndarray) -> np.ndarray:
@@ -635,37 +571,52 @@ def _positive(levels: np.ndarray) -> np.ndarray:
     return np.where(levels > 0.0, levels, 1.0)
 
 
+def _cluster_cut(c: OrthoRep, level: np.ndarray) -> OrthoRep:
+    """The restricted charges ``c`` on their rows, keeping only their
+    entries within one positive cluster of the (count, size) ``level``,
+    rescaled by (2E)^{-1/2}."""
+    on_rows = level[..., as_index(c.rows)]
+    same = (on_rows[..., :, None] == level[..., None, :]) & (on_rows > 0.0)[..., :, None]
+    return OrthoRep(np.multiply(c.values, 1.0 / np.sqrt(2.0 * _positive(on_rows)[..., None]),
+                                out=np.zeros_like(c.values), where=same), c.rows)
+
+
 def build_generators(spectrum: SpectralData) -> SusyGenerators:
     """Assemble the derived generators block by block in H's eigenbasis.
 
     The restricted charges ``spectrum.charges`` keep only their entries
-    within one positive cluster, rescaled by (2E)^{-1/2}, so the canonical
-    ladder formulas give L and F on every cluster of a block at once; they
-    are dressed with sqrt(2E) and E^{1/(p+1)} and transported back with V. Both
-    generators vanish on the kernel of H by construction, which also makes
-    them commute with H exactly. ``frac_direct`` is cyclic_from(Q)^dag. The
-    cut of each charge stack is made in one array, on the rows that C is
-    held on, and the rows of it that keep an entry are read once, from
-    those; the charges themselves enter as the system holds them.
+    within one positive cluster, rescaled by (2E)^{-1/2}
+    (:func:`_cluster_cut`), so the canonical ladder formulas give L and F on
+    every cluster of a block at once; they are dressed with sqrt(2E) and
+    E^{1/(p+1)} and transported back with V. Both generators vanish on the
+    kernel of H by construction, which also makes them commute with H
+    exactly. ``frac_direct`` is cyclic_from(Q)^dag. The rows of the cut
+    that keep an entry are read from the rows that C is held on, once per
+    stack, over all its blocks; the cut is then made on those rows and the
+    generators formed from it in runs of blocks (:func:`_in_runs`), so that
+    the ladder sums take the grouping of the whole stack and no temporary
+    holds all of it. The charges enter as the system holds them.
     """
-    sys = spectrum.system
-    para, frac, direct = [], [], []
-    for eig, level, c, held, q, rows in zip(spectrum.eigs, spectrum.levels, spectrum.charges,
-                                            spectrum.support, sys.charges, sys.support):
-        v, energy = eig.vectors, _positive(level)[..., :, None]
-        on_rows = level[..., as_index(held)]
-        same = (on_rows[..., :, None] == level[..., None, :]) & (on_rows > 0.0)[..., :, None]
-        c = np.multiply(c, 1.0 / np.sqrt(2.0 * energy[..., as_index(held), :]),
-                        out=np.zeros_like(c), where=same)
-        keep = held_rows(c)
-        c, held = c[..., as_index(keep), :], held.copy()
-        held[held] = keep
-        ladder = lowering_from(c, held)
-        para.append(v @ (np.sqrt(2.0 * energy) * ladder) @ dagger(v))
-        ladder[..., :, held] += dagger(c[-1])  # L becomes F = L + c_p^dag
-        frac.append(v @ (energy ** (1.0 / (sys.p + 1)) * ladder) @ dagger(v))
-        direct.append(dagger(cyclic_from(q, rows)))
-    return SusyGenerators(spectrum, para, frac, direct)
+    p = spectrum.system.p
+    kept = []
+    for level, c in zip(spectrum.levels, spectrum.charges):
+        keep = np.logical_or.reduce([held_rows(_cluster_cut(c[run], level[run]).values)
+                                     for run in _runs(*level.shape)])
+        rows = c.rows.copy()
+        rows[c.rows] = keep
+        kept.append(OrthoRep(c.values[..., as_index(keep), :], rows))
+
+    def form(v, level, c, q):
+        yield dagger(cyclic_from(q))
+        energy = _positive(level)[..., :, None]
+        cut = _cluster_cut(c, level)
+        ladder = lowering_from(cut)
+        yield v @ (np.sqrt(2.0 * energy) * ladder) @ dagger(v)
+        ladder = _wrap(ladder, cut)  # L becomes F
+        ladder *= energy ** (1.0 / (p + 1))
+        yield v @ ladder @ dagger(v)
+    direct, para, frac = zip(*_in_runs(spectrum, form, zip(kept, spectrum.system.charges)))
+    return SusyGenerators(spectrum, list(para), list(frac), list(direct))
 
 
 def _power(vectors: np.ndarray, level: np.ndarray, a: float) -> np.ndarray:
@@ -689,18 +640,27 @@ def _runs(count: int, size: int) -> list[slice]:
     return [slice(start, start + step) for start in range(0, max(count, 1), step)]
 
 
-def _in_runs(spectrum: SpectralData, form) -> list[np.ndarray]:
-    """Per block size, the (count, size, size) stack that ``form`` makes run
-    by run (:func:`_runs`) from the run's eigenvectors, levels and held
-    charges and the charges' row mask."""
-    sys = spectrum.system
-    stacks = []
-    for eig, level, q, held in zip(spectrum.eigs, spectrum.levels, sys.charges, sys.support):
-        stack = np.empty(eig.vectors.shape, dtype=np.result_type(eig.vectors, q))
-        for run in _runs(*level.shape):
-            stack[run] = form(eig.vectors[run], level[run], q[:, run], held)
-        stacks.append(stack)
-    return stacks
+def _in_runs(spectrum: SpectralData, form, families) -> list[list[np.ndarray]]:
+    """Per block size, the (count, size, size) stacks that ``form`` yields
+    run by run (:func:`_runs`), one at a time, from the run's eigenvectors
+    and levels and the run of each family of that block size in
+    ``families``; each stack takes the dtype and the memory layout of the
+    arrays it is made of, and a stack of one run is the array ``form``
+    yields."""
+    out = []
+    for eig, level, operands in zip(spectrum.eigs, spectrum.levels, families):
+        runs, stacks = _runs(*level.shape), []
+        if len(runs) == 1:
+            out.append(list(form(eig.vectors, level, *operands)))
+            continue
+        for run in runs:
+            for i, m in enumerate(form(eig.vectors[run], level[run], *(c[run] for c in operands))):
+                if i == len(stacks):
+                    stacks.append(np.empty_like(m, shape=(len(level), *m.shape[1:])))
+                stacks[i][run] = m
+                del m  # freed before the next is formed
+        out.append(stacks)
+    return out
 
 
 def closed_form_para(spectrum: SpectralData) -> list[np.ndarray]:
@@ -709,11 +669,11 @@ def closed_form_para(spectrum: SpectralData) -> list[np.ndarray]:
     the transfer sum is :func:`~orthofermi.canonical.transfer` of the
     charges at k = 1, as the system holds them; Q_1 adds on its rows R
     alone."""
-    def form(v, level, q, held):
-        out = (2.0 ** -0.5 * _power(v, level, -0.5)) @ transfer(q, 1, held)
-        out[..., held, :] += q[0]
-        return out
-    return _in_runs(spectrum, form)
+    def form(v, level, q):
+        out = (2.0 ** -0.5 * _power(v, level, -0.5)) @ transfer(q, 1)
+        out[..., q.rows, :] += q.values[0]
+        yield out
+    return [stack for stack, in _in_runs(spectrum, form, ((q,) for q in spectrum.system.charges))]
 
 
 def closed_form_frac(spectrum: SpectralData) -> list[np.ndarray]:
@@ -729,13 +689,13 @@ def closed_form_frac(spectrum: SpectralData) -> list[np.ndarray]:
     """
     p = spectrum.system.p
 
-    def form(v, level, q, held):
+    def form(v, level, q):
         outer = 2.0 ** -0.5 * _power(v, level, -(p - 1) / (2.0 * (p + 1)))
         inner = 0.5 * _power(v, level, -p / (p + 1))
-        out = outer[..., :, held] @ q[0] + inner @ transfer(q, 1, held)
-        out[..., :, held] += outer @ dagger(q[-1])
-        return out
-    return _in_runs(spectrum, form)
+        out = outer[..., :, q.rows] @ q.values[0] + inner @ transfer(q, 1)
+        out[..., :, q.rows] += outer @ dagger(q.values[-1])
+        yield out
+    return [stack for stack, in _in_runs(spectrum, form, ((q,) for q in spectrum.system.charges))]
 
 
 def _sum_rule(p: int, H: np.ndarray, para: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

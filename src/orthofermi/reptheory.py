@@ -37,13 +37,13 @@ steps 2 and 4 are counted per representation by the one gap rule, and the
 stack takes one vacuum rank, so that every step keeps one shape: a
 representation whose vacuum rank differs from the first one's is refused.
 :func:`decompose`, :func:`verify` and :func:`infer_unit` are the k = 1 case
-of the same code: they pass the (p, n, n) stack of an :class:`OrthoRep` on
-as the view ``rep.c[:, None]``. Every kernel takes the stack in its held
-form, its values on the rows that hold an entry with their mask
-(:func:`~orthofermi.canonical.hold`): a dense stack is held once where it
-enters, and ``osusy`` passes its pieces already held. The relation table
-takes each c_a dense again, one at a time, so that its products are the
-dense ones.
+of the same code: they pass the (p, n, n) family of an :class:`OrthoRep` on
+with a stack axis of one. Every kernel takes the family as
+:class:`OrthoRep` holds it, on the rows that hold an entry: a rep read from
+a file or made by :func:`random_rep` is held once where it is made, and
+``osusy`` passes its pieces held on the rows it carries. The relation table
+takes the stack dense (:meth:`~orthofermi.canonical.OrthoRep.dense`), so
+that its products are the dense ones.
 When the representative of 1 is known (the identity, for an energy
 eigenspace of ``osusy``), ``unit=`` passes it, with the same meaning as in
 :func:`verify`; given and inferred units then take the same path from
@@ -58,8 +58,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .canonical import (OrthoRep, _expected_blocks, _target_entries, as_index, conjugate, hold,
-                        occupied, spread)
+from .canonical import OrthoRep, _expected_blocks, _target_entries, as_index, conjugate, occupied
 from .errors import DimensionError, NotARepresentationError, NumericalDegeneracyError
 from .linalg import (DEFAULT_TOL, check_addressable, check_order, dagger, field, haar_unitary,
                      is_count, max_abs, orthonormal_range)
@@ -116,25 +115,26 @@ def _unnamed(i) -> str:
     return ""
 
 
-def _dense(c: np.ndarray, held):
-    """The c_a of a held (p, k, |R|, n) stack one at a time, each as the
-    dense (k, n, n) stack, so that the products of the relation table are
-    the dense ones; a stack held on every row is dense already."""
-    return iter(c) if held.all() else (spread(m, held) for m in c)
+def _lone(rep: OrthoRep) -> OrthoRep:
+    """The (p, 1, n, n) stack of the one representation ``rep``; raises
+    :class:`DimensionError` for a family with stack axes."""
+    if rep.values.ndim != 3:
+        raise DimensionError(f"expected a (p, n, n) representation, got shape {rep.shape}")
+    return OrthoRep(rep.values[:, None], rep.rows)
 
 
-def _infer_units(c: np.ndarray, tol: float, label, held) -> np.ndarray:
-    """The representative of 1 of each element of a (p, k, n, n) stack, held
-    on the rows of ``held`` (:func:`~orthofermi.canonical.hold`)."""
-    occ = occupied(c, held)
-    dense = _dense(c, held)
+def _infer_units(c: OrthoRep, tol: float, label) -> np.ndarray:
+    """The representative of 1 of each element of a (p, k, n, n) stack."""
+    occ = occupied(c)
+    stack = c.dense()
+    dense = iter(stack)
     first = next(dense)
     unit = first @ dagger(first) + occ
     for a, m in enumerate(dense, 1):
         defect = max_abs(m @ dagger(m) + occ - unit, axis=(-2, -1))
         _refuse(~(defect <= tol), label, NotARepresentationError,
                 lambda i: f"unit candidates from indices 1 and {a + 1} disagree by {defect[i]:.3e}")
-    for a, m in enumerate(_dense(c, held)):
+    for a, m in enumerate(stack):
         law = _worst((unit @ m - m, m @ unit - m))
         _refuse(~(law <= tol), label, NotARepresentationError,
                 lambda i: f"inferred unit fails the unit law on c_{a + 1} by {law[i]:.3e}")
@@ -149,35 +149,32 @@ def infer_unit(rep: OrthoRep, tol: float = DEFAULT_TOL) -> np.ndarray:
     both are checked within ``tol``. A representation with all generators
     zero legitimately yields R = 0.
     """
-    c, held = hold(rep.c[:, None])
-    return _infer_units(c, tol, _unnamed, held)[0]
+    return _infer_units(_lone(rep), tol, _unnamed)[0]
 
 
-def _units(c: np.ndarray, unit, tol: float, label, held) -> np.ndarray:
+def _units(c: OrthoRep, unit, tol: float, label) -> np.ndarray:
     """The unit of each element of ``c``: ``unit``, one n x n matrix for all,
     or the units inferred per element when ``unit`` is None."""
     if unit is None:
-        return _infer_units(c, tol, label, held)
+        return _infer_units(c, tol, label)
     unit = field(unit)
     if unit.ndim != 2:
         raise DimensionError(f"expected a matrix, got array of shape {unit.shape}")
     if unit.size and not np.isfinite(unit).all():
         raise ValueError("matrix contains non-finite entries")
-    if unit.shape != 2 * c.shape[-1:]:
-        raise DimensionError(f"annihilator shape {2 * c.shape[-1:]} does not match unit "
+    if unit.shape != c.shape[-2:]:
+        raise DimensionError(f"annihilator shape {c.shape[-2:]} does not match unit "
                              f"{unit.shape}")
     return unit
 
 
-def _relation_defects(c: np.ndarray, unit: np.ndarray,
-                      held: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per element of a (p, ..., n, n) stack: the defects of the two relations.
+def _relation_defects(c: OrthoRep, unit: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per element of a (p, ..., n, n) family: the defects of the two relations.
 
     The kernel of :func:`relation_residuals`; each value is the worst over
-    all index pairs (a, b) of that element. Let R be the rows that hold a
-    nonzero entry in some c_b of some element, the mask ``held`` on which
-    ``c`` is held, (p, ..., |R|, n) (:func:`~orthofermi.canonical.hold`), C
-    the columns that hold one, read here from the rows R alone, as every
+    all index pairs (a, b) of that element. Let R be the rows on which
+    ``c`` is held, off which every c_b of every element vanishes, C the
+    columns that hold an entry, read here from the rows R alone, as every
     entry lies in them, and L the indices in both.
 
       * Entry (i, j) of c_a c_b sums over L, and it vanishes unless i is in
@@ -189,16 +186,17 @@ def _relation_defects(c: np.ndarray, unit: np.ndarray,
     annihilators, and each group meets every c_b in one batched product per
     relation, at most (p, k, n, n). Every term and entry left out is exactly
     0, so each value is that of the full products up to the order in which
-    the nonzero terms are summed; a dense stack forms the full c_a c_b and
-    c_a c_b^dag, one c_a at a time. The blocks a = b of the mixed relation
-    add occ - unit, to the products on R x R and on its own outside it;
-    occ is :func:`~orthofermi.canonical.occupied`, the transfer kernel at
-    k = 0, which also multiplies on R only.
+    the nonzero terms are summed; a family held on every row forms the full
+    c_a c_b and c_a c_b^dag, one c_a at a time. The blocks a = b of the
+    mixed relation add occ - unit, to the products on R x R and on its own
+    outside it; occ is :func:`~orthofermi.canonical.occupied`, the transfer
+    kernel at k = 0, which also multiplies on R only.
     """
-    p, *lead, r, n = c.shape
-    excess = np.broadcast_to(occupied(c, held) - unit, (*lead, n, n)).reshape(-1, n, n)
+    held = c.rows
+    p, *lead, r, n = c.values.shape
+    excess = np.broadcast_to(occupied(c) - unit, (*lead, n, n)).reshape(-1, n, n)
     k = int(np.prod(lead))
-    on_rows = c.reshape(p, k, r, n)
+    on_rows = c.values.reshape(p, k, r, n)
     rows = as_index(held)
     in_cols = on_rows.any(axis=(0, 1, 2))
     both = held & in_cols
@@ -223,24 +221,19 @@ def _relation_defects(c: np.ndarray, unit: np.ndarray,
     return nilpotent.reshape(lead), mixed.reshape(lead)
 
 
-def relation_residuals(c, unit: np.ndarray, held=None) -> tuple[float, float]:
+def relation_residuals(c: OrthoRep, unit: np.ndarray) -> tuple[float, float]:
     """Worst defects of the two defining relations over all index pairs.
 
     Returns max_abs(c_a c_b) and max_abs(c_a c_b^dag + delta_ab (occ - unit)),
     where occ = sum_g c_g^dag c_g and ``unit`` represents 1. ``c`` is a
-    (p, n, n) stack such as ``OrthoRep.c``, or a (p, ..., n, n) stack of
-    such families with ``unit`` broadcasting against each. The pair loop
-    runs on the rows and columns that hold an entry
-    (:func:`_relation_defects`), so a sparse stack, such as the oscillator's
-    charges in their natural basis, costs little, and each value is that of
-    the full products up to summation order. ``held`` is the row mask
-    :func:`~orthofermi.canonical.held_rows` reads, as the caller carries it,
-    with ``c`` held on its rows, (p, ..., |R|, n); a dense ``c`` is held
-    here when ``held`` is None.
+    (p, n, n) representation, or a (p, ..., n, n) family of them with
+    ``unit`` broadcasting against each. The pair loop runs on the rows and
+    columns that hold an entry (:func:`_relation_defects`), so a sparse
+    family, such as the oscillator's charges in their natural basis, costs
+    little, and each value is that of the full products up to summation
+    order.
     """
-    if held is None:
-        c, held = hold(np.asarray(c))
-    nilpotent, mixed = _relation_defects(c, unit, held)
+    nilpotent, mixed = _relation_defects(c, unit)
     return float(nilpotent.max(initial=0.0)), float(mixed.max(initial=0.0))
 
 
@@ -251,18 +244,19 @@ def _projector_rows(pi: np.ndarray) -> dict[str, np.ndarray]:
             "Pi^dag = Pi": max_abs(dagger(pi) - pi, axis=(-2, -1))}
 
 
-def _relation_table(c: np.ndarray, unit, held) -> dict[str, np.ndarray]:
+def _relation_table(c: OrthoRep, unit) -> dict[str, np.ndarray]:
     """:func:`verify`'s residuals, one value per element of a (p, k, n, n)
-    stack held on the rows of ``held``; the vacuum rows take each c_a dense."""
+    stack; the vacuum rows take each c_a dense."""
     res: dict[str, np.ndarray] = {}
     res["c_a c_b = 0"], res["c_a c_b^dag + d_ab sum c^dag c = d_ab 1"] = \
-        _relation_defects(c, unit, held)
-    pi = unit - occupied(c, held)
+        _relation_defects(c, unit)
+    pi = unit - occupied(c)
     res.update(_projector_rows(pi))
-    res["Pi c_a = c_a"] = _worst(pi @ m - m for m in _dense(c, held))
-    res["c_a^dag Pi = c_a^dag"] = _worst(dagger(m) @ pi - dagger(m) for m in _dense(c, held))
-    res["c_a Pi = 0"] = _worst(m @ pi for m in _dense(c, held))
-    res["Pi c_a^dag = 0"] = _worst(pi @ dagger(m) for m in _dense(c, held))
+    dense = c.dense()
+    res["Pi c_a = c_a"] = _worst(pi @ m - m for m in dense)
+    res["c_a^dag Pi = c_a^dag"] = _worst(dagger(m) @ pi - dagger(m) for m in dense)
+    res["c_a Pi = 0"] = _worst(m @ pi for m in dense)
+    res["Pi c_a^dag = 0"] = _worst(pi @ dagger(m) for m in dense)
     return res
 
 
@@ -274,8 +268,8 @@ def verify(rep: OrthoRep, unit: np.ndarray | None = None, tol: float = DEFAULT_T
     derived vacuum-projector properties; each value is the worst
     max_abs defect over all index combinations.
     """
-    c, held = hold(rep.c[:, None])
-    table = _relation_table(c, _units(c, unit, tol, _unnamed, held), held)
+    c = _lone(rep)
+    table = _relation_table(c, _units(c, unit, tol, _unnamed))
     return {name: float(value[0]) for name, value in table.items()}
 
 
@@ -332,13 +326,13 @@ def _vacuum_bound(d_u, d_b, d_1, n: int, p: int, d_f) -> np.ndarray:
     return np.minimum(by_rows, by_copies)
 
 
-def _vacua(c: np.ndarray, unit, tol: float, label, held) -> tuple[np.ndarray, np.ndarray]:
-    """Step 2 on a (p, k, n, n) stack held on the rows of ``held``: the vacuum
-    ranks, one per element, and the (k, n, m) vacua of the one rank m that
-    the stack takes, as their own array, so that neither the projectors nor
-    their singular vectors outlive this step. A failing projector row raises
-    a bare :class:`NotARepresentationError`."""
-    pi = unit - occupied(c, held)
+def _vacua(c: OrthoRep, unit, tol: float, label) -> tuple[np.ndarray, np.ndarray]:
+    """Step 2 on a (p, k, n, n) stack: the vacuum ranks, one per element,
+    and the (k, n, m) vacua of the one rank m that the stack takes, as their
+    own array, so that neither the projectors nor their singular vectors
+    outlive this step. A failing projector row raises a bare
+    :class:`NotARepresentationError`."""
+    pi = unit - occupied(c)
     if not (np.maximum(*_projector_rows(pi).values()) <= tol).all():
         raise NotARepresentationError
     copies, vacua = _ranges(pi)
@@ -348,40 +342,38 @@ def _vacua(c: np.ndarray, unit, tol: float, label, held) -> tuple[np.ndarray, np
     return copies, vacua[..., :copies[0]].copy()
 
 
-def _block_defects(c: np.ndarray, basis: np.ndarray, m: int,
-                   held) -> tuple[np.ndarray, np.ndarray]:
-    """U^dag c_a U - T_a for a (p, k, n, n) stack, held on the rows of
-    ``held``, and its (k, n, n) unitaries U, in held form: the (p, k, |J|, n)
-    values on the rows J and the mask of J. T_a are the targets of
-    :func:`_expected_blocks` with m copies.
+def _block_defects(c: OrthoRep, basis: np.ndarray, m: int) -> OrthoRep:
+    """U^dag c_a U - T_a for a (p, k, n, n) stack and its (k, n, n)
+    unitaries U, held on the rows J that can be nonzero. T_a are the
+    targets of :func:`_expected_blocks` with m copies.
 
     The products are :func:`~orthofermi.canonical.conjugate`'s, on the rows
     that can be nonzero, and the targets are subtracted in place. A target
     entry on a row outside those is compared against 0 on its own: J takes
     that row too, so that its defect is seen.
     """
-    out, rows = conjugate(c, basis, held)
-    a, vacua, cols = _target_entries(len(c), m)
-    targets = np.zeros_like(rows)
+    out = conjugate(c, basis)
+    a, vacua, cols = _target_entries(c.p, m)
+    targets = np.zeros_like(out.rows)
     targets[vacua] = True
-    if (targets & ~rows).any():
-        out, rows = spread(out, rows, rows | targets), rows | targets
-    out[a, :, np.cumsum(rows)[vacua] - 1, cols] -= 1
-    return out, rows
+    if (targets & ~out.rows).any():
+        out = out.on(out.rows | targets)
+    out.values[a, :, np.cumsum(out.rows)[vacua] - 1, cols] -= 1
+    return out
 
 
-def _grow_copies(c: np.ndarray, vacua: np.ndarray, unit: np.ndarray, tol: float, label,
-                 held) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+def _grow_copies(c: OrthoRep, vacua: np.ndarray, unit: np.ndarray, tol: float,
+                 label) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """Steps 3 to 5 on a (p, k, n, n) stack whose vacua all have m columns.
 
     Returns the (k, n, n) unitaries U and the residuals of the split. When
     m = 0 the copy family is empty and U is the complement's basis, so a
     nonzero generator fails the complement annihilation. The copy family,
     the complement annihilation and the block residual are each one batched
-    call over the whole (p, k, n, n) stack, which is held on the rows R that
-    hold an entry of some c_a, ``held`` as the caller carries it:
-    c_a^dag e_i = c_a[R, :]^dag e_i[R], c_a G is zero off the rows R, and
-    the block residual is :func:`_block_defects`. A pure split, whose
+    call over the whole (p, k, n, n) stack, which is held on the rows R
+    that its producer carries: c_a^dag e_i = c_a[R, :]^dag e_i[R], c_a G
+    is zero off the rows R, and the block residual is
+    :func:`_block_defects`. A pure split, whose
     complement is zero up to roundoff, runs no complement SVD
     (:func:`_ranges`). The complement takes one width: the bookkeeping
     m(p+1) + rank = n must hold for every element, and each complement is
@@ -473,9 +465,9 @@ def _grow_copies(c: np.ndarray, vacua: np.ndarray, unit: np.ndarray, tol: float,
     """
     p, k, _, n = c.shape
     m = vacua.shape[-1]
-    rows = as_index(held)
+    rows = as_index(c.rows)
     # column i (p+1) + a holds e_i for a = 0 and c_a^dag e_i otherwise
-    family = np.concatenate([vacua[None], dagger(c) @ vacua[..., rows, :]])
+    family = np.concatenate([vacua[None], dagger(c.values) @ vacua[..., rows, :]])
     family = np.moveaxis(family, 0, -1).reshape(k, n, m * (p + 1))
     gram = max_abs(dagger(family) @ family - np.eye(m * (p + 1)), axis=(-2, -1))
     _refuse(~(gram <= tol), label, NumericalDegeneracyError,
@@ -488,8 +480,8 @@ def _grow_copies(c: np.ndarray, vacua: np.ndarray, unit: np.ndarray, tol: float,
             lambda i: f"dimension bookkeeping failed: {m} copies of {p + 1} plus "
                       f"{trivial[i]} != {n}")
     complement = complement[..., :n - m * (p + 1)]
-    annihilation = np.maximum(max_abs(c @ complement, axis=(0, -2, -1)),
-                              max_abs(dagger(c) @ complement[..., rows, :],
+    annihilation = np.maximum(max_abs(c.values @ complement, axis=(0, -2, -1)),
+                              max_abs(dagger(c.values) @ complement[..., rows, :],
                                       axis=(0, -2, -1)))
     _refuse(~(annihilation <= tol), label, NotARepresentationError,
             lambda i: f"complement of the copies is not annihilated, "
@@ -498,7 +490,7 @@ def _grow_copies(c: np.ndarray, vacua: np.ndarray, unit: np.ndarray, tol: float,
     basis = np.concatenate([family, complement], axis=-1)
     residuals = {
         "unitarity": max_abs(dagger(basis) @ basis - np.eye(n), axis=(-2, -1)),
-        "block": max_abs(_block_defects(c, basis, m, held)[0], axis=(0, -2, -1)),
+        "block": max_abs(_block_defects(c, basis, m).values, axis=(0, -2, -1)),
         "gram": gram, "complement annihilation": annihilation}
     outside += unit - np.eye(n)
     defects = (residuals["unitarity"], residuals["block"], max_abs(outside, axis=(-2, -1)), n, p)
@@ -509,12 +501,12 @@ def _grow_copies(c: np.ndarray, vacua: np.ndarray, unit: np.ndarray, tol: float,
     return basis, residuals
 
 
-def decompose_stack(c, unit=None, tol: float = DEFAULT_TOL, labels=None,
-                    held=None) -> Decomposition:
+def decompose_stack(c: OrthoRep, unit=None, tol: float = DEFAULT_TOL,
+                    labels=None) -> Decomposition:
     """Split each of k representations of one order and dimension at once.
 
-    ``c`` has shape (p, k, n, n): ``c[a, i]`` is annihilator a+1 of
-    representation i. ``unit`` represents 1 as in :func:`verify`, for every
+    ``c`` is a (p, k, n, n) family: ``c[i]`` is representation i.
+    ``unit`` represents 1 as in :func:`verify`, for every
     representation of the stack; when it is None it is inferred per
     representation. Every step of :func:`decompose` runs once on the whole
     stack, under the same checks and tolerances, and each rank is counted at
@@ -530,31 +522,23 @@ def decompose_stack(c, unit=None, tol: float = DEFAULT_TOL, labels=None,
     ``labels(i)``, a function of the stack index called only then (by
     default "representation i"). Returns one :class:`Decomposition` of the
     whole stack, whose fields have a leading axis in stack order. Every
-    product takes the stack in its held form: given ``held``, the mask of
-    the rows R that hold an entry, ``c`` is that form, (p, k, |R|, n), as
-    the caller carries it; otherwise ``c`` is dense and is held here, its
-    rows read once (:func:`~orthofermi.canonical.hold`).
+    product runs on the rows that ``c`` is held on.
     """
-    c = field(c)
-    if c.ndim != 4 or not c.shape[0] or (
-            c.shape[-2:] != (c.shape[-1], c.shape[-1]) if held is None
-            else c.shape[-2:] != (np.count_nonzero(held), len(held))):
+    if c.values.ndim != 4:
         raise DimensionError(f"expected a (p, k, n, n) stack of annihilators, got {c.shape}")
-    if not np.isfinite(c).all():
+    if not np.isfinite(c.values).all():
         raise ValueError("annihilators contain non-finite entries")
     label = "representation {}".format if labels is None else labels
-    if held is None:
-        c, held = hold(c)
-    unit = _units(c, unit, tol, label, held)
+    unit = _units(c, unit, tol, label)
     try:
-        copies, vacua = _vacua(c, unit, tol, label, held)
-        basis, residuals = _grow_copies(c, vacua, unit, tol, label, held)
+        copies, vacua = _vacua(c, unit, tol, label)
+        basis, residuals = _grow_copies(c, vacua, unit, tol, label)
     except (NotARepresentationError, NumericalDegeneracyError):
-        worst = np.max(list(_relation_table(c, unit, held).values()), axis=0)
+        worst = np.max(list(_relation_table(c, unit).values()), axis=0)
         _refuse(~(worst <= tol), label, NotARepresentationError,
                 lambda i: f"relations fail with residual {worst[i]:.3e} > tol {tol:.3e}")
         raise
-    return Decomposition(copies, c.shape[-1] - copies * (len(c) + 1), basis, residuals)
+    return Decomposition(copies, c.dim - copies * (c.p + 1), basis, residuals)
 
 
 def decompose(rep: OrthoRep, tol: float = DEFAULT_TOL, *,
@@ -573,7 +557,7 @@ def decompose(rep: OrthoRep, tol: float = DEFAULT_TOL, *,
     ``tol``; at a ``tol`` so loose that the gap closes, a miscounted rank
     meets one of these. This is the k = 1 case of :func:`decompose_stack`.
     """
-    dec = decompose_stack(rep.c[:, None], unit, tol, labels=_unnamed)
+    dec = decompose_stack(_lone(rep), unit, tol, labels=_unnamed)
     return Decomposition(int(dec.multiplicity[0]), int(dec.trivial_dim[0]), dec.basis[0],
                          {name: float(value[0]) for name, value in dec.residuals.items()})
 
@@ -592,6 +576,6 @@ def random_rep(p: int, copies: int, trivial: int, seed: int) -> OrthoRep:
     copies, trivial = int(copies), int(trivial)
     n = copies * (p + 1) + trivial
     check_addressable(DimensionError, f"dimension {n}", p, n, n)
-    blocks = _expected_blocks(p, copies, trivial)
+    blocks = _expected_blocks(p, copies, trivial).dense()
     u = haar_unitary(n, np.random.default_rng(seed))
-    return OrthoRep(u @ blocks @ dagger(u))
+    return OrthoRep.of(u @ blocks @ dagger(u))

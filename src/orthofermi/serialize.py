@@ -84,7 +84,7 @@ def _rep_doc(rep: OrthoRep, unit: np.ndarray | None, encode) -> dict:
         "schema_version": REP_SCHEMA,
         "p": rep.p,
         "dim": rep.dim,
-        "matrices": list(encode(rep.c)),
+        "matrices": list(encode(rep.dense())),
     }
     if unit is not None:
         doc["unit"] = encode(unit)
@@ -116,7 +116,7 @@ def rep_from_dict(doc: dict) -> tuple[OrthoRep, np.ndarray | None]:
     if "unit" in doc:
         unit = decode_matrix(doc["unit"], dim, dim, "unit")
     try:
-        rep = OrthoRep(mats)
+        rep = OrthoRep.of(mats)
     except Exception as exc:
         raise ParseError(str(exc)) from exc
     return rep, unit

@@ -39,7 +39,7 @@ from fractions import Fraction
 import numpy as np
 
 from orthofermi import osusy
-from orthofermi.canonical import hold, occupied, transfer
+from orthofermi.canonical import OrthoRep, occupied, transfer
 from orthofermi.linalg import max_abs
 
 
@@ -108,7 +108,7 @@ def image(c, label):
         return np.zeros((n, n), dtype=c.dtype)
     kind, *index = label
     if kind == "Pi":
-        return np.eye(n, dtype=c.dtype) - occupied(c)
+        return np.eye(n, dtype=c.dtype) - occupied(OrthoRep.of(c))
     if kind == "c":
         return c[index[0] - 1]
     if kind == "cdag":
@@ -150,14 +150,12 @@ def dense_ladder_residuals(rep, L, F):
     covered by its own entry.
 
     The closed form of L^k, c_k + sum_a c_a^dag c_{a+k}, is c_k plus one
-    :func:`transfer` on the rows that hold an entry, read once per call: one
-    row for the canonical rep, so every temporary is O(n^2).
+    :func:`transfer` on the rows that ``rep`` is held on.
     """
     p = rep.p
     eye = np.eye(rep.dim, dtype=complex)
-    c = rep.c
-    on_rows, rows = hold(c)
-    pi = eye - occupied(on_rows, rows)
+    c = rep.dense()
+    pi = eye - occupied(rep)
     Ld = L.conj().T
     Lk = [eye]  # Lk[k] = L^k for k in 0..p+2
     for _ in range(p + 2):
@@ -172,7 +170,7 @@ def dense_ladder_residuals(rep, L, F):
     res["L Ldag = 1 - c_p^dag c_p"] = max_abs(L @ Ld - (eye - c[p - 1].conj().T @ c[p - 1]))
 
     for k in range(1, p + 3):
-        closed = transfer(on_rows, k, rows) + (c[k - 1] if k <= p else 0)
+        closed = transfer(rep, k) + (c[k - 1] if k <= p else 0)
         res[f"L^{k} closed form"] = max_abs(Lk[k] - closed)
 
     # ssum collects the sandwiches L^{p-k} Ldag L^k of the sum rule, k = 0 and p first
@@ -395,7 +393,7 @@ def _worst_square(x):
 
 
 def exact_verify(c, unit):
-    """The rows of ``reptheory.verify(OrthoRep(c), unit)`` in exact arithmetic:
+    """The rows of ``reptheory.verify(OrthoRep.of(c), unit)`` in exact arithmetic:
     per row, the largest squared modulus of an entry of its defect, as a
     :class:`~fractions.Fraction`, so that a row holds within tol exactly when
     its value is at most Fraction(tol) ** 2.

@@ -46,7 +46,7 @@ def test_criterion_1_canonical_relations_exact():
 def test_criterion_2_coefficient_algebra_isomorphism():
     with criterion(2, "the algebra of the relations is *-isomorphic to the canonical matrices, p = 1..3"):
         for p in (1, 2, 3):
-            c = canonical(p).c
+            c = canonical(p).dense()
             labels = monomials(p)
             # the product and the * operation, taken from the relations alone,
             # are the matrix product and the conjugate transpose of the images

@@ -73,7 +73,7 @@ def test_basis_is_the_float64_monomials_in_label_order(p):
     assert len(elements) == (p + 1) ** 2
     assert all(isinstance(x, AlgebraElement) and x.square.dtype == np.float64
                and x.square.shape == (p + 1, p + 1) for x in elements)
-    c = canonical(p).c
+    c = canonical(p).dense()
     for label, x in zip(monomials(p), elements):
         assert rho0(x).dtype == np.float64
         assert np.array_equal(rho0(x), image(c, label)), label
@@ -140,7 +140,7 @@ def test_adding_a_non_element_is_a_type_error(other):
 
 @pytest.mark.parametrize("p", ORDERS)
 def test_product_matches_the_symbolic_oracle_on_every_monomial_pair(p):
-    c = canonical(p).c
+    c = canonical(p).dense()
     m = labelled(p)
     for lx, x in m.items():
         for ly, y in m.items():
@@ -169,7 +169,7 @@ def test_product_never_calls_rho0(monkeypatch):
     def forbidden(x):
         raise AssertionError("rho0 called")
 
-    c = canonical(2).c
+    c = canonical(2).dense()
     m = labelled(2)
     monkeypatch.setattr(algebra, "rho0", forbidden)
     for lx, x in m.items():

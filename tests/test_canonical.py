@@ -1,12 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orthofermi.algebra import basis, rho0
-from orthofermi.canonical import (OrthoRep, canonical, cyclic_from, held_rows, hold,
+from orthofermi.canonical import (OrthoRep, canonical, cyclic_from, held_rows,
                                   ladder_identity_residuals, ladder_operators, lowering_from,
-                                  occupied, spread, transfer)
+                                  occupied, transfer)
 from orthofermi.errors import DimensionError, OrderError
 from orthofermi.linalg import dagger, max_abs
 from orthofermi.reptheory import random_rep
@@ -29,14 +31,16 @@ def ket(n, dim):
 
 def test_canonical_entry_formula():
     rep = canonical(2)
-    assert len(rep.c) == 2 and rep.dim == 3
+    assert rep.p == 2 and rep.dim == 3
     e12 = np.zeros((3, 3), dtype=complex); e12[0, 1] = 1.0
     e13 = np.zeros((3, 3), dtype=complex); e13[0, 2] = 1.0
-    assert np.array_equal(rep.c[0], e12)
-    assert np.array_equal(rep.c[1], e13)
+    assert np.array_equal(rep.dense()[0], e12)
+    assert np.array_equal(rep.dense()[1], e13)
+    # held on the vacuum row alone
+    assert rep.rows.tolist() == [True, False, False] and rep.values.shape == (2, 1, 3)
 
-    assert np.array_equal(canonical(1).c[0], np.array([[0.0, 1.0], [0.0, 0.0]]))
-    for m in canonical(3).c:
+    assert np.array_equal(canonical(1).dense()[0], np.array([[0.0, 1.0], [0.0, 0.0]]))
+    for m in canonical(3).dense():
         assert np.count_nonzero(m) == 1
 
 
@@ -44,7 +48,7 @@ def test_canonical_entry_formula():
 def test_canonical_is_the_stacked_rho0_images(p):
     # basis(p) lists Pi, then c_1 .. c_p
     images = np.stack([rho0(x) for x in basis(p)[1:p + 1]])
-    c = canonical(p).c
+    c = canonical(p).dense()
     # the matrix units are real, so both stacks are float64 under linalg.field
     assert (c.shape, c.dtype) == (images.shape, np.float64) and images.dtype == np.float64
     assert np.array_equal(c, images)
@@ -57,14 +61,14 @@ def test_canonical_rejects_bad_order():
 
 
 def test_vacuum_projector_of_canonical():
-    assert np.array_equal(np.eye(3) - occupied(canonical(2).c), np.diag([1.0, 0.0, 0.0]))
-    assert np.array_equal(np.eye(2) - occupied(canonical(1).c), np.diag([1.0, 0.0]))
+    assert np.array_equal(np.eye(3) - occupied(canonical(2)), np.diag([1.0, 0.0, 0.0]))
+    assert np.array_equal(np.eye(2) - occupied(canonical(1)), np.diag([1.0, 0.0]))
 
 
 def test_vacuum_projector_of_trivial_rep():
     # the unit of the zero representation is 0, and so is its vacuum projector
-    zero = OrthoRep(np.zeros((2, 3, 3)))
-    assert np.array_equal(np.zeros((3, 3)) - occupied(zero.c), np.zeros((3, 3)))
+    zero = OrthoRep.of(np.zeros((2, 3, 3)))
+    assert np.array_equal(np.zeros((3, 3)) - occupied(zero), np.zeros((3, 3)))
 
 
 def test_lowering_operator_shifts_kets_down():
@@ -95,7 +99,7 @@ def test_cyclic_operator_wraps_the_vacuum():
 def test_cyclic_minus_lowering_is_top_creator():
     for p in range(1, 6):
         rep = canonical(p)
-        assert np.array_equal(ladder_F(p) - ladder_L(p), rep.c[-1].conj().T)
+        assert np.array_equal(ladder_F(p) - ladder_L(p), rep.dense()[-1].conj().T)
 
 
 @pytest.mark.parametrize("p", range(1, 9))
@@ -112,12 +116,12 @@ def test_ladder_closed_forms_match_the_pairwise_oracle_off_the_exact_case(p):
     # per row still, and no closed form is exact. At p = 1 no such change
     # moves a closed form: L = c_1 and L^2 = 0 whatever the entry
     rng = np.random.default_rng(p)
-    c = canonical(p).c
+    c = canonical(p).dense()
     c[c != 0] *= 1 + 0.1 * rng.normal(size=p)
-    rep = OrthoRep(c)
-    L = lowering_from(rep.c)
-    residuals = ladder_identity_residuals(rep, L, cyclic_from(rep.c))
-    oracle = ladder_closed_form_residuals(rep.c, L)
+    rep = OrthoRep.of(c)
+    L = lowering_from(rep)
+    residuals = ladder_identity_residuals(rep, L, cyclic_from(rep))
+    oracle = ladder_closed_form_residuals(c, L)
     assert max(oracle.values()) > 1e-3
     assert {name: residuals[name] for name in oracle} == oracle
 
@@ -135,10 +139,10 @@ def test_ladder_catalog_on_complex_operands_is_the_dense_catalog(p):
     # c_a -> e^{i theta_a} c_a is still a representation with one entry per
     # row; its catalog runs in complex128 and holds to rounding
     theta = np.random.default_rng(p).uniform(0, 2 * np.pi, p)
-    rep = OrthoRep(np.exp(1j * theta)[:, None, None] * canonical(p).c)
-    operators = rep, lowering_from(rep.c), cyclic_from(rep.c)
+    rep = OrthoRep.of(np.exp(1j * theta)[:, None, None] * canonical(p).dense())
+    operators = rep, lowering_from(rep), cyclic_from(rep)
     got, want = ladder_identity_residuals(*operators), dense_ladder_residuals(*operators)
-    assert rep.c.dtype == complex and list(got) == list(want)
+    assert rep.values.dtype == complex and list(got) == list(want)
     assert all(abs(got[k] - want[k]) <= 1e-14 and got[k] <= 1e-14 for k in got), (got, want)
 
 
@@ -148,7 +152,7 @@ def perturbed(p, which, change):
     of row 0, and "extra" puts a second entry, 0.5, at (0, 0). The operand
     is L, F or c_{p//2+1}; L and F are built anew from a changed c."""
     rep, L, F = ladder_operators(p)
-    c = rep.c.copy()
+    c = rep.dense().copy()
     target = c[p // 2] if which == "c" else {"L": L, "F": F}[which]
     if change == "scaled":
         target *= 1 + 1e-6
@@ -157,8 +161,8 @@ def perturbed(p, which, change):
     else:
         target[0, np.flatnonzero(target[0])] = change
     if which == "c":
-        rep = OrthoRep(c)
-        L, F = lowering_from(rep.c), cyclic_from(rep.c)
+        rep = OrthoRep.of(c)
+        L, F = lowering_from(rep), cyclic_from(rep)
     return rep, L, F
 
 
@@ -195,9 +199,9 @@ def test_ladder_closed_form_with_two_terms_in_a_row_is_refused():
     # every operand holds one entry per row, but c_1 + c_1^dag c_2 holds two terms in row 0
     c = np.zeros((2, 3, 3))
     c[0, 0, 0] = c[1, 0, 0] = c[1, 1, 2] = 1
-    rep = OrthoRep(c)
+    rep = OrthoRep.of(c)
     with pytest.raises(ValueError, match=r"^closed form of L\^1 holds two terms in row 0$"):
-        ladder_identity_residuals(rep, lowering_from(rep.c), cyclic_from(rep.c))
+        ladder_identity_residuals(rep, lowering_from(rep), cyclic_from(rep))
 
 
 def test_ladder_catalog_refuses_operators_of_another_dimension():
@@ -214,8 +218,8 @@ def test_ladder_catalog_refuses_operators_of_another_dimension():
 def test_ladder_catalog_of_canonical_copies_is_exact(p, copies):
     # every identity holds on each copy, so on their direct sum, by the rows
     # and by the dense products alike
-    rep = OrthoRep(np.kron(np.eye(copies), canonical(p).c))
-    operators = rep, lowering_from(rep.c), cyclic_from(rep.c)
+    rep = OrthoRep.of(np.kron(np.eye(copies), canonical(p).dense()))
+    operators = rep, lowering_from(rep), cyclic_from(rep)
     got = ladder_identity_residuals(*operators)
     assert list(got.items()) == list(dense_ladder_residuals(*operators).items())
     assert set(got.values()) == {0.0}
@@ -248,7 +252,7 @@ def test_generators_span_the_full_matrix_algebra():
     # already span all (p+1)^2 matrix units
     for p in range(1, 5):
         rep = canonical(p)
-        gens = list(rep.c) + [m.conj().T for m in rep.c]
+        gens = list(rep.dense()) + [m.conj().T for m in rep.dense()]
         products = [a @ b for a in gens for b in gens]
         stacked = np.array([m.ravel() for m in gens + products])
         assert np.linalg.matrix_rank(stacked) == (p + 1) ** 2
@@ -258,7 +262,7 @@ def test_lowering_from_matches_formula_on_restricted_matrices():
     # the builders accept any family of matrices, not only the canonical one
     rep = canonical(2)
     u = np.array([[0, 1, 0], [0, 0, 1], [1, 0, 0]], dtype=complex)
-    moved = [u @ m @ u.conj().T for m in rep.c]
+    moved = OrthoRep.of([u @ m @ u.conj().T for m in rep.dense()])
     assert np.array_equal(lowering_from(moved), u @ ladder_L(2) @ u.conj().T)
     assert np.array_equal(cyclic_from(moved), u @ ladder_F(2) @ u.conj().T)
 
@@ -268,15 +272,16 @@ def test_builders_act_matrix_by_matrix_on_stacks():
     rng = np.random.default_rng(8)
     c = rng.standard_normal((3, 4, 5, 5)) + 1j * rng.standard_normal((3, 4, 5, 5))
     for build in (occupied, lowering_from, cyclic_from):
-        stacked = build(c)
+        stacked = build(OrthoRep.of(c))
         assert stacked.shape == (4, 5, 5)
         for k in range(4):
-            assert max_abs(stacked[k] - build([m[k] for m in c])) < 1e-13, build.__name__
+            assert max_abs(stacked[k] - build(OrthoRep.of([m[k] for m in c]))) < 1e-13, \
+                build.__name__
 
 
 def test_cyclic_power_of_a_stack_is_the_identity():
-    stack = np.stack([canonical(3).c] * 2, axis=1)  # 3 annihilators, 2 copies each
-    power = np.linalg.matrix_power(cyclic_from(stack), 4)
+    stack = np.stack([canonical(3).dense()] * 2, axis=1)  # 3 annihilators, 2 copies each
+    power = np.linalg.matrix_power(cyclic_from(OrthoRep.of(stack)), 4)
     assert np.array_equal(power, np.broadcast_to(np.eye(4), (2, 4, 4)))
 
 
@@ -287,7 +292,8 @@ def test_cyclic_power_of_a_stack_is_the_identity():
 def test_transfer_matches_the_pair_oracle(p, n, lead, held, as_list, seed):
     # Gaussian-integer entries make every sum exact in any order, so the
     # grouped products on the held rows must give the oracle's values bitwise,
-    # from the dense stack and from its held form alike, and so must L and F
+    # and so must L and F; so must the family held on every row, a mask
+    # that holds rows of zeros and groups the c_a one at a time
     rng = np.random.default_rng(seed)
     count = {"none": 0, "one": 1, "some": int(rng.integers(1, max(n, 2))), "all": n}[held]
     rows = rng.permutation(n)[:count]
@@ -295,27 +301,78 @@ def test_transfer_matches_the_pair_oracle(p, n, lead, held, as_list, seed):
     c[..., rows, :] = rng.integers(-3, 4, (p, *lead, count, n, 2)) @ [1, 1j]
     c[rng.integers(p), ..., rows, rng.integers(n)] = 1 + 2j  # every chosen row holds an entry
     assert np.array_equal(np.flatnonzero(held_rows(c)), np.sort(rows))
-    on_rows, mask = hold(c)
-    assert on_rows.shape == (p, *lead, count, n) and np.array_equal(spread(on_rows, mask), c)
-    for k in range(p + 2):
-        got = transfer(list(c) if as_list else c, k)
-        assert got.shape == (*lead, n, n) and got.dtype == complex
-        assert np.array_equal(got, transfer_sum(c, k)), k
-        assert np.array_equal(transfer(on_rows, k, mask), got)
-        if k >= p:
-            assert not got.any()
+    rep = OrthoRep.of(list(c) if as_list else c)
+    assert rep.values.shape == (p, *lead, count, n) and np.array_equal(rep.dense(), c)
     lowering = c[0] + transfer_sum(c, 1)
-    for ladder, want in ((lowering_from, lowering), (cyclic_from, lowering + dagger(c[-1]))):
-        assert np.array_equal(ladder(on_rows, mask), want)
-        assert np.array_equal(ladder(c), want)
+    for family in (rep, rep.on(np.ones(n, dtype=bool))):
+        for k in range(p + 2):
+            got = transfer(family, k)
+            assert got.shape == (*lead, n, n) and got.dtype == complex
+            assert np.array_equal(got, transfer_sum(c, k)), k
+            if k >= p:
+                assert not got.any()
+        for ladder, want in ((lowering_from, lowering), (cyclic_from, lowering + dagger(c[-1]))):
+            assert np.array_equal(ladder(family), want)
 
 
 @pytest.mark.parametrize("p, copies, trivial, seed", [(2, 7, 3, 1), (3, 5, 2, 4), (5, 3, 0, 3)])
 def test_occupied_on_a_dense_stack_is_the_sequential_sum_bitwise(p, copies, trivial, seed):
     # the unit that random-rep writes into a rep file is inferred from this sum,
     # and the written files are compared byte for byte
-    turned = random_rep(p, copies, trivial, seed).c
+    turned = random_rep(p, copies, trivial, seed).dense()
     rng = np.random.default_rng(seed)
     for c in (turned[:, None], rng.standard_normal((p, 4, 9, 9, 2)) @ [1, 1j]):
         assert held_rows(c).all()
-        assert np.array_equal(occupied(c), sum(dagger(m) @ m for m in c))
+        assert np.array_equal(occupied(OrthoRep.of(c)), sum(dagger(m) @ m for m in c))
+
+
+# -- the held stack type --------------------------------------------------------
+
+@pytest.mark.parametrize("values, rows", [
+    (np.zeros((2, 1, 3)), np.array([True, False])),                # a mask of the wrong length
+    (np.zeros((2, 1, 3)), np.array([True, True, False])),          # two rows held, one value row
+    (np.zeros((2, 2, 3)), np.array([True, False, False])),         # one row held, two value rows
+    (np.zeros((2, 1, 3)), np.array([1, 0, 0])),                    # a mask that is not boolean
+    (np.zeros((2, 1, 3)), np.array([[True, False, False]])),       # a mask that is not 1-D
+    (np.zeros((0, 1, 3)), np.array([True, False, False])),         # p = 0
+    (np.zeros((1, 3)), np.array([True, False, False])),            # no p axis
+], ids=["mask-length", "fewer-value-rows", "more-value-rows", "int-mask", "2-d-mask", "p-0",
+        "no-p-axis"])
+def test_a_held_stack_refuses_values_that_do_not_fit_its_mask(values, rows):
+    with pytest.raises(DimensionError):
+        OrthoRep(values, rows)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(p=st.integers(1, 5), n=st.integers(1, 7), lead=st.sampled_from([(), (1,), (3,)]),
+       held=st.sampled_from(["none", "one", "some", "all"]), complex_=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_a_dense_stack_held_and_spread_is_itself_bitwise(p, n, lead, held, complex_, seed):
+    # random sparsity patterns, the all-zero stack and a stack with every
+    # row held included; a row whose only mark is a -0.0, as a Haar
+    # conjugation of zeros leaves, is held too, so that the rows written
+    # back out are the rows read
+    rng = np.random.default_rng(seed)
+    count = {"none": 0, "one": 1, "some": int(rng.integers(1, max(n, 2))), "all": n}[held]
+    rows = rng.permutation(n)[:count]
+    c = np.zeros((p, *lead, n, n), dtype=complex if complex_ else float)
+    entries = rng.standard_normal((p, *lead, count, n, 2)) @ ([1, 1j] if complex_ else [1, 0])
+    c[..., rows, :] = entries * (rng.random(entries.shape) < 0.5)
+    signed = rows[:1] if len(rows) and rng.random() < 0.5 else rows[:0]
+    c[..., signed, :] = -0.0
+    c[rng.integers(p), ..., rows[len(signed):], rng.integers(n)] = 1
+    rep = OrthoRep.of(c)
+    assert rep.shape == c.shape and np.flatnonzero(rep.rows).tolist() == sorted(rows.tolist())
+    assert rep.values.shape == (p, *lead, count, n) and rep.values.dtype == c.dtype
+    assert rep.dense().dtype == c.dtype and rep.dense().tobytes() == c.tobytes()
+
+
+def test_the_canonical_rep_forms_no_dense_stack():
+    # the dense (256, 257, 257) float64 stack alone would take 135 MB
+    tracemalloc.start()
+    try:
+        rep = canonical(256)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.values.shape == (256, 1, 257) and peak < 4 * 2**20

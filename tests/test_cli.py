@@ -53,15 +53,15 @@ def test_canonical_writes_the_expected_matrices(tmp_path, capsys):
     assert rep.p == 2 and rep.dim == 3
     e12 = np.zeros((3, 3)); e12[0, 1] = 1
     e13 = np.zeros((3, 3)); e13[0, 2] = 1
-    assert np.array_equal(rep.c[0], e12)
-    assert np.array_equal(rep.c[1], e13)
+    assert np.array_equal(rep.dense()[0], e12)
+    assert np.array_equal(rep.dense()[1], e13)
     assert np.array_equal(unit, np.eye(3))
 
 
 def test_canonical_order_one(tmp_path, capsys):
     path = canonical_file(tmp_path, capsys, p=1)
     rep, _ = read_rep_file(path)
-    assert rep.dim == 2 and len(rep.c) == 1
+    assert rep.dim == 2 and rep.p == 1
 
 
 def test_canonical_unwritable_path_is_io_failure(tmp_path, capsys):
@@ -291,9 +291,9 @@ def test_an_entry_that_is_no_json_number_is_a_parse_failure(tmp_path, command, v
 
 
 def test_the_decompose_path_reads_each_support_once(tmp_path, capsys, monkeypatch):
-    # each command makes one single-rank (p, 1, n, n) stack of the file's
-    # rep and reads its support there: random-rep to infer the unit, verify
-    # for the relation table, decompose for the split; no kernel reads one
+    # each command reads the support of its rep once, where the (p, n, n)
+    # stack is made: random-rep where it draws the rep, verify and decompose
+    # where they read the file; no kernel reads one
     reads = []
     read = canonical_module.held_rows
 
@@ -314,7 +314,7 @@ def test_the_decompose_path_reads_each_support_once(tmp_path, capsys, monkeypatc
         found[argv[0]] = list(reads)
     capsys.readouterr()
     # 5 copies of 4 states and a trivial block of 2
-    stack = (3, 1, 22, 22)
+    stack = (3, 22, 22)
     assert found == {"random-rep": [stack], "verify": [stack], "decompose": [stack]}
 
 

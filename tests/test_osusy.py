@@ -16,8 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orthofermi import cli, osusy, reptheory
-from orthofermi.canonical import (canonical, conjugate, cyclic_from, held_rows, hold,
-                                  lowering_from, spread)
+from orthofermi.canonical import (OrthoRep, canonical, conjugate, cyclic_from, held_rows,
+                                  lowering_from)
 from orthofermi.errors import (ClusteringError, DimensionError, NotARepresentationError,
                                OrderError, TruncationError)
 from orthofermi.linalg import DEFAULT_TOL, dagger, haar_unitary, max_abs
@@ -43,6 +43,16 @@ def two_stacks(p, levels):
     partition, whose first stack holds the vacuum and the boundary states
     as 1 x 1 blocks and whose second stack holds the sectors."""
     return system_from_dense(p, *build_system(p, levels).dense())
+
+
+def stacks_of(system):
+    """The value arrays of a system's charge stacks, then its H stacks."""
+    return [*(q.values for q in system.charges), *system.H]
+
+
+def scaled(system, factor):
+    """``system`` with every charge times ``factor``."""
+    return replace(system, charges=[OrthoRep(factor * q.values, q.rows) for q in system.charges])
 
 
 def suite_table(system):
@@ -109,9 +119,9 @@ def test_charges_equal_the_kron_formula_bitwise(p, levels):
     # they must be the dense sqrt(2) a^dag (x) c_a to the last bit, cast to the
     # stacks' dtype, which is float64: the oscillator is real
     a = np.diag(np.sqrt(np.arange(1, levels)), 1).astype(complex)
-    kron = np.array([math.sqrt(2.0) * np.kron(a.conj().T, c) for c in canonical(p).c])
+    kron = np.array([math.sqrt(2.0) * np.kron(a.conj().T, c) for c in canonical(p).dense()])
     sys_ = build_system(p, levels)
-    assert {stack.dtype for stack in (*sys_.Q, *sys_.H)} == {np.dtype(float)}
+    assert {stack.dtype for stack in stacks_of(sys_)} == {np.dtype(float)}
     Q, _ = sys_.dense()
     assert not kron.imag.any()  # so the cast drops nothing
     assert [q.tobytes() for q in Q] == [q.tobytes() for q in kron.real.astype(Q.dtype)]
@@ -124,11 +134,11 @@ def test_a_real_system_runs_the_suite_as_its_complex_cast(p, levels):
     natural = build_system(p, levels)
     Q, H = natural.dense()
     cast = system_from_dense(p, Q.astype(complex), H.astype(complex))
-    assert {stack.dtype for stack in (*cast.Q, *cast.H)} == {np.dtype(complex)}
+    assert {stack.dtype for stack in stacks_of(cast)} == {np.dtype(complex)}
     assert run_suite(cast) == run_suite(natural)
     spectrum = spectral(natural)
     assert {a.dtype for eig, c in zip(spectrum.eigs, spectrum.charges)
-            for a in (eig.values, eig.vectors, c)} == {np.dtype(float)}
+            for a in (eig.values, eig.vectors, c.values)} == {np.dtype(float)}
 
 
 def test_a_dense_system_takes_the_common_dtype_of_its_operators():
@@ -137,15 +147,15 @@ def test_a_dense_system_takes_the_common_dtype_of_its_operators():
                              (Q, H.astype(complex), complex),
                              ([Q[0].astype(np.complex64), Q[1]], H, complex)]:
         sys_ = system_from_dense(2, charges, h)
-        assert {stack.dtype for stack in (*sys_.Q, *sys_.H)} == {np.dtype(want)}
+        assert {stack.dtype for stack in stacks_of(sys_)} == {np.dtype(want)}
         assert all(m.dtype == want for m in sys_.dense())
 
 
 def test_a_turned_system_stays_complex_and_the_suite_warns_nothing():
     # no stage writes a complex value into a real array: numpy would warn
     system = turned(3, 5, 7)
-    assert {stack.dtype for stack in (*system.Q, *system.H)} == {np.dtype(complex)}
-    assert max_abs(system.Q[0].imag) > 0.1 and max_abs(system.H[0].imag) > 0.1
+    assert {stack.dtype for stack in stacks_of(system)} == {np.dtype(complex)}
+    assert max_abs(system.charges[0].values.imag) > 0.1 and max_abs(system.H[0].imag) > 0.1
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         residuals, tolerances, table = run_suite(system)
@@ -169,9 +179,11 @@ def test_a_dense_system_has_the_same_blocks_and_stacks(p, levels):
     again = system_from_dense(p, Q, H)
     assert (again.p, again.dim, again.null.size) == (sys_.p, sys_.dim, 0)
     assert [rows.tolist() for rows in again.blocks] == finest
-    assert not again.Q[0].any() and not again.H[0].any()
-    assert again.Q[0].shape == (p, p + 1, 1, 1) and again.H[0].shape == (p + 1, 1, 1)
-    for got, want in [*zip(again.Q[1:], sys_.Q), *zip(again.H[1:], sys_.H)]:
+    assert not again.charges[0].values.any() and not again.H[0].any()
+    assert again.charges[0].shape == (p, p + 1, 1, 1) and again.H[0].shape == (p + 1, 1, 1)
+    for got, want in [*zip((q.dense() for q in again.charges[1:]),
+                           (q.dense() for q in sys_.charges)),
+                      *zip(again.H[1:], sys_.H)]:
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
@@ -196,13 +208,13 @@ def test_a_dense_system_needs_p_square_charges_of_the_size_of_h():
 
 
 def test_order_and_dimension_are_read_off_the_stacks():
-    assert [f.name for f in fields(OsusySystem)] == ["blocks", "Q", "H", "null"]
+    assert [f.name for f in fields(OsusySystem)] == ["blocks", "charges", "H", "null"]
     sys_ = build_system(3, 4)
     assert (sys_.p, sys_.dim) == (3, 16)
-    fewer = replace(sys_, Q=[q[:2] for q in sys_.Q])
+    fewer = replace(sys_, charges=[OrthoRep(q.values[:2], q.rows) for q in sys_.charges])
     assert (fewer.p, fewer.dim) == (2, 16)
     Q, H = sys_.dense()
-    whole = OsusySystem([np.arange(16)[None]], [Q[:, None]], [H[None]])
+    whole = OsusySystem([np.arange(16)[None]], [OrthoRep.of(Q[:, None])], [H[None]])
     assert (whole.p, whole.dim) == (3, 16)
 
 
@@ -217,18 +229,22 @@ def broken_systems(sys_):
     """Field replacements that leave ``sys_`` inconsistent: a stack that does
     not fit its blocks, or blocks that skip or repeat an index."""
     last = sys_.dim - 1
+    q0, q1 = sys_.charges
     return [
-        {"Q": [q[..., :-1] for q in sys_.Q]},
-        {"Q": [sys_.Q[0], sys_.Q[1][:1]]},
-        {"Q": sys_.Q[:1]},
-        {"Q": []},
+        {"charges": [OrthoRep.of(np.zeros((*q.shape[:-2], q.dim + 1, q.dim + 1)))
+                     for q in sys_.charges]},
+        {"charges": [q0, OrthoRep(q1.values[:1], q1.rows)]},
+        {"charges": sys_.charges[:1]},
+        {"charges": []},
         {"H": [h[:-1] for h in sys_.H]},
         {"H": sys_.H[::-1]},
         {"H": [h[None] for h in sys_.H]},
         {"blocks": [np.where(rows == last, last + 1, rows) for rows in sys_.blocks]},
         {"blocks": [np.where(rows == 0, 1, rows) for rows in sys_.blocks]},
         {"blocks": [rows.ravel() for rows in sys_.blocks]},
-        {"blocks": [], "Q": [], "H": []},
+        {"blocks": [], "charges": [], "H": []},
+        {"charges": [q0, q1[:1]]},
+        {"charges": [q0, q1.dense()]},
     ]
 
 
@@ -239,7 +255,7 @@ def test_a_system_refuses_stacks_that_do_not_fit_and_blocks_that_do_not_partitio
     with pytest.raises(DimensionError):
         replace(sys_, **change)
     with pytest.raises(DimensionError):
-        OsusySystem(**{"blocks": sys_.blocks, "Q": sys_.Q, "H": sys_.H, **change})
+        OsusySystem(**{"blocks": sys_.blocks, "charges": sys_.charges, "H": sys_.H, **change})
 
 
 # build_system(2, 3) has the sectors [1, 2, 3] and [4, 5, 6] and the null states [0, 7, 8]
@@ -255,7 +271,7 @@ def test_a_system_refuses_null_states_that_do_not_partition_with_the_blocks(null
     with pytest.raises(DimensionError):
         replace(sys_, null=np.array(null))
     with pytest.raises(DimensionError):
-        OsusySystem(sys_.blocks, sys_.Q, sys_.H, np.array(null))
+        OsusySystem(sys_.blocks, sys_.charges, sys_.H, np.array(null))
 
 
 @pytest.mark.parametrize("case, dtype", [("float-blocks", "float64"), ("float-null", "float64"),
@@ -276,15 +292,15 @@ def test_a_system_refuses_index_arrays_that_are_not_integer(case, dtype):
         null = null.astype(float)
     else:  # the null states 0, 1 beside the sectors moved to 2..7
         blocks, null = [rows + 1 for rows in blocks], np.array([0, 1])
-        OsusySystem(blocks, sys_.Q, sys_.H, null)
+        OsusySystem(blocks, sys_.charges, sys_.H, null)
         null = null.astype(bool)
     with pytest.raises(DimensionError, match=f"got {dtype}$"):
-        OsusySystem(blocks, sys_.Q, sys_.H, null)
+        OsusySystem(blocks, sys_.charges, sys_.H, null)
 
 
 def test_an_empty_null_list_is_held_as_no_null_states():
     # numpy reads [] as float64; it names no state, so its dtype is not refused
-    sys_ = OsusySystem([np.arange(9).reshape(3, 3)], [np.zeros((2, 3, 3, 3))],
+    sys_ = OsusySystem([np.arange(9).reshape(3, 3)], [OrthoRep.of(np.zeros((2, 3, 3, 3)))],
                        [np.zeros((3, 3, 3))], [])
     assert sys_.null.dtype == np.dtype(int) and sys_.null.size == 0 and sys_.dim == 9
 
@@ -307,20 +323,24 @@ def test_a_system_needs_a_block_beside_its_null_states():
 
 def test_null_states_are_carried_by_replace_copy_and_pickle():
     sys_ = build_system(2, 3)
-    for again in (replace(sys_), replace(sys_, Q=[2.0 * q for q in sys_.Q]), copy.copy(sys_),
+    for again in (replace(sys_), scaled(sys_, 2.0), copy.copy(sys_),
                   copy.deepcopy(sys_), pickle.loads(pickle.dumps(sys_))):
         assert again.null.tolist() == [0, 7, 8] and again.dim == 9
     # a null state may be any index: here the first state of the first sector
-    moved = OsusySystem([np.array([[0, 2, 3], [4, 5, 6]])], sys_.Q, sys_.H, np.array([1, 7, 8]))
+    moved = OsusySystem([np.array([[0, 2, 3], [4, 5, 6]])], sys_.charges, sys_.H,
+                        np.array([1, 7, 8]))
     Q, H = moved.dense()
     assert not Q[:, 1].any() and not Q[:, :, 1].any() and not H[1].any() and not H[:, 1].any()
     assert np.array_equal(Q[:, [0, 2, 3]][:, :, [0, 2, 3]], sys_.dense()[0][:, 1:4, 1:4])
 
 
 def test_a_system_without_charges_is_refused():
+    # a stack of no charges is refused where it is held, before a system
     sys_ = build_system(2, 3)
     with pytest.raises(OrderError):
-        replace(sys_, Q=[q[:0] for q in sys_.Q])
+        replace(sys_, charges=[OrthoRep.of(q.dense()[:0]) for q in sys_.charges])
+    with pytest.raises(DimensionError):
+        replace(sys_, charges=[OrthoRep(q.values[:0], q.rows) for q in sys_.charges])
 
 
 def test_a_long_chain_allocates_no_dense_matrix():
@@ -367,7 +387,8 @@ def test_a_nan_relation_defect_is_not_folded_away():
     Q, H = build_system(2, 4).dense()
     with np.errstate(over="ignore", invalid="ignore"):
         sys_ = system_from_dense(2, 1e105 * Q, 1e210 * H)
-        defect = sys_.H[1] @ sys_.Q[1] - sys_.Q[1] @ sys_.H[1]
+        q = sys_.charges[1].dense()
+        defect = sys_.H[1] @ q - q @ sys_.H[1]
         residual = check_relations(spectral(sys_))["[H, Q_a] = 0"]
     assert np.isnan(defect).any()
     assert math.isnan(residual) and not residual <= 1e-10
@@ -592,9 +613,8 @@ def test_eigenspace_refusal_messages_are_pinned():
 def test_charges_scaled_off_the_unit_are_refused():
     # 1.01 Q_a keeps both relations up to the unit: only the law with unit I breaks
     sys_ = build_system(3, 6)
-    scaled = replace(sys_, Q=[1.01 * q for q in sys_.Q])
     with pytest.raises(NotARepresentationError, match=r"eigenspace E = 1\b"):
-        eigenspace_reps(spectral(scaled))
+        eigenspace_reps(spectral(scaled(sys_, 1.01)))
 
 
 def test_a_positive_piece_with_a_trivial_block_is_refused(monkeypatch):
@@ -605,7 +625,7 @@ def test_a_positive_piece_with_a_trivial_block_is_refused(monkeypatch):
         dec = reptheory.decompose_stack(c, *args, **kwargs)
         copies, trivial = dec.multiplicity.copy(), dec.trivial_dim.copy()
         copies[0] -= 1
-        trivial[0] += len(c) + 1
+        trivial[0] += c.p + 1
         return replace(dec, multiplicity=copies, trivial_dim=trivial)
     monkeypatch.setattr(osusy, "decompose_stack", impure)
     with pytest.raises(NotARepresentationError) as info:
@@ -806,7 +826,8 @@ def test_pieces_cut_from_a_real_and_a_complex_stack_keep_their_imaginary_parts()
     mixed = natural_beside_turned_copies(*build_system(2, 4).dense(),
                                          *build_system(2, 3).dense(), copies=1)
     assert {rows.shape[1]: rows.shape[0] for rows in mixed.blocks} == {1: 3, 3: 3, 9: 1}
-    held_real = OsusySystem(mixed.blocks, [q if q.shape[-1] == 9 else q.real for q in mixed.Q],
+    held_real = OsusySystem(mixed.blocks, [q if q.dim == 9 else OrthoRep(q.values.real, q.rows)
+                                           for q in mixed.charges],
                             [h if h.shape[-1] == 9 else h.real for h in mixed.H])
     assert [h.dtype for h in held_real.H] == [np.dtype(float), np.dtype(float), np.dtype(complex)]
     for got, want in zip(held_real.dense(), mixed.dense()):
@@ -884,7 +905,7 @@ def test_generators_are_built_cluster_by_cluster():
     para = frac = 0.0
     for e, b in zip(spectrum.energies, cluster_bases(spectrum)):
         if e > 0:
-            c = [b.conj().T @ q @ b / np.sqrt(2 * e) for q in Q]
+            c = OrthoRep.of([b.conj().T @ q @ b / np.sqrt(2 * e) for q in Q])
             para = para + np.sqrt(2 * e) * b @ lowering_from(c) @ b.conj().T
             frac = frac + e ** (1 / (sys_.p + 1)) * b @ cyclic_from(c) @ b.conj().T
     assert max_abs(dense(sys_, gens.para) - para) < 1e-12
@@ -1172,34 +1193,37 @@ def test_support_products_match_the_dense_oracles(p, count, n, held, turn, seed)
     q = np.zeros((p, count, n, n), dtype=complex)
     q[..., rows, :] = gaussian_integers(rng, (p, count, held_count, n))
     q[rng.integers(p), :, rows, rng.integers(n)] = 1 + 2j  # every chosen row holds an entry
-    on_rows, mask = hold(q)
+    c = OrthoRep.of(q)
+    mask = c.rows
     assert np.array_equal(np.flatnonzero(mask), np.sort(rows))
-    assert np.array_equal(on_rows, q[..., mask, :])
+    assert np.array_equal(c.values, q[..., mask, :])
     h = gaussian_integers(rng, (count, n, n))
-    got, found = osusy._commutator(h, on_rows, mask)
-    assert np.array_equal(found, mask | (h[..., mask] != 0).any(axis=(0, -1)))
-    assert np.array_equal(spread(got, found), commutator(h, q))
+    got = osusy._commutator(h, c)
+    assert np.array_equal(got.rows, mask | (h[..., mask] != 0).any(axis=(0, -1)))
+    assert np.array_equal(got.dense(), commutator(h, q))
     v = {"gaussian": lambda: gaussian_integers(rng, (count, n, n)),
          "permutation": lambda: phased_permutations(rng, count, n),
          "haar": lambda: np.stack([haar_unitary(n, rng) for _ in range(count)])}[turn]()
     want = restricted(v, q)
     m = int(rng.integers(n // (p + 1) + 1))
-    for got, found in (conjugate(on_rows, v, mask), conjugate(q, v)):
-        assert not want[..., ~found, :].any()
+    # the stack on its held rows, and on every row, which forms the dense products
+    for got in (conjugate(c, v), conjugate(c.on(np.ones(n, dtype=bool)), v)):
+        assert not want[..., ~got.rows, :].any()
         if turn == "haar":
-            np.testing.assert_allclose(spread(got, found), want, rtol=0, atol=1e-13 * n)
+            np.testing.assert_allclose(got.dense(), want, rtol=0, atol=1e-13 * n)
         else:
-            assert np.array_equal(spread(got, found), want)
+            assert np.array_equal(got.dense(), want)
     if turn == "permutation":
         # J = the rows that V^dag moves R to, in some block
+        found = conjugate(c, v).rows
         moved = (v[..., mask, :] != 0).any(axis=(0, 1))
         assert np.array_equal(found, moved) and found.sum() <= count * mask.sum()
-    got, found = reptheory._block_defects(on_rows, v, m, mask)
+    got = reptheory._block_defects(c, v, m)
     if turn == "haar":
-        np.testing.assert_allclose(spread(got, found), block_residual(v, q, m), rtol=0,
+        np.testing.assert_allclose(got.dense(), block_residual(v, q, m), rtol=0,
                                    atol=1e-13 * n)
     else:
-        assert np.array_equal(spread(got, found), block_residual(v, q, m))
+        assert np.array_equal(got.dense(), block_residual(v, q, m))
 
 
 @pytest.mark.parametrize("p, levels, seed", [(8, 12, 81), (16, 6, 166)])
@@ -1210,23 +1234,24 @@ def test_support_products_of_a_turned_system_are_the_dense_products_bitwise(
     # same association
     split = []
 
-    def recorded(c, *args, held, **kwargs):
-        split.append((c.copy(), held, reptheory.decompose_stack(c, *args, held=held, **kwargs)))
+    def recorded(c, *args, **kwargs):
+        split.append((OrthoRep(c.values.copy(), c.rows),
+                      reptheory.decompose_stack(c, *args, **kwargs)))
         return split[-1][-1]
     monkeypatch.setattr(osusy, "decompose_stack", recorded)
     spectrum = spectral(turned(p, levels, seed))
-    [q], [h], [eig] = spectrum.system.Q, spectrum.system.H, spectrum.eigs
-    [on_rows], [mask] = spectrum.system.charges, spectrum.system.support
-    assert held_rows(q).all() and mask.all() and np.array_equal(on_rows, q)
-    got, found = osusy._commutator(h, on_rows, mask)
-    assert found.all() and np.array_equal(got, commutator(h, q))
-    assert spectrum.support[0].all()
-    assert np.array_equal(spectrum.charges[0], restricted(eig.vectors, q))
+    [charges], [h], [eig] = spectrum.system.charges, spectrum.system.H, spectrum.eigs
+    q = charges.dense()
+    assert held_rows(q).all() and charges.rows.all() and np.array_equal(charges.values, q)
+    got = osusy._commutator(h, charges)
+    assert got.rows.all() and np.array_equal(got.values, commutator(h, q))
+    assert spectrum.charges[0].rows.all()
+    assert np.array_equal(spectrum.charges[0].values, restricted(eig.vectors, q))
     eigenspace_reps(spectrum)
-    [(c, mask, dec)] = split
-    assert mask.all() and held_rows(c).all() and set(dec.multiplicity.tolist()) == {1}
-    got, found = reptheory._block_defects(c, dec.basis, 1, mask)
-    assert found.all() and np.array_equal(got, block_residual(dec.basis, c, 1))
+    [(c, dec)] = split
+    assert c.rows.all() and held_rows(c.values).all() and set(dec.multiplicity.tolist()) == {1}
+    got = reptheory._block_defects(c, dec.basis, 1)
+    assert got.rows.all() and np.array_equal(got.values, block_residual(dec.basis, c.values, 1))
 
 
 def test_the_commutator_sees_h_off_the_rows_that_hold_a_charge():
@@ -1238,10 +1263,10 @@ def test_the_commutator_sees_h_off_the_rows_that_hold_a_charge():
     H = couple(H, 1, p + 1, eps, hermitian=True)
     sys_ = system_from_dense(p, Q, H)
     assert not Q[:, 1].any() and Q[:, p + 1].any()
-    for h, q, on_rows, mask in zip(sys_.H, sys_.Q, sys_.charges, sys_.support):
-        got, found = osusy._commutator(h, on_rows, mask)
-        assert np.array_equal(spread(got, found), commutator(h, q))
-    assert np.flatnonzero(found).tolist() == [0, p]
+    for h, q in zip(sys_.H, sys_.charges):
+        got = osusy._commutator(h, q)
+        assert np.array_equal(got.dense(), commutator(h, q.dense()))
+    assert np.flatnonzero(got.rows).tolist() == [0, p]
     got = check_relations(spectral(sys_))["[H, Q_a] = 0"]
     assert got == max(max_abs(H @ q - q @ H) for q in Q) > eps
 
@@ -1255,13 +1280,12 @@ def test_a_target_outside_the_rows_of_a_piece_is_compared_against_zero():
     # meets the held rows, or its copy vectors fail the Gram check.)
     c = np.zeros((1, 1, 3, 3))
     c[0, 0, 2, 2] = 1
-    on_rows, mask = hold(c)
     basis = np.eye(3)[None]
-    got, found = reptheory._block_defects(on_rows, basis, 1, mask)
-    assert found.tolist() == [True, False, True]
-    assert np.array_equal(spread(got, found), block_residual(basis, c, 1))
-    assert max_abs(got[..., 0, :]) == 1.0
-    block = max_abs(got, axis=(0, -2, -1))
+    got = reptheory._block_defects(OrthoRep.of(c), basis, 1)
+    assert got.rows.tolist() == [True, False, True]
+    assert np.array_equal(got.dense(), block_residual(basis, c, 1))
+    assert max_abs(got.values[..., 0, :]) == 1.0
+    block = max_abs(got.values, axis=(0, -2, -1))
     bound = np.maximum(*reptheory._pair_bounds(np.zeros(1), block, np.zeros(1), 3, 1))
     assert block[0] == 1.0 and not bound[0] <= DEFAULT_TOL
 
@@ -1289,27 +1313,30 @@ def test_an_osusy_op_reads_each_support_once(monkeypatch):
 
 
 def test_a_carried_support_cannot_go_stale():
+    # the values of a held stack are its rows R alone, so no write into
+    # them can put an entry off R, and its mask is read-only, in copies too
     sys_ = two_stacks(2, 4)
     spectrum = spectral(sys_)
-    for q in (sys_.Q[1], spectrum.system.Q[1], build_system(2, 4).Q[0]):
+    copies = (copy.copy(sys_), copy.deepcopy(sys_), pickle.loads(pickle.dumps(sys_)))
+    for q in (sys_.charges[1], spectrum.system.charges[1], build_system(2, 4).charges[0],
+              *(copied.charges[1] for copied in copies)):
+        assert q.values.shape[-2] == np.count_nonzero(q.rows) == 1
         with pytest.raises(ValueError):
-            q[0, 0, 0, 1] = 0.5
-    for copied in (copy.copy(sys_), copy.deepcopy(sys_), pickle.loads(pickle.dumps(sys_))):
-        with pytest.raises(ValueError):
-            copied.Q[1][0, 0, 0, 1] = 0.5
-    # a system made from arrays its caller keeps holds copies of them
-    Q, H = ([np.array(m) for m in stacks] for stacks in (sys_.Q, sys_.H))
-    own = OsusySystem(sys_.blocks, Q, H)
-    Q[1][0, 0, 0, 1] = 0.5
-    assert own.Q[1][0, 0, 0, 1] == 0 and not own.support[1][0]
+            q.rows[0] = True
+    # a system made from arrays its caller keeps holds copies of the rows it
+    # holds, where they are not all of them
+    Q = [q.dense().copy() for q in sys_.charges]
+    own = OsusySystem(sys_.blocks, [OrthoRep.of(q) for q in Q], sys_.H)
+    Q[1][0, 0, -1, 1] = 0.5
+    assert own.charges[1].values[0, 0, 0, 1] == 0 and not own.charges[1].rows[0]
     # a charge entry in row 0 of a sector, which held none: the replaced
     # system reads its support anew, and both relations see the entry (H is
     # a multiple of the identity on the sector, so [H, Q_a] stays 0)
-    q = sys_.Q[1].copy()
+    q = sys_.charges[1].dense().copy()
     q[0, 0, 0, 1] = 0.5
-    moved = replace(sys_, Q=[sys_.Q[0], q])
-    assert not sys_.support[1][0] and moved.support[1][0]
-    assert np.array_equal(moved.support[1], held_rows(q))
+    moved = replace(sys_, charges=[sys_.charges[0], OrthoRep.of(q)])
+    assert not sys_.charges[1].rows[0] and moved.charges[1].rows[0]
+    assert np.array_equal(moved.charges[1].rows, held_rows(q))
     Q, H = moved.dense()
     nilpotent, mixed = pair_relation_defects(Q[:, None], 2 * H)
     expected = {"[H, Q_a] = 0": max(max_abs(H @ m - m @ H) for m in Q),
@@ -1323,14 +1350,14 @@ def test_a_carried_support_cannot_go_stale():
 
 def test_whole_block_pieces_are_taken_in_c_order():
     spectrum = spectral(two_stacks(4, 6))
-    charges, support, size = spectrum.charges, spectrum.support, 5
+    charges, size = spectrum.charges, 5
     block = np.array([3, 0, 2])
-    found, held = osusy._cut_pieces(charges, support, np.ones(3, dtype=int), block,
-                                    np.zeros(3, dtype=int), size)
-    assert found.flags.c_contiguous and found.flags.writeable
+    found = osusy._cut_pieces(charges, np.ones(3, dtype=int), block, np.zeros(3, dtype=int), size)
+    assert found.values.flags.c_contiguous and found.values.flags.writeable
     # held on the one charge row of each sector, as C is
-    assert np.flatnonzero(held).tolist() == [4] and held is support[1]
-    assert np.array_equal(found, charges[1][:, block])
+    assert np.flatnonzero(found.rows).tolist() == [4]
+    assert np.shares_memory(found.rows, charges[1].rows)
+    assert np.array_equal(found.values, charges[1].values[:, block])
 
 
 def partial_monomials(rng, count, n):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from oracles import EXACT_MAX_DIM, exact_verify, pair_relation_defects
 from orthofermi import reptheory
-from orthofermi.canonical import canonical, hold
+from orthofermi.canonical import _hold, canonical
 from orthofermi.errors import (DimensionError, NotARepresentationError, NumericalDegeneracyError,
                                OrderError, OrthofermiError)
 from orthofermi.linalg import DEFAULT_TOL, dagger, haar_unitary, max_abs, orthonormal_range
@@ -17,11 +17,11 @@ from orthofermi.reptheory import (OrthoRep, decompose, decompose_stack, infer_un
 
 
 def as_rep(canon):
-    return OrthoRep(canon.c)
+    return OrthoRep.of(canon.dense())
 
 
 def zero_rep(p, dim):
-    return OrthoRep(np.zeros((p, dim, dim), dtype=complex))
+    return OrthoRep.of(np.zeros((p, dim, dim), dtype=complex))
 
 
 def block_rep(p, copies, trivial):
@@ -33,9 +33,9 @@ def block_rep(p, copies, trivial):
         m = np.zeros((n, n), dtype=complex)
         for i in range(copies):
             lo = i * (p + 1)
-            m[lo:lo + p + 1, lo:lo + p + 1] = model.c[a]
+            m[lo:lo + p + 1, lo:lo + p + 1] = model.dense()[a]
         mats.append(m)
-    return OrthoRep(mats)
+    return OrthoRep.of(mats)
 
 
 # -- verify -------------------------------------------------------------------
@@ -45,21 +45,23 @@ def test_relation_residuals_on_stacks_take_the_worst_matrix():
     rng = np.random.default_rng(12)
     c = rng.standard_normal((3, 4, 5, 5)) + 1j * rng.standard_normal((3, 4, 5, 5))
     unit = rng.standard_normal((4, 5, 5))
-    each = [relation_residuals([m[k] for m in c], unit[k]) for k in range(4)]
+    each = [relation_residuals(OrthoRep.of([m[k] for m in c]), unit[k]) for k in range(4)]
     worst = [max(r[i] for r in each) for i in range(2)]
-    assert relation_residuals(c, unit) == pytest.approx(worst, rel=1e-13)
+    assert relation_residuals(OrthoRep.of(c), unit) == pytest.approx(worst, rel=1e-13)
 
 
 @pytest.mark.parametrize("p", [1, 2, 5])
 def test_a_real_stack_with_a_complex_unit_has_the_complex_stacks_residuals(p):
     # the unit's dtype rules the products: a complex unit adds into the
     # products of a real stack, as into those of a complex one
-    c, unit = canonical(p).c, np.eye(p + 1, dtype=complex)
-    assert relation_residuals(c.real, unit) == relation_residuals(c, unit) == (0.0, 0.0)
+    c, unit = canonical(p).dense(), np.eye(p + 1, dtype=complex)
+    assert (relation_residuals(OrthoRep.of(c.real), unit)
+            == relation_residuals(OrthoRep.of(c.astype(complex)), unit) == (0.0, 0.0))
     broken = c.real.copy()
     broken[0, 0, 1] = 1.5
-    assert relation_residuals(broken, unit) == relation_residuals(broken.astype(complex), unit)
-    assert relation_residuals(broken, unit)[1] > 1.0
+    assert (relation_residuals(OrthoRep.of(broken), unit)
+            == relation_residuals(OrthoRep.of(broken.astype(complex)), unit))
+    assert relation_residuals(OrthoRep.of(broken), unit)[1] > 1.0
 
 
 #: Entries of the exact stacks; their pair products are single rounded terms.
@@ -99,7 +101,7 @@ def kernel_stack(p, n, k, kind, row_mode, col_mode, seed):
         copies = int(rng.integers(n // (p + 1) + 1))
         rep = block_rep(p, copies, n - copies * (p + 1))
         turn = np.eye(n)[rng.permutation(n)]
-        c = np.repeat((turn @ rep.c @ turn.T)[:, None], k, axis=1)
+        c = np.repeat((turn @ rep.dense() @ turn.T)[:, None], k, axis=1)
         unit = np.repeat((turn @ infer_unit(rep) @ turn.T)[None], k, axis=0)
         unit[rng.integers(k), rng.integers(n), rng.integers(n)] += 1e-3
     rows, cols = (rng.random((p, k if mode == 3 else 1, n)) < 0.5 if mode in (1, 3)
@@ -116,8 +118,7 @@ def test_relation_kernel_matches_the_pair_oracle(p, n, k, kind, row_mode, col_mo
     # the kernel multiplies on the stack's support; the oracle forms every
     # pair in full
     c, unit = kernel_stack(p, n, k, kind, row_mode, col_mode, seed)
-    on_rows, held = hold(c)
-    found = reptheory._relation_defects(on_rows, unit, held)
+    found = reptheory._relation_defects(OrthoRep.of(c), unit)
     expected = pair_relation_defects(c, unit)
     for got, want in zip(found, expected):
         if kind == "dense":
@@ -132,7 +133,7 @@ def test_a_row_that_only_some_annihilators_hold_still_counts_the_unit():
     c = np.zeros((2, 1, 3, 3), dtype=complex)
     c[0, 0, 0, 1] = 1
     unit = np.diag([1.0, 1.0, 0.0])
-    assert relation_residuals(c, unit) == (0.0, 1.0)
+    assert relation_residuals(OrthoRep.of(c), unit) == (0.0, 1.0)
     assert [v.tolist() for v in pair_relation_defects(c, unit)] == [[0.0], [1.0]]
 
 
@@ -152,8 +153,7 @@ def test_one_non_finite_entry_fails_the_relation_kernel(p, n, k, kind, row_mode,
     else:
         c[(rng.integers(p), *where)] = bad
     with np.errstate(invalid="ignore", over="ignore"):
-        on_rows, held = hold(c)
-        nilpotent, mixed = reptheory._relation_defects(on_rows, unit, held)
+        nilpotent, mixed = reptheory._relation_defects(_hold(c), unit)
     worst = np.maximum(nilpotent, mixed)[where[0]]
     assert not np.isfinite(worst) and not worst <= DEFAULT_TOL
 
@@ -170,8 +170,9 @@ def test_zero_rep_satisfies_relations_with_zero_unit():
 
 
 def test_verify_reports_injected_perturbation():
-    rep = as_rep(canonical(2))
-    rep.c[0][2, 2] += 1e-3
+    c = canonical(2).dense()
+    c[0][2, 2] += 1e-3
+    rep = OrthoRep.of(c)
     residuals = verify(rep, np.eye(3, dtype=complex))
     worst = max(residuals.values())
     assert 5e-4 < worst < 5e-3
@@ -206,16 +207,18 @@ def test_infer_unit_of_mixed_sum_is_a_projector():
 
 
 def test_infer_unit_rejects_scaled_generators():
-    rep = as_rep(canonical(1))
-    rep.c[0] *= 2.0
+    c = canonical(1).dense()
+    c[0] *= 2.0
+    rep = OrthoRep.of(c)
     with pytest.raises(NotARepresentationError):
         infer_unit(rep)
 
 
 def test_infer_unit_rejects_inconsistent_candidates():
     # shrink only one of two species so the two unit candidates disagree
-    rep = as_rep(canonical(2))
-    rep.c[1] *= 0.5
+    c = canonical(2).dense()
+    c[1] *= 0.5
+    rep = OrthoRep.of(c)
     with pytest.raises(NotARepresentationError):
         infer_unit(rep)
 
@@ -244,8 +247,9 @@ def test_decompose_recovers_scrambled_blocks():
 
 
 def test_decompose_rejects_non_representation():
-    rep = as_rep(canonical(2))
-    rep.c[0][2, 2] += 1e-3
+    c = canonical(2).dense()
+    c[0][2, 2] += 1e-3
+    rep = OrthoRep.of(c)
     with pytest.raises(NotARepresentationError):
         decompose(rep)
 
@@ -255,8 +259,9 @@ def test_decompose_refuses_borderline_orthonormality():
     # through the relation screen (worst residual 0.288), but the copy
     # vectors it grows have Gram defect 1 - 0.8^2 = 0.36; the split must
     # refuse to guess rather than classify
-    rep = as_rep(canonical(1))
-    rep.c[0] *= 0.8
+    c = canonical(1).dense()
+    c[0] *= 0.8
+    rep = OrthoRep.of(c)
     with pytest.raises(NumericalDegeneracyError):
         decompose(rep, tol=0.32)
 
@@ -268,8 +273,8 @@ def test_decompose_block_residual_against_explicit_conjugation():
     dec = decompose(rep)
     expected = block_rep(3, 2, 1)
     for a in range(3):
-        rebuilt = dec.basis.conj().T @ rep.c[a] @ dec.basis
-        assert max_abs(rebuilt - expected.c[a]) < 1e-9
+        rebuilt = dec.basis.conj().T @ rep.dense()[a] @ dec.basis
+        assert max_abs(rebuilt - expected.dense()[a]) < 1e-9
 
 
 def test_decompose_with_a_given_unit_skips_inference():
@@ -277,7 +282,7 @@ def test_decompose_with_a_given_unit_skips_inference():
     dec = decompose(rep, unit=np.eye(rep.dim))
     assert (dec.multiplicity, dec.trivial_dim) == (2, 0)
     # against the given identity, a uniformly scaled copy fails the relations
-    scaled = OrthoRep(1.01 * rep.c)
+    scaled = OrthoRep.of(1.01 * rep.dense())
     with pytest.raises(NotARepresentationError):
         decompose(scaled, unit=np.eye(rep.dim))
     with pytest.raises(DimensionError):
@@ -287,17 +292,17 @@ def test_decompose_with_a_given_unit_skips_inference():
 # -- decompose_stack --------------------------------------------------------------
 
 def test_decompose_stack_rejects_an_inf_annihilator():
-    c = np.repeat(canonical(2).c[:, None], 2, axis=1)
+    c = np.repeat(canonical(2).dense()[:, None], 2, axis=1)
     c[1, 1, 0, 2] = np.inf
     with pytest.raises(ValueError, match="^annihilators contain non-finite entries$"):
-        decompose_stack(c)
+        decompose_stack(_hold(c))
 
 
 MIXED = [(2, 0, 11), (1, 3, 12), (0, 6, 13)]  # (copies, trivial, seed) at p = 2, dim 6
 
 
 def stack_of(reps):
-    return np.stack([rep.c for rep in reps], axis=1)
+    return OrthoRep.of(np.stack([rep.dense() for rep in reps], axis=1))
 
 
 def test_decompose_stack_of_mixed_ranks_matches_each_instance():
@@ -339,8 +344,9 @@ def test_a_stack_of_mixed_vacuum_ranks_is_refused_naming_the_first_other_rank():
 
 def test_decompose_stack_names_the_failing_element():
     reps = [random_rep(2, copies, trivial, seed) for copies, trivial, seed in MIXED]
-    broken = random_rep(2, 1, 3, seed=14)
-    broken.c[0][0, 0] += 1e-3
+    broken = random_rep(2, 1, 3, seed=14).dense().copy()
+    broken[0][0, 0] += 1e-3
+    broken = OrthoRep.of(broken)
     with pytest.raises(NotARepresentationError, match="representation 2"):
         decompose_stack(stack_of([reps[0], reps[1], broken, reps[2]]))
     with pytest.raises(NotARepresentationError, match="^third: "):
@@ -356,8 +362,9 @@ def test_decompose_stack_forms_only_the_failing_label():
         return f"rep #{i}"
     decompose_stack(stack_of(reps), labels=label)
     assert asked == []
-    broken = random_rep(2, 1, 3, seed=14)
-    broken.c[0][0, 0] += 1e-3
+    broken = random_rep(2, 1, 3, seed=14).dense().copy()
+    broken[0][0, 0] += 1e-3
+    broken = OrthoRep.of(broken)
     with pytest.raises(NotARepresentationError, match="^rep #2: "):
         decompose_stack(stack_of([reps[0], reps[1], broken, reps[2]]), labels=label)
     assert asked == [2]
@@ -367,7 +374,9 @@ def test_decompose_stack_checks_every_element_against_a_given_unit():
     reps = [random_rep(3, 1, 0, seed) for seed in (1, 2, 3)]
     c = stack_of(reps)
     assert decompose_stack(c, np.eye(4)).multiplicity.tolist() == [1, 1, 1]
+    c = c.dense().copy()
     c[:, 1] *= 1.01
+    c = OrthoRep.of(c)
     with pytest.raises(NotARepresentationError, match="representation 1"):
         decompose_stack(c, np.eye(4))
     with pytest.raises(DimensionError):
@@ -384,12 +393,12 @@ def broken_family(name):
         # within tol, and only the rows Pi c_a = c_a and c_a^dag Pi = c_a^dag
         # see that the given unit misses it
         u = haar_unitary(8, np.random.default_rng(45))
-        good = block_rep(3, 1, 4).c
+        good = block_rep(3, 1, 4).dense()
         leak = good.copy()
         leak[0, 4, 5] = 1e-6
         unit = np.diag([1.0, 1, 1, 1, 0, 0, 0, 0])
         return u @ leak @ dagger(u), u @ good @ dagger(u), u @ unit @ dagger(u)
-    good = random_rep(3, 2, 0, seed=41).c
+    good = random_rep(3, 2, 0, seed=41).dense()
     c = good.copy()
     if name.startswith("scaled"):
         c[0] *= 1 + 1e-6
@@ -415,10 +424,10 @@ REFUSALS = {
 def test_refusal_messages_are_pinned(name):
     c, good, unit = broken_family(name)
     with pytest.raises(NotARepresentationError) as alone:
-        decompose(OrthoRep(c), unit=unit)
+        decompose(OrthoRep.of(c), unit=unit)
     assert str(alone.value) == REFUSALS[name]
     with pytest.raises(NotARepresentationError) as stacked:
-        decompose_stack(np.stack([good, good, c, good], axis=1), unit)
+        decompose_stack(OrthoRep.of(np.stack([good, good, c, good], axis=1)), unit)
     first = 0 if name.endswith("unit 2I") else 2
     assert str(stacked.value) == f"representation {first}: {REFUSALS[name]}"
 
@@ -441,7 +450,7 @@ def noise(shape, size, seed):
 
 def perturbed(rep, size, seed):
     """``rep`` with :func:`noise` added to every annihilator."""
-    return OrthoRep(rep.c + noise(rep.c.shape, size, seed))
+    return OrthoRep.of(rep.dense() + noise(rep.shape, size, seed))
 
 
 def test_a_split_that_cannot_certify_the_relations_is_refused():
@@ -507,7 +516,7 @@ def test_a_certified_split_bounds_both_pair_defects(p, copies, trivial, seed, ex
         return
     bent, unit, ((nilpotent,), (mixed,)) = split
     assert max(nilpotent, mixed) <= 1e-2
-    defects = relation_residuals(bent.c, unit)
+    defects = relation_residuals(bent, unit)
     assert defects[0] <= nilpotent and defects[1] <= mixed, (defects, nilpotent, mixed)
 
 
@@ -602,8 +611,8 @@ def test_expected_blocks_are_the_padded_canonical_copies():
     for p in range(1, 7):
         for m in range(4):
             for t in range(4):
-                old = np.pad(np.kron(np.eye(m), canonical(p).c), ((0, 0), (0, t), (0, t)))
-                new = reptheory._expected_blocks(p, m, t)
+                old = np.pad(np.kron(np.eye(m), canonical(p).dense()), ((0, 0), (0, t), (0, t)))
+                new = reptheory._expected_blocks(p, m, t).dense()
                 assert (new.shape, new.dtype) == (old.shape, old.dtype)
                 assert new.tobytes() == old.tobytes(), (p, m, t)
 
@@ -613,13 +622,13 @@ def test_decompose_stack_keeps_a_real_stack_real(unit_dtype):
     # the basis takes the common dtype of the stack and the unit, so a real
     # stack with a real (or inferred) unit splits in float64 and otherwise
     # in complex128, with the same split either way
-    c = block_rep(3, 2, 1).c.real
+    c = block_rep(3, 2, 1).dense().real
     turn = [*range(7, -1, -1), 8]  # a permutation that keeps the trivial index 8
     c = np.stack([c, c[:, turn][..., turn]], axis=1)
     unit = None if unit_dtype is None else np.diag([1.0] * 8 + [0.0]).astype(unit_dtype)
     for stack, want in [(c, complex if unit_dtype is complex else float),
                         (c.astype(complex), complex)]:
-        dec = decompose_stack(stack, unit)
+        dec = decompose_stack(OrthoRep.of(stack), unit)
         assert dec.basis.dtype == want
         assert (dec.multiplicity.tolist(), dec.trivial_dim.tolist()) == ([2, 2], [1, 1])
         assert all(value.max() <= DEFAULT_TOL for value in dec.residuals.values())
@@ -634,11 +643,11 @@ def test_the_canonical_rep_splits_in_float64(p):
 
 def test_decompose_stack_keeps_the_imaginary_part_of_a_complex_stack():
     rep = random_rep(2, 2, 1, seed=3)
-    dec = decompose_stack(rep.c[:, None])
+    dec = decompose_stack(OrthoRep.of(rep.dense()[:, None]))
     assert dec.basis.dtype == complex and max_abs(dec.basis.imag) > 0.1
     u = dec.basis[0]
-    blocks = reptheory._expected_blocks(2, 2, 1)
-    assert max_abs(u.conj().T @ rep.c @ u - blocks) <= 1e-10
+    blocks = reptheory._expected_blocks(2, 2, 1).dense()
+    assert max_abs(u.conj().T @ rep.dense() @ u - blocks) <= 1e-10
 
 
 # -- random_rep ---------------------------------------------------------------
@@ -646,7 +655,7 @@ def test_decompose_stack_keeps_the_imaginary_part_of_a_complex_stack():
 def test_random_rep_is_deterministic():
     r1 = random_rep(2, 1, 1, seed=3)
     r2 = random_rep(2, 1, 1, seed=3)
-    for a, b in zip(r1.c, r2.c):
+    for a, b in zip(r1.dense(), r2.dense()):
         assert np.array_equal(a, b)
 
 
@@ -660,7 +669,7 @@ def test_random_rep_single_block_is_equivalent_to_canonical():
 def test_random_rep_trivial_only_is_zero():
     rep = random_rep(1, copies=0, trivial=3, seed=2)
     assert rep.dim == 3
-    assert all(max_abs(m) == 0.0 for m in rep.c)
+    assert all(max_abs(m) == 0.0 for m in rep.dense())
 
 
 def test_random_rep_round_trip():
@@ -690,17 +699,24 @@ def test_random_rep_rejects_a_bad_order(p):
 
 
 def test_random_rep_takes_integral_floats():
-    assert np.array_equal(random_rep(2, 2.0, 1.0, seed=4).c, random_rep(2, 2, 1, seed=4).c)
+    assert np.array_equal(random_rep(2, 2.0, 1.0, seed=4).dense(),
+                          random_rep(2, 2, 1, seed=4).dense())
 
 
 def test_ortho_rep_validates_shapes():
-    for c in (np.zeros((3, 3)), np.zeros((2, 3, 4)), np.zeros((2, 0, 0)), np.zeros((2, 1, 3, 3)),
-              np.zeros(()), [np.zeros((3, 3)), np.zeros((2, 2))]):
+    for c in (np.zeros((3, 3)), np.zeros((2, 3, 4)), np.zeros((2, 0, 0)), np.zeros(()),
+              [np.zeros((3, 3)), np.zeros((2, 2))]):
         with pytest.raises(DimensionError):
-            OrthoRep(c)
+            OrthoRep.of(c)
     for c in (np.zeros((0, 3, 3)), []):
         with pytest.raises(OrderError, match="^order p must be a positive integer, got 0$"):
-            OrthoRep(c)
+            OrthoRep.of(c)
+    # a (p, 1, n, n) family holds one, but the functions of one
+    # representation refuse its stack axis
+    family = OrthoRep.of(np.zeros((2, 1, 3, 3)))
+    for check in (verify, decompose, infer_unit):
+        with pytest.raises(DimensionError, match=r"^expected a \(p, n, n\) representation"):
+            check(family)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
@@ -708,20 +724,21 @@ def test_ortho_rep_rejects_non_finite_entries(bad):
     c = np.zeros((2, 3, 3), dtype=complex)
     c[1, 2, 0] = bad
     with pytest.raises(ValueError, match="non-finite"):
-        OrthoRep(c)
+        OrthoRep.of(c)
 
 
 def test_ortho_rep_of_a_list_is_the_stack():
     # linalg.field's rule: a complex stack stays complex128, even with an
     # imaginary part of zeros, and any other becomes float64
     rep = random_rep(3, copies=1, trivial=2, seed=5)
-    real = rep.c.real
-    for given, dtype in [(list(rep.c), complex), (rep.c, complex), (real.astype(complex), complex),
+    c = rep.dense()
+    real = c.real
+    for given, dtype in [(list(c), complex), (c, complex), (real.astype(complex), complex),
                          (real.astype(np.float32), float), (list(real), float)]:
-        built = OrthoRep(given)
-        assert built.c.dtype == dtype and built.c.shape == (3, 6, 6)
+        built = OrthoRep.of(given)
+        assert built.values.dtype == dtype and built.dense().shape == built.shape == (3, 6, 6)
         assert (built.p, built.dim) == (3, 6)
-    assert np.array_equal(OrthoRep(list(rep.c)).c, rep.c)
+    assert np.array_equal(OrthoRep.of(list(c)).dense(), c)
 
 
 @pytest.mark.parametrize("p, copies, trivial", [(1, 1, 0), (2, 2, 1), (4, 2, 2)])
@@ -729,10 +746,10 @@ def test_exact_verify_matches_verify_up_to_roundoff(p, copies, trivial):
     rep = random_rep(p, copies, trivial, seed=7)
     unit = infer_unit(rep)
     bent = perturbed(rep, 1e-7, seed=7)
-    exact, rows = exact_verify(bent.c, unit), verify(bent, unit)
+    exact, rows = exact_verify(bent.dense(), unit), verify(bent, unit)
     assert exact.keys() == rows.keys()
     assert all(abs(float(exact[name]) ** 0.5 - rows[name]) <= 1e-14 for name in rows), (exact, rows)
-    assert set(exact_verify(canonical(3).c, np.eye(4)).values()) == {0}
+    assert set(exact_verify(canonical(3).dense(), np.eye(4)).values()) == {0}
     with pytest.raises(ValueError, match=f"^exact_verify takes n <= {EXACT_MAX_DIM}, got 13$"):
         exact_verify(np.zeros((1, 13, 13)), np.eye(13))
 
@@ -755,7 +772,7 @@ def test_an_accepted_split_holds_every_exact_row_within_tol(p, copies, trivial, 
     except OrthofermiError:
         return
     assert (dec.multiplicity, dec.trivial_dim) == (copies, trivial)
-    rows = exact_verify(bent.c, unit)
+    rows = exact_verify(bent.dense(), unit)
     assert all(value <= Fraction(tol) ** 2 for value in rows.values()), (rows, tol)
 
 
@@ -767,7 +784,7 @@ def test_an_accepted_split_holds_every_exact_row_within_tol(p, copies, trivial, 
 def test_round_trip_invariants(p, copies, trivial, seed):
     rep = random_rep(p, copies, trivial, seed)
     unit = infer_unit(rep)
-    vacuum = unit - sum(m.conj().T @ m for m in rep.c)
+    vacuum = unit - sum(m.conj().T @ m for m in rep.dense())
     # the vacuum operator is a Hermitian projector of rank = multiplicity
     assert max_abs(vacuum @ vacuum - vacuum) < 1e-12
     assert max_abs(vacuum - vacuum.conj().T) < 1e-12
@@ -778,7 +795,7 @@ def test_round_trip_invariants(p, copies, trivial, seed):
     assert dec.residuals["unitarity"] < 1e-10
     # trivial block is annihilated from both sides
     comp = dec.basis[:, copies * (p + 1):]
-    for m in rep.c:
+    for m in rep.dense():
         assert max_abs(m @ comp) < 1e-10
         assert max_abs(m.conj().T @ comp) < 1e-10
 
@@ -879,9 +896,8 @@ def hadamard_split(eps, tol):
     # columns (e_1, c^dag e_1, e_2, c^dag e_2)
     vacua, created = family[:, [0, 2]], family[:, [1, 3]]
     c = dagger(created @ np.linalg.pinv(vacua))
-    on_rows, held = hold(c[None, None])
-    return reptheory._grow_copies(on_rows, vacua[None].astype(complex), np.eye(4)[None],
-                                  tol, lambda i: "", held)
+    return reptheory._grow_copies(OrthoRep.of(c[None, None]), vacua[None].astype(complex),
+                                  np.eye(4)[None], tol, lambda i: "")
 
 
 def test_a_complement_beyond_tol_fails_the_dimension_bookkeeping():

@@ -37,7 +37,7 @@ def test_rep_file_round_trip(tmp_path):
     write_rep_file(path, rep, np.eye(4, dtype=complex))
     loaded, unit = read_rep_file(path)
     assert loaded.p == rep.p and loaded.dim == rep.dim
-    for a, b in zip(loaded.c, rep.c):
+    for a, b in zip(loaded.dense(), rep.dense()):
         assert np.array_equal(a, b)
     assert np.array_equal(unit, np.eye(4))
 
@@ -54,11 +54,12 @@ def complex_array(draw, shape):
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(data=st.data(), p=st.integers(1, 6), n=st.integers(1, 8), with_unit=st.booleans())
 def test_rep_dict_round_trip_is_bitwise(data, p, n, with_unit):
-    rep = OrthoRep(complex_array(data.draw, (p, n, n)))
+    rep = OrthoRep.of(complex_array(data.draw, (p, n, n)))
     unit = complex_array(data.draw, (n, n)) if with_unit else None
     loaded, loaded_unit = rep_from_dict(rep_to_dict(rep, unit))
     assert (loaded.p, loaded.dim) == (p, n)
-    assert loaded.c.dtype == rep.c.dtype and loaded.c.tobytes() == rep.c.tobytes()
+    assert loaded.values.dtype == rep.values.dtype
+    assert loaded.dense().tobytes() == rep.dense().tobytes()
     if with_unit:
         assert loaded_unit.dtype == unit.dtype and loaded_unit.tobytes() == unit.tobytes()
     else:
@@ -66,7 +67,7 @@ def test_rep_dict_round_trip_is_bitwise(data, p, n, with_unit):
 
 
 def test_rep_file_without_unit(tmp_path):
-    rep = OrthoRep([canonical(1).c[0]])
+    rep = OrthoRep.of([canonical(1).dense()[0]])
     path = tmp_path / "rep.json"
     write_rep_file(path, rep)
     _, unit = read_rep_file(path)
@@ -81,14 +82,14 @@ def test_malformed_json_raises_parse_error(tmp_path):
 
 
 def test_wrong_schema_raises_parse_error():
-    doc = rep_to_dict(OrthoRep([canonical(1).c[0]]))
+    doc = rep_to_dict(OrthoRep.of([canonical(1).dense()[0]]))
     doc["schema_version"] = "something-else/9"
     with pytest.raises(ParseError):
         rep_from_dict(doc)
 
 
 def test_shape_mismatch_raises_parse_error():
-    doc = rep_to_dict(OrthoRep([canonical(1).c[0]]))
+    doc = rep_to_dict(OrthoRep.of([canonical(1).dense()[0]]))
     doc["dim"] = 3
     with pytest.raises(ParseError):
         rep_from_dict(doc)
@@ -107,7 +108,7 @@ def test_missing_field_raises_parse_error():
 
 
 def test_non_numeric_entries_raise_parse_error():
-    doc = rep_to_dict(OrthoRep([canonical(1).c[0]]))
+    doc = rep_to_dict(OrthoRep.of([canonical(1).dense()[0]]))
     doc["matrices"][0][0][0] = ["a", "b"]
     with pytest.raises(ParseError):
         rep_from_dict(doc)
@@ -139,7 +140,7 @@ def test_integer_entries_read_as_their_floats():
     doc["unit"] = [[[int(re), int(im)] for re, im in row] for row in doc["unit"]]
     doc["matrices"][0][0][1] = [1, -0]
     rep, unit = rep_from_dict(doc)
-    assert np.array_equal(unit, np.eye(3)) and np.array_equal(rep.c, canonical(2).c)
+    assert np.array_equal(unit, np.eye(3)) and np.array_equal(rep.dense(), canonical(2).dense())
 
 
 @pytest.mark.parametrize("data", [
@@ -193,7 +194,7 @@ def test_reading_a_rep_file_pauses_the_collector_and_restores_it(tmp_path, monke
 
 
 def test_unwritable_path_raises_io_error(tmp_path):
-    rep = OrthoRep([canonical(1).c[0]])
+    rep = OrthoRep.of([canonical(1).dense()[0]])
     with pytest.raises(IoError):
         write_rep_file(tmp_path / "no-such-dir" / "rep.json", rep)
 
